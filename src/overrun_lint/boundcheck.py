@@ -132,33 +132,19 @@ def find_arrays(unit: ast.CompilationUnit, resolution: Resolution) -> list[Array
                 decl.size_kind = SIZE_VARIABLE
                 decl.size_symbol = size_sym
 
-    for node in ast.walk(unit):
-        if isinstance(node, ast.LocalDecl) and isinstance(node.initializer, ast.NewArray):
-            sym = _decl_symbol(node, resolution)
-            note_allocation(sym, node.initializer)
-        elif isinstance(node, ast.FieldDecl) and isinstance(node.initializer, ast.NewArray):
-            sym = _decl_symbol(node, resolution)
-            note_allocation(sym, node.initializer)
-        elif (
-            isinstance(node, ast.Binary)
-            and node.op == "="
-            and isinstance(node.right, ast.NewArray)
-        ):
-            sym = _target_symbol(node.left, resolution)
-            note_allocation(sym, node.right)
-        if isinstance(node, ast.Index):
+    for node in resolution.nodes_of(ast.LocalDecl, ast.FieldDecl, ast.Binary, ast.Index):
+        if isinstance(node, (ast.LocalDecl, ast.FieldDecl)):
+            if isinstance(node.initializer, ast.NewArray):
+                note_allocation(resolution.decl_symbols.get(node.uid), node.initializer)
+        elif isinstance(node, ast.Binary):
+            if node.op == "=" and isinstance(node.right, ast.NewArray):
+                note_allocation(_target_symbol(node.left, resolution), node.right)
+        else:
             sym = _target_symbol(node.array, resolution)
             decl = arrays.get(id(sym)) if sym is not None else None
             if decl is not None:
                 decl.references.append(node)
     return order
-
-
-def _decl_symbol(decl: ast.Node, resolution: Resolution) -> Symbol | None:
-    for sym in resolution.symbols:
-        if sym.decl_uid == decl.uid:
-            return sym
-    return None
 
 
 def _target_symbol(expr: ast.Expr, resolution: Resolution) -> Symbol | None:
@@ -202,22 +188,22 @@ def track_index_vars(
     result = list(infos.values())
     if not result:
         return result
-    tracked = {id(info.symbol) for info in result}
+    tracked: dict[int, list[IndexVarInfo]] = {}
+    for info in result:
+        tracked.setdefault(id(info.symbol), []).append(info)
     # All occurrences of each tracked variable, and every site that can move it.
-    for node in ast.walk(resolution.unit):
+    for node in resolution.nodes_of(ast.Name, ast.Binary, ast.LocalDecl):
         if isinstance(node, ast.Name):
             sym = resolution.name_targets.get(node.uid)
-            if sym is not None and id(sym) in tracked:
-                for info in result:
-                    if info.symbol is sym:
-                        info.occurrences.append(node.span)
+            if sym is not None:
+                for info in tracked.get(id(sym), ()):
+                    info.occurrences.append(node.span)
+            continue
         site = _modifying_site(node, resolution)
         if site is not None:
             target, entry = site
-            if id(target) in tracked:
-                for info in result:
-                    if info.symbol is target:
-                        info.modifying_sites.append(entry)
+            for info in tracked.get(id(target), ()):
+                info.modifying_sites.append(entry)
     for info in result:
         info.v_marked = bool(info.modifying_sites) and bool(info.accesses)
     return result
@@ -234,7 +220,7 @@ def _modifying_site(node: ast.Node, resolution: Resolution) -> tuple[Symbol, Mod
             return None
         return sym, ModifyingSite(node.span, *_classify_rhs(node.right))
     if isinstance(node, ast.LocalDecl) and node.initializer is not None:
-        sym = _decl_symbol(node, resolution)
+        sym = resolution.decl_symbols.get(node.uid)
         if sym is None:
             return None
         return sym, ModifyingSite(node.span, *_classify_rhs(node.initializer))
@@ -263,17 +249,27 @@ def check_loops(
     resolution: Resolution,
 ) -> list[LoopLimitCheck]:
     """Judge every loop that modifies a tracked index variable."""
+    # Loop uid -> the index variables accessed somewhere inside that loop.
+    accessed_in: dict[int, list[IndexVarInfo]] = {}
+    for info in index_info:
+        loops: set[int] = set()
+        for acc in info.accesses:
+            cur: ast.Node | None = acc
+            while cur is not None:
+                if isinstance(cur, (ast.For, ast.While)):
+                    loops.add(cur.uid)
+                cur = resolution.parents.get(cur.uid)
+        for uid in loops:
+            accessed_in.setdefault(uid, []).append(info)
     checks: list[LoopLimitCheck] = []
-    for loop in ast.walk(unit):
-        if not isinstance(loop, (ast.For, ast.While)):
+    for loop in resolution.nodes_of(ast.For, ast.While):
+        infos = accessed_in.get(loop.uid)
+        if not infos:
             continue
         modified = _symbols_modified_by_loop(loop, resolution)
-        for info in index_info:
-            if id(info.symbol) not in modified:
-                continue
-            if not any(_contains(loop, acc) for acc in info.accesses):
-                continue
-            checks.append(_judge_loop(loop, info, resolution))
+        for info in infos:
+            if id(info.symbol) in modified:
+                checks.append(_judge_loop(loop, info, resolution))
     return checks
 
 
@@ -290,31 +286,36 @@ def _symbols_modified_by_loop(loop: ast.For | ast.While, resolution: Resolution)
     return out
 
 
-def _contains(root: ast.Node, node: ast.Node) -> bool:
-    return any(n is node for n in ast.walk(root))
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _loop_comparisons(
-    cond: ast.Expr | None, sym: Symbol, resolution: Resolution
-) -> list[tuple[str, ast.Expr]]:
-    """(operator-as-seen-by-sym, limit expr) pairs from the condition,
+def _comparisons(cond: ast.Expr | None, is_subject) -> list[tuple[str, ast.Expr]]:
+    """(operator as seen from the subject, other operand) for each ordering
+    comparison in the condition with a subject operand (is_subject(expr)),
     looking through && conjunctions only."""
-    if cond is None:
-        return []
-    stack = [cond]
+    stack = [cond] if cond is not None else []
     found: list[tuple[str, ast.Expr]] = []
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Binary):
             if node.op == "&&":
                 stack.extend((node.left, node.right))
-            elif node.op in ("<", "<=", ">", ">="):
-                if isinstance(node.left, ast.Name) and resolution.name_targets.get(node.left.uid) is sym:
+            elif node.op in _FLIPPED:
+                if is_subject(node.left):
                     found.append((node.op, node.right))
-                elif isinstance(node.right, ast.Name) and resolution.name_targets.get(node.right.uid) is sym:
-                    found.append((flipped[node.op], node.left))
+                elif is_subject(node.right):
+                    found.append((_FLIPPED[node.op], node.left))
     return found
+
+
+def _loop_comparisons(
+    cond: ast.Expr | None, sym: Symbol, resolution: Resolution
+) -> list[tuple[str, ast.Expr]]:
+    """(operator-as-seen-by-sym, limit expr) pairs from the condition."""
+    return _comparisons(
+        cond,
+        lambda e: isinstance(e, ast.Name) and resolution.name_targets.get(e.uid) is sym,
+    )
 
 
 def _judge_loop(
@@ -409,7 +410,7 @@ def _loop_start_value(loop: ast.Stmt, sym: Symbol, resolution: Resolution) -> in
 def _start_is_symbol(loop: ast.For, sym: Symbol, size_sym: Symbol, resolution: Resolution) -> bool:
     init = loop.init
     rhs = None
-    if isinstance(init, ast.LocalDecl) and _decl_symbol(init, resolution) is sym:
+    if isinstance(init, ast.LocalDecl) and resolution.decl_symbols.get(init.uid) is sym:
         rhs = init.initializer
     elif isinstance(init, ast.ExprStmt) and isinstance(init.expr, ast.Binary) and init.expr.op == "=":
         if resolution.name_targets.get(getattr(init.expr.left, "uid", -1)) is sym:
@@ -429,7 +430,9 @@ def _limit_guarded(
     enough that the loop cannot leave the array's legal range."""
     size_n = array.size_value if array.size_kind == SIZE_CONSTANT else None
     size_sym = array.size_symbol
-    for cond, subtree in _enclosing_conditions(loop, resolution):
+    for cond, holds in resolution.enclosing_conditions(loop):
+        if not holds:
+            continue
         for op, limit in _loop_comparisons(cond, limit_sym, resolution):
             if op not in ("<", "<="):
                 continue
@@ -454,23 +457,6 @@ def _limit_guarded(
             if size_n is not None and loop_max_index <= size_n - 1:
                 return True
     return False
-
-
-def _enclosing_conditions(node: ast.Node, resolution: Resolution):
-    """(condition, branch subtree) pairs for every enclosing if/while whose
-    guarded region contains node."""
-    out = []
-    cur = node
-    while True:
-        parent = resolution.parents.get(cur.uid)
-        if parent is None:
-            break
-        if isinstance(parent, ast.If) and cur is parent.then:
-            out.append((parent.cond, cur))
-        elif isinstance(parent, ast.While) and cur is parent.body:
-            out.append((parent.cond, cur))
-        cur = parent
-    return out
 
 
 # -- composition --------------------------------------------------------------------
@@ -557,7 +543,7 @@ def run_bound_check(
 
     # Modified-but-unvalidated indices outside any bounding loop.  Indices
     # arriving as parameters count as unvalidated input unless guarded.
-    for info in track_index_vars(arrays, resolution):
+    for info in index_info:
         from_parameter = info.symbol.kind == "param" and not info.symbol.is_catch_param
         if not info.v_marked and not from_parameter:
             continue
@@ -618,7 +604,7 @@ def _first_unguarded_access(check: LoopLimitCheck, resolution: Resolution) -> as
     accesses = [
         acc
         for acc in check.array.references
-        if _contains(check.loop, acc)
+        if resolution.is_within(acc, check.loop)
         and any(
             resolution.name_targets.get(n.uid) is check.index_symbol
             for n in _index_names(acc.index)
@@ -646,7 +632,9 @@ def _access_guarded(
     size_n = array.size_value if array.size_kind == SIZE_CONSTANT else None
     size_sym = array.size_symbol
     const_index = _const_int(access.index)
-    for cond, _branch in _enclosing_conditions(access, resolution):
+    for cond, holds in resolution.enclosing_conditions(access):
+        if not holds:
+            continue
         for sym in syms:
             for op, limit in _loop_comparisons(cond, sym, resolution):
                 if op not in ("<", "<="):
@@ -668,26 +656,9 @@ def _access_guarded(
         if const_index is not None:
             # length guards for constant indices on variable-size arrays:
             # if (c < size) b[c] ...
-            for op, limit in _const_comparisons(cond, const_index):
+            for op, limit in _comparisons(cond, lambda e: _const_int(e) == const_index):
                 if op == "<" and isinstance(limit, ast.Name):
                     bound_sym = resolution.name_targets.get(limit.uid)
                     if bound_sym is not None and bound_sym is size_sym:
                         return True
     return False
-
-
-def _const_comparisons(cond: ast.Expr, value: int) -> list[tuple[str, ast.Expr]]:
-    out = []
-    stack = [cond]
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Binary):
-            if node.op == "&&":
-                stack.extend((node.left, node.right))
-            elif node.op in ("<", "<=", ">", ">="):
-                if _const_int(node.left) == value:
-                    out.append((node.op, node.right))
-                elif _const_int(node.right) == value:
-                    out.append((flipped[node.op], node.left))
-    return out

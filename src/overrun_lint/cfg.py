@@ -49,6 +49,7 @@ class ControlFlowGraph:
     exit: int = 1
     instr_spans: dict[int, SourceSpan] = field(default_factory=dict)
     stmt_iids: dict[int, int] = field(default_factory=dict)  # ast uid -> iid
+    instr_blocks: dict[int, int] = field(default_factory=dict)  # iid -> bid
     implicit_return_iid: int | None = None
     synthetic: bool = False  # implicit ctor / static initializer
 
@@ -82,10 +83,7 @@ class ControlFlowGraph:
         return sum(1 for e in self.edges if e.src in decisions)
 
     def block_of_instr(self, iid: int) -> int:
-        for block in self.blocks:
-            if iid in block.instructions:
-                return block.bid
-        raise KeyError(iid)
+        return self.instr_blocks[iid]
 
     def instruction_ids(self) -> list[int]:
         out: list[int] = []
@@ -124,19 +122,17 @@ def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
 
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
     """Blocks with no path from entry, entry excluded."""
-    matrix = reachability(cfg)
-    ids = {b.bid: i for i, b in enumerate(cfg.blocks)}
-    entry_row = matrix[ids[cfg.entry]]
-    return [b for b in cfg.blocks if b.bid != cfg.entry and not entry_row[ids[b.bid]]]
-
-
-def unreachable_spans(cfg: ControlFlowGraph) -> list[SourceSpan]:
-    spans = []
-    for block in unreachable_nodes(cfg):
-        for iid in block.instructions:
-            spans.append(cfg.instr_spans[iid])
-            break
-    return spans
+    successors: dict[int, list[int]] = {}
+    for e in cfg.edges:
+        successors.setdefault(e.src, []).append(e.dst)
+    reached = {cfg.entry}
+    frontier = [cfg.entry]
+    while frontier:
+        for dst in successors.get(frontier.pop(), ()):
+            if dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
+    return [b for b in cfg.blocks if b.bid not in reached]
 
 
 class _IidAllocator:
@@ -175,10 +171,17 @@ class _Builder:
             self.cur = self.new_block()  # unreachable continuation
         return self.cur
 
-    def instr(self, node: ast.Node, span: SourceSpan | None = None) -> int:
+    def place(self, span: SourceSpan) -> int:
+        """A fresh instruction id at the end of the current block."""
         iid = self.alloc.take()
-        self.ensure_cur().instructions.append(iid)
-        self.cfg.instr_spans[iid] = span or node.span
+        block = self.ensure_cur()
+        block.instructions.append(iid)
+        self.cfg.instr_blocks[iid] = block.bid
+        self.cfg.instr_spans[iid] = span
+        return iid
+
+    def instr(self, node: ast.Node, span: SourceSpan | None = None) -> int:
+        iid = self.place(span or node.span)
         self.cfg.stmt_iids[node.uid] = iid
         return iid
 
@@ -317,10 +320,9 @@ class _Builder:
             if add_implicit_return:
                 # Implicit return instruction: every method executes at least
                 # one instruction, so method coverage is observable.
-                iid = self.alloc.take()
-                self.cur.instructions.append(iid)
-                self.cfg.instr_spans[iid] = terminal_span or SourceSpan("<synthetic>", 1, 1, 1, 1)
-                self.cfg.implicit_return_iid = iid
+                self.cfg.implicit_return_iid = self.place(
+                    terminal_span or SourceSpan("<synthetic>", 1, 1, 1, 1)
+                )
             self.edge(self.cur.bid, self.cfg.exit, FALLTHROUGH)
         self._prune_empty_orphans()
         return self.cfg
@@ -354,12 +356,6 @@ class UnitCfgs:
     stmt_iids: dict[int, int]  # ast uid -> iid, merged over methods
     instr_spans: dict[int, SourceSpan]
     method_of_iid: dict[int, str]
-
-    def total_instructions(self) -> int:
-        return len(self.instr_spans)
-
-    def cfg_of_iid(self, iid: int) -> ControlFlowGraph:
-        return self.cfgs[self.method_of_iid[iid]]
 
 
 def method_identity(class_name: str, method: ast.MethodDecl) -> str:
@@ -402,10 +398,7 @@ def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
         has_ctor = any(m.is_constructor for m in cls.methods)
         if not has_ctor:
             builder = _Builder(f"{cls.name}.<init>/0", alloc)
-            iid = alloc.take()
-            builder.cur.instructions.append(iid)
-            builder.cfg.instr_spans[iid] = cls.span
-            builder.cfg.stmt_iids[cls.uid] = iid
+            builder.instr(cls)
             cfg = builder.finish(None, add_implicit_return=False)
             cfg.synthetic = True
             cfgs[cfg.method] = cfg

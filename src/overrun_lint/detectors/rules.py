@@ -28,20 +28,9 @@ class RuleContext:
             cur = self.res.parents.get(cur.uid)
         return None
 
-    def enclosing_conditions(self, node: ast.Node) -> list[ast.Expr]:
-        conds = []
-        cur = node
-        while True:
-            parent = self.res.parents.get(cur.uid)
-            if parent is None:
-                break
-            if isinstance(parent, (ast.If, ast.While)):
-                conds.append(parent.cond)
-            cur = parent
-        return conds
-
     def has_null_guard(self, node: ast.Node, sym: Symbol) -> bool:
-        for cond in self.enclosing_conditions(node):
+        # Any enclosing condition counts, whichever branch node is in.
+        for cond, _holds in self.res.enclosing_conditions(node):
             for sub in ast.walk(cond):
                 if isinstance(sub, ast.Binary) and sub.op in ("==", "!="):
                     for side, other in ((sub.left, sub.right), (sub.right, sub.left)):
@@ -69,28 +58,26 @@ def _mk(rule: Rule, span, message: str) -> Finding:
 # --- individual detectors ------------------------------------------------------
 
 
+def _assigned_calls(ctx: RuleContext, name: str):
+    """(symbol, statement) for each local declaration or plain assignment
+    whose value is a receiver-less call of name, in pre-order."""
+    for node in ctx.res.nodes_of(ast.LocalDecl, ast.Binary):
+        if isinstance(node, ast.LocalDecl):
+            rhs = node.initializer
+            target = ctx.res.decl_symbols.get(node.uid)
+        elif node.op == "=" and isinstance(node.left, ast.Name):
+            rhs = node.right
+            target = ctx.res.name_targets.get(node.left.uid)
+        else:
+            continue
+        if target is not None and isinstance(rhs, ast.Call) and rhs.receiver is None and rhs.name == name:
+            yield target, node
+
+
 def _readline_sinks(ctx: RuleContext):
     """(use-node, symbol-or-None) pairs where a possibly-null readLine value
     is dereferenced (receiver position or call argument)."""
-    nullable: set[int] = set()
-    sym_by_id: dict[int, Symbol] = {}
-    for node in ast.walk(ctx.unit):
-        rhs = None
-        target = None
-        if isinstance(node, ast.LocalDecl) and node.initializer is not None:
-            rhs = node.initializer
-            target = next((s for s in ctx.res.symbols if s.decl_uid == node.uid), None)
-        elif isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
-            rhs = node.right
-            target = ctx.res.name_targets.get(node.left.uid)
-        if (
-            target is not None
-            and isinstance(rhs, ast.Call)
-            and rhs.receiver is None
-            and rhs.name == "readLine"
-        ):
-            nullable.add(id(target))
-            sym_by_id[id(target)] = target
+    nullable = {id(target) for target, _node in _assigned_calls(ctx, "readLine")}
 
     def is_nullable_use(expr: ast.Expr):
         if isinstance(expr, ast.Call) and expr.receiver is None and expr.name == "readLine":
@@ -101,7 +88,7 @@ def _readline_sinks(ctx: RuleContext):
                 return True, sym
         return False, None
 
-    for node in ast.walk(ctx.unit):
+    for node in ctx.res.nodes_of(ast.Call, ast.FieldAccess):
         if isinstance(node, ast.Call):
             for arg in node.args:
                 hit, sym = is_nullable_use(arg)
@@ -166,8 +153,8 @@ def equals_hashcode(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def ignored_return_value(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.unit):
-        if isinstance(node, ast.ExprStmt) and isinstance(node.expr, ast.Call):
+    for node in ctx.res.nodes_of(ast.ExprStmt):
+        if isinstance(node.expr, ast.Call):
             target = ctx.res.call_targets.get(node.expr.uid)
             if target is not None and target.must_check:
                 findings.append(
@@ -178,9 +165,7 @@ def ignored_return_value(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for sync in ast.walk(ctx.unit):
-        if not isinstance(sync, ast.Synchronized):
-            continue
+    for sync in ctx.res.nodes_of(ast.Synchronized):
         for node in ast.walk(sync.body):
             if isinstance(node, ast.Call) and node.name == "wait":
                 target = ctx.res.call_targets.get(node.uid)
@@ -217,9 +202,7 @@ def _monitor_key(ctx: RuleContext, expr: ast.Expr):
 
 def deadlock_order(rule: Rule, ctx: RuleContext) -> list[Finding]:
     ordered: dict[tuple, list] = {}
-    for outer in ast.walk(ctx.unit):
-        if not isinstance(outer, ast.Synchronized):
-            continue
+    for outer in ctx.res.nodes_of(ast.Synchronized):
         for inner in ast.walk(outer.body):
             if isinstance(inner, ast.Synchronized):
                 a = _monitor_key(ctx, outer.monitor)
@@ -240,8 +223,8 @@ def deadlock_order(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def string_equality(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.unit):
-        if isinstance(node, ast.Binary) and node.op in ("==", "!="):
+    for node in ctx.res.nodes_of(ast.Binary):
+        if node.op in ("==", "!="):
             left_t = ctx.res.types.get(node.left.uid)
             right_t = ctx.res.types.get(node.right.uid)
             if isinstance(left_t, ty.StringType) and isinstance(right_t, ty.StringType):
@@ -261,22 +244,7 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.unit):
-        rhs = None
-        target = None
-        if isinstance(node, ast.LocalDecl) and node.initializer is not None:
-            rhs = node.initializer
-            target = next((s for s in ctx.res.symbols if s.decl_uid == node.uid), None)
-        elif isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
-            rhs = node.right
-            target = ctx.res.name_targets.get(node.left.uid)
-        if not (
-            target is not None
-            and isinstance(rhs, ast.Call)
-            and rhs.receiver is None
-            and rhs.name == "open"
-        ):
-            continue
+    for target, node in _assigned_calls(ctx, "open"):
         method = ctx.method_of(node)
         if method is None:
             continue
@@ -360,7 +328,7 @@ def redundant_null_check(rule: Rule, ctx: RuleContext) -> list[Finding]:
             state: dict[int, str] = {}
             for node in ast.walk(method.body):
                 if isinstance(node, ast.LocalDecl) and node.initializer is not None:
-                    sym = next((s for s in ctx.res.symbols if s.decl_uid == node.uid), None)
+                    sym = ctx.res.decl_symbols.get(node.uid)
                     if sym is not None:
                         state[id(sym)] = "new" if isinstance(node.initializer, ast.New) else "other"
                 elif isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
@@ -400,7 +368,7 @@ def static_field_could_be_final(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def empty_block(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.unit):
+    for node in ctx.res.nodes_of(ast.If, ast.While, ast.Try, ast.Switch):
         if isinstance(node, ast.If):
             if not node.then.stmts:
                 findings.append(_mk(rule, node.then.span, "empty if body"))
@@ -487,8 +455,8 @@ def no_package(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def system_println(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ast.walk(ctx.unit):
-        if isinstance(node, ast.Call) and node.receiver is None and node.name == "println":
+    for node in ctx.res.nodes_of(ast.Call):
+        if node.receiver is None and node.name == "println":
             target = ctx.res.call_targets.get(node.uid)
             if target is not None and target.id == "builtin:println":
                 findings.append(_mk(rule, node.span, "println call in production code"))
@@ -505,11 +473,10 @@ def do_not_use_threads(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def method_argument_could_be_final(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    by_decl = {s.decl_uid: s for s in ctx.res.symbols if s.decl_uid >= 0}
     for cls in ctx.unit.classes:
         for method in cls.methods:
             for param in method.params:
-                sym = by_decl.get(param.uid)
+                sym = ctx.res.decl_symbols.get(param.uid)
                 if sym is None or param.final:
                     continue
                 if sym.write_count == 0:

@@ -275,35 +275,46 @@ class Null(Expr):
 # --- tree utilities -----------------------------------------------------------
 
 _SKIP_FIELDS = {"span", "uid", "assert_origin"}
+# Node class -> names of the fields that can hold child nodes, filled on
+# first use so that traversal does not call dataclasses.fields() per node.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def child_nodes(node: Node) -> Iterator[Node]:
+def child_nodes(node: Node) -> list[Node]:
     """Direct child nodes, in field order."""
-    for f in fields(node):
-        if f.name in _SKIP_FIELDS:
-            continue
-        value = getattr(node, f.name)
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = tuple(f.name for f in fields(node) if f.name not in _SKIP_FIELDS)
+        _CHILD_FIELDS[type(node)] = names
+    children = []
+    for name in names:
+        value = getattr(node, name)
         if isinstance(value, Node):
-            yield value
+            children.append(value)
         elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+            children.extend(item for item in value if isinstance(item, Node))
+    return children
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of the subtree rooted at node."""
-    yield node
-    for child in child_nodes(node):
-        yield from walk(child)
+    """Pre-order traversal of the subtree rooted at node.  Iterative, so
+    depth is bounded by memory, not by the interpreter's recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(child_nodes(node)))
 
 
 def parent_map(root: Node) -> dict[int, Node]:
     """Map child uid -> parent node for the whole subtree."""
     parents: dict[int, Node] = {}
-    for node in walk(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
         for child in child_nodes(node):
             parents[child.uid] = node
+            stack.append(child)
     return parents
 
 

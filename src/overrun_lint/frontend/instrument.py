@@ -84,7 +84,3 @@ def _lower(unit: ast.CompilationUnit, stmt: ast.Assert, unit_name: str) -> ast.I
     lowered.leading_comments = list(stmt.leading_comments)
     lowered.assert_origin = ast.AssertInfo(unit_name=unit_name, statement_text=statement_text)
     return lowered
-
-
-def count_asserts(unit: ast.CompilationUnit) -> int:
-    return ast.count_nodes(unit, ast.Assert)

@@ -160,11 +160,6 @@ class Interpreter:
         self.statics: dict[tuple[str, str], object] = {}
         self.depth = 0
         self.ordinals = 0
-        self._decision_block: dict[int, int] = {}
-        for cfg in cfgs.cfgs.values():
-            for block in cfg.blocks:
-                if block.instructions:
-                    self._decision_block[block.instructions[-1]] = block.bid
 
     # -- trace plumbing ------------------------------------------------------
 

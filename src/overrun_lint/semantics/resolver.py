@@ -9,6 +9,7 @@ operator/operand mismatches raise TypeCheckError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from ..frontend import ast
@@ -136,8 +137,40 @@ class Resolution:
     field_targets: dict[int, Symbol]
     call_targets: dict[int, CallTarget]
     types: dict[int, Type]
-    parents: dict[int, ast.Node]
     diagnostics: list[Exception]
+    # The unit's node index, built in one walk before resolution: every node
+    # in pre-order, the nodes grouped by class (each group in pre-order), the
+    # child uid -> parent map, and decl uid -> the first symbol it declares.
+    nodes: list[ast.Node] = field(default_factory=list)
+    by_type: dict[type, list[ast.Node]] = field(default_factory=dict)
+    parents: dict[int, ast.Node] = field(default_factory=dict)
+    decl_symbols: dict[int, Symbol] = field(default_factory=dict)
+
+    def nodes_of(self, *kinds: type) -> list[ast.Node]:
+        """Nodes whose exact class is one of kinds, in pre-order."""
+        if len(kinds) == 1:
+            return self.by_type.get(kinds[0], [])
+        return [node for node in self.nodes if type(node) in kinds]
+
+    def is_within(self, node: ast.Node, root: ast.Node) -> bool:
+        """Whether node lies in the subtree rooted at root."""
+        cur: ast.Node | None = node
+        while cur is not None and cur is not root:
+            cur = self.parents.get(cur.uid)
+        return cur is root
+
+    def enclosing_conditions(self, node: ast.Node) -> Iterator[tuple[ast.Expr, bool]]:
+        """(condition, holds) for every if/while around node, innermost
+        first.  holds is True when node lies in the then-branch or the loop
+        body, where the condition is known to be true."""
+        cur = node
+        parent = self.parents.get(cur.uid)
+        while parent is not None:
+            if isinstance(parent, ast.If):
+                yield parent.cond, cur is parent.then
+            elif isinstance(parent, ast.While):
+                yield parent.cond, cur is parent.body
+            cur, parent = parent, self.parents.get(parent.uid)
 
     def subclass_ok(self, base: str, derived: str) -> bool:
         seen = set()
@@ -172,9 +205,9 @@ class _Resolver:
             field_targets={},
             call_targets={},
             types={},
-            parents=ast.parent_map(unit),
             diagnostics=[],
         )
+        self._index()
         self.global_scope = Scope(owner=unit)
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
@@ -187,9 +220,24 @@ class _Resolver:
             self._resolve_class(cls)
         return self.res
 
+    def _index(self) -> None:
+        # ast.walk's traversal, inlined so each node's children are listed once.
+        res = self.res
+        stack: list[ast.Node] = [self.unit]
+        while stack:
+            node = stack.pop()
+            res.nodes.append(node)
+            res.by_type.setdefault(type(node), []).append(node)
+            children = ast.child_nodes(node)
+            for child in children:
+                res.parents[child.uid] = node
+            stack.extend(reversed(children))
+
     def _sym(self, **kw) -> Symbol:
         sym = Symbol(**kw)
         self.res.symbols.append(sym)
+        if sym.decl_uid >= 0:
+            self.res.decl_symbols.setdefault(sym.decl_uid, sym)
         return sym
 
     def _declare_classes(self) -> None:

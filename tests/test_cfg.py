@@ -147,6 +147,7 @@ def test_reachability_matches_dfs_oracle_on_random_dags():
             oracle = dfs(i)
             got = {j for j in range(n) if matrix[i][j]}
             assert got == oracle
+        assert [b.bid for b in unreachable_nodes(cfg)] == sorted(set(range(n)) - dfs(0))
 
 
 def test_unreachable_after_return():

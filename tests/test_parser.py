@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from overrun_lint.errors import ParseError
 from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
+from overrun_lint.frontend.lexer import SourceSpan
 
 
 def test_minimal_class():
@@ -125,6 +128,37 @@ def test_uids_unique(corpus_sources):
         unit = parse_source(source, name)
         uids = [n.uid for n in walk(unit)]
         assert len(uids) == len(set(uids))
+
+
+def _recursive_preorder(node):
+    """Reference pre-order: the node, then each child in field order."""
+    out = [node]
+    for f in fields(node):
+        if f.name in ("span", "uid", "assert_origin"):
+            continue
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, ast.Node):
+                out += _recursive_preorder(item)
+    return out
+
+
+def test_walk_matches_recursive_preorder(corpus_sources):
+    for name, source in corpus_sources.items():
+        unit = parse_source(source, name)
+        assert [n.uid for n in walk(unit)] == [n.uid for n in _recursive_preorder(unit)], name
+
+
+def test_deep_tree_does_not_recurse():
+    # Built from constructors: the parser itself still recurses on nesting.
+    span = SourceSpan("<deep>", 1, 1, 1, 1)
+    node = ast.Name(identifier="x", span=span, uid=0)
+    for uid in range(1, 5001):
+        node = ast.Unary(op="-", operand=node, span=span, uid=uid)
+    assert [n.uid for n in walk(node)] == list(range(5000, -1, -1))
+    parents = ast.parent_map(node)
+    assert len(parents) == 5000 and parents[0].uid == 1
+    assert ast.count_nodes(node, ast.Unary) == 5000
 
 
 def test_for_slots_distinct_even_when_empty():

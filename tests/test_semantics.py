@@ -151,3 +151,37 @@ def test_builtin_callees_marked():
     graph = build_call_graph(unit, res)
     (edge,) = graph.edges
     assert edge.callee_builtin and edge.callee == "builtin:println"
+
+
+def test_node_index_keeps_walk_preorder(corpus_sources):
+    unit, res = resolve(corpus_sources["yang.sl"], "yang.sl")
+    order = list(walk(unit))
+    assert res.nodes == order
+    assert res.parents == ast.parent_map(unit)
+    # Uids follow construction order, not pre-order, so a query over several
+    # node types must interleave them by position in the walk.
+    mixed = res.nodes_of(ast.Call, ast.FieldAccess)
+    assert mixed == [n for n in order if isinstance(n, (ast.Call, ast.FieldAccess))]
+    assert [n.uid for n in order[:4]] == [59, 58, 2, 0]
+    for kind, group in res.by_type.items():
+        assert group == [n for n in order if type(n) is kind]
+    for sym in res.symbols:
+        if sym.decl_uid >= 0:
+            assert res.decl_symbols[sym.decl_uid] is next(
+                s for s in res.symbols if s.decl_uid == sym.decl_uid
+            )
+
+
+def test_enclosing_conditions_report_which_branch():
+    unit, res = resolve(
+        "class A { void m(int x) { while (x > 0) { if (x < 5) { x = 1; } else { x = 2; } } } }"
+    )
+    one, two = [n for n in walk(unit) if isinstance(n, ast.Literal) and n.value in (1, 2)]
+
+    def ops(node):
+        return [(cond.op, holds) for cond, holds in res.enclosing_conditions(node)]
+
+    assert ops(one) == [("<", True), (">", True)]
+    assert ops(two) == [("<", False), (">", True)]
+    cond = next(n for n in walk(unit) if isinstance(n, ast.Binary) and n.op == "<")
+    assert ops(cond.left) == [("<", False), (">", True)]
