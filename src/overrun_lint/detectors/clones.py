@@ -5,6 +5,19 @@ literals -> STR, comments dropped) so renamed copies still match; keywords,
 operators and punctuation stay verbatim.  Reported pairs are maximal: they
 cannot be extended in either direction and are not contained in a longer
 reported pair.
+
+Each window of min_tokens tokens inside one file (a gram) is grouped with
+the grams equal to it after normalization, so no window spans two files.
+A pair of equal grams at positions a < b is taken only when it is
+left-maximal: a or b starts its file, or the tokens before a and b differ.
+Otherwise (a - 1, b - 1) is a pair of the same group that yields the same
+run, so no run is ever extended to the left.  A run is extended to the
+right while the tokens match, both copies stay in their files and the
+copies do not overlap.  Every run found is reported: two runs on one
+diagonal (equal b - a) cover disjoint tokens, because a left-maximal start
+cannot lie inside another run, where every token matches its partner.  The
+cost is one gram per token, one check per pair of equal grams and one step
+per reported token.
 """
 
 from __future__ import annotations
@@ -34,13 +47,6 @@ class ClonePair:
     token_length: int
 
 
-@dataclass
-class _Entry:
-    norm: str
-    token: Token
-    file_index: int
-
-
 def _normalize(token: Token) -> str:
     if token.kind == IDENTIFIER:
         return "ID"
@@ -55,75 +61,46 @@ def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[C
     """All maximal clone pairs of at least min_tokens normalized tokens."""
     if min_tokens < MIN_TOKENS_FLOOR:
         raise DomainError(f"min_tokens must be >= {MIN_TOKENS_FLOOR}, got {min_tokens}")
-    sequence: list[_Entry] = []
-    for file_index, unit in enumerate(units):
-        for token in tokenize(unit.source, unit.file):
-            if token.kind == COMMENT:
-                continue
-            sequence.append(_Entry(_normalize(token), token, file_index))
-        # Unique separator so windows never span files.
-        boundary = Token(COMMENT, f"\x00{file_index}", SourceSpan(unit.file, 0, 0, 0, 0), -1, -1)
-        sequence.append(_Entry(f"\x00{file_index}", boundary, file_index))
-    n = len(sequence)
-    norms = [e.norm for e in sequence]
+    # All files' tokens in one sequence; file_end[i] is where i's file ends.
+    tokens: list[Token] = []
+    norms: list[str] = []
+    file_end: list[int] = []
     grams: dict[tuple[str, ...], list[int]] = {}
-    for i in range(n - min_tokens + 1):
-        gram = tuple(norms[i : i + min_tokens])
-        if any(g.startswith("\x00") for g in gram):
-            continue
-        grams.setdefault(gram, []).append(i)
+    for unit in units:
+        start = len(tokens)
+        tokens += [t for t in tokenize(unit.source, unit.file) if t.kind != COMMENT]
+        norms += [_normalize(t) for t in tokens[start:]]
+        file_end += [len(tokens)] * (len(tokens) - start)
+        for i in range(start, len(tokens) - min_tokens + 1):
+            grams.setdefault(tuple(norms[i : i + min_tokens]), []).append(i)
 
-    pairs: set[tuple[int, int, int]] = set()
+    triples = []
     for positions in grams.values():
-        if len(positions) < 2:
-            continue
         for ai in range(len(positions) - 1):
-            for bi in range(ai + 1, len(positions)):
-                a, b = positions[ai], positions[bi]
-                # extend left
-                while a > 0 and b > 0 and norms[a - 1] == norms[b - 1] and b - 1 > a - 1:
-                    if norms[a - 1].startswith("\x00"):
-                        break
-                    a -= 1
-                    b -= 1
-                # extend right
+            a = positions[ai]
+            a_first = a == 0 or file_end[a - 1] == a
+            a_end = file_end[a]
+            for b in positions[ai + 1 :]:
+                if not a_first and file_end[b - 1] != b and norms[a - 1] == norms[b - 1]:
+                    continue  # (a - 1, b - 1) yields the same run
+                limit = min(b - a, a_end - a, file_end[b] - b)
                 length = min_tokens
-                limit = b - a  # no self-overlap
-                while (
-                    a + length < n
-                    and b + length < n
-                    and norms[a + length] == norms[b + length]
-                    and not norms[a + length].startswith("\x00")
-                    and length < limit
-                ):
+                while length < limit and norms[a + length] == norms[b + length]:
                     length += 1
-                if length >= min_tokens and b - a >= length:
-                    pairs.add((a, b, length))
+                if b - a >= length:
+                    triples.append((a, b, length))
+    # Longest first: the stable sort below keeps this order among its ties.
+    triples.sort(key=lambda p: (-p[2], p[0], p[1]))
 
-    # keep only maximal pairs (drop windows contained in a longer match)
-    maximal = []
-    for a, b, length in sorted(pairs, key=lambda p: (-p[2], p[0], p[1])):
-        contained = any(
-            oa <= a and ob <= b and (a - oa) == (b - ob) and a + length <= oa + olen
-            for oa, ob, olen in maximal
-        )
-        if not contained:
-            maximal.append((a, b, length))
-
-    result = []
-    for a, b, length in maximal:
-        result.append(
-            ClonePair(
-                span_a=_window_span(sequence, a, length),
-                span_b=_window_span(sequence, b, length),
-                token_length=length,
-            )
-        )
+    result = [
+        ClonePair(_window_span(tokens, a, length), _window_span(tokens, b, length), length)
+        for a, b, length in triples
+    ]
     result.sort(key=lambda p: (p.span_a.file, p.span_a.line, p.span_a.column, p.span_b.file, p.span_b.line))
     return result
 
 
-def _window_span(sequence: list[_Entry], start: int, length: int) -> SourceSpan:
-    first = sequence[start].token.span
-    last = sequence[start + length - 1].token.span
+def _window_span(tokens: list[Token], start: int, length: int) -> SourceSpan:
+    first = tokens[start].span
+    last = tokens[start + length - 1].span
     return SourceSpan(first.file, first.line, first.column, last.end_line, last.end_column)

@@ -7,7 +7,8 @@ stream so review annotations survive re-emission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -77,8 +78,7 @@ PUNCT = "punctuation"
 COMMENT = "comment"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -94,8 +94,7 @@ class SourceSpan:
         return start_ok and end_ok
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
@@ -105,127 +104,83 @@ class Token:
     end_offset: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-class _Cursor:
-    def __init__(self, source: str, file: str):
-        self.src = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        c = self.src[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def mark(self):
-        return (self.pos, self.line, self.col)
-
-    def span_from(self, mark) -> SourceSpan:
-        return SourceSpan(self.file, mark[1], mark[2], self.line, self.col)
+# One alternation, tried in order at each position (the scanner idiom of the
+# `re` documentation).  Every character matches some group, so the matches
+# tile the source.  Numbers take decimal digits only (\d is str.isdecimal);
+# \w is str.isalnum() or "_", as the rest of an identifier needs.  "ident"
+# takes the words that start with an ASCII letter or "_"; "word" takes the
+# others, which are identifiers when the first character isalpha() (no
+# keyword is among them) and an illegal character otherwise.  A block
+# comment may run to the end of the input, and "open_string" takes a string
+# that ends at a line end, the end of the input or a bad escape.
+_SCANNER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("space", r"[ \t\r\n]+"),
+            ("punctuation", f"[{re.escape(''.join(sorted(PUNCTUATION)))}]"),
+            ("ident", r"[A-Za-z_]\w*"),
+            ("number", r"\d+(?:\.\d+)?"),
+            ("word", r"\w+"),
+            ("line_comment", r"//[^\n]*"),
+            ("block_comment", r"/\*(?s:.*?)(?:\*/|\Z)"),
+            ("operator", "|".join(map(re.escape, OPERATORS))),
+            ("string", r'"(?:[^"\\\n]|\\["\\])*"'),
+            ("open_string", r'"(?:[^"\\\n]|\\["\\])*'),
+            ("illegal", r"(?s:.)"),
+        )
+    )
+)
+_KINDS = {
+    "punctuation": PUNCT,
+    "operator": OPERATOR,
+    "string": STRING_LITERAL,
+    "line_comment": COMMENT,
+}
 
 
 def tokenize(source: str, file: str = "<memory>") -> list[Token]:
     """Split source into tokens, comments included, whitespace dropped."""
-    cur = _Cursor(source, file)
     tokens: list[Token] = []
-
-    def emit(kind: str, mark) -> None:
-        text = source[mark[0] : cur.pos]
-        tokens.append(Token(kind, text, cur.span_from(mark), mark[0], cur.pos))
-
-    while not cur.eof():
-        c = cur.peek()
-        if c in " \t\r\n":
-            cur.advance()
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of `line`
+    for m in _SCANNER.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        if group == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        mark = cur.mark()
-        if c == "/" and cur.peek(1) == "/":
-            while not cur.eof() and cur.peek() != "\n":
-                cur.advance()
-            emit(COMMENT, mark)
-            continue
-        if c == "/" and cur.peek(1) == "*":
-            cur.advance()
-            cur.advance()
-            while True:
-                if cur.eof():
-                    raise LexError(cur.span_from(mark), "unterminated block comment")
-                if cur.peek() == "*" and cur.peek(1) == "/":
-                    cur.advance()
-                    cur.advance()
-                    break
-                cur.advance()
-            emit(COMMENT, mark)
-            continue
-        if c == '"':
-            cur.advance()
-            while True:
-                if cur.eof() or cur.peek() == "\n":
-                    raise LexError(cur.span_from(mark), "unterminated string literal")
-                ch = cur.advance()
-                if ch == "\\":
-                    esc = cur.peek()
-                    if esc not in ('"', "\\"):
-                        raise LexError(cur.span_from(mark), f"unsupported escape '\\{esc}'")
-                    cur.advance()
-                elif ch == '"':
-                    break
-            emit(STRING_LITERAL, mark)
-            continue
-        if c.isdigit():
-            while not cur.eof() and cur.peek().isdigit():
-                cur.advance()
-            if cur.peek() == "." and cur.peek(1).isdigit():
-                cur.advance()
-                while not cur.eof() and cur.peek().isdigit():
-                    cur.advance()
-                emit(DOUBLE_LITERAL, mark)
-            else:
-                emit(INT_LITERAL, mark)
-            continue
-        if _is_ident_start(c):
-            while not cur.eof() and _is_ident_part(cur.peek()):
-                cur.advance()
-            text = source[mark[0] : cur.pos]
-            emit(KEYWORD if text in KEYWORDS else IDENTIFIER, mark)
-            continue
-        matched = False
-        for op in OPERATORS:
-            if source.startswith(op, cur.pos):
-                for _ in op:
-                    cur.advance()
-                emit(OPERATOR, mark)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in PUNCTUATION:
-            cur.advance()
-            emit(PUNCT, mark)
-            continue
-        raise LexError(cur.span_from(cur.mark()), f"illegal character {c!r}")
-
+        start, end = m.span()
+        first_line, column = line, start - line_start + 1
+        if group == "ident":
+            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
+        elif group in _KINDS:
+            kind = _KINDS[group]
+        elif group == "number":
+            kind = DOUBLE_LITERAL if "." in text else INT_LITERAL
+        elif group == "block_comment":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            # "/*/" ends in "*/" but is not closed
+            if not text[2:].endswith("*/"):
+                span = SourceSpan(file, first_line, column, line, end - line_start + 1)
+                raise LexError(span, "unterminated block comment")
+            kind = COMMENT
+        elif group == "open_string":
+            if end == len(source) or source[end] == "\n":
+                span = SourceSpan(file, line, column, line, column + end - start)
+                raise LexError(span, "unterminated string literal")
+            span = SourceSpan(file, line, column, line, column + end + 1 - start)
+            raise LexError(span, f"unsupported escape '\\{source[end + 1 : end + 2]}'")
+        elif group == "word" and text[0].isalpha():
+            kind = IDENTIFIER
+        else:
+            raise LexError(SourceSpan(file, line, column, line, column), f"illegal character {text[0]!r}")
+        append(Token(kind, text, SourceSpan(file, first_line, column, line, end - line_start + 1), start, end))
     return tokens
 
 

@@ -18,7 +18,7 @@ from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from ..semantics import types as ty
 from ..semantics.resolver import Resolution, build_symbol_table
-from ..cfg import UnitCfgs, build_unit_cfgs
+from ..cfg import UnitCfgs, build_unit_cfgs, method_identity
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 BYTE_MIN, BYTE_MAX = -128, 127
@@ -251,10 +251,6 @@ class Interpreter:
 
     # -- invocation ------------------------------------------------------------
 
-    def _method_id(self, cls_name: str, method: ast.MethodDecl) -> str:
-        name = "<init>" if method.is_constructor else method.name
-        return f"{cls_name}.{name}/{method.arity}"
-
     def _invoke(
         self,
         cls: ast.ClassDecl,
@@ -270,14 +266,14 @@ class Interpreter:
                 span,
                 f"call depth {self.options.max_call_depth} exceeded (runaway recursion)",
             )
-        self.trace.entered_methods.add(self._method_id(cls.name, method))
+        self.trace.entered_methods.add(method_identity(cls.name, method))
         frame = _Frame(receiver, {})
         for param, value in zip(method.params, args):
             frame.scopes[-1][param.name] = self._coerce_store(value, param.type, span)
         result = None
         try:
             self._exec_block(method.body, frame)
-            cfg = self.cfgs.cfgs.get(self._method_id(cls.name, method))
+            cfg = self.cfgs.cfgs.get(method_identity(cls.name, method))
             if cfg is not None and cfg.implicit_return_iid is not None:
                 self._record_iid(cfg.implicit_return_iid)
         except _Return as ret:

@@ -174,3 +174,19 @@ def gen_bound_program(rng: random.Random) -> BoundProgram:
     return BoundProgram(
         source="\n".join(lines) + "\n", stdin_script=script, scenario=scenario
     )
+
+
+def seeded_unit(seed: int) -> str:
+    """One class holding three random structured methods and four array
+    methods, so that both the rules and the bound checker have work."""
+    rng = random.Random(seed)
+    lines = ["class Seeded {"]
+    for k in range(3):
+        source, _ = gen_structured_method(rng)
+        body = source.splitlines()[2:-2]
+        lines += [f"    static void work{k}() {{", *body, "    }"]
+    for k in range(4):
+        body = gen_bound_program(rng).source.splitlines()[2:-2]
+        lines += [f"    static void fill{k}(String[] args) {{", *body, "    }"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

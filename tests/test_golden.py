@@ -7,13 +7,12 @@ to alter reports updates the digests below and says why.
 """
 
 import hashlib
-import random
 
 import pytest
 
 from overrun_lint.cli import main as cli_main
 
-from progen import gen_bound_program, gen_structured_method
+from progen import seeded_unit
 
 TIMESTAMP = "2012-03-28 12:04:00"
 REPORTS = (
@@ -22,22 +21,6 @@ REPORTS = (
     ("boundcheck", "xml"),
     ("boundcheck", "txt"),
 )
-
-
-def seeded_unit(seed: int) -> str:
-    """One class holding three random structured methods and four array
-    methods, so that both the rules and the bound checker have work."""
-    rng = random.Random(seed)
-    lines = ["class Seeded {"]
-    for k in range(3):
-        source, _ = gen_structured_method(rng)
-        body = source.splitlines()[2:-2]
-        lines += [f"    static void work{k}() {{", *body, "    }"]
-    for k in range(4):
-        body = gen_bound_program(rng).source.splitlines()[2:-2]
-        lines += [f"    static void fill{k}(String[] args) {{", *body, "    }"]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _units(corpus_sources) -> dict[str, str]:
