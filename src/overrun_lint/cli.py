@@ -30,7 +30,9 @@ from .reporting import (
     suppress_reviewed,
 )
 from .runtime import RunOptions, coverage_summary
+from .frontend import parse_source
 from .frontend.lexer import SourceSpan
+from .semantics import build_symbol_table
 
 
 def _default_timestamp() -> str:
@@ -115,14 +117,18 @@ def _dispatch(args) -> int:
     raise AssertionError(args.command)
 
 
+def _require_resolved(path, res) -> None:
+    if res.diagnostics:
+        for diag in res.diagnostics:
+            print(f"error: {diag}", file=sys.stderr)
+        raise OverrunLintError(f"{path}: resolution failed")
+
+
 def _analyze_units(paths):
     units = []
     for path in paths:
         analyzed = analyze_path(path)
-        if analyzed.res.diagnostics:
-            for diag in analyzed.res.diagnostics:
-                print(f"error: {diag}", file=sys.stderr)
-            raise OverrunLintError(f"{path}: resolution failed")
+        _require_resolved(path, analyzed.res)
         units.append(analyzed)
     return units
 
@@ -232,7 +238,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_cpd(args) -> int:
-    units = [analyzed.unit for analyzed in _analyze_units(args.paths)]
+    # Clone detection reads the source only; resolution just gates validity.
+    units = []
+    for path in args.paths:
+        unit = parse_source(Path(path).read_text(encoding="utf-8"), str(Path(path)))
+        _require_resolved(path, build_symbol_table(unit))
+        units.append(unit)
     pairs = find_duplicates(units, args.min_tokens)
     for pair in pairs:
         print(

@@ -172,15 +172,25 @@ class Resolution:
                 yield parent.cond, cur is parent.body
             cur, parent = parent, self.parents.get(parent.uid)
 
+    def ancestors(self, name: str | None) -> list[ClassInfo]:
+        """The class and its bases, nearest first: the one base-class walk.
+        It stops at the first base that is not a class of this unit (such
+        as Thread), and at a class it has already passed."""
+        chain: list[ClassInfo] = []
+        seen: set[str] = set()
+        info = self.classes.get(name) if name else None
+        while info is not None and info.name not in seen:
+            seen.add(info.name)
+            chain.append(info)
+            info = self.classes.get(info.base) if info.base else None
+        return chain
+
     def subclass_ok(self, base: str, derived: str) -> bool:
-        seen = set()
-        cur: str | None = derived
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            if cur == base:
-                return True
-            info = self.classes.get(cur)
-            cur = info.base if info else None
+        if derived == base:
+            return True
+        chain = self.ancestors(derived)
+        if any(info.name == base for info in chain) or (chain and chain[-1].base == base):
+            return True
         return base == "Thread" and derived in self.classes and self.classes[derived].extends_thread
 
 
@@ -216,6 +226,7 @@ class _Resolver:
 
     def run(self) -> Resolution:
         self._declare_classes()
+        self._check_acyclic()
         for cls in self.unit.classes:
             self._resolve_class(cls)
         return self.res
@@ -303,6 +314,13 @@ class _Resolver:
                 if method.is_constructor:
                     info.ctors[method.arity] = minfo
 
+    def _check_acyclic(self) -> None:
+        for info in self.res.classes.values():
+            last = self.res.ancestors(info.name)[-1]
+            if last.base in self.res.classes:  # the walk stopped at a class it had passed
+                cycle = self.res.classes[last.base].decl
+                raise TypeCheckError(cycle.span, f"cyclic inheritance involving '{cycle.name}'")
+
     # -- class / method bodies ----------------------------------------------
 
     def _resolve_class(self, cls: ast.ClassDecl) -> None:
@@ -326,14 +344,9 @@ class _Resolver:
         self.current_class = None
 
     def _install_inherited(self, scope: Scope, info: ClassInfo) -> None:
-        base = info.base
-        seen = set()
-        while base and base in self.res.classes and base not in seen:
-            seen.add(base)
-            base_info = self.res.classes[base]
+        for base_info in self.res.ancestors(info.name)[1:]:
             for name, sym in base_info.fields.items():
                 scope.symbols.setdefault(name, sym)
-            base = base_info.base
 
     def _resolve_method(self, method: ast.MethodDecl, class_scope: Scope) -> None:
         self.current_method = method
@@ -606,15 +619,8 @@ class _Resolver:
             return self._set(expr, ty.UNKNOWN)
         if isinstance(receiver_t, ty.ArrayType) or not isinstance(receiver_t, ty.ClassType):
             raise TypeCheckError(expr.span, f"{receiver_t} has no field '{expr.name}'")
-        info = self.res.classes.get(receiver_t.name)
-        sym = None
-        seen = set()
-        while info is not None and info.name not in seen:
-            seen.add(info.name)
-            sym = info.fields.get(expr.name)
-            if sym is not None:
-                break
-            info = self.res.classes.get(info.base) if info.base else None
+        chain = self.res.ancestors(receiver_t.name)
+        sym = next((info.fields[expr.name] for info in chain if expr.name in info.fields), None)
         if sym is None:
             self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
             return self._set(expr, ty.UNKNOWN)
@@ -654,26 +660,16 @@ class _Resolver:
         return self._set(expr, result)
 
     def _lookup_method(self, class_name: str, name: str, arity: int) -> MethodInfo | None:
-        seen = set()
-        cur: str | None = class_name
-        while cur and cur in self.res.classes and cur not in seen:
-            seen.add(cur)
-            info = self.res.classes[cur]
+        for info in self.res.ancestors(class_name):
             minfo = info.methods.get((name, arity))
             if minfo is not None:
                 return minfo
-            cur = info.base
         return None
 
     def _thread_visible(self, class_name: str) -> bool:
-        cur: str | None = class_name
-        seen = set()
-        while cur and cur in self.res.classes and cur not in seen:
-            seen.add(cur)
-            if self.res.classes[cur].extends_thread:
-                return True
-            cur = self.res.classes[cur].base
-        return cur == "Thread"
+        if class_name == "Thread":
+            return True
+        return any(info.extends_thread for info in self.res.ancestors(class_name))
 
     def _check_builtin_args(
         self, expr: ast.Call, sig: tuple[tuple[Type, ...], Type], arg_ts: list[Type]

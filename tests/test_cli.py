@@ -184,6 +184,29 @@ def test_cpd_clean_exit_zero(capsys, corpus_dir):
     assert code == 0
 
 
+def test_cpd_builds_no_call_graph_or_cfgs(capsys, corpus_dir, monkeypatch):
+    paths = sorted(str(p) for p in corpus_dir.glob("*.sl"))
+    expected = run_cli(capsys, "cpd", *paths, "--min-tokens", "10")
+
+    def refuse(*args):
+        raise AssertionError("cpd needs no call graph or CFGs")
+
+    import overrun_lint.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "build_call_graph", refuse)
+    monkeypatch.setattr(pipeline, "build_unit_cfgs", refuse)
+    assert run_cli(capsys, "cpd", *paths, "--min-tokens", "10") == expected
+    assert expected[0] == 1 and "duplicated tokens" in expected[1]
+
+
+def test_cpd_still_rejects_unresolved_names(capsys, tmp_path):
+    bad = tmp_path / "bad.sl"
+    bad.write_text("class A { void m() { missing = 1; } }")
+    code, _, err = run_cli(capsys, "cpd", str(bad))
+    assert code == 2
+    assert "undeclared identifier 'missing'" in err and "resolution failed" in err
+
+
 def test_annotate_in_place_and_reanalyze(capsys, corpus_dir, tmp_path):
     target = tmp_path / "yang.sl"
     target.write_text((corpus_dir / "yang.sl").read_text())
@@ -219,3 +242,27 @@ def test_annotate_unknown_rule_exit_two(capsys, corpus_dir, tmp_path):
         "--reviewer", "X", "--time", "1/1/11 1.01AM",
     )
     assert code == 2
+
+
+def test_cyclic_inheritance_exits_two(tmp_path):
+    # Each command runs in a child process with a timeout, because an
+    # unguarded walk up a cyclic base-class chain never returns.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    source = tmp_path / "cyclic.sl"
+    source.write_text(
+        "class A extends B { void f() { } }\n"
+        "class B extends A { static void main(String[] args) { A a = new A(); a.f(); } }\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for command in ("run", "analyze"):
+        done = subprocess.run(
+            [sys.executable, "-m", "overrun_lint.cli", command, str(source)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2, (command, done.stderr)
+        assert "cyclic inheritance involving 'A'" in done.stderr

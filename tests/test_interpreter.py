@@ -319,3 +319,194 @@ def test_stack_demo_domain_errors(bad_input):
 def test_stack_demo_requires_four_byte_frame():
     with pytest.raises(DomainError):
         stack_overwrite_demo(8, "0088")
+
+
+# -- every step counts against max_steps ------------------------------------------
+
+
+def test_step_limit_checked_on_for_update():
+    source = """\
+class T {
+    static void main(String[] args) {
+        for (int i = 0; i < 10; i++) {
+            println(i);
+        }
+    }
+}
+"""
+    # init, condition, body, then the update is step 4
+    trace = run(source, max_steps=3)
+    fault = trace.halting_fault
+    assert fault.kind == FAULT_STEP_LIMIT
+    assert (fault.span.line, fault.span.column) == (3, source.splitlines()[2].index("i++") + 1)
+    assert trace.steps == 4
+    assert trace.stdout == ["0"]
+
+
+def test_step_limit_checked_on_implicit_constructor():
+    source = """\
+class P {
+    int x = 1;
+}
+
+class T {
+    static void main(String[] args) {
+        P p = new P();
+        println(1);
+    }
+}
+"""
+    # the declaration is step 1, P's implicit constructor step 2
+    trace = run(source, max_steps=1)
+    fault = trace.halting_fault
+    assert fault.kind == FAULT_STEP_LIMIT
+    assert fault.span.line == 1
+    assert trace.steps == 2
+    assert trace.stdout == []
+    assert "P.<init>/0" in trace.entered_methods
+
+
+def test_step_limit_checked_on_implicit_return():
+    source = """\
+class T {
+    static void f() {
+    }
+
+    static void main(String[] args) {
+        f();
+        println(1);
+    }
+}
+"""
+    trace = run(source, max_steps=1)
+    fault = trace.halting_fault
+    assert fault.kind == FAULT_STEP_LIMIT
+    assert fault.span.line == 3
+    assert trace.steps == 2
+    assert trace.stdout == []
+
+
+# -- call depth -------------------------------------------------------------------
+
+
+# Runaway recursion with the call nested in statements and operators, which
+# costs more Python frames per SL call than a bare call statement does.
+NESTED_RECURSION = {
+    "while_if_binary": """\
+class T {
+    static int f(int n) {
+        while (n >= 0) {
+            if (n < 100000) {
+                return 1 + f(n + 1);
+            }
+            n = n - 1;
+        }
+        return 0;
+    }
+
+    static void main(String[] args) {
+        println(f(0));
+    }
+}
+""",
+    "local_initializer": """\
+class T {
+    static int g(int n) {
+        int a = 1;
+        int b = 2;
+        while (n >= 0) {
+            if (n < 100000) {
+                int r = a + b * g(n + 1);
+                return r;
+            }
+            n = n - 1;
+        }
+        return 0;
+    }
+
+    static void main(String[] args) {
+        println(g(0));
+    }
+}
+""",
+    "for_switch_synchronized": """\
+class L { }
+
+class T {
+    static L lock = new L();
+
+    static int h(int n) {
+        for (int i = 0; i < 3; i++) {
+            switch (i) {
+                case 0:
+                    synchronized (lock) {
+                        if (n >= 0 && n < 100000) {
+                            return 2 * (1 + (3 - h(n + 1)));
+                        }
+                    }
+            }
+        }
+        return 0;
+    }
+
+    static void main(String[] args) {
+        println(h(0));
+    }
+}
+""",
+    "constructor": """\
+class N {
+    int v;
+
+    N(int n) {
+        if (n >= 0) {
+            v = new N(n + 1).v + 1;
+        }
+    }
+}
+
+class T {
+    static void main(String[] args) {
+        N x = new N(0);
+        println(x.v);
+    }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_RECURSION))
+def test_default_call_depth_cap_fires_on_nested_recursion(shape):
+    trace = run(NESTED_RECURSION[shape])
+    assert trace.halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
+    assert trace.stdout == []
+
+
+def test_recursion_limit_is_restored_after_a_run(corpus_sources):
+    import sys
+
+    before = sys.getrecursionlimit()
+    trace = run_source(corpus_sources["makeover.sl"], "makeover.sl", RunOptions())[0]
+    assert trace.halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
+    assert sys.getrecursionlimit() == before
+    with pytest.raises(InterpreterError):
+        run("class T { static void main(String[] args) { println(1 / 0); } }")
+    assert sys.getrecursionlimit() == before
+
+
+def test_host_recursion_limit_is_an_interpreter_error():
+    source = """\
+class T {
+    static int down(int n) {
+        return 1 + down(n - 1);
+    }
+
+    static void main(String[] args) {
+        println(down(0));
+    }
+}
+"""
+    # The run raises the recursion limit only up to its ceiling, which a
+    # cap of 100 000 calls does not fit under.
+    with pytest.raises(InterpreterError, match="deeper than the host's recursion limit"):
+        run(source, max_call_depth=100_000)

@@ -185,3 +185,37 @@ def test_enclosing_conditions_report_which_branch():
     assert ops(two) == [("<", False), (">", True)]
     cond = next(n for n in walk(unit) if isinstance(n, ast.Binary) and n.op == "<")
     assert ops(cond.left) == [("<", False), (">", True)]
+
+
+CYCLIC = """\
+class A extends B { void f() { } }
+class B extends A { static void main(String[] args) { A a = new A(); a.f(); } }
+"""
+
+
+@pytest.mark.parametrize(
+    "source, named",
+    [
+        (CYCLIC, "A"),
+        ("class A extends A { }", "A"),
+        ("class C extends A { }\nclass A extends B { }\nclass B extends A { }", "A"),
+    ],
+)
+def test_cyclic_inheritance_is_a_type_error(source, named):
+    unit = parse_source(source, "t.sl")
+    with pytest.raises(TypeCheckError) as err:
+        build_symbol_table(unit)
+    assert err.value.message == f"cyclic inheritance involving '{named}'"
+    assert err.value.span == next(c for c in unit.classes if c.name == named).span
+
+
+def test_ancestors_walk_nearest_first_and_stop_outside_the_unit():
+    _, res = resolve(
+        "class W extends Thread { }\nclass V extends W { }\n"
+        "class U extends V { }\nclass X extends Missing { }"
+    )
+    assert [info.name for info in res.ancestors("U")] == ["U", "V", "W"]
+    assert [info.name for info in res.ancestors("X")] == ["X"]
+    assert res.ancestors("Thread") == [] and res.ancestors(None) == []
+    assert res.subclass_ok("V", "U") and res.subclass_ok("Thread", "U")
+    assert res.subclass_ok("Missing", "X") and not res.subclass_ok("U", "V")
