@@ -25,6 +25,14 @@ class ParseError(SpannedError):
         super().__init__(span, f"expected {expected}, found {found}")
 
 
+class NestingError(ParseError):
+    """Input nested deeper than the parser's MAX_NESTING."""
+
+    def __init__(self, span, limit: int):
+        self.limit = limit
+        SpannedError.__init__(self, span, f"nesting deeper than {limit}")
+
+
 class ResolutionError(SpannedError):
     def __init__(self, span, name: str):
         self.name = name

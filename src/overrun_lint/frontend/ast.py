@@ -280,12 +280,18 @@ _SKIP_FIELDS = {"span", "uid", "assert_origin"}
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def child_nodes(node: Node) -> list[Node]:
-    """Direct child nodes, in field order."""
+def child_fields(node: Node) -> tuple[str, ...]:
+    """Names of the fields of node that can hold child nodes, in field order."""
     names = _CHILD_FIELDS.get(type(node))
     if names is None:
         names = tuple(f.name for f in fields(node) if f.name not in _SKIP_FIELDS)
         _CHILD_FIELDS[type(node)] = names
+    return names
+
+
+def child_nodes(node: Node) -> list[Node]:
+    """Direct child nodes, in field order."""
+    names = _CHILD_FIELDS.get(type(node)) or child_fields(node)
     children = []
     for name in names:
         value = getattr(node, name)

@@ -11,52 +11,48 @@ marker so the interpreter can also log checks that pass.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import fields as dc_fields
+from dataclasses import replace
 
 from . import ast
 from .printer import expr_text
 
 
 def instrument_asserts(unit: ast.CompilationUnit) -> ast.CompilationUnit:
-    """Return a copy of unit with every Assert lowered to a guarded If."""
-    new_unit = copy.deepcopy(unit)
-    for cls in new_unit.classes:
-        for method in cls.methods:
-            unit_name = f"{cls.name}.{method.name}"
-            _rewrite_block(new_unit, method.body, unit_name)
+    """Return a copy of unit with every Assert lowered to a guarded If.
+
+    Only the nodes on the path from the unit to a lowered Assert are
+    copied; every other subtree is shared with unit, which is left as it
+    was.  Lowered nodes take fresh uids from the copy, in source order.
+    """
+    new_unit = replace(unit)
+    new_unit.classes = [_rewrite(new_unit, cls, cls.name) for cls in unit.classes]
     return new_unit
 
 
-def _rewrite_block(unit: ast.CompilationUnit, block: ast.Block, unit_name: str) -> None:
-    for i, stmt in enumerate(block.stmts):
-        if isinstance(stmt, ast.Assert):
-            block.stmts[i] = _lower(unit, stmt, unit_name)
-        else:
-            _rewrite_children(unit, stmt, unit_name)
+def _rewrite(unit: ast.CompilationUnit, node: ast.Node, name: str) -> ast.Node:
+    """node with every Assert in it lowered; node itself when it holds none.
+    name is the class's name, and "Class.method" inside a method.  Recurses
+    through statements only: no expression holds a statement."""
+    if isinstance(node, ast.Assert):
+        return _lower(unit, node, name)
+    if isinstance(node, ast.MethodDecl):
+        name = f"{name}.{node.name}"
+    changed = {}
+    for field in ast.child_fields(node):
+        value = getattr(node, field)
+        if isinstance(value, list):
+            new = [_rewrite(unit, item, name) if _holds_stmts(item) else item for item in value]
+            if any(n is not v for n, v in zip(new, value)):
+                changed[field] = new
+        elif _holds_stmts(value):
+            new = _rewrite(unit, value, name)
+            if new is not value:
+                changed[field] = new
+    return replace(node, **changed) if changed else node
 
 
-def _rewrite_children(unit: ast.CompilationUnit, stmt: ast.Stmt, unit_name: str) -> None:
-    for f in dc_fields(stmt):
-        value = getattr(stmt, f.name)
-        if isinstance(value, ast.Block):
-            _rewrite_block(unit, value, unit_name)
-        elif isinstance(value, ast.CatchClause):
-            _rewrite_block(unit, value.body, unit_name)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.Block):
-                    _rewrite_block(unit, item, unit_name)
-                elif isinstance(item, ast.CatchClause):
-                    _rewrite_block(unit, item.body, unit_name)
-                elif isinstance(item, ast.SwitchCase):
-                    for j, inner in enumerate(item.body):
-                        if isinstance(inner, ast.Assert):
-                            item.body[j] = _lower(unit, inner, unit_name)
-                        else:
-                            _rewrite_children(unit, inner, unit_name)
-        elif isinstance(value, ast.If):
-            _rewrite_children(unit, value, unit_name)
+def _holds_stmts(value: object) -> bool:
+    return isinstance(value, ast.Node) and not isinstance(value, ast.Expr)
 
 
 def _lower(unit: ast.CompilationUnit, stmt: ast.Assert, unit_name: str) -> ast.If:

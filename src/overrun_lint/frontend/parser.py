@@ -4,11 +4,21 @@ Parsing is strict: the first syntax error aborts the unit with a
 ParseError.  Control-structure bodies are normalized to Block nodes
 (an `else if` keeps the nested If directly).  `i++`/`i--` are accepted
 in statement and for-update position as sugar for `i = i + 1` / `i = i - 1`.
+Binary operators are parsed by precedence climbing over `_PREC`.  Keywords,
+operators and punctuation are told apart by their text alone: the lexer
+gives no identifier, literal or string one of those texts.
+
+A node's level is the number of statements, expressions and parentheses
+around it in its method or field (docs/GRAMMAR.md).  Levels are counted
+on the way into a construct (`depth`) and, for the left-deep trees of
+operator and postfix chains, up from the operands (`height`).
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError
+from dataclasses import replace
+
+from ..errors import NestingError, ParseError
 from . import ast
 from .ast import TypeRef
 from .lexer import (
@@ -16,9 +26,6 @@ from .lexer import (
     DOUBLE_LITERAL,
     IDENTIFIER,
     INT_LITERAL,
-    KEYWORD,
-    OPERATOR,
-    PUNCT,
     STRING_LITERAL,
     SourceSpan,
     Token,
@@ -28,659 +35,622 @@ from .lexer import (
 
 PRIMITIVE_TYPES = ("int", "byte", "double", "boolean")
 
+# The deepest level a node may have.  At this level every command handles
+# each nesting shape under the default recursion limit of 1000
+# (tests/test_nesting.py); one more is a NestingError.
+MAX_NESTING = 200
 
-class _TokenStream:
-    """Comment-filtering cursor over the token list."""
+# Binary operators by precedence, all left-associative.  The
+# right-associative "=" binds looser, in `_expr`.
+_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4}
+_PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6})
 
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = [t for t in tokens if t.kind != COMMENT]
-        self.all_tokens = tokens
-        self.file = file
-        self.pos = 0
-        self._pending_comments: list[str] = []
-        self._comment_iter = iter([t for t in tokens if t.kind == COMMENT])
-        self._comments = [t for t in tokens if t.kind == COMMENT]
-        self._comment_idx = 0
-
-    def _sync_comments(self) -> None:
-        # Queue comments that appear before the next significant token.
-        next_off = (
-            self.tokens[self.pos].offset if self.pos < len(self.tokens) else float("inf")
-        )
-        while (
-            self._comment_idx < len(self._comments)
-            and self._comments[self._comment_idx].offset < next_off
-        ):
-            self._pending_comments.append(self._comments[self._comment_idx].text)
-            self._comment_idx += 1
-
-    def take_comments(self) -> list[str]:
-        self._sync_comments()
-        out = self._pending_comments
-        self._pending_comments = []
-        return out
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        self._sync_comments()
-        if self.eof():
-            raise ParseError(self._eof_span(), "more input", "end of file")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def last(self) -> Token:
-        return self.tokens[self.pos - 1]
-
-    def _eof_span(self) -> SourceSpan:
-        if self.tokens:
-            t = self.tokens[-1].span
-            return SourceSpan(self.file, t.end_line, t.end_column, t.end_line, t.end_column)
-        return SourceSpan(self.file, 1, 1, 1, 1)
-
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        if self.eof():
-            raise ParseError(self._eof_span(), what or text or kind, "end of file")
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(tok.span, what or text or kind, repr(tok.text))
-        return self.advance()
+_LVALUES = (ast.Name, ast.Index, ast.FieldAccess)
+_EOF = "end of file"  # kind of the sentinel token that ends the stream
+_new_tuple = tuple.__new__  # a SourceSpan without its slower Python-level __new__
 
 
 class Parser:
     def __init__(self, tokens: list[Token], file: str):
-        self.ts = _TokenStream(tokens, file)
         self.file = file
+        # Significant tokens, then a sentinel that spans the end of the
+        # input; before[i] is how many comments precede tokens[i].
+        self.tokens: list[Token] = []
+        self.comments: list[str] = []
+        self.before: list[int] = []
+        for tok in tokens:
+            if tok.kind == COMMENT:
+                self.comments.append(tok.text)
+            else:
+                self.tokens.append(tok)
+                self.before.append(len(self.comments))
+        if self.tokens:
+            end = self.tokens[-1].span
+            eof = SourceSpan(file, end.end_line, end.end_column, end.end_line, end.end_column)
+        else:
+            eof = SourceSpan(file, 1, 1, 1, 1)
+        self.tokens.append(Token(_EOF, "", eof, -1, -1))
+        self.before.append(len(self.comments))
+        self.pos = 0
+        self.taken = 0  # comments handed out so far
+        self.depth = 0  # levels above the construct being parsed
+        self.height = 0  # levels within the expression parsed last
         self._uid = 0
 
     # -- helpers ---------------------------------------------------------
 
-    def _fresh(self) -> int:
-        u = self._uid
-        self._uid += 1
-        return u
+    def _take_comments(self) -> list[str]:
+        """Comments before the next token that no node has taken yet."""
+        end = self.before[self.pos]
+        out = self.comments[self.taken : end]
+        self.taken = end
+        return out
 
-    def _span_from(self, start: Token) -> SourceSpan:
-        end = self.ts.last().span
-        return SourceSpan(self.file, start.span.line, start.span.column, end.end_line, end.end_column)
+    def _error(self, what: str) -> ParseError:
+        tok = self.tokens[self.pos]
+        return ParseError(tok.span, what, _EOF if tok.kind == _EOF else repr(tok.text))
+
+    def _expect(self, text: str, what: str | None = None) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self._error(what or text)
+        self.pos += 1
+        return tok
+
+    def _ident(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok.kind != IDENTIFIER:
+            raise self._error(what)
+        self.pos += 1
+        return tok.text
+
+    def _descend(self, tok: Token) -> None:
+        """Enter a construct one level down, opened by tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingError(tok.span, MAX_NESTING)
 
     def _node(self, cls, start: Token, **kw):
-        return cls(span=self._span_from(start), uid=self._fresh(), **kw)
+        s, end = start.span, self.tokens[self.pos - 1].span
+        uid = self._uid
+        self._uid = uid + 1
+        span = _new_tuple(SourceSpan, (self.file, s.line, s.column, end.end_line, end.end_column))
+        return cls(span=span, uid=uid, **kw)
 
     # -- unit --------------------------------------------------------------
 
     def parse_unit(self, source: str = "") -> ast.CompilationUnit:
-        ts = self.ts
-        first = ts.peek()
-        start = first if first is not None else None
+        tokens = self.tokens
         package = None
-        lead = ts.take_comments()
-        if ts.at(KEYWORD, "package"):
-            ts.advance()
-            parts = [ts.expect(IDENTIFIER).text]
-            while ts.at(PUNCT, "."):
-                ts.advance()
-                parts.append(ts.expect(IDENTIFIER).text)
-            ts.expect(PUNCT, ";")
+        lead = self._take_comments()
+        if tokens[0].text == "package":
+            self.pos += 1
+            parts = [self._ident(IDENTIFIER)]
+            while tokens[self.pos].text == ".":
+                self.pos += 1
+                parts.append(self._ident(IDENTIFIER))
+            self._expect(";")
             package = ".".join(parts)
-            lead += ts.take_comments()
+            lead += self._take_comments()
         classes = []
-        while not ts.eof():
-            cls = self._class_decl(lead)
-            lead = ts.take_comments()
-            classes.append(cls)
-        trailing = lead
-        if start is None:
+        while tokens[self.pos].kind != _EOF:
+            classes.append(self._class_decl(lead))
+            lead = self._take_comments()
+        if len(tokens) == 1:
             span = SourceSpan(self.file, 1, 1, 1, 1)
         else:
-            span = self._span_from(start)
-        unit = ast.CompilationUnit(
-            span=span,
-            uid=self._fresh(),
-            package_name=package,
-            classes=classes,
-            source=source,
-            file=self.file,
-            trailing_comments=trailing,
+            first, last = tokens[0].span, tokens[-2].span
+            span = SourceSpan(self.file, first.line, first.column, last.end_line, last.end_column)
+        return ast.CompilationUnit(
+            span=span, uid=self._uid, package_name=package, classes=classes, source=source,
+            file=self.file, trailing_comments=lead, next_uid=self._uid + 1,
         )
-        unit.next_uid = self._uid
-        return unit
 
     def _class_decl(self, lead: list[str]) -> ast.ClassDecl:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "class")
-        name = ts.expect(IDENTIFIER, what="class name").text
+        tokens = self.tokens
+        start = self._expect("class")
+        name = self._ident("class name")
         extends = None
-        if ts.at(KEYWORD, "extends"):
-            ts.advance()
-            extends = ts.expect(IDENTIFIER, what="superclass name").text
-        ts.expect(PUNCT, "{")
+        if tokens[self.pos].text == "extends":
+            self.pos += 1
+            extends = self._ident("superclass name")
+        self._expect("{")
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
-        while not ts.at(PUNCT, "}"):
-            member_lead = ts.take_comments()
+        while tokens[self.pos].text != "}":
+            member_lead = self._take_comments()
             member = self._member(name)
             member.leading_comments = member_lead
             if isinstance(member, ast.FieldDecl):
                 fields.append(member)
             else:
                 methods.append(member)
-        ts.expect(PUNCT, "}")
+        self.pos += 1
         return self._node(
-            ast.ClassDecl,
-            start,
-            name=name,
-            extends=extends,
-            fields=fields,
-            methods=methods,
-            is_builtin_thread_subclass=(extends == "Thread"),
-            leading_comments=lead,
+            ast.ClassDecl, start, name=name, extends=extends, fields=fields, methods=methods,
+            is_builtin_thread_subclass=(extends == "Thread"), leading_comments=lead,
         )
 
     def _member(self, class_name: str):
-        ts = self.ts
-        start = ts.peek()
-        if start is None:
-            raise ParseError(ts._eof_span(), "class member", "end of file")
-        static = False
-        final = False
-        while ts.at(KEYWORD, "static") or ts.at(KEYWORD, "final"):
-            tok = ts.advance()
-            if tok.text == "static":
+        tokens = self.tokens
+        start = tokens[self.pos]
+        if start.kind == _EOF:
+            raise self._error("class member")
+        static = final = False
+        while tokens[self.pos].text in ("static", "final"):
+            if tokens[self.pos].text == "static":
                 static = True
             else:
                 final = True
+            self.pos += 1
+        tok = tokens[self.pos]
         # Constructor: ClassName followed by '('.
-        if ts.at(IDENTIFIER, class_name) and ts.at(PUNCT, "(", ahead=1):
-            ts.advance()
+        if tok.kind == IDENTIFIER and tok.text == class_name and tokens[self.pos + 1].text == "(":
+            self.pos += 1
             params = self._params()
             body = self._block()
             return self._node(
-                ast.MethodDecl,
-                start,
-                name=class_name,
-                params=params,
-                return_type=ast.VOID,
-                body=body,
-                is_constructor=True,
-                is_static=static,
+                ast.MethodDecl, start, name=class_name, params=params, return_type=ast.VOID,
+                body=body, is_constructor=True, is_static=static,
             )
-        if ts.at(KEYWORD, "void"):
-            ts.advance()
+        if tok.text == "void":
+            self.pos += 1
             rtype = ast.VOID
         else:
             rtype = self._type()
-        name = ts.expect(IDENTIFIER, what="member name").text
-        if ts.at(PUNCT, "("):
+        name = self._ident("member name")
+        if tokens[self.pos].text == "(":
             params = self._params()
             body = self._block()
             return self._node(
-                ast.MethodDecl,
-                start,
-                name=name,
-                params=params,
-                return_type=rtype,
-                body=body,
-                is_static=static,
+                ast.MethodDecl, start, name=name, params=params, return_type=rtype, body=body, is_static=static
             )
         init = None
-        if ts.at(OPERATOR, "="):
-            ts.advance()
+        if tokens[self.pos].text == "=":
+            self.pos += 1
             init = self._expr()
-        ts.expect(PUNCT, ";")
+        self._expect(";")
         return self._node(
-            ast.FieldDecl,
-            start,
-            name=name,
-            type=rtype,
-            static=static,
-            final=final,
-            initializer=init,
+            ast.FieldDecl, start, name=name, type=rtype, static=static, final=final, initializer=init
         )
 
     def _params(self) -> list[ast.Param]:
-        ts = self.ts
-        ts.expect(PUNCT, "(")
+        tokens = self.tokens
+        self._expect("(")
         params: list[ast.Param] = []
-        if not ts.at(PUNCT, ")"):
+        if tokens[self.pos].text != ")":
             while True:
-                start = ts.peek()
-                final = False
-                if ts.at(KEYWORD, "final"):
-                    ts.advance()
-                    final = True
+                start = tokens[self.pos]
+                final = start.text == "final"
+                self.pos += final
                 ptype = self._type()
-                pname = ts.expect(IDENTIFIER, what="parameter name").text
+                pname = self._ident("parameter name")
                 params.append(self._node(ast.Param, start, name=pname, type=ptype, final=final))
-                if ts.at(PUNCT, ","):
-                    ts.advance()
-                    continue
-                break
-        ts.expect(PUNCT, ")")
+                if tokens[self.pos].text != ",":
+                    break
+                self.pos += 1
+        self._expect(")")
         return params
 
     def _type(self) -> TypeRef:
-        ts = self.ts
-        tok = ts.peek()
-        if tok is None:
-            raise ParseError(ts._eof_span(), "type", "end of file")
-        if tok.kind == KEYWORD and tok.text in PRIMITIVE_TYPES:
-            ts.advance()
-            base = tok.text
-        elif tok.kind == IDENTIFIER:
-            ts.advance()
-            base = tok.text
-        else:
-            raise ParseError(tok.span, "type", repr(tok.text))
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind != IDENTIFIER and tok.text not in PRIMITIVE_TYPES:
+            raise self._error("type")
+        self.pos += 1
         dims = 0
-        while ts.at(PUNCT, "[") and ts.at(PUNCT, "]", ahead=1):
-            ts.advance()
-            ts.advance()
+        while tokens[self.pos].text == "[" and tokens[self.pos + 1].text == "]":
+            self.pos += 2
             dims += 1
-        return TypeRef(base, dims)
+        return TypeRef(tok.text, dims)
 
     # -- statements --------------------------------------------------------
 
     def _block(self) -> ast.Block:
-        ts = self.ts
-        start = ts.expect(PUNCT, "{")
+        tokens = self.tokens
+        start = self._expect("{")
         stmts: list[ast.Stmt] = []
-        while not ts.at(PUNCT, "}"):
+        while tokens[self.pos].text != "}":
             stmts.append(self._stmt())
-        trailing = ts.take_comments()
-        ts.expect(PUNCT, "}")
+        trailing = self._take_comments()
+        self.pos += 1
         return self._node(ast.Block, start, stmts=stmts, trailing_comments=trailing)
 
     def _body_block(self) -> ast.Block:
         """Parse a control-structure body, normalizing to a Block."""
-        ts = self.ts
-        if ts.at(PUNCT, "{"):
+        start = self.tokens[self.pos]
+        if start.text == "{":
             return self._block()
-        start = ts.peek()
         stmt = self._stmt()
         return self._node(ast.Block, start, stmts=[stmt])
 
     def _stmt(self) -> ast.Stmt:
-        ts = self.ts
-        lead = ts.take_comments()
-        stmt = self._stmt_inner()
-        stmt.leading_comments = lead + stmt.leading_comments
+        lead = self._take_comments()
+        tok = self.tokens[self.pos]
+        self._descend(tok)
+        parse = self._STATEMENTS.get(tok.text)
+        stmt = parse(self, tok) if parse is not None else self._expr_stmt(tok)
+        self.depth -= 1
+        stmt.leading_comments = lead
         return stmt
 
-    def _stmt_inner(self) -> ast.Stmt:
-        ts = self.ts
-        tok = ts.peek()
-        if tok is None:
-            raise ParseError(ts._eof_span(), "statement", "end of file")
-        if tok.kind == PUNCT and tok.text == "{":
-            return self._block()
-        if tok.kind == PUNCT and tok.text == ";":
-            ts.advance()
-            return self._node(ast.Empty, tok)
-        if tok.kind == KEYWORD:
-            kw = tok.text
-            if kw == "if":
-                return self._if_stmt()
-            if kw == "while":
-                return self._while_stmt()
-            if kw == "for":
-                return self._for_stmt()
-            if kw == "switch":
-                return self._switch_stmt()
-            if kw == "try":
-                return self._try_stmt()
-            if kw == "return":
-                ts.advance()
-                value = None
-                if not ts.at(PUNCT, ";"):
-                    value = self._expr()
-                ts.expect(PUNCT, ";")
-                return self._node(ast.Return, tok, value=value)
-            if kw == "assert":
-                ts.advance()
-                cond = self._expr()
-                message = None
-                if ts.at(PUNCT, ":"):
-                    ts.advance()
-                    message = self._expr()
-                ts.expect(PUNCT, ";")
-                return self._node(ast.Assert, tok, condition=cond, message=message)
-            if kw == "synchronized":
-                ts.advance()
-                ts.expect(PUNCT, "(")
-                monitor = self._expr()
-                ts.expect(PUNCT, ")")
-                body = self._block()
-                return self._node(ast.Synchronized, tok, monitor=monitor, body=body)
-            if kw in PRIMITIVE_TYPES or kw == "final":
-                return self._local_decl()
+    def _expr_stmt(self, tok: Token) -> ast.Stmt:
+        if tok.kind == _EOF:
+            raise self._error("statement")
         if self._looks_like_decl():
-            return self._local_decl()
+            return self._local_decl(tok)
         expr = self._expr_or_incr()
-        start = tok
-        ts.expect(PUNCT, ";")
-        return self._node(ast.ExprStmt, start, expr=expr)
+        self._expect(";")
+        return self._node(ast.ExprStmt, tok, expr=expr)
+
+    def _empty(self, tok: Token) -> ast.Empty:
+        self.pos += 1
+        return self._node(ast.Empty, tok)
+
+    def _return(self, tok: Token) -> ast.Return:
+        self.pos += 1
+        value = None
+        if self.tokens[self.pos].text != ";":
+            value = self._expr()
+        self._expect(";")
+        return self._node(ast.Return, tok, value=value)
+
+    def _assert(self, tok: Token) -> ast.Assert:
+        self.pos += 1
+        cond = self._expr()
+        message = None
+        if self.tokens[self.pos].text == ":":
+            self.pos += 1
+            message = self._expr()
+        self._expect(";")
+        return self._node(ast.Assert, tok, condition=cond, message=message)
+
+    def _synchronized(self, tok: Token) -> ast.Synchronized:
+        self.pos += 1
+        self._expect("(")
+        monitor = self._expr()
+        self._expect(")")
+        body = self._block()
+        return self._node(ast.Synchronized, tok, monitor=monitor, body=body)
 
     def _looks_like_decl(self) -> bool:
-        ts = self.ts
-        if not ts.at(IDENTIFIER):
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos].kind != IDENTIFIER:
             return False
-        if ts.at(IDENTIFIER, ahead=1):
-            return True
-        return ts.at(PUNCT, "[", ahead=1) and ts.at(PUNCT, "]", ahead=2)
+        nxt = tokens[pos + 1]
+        return nxt.kind == IDENTIFIER or (nxt.text == "[" and tokens[pos + 2].text == "]")
 
-    def _local_decl(self, consume_semi: bool = True) -> ast.LocalDecl:
-        ts = self.ts
-        start = ts.peek()
-        final = False
-        if ts.at(KEYWORD, "final"):
-            ts.advance()
-            final = True
+    def _local_decl(self, start: Token, consume_semi: bool = True) -> ast.LocalDecl:
+        final = start.text == "final"
+        self.pos += final
         dtype = self._type()
-        name = ts.expect(IDENTIFIER, what="variable name").text
+        name = self._ident("variable name")
         init = None
-        if ts.at(OPERATOR, "="):
-            ts.advance()
+        if self.tokens[self.pos].text == "=":
+            self.pos += 1
             init = self._expr()
         if consume_semi:
-            ts.expect(PUNCT, ";")
+            self._expect(";")
         return self._node(ast.LocalDecl, start, name=name, type=dtype, final=final, initializer=init)
 
-    def _if_stmt(self) -> ast.If:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "if")
-        ts.expect(PUNCT, "(")
+    def _condition(self) -> ast.Expr:
+        """Skip the statement's keyword, then parse '(' expr ')'."""
+        self.pos += 1
+        self._expect("(")
         cond = self._expr()
-        ts.expect(PUNCT, ")")
+        self._expect(")")
+        return cond
+
+    def _if_stmt(self, start: Token) -> ast.If:
+        cond = self._condition()
         then = self._body_block()
         els: ast.Stmt | None = None
-        if ts.at(KEYWORD, "else"):
-            ts.advance()
-            if ts.at(KEYWORD, "if"):
-                els = self._if_stmt()
+        if self.tokens[self.pos].text == "else":
+            self.pos += 1
+            tok = self.tokens[self.pos]
+            if tok.text == "if":
+                self._descend(tok)
+                els = self._if_stmt(tok)
+                self.depth -= 1
             else:
                 els = self._body_block()
         return self._node(ast.If, start, cond=cond, then=then, els=els)
 
-    def _while_stmt(self) -> ast.While:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "while")
-        ts.expect(PUNCT, "(")
-        cond = self._expr()
-        ts.expect(PUNCT, ")")
+    def _while_stmt(self, start: Token) -> ast.While:
+        cond = self._condition()
         body = self._body_block()
         return self._node(ast.While, start, cond=cond, body=body)
 
-    def _for_stmt(self) -> ast.For:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "for")
-        ts.expect(PUNCT, "(")
+    def _for_stmt(self, start: Token) -> ast.For:
+        tokens = self.tokens
+        self.pos += 1
+        self._expect("(")
         init: ast.Stmt | None = None
-        if not ts.at(PUNCT, ";"):
-            if ts.at(KEYWORD, "final") or (ts.at(KEYWORD) and ts.peek().text in PRIMITIVE_TYPES) or self._looks_like_decl():
-                init = self._local_decl(consume_semi=False)
+        first = tokens[self.pos]
+        if first.text != ";":
+            if first.text == "final" or first.text in PRIMITIVE_TYPES or self._looks_like_decl():
+                init = self._local_decl(first, consume_semi=False)
             else:
-                first = ts.peek()
                 expr = self._expr_or_incr()
                 init = self._node(ast.ExprStmt, first, expr=expr)
-            ts.expect(PUNCT, ";")
-        else:
-            ts.advance()
+        self._expect(";")
         cond: ast.Expr | None = None
-        if not ts.at(PUNCT, ";"):
+        if tokens[self.pos].text != ";":
             cond = self._expr()
-        ts.expect(PUNCT, ";")
+        self._expect(";")
         update: ast.Expr | None = None
-        if not ts.at(PUNCT, ")"):
+        if tokens[self.pos].text != ")":
             update = self._expr_or_incr()
-        ts.expect(PUNCT, ")")
+        self._expect(")")
         body = self._body_block()
         return self._node(ast.For, start, init=init, cond=cond, update=update, body=body)
 
-    def _switch_stmt(self) -> ast.Switch:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "switch")
-        ts.expect(PUNCT, "(")
-        subject = self._expr()
-        ts.expect(PUNCT, ")")
-        ts.expect(PUNCT, "{")
+    def _switch_stmt(self, start: Token) -> ast.Switch:
+        tokens = self.tokens
+        subject = self._condition()
+        self._expect("{")
         cases: list[ast.SwitchCase] = []
-        while not ts.at(PUNCT, "}"):
-            case_start = ts.peek()
-            label: ast.Expr | None
-            if ts.at(KEYWORD, "case"):
-                ts.advance()
+        while tokens[self.pos].text != "}":
+            case_start = tokens[self.pos]
+            label: ast.Expr | None = None
+            if case_start.text == "case":
+                self.pos += 1
                 label = self._expr()
             else:
-                ts.expect(KEYWORD, "default", what="'case' or 'default'")
-                label = None
-            ts.expect(PUNCT, ":")
+                self._expect("default", "'case' or 'default'")
+            self._expect(":")
             body: list[ast.Stmt] = []
-            while not (ts.at(KEYWORD, "case") or ts.at(KEYWORD, "default") or ts.at(PUNCT, "}")):
+            while tokens[self.pos].text not in ("case", "default", "}"):
                 body.append(self._stmt())
             cases.append(self._node(ast.SwitchCase, case_start, label=label, body=body))
-        ts.expect(PUNCT, "}")
+        self.pos += 1
         return self._node(ast.Switch, start, subject=subject, cases=cases)
 
-    def _try_stmt(self) -> ast.Try:
-        ts = self.ts
-        start = ts.expect(KEYWORD, "try")
+    def _try_stmt(self, start: Token) -> ast.Try:
+        tokens = self.tokens
+        self.pos += 1
         body = self._block()
         catches: list[ast.CatchClause] = []
-        while ts.at(KEYWORD, "catch"):
-            cstart = ts.advance()
-            ts.expect(PUNCT, "(")
+        while tokens[self.pos].text == "catch":
+            cstart = tokens[self.pos]
+            self.pos += 1
+            self._expect("(")
             ctype = self._type()
-            cname = ts.expect(IDENTIFIER, what="catch parameter").text
-            ts.expect(PUNCT, ")")
+            cname = self._ident("catch parameter")
+            self._expect(")")
             cbody = self._block()
             catches.append(self._node(ast.CatchClause, cstart, exc_type=ctype, name=cname, body=cbody))
         finally_block = None
-        if ts.at(KEYWORD, "finally"):
-            ts.advance()
+        if tokens[self.pos].text == "finally":
+            self.pos += 1
             finally_block = self._block()
         if not catches and finally_block is None:
-            nxt = ts.peek()
-            raise ParseError(
-                nxt.span if nxt else ts._eof_span(),
-                "'catch' or 'finally'",
-                repr(nxt.text) if nxt else "end of file",
-            )
+            raise self._error("'catch' or 'finally'")
         return self._node(ast.Try, start, body=body, catches=catches, finally_block=finally_block)
+
+    _STATEMENTS = {
+        "{": lambda self, tok: self._block(),
+        ";": _empty,
+        "if": _if_stmt,
+        "while": _while_stmt,
+        "for": _for_stmt,
+        "switch": _switch_stmt,
+        "try": _try_stmt,
+        "return": _return,
+        "assert": _assert,
+        "synchronized": _synchronized,
+        **dict.fromkeys(("final",) + PRIMITIVE_TYPES, _local_decl),
+    }
 
     # -- expressions -------------------------------------------------------
 
     def _expr_or_incr(self) -> ast.Expr:
         """Expression, allowing trailing ++/-- sugar in statement position."""
-        start = self.ts.peek()
+        start = self.tokens[self.pos]
         expr = self._expr()
-        if self.ts.at(OPERATOR, "++") or self.ts.at(OPERATOR, "--"):
-            op_tok = self.ts.advance()
-            if not isinstance(expr, (ast.Name, ast.Index, ast.FieldAccess)):
-                raise ParseError(op_tok.span, "assignable expression before '++'/'--'", repr(op_tok.text))
-            one = self._node(ast.Literal, op_tok, value=1, kind="int")
-            arith = self._node(
-                ast.Binary,
-                start,
-                op="+" if op_tok.text == "++" else "-",
-                left=self._clone_expr(expr),
-                right=one,
-            )
-            return self._node(ast.Binary, start, op="=", left=expr, right=arith)
-        return expr
+        op_tok = self.tokens[self.pos]
+        if op_tok.text != "++" and op_tok.text != "--":
+            return expr
+        self.pos += 1
+        if not isinstance(expr, _LVALUES):
+            raise ParseError(op_tok.span, "assignable expression before '++'/'--'", repr(op_tok.text))
+        if self.depth + self.height + 2 > MAX_NESTING:
+            raise NestingError(op_tok.span, MAX_NESTING)
+        one = self._node(ast.Literal, op_tok, value=1, kind="int")
+        op = "+" if op_tok.text == "++" else "-"
+        arith = self._node(ast.Binary, start, op=op, left=self._clone_expr(expr), right=one)
+        return self._node(ast.Binary, start, op="=", left=expr, right=arith)
 
     def _clone_expr(self, expr: ast.Expr) -> ast.Expr:
         """Deep-copy an lvalue expression with fresh uids (for ++/-- sugar)."""
-        if isinstance(expr, ast.Name):
-            return ast.Name(identifier=expr.identifier, span=expr.span, uid=self._fresh())
         if isinstance(expr, ast.Index):
-            return ast.Index(
-                array=self._clone_expr(expr.array),
-                index=self._clone_expr(expr.index),
-                span=expr.span,
-                uid=self._fresh(),
-            )
+            array, index = self._clone_expr(expr.array), self._clone_expr(expr.index)
+            return replace(expr, array=array, index=index, uid=self._fresh())
         if isinstance(expr, ast.FieldAccess):
-            return ast.FieldAccess(
-                receiver=self._clone_expr(expr.receiver),
-                name=expr.name,
-                span=expr.span,
-                uid=self._fresh(),
-            )
-        if isinstance(expr, ast.Literal):
-            return ast.Literal(value=expr.value, kind=expr.kind, span=expr.span, uid=self._fresh())
+            return replace(expr, receiver=self._clone_expr(expr.receiver), uid=self._fresh())
+        if isinstance(expr, (ast.Name, ast.Literal)):
+            return replace(expr, uid=self._fresh())
         raise ParseError(expr.span, "assignable expression", type(expr).__name__)
 
+    def _fresh(self) -> int:
+        self._uid += 1
+        return self._uid - 1
+
     def _expr(self) -> ast.Expr:
-        return self._assignment()
+        """Assignment: a binary chain, then a right-associative '=' chain."""
+        tokens = self.tokens
+        start = tokens[self.pos]
+        left = self._operand()
+        if tokens[self.pos].text in _PREC:
+            left = self._climb(start, left, 1)
+        eq = tokens[self.pos]
+        if eq.text != "=":
+            return left
+        self.pos += 1
+        if not isinstance(left, _LVALUES):
+            raise ParseError(eq.span, "assignable expression on left of '='", repr(eq.text))
+        height = self.height + 1  # the target goes one level down
+        if self.depth + height > MAX_NESTING:
+            raise NestingError(eq.span, MAX_NESTING)
+        self.depth += 1
+        right = self._expr()
+        self.depth -= 1
+        self.height = max(height, self.height + 1)
+        return self._node(ast.Binary, start, op="=", left=left, right=right)
 
-    def _assignment(self) -> ast.Expr:
-        start = self.ts.peek()
-        left = self._logic_or()
-        if self.ts.at(OPERATOR, "="):
-            eq = self.ts.advance()
-            if not isinstance(left, (ast.Name, ast.Index, ast.FieldAccess)):
-                raise ParseError(eq.span, "assignable expression on left of '='", repr(eq.text))
-            right = self._assignment()
-            return self._node(ast.Binary, start, op="=", left=left, right=right)
+    def _climb(self, start: Token, left: ast.Expr, min_prec: int) -> ast.Expr:
+        """Precedence climbing: extend left, which began at start, with the
+        operators of at least min_prec that follow it.  A right operand
+        takes the operators that bind tighter than its own.  Each Binary is
+        built after its right operand and begins at start."""
+        tokens = self.tokens
+        depth, height = self.depth, self.height
+        self.depth = depth + 1
+        prec = _PREC.get(tokens[self.pos].text, 0)
+        while prec >= min_prec:
+            op = tokens[self.pos]
+            height += 1  # the chain so far goes one level down
+            if depth + height > MAX_NESTING:
+                raise NestingError(op.span, MAX_NESTING)
+            self.pos += 1
+            right_start = tokens[self.pos]
+            right = self._operand()
+            after = _PREC.get(tokens[self.pos].text, 0)
+            if after > prec:
+                right = self._climb(right_start, right, prec + 1)
+                after = _PREC.get(tokens[self.pos].text, 0)
+            if self.height >= height:
+                height = self.height + 1
+            left = self._node(ast.Binary, start, op=op.text, left=left, right=right)
+            prec = after
+        self.depth = depth
+        self.height = height
         return left
 
-    def _binary_chain(self, sub, ops: tuple[str, ...]) -> ast.Expr:
-        start = self.ts.peek()
-        left = sub()
-        while any(self.ts.at(OPERATOR, op) for op in ops):
-            op_tok = self.ts.advance()
-            right = sub()
-            left = self._node(ast.Binary, start, op=op_tok.text, left=left, right=right)
-        return left
+    def _operand(self) -> ast.Expr:
+        """Unary operators, then a primary and its postfix operators."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        self.height = 0
+        if kind == IDENTIFIER:
+            self.pos += 1
+            if tokens[self.pos].text == "(":
+                args = self._args()
+                expr = self._node(ast.Call, tok, name=text, args=args)
+            else:
+                expr = self._node(ast.Name, tok, identifier=text)
+        elif kind == INT_LITERAL:
+            self.pos += 1
+            expr = self._node(ast.Literal, tok, value=int(text), kind="int")
+        elif text == "!" or text == "-":
+            self.pos += 1
+            self._descend(tok)
+            operand = self._operand()
+            self.depth -= 1
+            self.height += 1
+            return self._node(ast.Unary, tok, op=text, operand=operand)
+        elif text == "(":
+            self.pos += 1
+            self._descend(tok)
+            expr = self._expr()
+            self._expect(")")
+            self.depth -= 1
+            self.height += 1
+        elif kind == DOUBLE_LITERAL:
+            self.pos += 1
+            expr = self._node(ast.Literal, tok, value=float(text), kind="double")
+        elif kind == STRING_LITERAL:
+            self.pos += 1
+            expr = self._node(ast.Literal, tok, value=string_literal_value(text), kind="string")
+        elif text == "true" or text == "false":
+            self.pos += 1
+            expr = self._node(ast.Literal, tok, value=(text == "true"), kind="boolean")
+        elif text == "null":
+            self.pos += 1
+            expr = self._node(ast.Null, tok)
+        elif text == "this":
+            self.pos += 1
+            expr = self._node(ast.Name, tok, identifier="this")
+        elif text == "new":
+            expr = self._new(tok)
+        else:
+            raise self._error("expression")
+        if tokens[self.pos].text in (".", "["):
+            return self._postfix(tok, expr)
+        return expr
 
-    def _logic_or(self) -> ast.Expr:
-        return self._binary_chain(self._logic_and, ("||",))
+    def _new(self, tok: Token) -> ast.Expr:
+        tokens = self.tokens
+        self.pos += 1
+        type_tok = tokens[self.pos]
+        if type_tok.kind != IDENTIFIER and type_tok.text not in PRIMITIVE_TYPES:
+            raise self._error("type after 'new'")
+        self.pos += 1
+        if tokens[self.pos].text != "[":
+            args = self._args()
+            return self._node(ast.New, tok, class_name=type_tok.text, args=args)
+        self._descend(tokens[self.pos])
+        self.pos += 1
+        size = self._expr()
+        self._expect("]")
+        self.depth -= 1
+        self.height += 1
+        return self._node(ast.NewArray, tok, elem_type=TypeRef(type_tok.text), size_expr=size)
 
-    def _logic_and(self) -> ast.Expr:
-        return self._binary_chain(self._equality, ("&&",))
-
-    def _equality(self) -> ast.Expr:
-        return self._binary_chain(self._relational, ("==", "!="))
-
-    def _relational(self) -> ast.Expr:
-        return self._binary_chain(self._additive, ("<", "<=", ">", ">="))
-
-    def _additive(self) -> ast.Expr:
-        return self._binary_chain(self._multiplicative, ("+", "-"))
-
-    def _multiplicative(self) -> ast.Expr:
-        return self._binary_chain(self._unary, ("*", "/", "%"))
-
-    def _unary(self) -> ast.Expr:
-        ts = self.ts
-        if ts.at(OPERATOR, "!") or ts.at(OPERATOR, "-"):
-            tok = ts.advance()
-            operand = self._unary()
-            return self._node(ast.Unary, tok, op=tok.text, operand=operand)
-        return self._postfix()
-
-    def _postfix(self) -> ast.Expr:
-        ts = self.ts
-        start = ts.peek()
-        expr = self._primary()
+    def _postfix(self, start: Token, expr: ast.Expr) -> ast.Expr:
+        """Member accesses, method calls and indexes applied to expr."""
+        tokens = self.tokens
+        depth, height = self.depth, self.height
         while True:
-            if ts.at(PUNCT, "."):
-                ts.advance()
-                name = ts.expect(IDENTIFIER, what="member name").text
-                if ts.at(PUNCT, "("):
+            op = tokens[self.pos]
+            if op.text == ".":
+                height += 1  # the receiver goes one level down
+                if depth + height > MAX_NESTING:
+                    raise NestingError(op.span, MAX_NESTING)
+                self.pos += 1
+                name = self._ident("member name")
+                if tokens[self.pos].text == "(":
                     args = self._args()
+                    height = max(height, self.height)
                     expr = self._node(ast.Call, start, name=name, args=args, receiver=expr)
                 else:
                     expr = self._node(ast.FieldAccess, start, receiver=expr, name=name)
-            elif ts.at(PUNCT, "["):
-                ts.advance()
+            elif op.text == "[":
+                height += 1
+                if depth + height > MAX_NESTING:
+                    raise NestingError(op.span, MAX_NESTING)
+                self.pos += 1
+                self.depth = depth + 1
                 index = self._expr()
-                ts.expect(PUNCT, "]")
+                self.depth = depth
+                self._expect("]")
+                height = max(height, self.height + 1)
                 expr = self._node(ast.Index, start, array=expr, index=index)
             else:
+                self.height = height
                 return expr
 
     def _args(self) -> list[ast.Expr]:
-        ts = self.ts
-        ts.expect(PUNCT, "(")
+        """'(' [ expr { ',' expr } ] ')', one level down; leaves the height
+        of the call over them in self.height."""
+        tokens = self.tokens
+        self._expect("(")
         args: list[ast.Expr] = []
-        if not ts.at(PUNCT, ")"):
+        height = 0
+        if tokens[self.pos].text != ")":
+            self._descend(tokens[self.pos])
             while True:
                 args.append(self._expr())
-                if ts.at(PUNCT, ","):
-                    ts.advance()
-                    continue
-                break
-        ts.expect(PUNCT, ")")
+                if self.height >= height:
+                    height = self.height + 1
+                if tokens[self.pos].text != ",":
+                    break
+                self.pos += 1
+            self.depth -= 1
+        self._expect(")")
+        self.height = height
         return args
-
-    def _primary(self) -> ast.Expr:
-        ts = self.ts
-        tok = ts.peek()
-        if tok is None:
-            raise ParseError(ts._eof_span(), "expression", "end of file")
-        if tok.kind == INT_LITERAL:
-            ts.advance()
-            return self._node(ast.Literal, tok, value=int(tok.text), kind="int")
-        if tok.kind == DOUBLE_LITERAL:
-            ts.advance()
-            return self._node(ast.Literal, tok, value=float(tok.text), kind="double")
-        if tok.kind == STRING_LITERAL:
-            ts.advance()
-            return self._node(ast.Literal, tok, value=string_literal_value(tok.text), kind="string")
-        if tok.kind == KEYWORD:
-            if tok.text in ("true", "false"):
-                ts.advance()
-                return self._node(ast.Literal, tok, value=(tok.text == "true"), kind="boolean")
-            if tok.text == "null":
-                ts.advance()
-                return self._node(ast.Null, tok)
-            if tok.text == "this":
-                ts.advance()
-                return self._node(ast.Name, tok, identifier="this")
-            if tok.text == "new":
-                ts.advance()
-                type_tok = ts.peek()
-                if type_tok is None:
-                    raise ParseError(ts._eof_span(), "type after 'new'", "end of file")
-                if type_tok.kind == KEYWORD and type_tok.text in PRIMITIVE_TYPES:
-                    ts.advance()
-                    base = type_tok.text
-                elif type_tok.kind == IDENTIFIER:
-                    ts.advance()
-                    base = type_tok.text
-                else:
-                    raise ParseError(type_tok.span, "type after 'new'", repr(type_tok.text))
-                if ts.at(PUNCT, "["):
-                    ts.advance()
-                    size = self._expr()
-                    ts.expect(PUNCT, "]")
-                    return self._node(ast.NewArray, tok, elem_type=TypeRef(base), size_expr=size)
-                args = self._args()
-                return self._node(ast.New, tok, class_name=base, args=args)
-        if tok.kind == IDENTIFIER:
-            ts.advance()
-            if ts.at(PUNCT, "("):
-                args = self._args()
-                return self._node(ast.Call, tok, name=tok.text, args=args)
-            return self._node(ast.Name, tok, identifier=tok.text)
-        if tok.kind == PUNCT and tok.text == "(":
-            ts.advance()
-            inner = self._expr()
-            ts.expect(PUNCT, ")")
-            return inner
-        raise ParseError(tok.span, "expression", repr(tok.text))
 
 
 def parse(tokens: list[Token], file: str = "<memory>", source: str = "") -> ast.CompilationUnit:

@@ -202,7 +202,10 @@ def expr_text(expr: ast.Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, ast.Name):
         return expr.identifier
     if isinstance(expr, ast.Unary):
-        return expr.op + expr_text(expr.operand, 8)
+        operand = expr_text(expr.operand, 8)
+        # "- -x", not the "--" operator
+        text = f"{expr.op} {operand}" if operand.startswith("-") else expr.op + operand
+        return f"({text})" if parent_prec > 8 else text
     if isinstance(expr, ast.Binary):
         prec = _PRECEDENCE[expr.op]
         if expr.op == "=":

@@ -853,6 +853,10 @@ class Interpreter:
         return array.values[index]
 
     def _e_field(self, expr: ast.FieldAccess, scope: _Scope):
+        sym = self.res.field_targets.get(expr.uid)
+        if sym is not None and sym.static:
+            get, key, default = self.statics.get, (sym.owner, sym.name), default_value_for(sym)
+            return self._static_access(expr.receiver, scope, lambda f: get(key, default))
         st, receiver, name, span = self, self._expr(expr.receiver, scope), expr.name, expr.span
 
         def run(f):
@@ -1027,9 +1031,12 @@ class Interpreter:
 
             return store_element
         if isinstance(target, ast.FieldAccess):
-            receiver_of, name = self._expr(target.receiver, scope), target.name
             sym = self.res.field_targets.get(target.uid)
             coerce = self._coercer(_type_ref_of(sym)) if sym else None
+            if sym is not None and sym.static:
+                store = self._assign_field(sym, value_of, coerce, span)
+                return self._static_access(target.receiver, scope, store)
+            receiver_of, name = self._expr(target.receiver, scope), target.name
 
             def store_field(f):
                 value = value_of(f)
@@ -1043,6 +1050,21 @@ class Interpreter:
 
             return store_field
         return _fails(f"{span}: bad assignment target", value_of)
+
+    def _static_access(self, receiver: ast.Expr, scope: _Scope, access):
+        """access to a static field, after its receiver has run for its
+        effects; a class name is not a value and does not run."""
+        if isinstance(receiver, ast.Name):
+            sym = self.res.name_targets.get(receiver.uid)
+            if sym is not None and sym.kind == "class":
+                return access
+        receiver_of = self._expr(receiver, scope)
+
+        def run(f):
+            receiver_of(f)
+            return access(f)
+
+        return run
 
     def _assign_field(self, sym, value_of, coerce, span: SourceSpan):
         if sym.static:

@@ -1,5 +1,5 @@
 from overrun_lint.frontend import ast, instrument_asserts, parse_source, pretty_print
-from overrun_lint.frontend.ast import count_nodes, structural_eq
+from overrun_lint.frontend.ast import count_nodes, structural_eq, walk
 
 
 def test_identity_on_assert_free_unit():
@@ -75,3 +75,32 @@ def test_original_unit_untouched():
     unit = parse_source("class A { void m(int a) { assert a > 0; } }")
     instrument_asserts(unit)
     assert count_nodes(unit, ast.Assert) == 1
+
+
+def test_asserts_in_bare_blocks_are_lowered():
+    unit = parse_source("class A { void m(int a) { { assert a > 0; } { if (a > 1) { assert a > 2; } } } }")
+    out = instrument_asserts(unit)
+    assert count_nodes(out, ast.Assert) == 0
+    assert sum(isinstance(n, ast.If) and n.assert_origin is not None for n in walk(out)) == 2
+
+
+def test_only_the_path_to_an_assert_is_copied():
+    unit = parse_source("class A { void m(int a) { a = 1; if (a > 0) { assert a > 1; } } void n() { } } class B { }")
+    out = instrument_asserts(unit)
+    m, n = unit.classes[0].methods
+    new_m, new_n = out.classes[0].methods
+    assert out is not unit and new_m is not m
+    assert new_m.body.stmts[0] is m.body.stmts[0]  # a = 1;
+    assert new_n is n and out.classes[1] is unit.classes[1]
+    lowered = new_m.body.stmts[1].then.stmts[0]
+    assert lowered.cond.right.operand is m.body.stmts[1].then.stmts[0].condition
+    # fresh uids come from the copy; the original keeps its counter
+    assert unit.next_uid == lowered.cond.left.uid and out.next_uid > unit.next_uid
+
+
+def test_deeply_nested_assert_is_lowered():
+    depth = 90
+    body = "if (a > 0) { " * depth + "assert a > 1; " + "} " * depth
+    unit = parse_source(f"class A {{ void m(int a) {{ {body}}} }}")
+    out = instrument_asserts(unit)
+    assert count_nodes(unit, ast.Assert) == 1 and count_nodes(out, ast.Assert) == 0

@@ -238,6 +238,35 @@ def test_explicit_entry():
     assert trace.stdout == ["7"]
 
 
+def test_static_fields_through_class_name_and_instance():
+    source = """\
+class Counter {
+    static int total;
+}
+class Main {
+    static Counter make() {
+        println("made");
+        return null;
+    }
+    static void main(String[] args) {
+        println(Counter.total);
+        Counter.total = 5;
+        Counter c = new Counter();
+        c.total = c.total + 1;
+        println(Counter.total);
+        println(make().total);
+        make().total = 9;
+        println(c.total);
+    }
+}
+"""
+    # The class name is not evaluated; any other receiver is, for its
+    # effects, and may be null.
+    trace = run(source)
+    assert trace.stdout == ["0", "6", "made", "6", "made", "9"]
+    assert trace.faults == []
+
+
 def test_integer_division_truncates_toward_zero():
     source = """\
 class T {

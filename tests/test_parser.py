@@ -1,3 +1,5 @@
+import hashlib
+import random
 from dataclasses import fields
 
 import pytest
@@ -6,6 +8,9 @@ from overrun_lint.errors import ParseError
 from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
+from overrun_lint.frontend.printer import expr_text
+
+from progen import seeded_unit
 
 
 def test_minimal_class():
@@ -165,3 +170,224 @@ def test_for_slots_distinct_even_when_empty():
     unit = parse_source("class A { void m() { for (;;) { return; } } }")
     for_node = next(n for n in walk(unit) if isinstance(n, ast.For))
     assert for_node.init is None and for_node.cond is None and for_node.update is None
+
+
+# -- parser contract: trees, expression shapes and errors -------------------
+
+
+def _ref(value):
+    if isinstance(value, ast.Node):
+        return ("node", value.uid)
+    if isinstance(value, list):
+        return [_ref(item) for item in value]
+    return value
+
+
+def _tree_digest(unit: ast.CompilationUnit) -> str:
+    """sha256 over every node in pre-order: class, then every field (span,
+    uid, comments and next_uid included), children referred to by uid."""
+    h = hashlib.sha256()
+    for node in walk(unit):
+        row = [type(node).__name__] + [(f.name, _ref(getattr(node, f.name))) for f in fields(node)]
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+TREE_DIGESTS = {
+    "assert_demo.sl": "27aafce0c3a386aacab9eaca6c4c41a6d6113e60049bbbaa3d22f2cf99309fde",
+    "building_lift.sl": "8199853758fd14416028990987169cd76ddb2902cbe943f168f7fe11f127d951",
+    "checkers_state.sl": "b62c0feafe7e48c839b68a90da2d8cb336020589af80ad1b79dfa2072cec806c",
+    "deadlock_demo.sl": "aa8711b7424ed3dbc9f979a87dfdb32d29e2e8044551bc3e305703440d589b6b",
+    "equals_demo.sl": "8567715cf16ce985b4f1e73ad35f07e35a83b4070556783d324c982b2c536c86",
+    "file_check.sl": "ea4d3ee8efe3757dbdbfa367e09442d888aa5ed0113668d4c53868dc88b19d4c",
+    "makeover.sl": "53a55c8433cf441469fc85629e91fe86f011951e7aa07909a976841e5f90a515",
+    "readline_loop.sl": "f5849680efe532f69129e1ad2fb87d0727d73728c8202b02bf9cfd32ac95e1bf",
+    "robustness.sl": "e144ad197f1a3aa0b858470da37abe4b8ad8a9a2f816ed42953384eaf2042cdd",
+    "testing.sl": "90fc78533d833c158300e60f4ce40a344ed01766b9e815517e6c31737c8995be",
+    "wait_demo.sl": "cab0313945431bff97a07ba5acabf6c0ac32e5e89862fd565c69aac0a563539d",
+    "yang.sl": "992b6a6ed728d670f42a591667ba471c7a3de4f09be6f0a0b401c485f350296f",
+    "seeded1.sl": "90ec5503cedae52fc7703452360a65b8c7c18d474b200d0c25097867a4dd73d1",
+    "seeded2.sl": "fc2a185dbcab07c53c46de964d0c2c75c9136777aee24800666b66b417614f9b",
+    "seeded3.sl": "61946e9d9af2dc3b9a826a39b3912202e23a89aa8cf8d37e1d84f4c8d9d7f05d",
+    "seeded4.sl": "d1acface41a4a8ff9c19e4649508b132257065c6395cc7df8b3c1e023f78ffe6",
+    "seeded5.sl": "bdd82b4614741032dab85e193daa05e24dbd80c231d4f18473dd0370333710e6",
+}
+
+
+def test_parse_trees_are_pinned(corpus_sources):
+    units = dict(corpus_sources)
+    for seed in range(1, 6):
+        units[f"seeded{seed}.sl"] = seeded_unit(seed)
+    assert {name: _tree_digest(parse_source(src, name)) for name, src in units.items()} == TREE_DIGESTS
+
+
+# Expression trees as tuples: ("name", id), ("lit", text), ("bin", op, l, r),
+# ("assign", lvalue, r), ("un", op, e), ("field", receiver, name),
+# ("index", array, index), ("call", receiver-or-None, name, args),
+# ("new", class, args) and ("newarray", elem, size).
+_BINARY_PREC = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+_UNARY_PREC, _POSTFIX_PREC = 7, 8
+_LITERALS = ("0", "7", "2.5", '"s"', "true", "false", "null", "this")
+
+
+def _random_expr(rng: random.Random, depth: int) -> tuple:
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.6:
+            return ("name", rng.choice("abcd"))
+        return ("lit", rng.choice(_LITERALS))
+    kind = rng.choice(["bin", "bin", "bin", "assign", "un", "field", "index", "call", "new"])
+    sub = lambda: _random_expr(rng, depth - 1)  # noqa: E731
+    if kind == "bin":
+        return ("bin", rng.choice(sorted(_BINARY_PREC)), sub(), sub())
+    if kind == "assign":
+        target = rng.choice([("name", "x"), ("field", sub(), "f"), ("index", sub(), sub())])
+        return ("assign", target, sub())
+    if kind == "un":
+        return ("un", rng.choice("!-"), sub())
+    if kind == "field":
+        return ("field", sub(), rng.choice(["f", "g"]))
+    if kind == "index":
+        return ("index", sub(), sub())
+    if kind == "call":
+        receiver = sub() if rng.random() < 0.5 else None
+        return ("call", receiver, rng.choice(["f", "h"]), [sub() for _ in range(rng.randrange(3))])
+    if rng.random() < 0.5:
+        return ("new", "C", [sub() for _ in range(rng.randrange(3))])
+    return ("newarray", rng.choice(["int", "C"]), sub())
+
+
+def _prec(tree: tuple) -> int:
+    if tree[0] == "assign":
+        return 0
+    if tree[0] == "bin":
+        return _BINARY_PREC[tree[1]]
+    if tree[0] == "un":
+        return _UNARY_PREC
+    return _POSTFIX_PREC
+
+
+def _text(tree: tuple, rng: random.Random | None, floor: int = 0) -> str:
+    """Source for tree.  With rng: only the parentheses precedence needs,
+    plus a few redundant ones.  Without: every compound operand in parens."""
+    kind = tree[0]
+    if kind in ("name", "lit"):
+        return tree[1]
+    sub = lambda t, f=0: _text(t, rng, f)  # noqa: E731
+    if kind == "bin":
+        prec = _BINARY_PREC[tree[1]]
+        out = f"{sub(tree[2], prec)} {tree[1]} {sub(tree[3], prec + 1)}"
+    elif kind == "assign":
+        out = f"{sub(tree[1], _POSTFIX_PREC)} = {sub(tree[2])}"
+    elif kind == "un":
+        out = f"{tree[1]} {sub(tree[2], _UNARY_PREC)}"
+    elif kind == "field":
+        out = f"{sub(tree[1], _POSTFIX_PREC)}.{tree[2]}"
+    elif kind == "index":
+        out = f"{sub(tree[1], _POSTFIX_PREC)}[{sub(tree[2])}]"
+    elif kind == "call":
+        head = "" if tree[1] is None else sub(tree[1], _POSTFIX_PREC) + "."
+        out = f"{head}{tree[2]}({', '.join(sub(a) for a in tree[3])})"
+    elif kind == "new":
+        out = f"new {tree[1]}({', '.join(sub(a) for a in tree[2])})"
+    else:
+        out = f"new {tree[1]}[{sub(tree[2])}]"
+    if rng is None or _prec(tree) < floor or rng.random() < 0.1:
+        return f"({out})"
+    return out
+
+
+def _as_tuple(expr: ast.Expr) -> tuple:
+    if isinstance(expr, ast.Name):
+        return ("name" if expr.identifier != "this" else "lit", expr.identifier)
+    if isinstance(expr, ast.Null):
+        return ("lit", "null")
+    if isinstance(expr, ast.Literal):
+        text = {"string": f'"{expr.value}"', "boolean": str(expr.value).lower()}.get(expr.kind, str(expr.value))
+        return ("lit", text)
+    if isinstance(expr, ast.Binary):
+        if expr.op == "=":
+            return ("assign", _as_tuple(expr.left), _as_tuple(expr.right))
+        return ("bin", expr.op, _as_tuple(expr.left), _as_tuple(expr.right))
+    if isinstance(expr, ast.Unary):
+        return ("un", expr.op, _as_tuple(expr.operand))
+    if isinstance(expr, ast.FieldAccess):
+        return ("field", _as_tuple(expr.receiver), expr.name)
+    if isinstance(expr, ast.Index):
+        return ("index", _as_tuple(expr.array), _as_tuple(expr.index))
+    if isinstance(expr, ast.Call):
+        receiver = None if expr.receiver is None else _as_tuple(expr.receiver)
+        return ("call", receiver, expr.name, [_as_tuple(a) for a in expr.args])
+    if isinstance(expr, ast.New):
+        return ("new", expr.class_name, [_as_tuple(a) for a in expr.args])
+    assert isinstance(expr, ast.NewArray)
+    return ("newarray", expr.elem_type.base, _as_tuple(expr.size_expr))
+
+
+def _parse_expr(text: str) -> ast.Expr:
+    unit = parse_source(f"class A {{ void m() {{ return {text}; }} }}")
+    return unit.classes[0].methods[0].body.stmts[0].value
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_expressions_match_parenthesised_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        tree = _random_expr(rng, rng.randint(1, 5))
+        parsed = _parse_expr(_text(tree, rng))
+        assert _as_tuple(parsed) == tree
+        assert _as_tuple(_parse_expr(_text(tree, None))) == tree
+        assert _as_tuple(_parse_expr(expr_text(parsed))) == tree
+
+
+# The rest of a file that starts `class A { void m() { `, with the span and
+# text of the ParseError it raises (recorded before the parser was
+# rewritten); the ones without closing braces end mid-expression.
+MALFORMED = {
+    'x = a + ; } }': ((1, 30, 1, 31), "<memory>:1:30: expected expression, found ';'"),
+    'x = (a; } }': ((1, 28, 1, 29), "<memory>:1:28: expected ), found ';'"),
+    '1 = x; } }': ((1, 24, 1, 25), "<memory>:1:24: expected assignable expression on left of '=', found '='"),
+    'x++ ++; } }': ((1, 26, 1, 28), "<memory>:1:26: expected ;, found '++'"),
+    'x = a.; } }': ((1, 28, 1, 29), "<memory>:1:28: expected member name, found ';'"),
+    'x = new; } }': ((1, 29, 1, 30), "<memory>:1:29: expected type after 'new', found ';'"),
+    'f(a,': ((1, 26, 1, 26), '<memory>:1:26: expected expression, found end of file'),
+    'x = a +': ((1, 29, 1, 29), '<memory>:1:29: expected expression, found end of file'),
+    'x = a[1; } }': ((1, 29, 1, 30), "<memory>:1:29: expected ], found ';'"),
+    'x = - ; } }': ((1, 28, 1, 29), "<memory>:1:28: expected expression, found ';'"),
+    'f(a b); } }': ((1, 26, 1, 27), "<memory>:1:26: expected ), found 'b'"),
+    'x = new int[; } }': ((1, 34, 1, 35), "<memory>:1:34: expected expression, found ';'"),
+    'x = new 3; } }': ((1, 30, 1, 31), "<memory>:1:30: expected type after 'new', found '3'"),
+    '(a + b)++; } }': ((1, 29, 1, 31), "<memory>:1:29: expected assignable expression before '++'/'--', found '++'"),
+    'a + b = c; } }': ((1, 28, 1, 29), "<memory>:1:28: expected assignable expression on left of '=', found '='"),
+    'return a && || b; } }': ((1, 34, 1, 36), "<memory>:1:34: expected expression, found '||'"),
+    'x = a * / b; } }': ((1, 30, 1, 31), "<memory>:1:30: expected expression, found '/'"),
+    'x = !': ((1, 27, 1, 27), '<memory>:1:27: expected expression, found end of file'),
+    'x = a.b(; } }': ((1, 30, 1, 31), "<memory>:1:30: expected expression, found ';'"),
+    'x = (a + b': ((1, 32, 1, 32), '<memory>:1:32: expected ), found end of file'),
+    'x = a == ; } }': ((1, 31, 1, 32), "<memory>:1:31: expected expression, found ';'"),
+    'f(a)(b); } }': ((1, 26, 1, 27), "<memory>:1:26: expected ;, found '('"),
+    'x = a.3; } }': ((1, 28, 1, 29), "<memory>:1:28: expected member name, found '3'"),
+    'x = -- a; } }': ((1, 26, 1, 28), "<memory>:1:26: expected expression, found '--'"),
+    'if (x) } }': ((1, 29, 1, 30), "<memory>:1:29: expected expression, found '}'"),
+    'for (int i = 0; i < 3 }': ((1, 44, 1, 45), "<memory>:1:44: expected ;, found '}'"),
+    'try { } x = 1; } }': ((1, 30, 1, 31), "<memory>:1:30: expected 'catch' or 'finally', found 'x'"),
+    'switch (x) { x = 1; } } }': ((1, 35, 1, 36), "<memory>:1:35: expected 'case' or 'default', found 'x'"),
+    'int[ x; } }': ((1, 25, 1, 26), "<memory>:1:25: expected variable name, found '['"),
+    'final 3 x; } }': ((1, 28, 1, 29), "<memory>:1:28: expected type, found '3'"),
+    '} void': ((1, 28, 1, 28), '<memory>:1:28: expected member name, found end of file'),
+    '} static static': ((1, 37, 1, 37), '<memory>:1:37: expected type, found end of file'),
+    '} int f(int a b) { } }': ((1, 36, 1, 37), "<memory>:1:36: expected ), found 'b'"),
+    '} A': ((1, 25, 1, 25), '<memory>:1:25: expected member name, found end of file'),
+    'else { } } }': ((1, 22, 1, 26), "<memory>:1:22: expected expression, found 'else'"),
+    'while (a + b { } } }': ((1, 35, 1, 36), "<memory>:1:35: expected ), found '{'"),
+}
+
+
+@pytest.mark.parametrize("rest", sorted(MALFORMED))
+def test_malformed_expression_errors_are_pinned(rest):
+    with pytest.raises(ParseError) as err:
+        parse_source("class A { void m() { " + rest)
+    span, message = MALFORMED[rest]
+    assert (tuple(err.value.span[1:]), str(err.value)) == (span, message)

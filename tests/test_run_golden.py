@@ -636,6 +636,20 @@ class Main {
 """,
         {"entry": "Main.main"},
     ),
+    # A static field read through its class name; the name is not evaluated.
+    "static_field_via_class_name": (
+        """\
+class Counter {
+    static int total;
+}
+class Main {
+    static void main(String[] args) {
+        println(Counter.total);
+    }
+}
+""",
+        {},
+    ),
     "void_result": (
         """\
 class Main {
@@ -697,16 +711,6 @@ class Main {
     static void main(String[] args) {
         println(1);
         missing(2);
-    }
-}
-""",
-    "error_class_name_as_value": """\
-class Counter {
-    static int total;
-}
-class Main {
-    static void main(String[] args) {
-        println(Counter.total);
     }
 }
 """,
