@@ -38,10 +38,6 @@ class TypeRef:
     def __str__(self) -> str:
         return self.base + "[]" * self.dims
 
-    @property
-    def is_array(self) -> bool:
-        return self.dims > 0
-
     def element(self) -> "TypeRef":
         return TypeRef(self.base, self.dims - 1)
 

@@ -1,8 +1,9 @@
 """Scope construction, declaration/usage resolution, and expression typing.
 
 build_symbol_table walks a parsed unit, builds the scope tree, resolves
-every Name/Call/FieldAccess, counts reads and writes per symbol, and types
-every expression.  Unresolved identifiers are collected as diagnostics;
+every Name/Call/FieldAccess, counts reads and writes per symbol, numbers
+each method's parameters and locals into the interpreter's frame slots, and
+types every expression.  Unresolved identifiers are collected as diagnostics;
 operator/operand mismatches raise TypeCheckError.
 """
 
@@ -63,6 +64,7 @@ class Symbol:
     is_catch_param: bool = False
     is_builtin: bool = False
     decl_uid: int = -1
+    slot: int = -1  # params and locals: the frame slot, 0 being `this`
 
     @property
     def method_id(self) -> str:
@@ -99,9 +101,6 @@ class MethodInfo:
     def method_id(self) -> str:
         name = "<init>" if self.decl.is_constructor else self.decl.name
         return f"{self.owner}.{name}/{self.decl.arity}"
-
-    def decl_class(self, resolution: "Resolution") -> ast.ClassDecl:
-        return resolution.classes[self.owner].decl
 
 
 @dataclass
@@ -145,6 +144,7 @@ class Resolution:
     by_type: dict[type, list[ast.Node]] = field(default_factory=dict)
     parents: dict[int, ast.Node] = field(default_factory=dict)
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)
+    frame_sizes: dict[int, int] = field(default_factory=dict)  # method uid -> slots
 
     def nodes_of(self, *kinds: type) -> list[ast.Node]:
         """Nodes whose exact class is one of kinds, in pre-order."""
@@ -359,8 +359,10 @@ class _Resolver:
                 span=method.span,
                 final=True,
                 is_builtin=True,
+                slot=0,
             )
             scope.symbols["this"] = this_sym
+        first = len(self.res.symbols)
         for param in method.params:
             try:
                 scope.declare(
@@ -377,6 +379,13 @@ class _Resolver:
                 self.res.diagnostics.append(err)
         self.res.scopes[method.uid] = scope
         self._block(method.body, scope)
+        # Every symbol declared since `first` is a parameter or a local of
+        # this method: they take the frame slots after the receiver's, in
+        # declaration order.
+        frame = self.res.symbols[first:]
+        for slot, sym in enumerate(frame, 1):
+            sym.slot = slot
+        self.res.frame_sizes[method.uid] = len(frame) + 1
         self.current_method = None
 
     # -- statements ----------------------------------------------------------

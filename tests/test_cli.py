@@ -207,6 +207,41 @@ def test_cpd_still_rejects_unresolved_names(capsys, tmp_path):
     assert "undeclared identifier 'missing'" in err and "resolution failed" in err
 
 
+REJECTED_BY_RESOLVER = {
+    "duplicate_local.sl": (
+        "class Main {\n"
+        "    static void main(String[] args) {\n"
+        "        int x = 1;\n"
+        "        int x = 2;\n"
+        "        println(x);\n"
+        "    }\n"
+        "}\n",
+        "duplicate_local.sl:4:9: duplicate declaration of 'x'",
+    ),
+    "error_unresolved_call.sl": (
+        "class Main {\n"
+        "    static void main(String[] args) {\n"
+        "        println(1);\n"
+        "        missing(2);\n"
+        "    }\n"
+        "}\n",
+        "error_unresolved_call.sl:4:9: undeclared identifier 'missing'",
+    ),
+}
+
+
+def test_run_rejects_what_analyze_rejects(capsys, tmp_path):
+    for name, (source, message) in REJECTED_BY_RESOLVER.items():
+        path = tmp_path / name
+        path.write_text(source)
+        for command in ("run", "analyze"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2, (name, command)
+            assert message in err, (name, command, err)
+            assert "Traceback" not in err
+        assert out == ""  # run printed nothing: the program never started
+
+
 def test_annotate_in_place_and_reanalyze(capsys, corpus_dir, tmp_path):
     target = tmp_path / "yang.sl"
     target.write_text((corpus_dir / "yang.sl").read_text())

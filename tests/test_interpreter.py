@@ -1,6 +1,11 @@
 import pytest
 
-from overrun_lint.errors import DomainError, EntryNotFoundError, InterpreterError
+from overrun_lint.errors import (
+    DomainError,
+    DuplicateDeclaration,
+    EntryNotFoundError,
+    InterpreterError,
+)
 from overrun_lint.pipeline import analyze_source, run_source
 from overrun_lint.runtime import (
     FAULT_ASSERTION_FAILURE,
@@ -265,6 +270,58 @@ class Main {
     trace = run(source)
     assert trace.stdout == ["0", "6", "made", "6", "made", "9"]
     assert trace.faults == []
+
+
+def test_static_methods_through_class_name_and_instance():
+    source = """\
+class Counter {
+    static int made;
+    static int make() { made = made + 1; return made; }
+    int twice() { return make() * 2; }
+}
+class Main {
+    static Counter none() {
+        println("none");
+        return null;
+    }
+    static void main(String[] args) {
+        println(Counter.make());
+        Counter c = null;
+        println(c.make());
+        println(none().make());
+        c = new Counter();
+        println(c.twice());
+    }
+}
+"""
+    # A static call is bound to the resolved method: the class name is not
+    # evaluated, and a null receiver runs for its effects only (Java's rule).
+    trace = run(source)
+    assert trace.stdout == ["1", "2", "none", "3", "8"]
+    assert trace.faults == []
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("C c = C;", "class name C used as a value"),
+        ("C = null;", "cannot assign to class"),
+        ("C.inst();", "class name C used as a value"),
+    ],
+)
+def test_class_name_is_not_a_value(statement, message):
+    # The resolver accepts these, so the interpreter keeps their guards.
+    source = "class C { void inst() { } }\nclass Main { static void main(String[] args) { %s } }"
+    analyzed = analyze_source(source % statement, "t.sl")
+    assert analyzed.res.diagnostics == []
+    with pytest.raises(InterpreterError, match=message):
+        run(source % statement)
+
+
+def test_run_source_refuses_a_unit_the_resolver_rejects():
+    source = "class T { static void main(String[] args) { int x = 1; int x = 2; println(x); } }"
+    with pytest.raises(DuplicateDeclaration, match="t.sl:1:56: duplicate declaration of 'x'"):
+        run(source)
 
 
 def test_integer_division_truncates_toward_zero():

@@ -663,6 +663,8 @@ class Main {
 """,
         {},
     ),
+    # The resolver rejects the second x, so the run records that error and
+    # executes nothing.
     "duplicate_local": (
         """\
 class Main {
@@ -680,7 +682,8 @@ class Main {
     ),
 }
 
-# Runs that end in InterpreterError: the digest pins the exception's text.
+# Runs that end in an error, InterpreterError or (for error_unresolved_call)
+# the resolver's first diagnostic: the digest pins the exception's text.
 ERROR_SNIPPETS: dict[str, str] = {
     "error_integer_division_by_zero": """\
 class Main {
