@@ -238,7 +238,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_cpd(args) -> int:
-    # Clone detection reads the source only; resolution just gates validity.
+    # Clone detection reads the tokens the parser left on each unit;
+    # resolution just gates validity.
     units = []
     for path in args.paths:
         unit = parse_source(Path(path).read_text(encoding="utf-8"), str(Path(path)))

@@ -1,8 +1,11 @@
 """Token-based copy-paste detection.
 
-Tokens are normalized (identifiers -> ID, numeric literals -> NUM, string
-literals -> STR, comments dropped) so renamed copies still match; keywords,
-operators and punctuation stay verbatim.  Reported pairs are maximal: they
+The tokens are the columns of the TokenStream the parser left on each unit
+(`unit.tokens`), so no file is lexed again.  Their kinds and texts are
+normalized (identifiers -> ID, numeric literals -> NUM, string literals ->
+STR; comments are not in the columns) so renamed copies still match;
+keywords, operators and punctuation stay verbatim.  Spans are rebuilt from
+the columns for the reported windows only.  Reported pairs are maximal: they
 cannot be extended in either direction and are not contained in a longer
 reported pair.
 
@@ -22,22 +25,17 @@ per reported token.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..errors import DomainError
 from ..frontend import ast
-from ..frontend.lexer import (
-    COMMENT,
-    DOUBLE_LITERAL,
-    IDENTIFIER,
-    INT_LITERAL,
-    STRING_LITERAL,
-    SourceSpan,
-    Token,
-    tokenize,
-)
+from ..frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, SourceSpan, Token, TokenStream
 
 MIN_TOKENS_FLOOR = 10
+
+# Normalized form by token kind; the other kinds keep their text.
+_NORMAL = {IDENTIFIER: "ID", INT_LITERAL: "NUM", DOUBLE_LITERAL: "NUM", STRING_LITERAL: "STR"}
 
 
 @dataclass(frozen=True)
@@ -48,31 +46,33 @@ class ClonePair:
 
 
 def _normalize(token: Token) -> str:
-    if token.kind == IDENTIFIER:
-        return "ID"
-    if token.kind in (INT_LITERAL, DOUBLE_LITERAL):
-        return "NUM"
-    if token.kind == STRING_LITERAL:
-        return "STR"
-    return token.text
+    return _NORMAL.get(token.kind, token.text)
 
 
 def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[ClonePair]:
     """All maximal clone pairs of at least min_tokens normalized tokens."""
     if min_tokens < MIN_TOKENS_FLOOR:
         raise DomainError(f"min_tokens must be >= {MIN_TOKENS_FLOOR}, got {min_tokens}")
-    # All files' tokens in one sequence; file_end[i] is where i's file ends.
-    tokens: list[Token] = []
+    # All files' significant tokens in one sequence, read from the streams
+    # the parser left on the units: file k's begin at starts[k], and
+    # file_end[i] is where token i's file ends.
     norms: list[str] = []
+    files: list[tuple[str, TokenStream]] = []
+    starts: list[int] = []
     file_end: list[int] = []
     grams: dict[tuple[str, ...], list[int]] = {}
     for unit in units:
-        start = len(tokens)
-        tokens += [t for t in tokenize(unit.source, unit.file) if t.kind != COMMENT]
-        norms += [_normalize(t) for t in tokens[start:]]
-        file_end += [len(tokens)] * (len(tokens) - start)
-        for i in range(start, len(tokens) - min_tokens + 1):
-            grams.setdefault(tuple(norms[i : i + min_tokens]), []).append(i)
+        stream = unit.tokens
+        count = len(stream.texts) - 1  # without the end-of-file sentinel
+        file_norms = list(map(_NORMAL.get, stream.kinds[:count], stream.texts[:count]))
+        start = len(norms)
+        files.append((unit.file, stream))
+        starts.append(start)
+        norms += file_norms
+        file_end += [start + count] * count
+        shifted = (file_norms[k:] for k in range(min_tokens))
+        for i, gram in enumerate(zip(*shifted), start):
+            grams.setdefault(gram, []).append(i)
 
     triples = []
     for positions in grams.values():
@@ -93,14 +93,16 @@ def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[C
     triples.sort(key=lambda p: (-p[2], p[0], p[1]))
 
     result = [
-        ClonePair(_window_span(tokens, a, length), _window_span(tokens, b, length), length)
+        ClonePair(_window_span(files, starts, a, length), _window_span(files, starts, b, length), length)
         for a, b, length in triples
     ]
     result.sort(key=lambda p: (p.span_a.file, p.span_a.line, p.span_a.column, p.span_b.file, p.span_b.line))
     return result
 
 
-def _window_span(tokens: list[Token], start: int, length: int) -> SourceSpan:
-    first = tokens[start].span
-    last = tokens[start + length - 1].span
-    return SourceSpan(first.file, first.line, first.column, last.end_line, last.end_column)
+def _window_span(files: list[tuple[str, TokenStream]], starts: list[int], start: int, length: int) -> SourceSpan:
+    """Span of tokens start .. start + length - 1, which lie in one file."""
+    k = bisect_right(starts, start) - 1
+    (file, stream), first = files[k], start - starts[k]
+    last = first + length - 1
+    return SourceSpan(file, stream.lines[first], stream.columns[first], stream.lines[last], stream.end_columns[last])

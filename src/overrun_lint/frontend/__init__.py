@@ -1,4 +1,4 @@
-from .lexer import SourceSpan, Token, tokenize
+from .lexer import SourceSpan, Token, TokenStream, tokenize
 from .parser import parse, parse_source
 from .printer import pretty_print
 from .instrument import instrument_asserts
@@ -6,6 +6,7 @@ from .instrument import instrument_asserts
 __all__ = [
     "SourceSpan",
     "Token",
+    "TokenStream",
     "tokenize",
     "parse",
     "parse_source",

@@ -7,23 +7,24 @@ construction order, which downstream passes use as a stable map key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .lexer import SourceSpan
+from .lexer import SourceSpan, TokenStream, tokenize
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Node:
     span: SourceSpan
     uid: int = -1
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Stmt(Node):
     leading_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Expr(Node):
     pass
 
@@ -48,14 +49,14 @@ VOID = TypeRef("void")
 # --- declarations -----------------------------------------------------------
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Param(Node):
     name: str
     type: TypeRef
     final: bool = False
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class FieldDecl(Node):
     name: str
     type: TypeRef
@@ -65,7 +66,7 @@ class FieldDecl(Node):
     leading_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class MethodDecl(Node):
     name: str
     params: list[Param]
@@ -80,7 +81,7 @@ class MethodDecl(Node):
         return len(self.params)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class ClassDecl(Node):
     name: str
     extends: Optional[str] = None
@@ -99,6 +100,12 @@ class CompilationUnit(Node):
     trailing_comments: list[str] = field(default_factory=list)
     next_uid: int = 0
 
+    @cached_property
+    def tokens(self) -> TokenStream:
+        """The tokens of source.  The parser sets this to the stream it
+        read; a unit built without the parser lexes its source once, here."""
+        return tokenize(self.source, self.file)
+
     def fresh_uid(self) -> int:
         u = self.next_uid
         self.next_uid += 1
@@ -108,13 +115,13 @@ class CompilationUnit(Node):
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
     trailing_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class If(Stmt):
     cond: Expr
     then: Block
@@ -130,13 +137,13 @@ class AssertInfo:
     statement_text: str
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class While(Stmt):
     cond: Expr
     body: Block
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class For(Stmt):
     init: Optional[Stmt] = None  # LocalDecl or ExprStmt
     cond: Optional[Expr] = None
@@ -144,43 +151,43 @@ class For(Stmt):
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SwitchCase(Node):
     label: Optional[Expr]  # None for default
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Switch(Stmt):
     subject: Expr
     cases: list[SwitchCase] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class CatchClause(Node):
     exc_type: TypeRef
     name: str
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Try(Stmt):
     body: Block
     catches: list[CatchClause] = field(default_factory=list)
     finally_block: Optional[Block] = None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class LocalDecl(Stmt):
     name: str
     type: TypeRef
@@ -188,19 +195,19 @@ class LocalDecl(Stmt):
     initializer: Optional[Expr] = None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Assert(Stmt):
     condition: Expr
     message: Optional[Expr] = None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Synchronized(Stmt):
     monitor: Expr
     body: Block
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Empty(Stmt):
     pass
 
@@ -208,62 +215,62 @@ class Empty(Stmt):
 # --- expressions --------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Binary(Expr):
     op: str  # includes "=" for assignment
     left: Expr
     right: Expr
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Call(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
     receiver: Optional[Expr] = None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class New(Expr):
     class_name: str
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class NewArray(Expr):
     elem_type: TypeRef
     size_expr: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Index(Expr):
     array: Expr
     index: Expr
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class FieldAccess(Expr):
     receiver: Expr
     name: str
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Name(Expr):
     identifier: str
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Literal(Expr):
     value: object
     kind: str  # int | double | string | boolean
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Null(Expr):
     pass
 

@@ -11,6 +11,7 @@ marker so the interpreter can also log checks that pass.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import replace
 
 from . import ast
@@ -22,9 +23,10 @@ def instrument_asserts(unit: ast.CompilationUnit) -> ast.CompilationUnit:
 
     Only the nodes on the path from the unit to a lowered Assert are
     copied; every other subtree is shared with unit, which is left as it
-    was.  Lowered nodes take fresh uids from the copy, in source order.
+    was, and the copy keeps unit's token stream.  Lowered nodes take fresh
+    uids from the copy, in source order.
     """
-    new_unit = replace(unit)
+    new_unit = copy(unit)
     new_unit.classes = [_rewrite(new_unit, cls, cls.name) for cls in unit.classes]
     return new_unit
 

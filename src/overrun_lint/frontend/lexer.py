@@ -1,13 +1,17 @@
 """Tokenizer for SL source files.
 
 Token kinds: keyword, identifier, int-literal, double-literal,
-string-literal, operator, punctuation, comment.  Comments are kept in the
-stream so review annotations survive re-emission.
+string-literal, operator, punctuation, comment.  `tokenize` returns a
+TokenStream: the significant tokens as parallel columns, and the comments
+kept apart so review annotations survive re-emission.  Read as a sequence,
+it is the list of Tokens, comments included, in source order.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from ..errors import LexError
@@ -76,6 +80,7 @@ STRING_LITERAL = "string-literal"
 OPERATOR = "operator"
 PUNCT = "punctuation"
 COMMENT = "comment"
+EOF = "end of file"  # kind of the sentinel that ends a TokenStream
 
 
 class SourceSpan(NamedTuple):
@@ -99,9 +104,86 @@ class Token(NamedTuple):
     text: str
     span: SourceSpan
     # Absolute character offsets into the original source; used for
-    # whitespace-exact reconstruction and clone windows.
+    # whitespace-exact reconstruction.
     offset: int
     end_offset: int
+
+
+class TokenStream(Sequence):
+    """The tokens of one source, as `tokenize` returns them.
+
+    The significant tokens are kept as parallel columns: kind, text, start
+    offset, line, column and end column.  No significant token spans lines,
+    so these rebuild every span and end offset.  An end-of-file sentinel
+    (kind `EOF`, empty text) follows the last of them in every column; it
+    spans the end of the last token, or 1:1 in an empty source.  Comments
+    are kept apart: their texts, their places as (offset, line, column,
+    end line, end column), and in `comment_at` the index of the significant
+    token each one precedes (the sentinel's for trailing comments).
+
+    As a sequence the stream is the list of tokens, comments included, in
+    source order, without the sentinel: `len`, indexing, iteration (the
+    Sequence mixin's, by index) and `==` against a list behave as for
+    `list[Token]`.  A Token is built only when one is read this way.
+    """
+
+    __slots__ = (
+        "file", "kinds", "texts", "offsets", "lines", "columns", "end_columns",
+        "comments", "comment_places", "comment_at",
+    )
+
+    def __init__(self, file: str):
+        self.file = file
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.offsets: list[int] = []
+        self.lines: list[int] = []
+        self.columns: list[int] = []
+        self.end_columns: list[int] = []
+        self.comments: list[str] = []
+        self.comment_places: list[tuple[int, int, int, int, int]] = []
+        self.comment_at: list[int] = []
+
+    def span(self, i: int) -> SourceSpan:
+        """Span of significant token i (the sentinel is i == len(texts) - 1)."""
+        line = self.lines[i]
+        return SourceSpan(self.file, line, self.columns[i], line, self.end_columns[i])
+
+    def token(self, i: int) -> Token:
+        """Significant token i."""
+        text, offset = self.texts[i], self.offsets[i]
+        return Token(self.kinds[i], text, self.span(i), offset, offset + len(text))
+
+    def _comment(self, k: int) -> Token:
+        text = self.comments[k]
+        offset, line, column, end_line, end_column = self.comment_places[k]
+        return Token(COMMENT, text, SourceSpan(self.file, line, column, end_line, end_column), offset, offset + len(text))
+
+    def __len__(self) -> int:
+        return len(self.texts) - 1 + len(self.comments)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("token index out of range")
+        # Comment k sits at index comment_at[k] + k of the whole sequence.
+        at = self.comment_at
+        k = bisect_left(range(len(at)), index, key=lambda k: at[k] + k)
+        if k < len(at) and at[k] + k == index:
+            return self._comment(k)
+        return self.token(index - k)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, TokenStream)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TokenStream({list(self)!r})"
 
 
 # One alternation, tried in order at each position (the scanner idiom of the
@@ -120,7 +202,8 @@ _SCANNER = re.compile(
             ("space", r"[ \t\r\n]+"),
             ("punctuation", f"[{re.escape(''.join(sorted(PUNCTUATION)))}]"),
             ("ident", r"[A-Za-z_]\w*"),
-            ("number", r"\d+(?:\.\d+)?"),
+            ("double", r"\d+\.\d+"),
+            ("int", r"\d+"),
             ("word", r"\w+"),
             ("line_comment", r"//[^\n]*"),
             ("block_comment", r"/\*(?s:.*?)(?:\*/|\Z)"),
@@ -135,53 +218,69 @@ _KINDS = {
     "punctuation": PUNCT,
     "operator": OPERATOR,
     "string": STRING_LITERAL,
-    "line_comment": COMMENT,
+    "int": INT_LITERAL,
+    "double": DOUBLE_LITERAL,
 }
 
 
-def tokenize(source: str, file: str = "<memory>") -> list[Token]:
-    """Split source into tokens, comments included, whitespace dropped."""
-    tokens: list[Token] = []
-    append = tokens.append
+def tokenize(source: str, file: str = "<memory>") -> TokenStream:
+    """Split source into tokens, comments apart, whitespace dropped."""
+    stream = TokenStream(file)
+    kinds, texts, offsets = stream.kinds, stream.texts, stream.offsets
+    lines, columns, end_columns = stream.lines, stream.columns, stream.end_columns
     line = 1
     line_start = 0  # offset of the first character of `line`
     for m in _SCANNER.finditer(source):
         group = m.lastgroup
         text = m.group()
+        start = m.start()
         if group == "space":
             if "\n" in text:
                 line += text.count("\n")
-                line_start = m.start() + text.rindex("\n") + 1
+                line_start = start + text.rindex("\n") + 1
             continue
-        start, end = m.span()
-        first_line, column = line, start - line_start + 1
+        column = start - line_start + 1
         if group == "ident":
-            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
+            kinds.append(KEYWORD if text in KEYWORDS else IDENTIFIER)
         elif group in _KINDS:
-            kind = _KINDS[group]
-        elif group == "number":
-            kind = DOUBLE_LITERAL if "." in text else INT_LITERAL
-        elif group == "block_comment":
+            kinds.append(_KINDS[group])
+        elif group == "line_comment" or group == "block_comment":
+            first_line = line
             if "\n" in text:
                 line += text.count("\n")
                 line_start = start + text.rindex("\n") + 1
+            end_column = start + len(text) - line_start + 1
             # "/*/" ends in "*/" but is not closed
-            if not text[2:].endswith("*/"):
-                span = SourceSpan(file, first_line, column, line, end - line_start + 1)
-                raise LexError(span, "unterminated block comment")
-            kind = COMMENT
+            if group == "block_comment" and not text[2:].endswith("*/"):
+                raise LexError(SourceSpan(file, first_line, column, line, end_column), "unterminated block comment")
+            stream.comments.append(text)
+            stream.comment_places.append((start, first_line, column, line, end_column))
+            stream.comment_at.append(len(texts))
+            continue
         elif group == "open_string":
+            end = start + len(text)
             if end == len(source) or source[end] == "\n":
                 span = SourceSpan(file, line, column, line, column + end - start)
                 raise LexError(span, "unterminated string literal")
             span = SourceSpan(file, line, column, line, column + end + 1 - start)
             raise LexError(span, f"unsupported escape '\\{source[end + 1 : end + 2]}'")
         elif group == "word" and text[0].isalpha():
-            kind = IDENTIFIER
+            kinds.append(IDENTIFIER)
         else:
             raise LexError(SourceSpan(file, line, column, line, column), f"illegal character {text[0]!r}")
-        append(Token(kind, text, SourceSpan(file, first_line, column, line, end - line_start + 1), start, end))
-    return tokens
+        texts.append(text)
+        offsets.append(start)
+        lines.append(line)
+        columns.append(column)
+        end_columns.append(column + len(text))
+    line, column = (lines[-1], end_columns[-1]) if texts else (1, 1)
+    kinds.append(EOF)
+    texts.append("")
+    offsets.append(len(source))
+    lines.append(line)
+    columns.append(column)
+    end_columns.append(column)
+    return stream
 
 
 def string_literal_value(text: str) -> str:

@@ -16,19 +16,20 @@ operator and postfix chains, up from the operands (`height`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import replace
 
 from ..errors import NestingError, ParseError
 from . import ast
 from .ast import TypeRef
 from .lexer import (
-    COMMENT,
     DOUBLE_LITERAL,
+    EOF,
     IDENTIFIER,
     INT_LITERAL,
     STRING_LITERAL,
     SourceSpan,
-    Token,
+    TokenStream,
     string_literal_value,
     tokenize,
 )
@@ -46,31 +47,20 @@ _PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4}
 _PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6})
 
 _LVALUES = (ast.Name, ast.Index, ast.FieldAccess)
-_EOF = "end of file"  # kind of the sentinel token that ends the stream
 _new_tuple = tuple.__new__  # a SourceSpan without its slower Python-level __new__
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    """Reads the columns of a TokenStream; a token is its index there."""
+
+    def __init__(self, stream: TokenStream, file: str):
+        self.stream = stream
         self.file = file
-        # Significant tokens, then a sentinel that spans the end of the
-        # input; before[i] is how many comments precede tokens[i].
-        self.tokens: list[Token] = []
-        self.comments: list[str] = []
-        self.before: list[int] = []
-        for tok in tokens:
-            if tok.kind == COMMENT:
-                self.comments.append(tok.text)
-            else:
-                self.tokens.append(tok)
-                self.before.append(len(self.comments))
-        if self.tokens:
-            end = self.tokens[-1].span
-            eof = SourceSpan(file, end.end_line, end.end_column, end.end_line, end.end_column)
-        else:
-            eof = SourceSpan(file, 1, 1, 1, 1)
-        self.tokens.append(Token(_EOF, "", eof, -1, -1))
-        self.before.append(len(self.comments))
+        self.kinds = stream.kinds
+        self.texts = stream.texts
+        self.lines = stream.lines
+        self.columns = stream.columns
+        self.end_columns = stream.end_columns
         self.pos = 0
         self.taken = 0  # comments handed out so far
         self.depth = 0  # levels above the construct being parsed
@@ -81,83 +71,87 @@ class Parser:
 
     def _take_comments(self) -> list[str]:
         """Comments before the next token that no node has taken yet."""
-        end = self.before[self.pos]
-        out = self.comments[self.taken : end]
-        self.taken = end
-        return out
+        taken, at = self.taken, self.stream.comment_at
+        if taken == len(at) or at[taken] > self.pos:
+            return []
+        self.taken = end = bisect_right(at, self.pos, taken)
+        return self.stream.comments[taken:end]
 
     def _error(self, what: str) -> ParseError:
-        tok = self.tokens[self.pos]
-        return ParseError(tok.span, what, _EOF if tok.kind == _EOF else repr(tok.text))
+        pos = self.pos
+        found = EOF if self.kinds[pos] == EOF else repr(self.texts[pos])
+        return ParseError(self.stream.span(pos), what, found)
 
-    def _expect(self, text: str, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:
+    def _expect(self, text: str, what: str | None = None) -> int:
+        pos = self.pos
+        if self.texts[pos] != text:
             raise self._error(what or text)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return pos
 
     def _ident(self, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok.kind != IDENTIFIER:
+        pos = self.pos
+        if self.kinds[pos] != IDENTIFIER:
             raise self._error(what)
-        self.pos += 1
-        return tok.text
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def _descend(self, tok: Token) -> None:
-        """Enter a construct one level down, opened by tok."""
+    def _descend(self, tok: int) -> None:
+        """Enter a construct one level down, opened by token tok."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise NestingError(tok.span, MAX_NESTING)
+            raise NestingError(self.stream.span(tok), MAX_NESTING)
 
-    def _node(self, cls, start: Token, **kw):
-        s, end = start.span, self.tokens[self.pos - 1].span
+    def _node(self, cls, start: int, **kw):
+        """A node spanning token start through the last token taken."""
+        end = self.pos - 1
         uid = self._uid
         self._uid = uid + 1
-        span = _new_tuple(SourceSpan, (self.file, s.line, s.column, end.end_line, end.end_column))
+        span = _new_tuple(
+            SourceSpan, (self.file, self.lines[start], self.columns[start], self.lines[end], self.end_columns[end])
+        )
         return cls(span=span, uid=uid, **kw)
 
     # -- unit --------------------------------------------------------------
 
     def parse_unit(self, source: str = "") -> ast.CompilationUnit:
-        tokens = self.tokens
+        texts = self.texts
         package = None
         lead = self._take_comments()
-        if tokens[0].text == "package":
+        if texts[0] == "package":
             self.pos += 1
             parts = [self._ident(IDENTIFIER)]
-            while tokens[self.pos].text == ".":
+            while texts[self.pos] == ".":
                 self.pos += 1
                 parts.append(self._ident(IDENTIFIER))
             self._expect(";")
             package = ".".join(parts)
             lead += self._take_comments()
         classes = []
-        while tokens[self.pos].kind != _EOF:
+        while self.kinds[self.pos] != EOF:
             classes.append(self._class_decl(lead))
             lead = self._take_comments()
-        if len(tokens) == 1:
-            span = SourceSpan(self.file, 1, 1, 1, 1)
-        else:
-            first, last = tokens[0].span, tokens[-2].span
-            span = SourceSpan(self.file, first.line, first.column, last.end_line, last.end_column)
-        return ast.CompilationUnit(
-            span=span, uid=self._uid, package_name=package, classes=classes, source=source,
+        # From the first token to the last, or the sentinel's 1:1 when the
+        # source has none (index -1 is then the sentinel).
+        unit = self._node(
+            ast.CompilationUnit, 0, package_name=package, classes=classes, source=source,
             file=self.file, trailing_comments=lead, next_uid=self._uid + 1,
         )
+        unit.tokens = self.stream
+        return unit
 
     def _class_decl(self, lead: list[str]) -> ast.ClassDecl:
-        tokens = self.tokens
+        texts = self.texts
         start = self._expect("class")
         name = self._ident("class name")
         extends = None
-        if tokens[self.pos].text == "extends":
+        if texts[self.pos] == "extends":
             self.pos += 1
             extends = self._ident("superclass name")
         self._expect("{")
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
-        while tokens[self.pos].text != "}":
+        while texts[self.pos] != "}":
             member_lead = self._take_comments()
             member = self._member(name)
             member.leading_comments = member_lead
@@ -172,20 +166,20 @@ class Parser:
         )
 
     def _member(self, class_name: str):
-        tokens = self.tokens
-        start = tokens[self.pos]
-        if start.kind == _EOF:
+        texts = self.texts
+        start = self.pos
+        if self.kinds[start] == EOF:
             raise self._error("class member")
         static = final = False
-        while tokens[self.pos].text in ("static", "final"):
-            if tokens[self.pos].text == "static":
+        while texts[self.pos] in ("static", "final"):
+            if texts[self.pos] == "static":
                 static = True
             else:
                 final = True
             self.pos += 1
-        tok = tokens[self.pos]
+        pos = self.pos
         # Constructor: ClassName followed by '('.
-        if tok.kind == IDENTIFIER and tok.text == class_name and tokens[self.pos + 1].text == "(":
+        if self.kinds[pos] == IDENTIFIER and texts[pos] == class_name and texts[pos + 1] == "(":
             self.pos += 1
             params = self._params()
             body = self._block()
@@ -193,20 +187,20 @@ class Parser:
                 ast.MethodDecl, start, name=class_name, params=params, return_type=ast.VOID,
                 body=body, is_constructor=True, is_static=static,
             )
-        if tok.text == "void":
+        if texts[pos] == "void":
             self.pos += 1
             rtype = ast.VOID
         else:
             rtype = self._type()
         name = self._ident("member name")
-        if tokens[self.pos].text == "(":
+        if texts[self.pos] == "(":
             params = self._params()
             body = self._block()
             return self._node(
                 ast.MethodDecl, start, name=name, params=params, return_type=rtype, body=body, is_static=static
             )
         init = None
-        if tokens[self.pos].text == "=":
+        if texts[self.pos] == "=":
             self.pos += 1
             init = self._expr()
         self._expect(";")
@@ -215,42 +209,44 @@ class Parser:
         )
 
     def _params(self) -> list[ast.Param]:
-        tokens = self.tokens
+        texts = self.texts
         self._expect("(")
         params: list[ast.Param] = []
-        if tokens[self.pos].text != ")":
+        if texts[self.pos] != ")":
             while True:
-                start = tokens[self.pos]
-                final = start.text == "final"
+                start = self.pos
+                final = texts[start] == "final"
                 self.pos += final
                 ptype = self._type()
                 pname = self._ident("parameter name")
                 params.append(self._node(ast.Param, start, name=pname, type=ptype, final=final))
-                if tokens[self.pos].text != ",":
+                if texts[self.pos] != ",":
                     break
                 self.pos += 1
         self._expect(")")
         return params
 
     def _type(self) -> TypeRef:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.kind != IDENTIFIER and tok.text not in PRIMITIVE_TYPES:
+        texts = self.texts
+        pos = self.pos
+        text = texts[pos]
+        if self.kinds[pos] != IDENTIFIER and text not in PRIMITIVE_TYPES:
             raise self._error("type")
-        self.pos += 1
+        pos += 1
         dims = 0
-        while tokens[self.pos].text == "[" and tokens[self.pos + 1].text == "]":
-            self.pos += 2
+        while texts[pos] == "[" and texts[pos + 1] == "]":
+            pos += 2
             dims += 1
-        return TypeRef(tok.text, dims)
+        self.pos = pos
+        return TypeRef(text, dims)
 
     # -- statements --------------------------------------------------------
 
     def _block(self) -> ast.Block:
-        tokens = self.tokens
+        texts = self.texts
         start = self._expect("{")
         stmts: list[ast.Stmt] = []
-        while tokens[self.pos].text != "}":
+        while texts[self.pos] != "}":
             stmts.append(self._stmt())
         trailing = self._take_comments()
         self.pos += 1
@@ -258,24 +254,24 @@ class Parser:
 
     def _body_block(self) -> ast.Block:
         """Parse a control-structure body, normalizing to a Block."""
-        start = self.tokens[self.pos]
-        if start.text == "{":
+        start = self.pos
+        if self.texts[start] == "{":
             return self._block()
         stmt = self._stmt()
         return self._node(ast.Block, start, stmts=[stmt])
 
     def _stmt(self) -> ast.Stmt:
         lead = self._take_comments()
-        tok = self.tokens[self.pos]
+        tok = self.pos
         self._descend(tok)
-        parse = self._STATEMENTS.get(tok.text)
+        parse = self._STATEMENTS.get(self.texts[tok])
         stmt = parse(self, tok) if parse is not None else self._expr_stmt(tok)
         self.depth -= 1
         stmt.leading_comments = lead
         return stmt
 
-    def _expr_stmt(self, tok: Token) -> ast.Stmt:
-        if tok.kind == _EOF:
+    def _expr_stmt(self, tok: int) -> ast.Stmt:
+        if self.kinds[tok] == EOF:
             raise self._error("statement")
         if self._looks_like_decl():
             return self._local_decl(tok)
@@ -283,29 +279,29 @@ class Parser:
         self._expect(";")
         return self._node(ast.ExprStmt, tok, expr=expr)
 
-    def _empty(self, tok: Token) -> ast.Empty:
+    def _empty(self, tok: int) -> ast.Empty:
         self.pos += 1
         return self._node(ast.Empty, tok)
 
-    def _return(self, tok: Token) -> ast.Return:
+    def _return(self, tok: int) -> ast.Return:
         self.pos += 1
         value = None
-        if self.tokens[self.pos].text != ";":
+        if self.texts[self.pos] != ";":
             value = self._expr()
         self._expect(";")
         return self._node(ast.Return, tok, value=value)
 
-    def _assert(self, tok: Token) -> ast.Assert:
+    def _assert(self, tok: int) -> ast.Assert:
         self.pos += 1
         cond = self._expr()
         message = None
-        if self.tokens[self.pos].text == ":":
+        if self.texts[self.pos] == ":":
             self.pos += 1
             message = self._expr()
         self._expect(";")
         return self._node(ast.Assert, tok, condition=cond, message=message)
 
-    def _synchronized(self, tok: Token) -> ast.Synchronized:
+    def _synchronized(self, tok: int) -> ast.Synchronized:
         self.pos += 1
         self._expect("(")
         monitor = self._expr()
@@ -314,19 +310,18 @@ class Parser:
         return self._node(ast.Synchronized, tok, monitor=monitor, body=body)
 
     def _looks_like_decl(self) -> bool:
-        tokens, pos = self.tokens, self.pos
-        if tokens[pos].kind != IDENTIFIER:
+        kinds, pos = self.kinds, self.pos
+        if kinds[pos] != IDENTIFIER:
             return False
-        nxt = tokens[pos + 1]
-        return nxt.kind == IDENTIFIER or (nxt.text == "[" and tokens[pos + 2].text == "]")
+        return kinds[pos + 1] == IDENTIFIER or (self.texts[pos + 1] == "[" and self.texts[pos + 2] == "]")
 
-    def _local_decl(self, start: Token, consume_semi: bool = True) -> ast.LocalDecl:
-        final = start.text == "final"
+    def _local_decl(self, start: int, consume_semi: bool = True) -> ast.LocalDecl:
+        final = self.texts[start] == "final"
         self.pos += final
         dtype = self._type()
         name = self._ident("variable name")
         init = None
-        if self.tokens[self.pos].text == "=":
+        if self.texts[self.pos] == "=":
             self.pos += 1
             init = self._expr()
         if consume_semi:
@@ -341,14 +336,14 @@ class Parser:
         self._expect(")")
         return cond
 
-    def _if_stmt(self, start: Token) -> ast.If:
+    def _if_stmt(self, start: int) -> ast.If:
         cond = self._condition()
         then = self._body_block()
         els: ast.Stmt | None = None
-        if self.tokens[self.pos].text == "else":
+        if self.texts[self.pos] == "else":
             self.pos += 1
-            tok = self.tokens[self.pos]
-            if tok.text == "if":
+            tok = self.pos
+            if self.texts[tok] == "if":
                 self._descend(tok)
                 els = self._if_stmt(tok)
                 self.depth -= 1
@@ -356,63 +351,63 @@ class Parser:
                 els = self._body_block()
         return self._node(ast.If, start, cond=cond, then=then, els=els)
 
-    def _while_stmt(self, start: Token) -> ast.While:
+    def _while_stmt(self, start: int) -> ast.While:
         cond = self._condition()
         body = self._body_block()
         return self._node(ast.While, start, cond=cond, body=body)
 
-    def _for_stmt(self, start: Token) -> ast.For:
-        tokens = self.tokens
+    def _for_stmt(self, start: int) -> ast.For:
+        texts = self.texts
         self.pos += 1
         self._expect("(")
         init: ast.Stmt | None = None
-        first = tokens[self.pos]
-        if first.text != ";":
-            if first.text == "final" or first.text in PRIMITIVE_TYPES or self._looks_like_decl():
+        first = self.pos
+        if texts[first] != ";":
+            if texts[first] == "final" or texts[first] in PRIMITIVE_TYPES or self._looks_like_decl():
                 init = self._local_decl(first, consume_semi=False)
             else:
                 expr = self._expr_or_incr()
                 init = self._node(ast.ExprStmt, first, expr=expr)
         self._expect(";")
         cond: ast.Expr | None = None
-        if tokens[self.pos].text != ";":
+        if texts[self.pos] != ";":
             cond = self._expr()
         self._expect(";")
         update: ast.Expr | None = None
-        if tokens[self.pos].text != ")":
+        if texts[self.pos] != ")":
             update = self._expr_or_incr()
         self._expect(")")
         body = self._body_block()
         return self._node(ast.For, start, init=init, cond=cond, update=update, body=body)
 
-    def _switch_stmt(self, start: Token) -> ast.Switch:
-        tokens = self.tokens
+    def _switch_stmt(self, start: int) -> ast.Switch:
+        texts = self.texts
         subject = self._condition()
         self._expect("{")
         cases: list[ast.SwitchCase] = []
-        while tokens[self.pos].text != "}":
-            case_start = tokens[self.pos]
+        while texts[self.pos] != "}":
+            case_start = self.pos
             label: ast.Expr | None = None
-            if case_start.text == "case":
+            if texts[case_start] == "case":
                 self.pos += 1
                 label = self._expr()
             else:
                 self._expect("default", "'case' or 'default'")
             self._expect(":")
             body: list[ast.Stmt] = []
-            while tokens[self.pos].text not in ("case", "default", "}"):
+            while texts[self.pos] not in ("case", "default", "}"):
                 body.append(self._stmt())
             cases.append(self._node(ast.SwitchCase, case_start, label=label, body=body))
         self.pos += 1
         return self._node(ast.Switch, start, subject=subject, cases=cases)
 
-    def _try_stmt(self, start: Token) -> ast.Try:
-        tokens = self.tokens
+    def _try_stmt(self, start: int) -> ast.Try:
+        texts = self.texts
         self.pos += 1
         body = self._block()
         catches: list[ast.CatchClause] = []
-        while tokens[self.pos].text == "catch":
-            cstart = tokens[self.pos]
+        while texts[self.pos] == "catch":
+            cstart = self.pos
             self.pos += 1
             self._expect("(")
             ctype = self._type()
@@ -421,7 +416,7 @@ class Parser:
             cbody = self._block()
             catches.append(self._node(ast.CatchClause, cstart, exc_type=ctype, name=cname, body=cbody))
         finally_block = None
-        if tokens[self.pos].text == "finally":
+        if texts[self.pos] == "finally":
             self.pos += 1
             finally_block = self._block()
         if not catches and finally_block is None:
@@ -446,18 +441,19 @@ class Parser:
 
     def _expr_or_incr(self) -> ast.Expr:
         """Expression, allowing trailing ++/-- sugar in statement position."""
-        start = self.tokens[self.pos]
+        start = self.pos
         expr = self._expr()
-        op_tok = self.tokens[self.pos]
-        if op_tok.text != "++" and op_tok.text != "--":
+        op_tok = self.pos
+        op_text = self.texts[op_tok]
+        if op_text != "++" and op_text != "--":
             return expr
         self.pos += 1
         if not isinstance(expr, _LVALUES):
-            raise ParseError(op_tok.span, "assignable expression before '++'/'--'", repr(op_tok.text))
+            raise ParseError(self.stream.span(op_tok), "assignable expression before '++'/'--'", repr(op_text))
         if self.depth + self.height + 2 > MAX_NESTING:
-            raise NestingError(op_tok.span, MAX_NESTING)
+            raise NestingError(self.stream.span(op_tok), MAX_NESTING)
         one = self._node(ast.Literal, op_tok, value=1, kind="int")
-        op = "+" if op_tok.text == "++" else "-"
+        op = "+" if op_text == "++" else "-"
         arith = self._node(ast.Binary, start, op=op, left=self._clone_expr(expr), right=one)
         return self._node(ast.Binary, start, op="=", left=expr, right=arith)
 
@@ -478,50 +474,49 @@ class Parser:
 
     def _expr(self) -> ast.Expr:
         """Assignment: a binary chain, then a right-associative '=' chain."""
-        tokens = self.tokens
-        start = tokens[self.pos]
+        texts = self.texts
+        start = self.pos
         left = self._operand()
-        if tokens[self.pos].text in _PREC:
+        if texts[self.pos] in _PREC:
             left = self._climb(start, left, 1)
-        eq = tokens[self.pos]
-        if eq.text != "=":
+        eq = self.pos
+        if texts[eq] != "=":
             return left
         self.pos += 1
         if not isinstance(left, _LVALUES):
-            raise ParseError(eq.span, "assignable expression on left of '='", repr(eq.text))
+            raise ParseError(self.stream.span(eq), "assignable expression on left of '='", repr(texts[eq]))
         height = self.height + 1  # the target goes one level down
         if self.depth + height > MAX_NESTING:
-            raise NestingError(eq.span, MAX_NESTING)
+            raise NestingError(self.stream.span(eq), MAX_NESTING)
         self.depth += 1
         right = self._expr()
         self.depth -= 1
         self.height = max(height, self.height + 1)
         return self._node(ast.Binary, start, op="=", left=left, right=right)
 
-    def _climb(self, start: Token, left: ast.Expr, min_prec: int) -> ast.Expr:
-        """Precedence climbing: extend left, which began at start, with the
-        operators of at least min_prec that follow it.  A right operand
+    def _climb(self, start: int, left: ast.Expr, min_prec: int) -> ast.Expr:
+        """Precedence climbing: extend left, which began at token start, with
+        the operators of at least min_prec that follow it.  A right operand
         takes the operators that bind tighter than its own.  Each Binary is
         built after its right operand and begins at start."""
-        tokens = self.tokens
+        texts = self.texts
         depth, height = self.depth, self.height
         self.depth = depth + 1
-        prec = _PREC.get(tokens[self.pos].text, 0)
+        prec = _PREC.get(texts[self.pos], 0)
         while prec >= min_prec:
-            op = tokens[self.pos]
+            op = self.pos
             height += 1  # the chain so far goes one level down
             if depth + height > MAX_NESTING:
-                raise NestingError(op.span, MAX_NESTING)
-            self.pos += 1
-            right_start = tokens[self.pos]
+                raise NestingError(self.stream.span(op), MAX_NESTING)
+            self.pos = right_start = op + 1
             right = self._operand()
-            after = _PREC.get(tokens[self.pos].text, 0)
+            after = _PREC.get(texts[self.pos], 0)
             if after > prec:
                 right = self._climb(right_start, right, prec + 1)
-                after = _PREC.get(tokens[self.pos].text, 0)
+                after = _PREC.get(texts[self.pos], 0)
             if self.height >= height:
                 height = self.height + 1
-            left = self._node(ast.Binary, start, op=op.text, left=left, right=right)
+            left = self._node(ast.Binary, start, op=texts[op], left=left, right=right)
             prec = after
         self.depth = depth
         self.height = height
@@ -529,97 +524,98 @@ class Parser:
 
     def _operand(self) -> ast.Expr:
         """Unary operators, then a primary and its postfix operators."""
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        kind, text = tok.kind, tok.text
+        texts = self.texts
+        tok = self.pos
+        kind, text = self.kinds[tok], texts[tok]
         self.height = 0
         if kind == IDENTIFIER:
-            self.pos += 1
-            if tokens[self.pos].text == "(":
+            self.pos = tok + 1
+            if texts[tok + 1] == "(":
                 args = self._args()
                 expr = self._node(ast.Call, tok, name=text, args=args)
             else:
                 expr = self._node(ast.Name, tok, identifier=text)
         elif kind == INT_LITERAL:
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Literal, tok, value=int(text), kind="int")
         elif text == "!" or text == "-":
-            self.pos += 1
+            self.pos = tok + 1
             self._descend(tok)
             operand = self._operand()
             self.depth -= 1
             self.height += 1
             return self._node(ast.Unary, tok, op=text, operand=operand)
         elif text == "(":
-            self.pos += 1
+            self.pos = tok + 1
             self._descend(tok)
             expr = self._expr()
             self._expect(")")
             self.depth -= 1
             self.height += 1
         elif kind == DOUBLE_LITERAL:
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Literal, tok, value=float(text), kind="double")
         elif kind == STRING_LITERAL:
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Literal, tok, value=string_literal_value(text), kind="string")
         elif text == "true" or text == "false":
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Literal, tok, value=(text == "true"), kind="boolean")
         elif text == "null":
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Null, tok)
         elif text == "this":
-            self.pos += 1
+            self.pos = tok + 1
             expr = self._node(ast.Name, tok, identifier="this")
         elif text == "new":
             expr = self._new(tok)
         else:
             raise self._error("expression")
-        if tokens[self.pos].text in (".", "["):
+        if texts[self.pos] in (".", "["):
             return self._postfix(tok, expr)
         return expr
 
-    def _new(self, tok: Token) -> ast.Expr:
-        tokens = self.tokens
-        self.pos += 1
-        type_tok = tokens[self.pos]
-        if type_tok.kind != IDENTIFIER and type_tok.text not in PRIMITIVE_TYPES:
+    def _new(self, tok: int) -> ast.Expr:
+        texts = self.texts
+        type_tok = tok + 1
+        type_name = texts[type_tok]
+        self.pos = type_tok
+        if self.kinds[type_tok] != IDENTIFIER and type_name not in PRIMITIVE_TYPES:
             raise self._error("type after 'new'")
         self.pos += 1
-        if tokens[self.pos].text != "[":
+        if texts[self.pos] != "[":
             args = self._args()
-            return self._node(ast.New, tok, class_name=type_tok.text, args=args)
-        self._descend(tokens[self.pos])
+            return self._node(ast.New, tok, class_name=type_name, args=args)
+        self._descend(self.pos)
         self.pos += 1
         size = self._expr()
         self._expect("]")
         self.depth -= 1
         self.height += 1
-        return self._node(ast.NewArray, tok, elem_type=TypeRef(type_tok.text), size_expr=size)
+        return self._node(ast.NewArray, tok, elem_type=TypeRef(type_name), size_expr=size)
 
-    def _postfix(self, start: Token, expr: ast.Expr) -> ast.Expr:
+    def _postfix(self, start: int, expr: ast.Expr) -> ast.Expr:
         """Member accesses, method calls and indexes applied to expr."""
-        tokens = self.tokens
+        texts = self.texts
         depth, height = self.depth, self.height
         while True:
-            op = tokens[self.pos]
-            if op.text == ".":
+            op = self.pos
+            if texts[op] == ".":
                 height += 1  # the receiver goes one level down
                 if depth + height > MAX_NESTING:
-                    raise NestingError(op.span, MAX_NESTING)
+                    raise NestingError(self.stream.span(op), MAX_NESTING)
                 self.pos += 1
                 name = self._ident("member name")
-                if tokens[self.pos].text == "(":
+                if texts[self.pos] == "(":
                     args = self._args()
                     height = max(height, self.height)
                     expr = self._node(ast.Call, start, name=name, args=args, receiver=expr)
                 else:
                     expr = self._node(ast.FieldAccess, start, receiver=expr, name=name)
-            elif op.text == "[":
+            elif texts[op] == "[":
                 height += 1
                 if depth + height > MAX_NESTING:
-                    raise NestingError(op.span, MAX_NESTING)
+                    raise NestingError(self.stream.span(op), MAX_NESTING)
                 self.pos += 1
                 self.depth = depth + 1
                 index = self._expr()
@@ -634,17 +630,17 @@ class Parser:
     def _args(self) -> list[ast.Expr]:
         """'(' [ expr { ',' expr } ] ')', one level down; leaves the height
         of the call over them in self.height."""
-        tokens = self.tokens
+        texts = self.texts
         self._expect("(")
         args: list[ast.Expr] = []
         height = 0
-        if tokens[self.pos].text != ")":
-            self._descend(tokens[self.pos])
+        if texts[self.pos] != ")":
+            self._descend(self.pos)
             while True:
                 args.append(self._expr())
                 if self.height >= height:
                     height = self.height + 1
-                if tokens[self.pos].text != ",":
+                if texts[self.pos] != ",":
                     break
                 self.pos += 1
             self.depth -= 1
@@ -653,8 +649,9 @@ class Parser:
         return args
 
 
-def parse(tokens: list[Token], file: str = "<memory>", source: str = "") -> ast.CompilationUnit:
-    """Build a CompilationUnit from a token sequence."""
+def parse(tokens: TokenStream, file: str = "<memory>", source: str = "") -> ast.CompilationUnit:
+    """Build a CompilationUnit from the stream `tokenize` returned; the
+    unit keeps it as `unit.tokens`."""
     return Parser(tokens, file).parse_unit(source)
 
 

@@ -8,7 +8,9 @@ each name's frame slot or field, each call's target, each operator's code
 and each store's coercion.  Locals and parameters live in a per-invocation
 list, at the slots the resolver numbered; slot 0 holds the receiver.  Only a
 unit the resolver accepted runs, so every name, field and call the compiler
-meets has its target.
+meets has its target.  Operands run in Java's order: the receiver, or the
+array and then the index, before the arguments or the right-hand side, and
+the null and bounds checks after all of them.
 
 Executing a simple statement or a branching condition records its
 instruction id (and the branch outcome for decisions) into the RunTrace.
@@ -950,9 +952,9 @@ class Interpreter:
             coerce = self._coercer(self.res.types[target.uid])
 
             def store_element(f):
-                value = value_of(f)
                 array = array_of(f)
                 index = index_of(f)
+                value = value_of(f)
                 if array is None:
                     st._fault(FAULT_NULL_DEREFERENCE, span, "storing into a null array")
                 if not isinstance(array, SLArray):
@@ -977,8 +979,8 @@ class Interpreter:
         receiver_of, name = self._expr(target.receiver), target.name
 
         def store_field(f):
-            value = value_of(f)
             receiver = receiver_of(f)
+            value = value_of(f)
             if receiver is None:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
             if not isinstance(receiver, SLObject):
@@ -1043,8 +1045,8 @@ class Interpreter:
         missing = f"{span}: instance method {name}() called without a receiver"
 
         def call_virtual(f):
-            values = args(f)
             receiver = receiver_of(f)
+            values = args(f)
             if receiver.__class__ is not SLObject:
                 if receiver is not None:
                     raise InterpreterError(f"{span}: method call on {format_value(receiver)}")
@@ -1066,13 +1068,10 @@ class Interpreter:
             method = name.split(".", 1)[1]
 
             def thread_call(f):
-                if receiver_of is not None:
-                    receiver = receiver_of(f)
-                    if receiver is None:
-                        st._fault(FAULT_NULL_DEREFERENCE, span, f"{method}() on null")
-                else:
-                    receiver = f[0]
+                receiver = receiver_of(f) if receiver_of is not None else f[0]
                 values = args(f)
+                if receiver is None and receiver_of is not None:
+                    st._fault(FAULT_NULL_DEREFERENCE, span, f"{method}() on null")
                 if isinstance(receiver, SLObject):
                     return st._thread_builtin(receiver, method, values, span)
                 return None

@@ -301,6 +301,50 @@ class Main {
     assert trace.faults == []
 
 
+OPERAND_ORDER = """\
+class W extends Thread { }
+class M {
+    int v;
+    int[] cells = new int[2];
+    M make() { println("receiver"); return this; }
+    int arg() { println("argument"); return 1; }
+    int[] getArr() { println("array"); return cells; }
+    int idx() { println("index"); return 0; }
+    int inst(int x) { return x; }
+}
+class Main {
+    static void main(String[] args) {
+        M m = new M();
+        println(m.make().inst(m.arg()));
+        m.make().v = m.arg();
+        m.getArr()[m.idx()] = m.arg();
+        %s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, tail, faults",
+    [
+        ("", [], []),
+        ("M none = null; none.inst(m.arg());", ["argument"], [FAULT_NULL_DEREFERENCE]),
+        ("M none = null; none.v = m.arg();", ["argument"], [FAULT_NULL_DEREFERENCE]),
+        ("int[] none = null; none[m.idx()] = m.arg();", ["index", "argument"], [FAULT_NULL_DEREFERENCE]),
+        ("m.getArr()[m.idx() + 5] = m.arg();", ["array", "index", "argument"], [FAULT_OUT_OF_BOUNDS]),
+        ("W none = null; none.sleep(m.arg());", ["argument"], [FAULT_NULL_DEREFERENCE]),
+    ],
+)
+def test_operands_run_in_java_order(statement, tail, faults):
+    # JLS 15.12.4 and 15.26.1: the receiver, or the array and then the
+    # index, first; then the arguments or the right-hand side; then the
+    # null and bounds checks.
+    trace = run(OPERAND_ORDER % statement)
+    head = ["receiver", "argument", "1", "receiver", "argument", "array", "index", "argument"]
+    assert trace.stdout == head + tail
+    assert [f.kind for f in trace.faults] == faults
+
+
 @pytest.mark.parametrize(
     "statement, message",
     [

@@ -680,6 +680,32 @@ class Main {
 """,
         {},
     ),
+    # Java's operand order: receiver, or array then index, before the
+    # arguments or right-hand side; the null check after them.
+    "operand_order": (
+        """\
+class M {
+    int v;
+    int[] cells = new int[2];
+    M make() { println("receiver"); return this; }
+    int arg() { println("argument"); return 1; }
+    int[] getArr() { println("array"); return cells; }
+    int idx() { println("index"); return 0; }
+    int inst(int x) { return x; }
+}
+class Main {
+    static void main(String[] args) {
+        M m = new M();
+        println(m.make().inst(m.arg()));
+        m.make().v = m.arg();
+        m.getArr()[m.idx()] = m.arg();
+        M none = null;
+        none.inst(m.arg());
+    }
+}
+""",
+        {},
+    ),
 }
 
 # Runs that end in an error, InterpreterError or (for error_unresolved_call)
