@@ -3,10 +3,24 @@
 The analysis enumerates array declarations and their index expressions,
 derives each index variable's legal range, marks the operations that can
 move an index (assignments, input-derived values, arithmetic updates), and
-judges loop limits against array extents.  Guard recognition is purely
-syntactic dominance: an access is considered validated when an enclosing
-if/while condition compares the index (or a loop limit) with < or <=
-against the array's size expression or a small-enough constant.
+judges loop limits against array extents.
+
+One function, `_excess`, relates a value to an array's length.  For
+`value op limit` with op < or <=, it returns how far the largest value the
+comparison allows lies past the last legal index, length - 1: a constant
+limit L against a constant length N gives L - (op == "<") - (N - 1), and the
+array's size variable as the limit gives 1 - (op == "<").  It returns None
+when the limit cannot be related to the length.  Every judgement uses it:
+
+- A loop is safe at an excess <= 0, off by one at 1 and may exceed the
+  array above 1.  An ascending loop is judged by its limit, a descending
+  one by its start (`i = s` read as `i <= s`).
+- Guard recognition is purely syntactic dominance.  An enclosing if/while
+  condition that holds at the node and compares the subject (the index
+  variable, a loop's limit variable or a constant index) with < or <=
+  counts as a guard when its excess, less the loop's slack (1 for a loop
+  bounded with <, else 0), is at most 0.  A loop whose limit cannot be
+  related is safe when such a guard bounds its limit variable.
 """
 
 from __future__ import annotations
@@ -174,8 +188,8 @@ def track_index_vars(
     infos: dict[tuple[int, int], IndexVarInfo] = {}
     for array in arrays:
         for ref in array.references:
-            for name in _index_names(ref.index):
-                sym = resolution.name_targets.get(name.uid)
+            for name in ast.walk(ref.index):
+                sym = resolution.name_targets.get(name.uid) if isinstance(name, ast.Name) else None
                 if sym is None:
                     continue
                 key = (id(sym), id(array))
@@ -207,10 +221,6 @@ def track_index_vars(
     for info in result:
         info.v_marked = bool(info.modifying_sites) and bool(info.accesses)
     return result
-
-
-def _index_names(expr: ast.Expr) -> list[ast.Name]:
-    return [n for n in ast.walk(expr) if isinstance(n, ast.Name)]
 
 
 def _modifying_site(node: ast.Node, resolution: Resolution) -> tuple[Symbol, ModifyingSite] | None:
@@ -286,6 +296,29 @@ def _symbols_modified_by_loop(loop: ast.For | ast.While, resolution: Resolution)
     return out
 
 
+def _excess(
+    op: str, limit: ast.Expr | None, array: ArrayDecl, resolution: Resolution
+) -> int | None:
+    """How far the largest value allowed by `value op limit` (op < or <=)
+    lies past the array's last legal index, length - 1; None when the limit
+    cannot be related to the length.  The one place that relates a value to
+    an array's length."""
+    value = _const_int(limit)
+    if value is not None:
+        if array.size_kind != SIZE_CONSTANT:
+            return None
+        return value - (op == "<") - (array.size_value - 1)
+    if array.size_symbol is not None and _is_symbol(array.size_symbol, resolution)(limit):
+        return 1 - (op == "<")
+    return None
+
+
+def _verdict(excess: int) -> str:
+    if excess <= 0:
+        return VERDICT_SAFE
+    return VERDICT_OFF_BY_ONE if excess == 1 else VERDICT_MAY_EXCEED
+
+
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -308,155 +341,81 @@ def _comparisons(cond: ast.Expr | None, is_subject) -> list[tuple[str, ast.Expr]
     return found
 
 
-def _loop_comparisons(
-    cond: ast.Expr | None, sym: Symbol, resolution: Resolution
-) -> list[tuple[str, ast.Expr]]:
-    """(operator-as-seen-by-sym, limit expr) pairs from the condition."""
-    return _comparisons(
-        cond,
-        lambda e: isinstance(e, ast.Name) and resolution.name_targets.get(e.uid) is sym,
-    )
+def _is_symbol(sym: Symbol, resolution: Resolution):
+    """Predicate: the expression is a name that resolves to sym."""
+    return lambda e: isinstance(e, ast.Name) and resolution.name_targets.get(e.uid) is sym
+
+
+def _guarded(
+    node: ast.Node, is_subject, array: ArrayDecl, resolution: Resolution, slack: int = 0
+) -> bool:
+    """True when a condition that holds at node bounds the subject with
+    `subject op limit` whose excess, less slack, is at most 0."""
+    for cond, holds in resolution.enclosing_conditions(node):
+        if holds:
+            for op, limit in _comparisons(cond, is_subject):
+                if op in ("<", "<="):
+                    excess = _excess(op, limit, array, resolution)
+                    if excess is not None and excess - slack <= 0:
+                        return True
+    return False
+
+
+_RANK = {VERDICT_SAFE: 0, VERDICT_OFF_BY_ONE: 1, VERDICT_MAY_EXCEED: 2, VERDICT_UNVALIDATED: 3}
 
 
 def _judge_loop(
     loop: ast.For | ast.While, info: IndexVarInfo, resolution: Resolution
 ) -> LoopLimitCheck:
-    cond = loop.cond
-    comparisons = _loop_comparisons(cond, info.symbol, resolution)
-    size_n = info.array.size_value if info.array.size_kind == SIZE_CONSTANT else None
-    size_sym = info.array.size_symbol
-
-    best: LoopLimitCheck | None = None
-
-    def make(comparison, limit_kind, limit_value, limit_symbol, verdict) -> LoopLimitCheck:
-        return LoopLimitCheck(
-            loop_span=loop.span,
-            index_symbol=info.symbol,
-            comparison=comparison,
-            limit_kind=limit_kind,
-            limit_value=limit_value,
-            limit_symbol=limit_symbol,
-            verdict=verdict,
-            array=info.array,
-            loop=loop,
-        )
-
-    rank = {VERDICT_SAFE: 0, VERDICT_OFF_BY_ONE: 1, VERDICT_MAY_EXCEED: 2, VERDICT_UNVALIDATED: 3}
-    for op, limit in comparisons:
+    array = info.array
+    start = _loop_start(loop, info.symbol, resolution)
+    # (comparison, limit kind, limit value, limit symbol, verdict) per comparison.
+    judged = []
+    for op, limit in _comparisons(loop.cond, _is_symbol(info.symbol, resolution)):
         value = _const_int(limit)
         limit_sym = (
             resolution.name_targets.get(limit.uid) if isinstance(limit, ast.Name) else None
         )
+        kind = SIZE_CONSTANT if value is not None else SIZE_VARIABLE if limit_sym else None
         if op in ("<", "<="):
-            if value is not None:
-                if size_n is None:
-                    verdict = VERDICT_UNVALIDATED if info.array.size_kind == SIZE_VARIABLE else VERDICT_SAFE
-                    # Constant limit against variable-size array: cannot relate.
-                    check = make(op, SIZE_CONSTANT, value, None, verdict)
-                else:
-                    max_index = value - 1 if op == "<" else value
-                    if max_index <= size_n - 1:
-                        check = make(op, SIZE_CONSTANT, value, None, VERDICT_SAFE)
-                    elif max_index == size_n:
-                        check = make(op, SIZE_CONSTANT, value, None, VERDICT_OFF_BY_ONE)
-                    else:
-                        check = make(op, SIZE_CONSTANT, value, None, VERDICT_MAY_EXCEED)
-            elif limit_sym is not None and size_sym is not None and limit_sym is size_sym:
-                verdict = VERDICT_SAFE if op == "<" else VERDICT_OFF_BY_ONE
-                check = make(op, SIZE_VARIABLE, None, limit_sym, verdict)
-            elif limit_sym is not None:
-                if _limit_guarded(loop, limit_sym, op, info.array, resolution):
-                    check = make(op, SIZE_VARIABLE, None, limit_sym, VERDICT_SAFE)
-                else:
-                    check = make(op, SIZE_VARIABLE, None, limit_sym, VERDICT_UNVALIDATED)
-            else:
-                check = make(op, None, None, None, VERDICT_UNVALIDATED)
-        else:  # descending loop: the hazard is the starting value
-            start = _loop_start_value(loop, info.symbol, resolution)
-            if start is not None and size_n is not None:
-                if start <= size_n - 1:
-                    check = make(op, SIZE_CONSTANT, value, limit_sym, VERDICT_SAFE)
-                elif start == size_n:
-                    check = make(op, SIZE_CONSTANT, value, limit_sym, VERDICT_OFF_BY_ONE)
-                else:
-                    check = make(op, SIZE_CONSTANT, value, limit_sym, VERDICT_MAY_EXCEED)
-            elif (
-                size_sym is not None
-                and isinstance(loop, ast.For)
-                and _start_is_symbol(loop, info.symbol, size_sym, resolution)
+            excess = _excess(op, limit, array, resolution)
+            if excess is not None:
+                verdict = _verdict(excess)
+            elif value is not None:  # a constant limit on an array of non-constant length
+                verdict = VERDICT_UNVALIDATED if array.size_kind == SIZE_VARIABLE else VERDICT_SAFE
+            elif limit_sym is not None and _guarded(
+                loop, _is_symbol(limit_sym, resolution), array, resolution, slack=op == "<"
             ):
-                check = make(op, SIZE_VARIABLE, None, limit_sym, VERDICT_OFF_BY_ONE)
+                verdict = VERDICT_SAFE
             else:
-                check = make(op, SIZE_VARIABLE if limit_sym else None, value, limit_sym, VERDICT_UNVALIDATED)
-        if best is None or rank[check.verdict] < rank[best.verdict]:
-            best = check
-    if best is not None:
-        if best.verdict == VERDICT_SAFE and not _ascending_start_ok(loop, info, resolution):
-            best = make(best.comparison, best.limit_kind, best.limit_value, best.limit_symbol, VERDICT_MAY_EXCEED)
-        return best
-    return make(None, None, None, None, VERDICT_UNVALIDATED)
+                verdict = VERDICT_UNVALIDATED
+        else:  # descending loop: the hazard is the starting value, `i <= start`
+            excess = _excess("<=", start, array, resolution)
+            if excess is None:
+                kind, verdict = SIZE_VARIABLE if limit_sym else None, VERDICT_UNVALIDATED
+            else:  # the start is a constant, or the size variable (no value kept then)
+                kind, verdict = array.size_kind, _verdict(excess)
+                if kind == SIZE_VARIABLE:
+                    value = None
+        judged.append((op, kind, value, limit_sym, verdict))
+    op, kind, value, limit_sym, verdict = min(
+        judged, key=lambda j: _RANK[j[-1]], default=(None, None, None, None, VERDICT_UNVALIDATED)
+    )
+    first = _const_int(start)
+    if verdict == VERDICT_SAFE and first is not None and first < 0:
+        verdict = VERDICT_MAY_EXCEED
+    return LoopLimitCheck(loop.span, info.symbol, op, kind, value, limit_sym, verdict, array, loop)
 
 
-def _loop_start_value(loop: ast.Stmt, sym: Symbol, resolution: Resolution) -> int | None:
-    if isinstance(loop, ast.For) and loop.init is not None:
-        site = _modifying_site(loop.init, resolution)
-        if site is None and isinstance(loop.init, ast.ExprStmt):
-            site = _modifying_site(loop.init.expr, resolution)
-        if site is not None and site[0] is sym and site[1].kind == "constant":
-            return site[1].value
-    return None
-
-
-def _start_is_symbol(loop: ast.For, sym: Symbol, size_sym: Symbol, resolution: Resolution) -> bool:
-    init = loop.init
-    rhs = None
-    if isinstance(init, ast.LocalDecl) and resolution.decl_symbols.get(init.uid) is sym:
-        rhs = init.initializer
-    elif isinstance(init, ast.ExprStmt) and isinstance(init.expr, ast.Binary) and init.expr.op == "=":
-        if resolution.name_targets.get(getattr(init.expr.left, "uid", -1)) is sym:
-            rhs = init.expr.right
-    return isinstance(rhs, ast.Name) and resolution.name_targets.get(rhs.uid) is size_sym
-
-
-def _ascending_start_ok(loop: ast.Stmt, info: IndexVarInfo, resolution: Resolution) -> bool:
-    start = _loop_start_value(loop, info.symbol, resolution)
-    return start is None or start >= 0
-
-
-def _limit_guarded(
-    loop: ast.Stmt, limit_sym: Symbol, loop_op: str, array: ArrayDecl, resolution: Resolution
-) -> bool:
-    """True when an enclosing condition constrains the loop limit tightly
-    enough that the loop cannot leave the array's legal range."""
-    size_n = array.size_value if array.size_kind == SIZE_CONSTANT else None
-    size_sym = array.size_symbol
-    for cond, holds in resolution.enclosing_conditions(loop):
-        if not holds:
-            continue
-        for op, limit in _loop_comparisons(cond, limit_sym, resolution):
-            if op not in ("<", "<="):
-                continue
-            value = _const_int(limit)
-            bound_sym = (
-                resolution.name_targets.get(limit.uid) if isinstance(limit, ast.Name) else None
-            )
-            if value is not None and size_n is not None:
-                max_limit = value - 1 if op == "<" else value
-            elif bound_sym is not None and size_sym is not None and bound_sym is size_sym:
-                max_limit = None  # symbolically equals N (or N-1 for <)
-                sym_slack = 1 if op == "<" else 0
-                loop_slack = 1 if loop_op == "<" else 0
-                if sym_slack + loop_slack >= 1:
-                    return True
-                continue
-            elif bound_sym is not None and size_n is not None:
-                continue
-            else:
-                continue
-            loop_max_index = max_limit - (1 if loop_op == "<" else 0)
-            if size_n is not None and loop_max_index <= size_n - 1:
-                return True
-    return False
+def _loop_start(loop: ast.For | ast.While, sym: Symbol, resolution: Resolution) -> ast.Expr | None:
+    """The expression a for loop's init assigns to sym, if it does."""
+    init = loop.init if isinstance(loop, ast.For) else None
+    if isinstance(init, ast.ExprStmt):
+        init = init.expr
+    site = _modifying_site(init, resolution)
+    if site is None or site[0] is not sym:
+        return None
+    return init.initializer if isinstance(init, ast.LocalDecl) else init.right
 
 
 # -- composition --------------------------------------------------------------------
@@ -490,7 +449,8 @@ def run_bound_check(
                     )
                 )
             elif array.size_kind != SIZE_CONSTANT and value >= 0:
-                if not _access_guarded(ref, array, resolution):
+                # A length guard, `if (c < size) b[c]`, rules out a zero length.
+                if not _guarded(ref, lambda e: _const_int(e) == value, array, resolution):
                     findings.append(
                         BoundFinding(
                             KIND_ZERO_LENGTH,
@@ -575,8 +535,9 @@ def run_bound_check(
                 f"'{info.symbol.name}' is modified (input or arithmetic) and indexes "
                 f"'{info.array.name}' without validation"
             )
+        is_index = _is_symbol(info.symbol, resolution)
         for access in info.accesses:
-            if not _access_guarded(access, info.array, resolution, info.symbol):
+            if not _guarded(access, is_index, info.array, resolution):
                 findings.append(BoundFinding(KIND_UNVALIDATED_SOURCE, access.span, info.array, detail))
                 break
     findings.sort(key=BoundFinding.sort_key)
@@ -601,64 +562,12 @@ def _limit_text(check: LoopLimitCheck) -> str:
 
 
 def _first_unguarded_access(check: LoopLimitCheck, resolution: Resolution) -> ast.Index | None:
-    accesses = [
-        acc
-        for acc in check.array.references
-        if resolution.is_within(acc, check.loop)
-        and any(
-            resolution.name_targets.get(n.uid) is check.index_symbol
-            for n in _index_names(acc.index)
-        )
-    ]
-    for acc in accesses:
-        if not _access_guarded(acc, check.array, resolution, check.index_symbol):
+    is_index = _is_symbol(check.index_symbol, resolution)
+    for acc in check.array.references:
+        if (
+            resolution.is_within(acc, check.loop)
+            and any(map(is_index, ast.walk(acc.index)))
+            and not _guarded(acc, is_index, check.array, resolution)
+        ):
             return acc
     return None
-
-
-def _access_guarded(
-    access: ast.Index,
-    array: ArrayDecl,
-    resolution: Resolution,
-    index_sym: Symbol | None = None,
-) -> bool:
-    """Dominating-guard recognition for one access."""
-    if index_sym is None:
-        names = _index_names(access.index)
-        syms = [resolution.name_targets.get(n.uid) for n in names]
-        syms = [s for s in syms if s is not None]
-    else:
-        syms = [index_sym]
-    size_n = array.size_value if array.size_kind == SIZE_CONSTANT else None
-    size_sym = array.size_symbol
-    const_index = _const_int(access.index)
-    for cond, holds in resolution.enclosing_conditions(access):
-        if not holds:
-            continue
-        for sym in syms:
-            for op, limit in _loop_comparisons(cond, sym, resolution):
-                if op not in ("<", "<="):
-                    continue
-                value = _const_int(limit)
-                bound_sym = (
-                    resolution.name_targets.get(limit.uid) if isinstance(limit, ast.Name) else None
-                )
-                if bound_sym is not None and size_sym is not None and bound_sym is size_sym:
-                    if op == "<":
-                        return True
-                    continue
-                if value is not None:
-                    max_index = value - 1 if op == "<" else value
-                    if size_n is not None and max_index <= size_n - 1:
-                        return True
-                    if size_n is None and op == "<" and bound_sym is None:
-                        continue
-        if const_index is not None:
-            # length guards for constant indices on variable-size arrays:
-            # if (c < size) b[c] ...
-            for op, limit in _comparisons(cond, lambda e: _const_int(e) == const_index):
-                if op == "<" and isinstance(limit, ast.Name):
-                    bound_sym = resolution.name_targets.get(limit.uid)
-                    if bound_sym is not None and bound_sym is size_sym:
-                        return True
-    return False

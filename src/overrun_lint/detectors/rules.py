@@ -121,20 +121,22 @@ def np_dereference(rule: Rule, ctx: RuleContext) -> list[Finding]:
     return findings
 
 
-def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
-    findings = []
-    for cycle in unconditional_cycles(ctx.call_graph):
+def _cycle_sites(ctx: RuleContext, cycles: list[list[str]]):
+    """(cycle, earliest call site on an edge inside it) for each cycle that has one."""
+    edges = ctx.call_graph.edges
+    for cycle in cycles:
         members = set(cycle)
-        spans = sorted(
-            (e.span for e in ctx.call_graph.edges if e.caller in members and e.callee in members),
-            key=lambda s: (s.file, s.line, s.column),
-        )
-        if not spans:
-            continue
-        findings.append(
-            _mk(rule, spans[0], "Unconditional recursive call cycle: " + " -> ".join(cycle))
-        )
-    return findings
+        spans = (e.span for e in edges if e.caller in members and e.callee in members)
+        span = min(spans, key=lambda s: (s.file, s.line, s.column), default=None)
+        if span is not None:
+            yield cycle, span
+
+
+def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
+    return [
+        _mk(rule, span, "Unconditional recursive call cycle: " + " -> ".join(cycle))
+        for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph))
+    ]
 
 
 def equals_hashcode(rule: Rule, ctx: RuleContext) -> list[Finding]:
@@ -305,20 +307,15 @@ def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.C
 
 
 def circular_dependency(rule: Rule, ctx: RuleContext) -> list[Finding]:
-    findings = []
-    for cycle in constructor_cycles(ctx.call_graph):
-        members = set(cycle)
-        spans = sorted(
-            (e.span for e in ctx.call_graph.edges if e.caller in members and e.callee in members),
-            key=lambda s: (s.file, s.line, s.column),
+    return [
+        _mk(
+            rule,
+            span,
+            "constructors form a dependency cycle: "
+            f"{' -> '.join(m.split('.')[0] for m in cycle)} (refactoring optional)",
         )
-        if not spans:
-            continue
-        pretty = " -> ".join(m.split(".")[0] for m in cycle)
-        findings.append(
-            _mk(rule, spans[0], f"constructors form a dependency cycle: {pretty} (refactoring optional)")
-        )
-    return findings
+        for cycle, span in _cycle_sites(ctx, constructor_cycles(ctx.call_graph))
+    ]
 
 
 def redundant_null_check(rule: Rule, ctx: RuleContext) -> list[Finding]:

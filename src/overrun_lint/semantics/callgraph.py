@@ -37,21 +37,13 @@ class CallGraph:
 
 def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallGraph:
     graph = CallGraph()
+    graph.nodes.add("unknown")
     for info in resolution.classes.values():
         for minfo in info.methods.values():
-            graph.nodes.add(minfo.method_id)
-    graph.nodes.add("unknown")
-    for cls in unit.classes:
-        info = resolution.classes.get(cls.name)
-        if info is None:
-            continue
-        for method in cls.methods:
-            key = ("<init>" if method.is_constructor else method.name, method.arity)
-            minfo = info.methods.get(key)
-            if minfo is None or minfo.decl is not method:
-                continue
             caller = minfo.method_id
-            for node in ast.walk(method.body):
+            graph.nodes.add(caller)
+            body = minfo.decl.body
+            for node in ast.walk(body):
                 if not isinstance(node, (ast.Call, ast.New)):
                     continue
                 target = resolution.call_targets.get(node.uid)
@@ -67,67 +59,52 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
                     graph.builtin_nodes.add(callee)
                 else:
                     graph.nodes.add(callee)
+                unconditional, effectively = _conditioning(node, body, resolution)
                 graph.edges.append(
                     CallEdge(
                         caller=caller,
                         callee=callee,
                         span=node.span,
-                        unconditional=_is_unconditional(node, method.body, resolution),
+                        unconditional=unconditional,
                         callee_builtin=builtin,
                         is_new=isinstance(node, ast.New),
                         call_uid=node.uid,
-                        effectively_unconditional=_is_effectively_unconditional(
-                            node, method.body, resolution
-                        ),
+                        effectively_unconditional=effectively,
                     )
                 )
     return graph
 
 
-def _is_unconditional(node: ast.Node, body: ast.Block, resolution: Resolution) -> bool:
+def _conditioning(node: ast.Node, body: ast.Block, resolution: Resolution) -> tuple[bool, bool]:
+    """(unconditional, effectively unconditional) for a call site in body,
+    from one climb to the body.  Unconditional: no if, loop, switch or try
+    lies between them.  Effectively unconditional: the same after folding
+    constant-true conditions (if(1) et al)."""
+    plain = True
     cur = node
     while cur.uid != body.uid:
         parent = resolution.parents.get(cur.uid)
         if parent is None:
-            return False
+            return False, False
         if isinstance(parent, _CONDITIONING):
-            return False
-        cur = parent
-    return True
-
-
-def _is_effectively_unconditional(
-    node: ast.Node, body: ast.Block, resolution: Resolution
-) -> bool:
-    """Unconditional after folding constant-true conditions (if(1) et al)."""
-    cur = node
-    while cur.uid != body.uid:
-        parent = resolution.parents.get(cur.uid)
-        if parent is None:
-            return False
+            plain = False
         if isinstance(parent, ast.If):
             truth = ast.literal_truth(parent.cond)
-            if cur is parent.cond:
-                pass
-            elif truth is True and cur is parent.then:
-                pass
-            elif truth is False and cur is parent.els:
-                pass
-            else:
-                return False
+            if not (
+                cur is parent.cond
+                or (truth is True and cur is parent.then)
+                or (truth is False and cur is parent.els)
+            ):
+                return False, False
         elif isinstance(parent, (ast.While, ast.For)):
             cond = parent.cond
             truth = True if (isinstance(parent, ast.For) and cond is None) else ast.literal_truth(cond)
-            if cur is cond:
-                pass
-            elif truth is True:
-                pass
-            else:
-                return False
+            if cur is not cond and truth is not True:
+                return False, False
         elif isinstance(parent, (ast.Switch, ast.Try, ast.SwitchCase, ast.CatchClause)):
-            return False
+            return False, False
         cur = parent
-    return True
+    return plain, True
 
 
 def unconditional_cycles(graph: CallGraph) -> list[list[str]]:

@@ -66,10 +66,6 @@ class Symbol:
     decl_uid: int = -1
     slot: int = -1  # params and locals: the frame slot, 0 being `this`
 
-    @property
-    def method_id(self) -> str:
-        return f"{self.owner}.{self.name}/{self.arity}"
-
 
 @dataclass
 class Scope:
@@ -646,23 +642,20 @@ class _Resolver:
         result = ty.ClassType(expr.class_name)
         if info is None:
             self.res.diagnostics.append(ResolutionError(expr.span, expr.class_name))
-            self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", result)
-            return self._set(expr, result)
+            return self._unknown_call(expr, result)
         ctor = info.ctors.get(len(expr.args))
         if ctor is None:
             if expr.args or info.ctors:
                 self.res.diagnostics.append(
                     ResolutionError(expr.span, f"{expr.class_name}/{len(expr.args)} constructor")
                 )
-                self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", result)
-                return self._set(expr, result)
+                return self._unknown_call(expr, result)
             # implicit default constructor
             self.res.call_targets[expr.uid] = CallTarget(
                 "ctor", f"{expr.class_name}.<init>/0", result
             )
             return self._set(expr, result)
-        for param, arg_t, arg in zip(ctor.decl.params, arg_ts, expr.args):
-            self._require_assignable(ty.from_type_ref(param.type), arg_t, arg.span, "argument")
+        self._check_args(ctor, expr, arg_ts)
         self.res.call_targets[expr.uid] = CallTarget(
             "ctor", ctor.method_id, result, method=ctor
         )
@@ -695,77 +688,58 @@ class _Resolver:
                 raise TypeCheckError(arg.span, f"{expr.name}() needs a String, got {arg_t}")
             self._require_assignable(param_t, arg_t, arg.span, f"{expr.name}() argument")
 
+    def _check_args(self, minfo: MethodInfo, expr: ast.Call | ast.New, arg_ts: list[Type]) -> None:
+        for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
+            self._require_assignable(ty.from_type_ref(param.type), arg_t, arg.span, "argument")
+
+    def _method_call(self, expr: ast.Call, minfo: MethodInfo, arg_ts: list[Type]) -> Type:
+        returns = minfo.symbol.declared_type
+        self.res.call_targets[expr.uid] = CallTarget(
+            "method", minfo.method_id, returns, method=minfo
+        )
+        self._check_args(minfo, expr, arg_ts)
+        return self._set(expr, returns)
+
+    def _builtin_call(self, expr: ast.Call, prefix: str, table: dict, arg_ts: list[Type]) -> Type:
+        name, sig = prefix + expr.name, table[expr.name]
+        self._check_builtin_args(expr, sig, arg_ts)
+        self.res.call_targets[expr.uid] = CallTarget(
+            "builtin", f"builtin:{name}", sig[1], must_check=name in MUST_CHECK_BUILTINS
+        )
+        return self._set(expr, sig[1])
+
+    def _unknown_call(self, expr: ast.Call | ast.New, returns: Type) -> Type:
+        self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", returns)
+        return self._set(expr, returns)
+
     def _call(self, expr: ast.Call, scope: Scope) -> Type:
         arg_ts = [self._expr(a, scope) for a in expr.args]
         if expr.receiver is None:
             if self.current_class is not None:
                 minfo = self._lookup_method(self.current_class.name, expr.name, len(expr.args))
                 if minfo is not None:
-                    self.res.call_targets[expr.uid] = CallTarget(
-                        "method", minfo.method_id, minfo.symbol.declared_type, method=minfo
-                    )
-                    for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
-                        self._require_assignable(
-                            ty.from_type_ref(param.type), arg_t, arg.span, "argument"
-                        )
-                    return self._set(expr, minfo.symbol.declared_type)
+                    return self._method_call(expr, minfo, arg_ts)
             if (
                 self.current_class is not None
                 and self._thread_visible(self.current_class.name)
                 and expr.name in THREAD_METHODS
                 and len(expr.args) == len(THREAD_METHODS[expr.name][0])
             ):
-                sig = THREAD_METHODS[expr.name]
-                self._check_builtin_args(expr, sig, arg_ts)
-                self.res.call_targets[expr.uid] = CallTarget(
-                    "builtin", f"builtin:Thread.{expr.name}", sig[1]
-                )
-                return self._set(expr, sig[1])
-            sig = BUILTIN_FUNCTIONS.get(expr.name)
-            if sig is not None:
-                self._check_builtin_args(expr, sig, arg_ts)
-                self.res.call_targets[expr.uid] = CallTarget(
-                    "builtin",
-                    f"builtin:{expr.name}",
-                    sig[1],
-                    must_check=expr.name in MUST_CHECK_BUILTINS,
-                )
-                return self._set(expr, sig[1])
+                return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
+            if expr.name in BUILTIN_FUNCTIONS:
+                return self._builtin_call(expr, "", BUILTIN_FUNCTIONS, arg_ts)
             self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
-            self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", ty.UNKNOWN)
-            return self._set(expr, ty.UNKNOWN)
+            return self._unknown_call(expr, ty.UNKNOWN)
         receiver_t = self._expr(expr.receiver, scope)
         if receiver_t == ty.UNKNOWN:
-            self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", ty.UNKNOWN)
-            return self._set(expr, ty.UNKNOWN)
+            return self._unknown_call(expr, ty.UNKNOWN)
         if isinstance(receiver_t, ty.ClassType):
             if receiver_t.name == "Stream" and expr.name in STREAM_METHODS:
-                sig = STREAM_METHODS[expr.name]
-                self._check_builtin_args(expr, sig, arg_ts)
-                self.res.call_targets[expr.uid] = CallTarget(
-                    "builtin",
-                    f"builtin:Stream.{expr.name}",
-                    sig[1],
-                    must_check=f"Stream.{expr.name}" in MUST_CHECK_BUILTINS,
-                )
-                return self._set(expr, sig[1])
+                return self._builtin_call(expr, "Stream.", STREAM_METHODS, arg_ts)
             minfo = self._lookup_method(receiver_t.name, expr.name, len(expr.args))
             if minfo is not None:
-                self.res.call_targets[expr.uid] = CallTarget(
-                    "method", minfo.method_id, minfo.symbol.declared_type, method=minfo
-                )
-                for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
-                    self._require_assignable(
-                        ty.from_type_ref(param.type), arg_t, arg.span, "argument"
-                    )
-                return self._set(expr, minfo.symbol.declared_type)
+                return self._method_call(expr, minfo, arg_ts)
             if self._thread_visible(receiver_t.name) and expr.name in THREAD_METHODS:
-                sig = THREAD_METHODS[expr.name]
-                self._check_builtin_args(expr, sig, arg_ts)
-                self.res.call_targets[expr.uid] = CallTarget(
-                    "builtin", f"builtin:Thread.{expr.name}", sig[1]
-                )
-                return self._set(expr, sig[1])
+                return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
         self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
-        self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", ty.UNKNOWN)
-        return self._set(expr, ty.UNKNOWN)
+        return self._unknown_call(expr, ty.UNKNOWN)
