@@ -188,7 +188,7 @@ def track_index_vars(
     infos: dict[tuple[int, int], IndexVarInfo] = {}
     for array in arrays:
         for ref in array.references:
-            for name in ast.walk(ref.index):
+            for name in resolution.subtree(ref.index):
                 sym = resolution.name_targets.get(name.uid) if isinstance(name, ast.Name) else None
                 if sym is None:
                     continue
@@ -228,23 +228,23 @@ def _modifying_site(node: ast.Node, resolution: Resolution) -> tuple[Symbol, Mod
         sym = resolution.name_targets.get(node.left.uid)
         if sym is None:
             return None
-        return sym, ModifyingSite(node.span, *_classify_rhs(node.right))
+        return sym, ModifyingSite(node.span, *_classify_rhs(node.right, resolution))
     if isinstance(node, ast.LocalDecl) and node.initializer is not None:
         sym = resolution.decl_symbols.get(node.uid)
         if sym is None:
             return None
-        return sym, ModifyingSite(node.span, *_classify_rhs(node.initializer))
+        return sym, ModifyingSite(node.span, *_classify_rhs(node.initializer, resolution))
     return None
 
 
 _INPUT_BUILTINS = {"readLine", "parseInt", "random"}
 
 
-def _classify_rhs(expr: ast.Expr) -> tuple[str, int | None]:
+def _classify_rhs(expr: ast.Expr, resolution: Resolution) -> tuple[str, int | None]:
     value = _const_int(expr)
     if value is not None:
         return "constant", value
-    for node in ast.walk(expr):
+    for node in resolution.subtree(expr):
         if isinstance(node, ast.Call) and node.receiver is None and node.name in _INPUT_BUILTINS:
             return "input", None
     return "arithmetic", None
@@ -268,7 +268,7 @@ def check_loops(
             while cur is not None:
                 if isinstance(cur, (ast.For, ast.While)):
                     loops.add(cur.uid)
-                cur = resolution.parents.get(cur.uid)
+                cur = resolution.parent(cur)
         for uid in loops:
             accessed_in.setdefault(uid, []).append(info)
     checks: list[LoopLimitCheck] = []
@@ -289,7 +289,7 @@ def _symbols_modified_by_loop(loop: ast.For | ast.While, resolution: Resolution)
         regions.append(loop.update)
     out: set[int] = set()
     for region in regions:
-        for node in ast.walk(region):
+        for node in resolution.subtree(region):
             site = _modifying_site(node, resolution)
             if site is not None:
                 out.add(id(site[0]))
@@ -372,31 +372,27 @@ def _judge_loop(
     # (comparison, limit kind, limit value, limit symbol, verdict) per comparison.
     judged = []
     for op, limit in _comparisons(loop.cond, _is_symbol(info.symbol, resolution)):
+        descending = op not in ("<", "<=")
+        if descending:  # the hazard is the starting value: judge and report `i <= start`
+            op, limit = "<=", start
         value = _const_int(limit)
         limit_sym = (
             resolution.name_targets.get(limit.uid) if isinstance(limit, ast.Name) else None
         )
         kind = SIZE_CONSTANT if value is not None else SIZE_VARIABLE if limit_sym else None
-        if op in ("<", "<="):
-            excess = _excess(op, limit, array, resolution)
-            if excess is not None:
-                verdict = _verdict(excess)
-            elif value is not None:  # a constant limit on an array of non-constant length
-                verdict = VERDICT_UNVALIDATED if array.size_kind == SIZE_VARIABLE else VERDICT_SAFE
-            elif limit_sym is not None and _guarded(
-                loop, _is_symbol(limit_sym, resolution), array, resolution, slack=op == "<"
-            ):
-                verdict = VERDICT_SAFE
-            else:
-                verdict = VERDICT_UNVALIDATED
-        else:  # descending loop: the hazard is the starting value, `i <= start`
-            excess = _excess("<=", start, array, resolution)
-            if excess is None:
-                kind, verdict = SIZE_VARIABLE if limit_sym else None, VERDICT_UNVALIDATED
-            else:  # the start is a constant, or the size variable (no value kept then)
-                kind, verdict = array.size_kind, _verdict(excess)
-                if kind == SIZE_VARIABLE:
-                    value = None
+        excess = _excess(op, limit, array, resolution)
+        if excess is not None:
+            verdict = _verdict(excess)
+        elif descending:
+            verdict = VERDICT_UNVALIDATED
+        elif value is not None:  # a constant limit on an array of non-constant length
+            verdict = VERDICT_UNVALIDATED if array.size_kind == SIZE_VARIABLE else VERDICT_SAFE
+        elif limit_sym is not None and _guarded(
+            loop, _is_symbol(limit_sym, resolution), array, resolution, slack=op == "<"
+        ):
+            verdict = VERDICT_SAFE
+        else:
+            verdict = VERDICT_UNVALIDATED
         judged.append((op, kind, value, limit_sym, verdict))
     op, kind, value, limit_sym, verdict = min(
         judged, key=lambda j: _RANK[j[-1]], default=(None, None, None, None, VERDICT_UNVALIDATED)
@@ -566,7 +562,7 @@ def _first_unguarded_access(check: LoopLimitCheck, resolution: Resolution) -> as
     for acc in check.array.references:
         if (
             resolution.is_within(acc, check.loop)
-            and any(map(is_index, ast.walk(acc.index)))
+            and any(map(is_index, resolution.subtree(acc.index)))
             and not _guarded(acc, is_index, check.array, resolution)
         ):
             return acc

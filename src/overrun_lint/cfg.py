@@ -20,7 +20,7 @@ SWITCH_CASE = "switch-case"
 LOOP_BACK = "loop-back"
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     bid: int
     instructions: list[int] = field(default_factory=list)
@@ -28,7 +28,7 @@ class BasicBlock:
     is_exit: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     src: int
     dst: int

@@ -25,13 +25,13 @@ class RuleContext:
         while cur is not None:
             if isinstance(cur, ast.MethodDecl):
                 return cur
-            cur = self.res.parents.get(cur.uid)
+            cur = self.res.parent(cur)
         return None
 
     def has_null_guard(self, node: ast.Node, sym: Symbol) -> bool:
         # Any enclosing condition counts, whichever branch node is in.
         for cond, _holds in self.res.enclosing_conditions(node):
-            for sub in ast.walk(cond):
+            for sub in self.res.subtree(cond):
                 if isinstance(sub, ast.Binary) and sub.op in ("==", "!="):
                     for side, other in ((sub.left, sub.right), (sub.right, sub.left)):
                         if (
@@ -168,7 +168,7 @@ def ignored_return_value(rule: Rule, ctx: RuleContext) -> list[Finding]:
 def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for sync in ctx.res.nodes_of(ast.Synchronized):
-        for node in ast.walk(sync.body):
+        for node in ctx.res.subtree(sync.body):
             if isinstance(node, ast.Call) and node.name == "wait":
                 target = ctx.res.call_targets.get(node.uid)
                 if target is None or target.id != "builtin:Thread.wait":
@@ -176,7 +176,7 @@ def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 conditional = False
                 cur = node
                 while cur is not sync.body:
-                    parent = ctx.res.parents.get(cur.uid)
+                    parent = ctx.res.parent(cur)
                     if parent is None:
                         break
                     if isinstance(parent, (ast.If, ast.While)):
@@ -205,7 +205,7 @@ def _monitor_key(ctx: RuleContext, expr: ast.Expr):
 def deadlock_order(rule: Rule, ctx: RuleContext) -> list[Finding]:
     ordered: dict[tuple, list] = {}
     for outer in ctx.res.nodes_of(ast.Synchronized):
-        for inner in ast.walk(outer.body):
+        for inner in ctx.res.subtree(outer.body):
             if isinstance(inner, ast.Synchronized):
                 a = _monitor_key(ctx, outer.monitor)
                 b = _monitor_key(ctx, inner.monitor)
@@ -251,7 +251,7 @@ def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
         if method is None:
             continue
         close_stmts = []
-        for sub in ast.walk(method.body):
+        for sub in ctx.res.subtree(method.body):
             if (
                 isinstance(sub, ast.Call)
                 and sub.name == "close"
@@ -275,7 +275,7 @@ def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.C
     """Whether some entry->exit CFG path misses every one of the given calls."""
     from .. import cfg as cfgmod
 
-    cls = ctx.res.parents.get(method.uid)
+    cls = ctx.res.parent(method)
     if not isinstance(cls, ast.ClassDecl):
         return False
     method_id = cfgmod.method_identity(cls.name, method)
@@ -286,7 +286,7 @@ def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.C
     for call in calls:
         cur: ast.Node | None = call
         while cur is not None and cur.uid not in graph.stmt_iids:
-            cur = ctx.res.parents.get(cur.uid)
+            cur = ctx.res.parent(cur)
         if cur is None:
             continue
         blocked.add(graph.block_of_instr(graph.stmt_iids[cur.uid]))
@@ -323,7 +323,7 @@ def redundant_null_check(rule: Rule, ctx: RuleContext) -> list[Finding]:
     for cls in ctx.unit.classes:
         for method in cls.methods:
             state: dict[int, str] = {}
-            for node in ast.walk(method.body):
+            for node in ctx.res.subtree(method.body):
                 if isinstance(node, ast.LocalDecl) and node.initializer is not None:
                     sym = ctx.res.decl_symbols.get(node.uid)
                     if sym is not None:

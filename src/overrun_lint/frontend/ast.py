@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 from .lexer import SourceSpan, TokenStream, tokenize
 
@@ -277,31 +277,37 @@ class Null(Expr):
 
 # --- tree utilities -----------------------------------------------------------
 
-_SKIP_FIELDS = {"span", "uid", "assert_origin"}
-# Node class -> names of the fields that can hold child nodes, filled on
-# first use so that traversal does not call dataclasses.fields() per node.
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+class _ChildTable(dict):
+    """Node class -> (field name, holds a list) for each field whose
+    annotation is a node or a list of nodes, in field order.  A class's entry
+    is read from its dataclass annotations the first time it is looked up."""
+
+    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
+        hints = get_type_hints(cls)
+        entry = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            many = get_origin(hint) is list
+            if many:
+                (hint,) = get_args(hint)
+            if any(isinstance(t, type) and issubclass(t, Node) for t in get_args(hint) or (hint,)):
+                entry.append((f.name, many))
+        self[cls] = entry = tuple(entry)
+        return entry
 
 
-def child_fields(node: Node) -> tuple[str, ...]:
-    """Names of the fields of node that can hold child nodes, in field order."""
-    names = _CHILD_FIELDS.get(type(node))
-    if names is None:
-        names = tuple(f.name for f in fields(node) if f.name not in _SKIP_FIELDS)
-        _CHILD_FIELDS[type(node)] = names
-    return names
+CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = _ChildTable()
 
 
 def child_nodes(node: Node) -> list[Node]:
     """Direct child nodes, in field order."""
-    names = _CHILD_FIELDS.get(type(node)) or child_fields(node)
     children = []
-    for name in names:
+    for name, many in CHILD_FIELDS[type(node)]:
         value = getattr(node, name)
-        if isinstance(value, Node):
+        if many:
+            children += value
+        elif value is not None:
             children.append(value)
-        elif isinstance(value, list):
-            children.extend(item for item in value if isinstance(item, Node))
     return children
 
 
@@ -313,18 +319,6 @@ def walk(node: Node) -> Iterator[Node]:
         node = stack.pop()
         yield node
         stack.extend(reversed(child_nodes(node)))
-
-
-def parent_map(root: Node) -> dict[int, Node]:
-    """Map child uid -> parent node for the whole subtree."""
-    parents: dict[int, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in child_nodes(node):
-            parents[child.uid] = node
-            stack.append(child)
-    return parents
 
 
 def count_nodes(root: Node, kind: type | None = None) -> int:

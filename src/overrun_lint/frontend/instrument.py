@@ -40,9 +40,9 @@ def _rewrite(unit: ast.CompilationUnit, node: ast.Node, name: str) -> ast.Node:
     if isinstance(node, ast.MethodDecl):
         name = f"{name}.{node.name}"
     changed = {}
-    for field in ast.child_fields(node):
+    for field, many in ast.CHILD_FIELDS[type(node)]:
         value = getattr(node, field)
-        if isinstance(value, list):
+        if many:
             new = [_rewrite(unit, item, name) if _holds_stmts(item) else item for item in value]
             if any(n is not v for n, v in zip(new, value)):
                 changed[field] = new

@@ -228,6 +228,7 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
     stream = TokenStream(file)
     kinds, texts, offsets = stream.kinds, stream.texts, stream.offsets
     lines, columns, end_columns = stream.lines, stream.columns, stream.end_columns
+    shared: dict[str, str] = {}  # repeated token texts share one str
     line = 1
     line_start = 0  # offset of the first character of `line`
     for m in _SCANNER.finditer(source):
@@ -268,7 +269,7 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
             kinds.append(IDENTIFIER)
         else:
             raise LexError(SourceSpan(file, line, column, line, column), f"illegal character {text[0]!r}")
-        texts.append(text)
+        texts.append(shared.setdefault(text, text))
         offsets.append(start)
         lines.append(line)
         columns.append(column)

@@ -43,7 +43,7 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
             caller = minfo.method_id
             graph.nodes.add(caller)
             body = minfo.decl.body
-            for node in ast.walk(body):
+            for node in resolution.subtree(body):
                 if not isinstance(node, (ast.Call, ast.New)):
                     continue
                 target = resolution.call_targets.get(node.uid)
@@ -83,7 +83,7 @@ def _conditioning(node: ast.Node, body: ast.Block, resolution: Resolution) -> tu
     plain = True
     cur = node
     while cur.uid != body.uid:
-        parent = resolution.parents.get(cur.uid)
+        parent = resolution.parent(cur)
         if parent is None:
             return False, False
         if isinstance(parent, _CONDITIONING):

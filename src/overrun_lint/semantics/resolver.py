@@ -5,10 +5,18 @@ every Name/Call/FieldAccess, counts reads and writes per symbol, numbers
 each method's parameters and locals into the interpreter's frame slots, and
 types every expression.  Unresolved identifiers are collected as diagnostics;
 operator/operand mismatches raise TypeCheckError.
+
+Before resolving, one pre-order walk indexes the unit on the Resolution:
+every node in ast.walk's order, each node's position in that order and the
+end of its subtree, and each node's parent.  A subtree is then a slice of
+the node list (Resolution.subtree), and "is this node inside that one" an
+interval test (is_within), so the analyses query the index instead of
+walking the tree.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -134,11 +142,15 @@ class Resolution:
     types: dict[int, Type]
     diagnostics: list[Exception]
     # The unit's node index, built in one walk before resolution: every node
-    # in pre-order, the nodes grouped by class (each group in pre-order), the
-    # child uid -> parent map, and decl uid -> the first symbol it declares.
+    # in pre-order; the nodes grouped by class (each group in pre-order); uid
+    # -> position in that order; position -> end of the node's subtree, so
+    # that a subtree is nodes[position:end]; uid -> parent (None for the
+    # unit); and decl uid -> the first symbol it declares.
     nodes: list[ast.Node] = field(default_factory=list)
     by_type: dict[type, list[ast.Node]] = field(default_factory=dict)
-    parents: dict[int, ast.Node] = field(default_factory=dict)
+    positions: array = field(default_factory=lambda: array("l"))
+    ends: array = field(default_factory=lambda: array("l"))
+    parents: list[ast.Node | None] = field(default_factory=list)
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)
     frame_sizes: dict[int, int] = field(default_factory=dict)  # method uid -> slots
 
@@ -148,25 +160,33 @@ class Resolution:
             return self.by_type.get(kinds[0], [])
         return [node for node in self.nodes if type(node) in kinds]
 
+    def parent(self, node: ast.Node) -> ast.Node | None:
+        """The node's parent; None for the unit."""
+        return self.parents[node.uid]
+
+    def subtree(self, node: ast.Node) -> list[ast.Node]:
+        """The subtree rooted at node, in pre-order: what ast.walk(node) yields."""
+        pos = self.positions[node.uid]
+        return self.nodes[pos : self.ends[pos]]
+
     def is_within(self, node: ast.Node, root: ast.Node) -> bool:
         """Whether node lies in the subtree rooted at root."""
-        cur: ast.Node | None = node
-        while cur is not None and cur is not root:
-            cur = self.parents.get(cur.uid)
-        return cur is root
+        pos = self.positions[root.uid]
+        return pos <= self.positions[node.uid] < self.ends[pos]
 
     def enclosing_conditions(self, node: ast.Node) -> Iterator[tuple[ast.Expr, bool]]:
         """(condition, holds) for every if/while around node, innermost
         first.  holds is True when node lies in the then-branch or the loop
         body, where the condition is known to be true."""
+        parents = self.parents
         cur = node
-        parent = self.parents.get(cur.uid)
+        parent = parents[cur.uid]
         while parent is not None:
             if isinstance(parent, ast.If):
                 yield parent.cond, cur is parent.then
             elif isinstance(parent, ast.While):
                 yield parent.cond, cur is parent.body
-            cur, parent = parent, self.parents.get(parent.uid)
+            cur, parent = parent, parents[parent.uid]
 
     def ancestors(self, name: str | None) -> list[ClassInfo]:
         """The class and its bases, nearest first: the one base-class walk.
@@ -228,17 +248,38 @@ class _Resolver:
         return self.res
 
     def _index(self) -> None:
-        # ast.walk's traversal, inlined so each node's children are listed once.
+        # ast.walk's traversal, inlined so each node's children are listed
+        # once.  When the walk pops a node, the entry below it on the stack
+        # is the node it reaches after that node's subtree (None: the end),
+        # so that node's position is where the subtree ends.
         res = self.res
-        stack: list[ast.Node] = [self.unit]
-        while stack:
-            node = stack.pop()
-            res.nodes.append(node)
-            res.by_type.setdefault(type(node), []).append(node)
+        nodes, by_type = res.nodes, res.by_type
+        # Parsed units number their nodes below next_uid; a unit built by
+        # hand may not, and the uid-indexed tables grow to fit it.
+        size = max(self.unit.next_uid, self.unit.uid + 1)
+        positions = res.positions = array("l", [0]) * size
+        parents = res.parents = [None] * size
+
+        def fit(uid: int) -> int:
+            positions.extend([0] * (uid + 1 - size))
+            parents.extend([None] * (uid + 1 - size))
+            return uid + 1
+
+        after: list[ast.Node | None] = []
+        stack: list[ast.Node | None] = [None, self.unit]
+        while (node := stack.pop()) is not None:
+            positions[node.uid] = len(nodes)
+            nodes.append(node)
+            after.append(stack[-1])
+            by_type.setdefault(type(node), []).append(node)
             children = ast.child_nodes(node)
             for child in children:
-                res.parents[child.uid] = node
+                if child.uid >= size:
+                    size = fit(child.uid)
+                parents[child.uid] = node
             stack.extend(reversed(children))
+        n = len(nodes)
+        res.ends = array("l", [n if nxt is None else positions[nxt.uid] for nxt in after])
 
     def _sym(self, **kw) -> Symbol:
         sym = Symbol(**kw)

@@ -1,0 +1,32 @@
+"""Reference tree queries that the tests hold the resolver's node index to."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+from overrun_lint.frontend import ast
+
+
+def field_scan_children(node: ast.Node) -> list[ast.Node]:
+    """Direct child nodes by a scan of every field's value, in field order."""
+    children = []
+    for f in fields(node):
+        if f.name in ("span", "uid", "assert_origin"):
+            continue
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, ast.Node):
+                children.append(item)
+    return children
+
+
+def parent_map(root: ast.Node) -> dict[int, ast.Node]:
+    """Map child uid -> parent node for the whole subtree."""
+    parents: dict[int, ast.Node] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in field_scan_children(node):
+            parents[child.uid] = node
+            stack.append(child)
+    return parents

@@ -363,3 +363,29 @@ class T {
     (finding,) = run_bound_check(unit, res)
     assert finding.kind == "index_out_of_legal_range"
     assert finding.span.line == 6  # the a[i] reference, not the assignment
+
+
+def test_descending_loop_findings_cite_the_start():
+    # A descending loop is judged by its start, `i <= start`, and its
+    # finding cites that start, not the condition's lower limit.
+    unit, res = analyzed(
+        """\
+class D {
+    static void main(String[] args) {
+        int[] b = new int[4];
+        for (int j = 6; j >= 1; j--) {
+            b[j] = j;
+        }
+        int n = parseInt(readLine());
+        int[] a = new int[n];
+        for (int i = n; i >= 0; i--) {
+            a[i] = i;
+        }
+    }
+}
+"""
+    )
+    assert [f.detail for f in run_bound_check(unit, res)] == [
+        "loop limit 6 exceeds the legal range of 'b'",
+        "loop runs 'i <= n'; largest valid index of 'a' is n - 1",
+    ]

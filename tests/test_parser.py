@@ -10,6 +10,7 @@ from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.frontend.printer import expr_text
 
+from oracle import field_scan_children, parent_map
 from progen import seeded_unit
 
 
@@ -138,13 +139,8 @@ def test_uids_unique(corpus_sources):
 def _recursive_preorder(node):
     """Reference pre-order: the node, then each child in field order."""
     out = [node]
-    for f in fields(node):
-        if f.name in ("span", "uid", "assert_origin"):
-            continue
-        value = getattr(node, f.name)
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, ast.Node):
-                out += _recursive_preorder(item)
+    for child in field_scan_children(node):
+        out += _recursive_preorder(child)
     return out
 
 
@@ -161,7 +157,7 @@ def test_deep_tree_does_not_recurse():
     for uid in range(1, 5001):
         node = ast.Unary(op="-", operand=node, span=span, uid=uid)
     assert [n.uid for n in walk(node)] == list(range(5000, -1, -1))
-    parents = ast.parent_map(node)
+    parents = parent_map(node)
     assert len(parents) == 5000 and parents[0].uid == 1
     assert ast.count_nodes(node, ast.Unary) == 5000
 

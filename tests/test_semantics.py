@@ -7,6 +7,8 @@ from overrun_lint.semantics import build_call_graph, build_symbol_table, type_of
 from overrun_lint.semantics import types as ty
 from overrun_lint.semantics.callgraph import constructor_cycles, unconditional_cycles
 
+from oracle import parent_map
+
 
 def resolve(source, file="t.sl"):
     unit = parse_source(source, file)
@@ -157,7 +159,7 @@ def test_node_index_keeps_walk_preorder(corpus_sources):
     unit, res = resolve(corpus_sources["yang.sl"], "yang.sl")
     order = list(walk(unit))
     assert res.nodes == order
-    assert res.parents == ast.parent_map(unit)
+    assert {n.uid: res.parent(n) for n in order[1:]} == parent_map(unit)
     # Uids follow construction order, not pre-order, so a query over several
     # node types must interleave them by position in the walk.
     mixed = res.nodes_of(ast.Call, ast.FieldAccess)
