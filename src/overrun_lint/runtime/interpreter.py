@@ -12,6 +12,21 @@ meets has its target.  Operands run in Java's order: the receiver, or the
 array and then the index, before the arguments or the right-hand side, and
 the null and bounds checks after all of them.
 
+Compilation also drops each per-step check that cannot fire:
+
+- Statement closures take their step inline (mark, count, check
+  max_steps); _step serves only static initializers, implicit returns and
+  implicit constructors.
+- A condition that is a comparison, ==, !=, &&, ||, ! or a boolean literal
+  skips the boolean check: those closures return only a bool.  Other
+  conditions keep it, since a boolean method that falls off its end
+  returns null.
+- A literal right operand is bound into its operator's closure.
+- A store tests an int's range inline: a value that is not an int, or an
+  int in range, is stored as it is, which is all the wrapping call returned
+  for it, so only an out-of-range int calls the wrap (and warns).
+- A static call with one or two arguments lists them in its own closure.
+
 Executing a simple statement or a branching condition records its
 instruction id (and the branch outcome for decisions) into the RunTrace.
 Runtime faults (out-of-bounds access, null dereference, assertion failure,
@@ -177,6 +192,29 @@ def _constant(value):
     return lambda f: value
 
 
+def _widen(value: int, span: SourceSpan) -> float:
+    return float(value)
+
+
+# The coercion of a store into a slot of a type that converts nothing.
+_KEEP_ALL = (-math.inf, math.inf, None)
+
+
+def _arguments(fns: list):
+    """A closure building the argument list from the arguments' closures,
+    left to right.  Up to two arguments skip the comprehension's own frame;
+    that is worth about 7 % of the interp benchmark's throughput."""
+    if not fns:
+        return lambda f: []
+    if len(fns) == 1:
+        (a,) = fns
+        return lambda f: [a(f)]
+    if len(fns) == 2:
+        a, b = fns
+        return lambda f: [a(f), b(f)]
+    return lambda f: [fn(f) for fn in fns]
+
+
 def _sequence(stmts: tuple):
     """One closure running statement closures in order until one returns.
     Statements that hold blocks loop over them inline instead, so a nested
@@ -233,14 +271,24 @@ class Interpreter:
             raise _Halt()
 
     def _step(self, iid: int | None, span: SourceSpan | None) -> None:
-        """Every step goes through here: one executed instruction (iid is
-        None for a statement outside the CFGs), checked against max_steps."""
+        """A cold step: one executed instruction (iid is None for one
+        outside the CFGs), checked against max_steps.  Statement closures
+        take their steps inline instead."""
         trace = self.trace
         if iid is not None:
             trace.executed_instruction_ids.add(iid)
         trace.steps += 1
         if trace.steps > self.options.max_steps:
-            self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
+            self._step_limit(span)
+
+    def _step_limit(self, span: SourceSpan | None) -> None:
+        self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
+
+    def _mark(self, iid: int | None):
+        """The call that marks iid executed.  A statement without an
+        instruction id marks a set nobody reads, so that its closure need
+        not test for one."""
+        return self.trace.executed_instruction_ids.add if iid is not None else set().add
 
     def _harvest(self) -> None:
         """Move the closures' branch counts into the trace."""
@@ -293,8 +341,10 @@ class Interpreter:
             for fld in inits:
                 self._step(self.cfgs.stmt_iids.get(fld.uid), fld.span)
                 value = self._expr(fld.initializer)([None])
-                coerce = self._coercer(self.res.decl_symbols[fld.uid].declared_type)
-                self.statics[(cls.name, fld.name)] = coerce(value, fld.span) if coerce else value
+                lo, hi, coerce = self._coercer(self.res.decl_symbols[fld.uid].declared_type)
+                if value.__class__ is int and not lo <= value <= hi:
+                    value = coerce(value, fld.span)
+                self.statics[(cls.name, fld.name)] = value
 
     def _find_entry(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
         wanted = self.options.entry
@@ -329,7 +379,10 @@ class Interpreter:
             method = self.methods[decl.uid] = _Method()
 
             def first_call(receiver, args, span):
-                method.call = self._compile_method(owner, decl, decl.arity)
+                # A call in the arguments of another, f(f(x)), compiles f
+                # before the outer call, which had already read first_call.
+                if method.call is first_call:
+                    method.call = self._compile_method(owner, decl, decl.arity)
                 return method.call(receiver, args, span)
 
             method.call = first_call
@@ -343,12 +396,12 @@ class Interpreter:
         enter = self.trace.entered_methods.add
         max_depth = self.options.max_call_depth
         too_deep = f"call depth {max_depth} exceeded (runaway recursion)"
-        coercions = []
+        coercions = []  # (slot, lo, hi, coerce) of each parameter that converts
         for param in decl.params[:bound]:
             sym = self.res.decl_symbols[param.uid]
-            coerce = self._coercer(sym.declared_type)
+            lo, hi, coerce = self._coercer(sym.declared_type)
             if coerce is not None:
-                coercions.append((sym.slot, coerce))
+                coercions.append((sym.slot, lo, hi, coerce))
         body = self._stmts(decl.body)
         pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - bound)
         cfg = self.cfgs.cfgs.get(ident)
@@ -361,8 +414,10 @@ class Interpreter:
                 st._fault(FAULT_STEP_LIMIT, span, too_deep)
             enter(ident)
             f = [receiver, *args, *pad]
-            for slot, coerce in coercions:
-                f[slot] = coerce(f[slot], span)
+            for slot, lo, hi, coerce in coercions:
+                value = f[slot]
+                if value.__class__ is int and not lo <= value <= hi:
+                    f[slot] = coerce(value, span)
             try:
                 for stmt in body:
                     r = stmt(f)
@@ -414,7 +469,7 @@ class Interpreter:
                 ]
                 defaults = {fld.name: _DEFAULTS.get(t) for fld, t in fields}
                 inits = [
-                    (fld.name, self._expr(fld.initializer), self._coercer(t), fld.span)
+                    (fld.name, self._expr(fld.initializer), *self._coercer(t), fld.span)
                     for fld, t in fields if fld.initializer is not None
                 ]
                 layout.append((defaults, inits))
@@ -428,9 +483,11 @@ class Interpreter:
         fields = obj.fields
         for defaults, inits in self._layout(class_name):
             fields.update(defaults)
-            for name, init, coerce, fspan in inits:
+            for name, init, lo, hi, coerce, fspan in inits:
                 value = init([obj])
-                fields[name] = coerce(value, fspan) if coerce else value
+                if value.__class__ is int and not lo <= value <= hi:
+                    value = coerce(value, fspan)
+                fields[name] = value
         ctor = info.ctors.get(len(args))
         if ctor is not None:
             self._method(ctor.owner, ctor.decl).call(obj, args, span)
@@ -459,42 +516,58 @@ class Interpreter:
     def _s_block(self, stmt: ast.Block):
         return _sequence(self._stmts(stmt))
 
+    # Each statement closure takes its step inline, as _step does: it marks
+    # its instruction id, counts the step and faults past max_steps.
+
     def _s_expr(self, stmt: ast.ExprStmt):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        expr = self._expr(stmt.expr)
+        mark, expr = self._mark(iid), self._expr(stmt.expr)
 
         def run(f):
-            step(iid, span)
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
             expr(f)
 
         return run
 
     def _s_local(self, stmt: ast.LocalDecl):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        sym = self.res.decl_symbols[stmt.uid]
+        mark, sym = self._mark(iid), self.res.decl_symbols[stmt.uid]
         init = (
             self._expr(stmt.initializer)
             if stmt.initializer is not None
             else _constant(_DEFAULTS.get(sym.declared_type))
         )
-        coerce, slot = self._coercer(sym.declared_type), sym.slot
+        (lo, hi, coerce), slot = self._coercer(sym.declared_type), sym.slot
 
         def run(f):
-            step(iid, span)
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
             value = init(f)
-            f[slot] = coerce(value, span) if coerce else value
+            if value.__class__ is int and not lo <= value <= hi:
+                f[slot] = coerce(value, span)
+            else:
+                f[slot] = value
 
         return run
 
     def _s_return(self, stmt: ast.Return):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
+        mark = self._mark(iid)
         value = self._expr(stmt.value) if stmt.value is not None else _constant(None)
 
         def run(f):
-            step(iid, span)
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
             result = value(f)
             return _NULL if result is None else result
 
@@ -510,9 +583,9 @@ class Interpreter:
         return iid, counts
 
     def _s_if(self, stmt: ast.If):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid, counts = self._decision(stmt)
-        cond, cond_span, truthy = self._expr(stmt.cond), stmt.cond.span, self._truthy
+        mark, cond = self._mark(iid), self._condition(stmt.cond)
         then = self._stmts(stmt.then)
         els = self._stmts(stmt.els) if stmt.els is not None else ()
         passed = None
@@ -521,8 +594,11 @@ class Interpreter:
             passed = (origin.unit_name, origin.statement_text, span, "", "passed")
 
         def run(f):
-            step(iid, span)
-            if truthy(cond(f), cond_span):
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
+            if cond(f):
                 counts[0] += 1
                 branch = then
             else:
@@ -545,21 +621,24 @@ class Interpreter:
         return self._loop(stmt, init, stmt.cond, stmt.update)
 
     def _loop(self, stmt, init, cond: ast.Expr | None, update: ast.Expr | None):
-        step, span, truthy = self._step, stmt.span, self._truthy
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid, counts = self._decision(stmt)
-        test = self._expr(cond) if cond is not None else _constant(True)
-        cond_span = cond.span if cond is not None else None
+        mark = self._mark(iid)
+        test = self._condition(cond) if cond is not None else _constant(True)
         body = self._stmts(stmt.body)
         if update is not None:
             update_iid, update_span = self.cfgs.stmt_iids.get(update.uid), update.span
-            update = self._expr(update)
+            mark_update, update = self._mark(update_iid), self._expr(update)
 
         def run(f):
             if init is not None:
                 init(f)
             while True:
-                step(iid, span)
-                if not truthy(test(f), cond_span):
+                mark(iid)
+                trace.steps += 1
+                if trace.steps > limit:
+                    st._step_limit(span)
+                if not test(f):
                     counts[1] += 1
                     return None
                 counts[0] += 1
@@ -568,15 +647,18 @@ class Interpreter:
                     if r is not None:
                         return r
                 if update is not None:
-                    step(update_iid, update_span)
+                    mark_update(update_iid)
+                    trace.steps += 1
+                    if trace.steps > limit:
+                        st._step_limit(update_span)
                     update(f)
 
         return run
 
     def _s_switch(self, stmt: ast.Switch):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        subject = self._expr(stmt.subject)
+        mark, subject = self._mark(iid), self._expr(stmt.subject)
         arms = []  # (label, body, counter index) for labelled cases, in order
         keys = []
         default = None
@@ -595,7 +677,10 @@ class Interpreter:
             self.branch_counters.append((tuple(keys), counts))
 
         def run(f):
-            step(iid, span)
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
             value = subject(f)
             for label, body, k in arms:
                 if label(f) == value:
@@ -621,27 +706,33 @@ class Interpreter:
         return _sequence(body)
 
     def _s_assert(self, stmt: ast.Assert):
-        st, step, span = self, self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        cond, cond_span = self._expr(stmt.condition), stmt.condition.span
+        mark, cond = self._mark(iid), self._condition(stmt.condition)
         message = self._expr(stmt.message) if stmt.message is not None else None
 
         def run(f):
-            step(iid, span)
-            if not st._truthy(cond(f), cond_span):
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
+            if not cond(f):
                 text = format_value(message(f)) if message is not None else ""
                 st._fault(FAULT_ASSERTION_FAILURE, span, text)
 
         return run
 
     def _s_synchronized(self, stmt: ast.Synchronized):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        monitor = self._expr(stmt.monitor)
+        mark, monitor = self._mark(iid), self._expr(stmt.monitor)
         body = self._stmts(stmt.body)
 
         def run(f):
-            step(iid, span)
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
             monitor(f)
             for run_stmt in body:
                 r = run_stmt(f)
@@ -651,9 +742,17 @@ class Interpreter:
         return run
 
     def _s_empty(self, stmt: ast.Empty):
-        step, span = self._step, stmt.span
+        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid = self.cfgs.stmt_iids.get(stmt.uid)
-        return lambda f: step(iid, span)
+        mark = self._mark(iid)
+
+        def run(f):
+            mark(iid)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
+
+        return run
 
     _STMTS = {
         ast.Block: _s_block,
@@ -672,12 +771,30 @@ class Interpreter:
 
     # -- values ----------------------------------------------------------------------
 
-    def _truthy(self, value, span: SourceSpan) -> bool:
-        if isinstance(value, bool):
+    def _condition(self, expr: ast.Expr, span: SourceSpan | None = None):
+        """expr compiled as a condition: a closure returning its bool.  The
+        closures of comparisons, ==, !=, &&, ||, ! and boolean literals can
+        return nothing else, so they need no check.  Any other expression
+        is checked, with span (default: expr's) in its error: a boolean
+        method that falls off its end, for one, returns null."""
+        value = self._expr(expr)
+        if (
+            isinstance(expr, ast.Binary) and expr.op in _BOOLEAN_OPS
+            or isinstance(expr, ast.Unary) and expr.op == "!"
+            or isinstance(expr, ast.Literal) and expr.kind == "boolean"
+        ):
             return value
-        if isinstance(value, int):
-            return value != 0
-        raise InterpreterError(f"{span}: condition is not boolean")
+        message = f"{expr.span if span is None else span}: condition is not boolean"
+
+        def check(f):
+            result = value(f)
+            if result.__class__ is bool:
+                return result
+            if isinstance(result, int):
+                return result != 0
+            raise InterpreterError(message)
+
+        return check
 
     def _wrap_int(self, value: int, span: SourceSpan) -> int:
         if INT_MIN <= value <= INT_MAX:
@@ -703,20 +820,17 @@ class Interpreter:
         )
         return wrapped
 
-    def _store_int(self, value, span: SourceSpan):
-        return self._wrap_int(value, span) if value.__class__ is int else value
-
-    def _store_byte(self, value, span: SourceSpan):
-        return self._wrap_byte(value, span) if value.__class__ is int else value
-
-    def _store_double(self, value, span: SourceSpan):
-        return float(value) if value.__class__ is int else value
-
     def _coercer(self, t: ty.Type):
-        """The conversion a store into a slot of declared type t makes
-        (int and byte wrap, double widens), or None."""
-        stores = {ty.INT: self._store_int, ty.BYTE: self._store_byte, ty.DOUBLE: self._store_double}
-        return stores.get(t)
+        """How a store into a slot of declared type t converts: (lo, hi,
+        coerce).  A value that is not an int, or an int in [lo, hi], is
+        stored as it is, so an in-range int costs no call; coerce converts
+        the other ints (int and byte wrap, double widens every int)."""
+        stores = {
+            ty.INT: (INT_MIN, INT_MAX, self._wrap_int),
+            ty.BYTE: (BYTE_MIN, BYTE_MAX, self._wrap_byte),
+            ty.DOUBLE: (1, 0, _widen),
+        }
+        return stores.get(t, _KEEP_ALL)
 
     def _new_array(self, elem: ty.Type, size: int) -> SLArray:
         self.ordinals += 1
@@ -753,12 +867,10 @@ class Interpreter:
         return lambda f: get(key, default)
 
     def _e_unary(self, expr: ast.Unary):
-        operand, span = self._expr(expr.operand), expr.span
         if expr.op == "!":
-            truthy = self._truthy
-
-            return lambda f: not truthy(operand(f), span)
-        wrap_int = self._wrap_int
+            operand = self._condition(expr.operand, expr.span)
+            return lambda f: not operand(f)
+        operand, span, wrap_int = self._expr(expr.operand), expr.span, self._wrap_int
 
         def negate(f):
             value = operand(f)
@@ -823,19 +935,7 @@ class Interpreter:
         return lambda f: instantiate(name, args(f), span)
 
     def _args(self, exprs: list[ast.Expr]):
-        """A closure building the argument list, left to right.  Up to two
-        arguments skip the comprehension's own frame; that is worth about
-        7 % of the interp benchmark's throughput."""
-        fns = [self._expr(e) for e in exprs]
-        if not fns:
-            return lambda f: []
-        if len(fns) == 1:
-            (a,) = fns
-            return lambda f: [a(f)]
-        if len(fns) == 2:
-            a, b = fns
-            return lambda f: [a(f), b(f)]
-        return lambda f: [fn(f) for fn in fns]
+        return _arguments([self._expr(e) for e in exprs])
 
     # -- operators -------------------------------------------------------------------
 
@@ -843,23 +943,28 @@ class Interpreter:
         op = expr.op
         if op == "=":
             return self._assign(expr)
-        left, right, span = self._expr(expr.left), self._expr(expr.right), expr.span
-        truthy = self._truthy
         if op in ("&&", "||"):
-            left_span, right_span, short = expr.left.span, expr.right.span, op == "||"
+            left, right, short = self._condition(expr.left), self._condition(expr.right), op == "||"
 
             def logical(f):
-                if truthy(left(f), left_span) is short:
+                if left(f) is short:
                     return short
-                return truthy(right(f), right_span)
+                return right(f)
 
             return logical
+        left, span = self._expr(expr.left), expr.span
+        # A literal right operand is bound in as k, with right None, so that
+        # it costs no call.
+        if isinstance(expr.right, ast.Literal):
+            right, k = None, expr.right.value
+        else:
+            right, k = self._expr(expr.right), None
         if op in _INT_OPS:
             fast, slow, wrap_int = _INT_OPS[op], self._arith, self._wrap_int
 
             def arith(f):
                 a = left(f)
-                b = right(f)
+                b = k if right is None else right(f)
                 if a.__class__ is int and b.__class__ is int:
                     result = fast(a, b)
                     if result is not None:
@@ -874,7 +979,7 @@ class Interpreter:
 
             def comparison(f):
                 a = left(f)
-                b = right(f)
+                b = k if right is None else right(f)
                 if a.__class__ in _NUMBERS and b.__class__ in _NUMBERS:
                     return compare(a, b)
                 raise InterpreterError(message)
@@ -884,7 +989,7 @@ class Interpreter:
 
         def equality(f):
             a = left(f)
-            b = right(f)
+            b = k if right is None else right(f)
             if a.__class__ in _REFERENCES or b.__class__ in _REFERENCES:
                 return (a is b) is not negate
             return (a == b) is not negate
@@ -937,19 +1042,22 @@ class Interpreter:
             sym = self.res.name_targets[target.uid]
             if sym.kind == "class":
                 return _fails(f"{span}: cannot assign to class", value_of)
-            coerce, slot = self._coercer(sym.declared_type), sym.slot
+            (lo, hi, coerce), slot = self._coercer(sym.declared_type), sym.slot
             if slot < 0:
-                return self._assign_field(sym, value_of, coerce, span)
+                return self._assign_field(sym, value_of, span)
 
             def store_local(f):
                 value = value_of(f)
-                f[slot] = coerce(value, span) if coerce else value
+                if value.__class__ is int and not lo <= value <= hi:
+                    f[slot] = coerce(value, span)
+                else:
+                    f[slot] = value
                 return value
 
             return store_local
         if isinstance(target, ast.Index):
             array_of, index_of = self._expr(target.array), self._expr(target.index)
-            coerce = self._coercer(self.res.types[target.uid])
+            lo, hi, coerce = self._coercer(self.res.types[target.uid])
 
             def store_element(f):
                 array = array_of(f)
@@ -966,17 +1074,20 @@ class Interpreter:
                     st._fault(
                         FAULT_OUT_OF_BOUNDS, span, f"index {index} outside [0, {len(values) - 1}]"
                     )
-                values[index] = coerce(value, span) if coerce else value
+                if value.__class__ is int and not lo <= value <= hi:
+                    values[index] = coerce(value, span)
+                else:
+                    values[index] = value
                 return value
 
             return store_element
         # The parser accepts no other target than a name, an element or a field.
         sym = self.res.field_targets[target.uid]
-        coerce = self._coercer(sym.declared_type)
         if sym.static:
-            store = self._assign_field(sym, value_of, coerce, span)
+            store = self._assign_field(sym, value_of, span)
             return self._static_access(target.receiver, store)
         receiver_of, name = self._expr(target.receiver), target.name
+        lo, hi, coerce = self._coercer(sym.declared_type)
 
         def store_field(f):
             receiver = receiver_of(f)
@@ -985,7 +1096,10 @@ class Interpreter:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
             if not isinstance(receiver, SLObject):
                 raise InterpreterError(f"{span}: field store on non-object")
-            receiver.fields[name] = coerce(value, span) if coerce else value
+            if value.__class__ is int and not lo <= value <= hi:
+                receiver.fields[name] = coerce(value, span)
+            else:
+                receiver.fields[name] = value
             return value
 
         return store_field
@@ -1003,13 +1117,17 @@ class Interpreter:
 
         return run
 
-    def _assign_field(self, sym, value_of, coerce, span: SourceSpan):
+    def _assign_field(self, sym, value_of, span: SourceSpan):
+        lo, hi, coerce = self._coercer(sym.declared_type)
         if sym.static:
             statics, key = self.statics, (sym.owner, sym.name)
 
             def store_static(f):
                 value = value_of(f)
-                statics[key] = coerce(value, span) if coerce else value
+                if value.__class__ is int and not lo <= value <= hi:
+                    statics[key] = coerce(value, span)
+                else:
+                    statics[key] = value
                 return value
 
             return store_static
@@ -1017,7 +1135,10 @@ class Interpreter:
 
         def store_member(f):
             value = value_of(f)
-            coerced = coerce(value, span) if coerce else value
+            if value.__class__ is int and not lo <= value <= hi:
+                coerced = coerce(value, span)
+            else:
+                coerced = value
             if f[0] is None:
                 raise InterpreterError(missing)
             f[0].fields[name] = coerced
@@ -1033,12 +1154,22 @@ class Interpreter:
         if target.kind == "builtin":
             return self._builtin(expr, target.id.split(":", 1)[1])
         minfo = target.method
-        args = self._args(expr.args)
+        fns = [self._expr(e) for e in expr.args]
         explicit = expr.receiver is not None
         if minfo.decl.is_static:  # bound here, whatever the receiver holds
             method = self._method(minfo.owner, minfo.decl)
-            call = lambda f: method.call(None, args(f), span)
+            # One or two arguments are listed in the call itself.
+            if len(fns) == 1:
+                (a,) = fns
+                call = lambda f: method.call(None, [a(f)], span)
+            elif len(fns) == 2:
+                a, b = fns
+                call = lambda f: method.call(None, [a(f), b(f)], span)
+            else:
+                args = _arguments(fns)
+                call = lambda f: method.call(None, args(f), span)
             return self._static_access(expr.receiver, call) if explicit else call
+        args = _arguments(fns)
         # Virtual dispatch on the receiver, or on this for an unqualified call.
         receiver_of = self._expr(expr.receiver) if explicit else itemgetter(0)
         key, table = (name, len(expr.args)), self._table
@@ -1204,6 +1335,8 @@ def _int_mod(a: int, b: int) -> int | None:
 # with a negative operand or by zero).
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _int_div, "%": _int_mod}
 _COMPARE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# The operators whose closures return only a bool.
+_BOOLEAN_OPS = frozenset(("==", "!=", "&&", "||", *_COMPARE_OPS))
 
 
 def execute(

@@ -16,6 +16,7 @@ walking the tree.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -55,6 +56,8 @@ STREAM_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
 }
 
 BUILTIN_CLASSES = {"Thread", "Stream", "Exception"}
+
+_LITERAL_TYPES = {"int": ty.INT, "double": ty.DOUBLE, "string": ty.STRING, "boolean": ty.BOOLEAN}
 
 
 @dataclass
@@ -142,12 +145,14 @@ class Resolution:
     types: dict[int, Type]
     diagnostics: list[Exception]
     # The unit's node index, built in one walk before resolution: every node
-    # in pre-order; the nodes grouped by class (each group in pre-order); uid
-    # -> position in that order; position -> end of the node's subtree, so
-    # that a subtree is nodes[position:end]; uid -> parent (None for the
-    # unit); and decl uid -> the first symbol it declares.
+    # in pre-order; the nodes grouped by class (each group in pre-order), and
+    # their positions in that order grouped the same way; uid -> position;
+    # position -> end of the node's subtree, so that a subtree is
+    # nodes[position:end]; uid -> parent (None for the unit); and decl uid
+    # -> the first symbol it declares.
     nodes: list[ast.Node] = field(default_factory=list)
     by_type: dict[type, list[ast.Node]] = field(default_factory=dict)
+    positions_by_type: dict[type, list[int]] = field(default_factory=dict)
     positions: array = field(default_factory=lambda: array("l"))
     ends: array = field(default_factory=lambda: array("l"))
     parents: list[ast.Node | None] = field(default_factory=list)
@@ -158,7 +163,9 @@ class Resolution:
         """Nodes whose exact class is one of kinds, in pre-order."""
         if len(kinds) == 1:
             return self.by_type.get(kinds[0], [])
-        return [node for node in self.nodes if type(node) in kinds]
+        groups = self.positions_by_type
+        order = sorted(itertools.chain.from_iterable(groups.get(kind, ()) for kind in kinds))
+        return list(map(self.nodes.__getitem__, order))
 
     def parent(self, node: ast.Node) -> ast.Node | None:
         """The node's parent; None for the unit."""
@@ -253,7 +260,7 @@ class _Resolver:
         # is the node it reaches after that node's subtree (None: the end),
         # so that node's position is where the subtree ends.
         res = self.res
-        nodes, by_type = res.nodes, res.by_type
+        nodes, by_type, positions_by_type = res.nodes, res.by_type, res.positions_by_type
         # Parsed units number their nodes below next_uid; a unit built by
         # hand may not, and the uid-indexed tables grow to fit it.
         size = max(self.unit.next_uid, self.unit.uid + 1)
@@ -268,10 +275,16 @@ class _Resolver:
         after: list[ast.Node | None] = []
         stack: list[ast.Node | None] = [None, self.unit]
         while (node := stack.pop()) is not None:
-            positions[node.uid] = len(nodes)
+            pos = positions[node.uid] = len(nodes)
             nodes.append(node)
             after.append(stack[-1])
-            by_type.setdefault(type(node), []).append(node)
+            kind = type(node)
+            group = by_type.get(kind)
+            if group is None:
+                group = by_type[kind] = []
+                positions_by_type[kind] = []
+            group.append(node)
+            positions_by_type[kind].append(pos)
             children = ast.child_nodes(node)
             for child in children:
                 if child.uid >= size:
@@ -561,8 +574,7 @@ class _Resolver:
 
     def _expr(self, expr: ast.Expr, scope: Scope, store: bool = False) -> Type:
         if isinstance(expr, ast.Literal):
-            kinds = {"int": ty.INT, "double": ty.DOUBLE, "string": ty.STRING, "boolean": ty.BOOLEAN}
-            return self._set(expr, kinds[expr.kind])
+            return self._set(expr, _LITERAL_TYPES[expr.kind])
         if isinstance(expr, ast.Null):
             return self._set(expr, ty.NULL)
         if isinstance(expr, ast.Name):

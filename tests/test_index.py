@@ -147,3 +147,21 @@ def test_no_module_walks_the_tree_but_the_ast_module():
         for line in _walk_calls(path)
     ]
     assert found == []
+
+
+def _nodes_of_kinds(path):
+    """The kind tuples of every nodes_of(ast.K, ...) call in a module."""
+    tree = pyast.parse(path.read_text(), str(path))
+    for node in pyast.walk(tree):
+        if (isinstance(node, pyast.Call) and isinstance(node.func, pyast.Attribute)
+                and node.func.attr == "nodes_of"):
+            yield tuple(getattr(ast, arg.attr) for arg in node.args)
+
+
+def test_nodes_of_is_the_scan_for_every_kind_tuple_in_src(units):
+    kinds = {k for path in sorted(SRC.rglob("*.py")) for k in _nodes_of_kinds(path)}
+    assert len([k for k in kinds if len(k) > 1]) >= 6
+    for unit in units:
+        res = build_symbol_table(unit)
+        for k in kinds:
+            assert res.nodes_of(*k) == [n for n in res.nodes if type(n) in k], (unit.file, k)

@@ -516,6 +516,191 @@ class T {
     assert trace.stdout == []
 
 
+
+# -- checks the compiled closures take inline or skip ------------------------------
+
+# Steps counted by hand: the declaration is step 1 and each loop test,
+# if, statement and for update one more, so that step max_steps + 1 is
+# the statement named.
+STEP_LIMIT_SITES = {
+    "if_condition": (
+        """\
+class T {
+    static void main(String[] args) {
+        int i = 0;
+        while (true) {
+            if (i < 3) {
+                i = i + 1;
+            }
+        }
+    }
+}
+""",
+        8,
+        (5, 13),
+        [],
+    ),
+    "while_test": (
+        """\
+class T {
+    static void main(String[] args) {
+        int i = 0;
+        while (i < 100) {
+            i = i + 1;
+        }
+    }
+}
+""",
+        5,
+        (4, 9),
+        [],
+    ),
+    "for_update": (
+        """\
+class T {
+    static void main(String[] args) {
+        for (int i = 0; i < 10; i++) {
+            println(i);
+        }
+    }
+}
+""",
+        6,
+        (3, 33),
+        ["0", "1"],
+    ),
+    "expression_statement": (
+        """\
+class T {
+    static void main(String[] args) {
+        int i = 0;
+        while (i < 100) {
+            println(i);
+            i = i + 1;
+        }
+    }
+}
+""",
+        5,
+        (5, 13),
+        ["0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(STEP_LIMIT_SITES))
+def test_step_limit_fires_at_the_same_step_and_span(site):
+    source, limit, (line, column), stdout = STEP_LIMIT_SITES[site]
+    trace = run(source, max_steps=limit)
+    assert [(f.kind, f.span.line, f.span.column, f.detail) for f in trace.faults] == [
+        (FAULT_STEP_LIMIT, line, column, f"step limit {limit} exceeded")
+    ]
+    assert trace.steps == limit + 1
+    assert trace.stdout == stdout
+
+
+FALLS_OFF = """\
+class T {
+    static boolean g() {
+    }
+
+    static void main(String[] args) {
+        %s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, column",
+    [
+        ("if (g()) { println(1); }", 13),
+        ("while (g()) { }", 16),
+        ("for (; g(); ) { }", 16),
+        ("boolean b = !g();", 21),
+        ("boolean b = true && g();", 29),
+        ("boolean b = g();\n        if (b) { }", 13),
+        ("assert g();", 9),
+    ],
+)
+def test_null_from_a_boolean_method_is_not_a_condition(statement, column):
+    # A boolean method that falls off its end returns null.
+    line = 7 if "\n" in statement else 6
+    with pytest.raises(InterpreterError) as err:
+        run(FALLS_OFF % statement, assertions_enabled=True)
+    assert str(err.value) == f"t.sl:{line}:{column}: condition is not boolean"
+
+
+def _overflows(trace):
+    return [(f.span.line, f.span.column, f.detail) for f in trace.faults]
+
+
+def test_increment_past_int_max_warns_once():
+    source = """\
+class T {
+    static void main(String[] args) {
+        int y = 2147483647;
+        y = y + 1;
+        println(y);
+    }
+}
+"""
+    trace = run(source)
+    assert _overflows(trace) == [(4, 13, "32-bit result 2147483648 wrapped to -2147483648")]
+    assert trace.stdout == ["-2147483648"]
+
+
+def test_out_of_range_int_literal_warns_at_the_store():
+    source = """\
+class T {
+    static void main(String[] args) {
+        int x = 3000000000;
+        println(x);
+    }
+}
+"""
+    trace = run(source)
+    assert _overflows(trace) == [(3, 9, "32-bit result 3000000000 wrapped to -1294967296")]
+    assert trace.stdout == ["-1294967296"]
+
+
+def test_byte_accumulator_wraps_and_double_store_widens():
+    source = """\
+class T {
+    static int twice(int n) {
+        return n * 2;
+    }
+
+    static int same(byte b, int n) {
+        return b + n;
+    }
+
+    static void main(String[] args) {
+        byte acc = 100;
+        for (int i = 0; i < 3; i++) {
+            acc = acc + 20;
+        }
+        println(acc);
+        int i = 1;
+        double d = i + 1;
+        println(d);
+        d = i * 3;
+        println(d);
+        println(twice(2000000000));
+        println(same(200, 3000000000));
+    }
+}
+"""
+    trace = run(source)
+    assert _overflows(trace) == [
+        (13, 13, "8-bit result 140 wrapped to -116"),
+        (3, 16, "32-bit result 4000000000 wrapped to -294967296"),
+        (22, 17, "8-bit result 200 wrapped to -56"),
+        (22, 17, "32-bit result 3000000000 wrapped to -1294967296"),
+    ]
+    assert trace.stdout == ["-96", "2.0", "3.0", "-294967296", "-1294967352"]
+
+
 # -- call depth -------------------------------------------------------------------
 
 

@@ -9,7 +9,11 @@ import pytest
 from overrun_lint.cli import main
 from overrun_lint.errors import NestingError
 from overrun_lint.frontend import parse_source
+from overrun_lint.frontend import ast
 from overrun_lint.frontend.parser import MAX_NESTING
+from overrun_lint.pipeline import run_source
+from overrun_lint.runtime import RunOptions
+from overrun_lint.runtime.interpreter import Interpreter
 
 COMMANDS = ("analyze", "boundcheck", "run", "metrics", "cpd")
 
@@ -100,3 +104,22 @@ def test_levels_count_the_tree_not_the_parser_stack():
     parse_source(_main("int v = " + _nest("(", f"){chain}", "1", 9) + ";"))  # level 1 + 9 * 21
     with pytest.raises(NestingError):
         parse_source(_main("int v = " + _nest("(", f"){chain}", "1", 10) + ";"))
+
+
+@pytest.mark.parametrize("shape", ["call", "plus"])
+def test_the_interpreter_compiles_each_expression_once(shape, monkeypatch):
+    # Compiling an operand twice at every level is exponential in the
+    # nesting: fail at the first repeat rather than hang.
+    compiled: set[int] = set()
+    compile_expr = Interpreter._expr
+
+    def once(self, expr):
+        assert expr.uid not in compiled, f"{type(expr).__name__} at {expr.span} compiled twice"
+        compiled.add(expr.uid)
+        return compile_expr(self, expr)
+
+    monkeypatch.setattr(Interpreter, "_expr", once)
+    trace, analyzed = run_source(SHAPES[shape](MAX_NESTING), "deep.sl", RunOptions())
+    assert trace.halting_fault is None
+    expressions = [n for n in analyzed.res.nodes if isinstance(n, ast.Expr)]
+    assert MAX_NESTING - 1 <= len(compiled) <= len(expressions)
