@@ -6,6 +6,7 @@ from .interpreter import (
     execute,
     format_value,
     FAULT_ASSERTION_FAILURE,
+    FAULT_MISSING_RETURN,
     FAULT_NULL_DEREFERENCE,
     FAULT_OUT_OF_BOUNDS,
     FAULT_OVERFLOW_WARNING,
@@ -22,6 +23,7 @@ __all__ = [
     "execute",
     "format_value",
     "FAULT_ASSERTION_FAILURE",
+    "FAULT_MISSING_RETURN",
     "FAULT_NULL_DEREFERENCE",
     "FAULT_OUT_OF_BOUNDS",
     "FAULT_OVERFLOW_WARNING",

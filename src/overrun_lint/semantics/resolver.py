@@ -4,7 +4,11 @@ build_symbol_table walks a parsed unit, builds the scope tree, resolves
 every Name/Call/FieldAccess, counts reads and writes per symbol, numbers
 each method's parameters and locals into the interpreter's frame slots, and
 types every expression.  Unresolved identifiers are collected as diagnostics;
-operator/operand mismatches raise TypeCheckError.
+operator/operand mismatches raise TypeCheckError.  So do the two rules Java
+keeps for static contexts (JLS 8.1.3, 15.12.3): a class name is no value,
+only the receiver of a static field or method; and a static method or a
+static field initializer has no this, so it names no instance field,
+instance method or Thread builtin without a receiver.
 
 Before resolving, one pre-order walk indexes the unit on the Resolution:
 every node in ast.walk's order, each node's position in that order and the
@@ -195,6 +199,12 @@ class Resolution:
                 yield parent.cond, cur is parent.body
             cur, parent = parent, parents[parent.uid]
 
+    def names_class(self, expr: ast.Expr) -> bool:
+        """Whether expr is a class name: a receiver that only a static
+        field or method may have, and that does not run."""
+        sym = self.name_targets.get(expr.uid) if isinstance(expr, ast.Name) else None
+        return sym is not None and sym.kind == "class"
+
     def ancestors(self, name: str | None) -> list[ClassInfo]:
         """The class and its bases, nearest first: the one base-class walk.
         It stops at the first base that is not a class of this unit (such
@@ -244,6 +254,7 @@ class _Resolver:
         self.global_scope = Scope(owner=unit)
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
+        self.static_context = False  # resolving a static method or field initializer
 
     # -- driver ------------------------------------------------------------
 
@@ -385,6 +396,7 @@ class _Resolver:
         self.res.scopes[cls.uid] = class_scope
         for fld in cls.fields:
             if fld.initializer is not None:
+                self.static_context = fld.static
                 value_t = self._expr(fld.initializer, class_scope)
                 self._require_assignable(
                     ty.from_type_ref(fld.type), value_t, fld.span, "field initializer"
@@ -400,6 +412,7 @@ class _Resolver:
 
     def _resolve_method(self, method: ast.MethodDecl, class_scope: Scope) -> None:
         self.current_method = method
+        self.static_context = method.is_static
         scope = Scope(owner=method, parent=class_scope)
         if not method.is_static:
             this_sym = self._sym(
@@ -572,7 +585,19 @@ class _Resolver:
         self.res.types[expr.uid] = t
         return t
 
-    def _expr(self, expr: ast.Expr, scope: Scope, store: bool = False) -> Type:
+    def _require_static(self, static: bool, span: SourceSpan, kind: str, name: str) -> None:
+        """Raise unless the member reached from a static context, or through
+        a class name, is static."""
+        if not static:
+            raise TypeCheckError(
+                span, f"non-static {kind} '{name}' cannot be referenced from a static context"
+            )
+
+    def _expr(
+        self, expr: ast.Expr, scope: Scope, store: bool = False, receiver: bool = False
+    ) -> Type:
+        """The type of expr.  A receiver, of a field or a method, may also
+        be a class name."""
         if isinstance(expr, ast.Literal):
             return self._set(expr, _LITERAL_TYPES[expr.kind])
         if isinstance(expr, ast.Null):
@@ -582,6 +607,10 @@ class _Resolver:
             if sym is None:
                 self.res.diagnostics.append(ResolutionError(expr.span, expr.identifier))
                 return self._set(expr, ty.UNKNOWN)
+            if sym.kind == "class" and not receiver:
+                raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
+            if sym.kind == "field" and self.static_context:
+                self._require_static(sym.static, expr.span, "field", sym.name)
             self.res.name_targets[expr.uid] = sym
             if store:
                 sym.write_count += 1
@@ -672,7 +701,7 @@ class _Resolver:
         return isinstance(a, ref) and isinstance(b, ref)
 
     def _field_access(self, expr: ast.FieldAccess, scope: Scope, store: bool) -> Type:
-        receiver_t = self._expr(expr.receiver, scope)
+        receiver_t = self._expr(expr.receiver, scope, receiver=True)
         if receiver_t == ty.UNKNOWN:
             return self._set(expr, ty.UNKNOWN)
         if isinstance(receiver_t, ty.ArrayType) or not isinstance(receiver_t, ty.ClassType):
@@ -682,6 +711,8 @@ class _Resolver:
         if sym is None:
             self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
             return self._set(expr, ty.UNKNOWN)
+        if self.res.names_class(expr.receiver):
+            self._require_static(sym.static, expr.span, "field", expr.name)
         self.res.field_targets[expr.uid] = sym
         if store:
             sym.write_count += 1
@@ -771,6 +802,8 @@ class _Resolver:
             if self.current_class is not None:
                 minfo = self._lookup_method(self.current_class.name, expr.name, len(expr.args))
                 if minfo is not None:
+                    if self.static_context:
+                        self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
                     return self._method_call(expr, minfo, arg_ts)
             if (
                 self.current_class is not None
@@ -778,21 +811,28 @@ class _Resolver:
                 and expr.name in THREAD_METHODS
                 and len(expr.args) == len(THREAD_METHODS[expr.name][0])
             ):
+                if self.static_context:  # a Thread builtin is an instance method
+                    self._require_static(False, expr.span, "method", expr.name)
                 return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
             if expr.name in BUILTIN_FUNCTIONS:
                 return self._builtin_call(expr, "", BUILTIN_FUNCTIONS, arg_ts)
             self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
             return self._unknown_call(expr, ty.UNKNOWN)
-        receiver_t = self._expr(expr.receiver, scope)
+        receiver_t = self._expr(expr.receiver, scope, receiver=True)
         if receiver_t == ty.UNKNOWN:
             return self._unknown_call(expr, ty.UNKNOWN)
         if isinstance(receiver_t, ty.ClassType):
             if receiver_t.name == "Stream" and expr.name in STREAM_METHODS:
                 return self._builtin_call(expr, "Stream.", STREAM_METHODS, arg_ts)
+            of_class = self.res.names_class(expr.receiver)
             minfo = self._lookup_method(receiver_t.name, expr.name, len(expr.args))
             if minfo is not None:
+                if of_class:
+                    self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
                 return self._method_call(expr, minfo, arg_ts)
             if self._thread_visible(receiver_t.name) and expr.name in THREAD_METHODS:
+                if of_class:
+                    self._require_static(False, expr.span, "method", expr.name)
                 return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
         self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
         return self._unknown_call(expr, ty.UNKNOWN)

@@ -3,6 +3,8 @@ import io
 import json
 from xml.etree import ElementTree as ET
 
+import pytest
+
 from overrun_lint.cli import main
 
 
@@ -301,3 +303,49 @@ def test_cyclic_inheritance_exits_two(tmp_path):
         )
         assert done.returncode == 2, (command, done.stderr)
         assert "cyclic inheritance involving 'A'" in done.stderr
+
+
+# Programs the types once let through to a Python traceback: each ends in a
+# fault (exit 1) or a spanned error (exit 2).
+NO_TRACEBACK = {
+    "negate_missing_return.sl": (
+        "class Main {\n"
+        "    static int g() { }\n"
+        "    static void main(String[] args) { int x = -g(); println(x); }\n"
+        "}\n",
+        1,
+        "fault: missing_return at negate_missing_return.sl:2",
+    ),
+    "int_entry.sl": (
+        "class Main { static void main(int x) { println(x + 1); } }\n",
+        2,
+        "entry Main.main(int) must take no parameters or one String[]",
+    ),
+    "class_as_value.sl": (
+        "class C { }\nclass Main { static void main(String[] args) { C c = C; } }\n",
+        2,
+        "class_as_value.sl:2:54: class name C is not a value",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TRACEBACK))
+def test_run_ends_in_a_fault_or_an_error_not_a_traceback(name, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    source, code, message = NO_TRACEBACK[name]
+    path = tmp_path / name
+    path.write_text(source)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "overrun_lint.cli", "run", name],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""

@@ -5,10 +5,12 @@ from overrun_lint.errors import (
     DuplicateDeclaration,
     EntryNotFoundError,
     InterpreterError,
+    TypeCheckError,
 )
 from overrun_lint.pipeline import analyze_source, run_source
 from overrun_lint.runtime import (
     FAULT_ASSERTION_FAILURE,
+    FAULT_MISSING_RETURN,
     FAULT_NULL_DEREFERENCE,
     FAULT_OUT_OF_BOUNDS,
     FAULT_OVERFLOW_WARNING,
@@ -243,6 +245,26 @@ def test_explicit_entry():
     assert trace.stdout == ["7"]
 
 
+@pytest.mark.parametrize(
+    "params, runs",
+    [
+        ("", True),
+        ("String[] args", True),
+        ("int x", False),
+        ("String s", False),
+        ("String[] args, int n", False),
+        ("int[] xs", False),
+    ],
+)
+def test_entry_takes_no_parameters_or_one_string_array(params, runs):
+    source = "class T { static void main(%s) { println(1); } }" % params
+    if runs:
+        assert run(source).stdout == ["1"]
+        return
+    with pytest.raises(EntryNotFoundError, match="must take no parameters or one String"):
+        run(source)
+
+
 def test_static_fields_through_class_name_and_instance():
     source = """\
 class Counter {
@@ -348,18 +370,31 @@ def test_operands_run_in_java_order(statement, tail, faults):
 @pytest.mark.parametrize(
     "statement, message",
     [
-        ("C c = C;", "class name C used as a value"),
-        ("C = null;", "cannot assign to class"),
-        ("C.inst();", "class name C used as a value"),
+        pytest.param(
+            "C c = C;",
+            "t.sl:2:54: class name C is not a value",
+            id="C c = C;-class name C used as a value",
+        ),
+        pytest.param(
+            "C = null;",
+            "t.sl:2:48: class name C is not a value",
+            id="C = null;-cannot assign to class",
+        ),
+        pytest.param(
+            "C.inst();",
+            "t.sl:2:48: non-static method 'inst' cannot be referenced from a static context",
+            id="C.inst();-class name C used as a value",
+        ),
     ],
 )
 def test_class_name_is_not_a_value(statement, message):
-    # The resolver accepts these, so the interpreter keeps their guards.
+    # A class name is only the receiver of a static field or method, so the
+    # resolver rejects each of these and run executes nothing.
     source = "class C { void inst() { } }\nclass Main { static void main(String[] args) { %s } }"
-    analyzed = analyze_source(source % statement, "t.sl")
-    assert analyzed.res.diagnostics == []
-    with pytest.raises(InterpreterError, match=message):
-        run(source % statement)
+    for check in (lambda: analyze_source(source % statement, "t.sl"), lambda: run(source % statement)):
+        with pytest.raises(TypeCheckError) as err:
+            check()
+        assert str(err.value) == message
 
 
 def test_run_source_refuses_a_unit_the_resolver_rejects():
@@ -624,11 +659,73 @@ class T {
     ],
 )
 def test_null_from_a_boolean_method_is_not_a_condition(statement, column):
-    # A boolean method that falls off its end returns null.
-    line = 7 if "\n" in statement else 6
-    with pytest.raises(InterpreterError) as err:
-        run(FALLS_OFF % statement, assertions_enabled=True)
-    assert str(err.value) == f"t.sl:{line}:{column}: condition is not boolean"
+    # A boolean method that falls off its end has no value to return: the
+    # run halts there, before any condition could see a null.
+    trace = run(FALLS_OFF % statement, assertions_enabled=True)
+    assert [(f.kind, str(f.span), f.detail) for f in trace.faults] == [
+        (FAULT_MISSING_RETURN, "t.sl:3:5", "T.g/0 reached its end without returning a value")
+    ]
+    assert "T.g/0" in trace.entered_methods
+
+
+def test_return_converts_like_a_store():
+    source = """\
+class T {
+    static double h() { return 1; }
+    static byte b() { return 200; }
+    static int i() { byte k = 100; return k; }
+    static void main(String[] args) {
+        println(h());
+        println(h() / 2);
+        println(b());
+        println(i());
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["1.0", "0.5", "-56", "100"]
+    assert [(f.kind, str(f.span), f.detail) for f in trace.faults] == [
+        (FAULT_OVERFLOW_WARNING, "t.sl:3:23", "8-bit result 200 wrapped to -56")
+    ]
+
+
+def test_assignment_yields_the_stored_value():
+    source = """\
+class Box { double d; byte b; static byte s; }
+class T {
+    static void main(String[] args) {
+        Box box = new Box();
+        double x;
+        byte[] bs = new byte[1];
+        println(x = 3);
+        println(box.d = 4);
+        println(box.b = 300);
+        println(Box.s = 129);
+        println(bs[0] = 255);
+        println(x + box.d + box.b + Box.s + bs[0]);
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["3.0", "4.0", "44", "-127", "-1", "-77.0"]
+
+
+def test_string_plus_is_chosen_by_type():
+    # Java: a String operand, null or not, makes + a concatenation.
+    source = """\
+class T {
+    static void main(String[] args) {
+        String s = null;
+        println(s + 1);
+        println(1.5 + s);
+        println(s + "x");
+        println(s + null + true);
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["null1", "1.5null", "nullx", "nullnulltrue"]
+    assert trace.faults == []
 
 
 def _overflows(trace):

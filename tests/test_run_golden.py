@@ -650,6 +650,7 @@ class Main {
 """,
         {},
     ),
+    # An int method that reaches its end halts the run with missing_return.
     "void_result": (
         """\
 class Main {
@@ -708,8 +709,11 @@ class Main {
     ),
 }
 
-# Runs that end in an error, InterpreterError or (for error_unresolved_call)
-# the resolver's first diagnostic: the digest pins the exception's text.
+# Runs that end in an error, InterpreterError or (for error_unresolved_call
+# and error_instance_call_without_receiver) the resolver's error: the
+# digest pins the exception's text.  The int and boolean methods of
+# error_non_boolean_condition fall off their ends, so that run halts at the
+# first with a missing_return fault instead.
 ERROR_SNIPPETS: dict[str, str] = {
     "error_integer_division_by_zero": """\
 class Main {

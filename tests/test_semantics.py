@@ -98,6 +98,59 @@ def test_type_errors(source):
         build_symbol_table(unit)
 
 
+STATIC_CONTEXT = "cannot be referenced from a static context"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # A class name is only the receiver of a static member.
+        ("class C { static void m() { C c = C; } }", "1:35: class name C is not a value"),
+        ("class C { static void m() { C = null; } }", "1:29: class name C is not a value"),
+        ("class C { static void m() { synchronized (C) { } } }", "1:43: class name C is not a value"),
+        ("class C { void i() { } static void m() { C.i(); } }", f"1:42: non-static method 'i' {STATIC_CONTEXT}"),
+        ("class C { int f; static void m() { println(C.f); } }", f"1:44: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class C { int f; static void m() { C.f = 1; } }", f"1:36: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class T extends Thread { static void m() { T.start(); } }", f"1:44: non-static method 'start' {STATIC_CONTEXT}"),
+        # A static method or static field initializer has no this.
+        ("class C { int f; static void m() { f = 1; } }", f"1:36: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class C { int f; static int m() { return f; } }", f"1:42: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class C { void i() { } static void m() { i(); } }", f"1:42: non-static method 'i' {STATIC_CONTEXT}"),
+        ("class C { int f; static int s = f; }", f"1:33: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class C { int i() { return 1; } static int s = i(); }", f"1:48: non-static method 'i' {STATIC_CONTEXT}"),
+        ("class B { int f; } class C extends B { static void m() { f = 1; } }", f"1:58: non-static field 'f' {STATIC_CONTEXT}"),
+        ("class T extends Thread { static void m() { start(); } }", f"1:44: non-static method 'start' {STATIC_CONTEXT}"),
+        ("class T extends Thread { static void m() { println(getName()); } }", f"1:52: non-static method 'getName' {STATIC_CONTEXT}"),
+    ],
+)
+def test_static_context_rules(source, message):
+    with pytest.raises(TypeCheckError) as err:
+        resolve(source)
+    assert str(err.value) == f"t.sl:{message}"
+
+
+def test_static_members_and_instance_contexts_resolve():
+    _, res = resolve(
+        """\
+class B { int inherited; }
+class C extends B {
+    static int total = 1;
+    static int twice = total * 2;
+    int f = total + inherited;
+    int g = h();
+    int h() { return f + total + C.total + twice(); }
+    static int twice() { return C.twice + total; }
+    static void m(C c) { c.f = C.twice(); c.h(); println(c.total); }
+}
+class T extends Thread {
+    String name = getName();
+    void run() { start(); println(getName()); T t = this; t.sleep(1); }
+}
+"""
+    )
+    assert res.diagnostics == []
+
+
 def test_constant_int_condition_is_legal():
     resolve("class A { void m() { if (1) { println(1); } } }")
 
