@@ -133,7 +133,7 @@ class _Halt(Exception):
 @dataclass
 class SLObject:
     cls_name: str
-    fields: dict[str, object]
+    fields: dict[int, object]  # field declaration uid -> value
     ordinal: int
 
 
@@ -257,7 +257,7 @@ class Interpreter:
         # Compiled code and tables, built on first use and dropped with the run.
         self.methods: dict[int, _Method] = {}  # MethodDecl uid -> entry point
         self.tables: dict[str, dict[tuple[str, int], _Method]] = {}  # class -> virtual table
-        self.layouts: dict[str, list] = {}  # class -> field initialisation, base first
+        self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initialisers)
         # (branch keys, their counts) per decision; the closures count.
         self.branch_counters: list[tuple[tuple, list[int]]] = []
 
@@ -460,37 +460,38 @@ class Interpreter:
                 run.call(receiver, [], span)
         return None  # run, wait and sleep do nothing
 
-    def _layout(self, class_name: str) -> list:
-        """Per class of the chain, base first: (defaults, initialisers)."""
+    def _layout(self, class_name: str) -> tuple:
+        """(defaults, initialisers) of a class's instance fields: the
+        defaults of the whole chain, and the initialisers base first."""
         layout = self.layouts.get(class_name)
         if layout is None:
-            layout = []
+            defaults, inits = {}, []
             for info in reversed(self.res.ancestors(class_name)):
                 fields = [
                     (fld, self.res.decl_symbols[fld.uid].declared_type)
                     for fld in info.decl.fields if not fld.static
                 ]
-                defaults = {fld.name: _DEFAULTS.get(t) for fld, t in fields}
-                inits = [
-                    (fld.name, self._expr(fld.initializer), *self._coercer(t), fld.span)
+                defaults.update((fld.uid, _DEFAULTS.get(t)) for fld, t in fields)
+                inits += [
+                    (fld.uid, self._expr(fld.initializer), *self._coercer(t), fld.span)
                     for fld, t in fields if fld.initializer is not None
                 ]
-                layout.append((defaults, inits))
-            self.layouts[class_name] = layout
+            layout = self.layouts[class_name] = (defaults, inits)
         return layout
 
     def _instantiate(self, class_name: str, args: list, span: SourceSpan) -> SLObject:
         info = self.res.classes[class_name]
         self.ordinals += 1
-        obj = SLObject(cls_name=class_name, fields={}, ordinal=self.ordinals)
+        defaults, inits = self._layout(class_name)
+        # Every field holds its default before any initialiser runs (JLS
+        # 12.5), so a base initialiser calling an override sees them all.
+        obj = SLObject(cls_name=class_name, fields=dict(defaults), ordinal=self.ordinals)
         fields = obj.fields
-        for defaults, inits in self._layout(class_name):
-            fields.update(defaults)
-            for name, init, lo, hi, coerce, fspan in inits:
-                value = init([obj])
-                if value.__class__ is int and not lo <= value <= hi:
-                    value = coerce(value, fspan)
-                fields[name] = value
+        for key, init, lo, hi, coerce, fspan in inits:
+            value = init([obj])
+            if value.__class__ is int and not lo <= value <= hi:
+                value = coerce(value, fspan)
+            fields[key] = value
         ctor = info.ctors.get(len(args))
         if ctor is not None:
             self._method(ctor.owner, ctor.decl).call(obj, args, span)
@@ -567,20 +568,8 @@ class Interpreter:
         method = self.res.parent(stmt)
         while not isinstance(method, ast.MethodDecl):
             method = self.res.parent(method)
+        # An int, byte or double method converts its result like a store.
         lo, hi, coerce = self._coercer(ty.from_type_ref(method.return_type))
-        if coerce is not None:  # an int, byte or double method converts
-
-            def convert(f):
-                mark(iid)
-                trace.steps += 1
-                if trace.steps > limit:
-                    st._step_limit(span)
-                result = value(f)
-                if result.__class__ is int and not lo <= result <= hi:
-                    return coerce(result, span)
-                return result
-
-            return convert
 
         def run(f):
             mark(iid)
@@ -588,6 +577,8 @@ class Interpreter:
             if trace.steps > limit:
                 st._step_limit(span)
             result = value(f)
+            if result.__class__ is int and not lo <= result <= hi:
+                return coerce(result, span)
             return _NULL if result is None else result
 
         return run
@@ -850,8 +841,8 @@ class Interpreter:
         if sym.static:
             return self._load_static(sym)
         # A field of this: the resolver accepts one only where there is a this.
-        name = sym.name
-        return lambda f: f[0].fields.get(name)
+        key = sym.decl_uid
+        return lambda f: f[0].fields[key]
 
     def _load_static(self, sym):
         get, key = self.statics.get, (sym.owner, sym.name)
@@ -886,12 +877,13 @@ class Interpreter:
         if sym.static:
             return self._static_access(expr.receiver, self._load_static(sym))
         st, receiver, name, span = self, self._expr(expr.receiver), expr.name, expr.span
+        key = sym.decl_uid
 
         def run(f):
             obj = receiver(f)
             if obj is None:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
-            return obj.fields.get(name)
+            return obj.fields[key]
 
         return run
 
@@ -1051,7 +1043,7 @@ class Interpreter:
         if sym.static:
             store = self._assign_field(sym, value_of, span)
             return self._static_access(target.receiver, store)
-        receiver_of, name = self._expr(target.receiver), target.name
+        receiver_of, name, key = self._expr(target.receiver), target.name, sym.decl_uid
         lo, hi, coerce = self._coercer(sym.declared_type)
 
         def store_field(f):
@@ -1061,7 +1053,7 @@ class Interpreter:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
             if value.__class__ is int and not lo <= value <= hi:
                 value = coerce(value, span)
-            receiver.fields[name] = value
+            receiver.fields[key] = value
             return value
 
         return store_field
@@ -1092,13 +1084,13 @@ class Interpreter:
                 return value
 
             return store_static
-        name = sym.name
+        key = sym.decl_uid
 
         def store_member(f):  # into a field of this
             value = value_of(f)
             if value.__class__ is int and not lo <= value <= hi:
                 value = coerce(value, span)
-            f[0].fields[name] = value
+            f[0].fields[key] = value
             return value
 
         return store_member
@@ -1143,6 +1135,14 @@ class Interpreter:
     def _builtin(self, expr: ast.Call, name: str):
         st, span = self, expr.span
         args = self._args(expr.args)
+        if name == "Thread.sleep" and (
+            expr.receiver is None or self.res.names_class(expr.receiver)
+        ):
+
+            def sleep(f):  # static in Java: no receiver, and it does nothing
+                args(f)
+
+            return sleep
         receiver_of = self._expr(expr.receiver) if expr.receiver is not None else None
         if name.startswith("Thread."):
             method = name.split(".", 1)[1]

@@ -53,6 +53,8 @@ THREAD_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
     "sleep": ((ty.INT,), ty.VOID_T),
     "getName": ((), ty.STRING),
 }
+# The Thread builtins that are static in Java, so need no receiver.
+STATIC_THREAD_METHODS = {"sleep"}
 
 STREAM_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
     "read": ((ty.ArrayType(ty.BYTE), ty.INT, ty.INT), ty.INT),
@@ -811,8 +813,10 @@ class _Resolver:
                 and expr.name in THREAD_METHODS
                 and len(expr.args) == len(THREAD_METHODS[expr.name][0])
             ):
-                if self.static_context:  # a Thread builtin is an instance method
-                    self._require_static(False, expr.span, "method", expr.name)
+                if self.static_context:
+                    self._require_static(
+                        expr.name in STATIC_THREAD_METHODS, expr.span, "method", expr.name
+                    )
                 return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
             if expr.name in BUILTIN_FUNCTIONS:
                 return self._builtin_call(expr, "", BUILTIN_FUNCTIONS, arg_ts)
@@ -832,7 +836,9 @@ class _Resolver:
                 return self._method_call(expr, minfo, arg_ts)
             if self._thread_visible(receiver_t.name) and expr.name in THREAD_METHODS:
                 if of_class:
-                    self._require_static(False, expr.span, "method", expr.name)
+                    self._require_static(
+                        expr.name in STATIC_THREAD_METHODS, expr.span, "method", expr.name
+                    )
                 return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
         self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
         return self._unknown_call(expr, ty.UNKNOWN)

@@ -728,6 +728,65 @@ class T {
     assert trace.faults == []
 
 
+def test_fields_hold_their_defaults_before_any_initializer_runs():
+    # Java (JLS 12.5): a base initializer calling an override sees the
+    # subclass's fields at their defaults, not missing.
+    source = """\
+class B { int x = get(); int get() { return 0; } }
+class D extends B {
+    int y = 5;
+    String s;
+    int get() { println(y == 0); println(y < 3); println(s == null); return y + 1; }
+}
+class T {
+    static void main(String[] args) {
+        D d = new D();
+        println(d.x);
+        println(d.y);
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["true", "true", "true", "1", "5"]
+    assert trace.faults == []
+
+
+def test_a_hidden_field_is_a_field_of_its_own():
+    # Java: a field of a subclass hides, and does not share, the base's
+    # field of that name; each class's code reads its own.
+    source = """\
+class B { int x = 1; int get() { return x + 1; } }
+class D extends B { String x; String mine() { return x; } }
+class T {
+    static void main(String[] args) {
+        D d = new D();
+        B b = d;
+        println(d.get());
+        println(d.mine());
+        d.x = "s";
+        b.x = 7;
+        println(d.x + b.x);
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["2", "null", "s7"]
+    assert trace.faults == []
+
+
+def test_sleep_needs_no_receiver():
+    # Thread.sleep is static in Java: a static method may call it unqualified.
+    source = """\
+class W extends Thread {
+    static void pause() { sleep(1); W.sleep(2); println("slept"); }
+    static void main(String[] args) { pause(); W.sleep(3); }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["slept"]
+    assert trace.faults == []
+
+
 def _overflows(trace):
     return [(f.span.line, f.span.column, f.detail) for f in trace.faults]
 

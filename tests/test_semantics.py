@@ -145,6 +145,7 @@ class C extends B {
 class T extends Thread {
     String name = getName();
     void run() { start(); println(getName()); T t = this; t.sleep(1); }
+    static void pause() { sleep(1); T.sleep(2); }
 }
 """
     )

@@ -120,8 +120,9 @@ def test_golden_runs_preserve_types(group, violations):
 
 
 # Programs that reach the conversions and choices the types decide: returns
-# and assignments that convert, string + on null, Thread builtins and
-# streams.
+# and assignments that convert, string + on null, Thread builtins, fields
+# read by a base initializer before their own initializer runs, hidden
+# fields, and streams.
 PROBES = {
     "returns_convert": """\
 class W extends Thread {
@@ -165,6 +166,34 @@ class Main {
         println(s + null + true);
         Main m = null;
         println("m=" + m);
+    }
+}
+""",
+    "field_initialization_order": """\
+class B { int x = get(); int get() { return 0; } }
+class D extends B {
+    int y = 5;
+    String s;
+    int get() { println(y == 0); println(y < 3); println(s + y); return y + 1; }
+}
+class Main {
+    static void main(String[] args) {
+        D d = new D();
+        println(d.x + d.y);
+    }
+}
+""",
+    "hidden_fields": """\
+class B { int x = 1; int get() { return x + 1; } }
+class D extends B { String x; String mine() { return x; } }
+class Main {
+    static void main(String[] args) {
+        D d = new D();
+        B b = d;
+        println(d.get());
+        println(d.mine());
+        d.x = "s";
+        println(d.x + b.x);
     }
 }
 """,
