@@ -9,8 +9,11 @@ the columns for the reported windows only.  Reported pairs are maximal: they
 cannot be extended in either direction and are not contained in a longer
 reported pair.
 
-Each window of min_tokens tokens inside one file (a gram) is grouped with
-the grams equal to it after normalization, so no window spans two files.
+Each normalized token becomes one character, from a code table built per
+call, so a file is a string and a window of min_tokens tokens inside one
+file (a gram) is a slice of it, keyed by the string's hash as CPD keys its
+windows (Karp and Rabin, 1987).  Each gram is grouped with the grams equal
+to it, so no window spans two files.
 A pair of equal grams at positions a < b is taken only when it is
 left-maximal: a or b starts its file, or the tokens before a and b differ.
 Otherwise (a - 1, b - 1) is a pair of the same group that yields the same
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from ..errors import DomainError
 from ..frontend import ast
@@ -53,29 +57,40 @@ def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[C
     """All maximal clone pairs of at least min_tokens normalized tokens."""
     if min_tokens < MIN_TOKENS_FLOOR:
         raise DomainError(f"min_tokens must be >= {MIN_TOKENS_FLOOR}, got {min_tokens}")
-    # All files' significant tokens in one sequence, read from the streams
-    # the parser left on the units: file k's begin at starts[k], and
-    # file_end[i] is where token i's file ends.
-    norms: list[str] = []
+    # All files' significant tokens in one string, one character per
+    # normalized token, read from the streams the parser left on the units:
+    # file k's begin at starts[k], and file_end[i] is where token i's file
+    # ends.  A gram is a slice of one file's string.
+    codes: dict[str, str] = {}  # normalized token -> its character
+    pieces: list[str] = []
     files: list[tuple[str, TokenStream]] = []
     starts: list[int] = []
     file_end: list[int] = []
-    grams: dict[tuple[str, ...], list[int]] = {}
+    grams: dict[str, list[int]] = {}
     for unit in units:
         stream = unit.tokens
         count = len(stream.texts) - 1  # without the end-of-file sentinel
         file_norms = list(map(_NORMAL.get, stream.kinds[:count], stream.texts[:count]))
-        start = len(norms)
+        for norm in set(file_norms).difference(codes):
+            codes[norm] = chr(len(codes))
+        chars = "".join(map(codes.__getitem__, file_norms))
+        start = len(file_end)
         files.append((unit.file, stream))
         starts.append(start)
-        norms += file_norms
+        pieces.append(chars)
         file_end += [start + count] * count
-        shifted = (file_norms[k:] for k in range(min_tokens))
-        for i, gram in enumerate(zip(*shifted), start):
-            grams.setdefault(gram, []).append(i)
+        for k in range(count - min_tokens + 1):
+            gram = chars[k : k + min_tokens]
+            group = grams.get(gram)
+            if group is None:
+                grams[gram] = [start + k]
+            else:
+                group.append(start + k)
+    norms = "".join(pieces)
 
     triples = []
-    for positions in grams.values():
+    groups = grams.values()  # only a gram met twice or more yields pairs
+    for positions in compress(groups, map((1).__lt__, map(len, groups))):
         for ai in range(len(positions) - 1):
             a = positions[ai]
             a_first = a == 0 or file_end[a - 1] == a

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Iterator, Optional, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Iterator, Optional, get_args, get_origin, get_type_hints
 
 from .lexer import SourceSpan, TokenStream, tokenize
+
+if TYPE_CHECKING:
+    from .index import NodeIndex
 
 
 @dataclass(kw_only=True, slots=True)
@@ -105,6 +108,15 @@ class CompilationUnit(Node):
         """The tokens of source.  The parser sets this to the stream it
         read; a unit built without the parser lexes its source once, here."""
         return tokenize(self.source, self.file)
+
+    @cached_property
+    def index(self) -> "NodeIndex":
+        """The node index of this tree.  The parser and instrument_asserts
+        set this to the index they built; a unit built by hand is indexed
+        here, by one walk."""
+        from .index import NodeIndex
+
+        return NodeIndex.by_walk(self)
 
     def fresh_uid(self) -> int:
         u = self.next_uid

@@ -15,6 +15,7 @@ from copy import copy
 from dataclasses import replace
 
 from . import ast
+from .index import NodeIndex
 from .printer import expr_text
 
 
@@ -24,10 +25,13 @@ def instrument_asserts(unit: ast.CompilationUnit) -> ast.CompilationUnit:
     Only the nodes on the path from the unit to a lowered Assert are
     copied; every other subtree is shared with unit, which is left as it
     was, and the copy keeps unit's token stream.  Lowered nodes take fresh
-    uids from the copy, in source order.
+    uids from the copy, in source order.  The copy's node index is walked
+    along the copied paths and the lowered nodes only; each shared subtree
+    is copied from unit's index whole.
     """
     new_unit = copy(unit)
     new_unit.classes = [_rewrite(new_unit, cls, cls.name) for cls in unit.classes]
+    new_unit.index = NodeIndex.by_walk(new_unit, unit.index)
     return new_unit
 
 

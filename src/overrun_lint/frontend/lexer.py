@@ -10,8 +10,10 @@ it is the list of Tokens, comments included, in source order.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple
 
 from ..errors import LexError
@@ -186,20 +188,23 @@ class TokenStream(Sequence):
         return f"TokenStream({list(self)!r})"
 
 
-# One alternation, tried in order at each position (the scanner idiom of the
-# `re` documentation).  Every character matches some group, so the matches
-# tile the source.  Numbers take decimal digits only (\d is str.isdecimal);
-# \w is str.isalnum() or "_", as the rest of an identifier needs.  "ident"
-# takes the words that start with an ASCII letter or "_"; "word" takes the
-# others, which are identifiers when the first character isalpha() (no
-# keyword is among them) and an illegal character otherwise.  A block
-# comment may run to the end of the input, and "open_string" takes a string
-# that ends at a line end, the end of the input or a bad escape.
+# One alternation, tried in order after the whitespace before each token
+# (the scanner idiom of the `re` documentation).  Every character matches
+# some group, so the matches tile the source, and "end" takes the
+# whitespace after the last token.  The whitespace run never gives a
+# character back, since some group matches wherever it stops.  Numbers take
+# decimal digits only (\d is str.isdecimal); \w is str.isalnum() or "_", as
+# the rest of an identifier needs.  "ident" takes the words that start with
+# an ASCII letter or "_"; "word" takes the others, which are identifiers
+# when the first character isalpha() (no keyword is among them) and an
+# illegal character otherwise.  A block comment may run to the end of the
+# input, and "open_string" takes a string that ends at a line end, the end
+# of the input or a bad escape.
 _SCANNER = re.compile(
-    "|".join(
+    r"[ \t\r\n]*(?:"
+    + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("space", r"[ \t\r\n]+"),
             ("punctuation", f"[{re.escape(''.join(sorted(PUNCTUATION)))}]"),
             ("ident", r"[A-Za-z_]\w*"),
             ("double", r"\d+\.\d+"),
@@ -211,8 +216,10 @@ _SCANNER = re.compile(
             ("string", r'"(?:[^"\\\n]|\\["\\])*"'),
             ("open_string", r'"(?:[^"\\\n]|\\["\\])*'),
             ("illegal", r"(?s:.)"),
+            ("end", r"\Z"),
         )
     )
+    + ")"
 )
 _KINDS = {
     "punctuation": PUNCT,
@@ -227,53 +234,61 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
     """Split source into tokens, comments apart, whitespace dropped."""
     stream = TokenStream(file)
     kinds, texts, offsets = stream.kinds, stream.texts, stream.offsets
-    lines, columns, end_columns = stream.lines, stream.columns, stream.end_columns
+    lines, columns = stream.lines, stream.columns
     shared: dict[str, str] = {}  # repeated token texts share one str
-    line = 1
-    line_start = 0  # offset of the first character of `line`
+    # Line k begins at offset line_starts[k - 1]; the last entry lies past
+    # the end.  A token is placed on the line it begins with one bisect
+    # when it begins a later line than the token before.
+    line_starts = list(accumulate(map((1).__add__, map(len, source.split("\n"))), initial=0))
+
+    def place(offset: int) -> tuple[int, int]:
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
+
+    line, line_start, next_start = 1, 0, line_starts[1]
     for m in _SCANNER.finditer(source):
         group = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if group == "space":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-            continue
-        column = start - line_start + 1
+        text = m[group]
         if group == "ident":
             kinds.append(KEYWORD if text in KEYWORDS else IDENTIFIER)
         elif group in _KINDS:
             kinds.append(_KINDS[group])
         elif group == "line_comment" or group == "block_comment":
-            first_line = line
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-            end_column = start + len(text) - line_start + 1
+            start = m.start(group)
+            first_line, column = place(start)
+            end_line, end_column = place(start + len(text))
             # "/*/" ends in "*/" but is not closed
             if group == "block_comment" and not text[2:].endswith("*/"):
-                raise LexError(SourceSpan(file, first_line, column, line, end_column), "unterminated block comment")
+                raise LexError(SourceSpan(file, first_line, column, end_line, end_column), "unterminated block comment")
             stream.comments.append(text)
-            stream.comment_places.append((start, first_line, column, line, end_column))
+            stream.comment_places.append((start, first_line, column, end_line, end_column))
             stream.comment_at.append(len(texts))
             continue
-        elif group == "open_string":
-            end = start + len(text)
-            if end == len(source) or source[end] == "\n":
-                span = SourceSpan(file, line, column, line, column + end - start)
-                raise LexError(span, "unterminated string literal")
-            span = SourceSpan(file, line, column, line, column + end + 1 - start)
-            raise LexError(span, f"unsupported escape '\\{source[end + 1 : end + 2]}'")
         elif group == "word" and text[0].isalpha():
             kinds.append(IDENTIFIER)
+        elif group == "end":
+            break
         else:
-            raise LexError(SourceSpan(file, line, column, line, column), f"illegal character {text[0]!r}")
+            start = m.start(group)
+            first_line, column = place(start)
+            if group == "open_string":
+                end = start + len(text)
+                if end == len(source) or source[end] == "\n":
+                    span = SourceSpan(file, first_line, column, first_line, column + end - start)
+                    raise LexError(span, "unterminated string literal")
+                span = SourceSpan(file, first_line, column, first_line, column + end + 1 - start)
+                raise LexError(span, f"unsupported escape '\\{source[end + 1 : end + 2]}'")
+            raise LexError(SourceSpan(file, first_line, column, first_line, column), f"illegal character {text[0]!r}")
+        start = m.start(group)
+        if start >= next_start:
+            line = bisect_right(line_starts, start, line)
+            line_start, next_start = line_starts[line - 1], line_starts[line]
         texts.append(shared.setdefault(text, text))
         offsets.append(start)
         lines.append(line)
-        columns.append(column)
-        end_columns.append(column + len(text))
+        columns.append(start - line_start + 1)
+    # No significant token spans lines.
+    end_columns = stream.end_columns = list(map(add, columns, map(len, texts)))
     line, column = (lines[-1], end_columns[-1]) if texts else (1, 1)
     kinds.append(EOF)
     texts.append("")

@@ -22,6 +22,7 @@ from dataclasses import replace
 from ..errors import NestingError, ParseError
 from . import ast
 from .ast import TypeRef
+from .index import NodeIndex
 from .lexer import (
     DOUBLE_LITERAL,
     EOF,
@@ -65,7 +66,15 @@ class Parser:
         self.taken = 0  # comments handed out so far
         self.depth = 0  # levels above the construct being parsed
         self.height = 0  # levels within the expression parsed last
-        self._uid = 0
+        # Node u is created[u]: uids follow creation, which is a post-order,
+        # so u's subtree is the uid range [first[u], u].  marks[t] is the
+        # number of nodes created before the parser took token t, filled in
+        # as the parser moves on; a node's subtree is every node created
+        # since the parser took its start token, so first[u] is the mark
+        # of that token.
+        self.created: list[ast.Node] = []
+        self.first: list[int] = []
+        self.marks: list[int] = [0]
 
     # -- helpers ---------------------------------------------------------
 
@@ -104,13 +113,20 @@ class Parser:
 
     def _node(self, cls, start: int, **kw):
         """A node spanning token start through the last token taken."""
-        end = self.pos - 1
-        uid = self._uid
-        self._uid = uid + 1
+        pos = self.pos
+        end = pos - 1
+        created = self.created
+        uid = len(created)
+        marks = self.marks
+        if len(marks) < pos:  # tokens before pos are taken
+            marks += [uid] * (pos - len(marks))
         span = _new_tuple(
             SourceSpan, (self.file, self.lines[start], self.columns[start], self.lines[end], self.end_columns[end])
         )
-        return cls(span=span, uid=uid, **kw)
+        node = cls(span=span, uid=uid, **kw)
+        created.append(node)
+        self.first.append(marks[start])
+        return node
 
     # -- unit --------------------------------------------------------------
 
@@ -135,9 +151,10 @@ class Parser:
         # source has none (index -1 is then the sentinel).
         unit = self._node(
             ast.CompilationUnit, 0, package_name=package, classes=classes, source=source,
-            file=self.file, trailing_comments=lead, next_uid=self._uid + 1,
+            file=self.file, trailing_comments=lead, next_uid=len(self.created) + 1,
         )
         unit.tokens = self.stream
+        unit.index = NodeIndex.from_post_order(self.created, self.first)
         return unit
 
     def _class_decl(self, lead: list[str]) -> ast.ClassDecl:
@@ -455,22 +472,27 @@ class Parser:
         one = self._node(ast.Literal, op_tok, value=1, kind="int")
         op = "+" if op_text == "++" else "-"
         arith = self._node(ast.Binary, start, op=op, left=self._clone_expr(expr), right=one)
+        # arith begins where expr does, but holds only the 1 and the copy.
+        self.first[arith.uid] = one.uid
         return self._node(ast.Binary, start, op="=", left=expr, right=arith)
 
     def _clone_expr(self, expr: ast.Expr) -> ast.Expr:
-        """Deep-copy an lvalue expression with fresh uids (for ++/-- sugar)."""
+        """Deep-copy an lvalue expression with fresh uids (for ++/-- sugar).
+        The copy keeps expr's spans, so its subtree is set here, not found
+        from its start token."""
+        first = len(self.created)
         if isinstance(expr, ast.Index):
             array, index = self._clone_expr(expr.array), self._clone_expr(expr.index)
-            return replace(expr, array=array, index=index, uid=self._fresh())
-        if isinstance(expr, ast.FieldAccess):
-            return replace(expr, receiver=self._clone_expr(expr.receiver), uid=self._fresh())
-        if isinstance(expr, (ast.Name, ast.Literal)):
-            return replace(expr, uid=self._fresh())
-        raise ParseError(expr.span, "assignable expression", type(expr).__name__)
-
-    def _fresh(self) -> int:
-        self._uid += 1
-        return self._uid - 1
+            node = replace(expr, array=array, index=index, uid=len(self.created))
+        elif isinstance(expr, ast.FieldAccess):
+            node = replace(expr, receiver=self._clone_expr(expr.receiver), uid=len(self.created))
+        elif isinstance(expr, (ast.Name, ast.Literal)):
+            node = replace(expr, uid=first)
+        else:
+            raise ParseError(expr.span, "assignable expression", type(expr).__name__)
+        self.created.append(node)
+        self.first.append(first)
+        return node
 
     def _expr(self) -> ast.Expr:
         """Assignment: a binary chain, then a right-associative '=' chain."""

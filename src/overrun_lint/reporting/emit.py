@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import html
 import io
-from xml.etree import ElementTree as ET
 
 from ..errors import OverrunLintError
 from ..runtime.coverage import STATUS_COLORS
@@ -44,15 +43,32 @@ def emit_report(report: Report, format: str, out: str | None = None) -> str:
     return document
 
 
+# The escaping ElementTree gives attribute values (_escape_attrib, the same
+# in Python 3.10-3.13), as one table.
+_ATTRIBUTE = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
 def _emit_xml(report: Report) -> str:
-    root = ET.Element(
-        "report",
-        {"tool": "overrun-lint", "version": report.tool_version, "generated": report.generated_at},
-    )
-    findings = ET.SubElement(root, "findings", {"count": str(len(report.findings))})
-    for marker, finding in enumerate(report.findings, start=1):
-        ET.SubElement(
-            findings,
+    """The report as UTF-8 XML, the bytes ElementTree would write for the
+    same tree, but without building it."""
+    escaped: dict[str, str] = {}  # values repeat across findings: escape each once
+
+    def element(tag: str, attributes: dict[str, str], children: list[str] | None = None) -> str:
+        """An element as ElementTree writes it: attributes in order, and
+        self-closing when it has no children."""
+        parts = [f"<{tag}"]
+        for name, value in attributes.items():
+            text = escaped.get(value)
+            if text is None:
+                text = escaped[value] = value.translate(_ATTRIBUTE)
+            parts.append(f' {name}="{text}"')
+        parts.append(f">{''.join(children)}</{tag}>" if children else " />")
+        return "".join(parts)
+
+    findings = [
+        element(
             "finding",
             {
                 "markerId": str(marker),
@@ -70,26 +86,25 @@ def _emit_xml(report: Report) -> str:
                 "message": finding.message,
             },
         )
-    categories = ET.SubElement(root, "categories")
-    for name, count in report.category_summary.items():
-        ET.SubElement(categories, "category", {"name": name, "count": str(count)})
+        for marker, finding in enumerate(report.findings, start=1)
+    ]
+    sections = [
+        element("findings", {"count": str(len(report.findings))}, findings),
+        element(
+            "categories",
+            {},
+            [element("category", {"name": name, "count": str(count)}) for name, count in report.category_summary.items()],
+        ),
+    ]
     if report.coverage is not None:
-        coverage = ET.SubElement(root, "coverage")
-        for counter in report.coverage.counters:
-            ET.SubElement(
-                coverage,
-                "counter",
-                {
-                    "kind": counter.kind,
-                    "covered": str(counter.covered),
-                    "missed": str(counter.missed),
-                },
-            )
+        counters = [
+            element("counter", {"kind": c.kind, "covered": str(c.covered), "missed": str(c.missed)})
+            for c in report.coverage.counters
+        ]
+        sections.append(element("coverage", {}, counters))
     if report.metrics_rows:
-        metrics = ET.SubElement(root, "metrics")
-        for row in report.metrics_rows:
-            ET.SubElement(
-                metrics,
+        rows = [
+            element(
                 "element",
                 {
                     "name": row.element,
@@ -100,9 +115,18 @@ def _emit_xml(report: Report) -> str:
                     "totalComplexity": str(row.total),
                 },
             )
-    buffer = io.BytesIO()
-    ET.ElementTree(root).write(buffer, encoding="utf-8", xml_declaration=True)
-    return buffer.getvalue().decode("utf-8") + "\n"
+            for row in report.metrics_rows
+        ]
+        sections.append(element("metrics", {}, rows))
+    root = element(
+        "report",
+        {"tool": "overrun-lint", "version": report.tool_version, "generated": report.generated_at},
+        sections,
+    )
+    document = f"<?xml version='1.0' encoding='utf-8'?>\n{root}\n"
+    # ElementTree writes what UTF-8 cannot encode (a lone surrogate) as a
+    # character reference.
+    return document if document.isascii() else document.encode("utf-8", "xmlcharrefreplace").decode("utf-8")
 
 
 def _emit_csv(report: Report) -> str:

@@ -10,10 +10,9 @@ only the receiver of a static field or method; and a static method or a
 static field initializer has no this, so it names no instance field,
 instance method or Thread builtin without a receiver.
 
-Before resolving, one pre-order walk indexes the unit on the Resolution:
-every node in ast.walk's order, each node's position in that order and the
-end of its subtree, and each node's parent.  A subtree is then a slice of
-the node list (Resolution.subtree), and "is this node inside that one" an
+The Resolution answers tree queries from the unit's node index
+(frontend/index.py), which the parser built: a subtree is a slice of the
+node list (Resolution.subtree), and "is this node inside that one" an
 interval test (is_within), so the analyses query the index instead of
 walking the tree.
 """
@@ -21,12 +20,13 @@ walking the tree.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 from ..errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from ..frontend import ast
+from ..frontend.index import NodeIndex
 from ..frontend.lexer import SourceSpan
 from . import types as ty
 from .types import Type
@@ -63,6 +63,8 @@ STREAM_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
 
 BUILTIN_CLASSES = {"Thread", "Stream", "Exception"}
 
+_uid = attrgetter("uid")
+
 _LITERAL_TYPES = {"int": ty.INT, "double": ty.DOUBLE, "string": ty.STRING, "boolean": ty.BOOLEAN}
 
 
@@ -82,6 +84,9 @@ class Symbol:
     is_builtin: bool = False
     decl_uid: int = -1
     slot: int = -1  # params and locals: the frame slot, 0 being `this`
+    # A store to it is a type error: a final that its declaration gives a
+    # value (an initializer, or the call for a parameter), or a builtin.
+    read_only: bool = False
 
 
 @dataclass
@@ -150,48 +155,43 @@ class Resolution:
     call_targets: dict[int, CallTarget]
     types: dict[int, Type]
     diagnostics: list[Exception]
-    # The unit's node index, built in one walk before resolution: every node
-    # in pre-order; the nodes grouped by class (each group in pre-order), and
-    # their positions in that order grouped the same way; uid -> position;
-    # position -> end of the node's subtree, so that a subtree is
-    # nodes[position:end]; uid -> parent (None for the unit); and decl uid
-    # -> the first symbol it declares.
-    nodes: list[ast.Node] = field(default_factory=list)
-    by_type: dict[type, list[ast.Node]] = field(default_factory=dict)
-    positions_by_type: dict[type, list[int]] = field(default_factory=dict)
-    positions: array = field(default_factory=lambda: array("l"))
-    ends: array = field(default_factory=lambda: array("l"))
-    parents: list[ast.Node | None] = field(default_factory=list)
-    decl_symbols: dict[int, Symbol] = field(default_factory=dict)
+    index: NodeIndex  # the unit's, shared by every Resolution of it
+    decl_symbols: dict[int, Symbol] = field(default_factory=dict)  # decl uid -> first symbol it declares
     frame_sizes: dict[int, int] = field(default_factory=dict)  # method uid -> slots
+
+    @property
+    def nodes(self) -> list[ast.Node]:
+        """Every node of the unit, in pre-order."""
+        return self.index.nodes
 
     def nodes_of(self, *kinds: type) -> list[ast.Node]:
         """Nodes whose exact class is one of kinds, in pre-order."""
+        index = self.index
         if len(kinds) == 1:
-            return self.by_type.get(kinds[0], [])
-        groups = self.positions_by_type
-        order = sorted(itertools.chain.from_iterable(groups.get(kind, ()) for kind in kinds))
-        return list(map(self.nodes.__getitem__, order))
+            return index.by_type.get(kinds[0], [])
+        found = itertools.chain.from_iterable(index.by_type.get(kind, ()) for kind in kinds)
+        order = sorted(map(index.positions.__getitem__, map(_uid, found)))
+        return list(map(index.nodes.__getitem__, order))
 
     def parent(self, node: ast.Node) -> ast.Node | None:
         """The node's parent; None for the unit."""
-        return self.parents[node.uid]
+        return self.index.parents[node.uid]
 
     def subtree(self, node: ast.Node) -> list[ast.Node]:
-        """The subtree rooted at node, in pre-order: what ast.walk(node) yields."""
-        pos = self.positions[node.uid]
-        return self.nodes[pos : self.ends[pos]]
+        """The subtree rooted at node, in pre-order."""
+        index = self.index
+        return index.nodes[index.positions[node.uid] : index.ends[node.uid]]
 
     def is_within(self, node: ast.Node, root: ast.Node) -> bool:
         """Whether node lies in the subtree rooted at root."""
-        pos = self.positions[root.uid]
-        return pos <= self.positions[node.uid] < self.ends[pos]
+        positions = self.index.positions
+        return positions[root.uid] <= positions[node.uid] < self.index.ends[root.uid]
 
     def enclosing_conditions(self, node: ast.Node) -> Iterator[tuple[ast.Expr, bool]]:
         """(condition, holds) for every if/while around node, innermost
         first.  holds is True when node lies in the then-branch or the loop
         body, where the condition is known to be true."""
-        parents = self.parents
+        parents = self.index.parents
         cur = node
         parent = parents[cur.uid]
         while parent is not None:
@@ -229,6 +229,15 @@ class Resolution:
         return base == "Thread" and derived in self.classes and self.classes[derived].extends_thread
 
 
+def _case_fits(subject_t: Type, label_t: Type) -> bool:
+    """Whether a case label of label_t can equal a subject of subject_t."""
+    if ty.UNKNOWN in (subject_t, label_t):
+        return True
+    if ty.is_string(subject_t):
+        return ty.is_string(label_t)
+    return label_t in (ty.INT, ty.BYTE)
+
+
 def type_of(expr: ast.Expr, resolution: Resolution) -> Type:
     """Deterministic type of a resolved expression."""
     return resolution.types[expr.uid]
@@ -251,8 +260,8 @@ class _Resolver:
             call_targets={},
             types={},
             diagnostics=[],
+            index=unit.index,
         )
-        self._index()
         self.global_scope = Scope(owner=unit)
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
@@ -266,46 +275,6 @@ class _Resolver:
         for cls in self.unit.classes:
             self._resolve_class(cls)
         return self.res
-
-    def _index(self) -> None:
-        # ast.walk's traversal, inlined so each node's children are listed
-        # once.  When the walk pops a node, the entry below it on the stack
-        # is the node it reaches after that node's subtree (None: the end),
-        # so that node's position is where the subtree ends.
-        res = self.res
-        nodes, by_type, positions_by_type = res.nodes, res.by_type, res.positions_by_type
-        # Parsed units number their nodes below next_uid; a unit built by
-        # hand may not, and the uid-indexed tables grow to fit it.
-        size = max(self.unit.next_uid, self.unit.uid + 1)
-        positions = res.positions = array("l", [0]) * size
-        parents = res.parents = [None] * size
-
-        def fit(uid: int) -> int:
-            positions.extend([0] * (uid + 1 - size))
-            parents.extend([None] * (uid + 1 - size))
-            return uid + 1
-
-        after: list[ast.Node | None] = []
-        stack: list[ast.Node | None] = [None, self.unit]
-        while (node := stack.pop()) is not None:
-            pos = positions[node.uid] = len(nodes)
-            nodes.append(node)
-            after.append(stack[-1])
-            kind = type(node)
-            group = by_type.get(kind)
-            if group is None:
-                group = by_type[kind] = []
-                positions_by_type[kind] = []
-            group.append(node)
-            positions_by_type[kind].append(pos)
-            children = ast.child_nodes(node)
-            for child in children:
-                if child.uid >= size:
-                    size = fit(child.uid)
-                parents[child.uid] = node
-            stack.extend(reversed(children))
-        n = len(nodes)
-        res.ends = array("l", [n if nxt is None else positions[nxt.uid] for nxt in after])
 
     def _sym(self, **kw) -> Symbol:
         sym = Symbol(**kw)
@@ -323,6 +292,7 @@ class _Resolver:
             static=True,
             final=True,
             is_builtin=True,
+            read_only=True,
         )
         self.global_scope.symbols["ASSERTIONS_ENABLED"] = assertions_flag
         for cls in self.unit.classes:
@@ -356,6 +326,7 @@ class _Resolver:
                     final=fld.final,
                     owner=cls.name,
                     decl_uid=fld.uid,
+                    read_only=fld.final and fld.initializer is not None,
                 )
             for method in cls.methods:
                 key = ("<init>" if method.is_constructor else method.name, method.arity)
@@ -425,6 +396,7 @@ class _Resolver:
                 final=True,
                 is_builtin=True,
                 slot=0,
+                read_only=True,
             )
             scope.symbols["this"] = this_sym
         first = len(self.res.symbols)
@@ -438,6 +410,7 @@ class _Resolver:
                         span=param.span,
                         final=param.final,
                         decl_uid=param.uid,
+                        read_only=param.final,
                     )
                 )
             except DuplicateDeclaration as err:
@@ -477,6 +450,7 @@ class _Resolver:
                     span=decl.span,
                     final=decl.final,
                     decl_uid=decl.uid,
+                    read_only=decl.final and decl.initializer is not None,
                 )
             )
         except DuplicateDeclaration as err:
@@ -523,7 +497,11 @@ class _Resolver:
                 raise TypeCheckError(stmt.subject.span, f"switch subject must be int or String, got {subject_t}")
             for case in stmt.cases:
                 if case.label is not None:
-                    self._expr(case.label, scope)
+                    label_t = self._expr(case.label, scope)
+                    if not _case_fits(subject_t, label_t):
+                        raise TypeCheckError(
+                            case.label.span, f"case label of type {label_t} cannot match a {subject_t} subject"
+                        )
                 case_scope = Scope(owner=case, parent=scope)
                 self.res.scopes[case.uid] = case_scope
                 for inner in case.body:
@@ -659,6 +637,9 @@ class _Resolver:
         op = expr.op
         if op == "=":
             target_t = self._expr(expr.left, scope, store=True)
+            target = self.res.name_targets.get(expr.left.uid) or self.res.field_targets.get(expr.left.uid)
+            if target is not None and target.read_only:
+                raise TypeCheckError(expr.span, f"cannot assign a value to final variable {target.name}")
             value_t = self._expr(expr.right, scope)
             self._require_assignable(target_t, value_t, expr.span, "assignment")
             return self._set(expr, target_t)

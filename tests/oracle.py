@@ -30,3 +30,16 @@ def parent_map(root: ast.Node) -> dict[int, ast.Node]:
             parents[child.uid] = node
             stack.append(child)
     return parents
+
+
+def source_preorder(root: ast.Node) -> list[ast.Node]:
+    """Pre-order, visiting each node's children by uid: in the order the
+    parser created them, which is source order (see
+    test_index.test_parsed_siblings_are_created_in_source_order)."""
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(sorted(field_scan_children(node), key=lambda child: child.uid, reverse=True))
+    return order

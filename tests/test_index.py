@@ -1,9 +1,13 @@
-"""The resolver's node index answers tree queries as the tree itself does.
+"""The node index answers tree queries as the tree itself does.
 
 Over the corpus (as parsed and with asserts lowered), 50 seeded units, the
-500 bound fuzz programs and a unit with the remaining statement kinds, every node's `subtree` is its `ast.walk`,
+500 bound fuzz programs, a unit with the remaining statement kinds and a
+hand-built unit, every node's `subtree` holds the nodes of its `ast.walk`,
 `parent` agrees with a parent map built by scanning every field, and
-`is_within` agrees with a climb up that map.
+`is_within` agrees with a climb up that map.  A parsed unit's index, which
+the parser builds, lists the nodes in source pre-order.  Any other unit's
+is built by a walk that orders siblings by span and takes each subtree it
+shares with a parsed unit in that unit's order.
 """
 
 import ast as pyast
@@ -17,7 +21,7 @@ from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.semantics import build_call_graph, build_symbol_table
 
-from oracle import field_scan_children, parent_map
+from oracle import field_scan_children, parent_map, source_preorder
 from progen import gen_bound_program, seeded_unit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "overrun_lint"
@@ -43,11 +47,21 @@ class S {
 """
 
 
-def _units(corpus_sources):
+def _hand_built_unit():
+    """println(1) in a method, with uids in no order and past next_uid."""
+    span = SourceSpan("hand.sl", 1, 1, 1, 1)
+    arg = ast.Literal(span=span, uid=900, value=1, kind="int")
+    call = ast.Call(span=span, uid=40, name="println", args=[arg])
+    body = ast.Block(span=span, uid=7, stmts=[ast.ExprStmt(span=span, uid=1200, expr=call)])
+    method = ast.MethodDecl(span=span, uid=3, name="m", params=[], return_type=ast.VOID, body=body)
+    cls = ast.ClassDecl(span=span, uid=5000, name="Hand", methods=[method])
+    return ast.CompilationUnit(span=span, uid=60, classes=[cls])
+
+
+def _parsed_units(corpus_sources):
     yield parse_source(STATEMENTS, "statements.sl")
     for name, source in corpus_sources.items():
         yield parse_source(source, name)
-        yield instrument_asserts(parse_source(source, name))
     for seed in range(50):
         yield parse_source(seeded_unit(seed), f"seeded{seed}.sl")
     rng = random.Random(114)
@@ -56,8 +70,40 @@ def _units(corpus_sources):
 
 
 @pytest.fixture(scope="module")
-def units(corpus_sources):
-    return list(_units(corpus_sources))
+def parsed_units(corpus_sources):
+    return list(_parsed_units(corpus_sources))
+
+
+@pytest.fixture(scope="module")
+def walked_units(corpus_sources):
+    """Units without a parser's index, each with the unit it shares
+    subtrees with (None for the hand-built one)."""
+    pairs = [(_hand_built_unit(), None)]
+    for name, source in corpus_sources.items():
+        unit = parse_source(source, name)
+        pairs.append((instrument_asserts(unit), unit))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def units(parsed_units, walked_units):
+    return parsed_units + [unit for unit, _ in walked_units]
+
+
+def _walk_order(root, original):
+    """Pre-order over nodes' children by span start (ties in field order),
+    but in source_preorder within every subtree shared with original."""
+    shared = {id(node) for node in walk(original)} if original is not None else set()
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in shared:
+            order += source_preorder(node)
+            continue
+        order.append(node)
+        children = sorted(field_scan_children(node), key=lambda child: (child.span.line, child.span.column))
+        stack.extend(reversed(children))
+    return order
 
 
 def _within(parents, node, root):
@@ -67,13 +113,31 @@ def _within(parents, node, root):
     return cur is root
 
 
-def test_subtree_is_walk_and_parent_is_the_field_scan(units):
-    for unit in units:
+def test_subtree_is_the_walks_nodes_and_parent_is_the_field_scan(parsed_units, walked_units):
+    cases = [(unit, source_preorder(unit)) for unit in parsed_units]
+    cases += [(unit, _walk_order(unit, original)) for unit, original in walked_units]
+    for unit, order in cases:
         res = build_symbol_table(unit)
         parents = parent_map(unit)
+        assert list(map(id, res.nodes)) == list(map(id, order)), unit.file
         for node in res.nodes:
-            assert res.subtree(node) == list(walk(node)), (unit.file, type(node).__name__)
+            subtree = res.subtree(node)
+            assert subtree[0] is node, (unit.file, type(node).__name__)
+            assert sorted(map(id, subtree)) == sorted(map(id, walk(node))), (unit.file, type(node).__name__)
             assert res.parent(node) is parents.get(node.uid), (unit.file, type(node).__name__)
+
+
+def test_parsed_siblings_are_created_in_source_order(parsed_units):
+    # By uid, each node's children begin in source order, but for the
+    # `i + 1` of `i++`, whose 1 is created before the copy of i.
+    for unit in parsed_units:
+        for node in walk(unit):
+            if isinstance(node, ast.Binary) and node.right.uid < node.left.uid:
+                assert isinstance(node.right, ast.Literal) and node.right.value == 1, unit.file
+                continue
+            children = sorted(field_scan_children(node), key=lambda child: child.uid)
+            starts = [(child.span.line, child.span.column) for child in children]
+            assert starts == sorted(starts), (unit.file, type(node).__name__)
 
 
 def test_is_within_agrees_with_a_climb(units):
@@ -109,13 +173,12 @@ def test_child_table_matches_the_field_scan(units):
 
 
 def test_hand_built_unit_with_uids_past_next_uid():
-    span = SourceSpan("hand.sl", 1, 1, 1, 1)
-    arg = ast.Literal(span=span, uid=900, value=1, kind="int")
-    call = ast.Call(span=span, uid=40, name="println", args=[arg])
-    body = ast.Block(span=span, uid=7, stmts=[ast.ExprStmt(span=span, uid=1200, expr=call)])
-    method = ast.MethodDecl(span=span, uid=3, name="m", params=[], return_type=ast.VOID, body=body)
-    cls = ast.ClassDecl(span=span, uid=5000, name="Hand", methods=[method])
-    unit = ast.CompilationUnit(span=span, uid=60, classes=[cls])
+    unit = _hand_built_unit()
+    (cls,) = unit.classes
+    (method,) = cls.methods
+    body = method.body
+    call = body.stmts[0].expr
+    (arg,) = call.args
     assert unit.next_uid == 0
     res = build_symbol_table(unit)
     assert res.nodes == list(walk(unit))

@@ -212,3 +212,37 @@ def test_span_end_not_before_start(corpus_sources):
     for name, source in corpus_sources.items():
         for t in tokenize(source, name):
             assert (t.span.end_line, t.span.end_column) >= (t.span.line, t.span.column)
+
+
+def _naive_place(source: str, offset: int) -> tuple[int, int]:
+    """Line and column of offset, by recounting from the start."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _mutant(rng: random.Random, source: str) -> str:
+    chars = list(source)
+    for _ in range(rng.randint(1, 8)):
+        at = rng.randrange(len(chars) + 1)
+        chars[at:at] = rng.choice(["\r", "\t", "\n", "\r\n", "\u00e9", "\u65e5x", "\u00df", " ", '"', "/*", "*/", "//"])
+    return "".join(chars)
+
+
+def test_token_places_agree_with_a_naive_recount(corpus_sources):
+    rng = random.Random(20)
+    bases = list(corpus_sources.values()) + [seeded_unit(seed) for seed in range(5)]
+    sources = bases + [_mutant(rng, rng.choice(bases)) for _ in range(300)]
+    lexed = 0
+    for source in sources:
+        try:
+            stream = tokenize(source)
+        except LexError:
+            continue
+        lexed += 1
+        for token in stream:
+            line, column = _naive_place(source, token.offset)
+            end_line, end_column = _naive_place(source, token.end_offset)
+            assert (token.span.line, token.span.column) == (line, column), token
+            assert (token.span.end_line, token.span.end_column) == (end_line, end_column), token
+        eof = stream.span(len(stream.texts) - 1)
+        assert (eof.line, eof.column) == (_naive_place(source, stream.token(-2).end_offset) if stream.texts[:-1] else (1, 1))
+    assert lexed >= 150

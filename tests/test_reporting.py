@@ -9,6 +9,8 @@ from overrun_lint.errors import DomainError, SpanOutOfRangeError
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.detectors.model import Finding
 from overrun_lint.pipeline import analyze_source
+from overrun_lint.reporting.report import MetricsRow, pattern_of
+from overrun_lint.runtime.coverage import CoverageCounter, CoverageReport
 from overrun_lint.reporting import (
     PER_100,
     PER_1000,
@@ -103,6 +105,63 @@ def test_xml_attributes_pin_bugtype_and_rank():
     assert finding.get("lineNumber") == "3"
     assert finding.get("priority") == "3"
     assert finding.get("message")
+
+
+def _elementtree_xml(report):
+    """The XML report built as an ElementTree and written by it."""
+    root = ET.Element("report", {"tool": "overrun-lint", "version": report.tool_version, "generated": report.generated_at})
+    findings = ET.SubElement(root, "findings", {"count": str(len(report.findings))})
+    for marker, f in enumerate(report.findings, start=1):
+        ET.SubElement(findings, "finding", {
+            "markerId": str(marker), "BUGTYPE": f.rule_id, "PATTERN": pattern_of(f), "file": f.span.file,
+            "lineNumber": str(f.span.line), "priority": str(f.priority), "priorityColor": f.priority_color,
+            "RANK": str(f.rank), "rankBand": f.rank_band, "confidence": f.confidence, "category": f.category,
+            "triage": f.triage, "message": f.message,
+        })
+    categories = ET.SubElement(root, "categories")
+    for name, count in report.category_summary.items():
+        ET.SubElement(categories, "category", {"name": name, "count": str(count)})
+    if report.coverage is not None:
+        coverage = ET.SubElement(root, "coverage")
+        for c in report.coverage.counters:
+            ET.SubElement(coverage, "counter", {"kind": c.kind, "covered": str(c.covered), "missed": str(c.missed)})
+    if report.metrics_rows:
+        metrics = ET.SubElement(root, "metrics")
+        for row in report.metrics_rows:
+            ET.SubElement(metrics, "element", {
+                "name": row.element, "kind": row.kind, "coverage": f"{row.percent} %",
+                "coveredComplexity": str(row.covered), "missedComplexity": str(row.missed),
+                "totalComplexity": str(row.total),
+            })
+    buffer = io.BytesIO()
+    ET.ElementTree(root).write(buffer, encoding="utf-8", xml_declaration=True)
+    return buffer.getvalue().decode("utf-8") + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'a & b < c > d "e" \r f \n g \t h',
+        "&amp; &lt; already escaped, ' kept",
+        "caf\u00e9 \u65e5\u672c \U0001f600 \u2028 \x0b",
+        "lone \ud800 surrogate",
+        "",
+    ],
+)
+def test_xml_writer_gives_elementtrees_bytes(text):
+    finding = sample_finding()
+    odd = Finding(
+        rule_id=finding.rule_id, category=finding.category, priority=1, rank=1, confidence="high",
+        message=text, span=SourceSpan(f"dir & {text}.sl", 7, 1, 7, 2), triage=text or "untriaged",
+    )
+    rows = [MetricsRow(element=text, kind="method", covered=1, missed=2)]
+    coverage = CoverageReport([CoverageCounter(kind=text, covered=3, missed=0)], {}, {}, {}, summary=None)
+    for report in (
+        sample_report([finding, odd]),
+        Report(tool_version=text, generated_at=text, findings=[odd], coverage=coverage, metrics_rows=rows),
+        sample_report(),
+    ):
+        assert emit_report(report, "xml").encode("utf-8") == _elementtree_xml(report).encode("utf-8")
 
 
 def test_csv_row_count_matches_findings(corpus_sources):

@@ -7,7 +7,7 @@ from overrun_lint.semantics import build_call_graph, build_symbol_table, type_of
 from overrun_lint.semantics import types as ty
 from overrun_lint.semantics.callgraph import constructor_cycles, unconditional_cycles
 
-from oracle import parent_map
+from oracle import parent_map, source_preorder
 
 
 def resolve(source, file="t.sl"):
@@ -129,6 +129,47 @@ def test_static_context_rules(source, message):
     assert str(err.value) == f"t.sl:{message}"
 
 
+FINAL = "cannot assign a value to final variable"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # A final with a value from its declaration takes no store (JLS 4.12.4).
+        ("class C { static void m() { final int x = 1; x = 2; } }", f"1:46: {FINAL} x"),
+        ("class C { static void m() { final int x = 1; x++; } }", f"1:46: {FINAL} x"),
+        ("class C { static final int K = 1; static void m() { K = 5; } }", f"1:53: {FINAL} K"),
+        ("class C { final int k = 1; void m(C c) { c.k--; } }", f"1:42: {FINAL} k"),
+        ("class C { void m(final int p) { p = 1; } }", f"1:33: {FINAL} p"),
+        ("class C { void m() { this = null; } }", f"1:22: {FINAL} this"),
+        ("class C { static void m() { ASSERTIONS_ENABLED = true; } }", f"1:29: {FINAL} ASSERTIONS_ENABLED"),
+        # A case label has the subject's type.
+        ('class C { static void m(String s) { switch (s) { case 1: println(1); } } }', "1:55: case label of type int cannot match a String subject"),
+        ('class C { static void m(int i) { switch (i) { case "two": println(2); } } }', "1:52: case label of type String cannot match a int subject"),
+        ('class C { static void m(int i) { switch (i) { case 2.0: println(2); } } }', "1:52: case label of type double cannot match a int subject"),
+    ],
+)
+def test_stores_to_finals_and_case_labels_are_type_checked(source, message):
+    with pytest.raises(TypeCheckError) as err:
+        resolve(source)
+    assert str(err.value) == f"t.sl:{message}"
+
+
+def test_blank_finals_and_plain_parameters_take_stores():
+    # Without definite-assignment analysis, a final declared without an
+    # initializer takes any number of stores.
+    _, res = resolve(
+        """class C {
+    final int f;
+    C() { f = 1; f = 2; }
+    void m(int p, int[] a) { p = 1; final int x; x = 1; x = 2; final int[] b = a; b[0] = 1; }
+    static void n(String s, byte k) { switch (s) { case "a": println(1); } switch (k) { case 1: println(2); } }
+}
+"""
+    )
+    assert res.diagnostics == []
+
+
 def test_static_members_and_instance_contexts_resolve():
     _, res = resolve(
         """\
@@ -209,23 +250,30 @@ def test_builtin_callees_marked():
     assert edge.callee_builtin and edge.callee == "builtin:println"
 
 
-def test_node_index_keeps_walk_preorder(corpus_sources):
+def test_node_index_is_source_preorder(corpus_sources):
     unit, res = resolve(corpus_sources["yang.sl"], "yang.sl")
-    order = list(walk(unit))
-    assert res.nodes == order
+    order = source_preorder(unit)
+    assert list(map(id, res.nodes)) == list(map(id, order))
     assert {n.uid: res.parent(n) for n in order[1:]} == parent_map(unit)
-    # Uids follow construction order, not pre-order, so a query over several
-    # node types must interleave them by position in the walk.
+    # Uids follow construction, a post-order, so a query over several node
+    # types must interleave them by position.  In source order a call's
+    # receiver comes before its arguments, which ast.walk visits first.
     mixed = res.nodes_of(ast.Call, ast.FieldAccess)
     assert mixed == [n for n in order if isinstance(n, (ast.Call, ast.FieldAccess))]
     assert [n.uid for n in order[:4]] == [59, 58, 2, 0]
-    for kind, group in res.by_type.items():
+    other, other_res = resolve(corpus_sources["equals_demo.sl"], "equals_demo.sl")
+    calls = [n for n in other_res.nodes if isinstance(n, ast.Call) and n.receiver is not None and n.args]
+    place = {id(n): k for k, n in enumerate(other_res.nodes)}
+    assert calls and all(place[id(c.receiver)] < place[id(c.args[0])] for c in calls)
+    for kind, group in res.index.by_type.items():
         assert group == [n for n in order if type(n) is kind]
     for sym in res.symbols:
         if sym.decl_uid >= 0:
             assert res.decl_symbols[sym.decl_uid] is next(
                 s for s in res.symbols if s.decl_uid == sym.decl_uid
             )
+    # Every Resolution of a unit shares the index the parser built.
+    assert build_symbol_table(unit).index is res.index is unit.index
 
 
 def test_enclosing_conditions_report_which_branch():
