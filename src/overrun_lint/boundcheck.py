@@ -84,7 +84,6 @@ class IndexVarInfo:
     symbol: Symbol
     array: ArrayDecl
     legal_range: tuple[int, int | None]
-    occurrences: list[SourceSpan] = field(default_factory=list)
     modifying_sites: list[ModifyingSite] = field(default_factory=list)
     v_marked: bool = False
     accesses: list[ast.Index] = field(default_factory=list)
@@ -184,7 +183,7 @@ def _const_int(expr: ast.Expr | None) -> int | None:
 def track_index_vars(
     arrays: list[ArrayDecl], resolution: Resolution
 ) -> list[IndexVarInfo]:
-    """Index-variable bookkeeping: ranges, occurrences, modification sites."""
+    """Index-variable bookkeeping: ranges, accesses, modification sites."""
     infos: dict[tuple[int, int], IndexVarInfo] = {}
     for array in arrays:
         for ref in array.references:
@@ -205,14 +204,8 @@ def track_index_vars(
     tracked: dict[int, list[IndexVarInfo]] = {}
     for info in result:
         tracked.setdefault(id(info.symbol), []).append(info)
-    # All occurrences of each tracked variable, and every site that can move it.
-    for node in resolution.nodes_of(ast.Name, ast.Binary, ast.LocalDecl):
-        if isinstance(node, ast.Name):
-            sym = resolution.name_targets.get(node.uid)
-            if sym is not None:
-                for info in tracked.get(id(sym), ()):
-                    info.occurrences.append(node.span)
-            continue
+    # Every site that can move a tracked variable.
+    for node in resolution.nodes_of(ast.Binary, ast.LocalDecl):
         site = _modifying_site(node, resolution)
         if site is not None:
             target, entry = site

@@ -355,7 +355,6 @@ class UnitCfgs:
     cfgs: dict[str, ControlFlowGraph]
     stmt_iids: dict[int, int]  # ast uid -> iid, merged over methods
     instr_spans: dict[int, SourceSpan]
-    method_of_iid: dict[int, str]
 
 
 def method_identity(class_name: str, method: ast.MethodDecl) -> str:
@@ -407,13 +406,10 @@ def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
             cfgs[cfg.method] = cfg
     stmt_iids: dict[int, int] = {}
     instr_spans: dict[int, SourceSpan] = {}
-    method_of: dict[int, str] = {}
     for cfg in cfgs.values():
         stmt_iids.update(cfg.stmt_iids)
         instr_spans.update(cfg.instr_spans)
-        for iid in cfg.instruction_ids():
-            method_of[iid] = cfg.method
-    return UnitCfgs(cfgs=cfgs, stmt_iids=stmt_iids, instr_spans=instr_spans, method_of_iid=method_of)
+    return UnitCfgs(cfgs=cfgs, stmt_iids=stmt_iids, instr_spans=instr_spans)
 
 
 @dataclass
@@ -432,7 +428,6 @@ class ComplexityRow:
 class ComplexitySummary:
     """Per-method complexity with class/file/project rollups."""
 
-    method_v: dict[str, int]
     rows: list[ComplexityRow]
 
     @classmethod
@@ -460,7 +455,7 @@ class ComplexitySummary:
             rows.append(row(class_decl.name, "class", class_methods))
             for mid in class_methods:
                 rows.append(row(_display_method(mid), "method", [mid]))
-        return cls(method_v=method_v, rows=rows)
+        return cls(rows=rows)
 
 
 def _display_method(method_id: str) -> str:

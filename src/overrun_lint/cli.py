@@ -30,9 +30,7 @@ from .reporting import (
     suppress_reviewed,
 )
 from .runtime import RunOptions, coverage_summary
-from .frontend import parse_source
 from .frontend.lexer import SourceSpan
-from .semantics import build_symbol_table
 
 
 def _default_timestamp() -> str:
@@ -147,17 +145,7 @@ def _cmd_analyze(args) -> int:
         findings.extend(unit_findings)
         sources[analyzed.file] = analyzed.source
     findings = [f for f in findings if f.priority <= args.min_priority]
-    findings.sort(key=Finding.sort_key)
-    report = Report(
-        tool_version=__version__,
-        generated_at=args.timestamp or _default_timestamp(),
-        findings=findings,
-        sources=sources,
-    )
-    document = emit_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(document)
-    return 1 if findings else 0
+    return _emit(args, findings, sources)
 
 
 def _cmd_boundcheck(args) -> int:
@@ -165,11 +153,17 @@ def _cmd_boundcheck(args) -> int:
     findings: list[Finding] = []
     for analyzed in units:
         findings.extend(bound_finding_to_finding(b) for b in analyzed.bound_findings())
+    return _emit(args, findings, {})
+
+
+def _emit(args, findings: list[Finding], sources: dict[str, str]) -> int:
+    """Sort and report the findings; exit 1 when there are any."""
     findings.sort(key=Finding.sort_key)
     report = Report(
         tool_version=__version__,
         generated_at=args.timestamp or _default_timestamp(),
         findings=findings,
+        sources=sources,
     )
     document = emit_report(report, args.format, args.out)
     if args.out is None:
@@ -240,12 +234,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_cpd(args) -> int:
     # Clone detection reads the tokens the parser left on each unit;
     # resolution just gates validity.
-    units = []
-    for path in args.paths:
-        unit = parse_source(Path(path).read_text(encoding="utf-8"), str(Path(path)))
-        _require_resolved(path, build_symbol_table(unit))
-        units.append(unit)
-    pairs = find_duplicates(units, args.min_tokens)
+    units = _analyze_units(args.paths)
+    pairs = find_duplicates([a.unit for a in units], args.min_tokens)
     for pair in pairs:
         print(
             f"{pair.token_length} duplicated tokens: "

@@ -34,7 +34,7 @@ from itertools import compress
 
 from ..errors import DomainError
 from ..frontend import ast
-from ..frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, SourceSpan, Token, TokenStream
+from ..frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, SourceSpan, TokenStream
 
 MIN_TOKENS_FLOOR = 10
 
@@ -47,10 +47,6 @@ class ClonePair:
     span_a: SourceSpan
     span_b: SourceSpan
     token_length: int
-
-
-def _normalize(token: Token) -> str:
-    return _NORMAL.get(token.kind, token.text)
 
 
 def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[ClonePair]:

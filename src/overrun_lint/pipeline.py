@@ -1,13 +1,25 @@
-"""End-to-end wiring: source text -> parsed, resolved, analyzed unit."""
+"""End-to-end wiring: the one route from source text to an analysis.
+
+analyze_source parses, instruments when asked, and resolves; every other
+phase is built on demand by the reader that needs it, so each command pays
+only for what it reads:
+
+- the call graph, only inside findings() (the rules are its one reader);
+- the CFGs, on the first read of AnalyzedUnit.cfgs (rules, metrics, run),
+  then kept, because trace instruction ids refer to that one UnitCfgs.
+
+boundcheck and cpd read neither; metrics and run read no call graph.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .frontend import instrument_asserts, parse_source
 from .frontend import ast
-from .semantics import CallGraph, Resolution, build_call_graph, build_symbol_table
+from .semantics import Resolution, build_call_graph, build_symbol_table
 from .cfg import UnitCfgs, build_unit_cfgs
 from .detectors.model import Finding, RuleSet
 from .detectors.rules import run_rules
@@ -19,8 +31,6 @@ from .runtime import RunOptions, RunTrace, execute
 class AnalyzedUnit:
     unit: ast.CompilationUnit
     res: Resolution
-    call_graph: CallGraph
-    cfgs: UnitCfgs
 
     @property
     def file(self) -> str:
@@ -30,8 +40,13 @@ class AnalyzedUnit:
     def source(self) -> str:
         return self.unit.source
 
+    @cached_property
+    def cfgs(self) -> UnitCfgs:
+        return build_unit_cfgs(self.unit)
+
     def findings(self, ruleset: RuleSet | None = None) -> list[Finding]:
-        return run_rules(self.unit, self.res, self.call_graph, self.cfgs, ruleset)
+        call_graph = build_call_graph(self.unit, self.res)
+        return run_rules(self.unit, self.res, call_graph, self.cfgs, ruleset)
 
     def bound_findings(self) -> list[BoundFinding]:
         return run_bound_check(self.unit, self.res)
@@ -41,15 +56,12 @@ def analyze_source(source: str, file: str = "<memory>", instrument: bool = False
     unit = parse_source(source, file)
     if instrument:
         unit = instrument_asserts(unit)
-    res = build_symbol_table(unit)
-    call_graph = build_call_graph(unit, res)
-    cfgs = build_unit_cfgs(unit)
-    return AnalyzedUnit(unit=unit, res=res, call_graph=call_graph, cfgs=cfgs)
+    return AnalyzedUnit(unit=unit, res=build_symbol_table(unit))
 
 
-def analyze_path(path: str | Path, instrument: bool = False) -> AnalyzedUnit:
+def analyze_path(path: str | Path) -> AnalyzedUnit:
     p = Path(path)
-    return analyze_source(p.read_text(encoding="utf-8"), str(p), instrument)
+    return analyze_source(p.read_text(encoding="utf-8"), str(p))
 
 
 def run_source(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import CoverageUnavailableError
 from ..frontend import ast
-from ..cfg import ComplexitySummary, UnitCfgs, complexity_bd
+from ..cfg import ComplexitySummary, Edge, UnitCfgs, complexity_bd
 from .interpreter import RunTrace
 
 NO_COVERAGE = "no_coverage"
@@ -62,20 +62,28 @@ def coverage_summary(
     instr_covered = len(all_iids & executed)
     counters = [CoverageCounter("instruction", instr_covered, len(all_iids) - instr_covered)]
 
-    # branches
+    # One walk over every decision finds how many of its edges ran; the
+    # branch counter and statuses and the complexity counter read it.
+    outcomes = trace.branch_outcomes
     branch_total = 0
     branch_covered = 0
     branch_status: dict[int, str] = {}
-    for cfg in cfgs.cfgs.values():
+    # method -> edges taken beyond the first at each decision that ran
+    extra_taken: dict[str, int] = {}
+    for method_id, cfg in cfgs.cfgs.items():
+        blocks = {b.bid: b for b in cfg.blocks}
+        out_edges: dict[int, list[Edge]] = {}
+        for e in cfg.edges:
+            out_edges.setdefault(e.src, []).append(e)
+        extra = 0
         for bid in cfg.decision_blocks():
-            block = next(b for b in cfg.blocks if b.bid == bid)
-            if not block.instructions:
+            instructions = blocks[bid].instructions
+            if not instructions:
                 continue
-            cond_iid = block.instructions[-1]
-            edges = cfg.out_edges(bid)
-            taken = sum(
-                1 for e in edges if trace.branch_outcomes.get((cond_iid, e.key), 0) > 0
-            )
+            cond_iid = instructions[-1]
+            edges = out_edges[bid]
+            taken = sum(1 for e in edges if outcomes.get((cond_iid, e.key), 0) > 0)
+            extra += taken - 1 if taken else 0
             branch_total += len(edges)
             branch_covered += taken
             line = cfg.instr_spans[cond_iid].line
@@ -85,6 +93,7 @@ def coverage_summary(
                 branch_status[line] = PARTIAL
             else:
                 branch_status[line] = FULL
+        extra_taken[method_id] = extra
     counters.append(CoverageCounter("branch", branch_covered, branch_total - branch_covered))
 
     # lines
@@ -135,22 +144,7 @@ def coverage_summary(
         if method_id not in method_covered:
             per_method_covered[method_id] = 0
             continue
-        taken_edges = 0
-        touched_decisions = 0
-        for bid in cfg.decision_blocks():
-            block = next(b for b in cfg.blocks if b.bid == bid)
-            if not block.instructions:
-                continue
-            cond_iid = block.instructions[-1]
-            taken = sum(
-                1
-                for e in cfg.out_edges(bid)
-                if trace.branch_outcomes.get((cond_iid, e.key), 0) > 0
-            )
-            if taken:
-                touched_decisions += 1
-                taken_edges += taken
-        covered_v = min(v, taken_edges - touched_decisions + 1)
+        covered_v = min(v, extra_taken[method_id] + 1)
         per_method_covered[method_id] = covered_v
         complexity_covered += covered_v
     counters.append(

@@ -18,8 +18,6 @@ class CallEdge:
     span: SourceSpan
     unconditional: bool
     callee_builtin: bool = False
-    is_new: bool = False
-    call_uid: int = -1
     # True when every conditioning ancestor is a constant-true branch,
     # i.e. the call runs whenever the caller does.
     effectively_unconditional: bool = False
@@ -27,8 +25,6 @@ class CallEdge:
 
 @dataclass
 class CallGraph:
-    nodes: set[str] = field(default_factory=set)
-    builtin_nodes: set[str] = field(default_factory=set)
     edges: list[CallEdge] = field(default_factory=list)
 
     def edges_from(self, node: str) -> list[CallEdge]:
@@ -37,11 +33,9 @@ class CallGraph:
 
 def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallGraph:
     graph = CallGraph()
-    graph.nodes.add("unknown")
     for info in resolution.classes.values():
         for minfo in info.methods.values():
             caller = minfo.method_id
-            graph.nodes.add(caller)
             body = minfo.decl.body
             for node in resolution.subtree(body):
                 if not isinstance(node, (ast.Call, ast.New)):
@@ -55,10 +49,6 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
                     callee, builtin = "unknown", False
                 else:
                     callee, builtin = target.id, False
-                if builtin:
-                    graph.builtin_nodes.add(callee)
-                else:
-                    graph.nodes.add(callee)
                 unconditional, effectively = _conditioning(node, body, resolution)
                 graph.edges.append(
                     CallEdge(
@@ -67,8 +57,6 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
                         span=node.span,
                         unconditional=unconditional,
                         callee_builtin=builtin,
-                        is_new=isinstance(node, ast.New),
-                        call_uid=node.uid,
                         effectively_unconditional=effectively,
                     )
                 )

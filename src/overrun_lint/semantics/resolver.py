@@ -1,14 +1,15 @@
 """Scope construction, declaration/usage resolution, and expression typing.
 
-build_symbol_table walks a parsed unit, builds the scope tree, resolves
-every Name/Call/FieldAccess, counts reads and writes per symbol, numbers
-each method's parameters and locals into the interpreter's frame slots, and
-types every expression.  Unresolved identifiers are collected as diagnostics;
-operator/operand mismatches raise TypeCheckError.  So do the two rules Java
-keeps for static contexts (JLS 8.1.3, 15.12.3): a class name is no value,
-only the receiver of a static field or method; and a static method or a
-static field initializer has no this, so it names no instance field,
-instance method or Thread builtin without a receiver.
+build_symbol_table walks a parsed unit, resolves every
+Name/Call/FieldAccess through a scope tree that it drops when done, counts
+reads and writes per symbol, numbers each method's parameters and locals
+into the interpreter's frame slots, and types every expression.  Unresolved
+identifiers are collected as diagnostics; operator/operand mismatches, and
+case labels that are not distinct constants, raise TypeCheckError.  So do
+the two rules Java keeps for static contexts (JLS 8.1.3, 15.12.3): a class
+name is no value, only the receiver of a static field or method; and a
+static method or a static field initializer has no this, so it names no
+instance field, instance method or Thread builtin without a receiver.
 
 The Resolution answers tree queries from the unit's node index
 (frontend/index.py), which the parser built: a subtree is a slice of the
@@ -91,7 +92,6 @@ class Symbol:
 
 @dataclass
 class Scope:
-    owner: ast.Node
     parent: "Scope | None" = None
     symbols: dict[str, Symbol] = field(default_factory=dict)
 
@@ -139,16 +139,13 @@ class ClassInfo:
 class CallTarget:
     kind: str  # builtin | method | ctor | unknown
     id: str  # "Class.m/arity", "builtin:name", or "unknown"
-    returns: Type
     must_check: bool = False
     method: MethodInfo | None = None
 
 
 @dataclass
 class Resolution:
-    unit: ast.CompilationUnit
     classes: dict[str, ClassInfo]
-    scopes: dict[int, Scope]
     symbols: list[Symbol]
     name_targets: dict[int, Symbol]
     field_targets: dict[int, Symbol]
@@ -251,9 +248,7 @@ class _Resolver:
     def __init__(self, unit: ast.CompilationUnit):
         self.unit = unit
         self.res = Resolution(
-            unit=unit,
             classes={},
-            scopes={},
             symbols=[],
             name_targets={},
             field_targets={},
@@ -262,10 +257,13 @@ class _Resolver:
             diagnostics=[],
             index=unit.index,
         )
-        self.global_scope = Scope(owner=unit)
+        self.global_scope = Scope()
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
         self.static_context = False  # resolving a static method or field initializer
+        # Checked once every name is resolved, since a label may name a
+        # constant whose initializer lies in a class resolved later.
+        self.switches: list[ast.Switch] = []
 
     # -- driver ------------------------------------------------------------
 
@@ -274,6 +272,8 @@ class _Resolver:
         self._check_acyclic()
         for cls in self.unit.classes:
             self._resolve_class(cls)
+        for switch in self.switches:
+            self._check_case_labels(switch)
         return self.res
 
     def _sym(self, **kw) -> Symbol:
@@ -362,11 +362,10 @@ class _Resolver:
         if info is None:
             return
         self.current_class = info
-        class_scope = Scope(owner=cls, parent=self.global_scope)
+        class_scope = Scope(parent=self.global_scope)
         for name, sym in info.fields.items():
             class_scope.symbols[name] = sym
         self._install_inherited(class_scope, info)
-        self.res.scopes[cls.uid] = class_scope
         for fld in cls.fields:
             if fld.initializer is not None:
                 self.static_context = fld.static
@@ -386,7 +385,7 @@ class _Resolver:
     def _resolve_method(self, method: ast.MethodDecl, class_scope: Scope) -> None:
         self.current_method = method
         self.static_context = method.is_static
-        scope = Scope(owner=method, parent=class_scope)
+        scope = Scope(parent=class_scope)
         if not method.is_static:
             this_sym = self._sym(
                 name="this",
@@ -415,7 +414,6 @@ class _Resolver:
                 )
             except DuplicateDeclaration as err:
                 self.res.diagnostics.append(err)
-        self.res.scopes[method.uid] = scope
         self._block(method.body, scope)
         # Every symbol declared since `first` is a parameter or a local of
         # this method: they take the frame slots after the receiver's, in
@@ -428,12 +426,10 @@ class _Resolver:
 
     # -- statements ----------------------------------------------------------
 
-    def _block(self, block: ast.Block, parent: Scope) -> Scope:
-        scope = Scope(owner=block, parent=parent)
-        self.res.scopes[block.uid] = scope
+    def _block(self, block: ast.Block, parent: Scope) -> None:
+        scope = Scope(parent=parent)
         for stmt in block.stmts:
             self._stmt(stmt, scope)
-        return scope
 
     def _declare_local(self, decl: ast.LocalDecl, scope: Scope) -> None:
         if decl.initializer is not None:
@@ -480,8 +476,7 @@ class _Resolver:
             self._condition(stmt.cond, scope, "while")
             self._block(stmt.body, scope)
         elif isinstance(stmt, ast.For):
-            for_scope = Scope(owner=stmt, parent=scope)
-            self.res.scopes[stmt.uid] = for_scope
+            for_scope = Scope(parent=scope)
             if isinstance(stmt.init, ast.LocalDecl):
                 self._declare_local(stmt.init, for_scope)
             elif isinstance(stmt.init, ast.ExprStmt):
@@ -502,15 +497,14 @@ class _Resolver:
                         raise TypeCheckError(
                             case.label.span, f"case label of type {label_t} cannot match a {subject_t} subject"
                         )
-                case_scope = Scope(owner=case, parent=scope)
-                self.res.scopes[case.uid] = case_scope
+                case_scope = Scope(parent=scope)
                 for inner in case.body:
                     self._stmt(inner, case_scope)
+            self.switches.append(stmt)
         elif isinstance(stmt, ast.Try):
             self._block(stmt.body, scope)
             for catch in stmt.catches:
-                catch_scope = Scope(owner=catch, parent=scope)
-                self.res.scopes[catch.uid] = catch_scope
+                catch_scope = Scope(parent=scope)
                 try:
                     catch_scope.declare(
                         self._sym(
@@ -554,6 +548,46 @@ class _Resolver:
             pass
         else:  # pragma: no cover
             raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+
+    def _check_case_labels(self, switch: ast.Switch) -> None:
+        """Each case label is a constant, and no two are equal (JLS 14.11)."""
+        seen = set()
+        for case in switch.cases:
+            if case.label is None:
+                continue
+            value = self._constant(case.label, ())
+            if value is None:
+                raise TypeCheckError(case.label.span, "constant expression required")
+            if value in seen:
+                raise TypeCheckError(case.label.span, "duplicate case label")
+            seen.add(value)
+
+    def _constant(self, expr: ast.Expr, passed: tuple[int, ...]) -> object:
+        """The value of a constant expression (JLS 15.29, as far as SL has
+        them): a literal, - on an int literal, or the name (K, or C.K for a
+        field) of a final local or field whose initializer is a constant.
+        None otherwise, also for a name whose initializer leads back to it
+        (through the decl uids passed)."""
+        if isinstance(expr, ast.Literal):
+            return expr.value
+        if isinstance(expr, ast.Unary):
+            operand = expr.operand
+            if expr.op == "-" and isinstance(operand, ast.Literal) and operand.kind == "int":
+                return -operand.value
+            return None
+        if isinstance(expr, ast.Name):
+            sym = self.res.name_targets.get(expr.uid)
+        elif isinstance(expr, ast.FieldAccess) and self.res.names_class(expr.receiver):
+            sym = self.res.field_targets.get(expr.uid)
+        else:
+            return None
+        if sym is None or not sym.read_only or sym.kind not in ("local", "field") or sym.is_builtin:
+            return None
+        if sym.decl_uid in passed:
+            return None
+        index = self.res.index
+        decl = index.nodes[index.positions[sym.decl_uid]]
+        return self._constant(decl.initializer, passed + (sym.decl_uid,))
 
     # -- expressions -----------------------------------------------------------
 
@@ -718,14 +752,10 @@ class _Resolver:
                 )
                 return self._unknown_call(expr, result)
             # implicit default constructor
-            self.res.call_targets[expr.uid] = CallTarget(
-                "ctor", f"{expr.class_name}.<init>/0", result
-            )
+            self.res.call_targets[expr.uid] = CallTarget("ctor", f"{expr.class_name}.<init>/0")
             return self._set(expr, result)
         self._check_args(ctor, expr, arg_ts)
-        self.res.call_targets[expr.uid] = CallTarget(
-            "ctor", ctor.method_id, result, method=ctor
-        )
+        self.res.call_targets[expr.uid] = CallTarget("ctor", ctor.method_id, method=ctor)
         return self._set(expr, result)
 
     def _lookup_method(self, class_name: str, name: str, arity: int) -> MethodInfo | None:
@@ -760,23 +790,20 @@ class _Resolver:
             self._require_assignable(ty.from_type_ref(param.type), arg_t, arg.span, "argument")
 
     def _method_call(self, expr: ast.Call, minfo: MethodInfo, arg_ts: list[Type]) -> Type:
-        returns = minfo.symbol.declared_type
-        self.res.call_targets[expr.uid] = CallTarget(
-            "method", minfo.method_id, returns, method=minfo
-        )
+        self.res.call_targets[expr.uid] = CallTarget("method", minfo.method_id, method=minfo)
         self._check_args(minfo, expr, arg_ts)
-        return self._set(expr, returns)
+        return self._set(expr, minfo.symbol.declared_type)
 
     def _builtin_call(self, expr: ast.Call, prefix: str, table: dict, arg_ts: list[Type]) -> Type:
         name, sig = prefix + expr.name, table[expr.name]
         self._check_builtin_args(expr, sig, arg_ts)
         self.res.call_targets[expr.uid] = CallTarget(
-            "builtin", f"builtin:{name}", sig[1], must_check=name in MUST_CHECK_BUILTINS
+            "builtin", f"builtin:{name}", must_check=name in MUST_CHECK_BUILTINS
         )
         return self._set(expr, sig[1])
 
     def _unknown_call(self, expr: ast.Call | ast.New, returns: Type) -> Type:
-        self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown", returns)
+        self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown")
         return self._set(expr, returns)
 
     def _call(self, expr: ast.Call, scope: Scope) -> Type:

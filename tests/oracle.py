@@ -1,10 +1,13 @@
-"""Reference tree queries that the tests hold the resolver's node index to."""
+"""Reference implementations that the tests hold the program to: tree
+queries for the resolver's node index, and the clone detector's token
+normalization."""
 
 from __future__ import annotations
 
 from dataclasses import fields
 
 from overrun_lint.frontend import ast
+from overrun_lint.frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, Token
 
 
 def field_scan_children(node: ast.Node) -> list[ast.Node]:
@@ -43,3 +46,12 @@ def source_preorder(root: ast.Node) -> list[ast.Node]:
         order.append(node)
         stack.extend(sorted(field_scan_children(node), key=lambda child: child.uid, reverse=True))
     return order
+
+
+_CLONE_NORMAL = {IDENTIFIER: "ID", INT_LITERAL: "NUM", DOUBLE_LITERAL: "NUM", STRING_LITERAL: "STR"}
+
+
+def normalize_token(token: Token) -> str:
+    """A token as the clone detector compares it: identifiers, numeric
+    literals and string literals by kind, every other token by its text."""
+    return _CLONE_NORMAL.get(token.kind, token.text)

@@ -186,19 +186,35 @@ def test_cpd_clean_exit_zero(capsys, corpus_dir):
     assert code == 0
 
 
-def test_cpd_builds_no_call_graph_or_cfgs(capsys, corpus_dir, monkeypatch):
-    paths = sorted(str(p) for p in corpus_dir.glob("*.sl"))
-    expected = run_cli(capsys, "cpd", *paths, "--min-tokens", "10")
+# Each command builds only the phases it reads: the rules are the call
+# graph's one reader, and rules, metrics and run the CFGs' only readers.
+# command -> (options, builders it must not call, exit code, text in stdout)
+ON_DEMAND = {
+    "cpd": (["--min-tokens", "10"], ("build_call_graph", "build_unit_cfgs"), 1, "duplicated tokens"),
+    "boundcheck": (["--timestamp", "T0"], ("build_call_graph", "build_unit_cfgs"), 1, "3 finding(s)"),
+    "metrics": ([], ("build_call_graph",), 0, "Total Complexity"),
+    "run": (["--coverage"], ("build_call_graph",), 0, "Total Complexity"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ON_DEMAND))
+def test_commands_build_only_what_they_read(capsys, corpus_dir, monkeypatch, command):
+    options, unread, code, text = ON_DEMAND[command]
+    if command == "run":
+        paths = [str(corpus_dir / "yang.sl")]
+    else:
+        paths = sorted(str(p) for p in corpus_dir.glob("*.sl"))
+    expected = run_cli(capsys, command, *paths, *options)
 
     def refuse(*args):
-        raise AssertionError("cpd needs no call graph or CFGs")
+        raise AssertionError(f"{command} reads none of {unread}")
 
     import overrun_lint.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "build_call_graph", refuse)
-    monkeypatch.setattr(pipeline, "build_unit_cfgs", refuse)
-    assert run_cli(capsys, "cpd", *paths, "--min-tokens", "10") == expected
-    assert expected[0] == 1 and "duplicated tokens" in expected[1]
+    for name in unread:
+        monkeypatch.setattr(pipeline, name, refuse)
+    assert run_cli(capsys, command, *paths, *options) == expected
+    assert expected[0] == code and text in expected[1] and not expected[2]
 
 
 def test_cpd_still_rejects_unresolved_names(capsys, tmp_path):

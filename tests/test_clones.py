@@ -3,10 +3,12 @@ import random
 import pytest
 
 from overrun_lint.detectors import find_duplicates
-from overrun_lint.detectors.clones import ClonePair, _normalize
+from overrun_lint.detectors.clones import ClonePair
 from overrun_lint.errors import DomainError
 from overrun_lint.frontend import ast, parse_source, tokenize
 from overrun_lint.frontend.lexer import COMMENT, SourceSpan
+
+from oracle import normalize_token
 
 
 DUPLICATED_BODY = """\
@@ -76,7 +78,7 @@ def test_windows_identical_after_normalization():
     for pair in pairs:
         def window(span):
             return [
-                _normalize(t)
+                normalize_token(t)
                 for t in tokens
                 if (t.span.line, t.span.column) >= (span.line, span.column)
                 and (t.span.end_line, t.span.end_column) <= (span.end_line, span.end_column)
@@ -116,7 +118,7 @@ def _oracle(units, min_tokens):
             if t.kind != COMMENT:
                 tokens.append(t)
                 files.append(file_index)
-    norms = [_normalize(t) for t in tokens]
+    norms = [normalize_token(t) for t in tokens]
     n = len(tokens)
 
     triples = set()

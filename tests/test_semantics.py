@@ -147,6 +147,11 @@ FINAL = "cannot assign a value to final variable"
         ('class C { static void m(String s) { switch (s) { case 1: println(1); } } }', "1:55: case label of type int cannot match a String subject"),
         ('class C { static void m(int i) { switch (i) { case "two": println(2); } } }', "1:52: case label of type String cannot match a int subject"),
         ('class C { static void m(int i) { switch (i) { case 2.0: println(2); } } }', "1:52: case label of type double cannot match a int subject"),
+        # A case label is a constant, and distinct (JLS 14.11, 15.29).
+        ("class C { static void m(int i) { int j = 2; switch (i) { case j: println(1); } } }", "1:63: constant expression required"),
+        ("class C { static void m(int i) { switch (i) { case 2: println(1); case 2: println(2); } } }", "1:72: duplicate case label"),
+        ("class C { static final int K = 2; static void m(int i) { switch (i) { case K: println(1); case 2: println(2); } } }", "1:96: duplicate case label"),
+        ("class C { static final int A = B; static final int B = A; static void m(int i) { switch (i) { case A: println(1); } } }", "1:100: constant expression required"),
     ],
 )
 def test_stores_to_finals_and_case_labels_are_type_checked(source, message):
@@ -165,6 +170,26 @@ def test_blank_finals_and_plain_parameters_take_stores():
     void m(int p, int[] a) { p = 1; final int x; x = 1; x = 2; final int[] b = a; b[0] = 1; }
     static void n(String s, byte k) { switch (s) { case "a": println(1); } switch (k) { case 1: println(2); } }
 }
+"""
+    )
+    assert res.diagnostics == []
+
+
+def test_constant_case_labels_resolve():
+    # A label may name a final whose initializer is a constant, also one
+    # declared in a class resolved after the switch.
+    _, res = resolve(
+        """class C extends B {
+    static final int K = 2;
+    static final String S = "a";
+    static void m(int i, String s) {
+        final int j = -1;
+        switch (i) { case K: println(1); case j: println(2); case -3: println(3); case E: println(4); case D.L: println(5); }
+        switch (s) { case S: println(6); case "b": println(7); }
+    }
+}
+class B { static final int F = 4; static final int E = F; }
+class D { static final int L = 6; }
 """
     )
     assert res.diagnostics == []
