@@ -4,11 +4,22 @@ Instruction ids are unit-unique integers assigned one per simple statement
 and one per branching condition; they key the interpreter's execution trace.
 Basic blocks end at decisions; try/catch/finally sections chain by
 fallthrough only, so exception handling never adds decision nodes.
+
+This module decides every control-flow fact the other modules read: each
+block's out-edges and the decision blocks (built once per graph, on first
+read), the complexity counts derived from them, and the two string formats
+that name control flow -- method ids (`Class.name/arity`, with `<init>`
+for constructors and `<clinit>` for static initializers) and branch keys
+(`true-branch`, `switch-case#case2`, ...), which the resolver, the
+interpreter's trace and coverage all share.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .frontend import ast
 from .frontend.lexer import SourceSpan
@@ -18,6 +29,56 @@ TRUE_BRANCH = "true-branch"
 FALSE_BRANCH = "false-branch"
 SWITCH_CASE = "switch-case"
 LOOP_BACK = "loop-back"
+NO_MATCH = "nomatch"  # a switch without a default leaves through this edge
+
+CTOR = "<init>"
+CLINIT = "<clinit>"
+
+
+def method_id(owner: str, name: str, arity: int) -> str:
+    return f"{owner}.{name}/{arity}"
+
+
+def method_identity(class_name: str, method: ast.MethodDecl) -> str:
+    return method_id(class_name, CTOR if method.is_constructor else method.name, method.arity)
+
+
+def default_ctor_id(class_name: str) -> str:
+    """The id of the constructor a class without one gets."""
+    return method_id(class_name, CTOR, 0)
+
+
+def clinit_id(class_name: str) -> str:
+    return method_id(class_name, CLINIT, 0)
+
+
+def is_constructor_id(mid: str) -> bool:
+    return f".{CTOR}/" in mid
+
+
+def method_owner(mid: str) -> str:
+    return mid.split(".", 1)[0]
+
+
+def display_method(mid: str) -> str:
+    """How the complexity table names a method."""
+    cls, rest = mid.split(".", 1)
+    name, _arity = rest.rsplit("/", 1)
+    if name == CLINIT:
+        return f"{cls}.static {{...}}"
+    if name == CTOR:
+        return f"{cls}.{cls}()"
+    return f"{cls}.{name}()"
+
+
+def branch_key(kind: str, label: str = "") -> str:
+    """The trace's name for an edge out of a decision."""
+    return f"{kind}#{label}" if label else kind
+
+
+def case_label(index: int, case: ast.SwitchCase) -> str:
+    """The label of a switch's edge to its case number index."""
+    return "default" if case.label is None else f"case{index}"
 
 
 @dataclass(slots=True)
@@ -37,7 +98,7 @@ class Edge:
 
     @property
     def key(self) -> str:
-        return f"{self.kind}#{self.label}" if self.label else self.kind
+        return branch_key(self.kind, self.label)
 
 
 @dataclass
@@ -61,35 +122,42 @@ class ControlFlowGraph:
     def E(self) -> int:
         return len(self.edges)
 
+    # The out-edge table and the decisions are built on first read, which
+    # comes after the graph is finished; a graph does not change after that.
+
+    @cached_property
+    def successors(self) -> dict[int, list[Edge]]:
+        """Each block's out-edges, in the order they were added; a block
+        with none has no entry."""
+        out: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+        return out
+
+    @cached_property
+    def decisions(self) -> list[BasicBlock]:
+        """The blocks with two or more out-edges, in block order."""
+        return [b for b in self.blocks if len(self.successors.get(b.bid, ())) >= 2]
+
     def out_edges(self, bid: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == bid]
+        return self.successors.get(bid, [])
 
     def in_edges(self, bid: int) -> list[Edge]:
         return [e for e in self.edges if e.dst == bid]
 
     def decision_blocks(self) -> list[int]:
-        degree: dict[int, int] = {}
-        for e in self.edges:
-            degree[e.src] = degree.get(e.src, 0) + 1
-        return sorted(b.bid for b in self.blocks if degree.get(b.bid, 0) >= 2)
+        return sorted(b.bid for b in self.decisions)
 
     @property
     def D(self) -> int:
-        return len(self.decision_blocks())
+        return len(self.decisions)
 
     @property
     def B(self) -> int:
-        decisions = set(self.decision_blocks())
-        return sum(1 for e in self.edges if e.src in decisions)
+        return sum(len(self.successors[b.bid]) for b in self.decisions)
 
     def block_of_instr(self, iid: int) -> int:
         return self.instr_blocks[iid]
-
-    def instruction_ids(self) -> list[int]:
-        out: list[int] = []
-        for block in self.blocks:
-            out.extend(block.instructions)
-        return out
 
 
 def complexity_en(cfg: ControlFlowGraph) -> int:
@@ -122,33 +190,21 @@ def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
 
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
     """Blocks with no path from entry, entry excluded."""
-    successors: dict[int, list[int]] = {}
-    for e in cfg.edges:
-        successors.setdefault(e.src, []).append(e.dst)
+    successors = cfg.successors
     reached = {cfg.entry}
     frontier = [cfg.entry]
     while frontier:
-        for dst in successors.get(frontier.pop(), ()):
-            if dst not in reached:
-                reached.add(dst)
-                frontier.append(dst)
+        for e in successors.get(frontier.pop(), ()):
+            if e.dst not in reached:
+                reached.add(e.dst)
+                frontier.append(e.dst)
     return [b for b in cfg.blocks if b.bid not in reached]
 
 
-class _IidAllocator:
-    def __init__(self, start: int = 0):
-        self.next = start
-
-    def take(self) -> int:
-        iid = self.next
-        self.next += 1
-        return iid
-
-
 class _Builder:
-    def __init__(self, method_id: str, alloc: _IidAllocator):
-        self.cfg = ControlFlowGraph(method=method_id)
-        self.alloc = alloc
+    def __init__(self, mid: str, iids: Iterator[int]):
+        self.cfg = ControlFlowGraph(method=mid)
+        self.iids = iids
         self._next_bid = 0
         entry = self.new_block(is_entry=True)
         exit_block = self.new_block(is_exit=True)
@@ -173,7 +229,7 @@ class _Builder:
 
     def place(self, span: SourceSpan) -> int:
         """A fresh instruction id at the end of the current block."""
-        iid = self.alloc.take()
+        iid = next(self.iids)
         block = self.ensure_cur()
         block.instructions.append(iid)
         self.cfg.instr_blocks[iid] = block.bid
@@ -283,15 +339,14 @@ class _Builder:
         has_default = any(c.label is None for c in stmt.cases)
         for i, case in enumerate(stmt.cases):
             entry = self.new_block()
-            label = "default" if case.label is None else f"case{i}"
-            self.edge(subject_block.bid, entry.bid, SWITCH_CASE, label)
+            self.edge(subject_block.bid, entry.bid, SWITCH_CASE, case_label(i, case))
             self.cur = entry
             for inner in case.body:
                 self.stmt(inner)
             if self.cur is not None:
                 self.edge(self.cur.bid, after.bid, FALLTHROUGH)
         if not has_default:
-            self.edge(subject_block.bid, after.bid, SWITCH_CASE, "nomatch")
+            self.edge(subject_block.bid, after.bid, SWITCH_CASE, NO_MATCH)
         self.cur = after
 
     def _try(self, stmt: ast.Try) -> None:
@@ -357,18 +412,13 @@ class UnitCfgs:
     instr_spans: dict[int, SourceSpan]
 
 
-def method_identity(class_name: str, method: ast.MethodDecl) -> str:
-    name = "<init>" if method.is_constructor else method.name
-    return f"{class_name}.{name}/{method.arity}"
-
-
 def build_cfg(
     method: ast.MethodDecl,
     class_name: str = "?",
-    alloc: _IidAllocator | None = None,
+    iids: Iterator[int] | None = None,
 ) -> ControlFlowGraph:
-    """CFG for a single method body."""
-    builder = _Builder(method_identity(class_name, method), alloc or _IidAllocator())
+    """CFG for a single method body; iids hands out its instruction ids."""
+    builder = _Builder(method_identity(class_name, method), iids or itertools.count())
     builder.block_stmts(method.body)
     end_span = SourceSpan(
         method.span.file,
@@ -383,12 +433,12 @@ def build_cfg(
 def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
     """CFGs for every method, plus synthetic constructors and static
     initializers so those populations count as methods."""
-    alloc = _IidAllocator()
+    iids = itertools.count()
     cfgs: dict[str, ControlFlowGraph] = {}
     for cls in unit.classes:
         static_inits = [f for f in cls.fields if f.static and f.initializer is not None]
         if static_inits:
-            builder = _Builder(f"{cls.name}.<clinit>/0", alloc)
+            builder = _Builder(clinit_id(cls.name), iids)
             for fld in static_inits:
                 builder.instr(fld)
             cfg = builder.finish(None, add_implicit_return=False)
@@ -396,13 +446,13 @@ def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
             cfgs[cfg.method] = cfg
         has_ctor = any(m.is_constructor for m in cls.methods)
         if not has_ctor:
-            builder = _Builder(f"{cls.name}.<init>/0", alloc)
+            builder = _Builder(default_ctor_id(cls.name), iids)
             builder.instr(cls)
             cfg = builder.finish(None, add_implicit_return=False)
             cfg.synthetic = True
             cfgs[cfg.method] = cfg
         for method in cls.methods:
-            cfg = build_cfg(method, cls.name, alloc)
+            cfg = build_cfg(method, cls.name, iids)
             cfgs[cfg.method] = cfg
     stmt_iids: dict[int, int] = {}
     instr_spans: dict[int, SourceSpan] = {}
@@ -410,59 +460,3 @@ def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
         stmt_iids.update(cfg.stmt_iids)
         instr_spans.update(cfg.instr_spans)
     return UnitCfgs(cfgs=cfgs, stmt_iids=stmt_iids, instr_spans=instr_spans)
-
-
-@dataclass
-class ComplexityRow:
-    element: str
-    kind: str  # project | file | class | method
-    covered: int
-    missed: int
-
-    @property
-    def total(self) -> int:
-        return self.covered + self.missed
-
-
-@dataclass
-class ComplexitySummary:
-    """Per-method complexity with class/file/project rollups."""
-
-    rows: list[ComplexityRow]
-
-    @classmethod
-    def build(
-        cls,
-        unit: ast.CompilationUnit,
-        unit_cfgs: UnitCfgs,
-        covered_per_method: dict[str, int] | None = None,
-    ) -> "ComplexitySummary":
-        covered_per_method = covered_per_method or {}
-        method_v = {mid: complexity_bd(cfg) for mid, cfg in unit_cfgs.cfgs.items()}
-        rows: list[ComplexityRow] = []
-
-        def row(element: str, kind: str, methods: list[str]) -> ComplexityRow:
-            total = sum(method_v[m] for m in methods)
-            covered = sum(min(covered_per_method.get(m, 0), method_v[m]) for m in methods)
-            return ComplexityRow(element, kind, covered, total - covered)
-
-        all_methods = sorted(unit_cfgs.cfgs)
-        rows.append(row(unit.file, "file", all_methods))
-        for class_decl in unit.classes:
-            class_methods = sorted(
-                m for m in all_methods if m.split(".", 1)[0] == class_decl.name
-            )
-            rows.append(row(class_decl.name, "class", class_methods))
-            for mid in class_methods:
-                rows.append(row(_display_method(mid), "method", [mid]))
-        return cls(rows=rows)
-
-
-def _display_method(method_id: str) -> str:
-    cls, rest = method_id.split(".", 1)
-    name, _arity = rest.rsplit("/", 1)
-    if name == "<clinit>":
-        return f"{cls}.static {{...}}"
-    if name == "<init>":
-        return f"{cls}.{cls}()"
-    return f"{cls}.{name}()"

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import OverrunLintError
-from .cfg import ComplexitySummary
 from .detectors.model import Finding, RuleSet, load_ruleset
 from .detectors.rules import rule_by_id
 from .detectors.clones import find_duplicates
@@ -197,7 +196,9 @@ def _cmd_run(args) -> int:
         print(f"fault: {fault.kind} at {where}: {fault.detail}", file=sys.stderr)
     if args.coverage:
         report = coverage_summary(trace, analyzed.unit, analyzed.cfgs)
-        rows = build_metrics_rows([(analyzed.file, report.summary)], analyzed.file)
+        rows = build_metrics_rows(
+            [(analyzed.unit, analyzed.cfgs)], report.per_method_covered, analyzed.file
+        )
         for line in render_metrics_table(rows):
             print(line)
         if args.coverage_out:
@@ -221,11 +222,7 @@ def _cmd_metrics(args) -> int:
         payload = json.loads(Path(args.coverage_data).read_text(encoding="utf-8"))
         covered = {k: int(v) for k, v in payload.get("per_method_covered", {}).items()}
     units = _analyze_units(args.paths)
-    per_unit = []
-    for analyzed in units:
-        summary = ComplexitySummary.build(analyzed.unit, analyzed.cfgs, covered)
-        per_unit.append((analyzed.file, summary))
-    rows = build_metrics_rows(per_unit)
+    rows = build_metrics_rows([(a.unit, a.cfgs) for a in units], covered)
     for line in render_metrics_table(rows):
         print(line)
     return 0

@@ -87,7 +87,6 @@ class Rule:
     confidence: str
     rank: int
     pattern: str  # short pattern code for report attributes
-    description: str
     detector: Callable  # (RuleContext) -> list[Finding]
 
 

@@ -290,9 +290,6 @@ def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.C
         if cur is None:
             continue
         blocked.add(graph.block_of_instr(graph.stmt_iids[cur.uid]))
-    adjacency: dict[int, list[int]] = {}
-    for e in graph.edges:
-        adjacency.setdefault(e.src, []).append(e.dst)
     stack = [graph.entry]
     seen = set()
     while stack:
@@ -302,7 +299,7 @@ def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.C
         if bid == graph.exit:
             return True
         seen.add(bid)
-        stack.extend(adjacency.get(bid, ()))
+        stack.extend(e.dst for e in graph.out_edges(bid))
     return False
 
 
@@ -500,48 +497,30 @@ def unreachable_code(rule: Rule, ctx: RuleContext) -> list[Finding]:
 # --- catalog ---------------------------------------------------------------------
 
 RULES: tuple[Rule, ...] = (
-    Rule("NP_DEREFERENCE_OF_READLINE_VALUE", "dodgy", 3, "normal", 15, "NP",
-         "readLine() results may be null and must be checked before use", np_dereference),
-    Rule("InfiniteRecursion", "correctness", 1, "high", 2, "IL",
-         "call cycles with no exit condition overflow the stack", infinite_recursion),
-    Rule("EqualsHashcodeMismatch", "bad_practice", 2, "high", 7, "HE",
-         "equals and hashcode must be declared together", equals_hashcode),
-    Rule("IgnoredReturnValue", "correctness", 2, "normal", 8, "RV",
-         "results of value-must-be-checked calls are discarded", ignored_return_value),
+    Rule("NP_DEREFERENCE_OF_READLINE_VALUE", "dodgy", 3, "normal", 15, "NP", np_dereference),
+    Rule("InfiniteRecursion", "correctness", 1, "high", 2, "IL", infinite_recursion),
+    Rule("EqualsHashcodeMismatch", "bad_practice", 2, "high", 7, "HE", equals_hashcode),
+    Rule("IgnoredReturnValue", "correctness", 2, "normal", 8, "RV", ignored_return_value),
     Rule("UnconditionalWait", "multithreaded_correctness", 2, "normal", 7, "UW",
-         "wait() inside synchronized without a guarding condition", unconditional_wait),
-    Rule("DeadlockOrder", "multithreaded_correctness", 1, "low", 3, "DL",
-         "nested locks taken in opposite orders", deadlock_order),
-    Rule("StringEqualityOperator", "correctness", 2, "high", 6, "ES",
-         "== or != used on String operands", string_equality),
-    Rule("UnusedLocalVariable", "dodgy", 4, "high", 16, "UL",
-         "local variable is declared but never read", unused_local),
-    Rule("StreamNotClosed", "experimental", 2, "normal", 9, "OS",
-         "open() streams must be closed on every path", stream_not_closed),
-    Rule("CircularDependency", "dodgy", 3, "normal", 12, "CD",
-         "constructors instantiate each other in a cycle", circular_dependency),
-    Rule("RedundantNullCheck", "dodgy", 5, "low", 20, "RCN",
-         "null check of a value that is known to be non-null", redundant_null_check),
-    Rule("StaticFieldCouldBeFinal", "correctness", 1, "high", 4, "MS",
-         "static field never reassigned after initialization", static_field_could_be_final),
-    Rule("EmptyBlock", "bad_practice", 4, "high", 17, "EB",
-         "empty try/catch/finally/switch/if/while body", empty_block),
-    Rule("MethodNamingConventions", "bad_practice", 4, "high", 18, "NM",
-         "method names use lowerCamelCase up to 16 characters", method_naming),
-    Rule("ParameterNameConvention", "bad_practice", 4, "high", 18, "NM",
-         "parameter names use lowerCamelCase, length >= 4, no type prefixes", parameter_naming),
-    Rule("ClassNamingConvention", "bad_practice", 4, "high", 18, "NM",
-         "class names use UpperCamelCase", class_naming),
-    Rule("NoPackage", "bad_practice", 4, "high", 19, "PKG",
-         "compilation unit lacks a package declaration", no_package),
-    Rule("SystemPrintln", "performance", 4, "high", 18, "SP",
-         "println calls left in code", system_println),
+         unconditional_wait),
+    Rule("DeadlockOrder", "multithreaded_correctness", 1, "low", 3, "DL", deadlock_order),
+    Rule("StringEqualityOperator", "correctness", 2, "high", 6, "ES", string_equality),
+    Rule("UnusedLocalVariable", "dodgy", 4, "high", 16, "UL", unused_local),
+    Rule("StreamNotClosed", "experimental", 2, "normal", 9, "OS", stream_not_closed),
+    Rule("CircularDependency", "dodgy", 3, "normal", 12, "CD", circular_dependency),
+    Rule("RedundantNullCheck", "dodgy", 5, "low", 20, "RCN", redundant_null_check),
+    Rule("StaticFieldCouldBeFinal", "correctness", 1, "high", 4, "MS", static_field_could_be_final),
+    Rule("EmptyBlock", "bad_practice", 4, "high", 17, "EB", empty_block),
+    Rule("MethodNamingConventions", "bad_practice", 4, "high", 18, "NM", method_naming),
+    Rule("ParameterNameConvention", "bad_practice", 4, "high", 18, "NM", parameter_naming),
+    Rule("ClassNamingConvention", "bad_practice", 4, "high", 18, "NM", class_naming),
+    Rule("NoPackage", "bad_practice", 4, "high", 19, "PKG", no_package),
+    Rule("SystemPrintln", "performance", 4, "high", 18, "SP", system_println),
     Rule("DoNotUseThreads", "multithreaded_correctness", 3, "normal", 13, "THR",
-         "classes should not extend Thread directly", do_not_use_threads),
+         do_not_use_threads),
     Rule("MethodArgumentCouldBeFinal", "performance", 5, "high", 20, "FIN",
-         "parameters never assigned could be declared final", method_argument_could_be_final),
-    Rule("UnreachableCode", "dodgy", 2, "high", 8, "UC",
-         "statements that no control path reaches", unreachable_code),
+         method_argument_could_be_final),
+    Rule("UnreachableCode", "dodgy", 2, "high", 8, "UC", unreachable_code),
 )
 
 _BY_ID = {rule.id: rule for rule in RULES}

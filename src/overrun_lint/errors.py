@@ -76,7 +76,3 @@ class CoverageUnavailableError(OverrunLintError):
 
 class SpanOutOfRangeError(OverrunLintError):
     """Annotation target lies outside the source text."""
-
-
-class InterpreterError(OverrunLintError):
-    """Runtime condition the interpreter does not model as a trace fault."""

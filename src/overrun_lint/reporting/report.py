@@ -7,9 +7,10 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from ..errors import DomainError
 from ..boundcheck import BoundFinding
-from ..cfg import ComplexitySummary
+from ..cfg import UnitCfgs, complexity_bd, display_method, method_owner
 from ..detectors.model import Finding
 from ..detectors.rules import rule_by_id
+from ..frontend import ast
 from ..runtime.coverage import CoverageReport
 
 PER_100 = "per_100"
@@ -107,19 +108,29 @@ class Report:
 
 
 def build_metrics_rows(
-    per_unit: list[tuple[str, ComplexitySummary]], project_label: str = "project"
+    units: list[tuple[ast.CompilationUnit, UnitCfgs]],
+    covered: dict[str, int],
+    project_label: str = "project",
 ) -> list[MetricsRow]:
-    """Figure-10-shaped rows: project rollup, then file/class/method rows."""
+    """Figure-10-shaped rows: the project rollup, then for each unit its
+    file row, and each class's row followed by its methods' rows.  A
+    method's complexity is covered up to covered[method id]."""
     rows: list[MetricsRow] = []
-    total_cov = 0
-    total_miss = 0
-    unit_rows: list[MetricsRow] = []
-    for _file, summary in per_unit:
-        for row in summary.rows:
-            unit_rows.append(MetricsRow(row.element, row.kind, row.covered, row.missed))
-            if row.kind == "file":
-                total_cov += row.covered
-                total_miss += row.missed
-    rows.append(MetricsRow(project_label, "project", total_cov, total_miss))
-    rows.extend(unit_rows)
-    return rows
+    project = MetricsRow(project_label, "project", 0, 0)
+    for unit, cfgs in units:
+        total = {mid: complexity_bd(cfg) for mid, cfg in cfgs.cfgs.items()}
+        hit = {mid: min(covered.get(mid, 0), v) for mid, v in total.items()}
+
+        def row(element: str, kind: str, mids: list[str]) -> MetricsRow:
+            got = sum(hit[m] for m in mids)
+            return MetricsRow(element, kind, got, sum(total[m] for m in mids) - got)
+
+        file_row = row(unit.file, "file", list(total))
+        project.covered += file_row.covered
+        project.missed += file_row.missed
+        rows.append(file_row)
+        for class_decl in unit.classes:
+            mids = sorted(m for m in total if method_owner(m) == class_decl.name)
+            rows.append(row(class_decl.name, "class", mids))
+            rows.extend(row(display_method(m), "method", [m]) for m in mids)
+    return [project, *rows]

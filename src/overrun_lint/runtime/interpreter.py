@@ -40,7 +40,9 @@ Compilation also drops each per-step check that cannot fire:
 Executing a simple statement or a branching condition records its
 instruction id (and the branch outcome for decisions) into the RunTrace.
 Runtime faults (out-of-bounds access, null dereference, assertion failure,
-missing return, step limit) halt the run and are recorded; fixed-width
+missing return, step limit, and the run-time errors Java throws for an
+integer division by zero, a negative array size, a malformed parseInt
+and a read after close) halt the run and are recorded; fixed-width
 integer overflow is recorded as a warning and execution continues with the
 wrapped value.
 
@@ -57,12 +59,13 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from ..errors import EntryNotFoundError, InterpreterError
+from ..errors import EntryNotFoundError
 from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from ..semantics import types as ty
 from ..semantics.resolver import Resolution
-from ..cfg import UnitCfgs, method_identity
+from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
+from ..cfg import branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 BYTE_MIN, BYTE_MAX = -128, 127
@@ -77,6 +80,12 @@ FAULT_ASSERTION_FAILURE = "assertion_failure"
 FAULT_STEP_LIMIT = "step_limit"
 FAULT_OVERFLOW_WARNING = "arithmetic_overflow_warning"
 FAULT_MISSING_RETURN = "missing_return"
+# Java's ArithmeticException, NegativeArraySizeException,
+# NumberFormatException and the IOException of a read after close.
+FAULT_ARITHMETIC = "arithmetic_error"
+FAULT_NEGATIVE_ARRAY_SIZE = "negative_array_size"
+FAULT_NUMBER_FORMAT = "number_format"
+FAULT_CLOSED_STREAM = "closed_stream"
 
 
 @dataclass
@@ -158,7 +167,6 @@ class SLStream:
 
 _NULL = object()  # a statement's "return null/void" signal
 _REFERENCES = frozenset((SLObject, SLArray, SLStream))
-_TRUE, _FALSE = "true-branch", "false-branch"
 
 
 def format_value(value) -> str:
@@ -268,13 +276,11 @@ class Interpreter:
         if halt:
             raise _Halt()
 
-    def _step(self, iid: int | None, span: SourceSpan | None) -> None:
-        """A cold step: one executed instruction (iid is None for one
-        outside the CFGs), checked against max_steps.  Statement closures
-        take their steps inline instead."""
+    def _step(self, iid: int, span: SourceSpan | None) -> None:
+        """A cold step: one executed instruction, checked against
+        max_steps.  Statement closures take their steps inline instead."""
         trace = self.trace
-        if iid is not None:
-            trace.executed_instruction_ids.add(iid)
+        trace.executed_instruction_ids.add(iid)
         trace.steps += 1
         if trace.steps > self.options.max_steps:
             self._step_limit(span)
@@ -282,11 +288,9 @@ class Interpreter:
     def _step_limit(self, span: SourceSpan | None) -> None:
         self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
 
-    def _mark(self, iid: int | None):
-        """The call that marks iid executed.  A statement without an
-        instruction id marks a set nobody reads, so that its closure need
-        not test for one."""
-        return self.trace.executed_instruction_ids.add if iid is not None else set().add
+    def _instruction(self, stmt: ast.Node):
+        """stmt's instruction id and the call that marks it executed."""
+        return self.cfgs.stmt_iids[stmt.uid], self.trace.executed_instruction_ids.add
 
     def _harvest(self) -> None:
         """Move the closures' branch counts into the trace."""
@@ -317,10 +321,13 @@ class Interpreter:
         except _Halt:
             pass
         except RecursionError:
-            raise InterpreterError(
+            self._fault(
+                FAULT_STEP_LIMIT,
+                None,
                 "the program nests calls deeper than the host's recursion limit allows"
-                f" before reaching max_call_depth {self.options.max_call_depth}"
-            ) from None
+                f" before reaching max_call_depth {self.options.max_call_depth}",
+                halt=False,
+            )
         finally:
             if wanted > old_limit:
                 sys.setrecursionlimit(old_limit)
@@ -332,9 +339,9 @@ class Interpreter:
             inits = [f for f in cls.fields if f.static and f.initializer is not None]
             if not inits:
                 continue
-            self.trace.entered_methods.add(f"{cls.name}.<clinit>/0")
+            self.trace.entered_methods.add(clinit_id(cls.name))
             for fld in inits:
-                self._step(self.cfgs.stmt_iids.get(fld.uid), fld.span)
+                self._step(self.cfgs.stmt_iids[fld.uid], fld.span)
                 value = self._expr(fld.initializer)([None])
                 lo, hi, coerce = self._coercer(self.res.decl_symbols[fld.uid].declared_type)
                 if value.__class__ is int and not lo <= value <= hi:
@@ -405,9 +412,9 @@ class Interpreter:
                 coercions.append((sym.slot, lo, hi, coerce))
         body = self._stmts(decl.body)
         pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - bound)
-        cfg = self.cfgs.cfgs.get(ident)
-        implicit_iid = cfg.implicit_return_iid if cfg is not None else None
-        implicit_span = cfg.instr_spans.get(implicit_iid) if implicit_iid is not None else None
+        cfg = self.cfgs.cfgs[ident]
+        implicit_iid = cfg.implicit_return_iid
+        implicit_span = cfg.instr_spans.get(implicit_iid)
         # A non-void method that reaches its end has no value to return.
         returns_value = ty.from_type_ref(decl.return_type) != ty.VOID_T
         missing = f"{ident} reached its end without returning a value"
@@ -496,13 +503,11 @@ class Interpreter:
         if ctor is not None:
             self._method(ctor.owner, ctor.decl).call(obj, args, span)
         else:
-            # implicit constructor: record its synthetic instruction
-            cfg = self.cfgs.cfgs.get(f"{class_name}.<init>/0")
-            if cfg is not None and cfg.synthetic:
-                self.trace.entered_methods.add(cfg.method)
-                for block in cfg.blocks:
-                    for iid in block.instructions:
-                        self._step(iid, cfg.instr_spans[iid])
+            # the implicit constructor: record its synthetic instruction
+            cfg = self.cfgs.cfgs[default_ctor_id(class_name)]
+            self.trace.entered_methods.add(cfg.method)
+            for iid, span in cfg.instr_spans.items():
+                self._step(iid, span)
         return obj
 
     # -- statements ---------------------------------------------------------------
@@ -525,8 +530,8 @@ class Interpreter:
 
     def _s_expr(self, stmt: ast.ExprStmt):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark, expr = self._mark(iid), self._expr(stmt.expr)
+        iid, mark = self._instruction(stmt)
+        expr = self._expr(stmt.expr)
 
         def run(f):
             mark(iid)
@@ -539,8 +544,8 @@ class Interpreter:
 
     def _s_local(self, stmt: ast.LocalDecl):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark, sym = self._mark(iid), self.res.decl_symbols[stmt.uid]
+        iid, mark = self._instruction(stmt)
+        sym = self.res.decl_symbols[stmt.uid]
         init = (
             self._expr(stmt.initializer)
             if stmt.initializer is not None
@@ -562,8 +567,7 @@ class Interpreter:
 
     def _s_return(self, stmt: ast.Return):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark = self._mark(iid)
+        iid, mark = self._instruction(stmt)
         value = self._expr(stmt.value) if stmt.value is not None else _constant(None)
         method = self.res.parent(stmt)
         while not isinstance(method, ast.MethodDecl):
@@ -584,18 +588,17 @@ class Interpreter:
         return run
 
     def _decision(self, stmt: ast.Stmt):
-        """The instruction id and the [true, false] branch counters of an
-        if, while or for."""
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
+        """The instruction id, its mark and the [true, false] branch
+        counters of an if, while or for."""
+        iid, mark = self._instruction(stmt)
         counts = [0, 0]  # true, false
-        if iid is not None:
-            self.branch_counters.append((((iid, _TRUE), (iid, _FALSE)), counts))
-        return iid, counts
+        self.branch_counters.append((((iid, TRUE_BRANCH), (iid, FALSE_BRANCH)), counts))
+        return iid, mark, counts
 
     def _s_if(self, stmt: ast.If):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, counts = self._decision(stmt)
-        mark, cond = self._mark(iid), self._condition(stmt.cond)
+        iid, mark, counts = self._decision(stmt)
+        cond = self._condition(stmt.cond)
         then = self._stmts(stmt.then)
         els = self._stmts(stmt.els) if stmt.els is not None else ()
         passed = None
@@ -632,13 +635,12 @@ class Interpreter:
 
     def _loop(self, stmt, init, cond: ast.Expr | None, update: ast.Expr | None):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, counts = self._decision(stmt)
-        mark = self._mark(iid)
+        iid, mark, counts = self._decision(stmt)
         test = self._condition(cond) if cond is not None else _constant(True)
         body = self._stmts(stmt.body)
         if update is not None:
-            update_iid, update_span = self.cfgs.stmt_iids.get(update.uid), update.span
-            mark_update, update = self._mark(update_iid), self._expr(update)
+            update_iid, update_span = self.cfgs.stmt_iids[update.uid], update.span
+            update = self._expr(update)
 
         def run(f):
             if init is not None:
@@ -657,7 +659,7 @@ class Interpreter:
                     if r is not None:
                         return r
                 if update is not None:
-                    mark_update(update_iid)
+                    mark(update_iid)
                     trace.steps += 1
                     if trace.steps > limit:
                         st._step_limit(update_span)
@@ -667,8 +669,8 @@ class Interpreter:
 
     def _s_switch(self, stmt: ast.Switch):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark, subject = self._mark(iid), self._expr(stmt.subject)
+        iid, mark = self._instruction(stmt)
+        subject = self._expr(stmt.subject)
         arms = []  # (label, body, counter index) for labelled cases, in order
         keys = []
         default = None
@@ -676,15 +678,13 @@ class Interpreter:
             body = tuple(map(self._stmt, case.body))
             if case.label is None:
                 default = (body, len(keys))
-                keys.append((iid, "switch-case#default"))
             else:
                 arms.append((self._expr(case.label), body, len(keys)))
-                keys.append((iid, f"switch-case#case{i}"))
+            keys.append((iid, branch_key(SWITCH_CASE, case_label(i, case))))
         nomatch = len(keys)
-        keys.append((iid, "switch-case#nomatch"))
+        keys.append((iid, branch_key(SWITCH_CASE, NO_MATCH)))
         counts = [0] * len(keys)
-        if iid is not None:
-            self.branch_counters.append((tuple(keys), counts))
+        self.branch_counters.append((tuple(keys), counts))
 
         def run(f):
             mark(iid)
@@ -717,8 +717,8 @@ class Interpreter:
 
     def _s_assert(self, stmt: ast.Assert):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark, cond = self._mark(iid), self._condition(stmt.condition)
+        iid, mark = self._instruction(stmt)
+        cond = self._condition(stmt.condition)
         message = self._expr(stmt.message) if stmt.message is not None else None
 
         def run(f):
@@ -734,8 +734,8 @@ class Interpreter:
 
     def _s_synchronized(self, stmt: ast.Synchronized):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark, monitor = self._mark(iid), self._expr(stmt.monitor)
+        iid, mark = self._instruction(stmt)
+        monitor = self._expr(stmt.monitor)
         body = self._stmts(stmt.body)
 
         def run(f):
@@ -753,8 +753,7 @@ class Interpreter:
 
     def _s_empty(self, stmt: ast.Empty):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid = self.cfgs.stmt_iids.get(stmt.uid)
-        mark = self._mark(iid)
+        iid, mark = self._instruction(stmt)
 
         def run(f):
             mark(iid)
@@ -894,7 +893,7 @@ class Interpreter:
         def run(f):
             size = size_of(f)
             if size < 0:
-                raise InterpreterError(f"{span}: bad array size {size!r}")
+                st._fault(FAULT_NEGATIVE_ARRAY_SIZE, span, f"array size {size} is negative")
             return st._new_array(elem, size)
 
         return run
@@ -991,7 +990,7 @@ class Interpreter:
         if op == "*":
             return self._wrap_int(a * b, span)
         if b == 0:
-            raise InterpreterError(f"{span}: integer division by zero")
+            self._fault(FAULT_ARITHMETIC, span, "integer division by zero")
         quotient = abs(a) // abs(b)
         if (a < 0) != (b < 0):
             quotient = -quotient
@@ -1187,9 +1186,10 @@ class Interpreter:
             if text is None:
                 self._fault(FAULT_NULL_DEREFERENCE, span, "parseInt(null)")
             try:
-                return self._wrap_int(int(str(text).strip()), span)
+                value = int(str(text).strip())
             except ValueError:
-                raise InterpreterError(f"{span}: parseInt({text!r}) is not a number")
+                self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
+            return self._wrap_int(value, span)
         if name == "length":
             text = args[0]
             if text is None:
@@ -1233,7 +1233,7 @@ class Interpreter:
         if buf is None:
             self._fault(FAULT_NULL_DEREFERENCE, span, "read() into a null buffer")
         if stream.closed:
-            raise InterpreterError(f"{span}: read() on a closed stream")
+            self._fault(FAULT_CLOSED_STREAM, span, "read() on a closed stream")
         if off < 0 or length < 0 or off + length > len(buf.values):
             self._fault(
                 FAULT_OUT_OF_BOUNDS,

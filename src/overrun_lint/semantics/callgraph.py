@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cfg import is_constructor_id
 from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from .resolver import Resolution
@@ -109,7 +110,7 @@ def constructor_cycles(graph: CallGraph) -> list[list[str]]:
     """Cycles among constructors regardless of conditioning."""
     adjacency: dict[str, set[str]] = {}
     for edge in graph.edges:
-        if ".<init>/" in edge.caller and ".<init>/" in edge.callee:
+        if is_constructor_id(edge.caller) and is_constructor_id(edge.callee):
             adjacency.setdefault(edge.caller, set()).add(edge.callee)
     return _cyclic_sccs(adjacency)
 

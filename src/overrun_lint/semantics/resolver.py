@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator
 
+from ..cfg import default_ctor_id, method_identity
 from ..errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from ..frontend import ast
 from ..frontend.index import NodeIndex
@@ -117,8 +118,7 @@ class MethodInfo:
 
     @property
     def method_id(self) -> str:
-        name = "<init>" if self.decl.is_constructor else self.decl.name
-        return f"{self.owner}.{name}/{self.decl.arity}"
+        return method_identity(self.owner, self.decl)
 
 
 @dataclass
@@ -752,7 +752,7 @@ class _Resolver:
                 )
                 return self._unknown_call(expr, result)
             # implicit default constructor
-            self.res.call_targets[expr.uid] = CallTarget("ctor", f"{expr.class_name}.<init>/0")
+            self.res.call_targets[expr.uid] = CallTarget("ctor", default_ctor_id(expr.class_name))
             return self._set(expr, result)
         self._check_args(ctor, expr, arg_ts)
         self.res.call_targets[expr.uid] = CallTarget("ctor", ctor.method_id, method=ctor)

@@ -355,3 +355,19 @@ def test_run_ends_in_a_fault_or_an_error_not_a_traceback(name, capsys, tmp_path,
     assert exit_code == code, err
     assert message in err
     assert out == ""
+
+
+def test_run_time_error_keeps_the_output_before_it(capsys, tmp_path, monkeypatch):
+    (tmp_path / "div.sl").write_text(
+        "class Main {\n"
+        "    static void main(String[] args) {\n"
+        "        int z = 0;\n"
+        '        println("before");\n'
+        "        println(5 / z);\n"
+        "    }\n"
+        "}\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "div.sl")
+    assert (code, out) == (1, "before\n")
+    assert err == "fault: arithmetic_error at div.sl:5: integer division by zero\n"

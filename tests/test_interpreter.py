@@ -4,11 +4,11 @@ from overrun_lint.errors import (
     DomainError,
     DuplicateDeclaration,
     EntryNotFoundError,
-    InterpreterError,
     TypeCheckError,
 )
 from overrun_lint.pipeline import analyze_source, run_source
 from overrun_lint.runtime import (
+    FAULT_ARITHMETIC,
     FAULT_ASSERTION_FAILURE,
     FAULT_MISSING_RETURN,
     FAULT_NULL_DEREFERENCE,
@@ -417,9 +417,15 @@ class T {
     assert trace.stdout == ["3", "-3", "1"]
 
 
-def test_division_by_zero_is_interpreter_error():
-    with pytest.raises(InterpreterError):
-        run("class T { static void main(String[] args) { println(1 / 0); } }")
+def test_division_by_zero_is_an_arithmetic_fault():
+    trace = run(
+        "class T { static void main(String[] args) {"
+        ' println("before"); int z = 0; println(5 / z); println("after"); } }'
+    )
+    assert trace.stdout == ["before"]
+    fault = trace.halting_fault
+    assert (fault.kind, fault.detail) == (FAULT_ARITHMETIC, "integer division by zero")
+    assert (fault.span.line, fault.span.column) == (1, 83)  # the 5 of 5 / z
 
 
 def test_executed_ids_exist_in_cfgs(corpus_sources):
@@ -960,12 +966,14 @@ def test_recursion_limit_is_restored_after_a_run(corpus_sources):
     trace = run_source(corpus_sources["makeover.sl"], "makeover.sl", RunOptions())[0]
     assert trace.halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
     assert sys.getrecursionlimit() == before
-    with pytest.raises(InterpreterError):
-        run("class T { static void main(String[] args) { println(1 / 0); } }")
+    trace = run("class T { static void main(String[] args) { println(1 / 0); } }")
+    assert trace.halting_fault.kind == FAULT_ARITHMETIC
     assert sys.getrecursionlimit() == before
 
 
-def test_host_recursion_limit_is_an_interpreter_error():
+def test_host_recursion_limit_is_a_step_limit_fault():
+    import sys
+
     source = """\
 class T {
     static int down(int n) {
@@ -979,5 +987,12 @@ class T {
 """
     # The run raises the recursion limit only up to its ceiling, which a
     # cap of 100 000 calls does not fit under.
-    with pytest.raises(InterpreterError, match="deeper than the host's recursion limit"):
-        run(source, max_call_depth=100_000)
+    before = sys.getrecursionlimit()
+    trace = run(source, max_call_depth=100_000)
+    assert trace.halting_fault.kind == FAULT_STEP_LIMIT
+    assert trace.halting_fault.detail == (
+        "the program nests calls deeper than the host's recursion limit allows"
+        " before reaching max_call_depth 100000"
+    )
+    assert trace.stdout == []
+    assert sys.getrecursionlimit() == before

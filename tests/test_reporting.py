@@ -155,7 +155,7 @@ def test_xml_writer_gives_elementtrees_bytes(text):
         message=text, span=SourceSpan(f"dir & {text}.sl", 7, 1, 7, 2), triage=text or "untriaged",
     )
     rows = [MetricsRow(element=text, kind="method", covered=1, missed=2)]
-    coverage = CoverageReport([CoverageCounter(kind=text, covered=3, missed=0)], {}, {}, {}, summary=None)
+    coverage = CoverageReport([CoverageCounter(kind=text, covered=3, missed=0)], {}, {}, {})
     for report in (
         sample_report([finding, odd]),
         Report(tool_version=text, generated_at=text, findings=[odd], coverage=coverage, metrics_rows=rows),

@@ -588,6 +588,40 @@ class Main {
 """,
         {},
     ),
+    # Java's run-time errors, which halt with a fault after the output so far.
+    "division_by_zero": (
+        """\
+class Main {
+    static void main(String[] args) {
+        int z = 0;
+        println("before");
+        println(10 % z);
+    }
+}
+""",
+        {},
+    ),
+    "negative_array_size": (
+        """\
+class Main {
+    static void main(String[] args) {
+        int n = 0 - 2;
+        int[] a = new int[n];
+    }
+}
+""",
+        {},
+    ),
+    "parse_int_not_a_number": (
+        """\
+class Main {
+    static void main(String[] args) {
+        println(parseInt("x"));
+    }
+}
+""",
+        {},
+    ),
     "readline_parse": (
         """\
 class Main {
@@ -709,36 +743,11 @@ class Main {
     ),
 }
 
-# Runs that end in an error, InterpreterError or (for error_unresolved_call
-# and error_instance_call_without_receiver) the resolver's error: the
-# digest pins the exception's text.  The int and boolean methods of
-# error_non_boolean_condition fall off their ends, so that run halts at the
-# first with a missing_return fault instead.
+# Runs that the resolver rejects (error_unresolved_call and
+# error_instance_call_without_receiver): the digest pins the error's text.
+# The int and boolean methods of error_non_boolean_condition fall off their
+# ends, so that run halts at the first with a missing_return fault instead.
 ERROR_SNIPPETS: dict[str, str] = {
-    "error_integer_division_by_zero": """\
-class Main {
-    static void main(String[] args) {
-        int z = 0;
-        println("before");
-        println(10 % z);
-    }
-}
-""",
-    "error_negative_array_size": """\
-class Main {
-    static void main(String[] args) {
-        int n = 0 - 2;
-        int[] a = new int[n];
-    }
-}
-""",
-    "error_parse_int": """\
-class Main {
-    static void main(String[] args) {
-        println(parseInt("x"));
-    }
-}
-""",
     "error_unresolved_call": """\
 class Main {
     static void main(String[] args) {
