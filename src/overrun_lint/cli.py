@@ -13,7 +13,7 @@ from datetime import datetime
 from pathlib import Path
 
 from . import __version__
-from .errors import OverrunLintError
+from .errors import ConfigError, OverrunLintError
 from .detectors.model import Finding, RuleSet, load_ruleset
 from .detectors.rules import rule_by_id
 from .detectors.clones import find_duplicates
@@ -217,15 +217,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    covered: dict[str, int] = {}
-    if args.coverage_data:
-        payload = json.loads(Path(args.coverage_data).read_text(encoding="utf-8"))
-        covered = {k: int(v) for k, v in payload.get("per_method_covered", {}).items()}
+    covered = _load_covered(args.coverage_data) if args.coverage_data else {}
     units = _analyze_units(args.paths)
     rows = build_metrics_rows([(a.unit, a.cfgs) for a in units], covered)
     for line in render_metrics_table(rows):
         print(line)
     return 0
+
+
+def _load_covered(path: str) -> dict[str, int]:
+    """The per-method covered counts of a `run --coverage-out` file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deep
+        raise ConfigError(None, f"not a coverage JSON file: {err}", path) from None
+    covered = payload.get("per_method_covered", {}) if isinstance(payload, dict) else None
+    if not isinstance(covered, dict) or not all(type(v) is int and v >= 0 for v in covered.values()):
+        raise ConfigError(None, "expected an object whose per_method_covered maps method ids to counts", path)
+    return covered
 
 
 def _cmd_cpd(args) -> int:

@@ -50,10 +50,13 @@ class TypeCheckError(SpannedError):
 
 
 class ConfigError(OverrunLintError):
-    def __init__(self, line: int, message: str):
+    """A settings or data file that cannot be used, and where in it."""
+
+    def __init__(self, line: int | None, message: str, file: str | None = None):
         self.line = line
         self.message = message
-        super().__init__(f"line {line}: {message}")
+        where = ", ".join(p for p in (file, line and f"line {line}") if p)
+        super().__init__(f"{where}: {message}")
 
 
 class UnknownRuleError(OverrunLintError):

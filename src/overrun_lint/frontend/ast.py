@@ -2,6 +2,10 @@
 
 Every node carries a SourceSpan and a unit-unique integer uid assigned in
 construction order, which downstream passes use as a stable map key.
+The parser builds each node with one positional call, `cls(span, uid,
+*fields)`, so a class's field order is part of its contract; fields with a
+default that a subclass inherits, such as `Stmt.leading_comments`, are
+keyword-only.
 """
 
 from __future__ import annotations
@@ -16,18 +20,18 @@ if TYPE_CHECKING:
     from .index import NodeIndex
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Node:
     span: SourceSpan
-    uid: int = -1
+    uid: int
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Stmt(Node):
-    leading_comments: list[str] = field(default_factory=list)
+    leading_comments: list[str] = field(default_factory=list, kw_only=True)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Expr(Node):
     pass
 
@@ -52,14 +56,14 @@ VOID = TypeRef("void")
 # --- declarations -----------------------------------------------------------
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Param(Node):
     name: str
     type: TypeRef
     final: bool = False
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class FieldDecl(Node):
     name: str
     type: TypeRef
@@ -69,7 +73,7 @@ class FieldDecl(Node):
     leading_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class MethodDecl(Node):
     name: str
     params: list[Param]
@@ -84,7 +88,7 @@ class MethodDecl(Node):
         return len(self.params)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class ClassDecl(Node):
     name: str
     extends: Optional[str] = None
@@ -96,6 +100,7 @@ class ClassDecl(Node):
 
 @dataclass(kw_only=True)
 class CompilationUnit(Node):
+    uid: int = -1
     package_name: Optional[str] = None
     classes: list[ClassDecl] = field(default_factory=list)
     source: str = ""
@@ -127,13 +132,13 @@ class CompilationUnit(Node):
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
     trailing_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Block
@@ -149,57 +154,57 @@ class AssertInfo:
     statement_text: str
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Block
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class For(Stmt):
-    init: Optional[Stmt] = None  # LocalDecl or ExprStmt
-    cond: Optional[Expr] = None
-    update: Optional[Expr] = None
-    body: Block = None  # type: ignore[assignment]
+    init: Optional[Stmt]  # LocalDecl or ExprStmt
+    cond: Optional[Expr]
+    update: Optional[Expr]
+    body: Block
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class SwitchCase(Node):
     label: Optional[Expr]  # None for default
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Switch(Stmt):
     subject: Expr
     cases: list[SwitchCase] = field(default_factory=list)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class CatchClause(Node):
     exc_type: TypeRef
     name: str
-    body: Block = None  # type: ignore[assignment]
+    body: Block
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Try(Stmt):
     body: Block
     catches: list[CatchClause] = field(default_factory=list)
     finally_block: Optional[Block] = None
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class LocalDecl(Stmt):
     name: str
     type: TypeRef
@@ -207,19 +212,19 @@ class LocalDecl(Stmt):
     initializer: Optional[Expr] = None
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Assert(Stmt):
     condition: Expr
     message: Optional[Expr] = None
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Synchronized(Stmt):
     monitor: Expr
     body: Block
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Empty(Stmt):
     pass
 
@@ -227,62 +232,62 @@ class Empty(Stmt):
 # --- expressions --------------------------------------------------------------
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # includes "=" for assignment
     left: Expr
     right: Expr
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Call(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
     receiver: Optional[Expr] = None
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class New(Expr):
     class_name: str
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class NewArray(Expr):
     elem_type: TypeRef
-    size_expr: Expr = None  # type: ignore[assignment]
+    size_expr: Expr
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Index(Expr):
     array: Expr
     index: Expr
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class FieldAccess(Expr):
     receiver: Expr
     name: str
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Name(Expr):
     identifier: str
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Literal(Expr):
     value: object
     kind: str  # int | double | string | boolean
 
 
-@dataclass(kw_only=True, slots=True)
+@dataclass(slots=True)
 class Null(Expr):
     pass
 

@@ -17,7 +17,6 @@ operator and postfix chains, up from the operands (`height`).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import replace
 
 from ..errors import NestingError, ParseError
 from . import ast
@@ -64,6 +63,9 @@ class Parser:
         self.end_columns = stream.end_columns
         self.pos = 0
         self.taken = 0  # comments handed out so far
+        # The token the first comment not yet taken precedes; past the
+        # sentinel when every comment is taken.
+        self.next_comment = stream.comment_at[0] if stream.comment_at else len(stream.kinds)
         self.depth = 0  # levels above the construct being parsed
         self.height = 0  # levels within the expression parsed last
         # Node u is created[u]: uids follow creation, which is a post-order,
@@ -80,10 +82,11 @@ class Parser:
 
     def _take_comments(self) -> list[str]:
         """Comments before the next token that no node has taken yet."""
-        taken, at = self.taken, self.stream.comment_at
-        if taken == len(at) or at[taken] > self.pos:
+        if self.next_comment > self.pos:
             return []
+        taken, at = self.taken, self.stream.comment_at
         self.taken = end = bisect_right(at, self.pos, taken)
+        self.next_comment = at[end] if end < len(at) else len(self.kinds)
         return self.stream.comments[taken:end]
 
     def _error(self, what: str) -> ParseError:
@@ -111,8 +114,9 @@ class Parser:
         if self.depth > MAX_NESTING:
             raise NestingError(self.stream.span(tok), MAX_NESTING)
 
-    def _node(self, cls, start: int, **kw):
-        """A node spanning token start through the last token taken."""
+    def _node(self, cls, start: int, *fields):
+        """A node spanning token start through the last token taken, with
+        fields in the order its class declares them."""
         pos = self.pos
         end = pos - 1
         created = self.created
@@ -123,7 +127,7 @@ class Parser:
         span = _new_tuple(
             SourceSpan, (self.file, self.lines[start], self.columns[start], self.lines[end], self.end_columns[end])
         )
-        node = cls(span=span, uid=uid, **kw)
+        node = cls(span, uid, *fields)
         created.append(node)
         self.first.append(marks[start])
         return node
@@ -149,10 +153,14 @@ class Parser:
             lead = self._take_comments()
         # From the first token to the last, or the sentinel's 1:1 when the
         # source has none (index -1 is then the sentinel).
-        unit = self._node(
-            ast.CompilationUnit, 0, package_name=package, classes=classes, source=source,
-            file=self.file, trailing_comments=lead, next_uid=len(self.created) + 1,
+        end, uid = self.pos - 1, len(self.created)
+        unit = ast.CompilationUnit(
+            span=SourceSpan(self.file, self.lines[0], self.columns[0], self.lines[end], self.end_columns[end]),
+            uid=uid, package_name=package, classes=classes, source=source, file=self.file,
+            trailing_comments=lead, next_uid=uid + 1,
         )
+        self.created.append(unit)
+        self.first.append(0)
         unit.tokens = self.stream
         unit.index = NodeIndex.from_post_order(self.created, self.first)
         return unit
@@ -169,20 +177,15 @@ class Parser:
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
         while texts[self.pos] != "}":
-            member_lead = self._take_comments()
-            member = self._member(name)
-            member.leading_comments = member_lead
+            member = self._member(name, self._take_comments())
             if isinstance(member, ast.FieldDecl):
                 fields.append(member)
             else:
                 methods.append(member)
         self.pos += 1
-        return self._node(
-            ast.ClassDecl, start, name=name, extends=extends, fields=fields, methods=methods,
-            is_builtin_thread_subclass=(extends == "Thread"), leading_comments=lead,
-        )
+        return self._node(ast.ClassDecl, start, name, extends, fields, methods, extends == "Thread", lead)
 
-    def _member(self, class_name: str):
+    def _member(self, class_name: str, lead: list[str]):
         texts = self.texts
         start = self.pos
         if self.kinds[start] == EOF:
@@ -200,10 +203,7 @@ class Parser:
             self.pos += 1
             params = self._params()
             body = self._block()
-            return self._node(
-                ast.MethodDecl, start, name=class_name, params=params, return_type=ast.VOID,
-                body=body, is_constructor=True, is_static=static,
-            )
+            return self._node(ast.MethodDecl, start, class_name, params, ast.VOID, body, True, static, lead)
         if texts[pos] == "void":
             self.pos += 1
             rtype = ast.VOID
@@ -213,17 +213,13 @@ class Parser:
         if texts[self.pos] == "(":
             params = self._params()
             body = self._block()
-            return self._node(
-                ast.MethodDecl, start, name=name, params=params, return_type=rtype, body=body, is_static=static
-            )
+            return self._node(ast.MethodDecl, start, name, params, rtype, body, False, static, lead)
         init = None
         if texts[self.pos] == "=":
             self.pos += 1
             init = self._expr()
         self._expect(";")
-        return self._node(
-            ast.FieldDecl, start, name=name, type=rtype, static=static, final=final, initializer=init
-        )
+        return self._node(ast.FieldDecl, start, name, rtype, static, final, init, lead)
 
     def _params(self) -> list[ast.Param]:
         texts = self.texts
@@ -236,7 +232,7 @@ class Parser:
                 self.pos += final
                 ptype = self._type()
                 pname = self._ident("parameter name")
-                params.append(self._node(ast.Param, start, name=pname, type=ptype, final=final))
+                params.append(self._node(ast.Param, start, pname, ptype, final))
                 if texts[self.pos] != ",":
                     break
                 self.pos += 1
@@ -267,7 +263,7 @@ class Parser:
             stmts.append(self._stmt())
         trailing = self._take_comments()
         self.pos += 1
-        return self._node(ast.Block, start, stmts=stmts, trailing_comments=trailing)
+        return self._node(ast.Block, start, stmts, trailing)
 
     def _body_block(self) -> ast.Block:
         """Parse a control-structure body, normalizing to a Block."""
@@ -275,16 +271,17 @@ class Parser:
         if self.texts[start] == "{":
             return self._block()
         stmt = self._stmt()
-        return self._node(ast.Block, start, stmts=[stmt])
+        return self._node(ast.Block, start, [stmt])
 
     def _stmt(self) -> ast.Stmt:
-        lead = self._take_comments()
         tok = self.pos
+        lead = self._take_comments() if self.next_comment <= tok else None
         self._descend(tok)
         parse = self._STATEMENTS.get(self.texts[tok])
         stmt = parse(self, tok) if parse is not None else self._expr_stmt(tok)
         self.depth -= 1
-        stmt.leading_comments = lead
+        if lead is not None:
+            stmt.leading_comments = lead
         return stmt
 
     def _expr_stmt(self, tok: int) -> ast.Stmt:
@@ -294,7 +291,7 @@ class Parser:
             return self._local_decl(tok)
         expr = self._expr_or_incr()
         self._expect(";")
-        return self._node(ast.ExprStmt, tok, expr=expr)
+        return self._node(ast.ExprStmt, tok, expr)
 
     def _empty(self, tok: int) -> ast.Empty:
         self.pos += 1
@@ -306,7 +303,7 @@ class Parser:
         if self.texts[self.pos] != ";":
             value = self._expr()
         self._expect(";")
-        return self._node(ast.Return, tok, value=value)
+        return self._node(ast.Return, tok, value)
 
     def _assert(self, tok: int) -> ast.Assert:
         self.pos += 1
@@ -316,7 +313,7 @@ class Parser:
             self.pos += 1
             message = self._expr()
         self._expect(";")
-        return self._node(ast.Assert, tok, condition=cond, message=message)
+        return self._node(ast.Assert, tok, cond, message)
 
     def _synchronized(self, tok: int) -> ast.Synchronized:
         self.pos += 1
@@ -324,7 +321,7 @@ class Parser:
         monitor = self._expr()
         self._expect(")")
         body = self._block()
-        return self._node(ast.Synchronized, tok, monitor=monitor, body=body)
+        return self._node(ast.Synchronized, tok, monitor, body)
 
     def _looks_like_decl(self) -> bool:
         kinds, pos = self.kinds, self.pos
@@ -343,7 +340,7 @@ class Parser:
             init = self._expr()
         if consume_semi:
             self._expect(";")
-        return self._node(ast.LocalDecl, start, name=name, type=dtype, final=final, initializer=init)
+        return self._node(ast.LocalDecl, start, name, dtype, final, init)
 
     def _condition(self) -> ast.Expr:
         """Skip the statement's keyword, then parse '(' expr ')'."""
@@ -366,12 +363,12 @@ class Parser:
                 self.depth -= 1
             else:
                 els = self._body_block()
-        return self._node(ast.If, start, cond=cond, then=then, els=els)
+        return self._node(ast.If, start, cond, then, els)
 
     def _while_stmt(self, start: int) -> ast.While:
         cond = self._condition()
         body = self._body_block()
-        return self._node(ast.While, start, cond=cond, body=body)
+        return self._node(ast.While, start, cond, body)
 
     def _for_stmt(self, start: int) -> ast.For:
         texts = self.texts
@@ -384,7 +381,7 @@ class Parser:
                 init = self._local_decl(first, consume_semi=False)
             else:
                 expr = self._expr_or_incr()
-                init = self._node(ast.ExprStmt, first, expr=expr)
+                init = self._node(ast.ExprStmt, first, expr)
         self._expect(";")
         cond: ast.Expr | None = None
         if texts[self.pos] != ";":
@@ -395,7 +392,7 @@ class Parser:
             update = self._expr_or_incr()
         self._expect(")")
         body = self._body_block()
-        return self._node(ast.For, start, init=init, cond=cond, update=update, body=body)
+        return self._node(ast.For, start, init, cond, update, body)
 
     def _switch_stmt(self, start: int) -> ast.Switch:
         texts = self.texts
@@ -414,9 +411,9 @@ class Parser:
             body: list[ast.Stmt] = []
             while texts[self.pos] not in ("case", "default", "}"):
                 body.append(self._stmt())
-            cases.append(self._node(ast.SwitchCase, case_start, label=label, body=body))
+            cases.append(self._node(ast.SwitchCase, case_start, label, body))
         self.pos += 1
-        return self._node(ast.Switch, start, subject=subject, cases=cases)
+        return self._node(ast.Switch, start, subject, cases)
 
     def _try_stmt(self, start: int) -> ast.Try:
         texts = self.texts
@@ -431,14 +428,14 @@ class Parser:
             cname = self._ident("catch parameter")
             self._expect(")")
             cbody = self._block()
-            catches.append(self._node(ast.CatchClause, cstart, exc_type=ctype, name=cname, body=cbody))
+            catches.append(self._node(ast.CatchClause, cstart, ctype, cname, cbody))
         finally_block = None
         if texts[self.pos] == "finally":
             self.pos += 1
             finally_block = self._block()
         if not catches and finally_block is None:
             raise self._error("'catch' or 'finally'")
-        return self._node(ast.Try, start, body=body, catches=catches, finally_block=finally_block)
+        return self._node(ast.Try, start, body, catches, finally_block)
 
     _STATEMENTS = {
         "{": lambda self, tok: self._block(),
@@ -469,12 +466,12 @@ class Parser:
             raise ParseError(self.stream.span(op_tok), "assignable expression before '++'/'--'", repr(op_text))
         if self.depth + self.height + 2 > MAX_NESTING:
             raise NestingError(self.stream.span(op_tok), MAX_NESTING)
-        one = self._node(ast.Literal, op_tok, value=1, kind="int")
+        one = self._node(ast.Literal, op_tok, 1, "int")
         op = "+" if op_text == "++" else "-"
-        arith = self._node(ast.Binary, start, op=op, left=self._clone_expr(expr), right=one)
+        arith = self._node(ast.Binary, start, op, self._clone_expr(expr), one)
         # arith begins where expr does, but holds only the 1 and the copy.
         self.first[arith.uid] = one.uid
-        return self._node(ast.Binary, start, op="=", left=expr, right=arith)
+        return self._node(ast.Binary, start, "=", expr, arith)
 
     def _clone_expr(self, expr: ast.Expr) -> ast.Expr:
         """Deep-copy an lvalue expression with fresh uids (for ++/-- sugar).
@@ -483,11 +480,14 @@ class Parser:
         first = len(self.created)
         if isinstance(expr, ast.Index):
             array, index = self._clone_expr(expr.array), self._clone_expr(expr.index)
-            node = replace(expr, array=array, index=index, uid=len(self.created))
+            node = ast.Index(expr.span, len(self.created), array, index)
         elif isinstance(expr, ast.FieldAccess):
-            node = replace(expr, receiver=self._clone_expr(expr.receiver), uid=len(self.created))
-        elif isinstance(expr, (ast.Name, ast.Literal)):
-            node = replace(expr, uid=first)
+            receiver = self._clone_expr(expr.receiver)
+            node = ast.FieldAccess(expr.span, len(self.created), receiver, expr.name)
+        elif isinstance(expr, ast.Name):
+            node = ast.Name(expr.span, first, expr.identifier)
+        elif isinstance(expr, ast.Literal):
+            node = ast.Literal(expr.span, first, expr.value, expr.kind)
         else:
             raise ParseError(expr.span, "assignable expression", type(expr).__name__)
         self.created.append(node)
@@ -514,7 +514,7 @@ class Parser:
         right = self._expr()
         self.depth -= 1
         self.height = max(height, self.height + 1)
-        return self._node(ast.Binary, start, op="=", left=left, right=right)
+        return self._node(ast.Binary, start, "=", left, right)
 
     def _climb(self, start: int, left: ast.Expr, min_prec: int) -> ast.Expr:
         """Precedence climbing: extend left, which began at token start, with
@@ -538,7 +538,7 @@ class Parser:
                 after = _PREC.get(texts[self.pos], 0)
             if self.height >= height:
                 height = self.height + 1
-            left = self._node(ast.Binary, start, op=texts[op], left=left, right=right)
+            left = self._node(ast.Binary, start, texts[op], left, right)
             prec = after
         self.depth = depth
         self.height = height
@@ -554,19 +554,19 @@ class Parser:
             self.pos = tok + 1
             if texts[tok + 1] == "(":
                 args = self._args()
-                expr = self._node(ast.Call, tok, name=text, args=args)
+                expr = self._node(ast.Call, tok, text, args)
             else:
-                expr = self._node(ast.Name, tok, identifier=text)
+                expr = self._node(ast.Name, tok, text)
         elif kind == INT_LITERAL:
             self.pos = tok + 1
-            expr = self._node(ast.Literal, tok, value=int(text), kind="int")
+            expr = self._node(ast.Literal, tok, int(text), "int")
         elif text == "!" or text == "-":
             self.pos = tok + 1
             self._descend(tok)
             operand = self._operand()
             self.depth -= 1
             self.height += 1
-            return self._node(ast.Unary, tok, op=text, operand=operand)
+            return self._node(ast.Unary, tok, text, operand)
         elif text == "(":
             self.pos = tok + 1
             self._descend(tok)
@@ -576,19 +576,19 @@ class Parser:
             self.height += 1
         elif kind == DOUBLE_LITERAL:
             self.pos = tok + 1
-            expr = self._node(ast.Literal, tok, value=float(text), kind="double")
+            expr = self._node(ast.Literal, tok, float(text), "double")
         elif kind == STRING_LITERAL:
             self.pos = tok + 1
-            expr = self._node(ast.Literal, tok, value=string_literal_value(text), kind="string")
+            expr = self._node(ast.Literal, tok, string_literal_value(text), "string")
         elif text == "true" or text == "false":
             self.pos = tok + 1
-            expr = self._node(ast.Literal, tok, value=(text == "true"), kind="boolean")
+            expr = self._node(ast.Literal, tok, text == "true", "boolean")
         elif text == "null":
             self.pos = tok + 1
             expr = self._node(ast.Null, tok)
         elif text == "this":
             self.pos = tok + 1
-            expr = self._node(ast.Name, tok, identifier="this")
+            expr = self._node(ast.Name, tok, "this")
         elif text == "new":
             expr = self._new(tok)
         else:
@@ -607,14 +607,14 @@ class Parser:
         self.pos += 1
         if texts[self.pos] != "[":
             args = self._args()
-            return self._node(ast.New, tok, class_name=type_name, args=args)
+            return self._node(ast.New, tok, type_name, args)
         self._descend(self.pos)
         self.pos += 1
         size = self._expr()
         self._expect("]")
         self.depth -= 1
         self.height += 1
-        return self._node(ast.NewArray, tok, elem_type=TypeRef(type_name), size_expr=size)
+        return self._node(ast.NewArray, tok, TypeRef(type_name), size)
 
     def _postfix(self, start: int, expr: ast.Expr) -> ast.Expr:
         """Member accesses, method calls and indexes applied to expr."""
@@ -631,9 +631,9 @@ class Parser:
                 if texts[self.pos] == "(":
                     args = self._args()
                     height = max(height, self.height)
-                    expr = self._node(ast.Call, start, name=name, args=args, receiver=expr)
+                    expr = self._node(ast.Call, start, name, args, expr)
                 else:
-                    expr = self._node(ast.FieldAccess, start, receiver=expr, name=name)
+                    expr = self._node(ast.FieldAccess, start, expr, name)
             elif texts[op] == "[":
                 height += 1
                 if depth + height > MAX_NESTING:
@@ -644,7 +644,7 @@ class Parser:
                 self.depth = depth
                 self._expect("]")
                 height = max(height, self.height + 1)
-                expr = self._node(ast.Index, start, array=expr, index=index)
+                expr = self._node(ast.Index, start, expr, index)
             else:
                 self.height = height
                 return expr

@@ -1,19 +1,37 @@
-"""Semantic types for SL expressions."""
+"""Semantic types for SL expressions.
+
+Types are interned (hash-consed): building a type equal to one that is
+alive returns that one, so `==`, `in` and hashing are identity tests.  The
+intern table holds its types weakly and never outlives them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from ..frontend.ast import TypeRef
 
+# (class, *field values) -> the live type with those fields.
+_INTERNED: WeakValueDictionary[tuple, Type] = WeakValueDictionary()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Type:
-    def __str__(self) -> str:  # pragma: no cover - overridden
-        return "?"
+    def __new__(cls, *values: object) -> Type:
+        key = (cls, *values)
+        t = _INTERNED.get(key)
+        if t is None:
+            names = cls.__dataclass_fields__
+            if len(values) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} values, not {len(values)}")
+            t = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(names, values):
+                object.__setattr__(t, name, value)
+        return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PrimType(Type):
     name: str  # int | byte | double | boolean | void
 
@@ -21,15 +39,15 @@ class PrimType(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StringType(Type):
-    nullable: bool = False
+    nullable: bool
 
     def __str__(self) -> str:
         return "String-or-null" if self.nullable else "String"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ClassType(Type):
     name: str
 
@@ -37,7 +55,7 @@ class ClassType(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ArrayType(Type):
     elem: Type
 
@@ -45,13 +63,13 @@ class ArrayType(Type):
         return f"{self.elem}[]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class NullType(Type):
     def __str__(self) -> str:
         return "null"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class UnknownType(Type):
     """Type of expressions past a resolution error; permissive on purpose."""
 

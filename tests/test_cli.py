@@ -163,6 +163,25 @@ def test_metrics_with_coverage_data(capsys, corpus_dir, tmp_path):
     assert "100.0 %" in main_row
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "not json",
+        "[1]",
+        '{"per_method_covered": {"Yang.main/1": "x"}}',
+        '{"per_method_covered": {"Yang.main/1": -3}}',
+    ],
+    ids=["not_json", "not_an_object", "count_not_an_integer", "negative_count"],
+)
+def test_metrics_rejects_malformed_coverage_data(capsys, corpus_dir, tmp_path, payload):
+    cov = tmp_path / "cov.json"
+    cov.write_text(payload)
+    code, out, err = run_cli(capsys, "metrics", str(corpus_dir / "yang.sl"), "--coverage-data", str(cov))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cov}: ")
+
+
 def test_cpd_reports_clones(capsys, tmp_path):
     body = """\
         int total = 0;
