@@ -9,7 +9,7 @@ CSV, or HTML reports.
 
 __version__ = "0.1.0"
 
-from .frontend import instrument_asserts, parse, parse_source, pretty_print, tokenize
+from .frontend import parse, parse_source, pretty_print, tokenize
 from .semantics import build_call_graph, build_symbol_table, type_of
 from .cfg import (
     build_cfg,
@@ -37,7 +37,6 @@ __all__ = [
     "parse",
     "parse_source",
     "pretty_print",
-    "instrument_asserts",
     "build_symbol_table",
     "type_of",
     "build_call_graph",

@@ -1,7 +1,8 @@
 """Per-method control-flow graphs, cyclomatic complexity, and reachability.
 
 Instruction ids are unit-unique integers assigned one per simple statement
-and one per branching condition; they key the interpreter's execution trace.
+and one per branching condition, and an assert has two, its check and its
+failure; they key the interpreter's execution trace.
 Basic blocks end at decisions; try/catch/finally sections chain by
 fallthrough only, so exception handling never adds decision nodes.
 
@@ -74,6 +75,12 @@ def display_method(mid: str) -> str:
 def branch_key(kind: str, label: str = "") -> str:
     """The trace's name for an edge out of a decision."""
     return f"{kind}#{label}" if label else kind
+
+
+def assert_failure(check: int) -> int:
+    """The instruction id of the failure of the assert whose check is the
+    instruction check: the next id."""
+    return check + 1
 
 
 def case_label(index: int, case: ast.SwitchCase) -> str:
@@ -250,7 +257,7 @@ class _Builder:
     def stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.Block):
             self.block_stmts(stmt)
-        elif isinstance(stmt, (ast.ExprStmt, ast.LocalDecl, ast.Assert, ast.Empty)):
+        elif isinstance(stmt, (ast.ExprStmt, ast.LocalDecl, ast.Empty)):
             self.instr(stmt)
         elif isinstance(stmt, ast.Return):
             self.instr(stmt)
@@ -268,6 +275,8 @@ class _Builder:
             self._switch(stmt)
         elif isinstance(stmt, ast.Try):
             self._try(stmt)
+        elif isinstance(stmt, ast.Assert):
+            self._assert(stmt)
         elif isinstance(stmt, ast.Synchronized):
             self.instr(stmt)
             self.block_stmts(stmt.body)
@@ -298,6 +307,22 @@ class _Builder:
             self.stmt(stmt.els)
             if self.cur is not None:
                 self.edge(self.cur.bid, join.bid, FALLTHROUGH)
+        self.cur = join
+
+    def _assert(self, stmt: ast.Assert) -> None:
+        # A decision on whether the assertion fails: the check ends its
+        # block, its true edge leads to the failure, placed right after it
+        # at the same span, and both reach the join.  No literal prunes an
+        # edge: --ea decides whether the check runs at all.
+        self.instr(stmt)
+        check = self.cur
+        failure = self.new_block()
+        join = self.new_block()
+        self.edge(check.bid, failure.bid, TRUE_BRANCH)
+        self.edge(check.bid, join.bid, FALSE_BRANCH)
+        self.cur = failure
+        self.place(stmt.span)
+        self.edge(failure.bid, join.bid, FALLTHROUGH)
         self.cur = join
 
     def _loop(

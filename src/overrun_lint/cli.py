@@ -133,7 +133,7 @@ def _analyze_units(paths):
 def _cmd_analyze(args) -> int:
     ruleset = RuleSet()
     if args.ruleset:
-        ruleset = load_ruleset(Path(args.ruleset).read_text(encoding="utf-8"))
+        ruleset = load_ruleset(Path(args.ruleset).read_text(encoding="utf-8"), args.ruleset)
     units = _analyze_units(args.paths)
     findings: list[Finding] = []
     sources: dict[str, str] = {}

@@ -139,8 +139,8 @@ def classify(rule_id: str, ruleset: RuleSet | None = None) -> Classification:
     )
 
 
-def load_ruleset(config: str) -> RuleSet:
-    """Parse the line-oriented ruleset format.
+def load_ruleset(config: str, file: str | None = None) -> RuleSet:
+    """Parse the line-oriented ruleset format; errors name file, if given.
 
     One directive per line: ``rule <RuleId> [enabled=true|false] [priority=<1-5>]``,
     ``#`` starts a comment.  Unknown rule ids are rejected.
@@ -154,25 +154,25 @@ def load_ruleset(config: str) -> RuleSet:
             continue
         parts = line.split()
         if parts[0] != "rule" or len(parts) < 2:
-            raise ConfigError(lineno, f"expected 'rule <RuleId> ...', got {raw.strip()!r}")
+            raise ConfigError(lineno, f"expected 'rule <RuleId> ...', got {raw.strip()!r}", file)
         rule_id = parts[1]
         if rule_by_id(rule_id) is None:
-            raise ConfigError(lineno, f"unknown rule id '{rule_id}'")
+            raise ConfigError(lineno, f"unknown rule id '{rule_id}'", file)
         entry = ruleset.entries.setdefault(rule_id, RuleSetEntry())
         for option in parts[2:]:
             key, _, value = option.partition("=")
             if key == "enabled":
                 if value not in ("true", "false"):
-                    raise ConfigError(lineno, f"enabled must be true or false, got {value!r}")
+                    raise ConfigError(lineno, f"enabled must be true or false, got {value!r}", file)
                 entry.enabled = value == "true"
             elif key == "priority":
                 try:
                     priority = int(value)
                 except ValueError:
-                    raise ConfigError(lineno, f"priority must be an integer, got {value!r}")
+                    raise ConfigError(lineno, f"priority must be an integer, got {value!r}", file)
                 if not 1 <= priority <= 5:
-                    raise ConfigError(lineno, f"priority {priority} outside 1-5")
+                    raise ConfigError(lineno, f"priority {priority} outside 1-5", file)
                 entry.priority_override = priority
             else:
-                raise ConfigError(lineno, f"unknown option {key!r}")
+                raise ConfigError(lineno, f"unknown option {key!r}", file)
     return ruleset

@@ -20,14 +20,6 @@ class RuleContext:
     call_graph: CallGraph
     cfgs: UnitCfgs
 
-    def method_of(self, node: ast.Node) -> ast.MethodDecl | None:
-        cur = node
-        while cur is not None:
-            if isinstance(cur, ast.MethodDecl):
-                return cur
-            cur = self.res.parent(cur)
-        return None
-
     def has_null_guard(self, node: ast.Node, sym: Symbol) -> bool:
         # Any enclosing condition counts, whichever branch node is in.
         for cond, _holds in self.res.enclosing_conditions(node):
@@ -247,7 +239,7 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
 def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for target, node in _assigned_calls(ctx, "open"):
-        method = ctx.method_of(node)
+        method = ctx.res.method_of(node)
         if method is None:
             continue
         close_stmts = []

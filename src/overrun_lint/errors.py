@@ -55,7 +55,7 @@ class ConfigError(OverrunLintError):
     def __init__(self, line: int | None, message: str, file: str | None = None):
         self.line = line
         self.message = message
-        where = ", ".join(p for p in (file, line and f"line {line}") if p)
+        where = ": ".join(p for p in (file, line and f"line {line}") if p)
         super().__init__(f"{where}: {message}")
 
 

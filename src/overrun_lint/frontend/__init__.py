@@ -1,7 +1,13 @@
 from .lexer import SourceSpan, Token, TokenStream, tokenize
 from .parser import parse, parse_source
 from .printer import pretty_print
-from .instrument import instrument_asserts
+
+
+def instrument_asserts(unit):
+    """unit itself: cfg.py and the interpreter take an assert where it
+    stands.  Kept for perfbench/jobs.py, its one caller."""
+    return unit
+
 
 __all__ = [
     "SourceSpan",

@@ -116,17 +116,11 @@ class CompilationUnit(Node):
 
     @cached_property
     def index(self) -> "NodeIndex":
-        """The node index of this tree.  The parser and instrument_asserts
-        set this to the index they built; a unit built by hand is indexed
-        here, by one walk."""
+        """The node index of this tree.  The parser sets this to the index
+        it built; a unit built by hand is indexed here, by one walk."""
         from .index import NodeIndex
 
         return NodeIndex.by_walk(self)
-
-    def fresh_uid(self) -> int:
-        u = self.next_uid
-        self.next_uid += 1
-        return u
 
 
 # --- statements --------------------------------------------------------------
@@ -143,15 +137,6 @@ class If(Stmt):
     cond: Expr
     then: Block
     els: Optional[Stmt] = None  # Block, or If for else-if chains
-    # Set by the assert instrumentor so the interpreter can log passing
-    # assertion checks; never serialized.
-    assert_origin: Optional["AssertInfo"] = None
-
-
-@dataclass(frozen=True)
-class AssertInfo:
-    unit_name: str
-    statement_text: str
 
 
 @dataclass(slots=True)
@@ -356,7 +341,7 @@ def literal_truth(expr: Expr | None) -> Optional[bool]:
     return None
 
 
-_EQ_SKIP = {"span", "uid", "next_uid", "source", "file", "assert_origin"}
+_EQ_SKIP = {"span", "uid", "next_uid", "source", "file"}
 
 
 def structural_eq(a: object, b: object) -> bool:

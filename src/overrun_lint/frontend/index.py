@@ -7,11 +7,8 @@ post-order and a node's subtree is the uid range [first[u], u].
 `from_post_order` turns those ranges into the index in one backward pass
 with no child listing.  The pre-order it gives visits siblings in creation
 order, which is source order except for the lvalue copy of `++`/`--`,
-created after the `1` it is added to.  A unit built by hand, or by
-`instrument_asserts`, is indexed by a walk (`by_walk`) that visits
-siblings by span, so in source order too; the walk copies every subtree
-that `instrument_asserts` shares with the parsed unit from that unit's
-index, and so steps only through the nodes it copied or added.
+created after the `1` it is added to.  A unit built by hand is indexed by
+a walk (`by_walk`) that visits siblings by span, so in source order too.
 """
 
 from __future__ import annotations
@@ -67,16 +64,15 @@ class NodeIndex:
         return cls(nodes, positions, ends, parents)
 
     @classmethod
-    def by_walk(cls, root: ast.Node, base: NodeIndex | None = None) -> NodeIndex:
+    def by_walk(cls, root: ast.Node) -> NodeIndex:
         """The index of a tree with any uids, by one walk that visits each
         node's children in source order (by span start, ties in field
-        order).  A subtree that the tree shares with the tree base indexes
-        (base holds the very node at its uid) is copied from base whole."""
+        order)."""
         # When the walk pops a node, the entry below it on the stack is the
         # node it reaches after that node's subtree (None: the end), so
         # that node's position is where the subtree ends.  The uid-indexed
         # tables grow to fit the largest uid.
-        size = max(root.uid + 1, len(base.positions) if base else 0)
+        size = root.uid + 1
         positions = array("l", [0]) * size
         ends = array("l", [0]) * size
         parents: list[ast.Node | None] = [None] * size
@@ -84,21 +80,7 @@ class NodeIndex:
         walked: list[tuple[ast.Node, ast.Node | None]] = []
         stack: list[ast.Node | None] = [None, root]
         while (node := stack.pop()) is not None:
-            uid = node.uid
-            if base is not None and uid < len(base.positions) and base.nodes[base.positions[uid]] is node:
-                start = base.positions[uid]
-                shared = base.nodes[start : base.ends[uid]]
-                shift = len(nodes) - start
-                nodes += shared
-                for inner in shared[1:]:
-                    u = inner.uid
-                    positions[u] = base.positions[u] + shift
-                    ends[u] = base.ends[u] + shift
-                    parents[u] = base.parents[u]
-                positions[uid] = start + shift
-                walked.append((node, stack[-1]))
-                continue
-            positions[uid] = len(nodes)
+            positions[node.uid] = len(nodes)
             nodes.append(node)
             walked.append((node, stack[-1]))
             children = sorted(ast.child_nodes(node), key=_start)

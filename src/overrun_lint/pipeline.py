@@ -1,8 +1,7 @@
 """End-to-end wiring: the one route from source text to an analysis.
 
-analyze_source parses, instruments when asked, and resolves; every other
-phase is built on demand by the reader that needs it, so each command pays
-only for what it reads:
+analyze_source parses and resolves; every other phase is built on demand
+by the reader that needs it, so each command pays only for what it reads:
 
 - the call graph, only inside findings() (the rules are its one reader);
 - the CFGs, on the first read of AnalyzedUnit.cfgs (rules, metrics, run),
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .frontend import instrument_asserts, parse_source
+from .frontend import parse_source
 from .frontend import ast
 from .semantics import Resolution, build_call_graph, build_symbol_table
 from .cfg import UnitCfgs, build_unit_cfgs
@@ -52,10 +51,8 @@ class AnalyzedUnit:
         return run_bound_check(self.unit, self.res)
 
 
-def analyze_source(source: str, file: str = "<memory>", instrument: bool = False) -> AnalyzedUnit:
+def analyze_source(source: str, file: str = "<memory>") -> AnalyzedUnit:
     unit = parse_source(source, file)
-    if instrument:
-        unit = instrument_asserts(unit)
     return AnalyzedUnit(unit=unit, res=build_symbol_table(unit))
 
 
@@ -67,8 +64,8 @@ def analyze_path(path: str | Path) -> AnalyzedUnit:
 def run_source(
     source: str, file: str = "<memory>", options: RunOptions | None = None
 ) -> tuple[RunTrace, AnalyzedUnit]:
-    """Instrument, resolve, and execute; returns the trace and the
-    instrumented analysis (whose CFGs the trace ids refer to)."""
-    analyzed = analyze_source(source, file, instrument=True)
+    """Resolve and execute; returns the trace and the analysis (whose CFGs
+    the trace ids refer to)."""
+    analyzed = analyze_source(source, file)
     trace = execute(analyzed.unit, options or RunOptions(), analyzed.res, analyzed.cfgs)
     return trace, analyzed

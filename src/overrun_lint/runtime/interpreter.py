@@ -62,10 +62,11 @@ from operator import itemgetter
 from ..errors import EntryNotFoundError
 from ..frontend import ast
 from ..frontend.lexer import SourceSpan
+from ..frontend.printer import expr_text
 from ..semantics import types as ty
 from ..semantics.resolver import Resolution
 from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
-from ..cfg import branch_key, case_label, clinit_id, default_ctor_id, method_identity
+from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 BYTE_MIN, BYTE_MAX = -128, 127
@@ -569,11 +570,8 @@ class Interpreter:
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid, mark = self._instruction(stmt)
         value = self._expr(stmt.value) if stmt.value is not None else _constant(None)
-        method = self.res.parent(stmt)
-        while not isinstance(method, ast.MethodDecl):
-            method = self.res.parent(method)
         # An int, byte or double method converts its result like a store.
-        lo, hi, coerce = self._coercer(ty.from_type_ref(method.return_type))
+        lo, hi, coerce = self._coercer(ty.from_type_ref(self.res.method_of(stmt).return_type))
 
         def run(f):
             mark(iid)
@@ -589,7 +587,7 @@ class Interpreter:
 
     def _decision(self, stmt: ast.Stmt):
         """The instruction id, its mark and the [true, false] branch
-        counters of an if, while or for."""
+        counters of an if, while, for or assert."""
         iid, mark = self._instruction(stmt)
         counts = [0, 0]  # true, false
         self.branch_counters.append((((iid, TRUE_BRANCH), (iid, FALSE_BRANCH)), counts))
@@ -601,10 +599,6 @@ class Interpreter:
         cond = self._condition(stmt.cond)
         then = self._stmts(stmt.then)
         els = self._stmts(stmt.els) if stmt.els is not None else ()
-        passed = None
-        if stmt.assert_origin is not None and self.options.assertions_enabled:
-            origin, records = stmt.assert_origin, self.trace.assertion_records
-            passed = (origin.unit_name, origin.statement_text, span, "", "passed")
 
         def run(f):
             mark(iid)
@@ -616,8 +610,6 @@ class Interpreter:
                 branch = then
             else:
                 counts[1] += 1
-                if passed is not None:
-                    records.append(AssertionRecord(*passed))
                 branch = els
             for run_stmt in branch:
                 r = run_stmt(f)
@@ -716,19 +708,45 @@ class Interpreter:
         return _sequence(body)
 
     def _s_assert(self, stmt: ast.Assert):
+        """The check of an assert and, on its true branch, its failure.  With
+        --ea off the check takes its false branch and evaluates neither the
+        condition nor the message."""
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
+        iid, mark, counts = self._decision(stmt)
+        if not self.options.assertions_enabled:
+
+            def skip(f):
+                mark(iid)
+                trace.steps += 1
+                if trace.steps > limit:
+                    st._step_limit(span)
+                counts[1] += 1
+
+            return skip
         cond = self._condition(stmt.condition)
-        message = self._expr(stmt.message) if stmt.message is not None else None
+        message = self._expr(stmt.message) if stmt.message is not None else _constant("")
+        method = self.res.method_of(stmt)
+        where = f"{self.res.parent(method).name}.{method.name}"
+        text = f"assert {expr_text(stmt.condition)}"
+        records, failure = trace.assertion_records, assert_failure(iid)
 
         def run(f):
             mark(iid)
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
-            if not cond(f):
-                text = format_value(message(f)) if message is not None else ""
-                st._fault(FAULT_ASSERTION_FAILURE, span, text)
+            if cond(f):
+                counts[1] += 1
+                records.append(AssertionRecord(where, text, span, "", "passed"))
+                return None
+            counts[0] += 1
+            mark(failure)
+            trace.steps += 1
+            if trace.steps > limit:
+                st._step_limit(span)
+            detail = format_value(message(f))
+            records.append(AssertionRecord(where, text, span, detail, "failed"))
+            st._fault(FAULT_ASSERTION_FAILURE, span, detail)
 
         return run
 
@@ -1214,20 +1232,7 @@ class Interpreter:
             if path is None:
                 self._fault(FAULT_NULL_DEREFERENCE, span, "exists(null)")
             return path in (self.options.file_system_stub or {})
-        if name == "random":
-            return self.rng.random()
-        # fail, the last builtin the resolver knows: it halts the run.
-        unit_name, stmt_text, message = args
-        record = AssertionRecord(
-            unit_name=str(unit_name),
-            statement_text=str(stmt_text),
-            span=span,
-            message=format_value(message),
-            outcome="failed",
-        )
-        if self.options.assertions_enabled:
-            self.trace.assertion_records.append(record)
-        self._fault(FAULT_ASSERTION_FAILURE, span, format_value(message))
+        return self.rng.random()  # random, the last builtin the resolver knows
 
     def _stream_read(self, stream: SLStream, buf, off, length, span: SourceSpan):
         if buf is None:
@@ -1282,9 +1287,8 @@ _COMPARE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": ope
 def execute(
     unit: ast.CompilationUnit, options: RunOptions, resolution: Resolution, cfgs: UnitCfgs
 ) -> RunTrace:
-    """Run a resolved (and, for assertion checking, instrumented) unit.  A
-    unit the resolver rejected does not run: its first diagnostic, a spanned
-    error, is raised instead."""
+    """Run a resolved unit.  A unit the resolver rejected does not run: its
+    first diagnostic, a spanned error, is raised instead."""
     if resolution.diagnostics:
         raise resolution.diagnostics[0]
     return Interpreter(unit, options, resolution, cfgs).run()

@@ -42,7 +42,6 @@ BUILTIN_FUNCTIONS: dict[str, tuple[tuple[Type, ...], Type]] = {
     "random": ((), ty.DOUBLE),
     "length": ((ty.STRING,), ty.INT),
     "exists": ((ty.STRING,), ty.BOOLEAN),
-    "fail": ((ty.STRING, ty.STRING, ty.STRING), ty.VOID_T),
 }
 
 # Built-in value-must-be-checked callees.
@@ -173,6 +172,13 @@ class Resolution:
     def parent(self, node: ast.Node) -> ast.Node | None:
         """The node's parent; None for the unit."""
         return self.index.parents[node.uid]
+
+    def method_of(self, node: ast.Node) -> ast.MethodDecl | None:
+        """The method node lies in (node itself if it is one); None outside
+        every method."""
+        while node is not None and not isinstance(node, ast.MethodDecl):
+            node = self.index.parents[node.uid]
+        return node
 
     def subtree(self, node: ast.Node) -> list[ast.Node]:
         """The subtree rooted at node, in pre-order."""
@@ -537,8 +543,9 @@ class _Resolver:
             cond_t = self._expr(stmt.condition, scope)
             if cond_t != ty.BOOLEAN:
                 raise TypeCheckError(stmt.condition.span, f"assert condition must be boolean, got {cond_t}")
-            if stmt.message is not None:
-                self._expr(stmt.message, scope)
+            # JLS 14.10: the message may be of any type but void.
+            if stmt.message is not None and self._expr(stmt.message, scope) == ty.VOID_T:
+                raise TypeCheckError(stmt.message.span, "assert message must not be void")
         elif isinstance(stmt, ast.Synchronized):
             monitor_t = self._expr(stmt.monitor, scope)
             if not isinstance(monitor_t, (ty.ClassType, ty.ArrayType, ty.UnknownType)):

@@ -14,7 +14,7 @@ def field_scan_children(node: ast.Node) -> list[ast.Node]:
     """Direct child nodes by a scan of every field's value, in field order."""
     children = []
     for f in fields(node):
-        if f.name in ("span", "uid", "assert_origin"):
+        if f.name in ("span", "uid"):
             continue
         value = getattr(node, f.name)
         for item in value if isinstance(value, list) else [value]:

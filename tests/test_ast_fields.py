@@ -65,7 +65,7 @@ def _fits(value: object, hint: object) -> bool:
         return True
     if hint in (bool, int, str):
         return type(value) is hint
-    assert hint in (SourceSpan, ast.TypeRef, ast.AssertInfo) or issubclass(hint, ast.Node), hint
+    assert hint in (SourceSpan, ast.TypeRef) or issubclass(hint, ast.Node), hint
     return isinstance(value, hint)
 
 

@@ -66,6 +66,7 @@ def test_analyze_bad_ruleset_exit_two(capsys, corpus_dir, tmp_path):
     config.write_text("rule Nonexistent priority=2\n")
     code, _, err = run_cli(capsys, "analyze", str(corpus_dir / "yang.sl"), "--ruleset", str(config))
     assert code == 2
+    assert err.startswith(f"error: {config}: line 1: unknown rule id")
 
 
 def test_analyze_xml_to_file(capsys, corpus_dir, tmp_path):

@@ -1,22 +1,23 @@
 """The node index answers tree queries as the tree itself does.
 
-Over the corpus (as parsed and with asserts lowered), 50 seeded units, the
-500 bound fuzz programs, a unit with the remaining statement kinds and a
-hand-built unit, every node's `subtree` holds the nodes of its `ast.walk`,
-`parent` agrees with a parent map built by scanning every field, and
-`is_within` agrees with a climb up that map.  A parsed unit's index, which
-the parser builds, lists the nodes in source pre-order.  Any other unit's
-is built by a walk that orders siblings by span and takes each subtree it
-shares with a parsed unit in that unit's order.
+Over the corpus (as parsed and as rebuilt without the parser's index), 50
+seeded units, the 500 bound fuzz programs, a unit with the remaining
+statement kinds and a hand-built unit, every node's `subtree` holds the
+nodes of its `ast.walk`, `parent` agrees with a parent map built by
+scanning every field, and `is_within` agrees with a climb up that map.  A
+parsed unit's index, which the parser builds, lists the nodes in source
+pre-order.  Any other unit's is built by a walk that orders siblings by
+span.
 """
 
 import ast as pyast
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
-from overrun_lint.frontend import ast, instrument_asserts, parse_source
+from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.semantics import build_call_graph, build_symbol_table
@@ -76,30 +77,24 @@ def parsed_units(corpus_sources):
 
 @pytest.fixture(scope="module")
 def walked_units(corpus_sources):
-    """Units without a parser's index, each with the unit it shares
-    subtrees with (None for the hand-built one)."""
-    pairs = [(_hand_built_unit(), None)]
+    """Units without a parser's index: the hand-built one, and each corpus
+    file's parsed tree in a new unit, which indexes it by a walk."""
+    units = [_hand_built_unit()]
     for name, source in corpus_sources.items():
-        unit = parse_source(source, name)
-        pairs.append((instrument_asserts(unit), unit))
-    return pairs
+        units.append(dataclasses.replace(parse_source(source, name)))
+    return units
 
 
 @pytest.fixture(scope="module")
 def units(parsed_units, walked_units):
-    return parsed_units + [unit for unit, _ in walked_units]
+    return parsed_units + walked_units
 
 
-def _walk_order(root, original):
-    """Pre-order over nodes' children by span start (ties in field order),
-    but in source_preorder within every subtree shared with original."""
-    shared = {id(node) for node in walk(original)} if original is not None else set()
+def _walk_order(root):
+    """Pre-order over nodes' children by span start (ties in field order)."""
     order, stack = [], [root]
     while stack:
         node = stack.pop()
-        if id(node) in shared:
-            order += source_preorder(node)
-            continue
         order.append(node)
         children = sorted(field_scan_children(node), key=lambda child: (child.span.line, child.span.column))
         stack.extend(reversed(children))
@@ -115,7 +110,7 @@ def _within(parents, node, root):
 
 def test_subtree_is_the_walks_nodes_and_parent_is_the_field_scan(parsed_units, walked_units):
     cases = [(unit, source_preorder(unit)) for unit in parsed_units]
-    cases += [(unit, _walk_order(unit, original)) for unit, original in walked_units]
+    cases += [(unit, _walk_order(unit)) for unit in walked_units]
     for unit, order in cases:
         res = build_symbol_table(unit)
         parents = parent_map(unit)

@@ -191,22 +191,22 @@ def _tree_digest(unit: ast.CompilationUnit) -> str:
 
 TREE_DIGESTS = {
     "assert_demo.sl": "27aafce0c3a386aacab9eaca6c4c41a6d6113e60049bbbaa3d22f2cf99309fde",
-    "building_lift.sl": "8199853758fd14416028990987169cd76ddb2902cbe943f168f7fe11f127d951",
+    "building_lift.sl": "4beb15d502c8aa169d03931fab5df15ce674ea870773ccdc60655f44b10846f9",
     "checkers_state.sl": "b62c0feafe7e48c839b68a90da2d8cb336020589af80ad1b79dfa2072cec806c",
     "deadlock_demo.sl": "aa8711b7424ed3dbc9f979a87dfdb32d29e2e8044551bc3e305703440d589b6b",
-    "equals_demo.sl": "8567715cf16ce985b4f1e73ad35f07e35a83b4070556783d324c982b2c536c86",
-    "file_check.sl": "ea4d3ee8efe3757dbdbfa367e09442d888aa5ed0113668d4c53868dc88b19d4c",
-    "makeover.sl": "53a55c8433cf441469fc85629e91fe86f011951e7aa07909a976841e5f90a515",
+    "equals_demo.sl": "9bc00507163ffd4b824bf47c3a81f3405564d005cba4547e73c08427ca10159f",
+    "file_check.sl": "1db7fec3b1373fcecaa65ecab80c777c5d826a469119cc868dcc19356ac2a79c",
+    "makeover.sl": "bf40081fe257833295d995ba6709a31f91a56d8a978f53cca5737537fbbef509",
     "readline_loop.sl": "f5849680efe532f69129e1ad2fb87d0727d73728c8202b02bf9cfd32ac95e1bf",
-    "robustness.sl": "e144ad197f1a3aa0b858470da37abe4b8ad8a9a2f816ed42953384eaf2042cdd",
-    "testing.sl": "90fc78533d833c158300e60f4ce40a344ed01766b9e815517e6c31737c8995be",
+    "robustness.sl": "bcfc1c9b7b099d47732c4ab174c644ce1d8a6fba17f35ba9cb4c25658d04171f",
+    "testing.sl": "bf45f679c3d3f4744252072e20776b2fa11b76f6506ca455cff4e1602e5751b0",
     "wait_demo.sl": "cab0313945431bff97a07ba5acabf6c0ac32e5e89862fd565c69aac0a563539d",
     "yang.sl": "992b6a6ed728d670f42a591667ba471c7a3de4f09be6f0a0b401c485f350296f",
-    "seeded1.sl": "90ec5503cedae52fc7703452360a65b8c7c18d474b200d0c25097867a4dd73d1",
-    "seeded2.sl": "fc2a185dbcab07c53c46de964d0c2c75c9136777aee24800666b66b417614f9b",
-    "seeded3.sl": "61946e9d9af2dc3b9a826a39b3912202e23a89aa8cf8d37e1d84f4c8d9d7f05d",
-    "seeded4.sl": "d1acface41a4a8ff9c19e4649508b132257065c6395cc7df8b3c1e023f78ffe6",
-    "seeded5.sl": "bdd82b4614741032dab85e193daa05e24dbd80c231d4f18473dd0370333710e6",
+    "seeded1.sl": "14a520c7b06ef447f99b50c48b16013a67d5319e77816aca8e8252b0e90194ba",
+    "seeded2.sl": "613f96a923a9527d1476a050788433a694eea3ce1f94cfa2a7982c6979138a0e",
+    "seeded3.sl": "0a20e3f08610890c9bb7d1b8cf8c9219fb2c44c416c30f107e4622581bffac32",
+    "seeded4.sl": "6560d117a8f782896ca10298648a6d6e34dab3cf5f409269dd5eeac00708a8b0",
+    "seeded5.sl": "0c4e0c7d495ef3ab613b526a9b50206a944387634cd2a15ca14ce652ce59638d",
 }
 
 

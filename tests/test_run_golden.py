@@ -776,7 +776,7 @@ class Main {
 """,
 }
 
-# Run without assert lowering, so the interpreter executes Assert itself.
+# Run through analyze_source and execute, the route under run_source.
 UNINSTRUMENTED = """\
 class Main {
     static void main(String[] args) {
