@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .frontend import ast
 from .frontend.lexer import SourceSpan
-from .semantics.resolver import Resolution, Symbol, build_symbol_table
+from .semantics.resolver import BUILTINS, Resolution, Symbol, build_symbol_table
 from .semantics import types as ty
 
 SIZE_CONSTANT = "constant"
@@ -230,7 +230,7 @@ def _modifying_site(node: ast.Node, resolution: Resolution) -> tuple[Symbol, Mod
     return None
 
 
-_INPUT_BUILTINS = {"readLine", "parseInt", "random"}
+_INPUT_BUILTINS = {BUILTINS[None, name] for name in ("readLine", "parseInt", "random")}
 
 
 def _classify_rhs(expr: ast.Expr, resolution: Resolution) -> tuple[str, int | None]:
@@ -238,7 +238,7 @@ def _classify_rhs(expr: ast.Expr, resolution: Resolution) -> tuple[str, int | No
     if value is not None:
         return "constant", value
     for node in resolution.subtree(expr):
-        if isinstance(node, ast.Call) and node.receiver is None and node.name in _INPUT_BUILTINS:
+        if resolution.builtin_of(node) in _INPUT_BUILTINS:
             return "input", None
     return "arithmetic", None
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
-from ..semantics.resolver import Resolution, Symbol
+from ..semantics.resolver import BUILTINS, Builtin, Resolution, Symbol
 from ..cfg import UnitCfgs, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
@@ -50,9 +50,13 @@ def _mk(rule: Rule, span, message: str) -> Finding:
 # --- individual detectors ------------------------------------------------------
 
 
-def _assigned_calls(ctx: RuleContext, name: str):
+_READLINE, _OPEN, _PRINTLN = (BUILTINS[None, name] for name in ("readLine", "open", "println"))
+_WAIT, _CLOSE = BUILTINS["Thread", "wait"], BUILTINS["Stream", "close"]
+
+
+def _assigned_calls(ctx: RuleContext, builtin: Builtin):
     """(symbol, statement) for each local declaration or plain assignment
-    whose value is a receiver-less call of name, in pre-order."""
+    whose value is a call of the builtin, in pre-order."""
     for node in ctx.res.nodes_of(ast.LocalDecl, ast.Binary):
         if isinstance(node, ast.LocalDecl):
             rhs = node.initializer
@@ -62,17 +66,17 @@ def _assigned_calls(ctx: RuleContext, name: str):
             target = ctx.res.name_targets.get(node.left.uid)
         else:
             continue
-        if target is not None and isinstance(rhs, ast.Call) and rhs.receiver is None and rhs.name == name:
+        if target is not None and isinstance(rhs, ast.Call) and ctx.res.builtin_of(rhs) is builtin:
             yield target, node
 
 
 def _readline_sinks(ctx: RuleContext):
     """(use-node, symbol-or-None) pairs where a possibly-null readLine value
     is dereferenced (receiver position or call argument)."""
-    nullable = {id(target) for target, _node in _assigned_calls(ctx, "readLine")}
+    nullable = {id(target) for target, _node in _assigned_calls(ctx, _READLINE)}
 
     def is_nullable_use(expr: ast.Expr):
-        if isinstance(expr, ast.Call) and expr.receiver is None and expr.name == "readLine":
+        if ctx.res.builtin_of(expr) is _READLINE:
             return True, None
         if isinstance(expr, ast.Name):
             sym = ctx.res.name_targets.get(expr.uid)
@@ -161,10 +165,7 @@ def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for sync in ctx.res.nodes_of(ast.Synchronized):
         for node in ctx.res.subtree(sync.body):
-            if isinstance(node, ast.Call) and node.name == "wait":
-                target = ctx.res.call_targets.get(node.uid)
-                if target is None or target.id != "builtin:Thread.wait":
-                    continue
+            if ctx.res.builtin_of(node) is _WAIT:
                 conditional = False
                 cur = node
                 while cur is not sync.body:
@@ -238,15 +239,14 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for target, node in _assigned_calls(ctx, "open"):
+    for target, node in _assigned_calls(ctx, _OPEN):
         method = ctx.res.method_of(node)
         if method is None:
             continue
         close_stmts = []
         for sub in ctx.res.subtree(method.body):
             if (
-                isinstance(sub, ast.Call)
-                and sub.name == "close"
+                ctx.res.builtin_of(sub) is _CLOSE
                 and isinstance(sub.receiver, ast.Name)
                 and ctx.res.name_targets.get(sub.receiver.uid) is target
             ):
@@ -442,10 +442,8 @@ def no_package(rule: Rule, ctx: RuleContext) -> list[Finding]:
 def system_println(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for node in ctx.res.nodes_of(ast.Call):
-        if node.receiver is None and node.name == "println":
-            target = ctx.res.call_targets.get(node.uid)
-            if target is not None and target.id == "builtin:println":
-                findings.append(_mk(rule, node.span, "println call in production code"))
+        if ctx.res.builtin_of(node) is _PRINTLN:
+            findings.append(_mk(rule, node.span, "println call in production code"))
     return findings
 
 
@@ -453,7 +451,7 @@ def do_not_use_threads(rule: Rule, ctx: RuleContext) -> list[Finding]:
     return [
         _mk(rule, cls.span, f"class {cls.name} extends Thread directly")
         for cls in ctx.unit.classes
-        if cls.is_builtin_thread_subclass
+        if cls.extends == "Thread"
     ]
 
 

@@ -94,7 +94,6 @@ class ClassDecl(Node):
     extends: Optional[str] = None
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
-    is_builtin_thread_subclass: bool = False
     leading_comments: list[str] = field(default_factory=list)
 
 
@@ -106,7 +105,6 @@ class CompilationUnit(Node):
     source: str = ""
     file: str = "<memory>"
     trailing_comments: list[str] = field(default_factory=list)
-    next_uid: int = 0
 
     @cached_property
     def tokens(self) -> TokenStream:
@@ -341,7 +339,7 @@ def literal_truth(expr: Expr | None) -> Optional[bool]:
     return None
 
 
-_EQ_SKIP = {"span", "uid", "next_uid", "source", "file"}
+_EQ_SKIP = {"span", "uid", "source", "file"}
 
 
 def structural_eq(a: object, b: object) -> bool:

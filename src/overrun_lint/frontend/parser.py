@@ -157,7 +157,7 @@ class Parser:
         unit = ast.CompilationUnit(
             span=SourceSpan(self.file, self.lines[0], self.columns[0], self.lines[end], self.end_columns[end]),
             uid=uid, package_name=package, classes=classes, source=source, file=self.file,
-            trailing_comments=lead, next_uid=uid + 1,
+            trailing_comments=lead,
         )
         self.created.append(unit)
         self.first.append(0)
@@ -183,7 +183,7 @@ class Parser:
             else:
                 methods.append(member)
         self.pos += 1
-        return self._node(ast.ClassDecl, start, name, extends, fields, methods, extends == "Thread", lead)
+        return self._node(ast.ClassDecl, start, name, extends, fields, methods, lead)
 
     def _member(self, class_name: str, lead: list[str]):
         texts = self.texts

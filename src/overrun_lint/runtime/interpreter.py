@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import operator
 import random as _random
+import re
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -64,7 +65,7 @@ from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from ..frontend.printer import expr_text
 from ..semantics import types as ty
-from ..semantics.resolver import Resolution
+from ..semantics.resolver import Builtin, Resolution
 from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
 from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
@@ -190,6 +191,9 @@ def format_value(value) -> str:
         return f"{value.elem}[{len(value.values)}]#{value.ordinal}"
     return f"Stream({value.name})#{value.ordinal}"  # an SLStream
 
+
+# The text Integer.parseInt accepts, before its range check.
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 # The value a variable, field or array element of a type starts with.
 _DEFAULTS = {ty.INT: 0, ty.BYTE: 0, ty.DOUBLE: 0.0, ty.BOOLEAN: False}
@@ -458,15 +462,6 @@ class Interpreter:
                     table[key] = self._method(minfo.owner, minfo.decl)
             self.tables[cls_name] = table
         return table
-
-    def _thread_builtin(self, receiver: SLObject, name: str, span: SourceSpan):
-        if name == "getName":
-            return receiver.cls_name
-        if name == "start":  # runs run() to its end, in this thread
-            run = self._table(receiver.cls_name).get(("run", 0))
-            if run is not None:
-                run.call(receiver, [], span)
-        return None  # run, wait and sleep do nothing
 
     def _layout(self, class_name: str) -> tuple:
         """(defaults, initialisers) of a class's instance fields: the
@@ -1076,9 +1071,10 @@ class Interpreter:
         return store_field
 
     def _static_access(self, receiver: ast.Expr, access):
-        """access to a static field or method, after its receiver has run
-        for its effects; a class name is not a value and does not run."""
-        if self.res.names_class(receiver):
+        """access to a static field or method, after its receiver, if it has
+        one, has run for its effects; a class name is not a value and does
+        not run."""
+        if receiver is None or self.res.names_class(receiver):
             return access
         receiver_of = self._expr(receiver)
 
@@ -1117,11 +1113,10 @@ class Interpreter:
     def _e_call(self, expr: ast.Call):
         st, span, name = self, expr.span, expr.name
         target = self.res.call_targets[expr.uid]
-        if target.kind == "builtin":
-            return self._builtin(expr, target.id.split(":", 1)[1])
+        if target.builtin is not None:
+            return self._builtin(expr, target.builtin)
         minfo = target.method
         fns = [self._expr(e) for e in expr.args]
-        explicit = expr.receiver is not None
         if minfo.decl.is_static:  # bound here, whatever the receiver holds
             method = self._method(minfo.owner, minfo.decl)
             # One or two arguments are listed in the call itself.
@@ -1134,10 +1129,10 @@ class Interpreter:
             else:
                 args = _arguments(fns)
                 call = lambda f: method.call(None, args(f), span)
-            return self._static_access(expr.receiver, call) if explicit else call
+            return self._static_access(expr.receiver, call)
         args = _arguments(fns)
         # Virtual dispatch on the receiver, or on this for an unqualified call.
-        receiver_of = self._expr(expr.receiver) if explicit else itemgetter(0)
+        receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
         key, table = (name, len(expr.args)), self._table
 
         def call_virtual(f):
@@ -1149,92 +1144,78 @@ class Interpreter:
 
         return call_virtual
 
-    def _builtin(self, expr: ast.Call, name: str):
-        st, span = self, expr.span
-        args = self._args(expr.args)
-        if name == "Thread.sleep" and (
-            expr.receiver is None or self.res.names_class(expr.receiver)
-        ):
+    def _builtin(self, expr: ast.Call, builtin: Builtin):
+        """A builtin call, bound to its implementation in _BUILTINS.  A
+        static builtin runs like a static method, and a null String argument
+        faults; an instance builtin null-checks its receiver (or this) after
+        the arguments have run."""
+        st, span, name = self, expr.span, builtin.name
+        impl, args = self._BUILTINS[builtin.owner, name], self._args(expr.args)
+        if builtin.static:
+            strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
 
-            def sleep(f):  # static in Java: no receiver, and it does nothing
-                args(f)
-
-            return sleep
-        receiver_of = self._expr(expr.receiver) if expr.receiver is not None else None
-        if name.startswith("Thread."):
-            method = name.split(".", 1)[1]
-
-            def thread_call(f):
-                receiver = receiver_of(f) if receiver_of is not None else f[0]
-                args(f)
-                if receiver is None:
-                    st._fault(FAULT_NULL_DEREFERENCE, span, f"{method}() on null")
-                return st._thread_builtin(receiver, method, span)
-
-            return thread_call
-        if name.startswith("Stream."):
-            method = name.split(".", 1)[1]
-
-            def stream_call(f):
-                receiver = receiver_of(f)
+            def call(f):
                 values = args(f)
-                if receiver is None:
-                    st._fault(FAULT_NULL_DEREFERENCE, span, f"{method}() on a null stream")
-                if method == "close":
-                    receiver.closed = True
-                    return None
-                buf, off, length = values
-                return st._stream_read(receiver, buf, off, length, span)
+                for i in strings:
+                    if values[i] is None:
+                        st._fault(FAULT_NULL_DEREFERENCE, span, f"{name}(null)")
+                return impl(st, None, values, span)
 
-            return stream_call
-        return lambda f: st._call_function(name, args(f), span)
+            return self._static_access(expr.receiver, call)
+        receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
+        on_null = f"{name}() on a null stream" if builtin.owner == "Stream" else f"{name}() on null"
 
-    def _call_function(self, name: str, args: list, span: SourceSpan):
-        if name == "println":
-            self.trace.stdout.append(format_value(args[0]))
+        def call_instance(f):
+            receiver = receiver_of(f)
+            values = args(f)
+            if receiver is None:
+                st._fault(FAULT_NULL_DEREFERENCE, span, on_null)
+            return impl(st, receiver, values, span)
+
+        return call_instance
+
+    # Each builtin's implementation: (interpreter, receiver or None, argument
+    # values, call span) -> its result.
+
+    def _b_println(self, receiver, args, span):
+        self.trace.stdout.append(format_value(args[0]))
+
+    def _b_read_line(self, receiver, args, span):
+        if self.stdin_pos < len(self.stdin):
+            self.stdin_pos += 1
+            return self.stdin[self.stdin_pos - 1]
+        return None
+
+    def _b_parse_int(self, receiver, args, span):
+        """Integer.parseInt: an optional sign, then decimal digits, with the
+        value in int range."""
+        text = args[0]
+        # More than ten significant digits is out of range, and Python would
+        # refuse to convert thousands of them.
+        fits = _INT_TEXT.fullmatch(text) is not None and len(text.lstrip("+-0")) <= 10
+        if not fits or not INT_MIN <= int(text) <= INT_MAX:
+            self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
+        return int(text)
+
+    def _b_open(self, receiver, args, span):
+        path, stub = args[0], self.options.file_system_stub or {}
+        if path not in stub:
             return None
-        if name == "readLine":
-            if self.stdin_pos < len(self.stdin):
-                line = self.stdin[self.stdin_pos]
-                self.stdin_pos += 1
-                return line
-            return None
-        if name == "parseInt":
-            text = args[0]
-            if text is None:
-                self._fault(FAULT_NULL_DEREFERENCE, span, "parseInt(null)")
-            try:
-                value = int(str(text).strip())
-            except ValueError:
-                self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
-            return self._wrap_int(value, span)
-        if name == "length":
-            text = args[0]
-            if text is None:
-                self._fault(FAULT_NULL_DEREFERENCE, span, "length(null)")
-            return len(text)
-        if name == "open":
-            path = args[0]
-            if path is None:
-                self._fault(FAULT_NULL_DEREFERENCE, span, "open(null)")
-            stub = self.options.file_system_stub or {}
-            if path not in stub:
-                return None
-            self.ordinals += 1
-            data = stub[path]
-            return SLStream(
-                name=path,
-                data=data.encode() if isinstance(data, str) else bytes(data),
-                ordinal=self.ordinals,
-            )
-        if name == "exists":
-            path = args[0]
-            if path is None:
-                self._fault(FAULT_NULL_DEREFERENCE, span, "exists(null)")
-            return path in (self.options.file_system_stub or {})
-        return self.rng.random()  # random, the last builtin the resolver knows
+        self.ordinals += 1
+        data = stub[path]
+        return SLStream(
+            name=path,
+            data=data.encode() if isinstance(data, str) else bytes(data),
+            ordinal=self.ordinals,
+        )
 
-    def _stream_read(self, stream: SLStream, buf, off, length, span: SourceSpan):
+    def _b_start(self, receiver, args, span):  # runs run() to its end, in this thread
+        run = self._table(receiver.cls_name).get(("run", 0))
+        if run is not None:
+            run.call(receiver, [], span)
+
+    def _b_read(self, stream: SLStream, args, span):
+        buf, off, length = args
         if buf is None:
             self._fault(FAULT_NULL_DEREFERENCE, span, "read() into a null buffer")
         if stream.closed:
@@ -1254,6 +1235,30 @@ class Interpreter:
             buf.values[off + i] = ((raw - BYTE_MIN) % 256) + BYTE_MIN
         stream.pos += count
         return count
+
+    def _b_close(self, stream: SLStream, args, span):
+        stream.closed = True
+
+    def _b_nothing(self, receiver, args, span):  # run, wait and sleep
+        return None
+
+    # (owner, name) -> implementation, for every key of resolver.BUILTINS.
+    _BUILTINS = {
+        (None, "println"): _b_println,
+        (None, "readLine"): _b_read_line,
+        (None, "parseInt"): _b_parse_int,
+        (None, "open"): _b_open,
+        (None, "random"): lambda self, receiver, args, span: self.rng.random(),
+        (None, "length"): lambda self, receiver, args, span: len(args[0]),
+        (None, "exists"): lambda self, receiver, args, span: args[0] in (self.options.file_system_stub or {}),
+        ("Thread", "start"): _b_start,
+        ("Thread", "run"): _b_nothing,
+        ("Thread", "wait"): _b_nothing,
+        ("Thread", "sleep"): _b_nothing,
+        ("Thread", "getName"): lambda self, receiver, args, span: receiver.cls_name,
+        ("Stream", "read"): _b_read,
+        ("Stream", "close"): _b_close,
+    }
 
     _EXPRS = {
         ast.Literal: lambda self, expr: _constant(expr.value),

@@ -42,14 +42,7 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
                 if not isinstance(node, (ast.Call, ast.New)):
                     continue
                 target = resolution.call_targets.get(node.uid)
-                if target is None:
-                    callee, builtin = "unknown", False
-                elif target.kind == "builtin":
-                    callee, builtin = target.id, True
-                elif target.kind == "unknown":
-                    callee, builtin = "unknown", False
-                else:
-                    callee, builtin = target.id, False
+                callee = target.id if target is not None else "unknown"
                 unconditional, effectively = _conditioning(node, body, resolution)
                 graph.edges.append(
                     CallEdge(
@@ -57,7 +50,7 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
                         callee=callee,
                         span=node.span,
                         unconditional=unconditional,
-                        callee_builtin=builtin,
+                        callee_builtin=target is not None and target.builtin is not None,
                         effectively_unconditional=effectively,
                     )
                 )

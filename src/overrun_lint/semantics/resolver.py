@@ -33,33 +33,43 @@ from ..frontend.lexer import SourceSpan
 from . import types as ty
 from .types import Type
 
-BUILTIN_FUNCTIONS: dict[str, tuple[tuple[Type, ...], Type]] = {
-    # name -> (parameter types, return type); None parameter = any type
-    "println": ((None,), ty.VOID_T),  # type: ignore[dict-item]
-    "readLine": ((), ty.NULLABLE_STRING),
-    "parseInt": ((ty.STRING,), ty.INT),
-    "open": ((ty.STRING,), ty.ClassType("Stream")),
-    "random": ((), ty.DOUBLE),
-    "length": ((ty.STRING,), ty.INT),
-    "exists": ((ty.STRING,), ty.BOOLEAN),
-}
+@dataclass(frozen=True, eq=False)
+class Builtin:
+    """A global function of SL (owner None) or a method of Thread or Stream:
+    one record each, which the phases compare by identity."""
 
-# Built-in value-must-be-checked callees.
-MUST_CHECK_BUILTINS = {"readLine", "Stream.read"}
+    owner: str | None
+    name: str
+    params: tuple[Type | None, ...]  # None accepts any type
+    result: Type
+    static: bool = False
+    must_check: bool = False  # a result that must not be ignored
 
-THREAD_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
-    "start": ((), ty.VOID_T),
-    "run": ((), ty.VOID_T),
-    "wait": ((), ty.VOID_T),
-    "sleep": ((ty.INT,), ty.VOID_T),
-    "getName": ((), ty.STRING),
-}
-# The Thread builtins that are static in Java, so need no receiver.
-STATIC_THREAD_METHODS = {"sleep"}
+    @property
+    def id(self) -> str:
+        """The call graph's name for it: builtin:name or builtin:Owner.name."""
+        return f"builtin:{self.owner}.{self.name}" if self.owner else f"builtin:{self.name}"
 
-STREAM_METHODS: dict[str, tuple[tuple[Type, ...], Type]] = {
-    "read": ((ty.ArrayType(ty.BYTE), ty.INT, ty.INT), ty.INT),
-    "close": ((), ty.VOID_T),
+
+# (owner, name) -> the builtin: every builtin the resolver knows.
+BUILTINS: dict[tuple[str | None, str], Builtin] = {
+    (b.owner, b.name): b
+    for b in (
+        Builtin(None, "println", (None,), ty.VOID_T, static=True),
+        Builtin(None, "readLine", (), ty.NULLABLE_STRING, static=True, must_check=True),
+        Builtin(None, "parseInt", (ty.STRING,), ty.INT, static=True),
+        Builtin(None, "open", (ty.STRING,), ty.ClassType("Stream"), static=True),
+        Builtin(None, "random", (), ty.DOUBLE, static=True),
+        Builtin(None, "length", (ty.STRING,), ty.INT, static=True),
+        Builtin(None, "exists", (ty.STRING,), ty.BOOLEAN, static=True),
+        Builtin("Thread", "start", (), ty.VOID_T),
+        Builtin("Thread", "run", (), ty.VOID_T),
+        Builtin("Thread", "wait", (), ty.VOID_T),
+        Builtin("Thread", "sleep", (ty.INT,), ty.VOID_T, static=True),  # static in Java
+        Builtin("Thread", "getName", (), ty.STRING),
+        Builtin("Stream", "read", (ty.ArrayType(ty.BYTE), ty.INT, ty.INT), ty.INT, must_check=True),
+        Builtin("Stream", "close", (), ty.VOID_T),
+    )
 }
 
 BUILTIN_CLASSES = {"Thread", "Stream", "Exception"}
@@ -129,17 +139,16 @@ class ClassInfo:
     methods: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)
     ctors: dict[int, MethodInfo] = field(default_factory=dict)
 
-    @property
-    def extends_thread(self) -> bool:
-        return self.decl.is_builtin_thread_subclass
-
 
 @dataclass
 class CallTarget:
-    kind: str  # builtin | method | ctor | unknown
-    id: str  # "Class.m/arity", "builtin:name", or "unknown"
-    must_check: bool = False
+    id: str  # "Class.m/arity" (a method or constructor), Builtin.id, or "unknown"
     method: MethodInfo | None = None
+    builtin: Builtin | None = None
+
+    @property
+    def must_check(self) -> bool:
+        return self.builtin is not None and self.builtin.must_check
 
 
 @dataclass
@@ -204,6 +213,11 @@ class Resolution:
                 yield parent.cond, cur is parent.body
             cur, parent = parent, parents[parent.uid]
 
+    def builtin_of(self, node: ast.Node) -> Builtin | None:
+        """The builtin a call resolved to; None for any other node."""
+        target = self.call_targets.get(node.uid)
+        return target.builtin if target is not None else None
+
     def names_class(self, expr: ast.Expr) -> bool:
         """Whether expr is a class name: a receiver that only a static
         field or method may have, and that does not run."""
@@ -227,9 +241,7 @@ class Resolution:
         if derived == base:
             return True
         chain = self.ancestors(derived)
-        if any(info.name == base for info in chain) or (chain and chain[-1].base == base):
-            return True
-        return base == "Thread" and derived in self.classes and self.classes[derived].extends_thread
+        return any(info.name == base for info in chain) or bool(chain and chain[-1].base == base)
 
 
 def _case_fits(subject_t: Type, label_t: Type) -> bool:
@@ -759,28 +771,35 @@ class _Resolver:
                 )
                 return self._unknown_call(expr, result)
             # implicit default constructor
-            self.res.call_targets[expr.uid] = CallTarget("ctor", default_ctor_id(expr.class_name))
+            self.res.call_targets[expr.uid] = CallTarget(default_ctor_id(expr.class_name))
             return self._set(expr, result)
         self._check_args(ctor, expr, arg_ts)
-        self.res.call_targets[expr.uid] = CallTarget("ctor", ctor.method_id, method=ctor)
+        self.res.call_targets[expr.uid] = CallTarget(ctor.method_id, method=ctor)
         return self._set(expr, result)
 
-    def _lookup_method(self, class_name: str, name: str, arity: int) -> MethodInfo | None:
+    def _lookup_method(self, class_name: str | None, name: str, arity: int) -> MethodInfo | None:
         for info in self.res.ancestors(class_name):
             minfo = info.methods.get((name, arity))
             if minfo is not None:
                 return minfo
         return None
 
-    def _thread_visible(self, class_name: str) -> bool:
-        if class_name == "Thread":
-            return True
-        return any(info.extends_thread for info in self.res.ancestors(class_name))
+    def _builtin_of(self, owner: str | None, expr: ast.Call) -> Builtin | None:
+        """The builtin a call names where no method of the class does: a
+        method of Stream on a Stream; one of Thread where Thread's methods
+        are visible, for an unqualified call only at its arity; and else,
+        for an unqualified call, a global function."""
+        if owner == "Stream":
+            return BUILTINS.get(("Stream", expr.name))
+        thread = BUILTINS.get(("Thread", expr.name)) if owner and self.res.subclass_ok("Thread", owner) else None
+        if expr.receiver is not None:
+            return thread
+        if thread is not None and len(thread.params) == len(expr.args):
+            return thread
+        return BUILTINS.get((None, expr.name))
 
-    def _check_builtin_args(
-        self, expr: ast.Call, sig: tuple[tuple[Type, ...], Type], arg_ts: list[Type]
-    ) -> None:
-        params, _ = sig
+    def _builtin_call(self, expr: ast.Call, builtin: Builtin, arg_ts: list[Type]) -> Type:
+        params = builtin.params
         if len(params) != len(arg_ts):
             raise TypeCheckError(expr.span, f"{expr.name}() takes {len(params)} argument(s)")
         for param_t, arg_t, arg in zip(params, arg_ts, expr.args):
@@ -791,69 +810,45 @@ class _Resolver:
                     continue
                 raise TypeCheckError(arg.span, f"{expr.name}() needs a String, got {arg_t}")
             self._require_assignable(param_t, arg_t, arg.span, f"{expr.name}() argument")
+        self.res.call_targets[expr.uid] = CallTarget(builtin.id, builtin=builtin)
+        return self._set(expr, builtin.result)
 
     def _check_args(self, minfo: MethodInfo, expr: ast.Call | ast.New, arg_ts: list[Type]) -> None:
         for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
             self._require_assignable(ty.from_type_ref(param.type), arg_t, arg.span, "argument")
 
     def _method_call(self, expr: ast.Call, minfo: MethodInfo, arg_ts: list[Type]) -> Type:
-        self.res.call_targets[expr.uid] = CallTarget("method", minfo.method_id, method=minfo)
+        self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo)
         self._check_args(minfo, expr, arg_ts)
         return self._set(expr, minfo.symbol.declared_type)
 
-    def _builtin_call(self, expr: ast.Call, prefix: str, table: dict, arg_ts: list[Type]) -> Type:
-        name, sig = prefix + expr.name, table[expr.name]
-        self._check_builtin_args(expr, sig, arg_ts)
-        self.res.call_targets[expr.uid] = CallTarget(
-            "builtin", f"builtin:{name}", must_check=name in MUST_CHECK_BUILTINS
-        )
-        return self._set(expr, sig[1])
-
     def _unknown_call(self, expr: ast.Call | ast.New, returns: Type) -> Type:
-        self.res.call_targets[expr.uid] = CallTarget("unknown", "unknown")
+        self.res.call_targets[expr.uid] = CallTarget("unknown")
         return self._set(expr, returns)
 
     def _call(self, expr: ast.Call, scope: Scope) -> Type:
+        """A call resolves to the method of its name and arity of the
+        receiver's class (the current class's, unqualified), or else to a
+        builtin (_builtin_of): a declared method shadows a builtin."""
         arg_ts = [self._expr(a, scope) for a in expr.args]
         if expr.receiver is None:
-            if self.current_class is not None:
-                minfo = self._lookup_method(self.current_class.name, expr.name, len(expr.args))
-                if minfo is not None:
-                    if self.static_context:
-                        self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
-                    return self._method_call(expr, minfo, arg_ts)
-            if (
-                self.current_class is not None
-                and self._thread_visible(self.current_class.name)
-                and expr.name in THREAD_METHODS
-                and len(expr.args) == len(THREAD_METHODS[expr.name][0])
-            ):
-                if self.static_context:
-                    self._require_static(
-                        expr.name in STATIC_THREAD_METHODS, expr.span, "method", expr.name
-                    )
-                return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
-            if expr.name in BUILTIN_FUNCTIONS:
-                return self._builtin_call(expr, "", BUILTIN_FUNCTIONS, arg_ts)
+            owner = self.current_class.name if self.current_class is not None else None
+            of_class = self.static_context
+        else:
+            receiver_t = self._expr(expr.receiver, scope, receiver=True)
+            if receiver_t == ty.UNKNOWN:
+                return self._unknown_call(expr, ty.UNKNOWN)
+            owner = receiver_t.name if isinstance(receiver_t, ty.ClassType) else None
+            of_class = self.res.names_class(expr.receiver)
+        minfo = self._lookup_method(owner, expr.name, len(expr.args))
+        if minfo is not None:
+            if of_class:
+                self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
+            return self._method_call(expr, minfo, arg_ts)
+        builtin = self._builtin_of(owner, expr)
+        if builtin is None:
             self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
             return self._unknown_call(expr, ty.UNKNOWN)
-        receiver_t = self._expr(expr.receiver, scope, receiver=True)
-        if receiver_t == ty.UNKNOWN:
-            return self._unknown_call(expr, ty.UNKNOWN)
-        if isinstance(receiver_t, ty.ClassType):
-            if receiver_t.name == "Stream" and expr.name in STREAM_METHODS:
-                return self._builtin_call(expr, "Stream.", STREAM_METHODS, arg_ts)
-            of_class = self.res.names_class(expr.receiver)
-            minfo = self._lookup_method(receiver_t.name, expr.name, len(expr.args))
-            if minfo is not None:
-                if of_class:
-                    self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
-                return self._method_call(expr, minfo, arg_ts)
-            if self._thread_visible(receiver_t.name) and expr.name in THREAD_METHODS:
-                if of_class:
-                    self._require_static(
-                        expr.name in STATIC_THREAD_METHODS, expr.span, "method", expr.name
-                    )
-                return self._builtin_call(expr, "Thread.", THREAD_METHODS, arg_ts)
-        self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
-        return self._unknown_call(expr, ty.UNKNOWN)
+        if of_class:
+            self._require_static(builtin.static, expr.span, "method", expr.name)
+        return self._builtin_call(expr, builtin, arg_ts)

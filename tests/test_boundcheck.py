@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from overrun_lint.boundcheck import (
     SIZE_CONSTANT,
     SIZE_VARIABLE,
@@ -90,6 +92,31 @@ class T {
     infos = track_index_vars(find_arrays(unit, res), res)
     info = next(x for x in infos if x.symbol.name == "i")
     assert info.legal_range == (0, 9)
+
+
+@pytest.mark.parametrize(
+    "members, kind",
+    [("", "input"), ("    static double random() { return 0.5; }", "arithmetic")],
+    ids=["builtin", "declared"],
+)
+def test_only_the_builtin_random_is_input(members, kind):
+    unit, res = analyzed(
+        """\
+class T {
+%s
+    static void main(String[] args) {
+        int[] a = new int[10];
+        int i = 0;
+        i = length("" + random());
+        a[i] = 1;
+    }
+}
+"""
+        % members
+    )
+    infos = track_index_vars(find_arrays(unit, res), res)
+    info = next(x for x in infos if x.symbol.name == "i")
+    assert [site.kind for site in info.modifying_sites] == ["constant", kind]
 
 
 def test_input_derived_index_is_marked_and_flagged():

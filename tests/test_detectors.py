@@ -211,6 +211,34 @@ class A {
     assert by_rule(findings_for(source))["StreamNotClosed"] == 1
 
 
+SHADOWS = """\
+class A {
+%s
+    static void main(String[] args) {
+        String line = readLine();
+        println(length(line));
+        println(parseInt(readLine()));
+        %s s = open("f");
+        println(s);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "members, stream_type, np_count, unclosed",
+    [
+        ("", "Stream", 2, 1),
+        ('    static String readLine() { return "1"; }\n    static int open(String p) { return 0; }', "int", 0, 0),
+    ],
+    ids=["builtins", "declared"],
+)
+def test_a_declared_method_shadows_the_builtin(members, stream_type, np_count, unclosed):
+    counts = by_rule(findings_for(SHADOWS % (members, stream_type)))
+    assert counts["NP_DEREFERENCE_OF_READLINE_VALUE"] == np_count
+    assert counts["StreamNotClosed"] == unclosed
+
+
 def test_unconditional_wait(corpus_sources):
     counts = by_rule(findings_for(corpus_sources["wait_demo.sl"], "wait_demo.sl"))
     assert counts["UnconditionalWait"] == 1

@@ -49,7 +49,7 @@ class S {
 
 
 def _hand_built_unit():
-    """println(1) in a method, with uids in no order and past next_uid."""
+    """println(1) in a method, with uids in no order."""
     span = SourceSpan("hand.sl", 1, 1, 1, 1)
     arg = ast.Literal(span=span, uid=900, value=1, kind="int")
     call = ast.Call(span=span, uid=40, name="println", args=[arg])
@@ -167,14 +167,13 @@ def test_child_table_matches_the_field_scan(units):
     assert ast.CHILD_FIELDS[ast.Node] == ast.CHILD_FIELDS[ast.Stmt] == ast.CHILD_FIELDS[ast.Expr] == ()
 
 
-def test_hand_built_unit_with_uids_past_next_uid():
+def test_hand_built_unit_with_uids_in_no_order():
     unit = _hand_built_unit()
     (cls,) = unit.classes
     (method,) = cls.methods
     body = method.body
     call = body.stmts[0].expr
     (arg,) = call.args
-    assert unit.next_uid == 0
     res = build_symbol_table(unit)
     assert res.nodes == list(walk(unit))
     assert res.subtree(body) == list(walk(body))

@@ -7,11 +7,13 @@ from overrun_lint.errors import (
     TypeCheckError,
 )
 from overrun_lint.pipeline import analyze_source, run_source
+from overrun_lint.semantics.resolver import BUILTINS
 from overrun_lint.runtime import (
     FAULT_ARITHMETIC,
     FAULT_ASSERTION_FAILURE,
     FAULT_MISSING_RETURN,
     FAULT_NULL_DEREFERENCE,
+    FAULT_NUMBER_FORMAT,
     FAULT_OUT_OF_BOUNDS,
     FAULT_OVERFLOW_WARNING,
     FAULT_STEP_LIMIT,
@@ -20,6 +22,7 @@ from overrun_lint.runtime import (
     execute,
     stack_overwrite_demo,
 )
+from overrun_lint.runtime.interpreter import Interpreter
 
 
 def run(source, **opts):
@@ -354,7 +357,8 @@ class Main {
         ("M none = null; none.v = m.arg();", ["argument"], [FAULT_NULL_DEREFERENCE]),
         ("int[] none = null; none[m.idx()] = m.arg();", ["index", "argument"], [FAULT_NULL_DEREFERENCE]),
         ("m.getArr()[m.idx() + 5] = m.arg();", ["array", "index", "argument"], [FAULT_OUT_OF_BOUNDS]),
-        ("W none = null; none.sleep(m.arg());", ["argument"], [FAULT_NULL_DEREFERENCE]),
+        # sleep is static (JLS 15.12.4.1): its receiver runs and may be null.
+        ("W none = null; none.sleep(m.arg());", ["argument"], []),
     ],
 )
 def test_operands_run_in_java_order(statement, tail, faults):
@@ -791,6 +795,52 @@ class W extends Thread {
     trace = run(source)
     assert trace.stdout == ["slept"]
     assert trace.faults == []
+
+
+def test_sleep_through_a_null_thread_variable_runs_on():
+    source = """\
+class W extends Thread {
+    static W none() { println("receiver"); return null; }
+    static void main(String[] args) {
+        W w = null;
+        w.sleep(1);
+        none().sleep(2);
+        println("after");
+    }
+}
+"""
+    trace = run(source)
+    assert trace.stdout == ["receiver", "after"]
+    assert trace.faults == []
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("7", 7), ("+7", 7), ("-0", 0), ("0" * 20 + "7", 7),
+        ("2147483647", 2147483647), ("-2147483648", -2147483648),
+    ],
+)
+def test_parse_int_accepts_what_integer_parse_int_does(text, value):
+    trace = run('class T { static void main(String[] args) { println(parseInt("%s")); } }' % text)
+    assert trace.stdout == [str(value)]
+    assert trace.faults == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" 22 ", " 7", "7 ", "1_000", "", "+", "-", "+-1", "2147483648", "-2147483649", "99999999999", "1.5"]
+    + [pytest.param("9" * 5000, id="5000 digits")],
+)
+def test_parse_int_rejects_other_text(text):
+    source = 'class T { static void main(String[] args) { println(parseInt("%s")); println("after"); } }'
+    trace = run(source % text)
+    assert trace.stdout == []
+    assert [f.kind for f in trace.faults] == [FAULT_NUMBER_FORMAT]
+
+
+def test_every_builtin_has_one_implementation():
+    assert Interpreter._BUILTINS.keys() == BUILTINS.keys()
 
 
 def _overflows(trace):

@@ -181,7 +181,7 @@ def _ref(value):
 
 def _tree_digest(unit: ast.CompilationUnit) -> str:
     """sha256 over every node in pre-order: class, then every field (span,
-    uid, comments and next_uid included), children referred to by uid."""
+    uid and comments included), children referred to by uid."""
     h = hashlib.sha256()
     for node in walk(unit):
         row = [type(node).__name__] + [(f.name, _ref(getattr(node, f.name))) for f in fields(node)]
@@ -190,23 +190,23 @@ def _tree_digest(unit: ast.CompilationUnit) -> str:
 
 
 TREE_DIGESTS = {
-    "assert_demo.sl": "27aafce0c3a386aacab9eaca6c4c41a6d6113e60049bbbaa3d22f2cf99309fde",
-    "building_lift.sl": "4beb15d502c8aa169d03931fab5df15ce674ea870773ccdc60655f44b10846f9",
-    "checkers_state.sl": "b62c0feafe7e48c839b68a90da2d8cb336020589af80ad1b79dfa2072cec806c",
-    "deadlock_demo.sl": "aa8711b7424ed3dbc9f979a87dfdb32d29e2e8044551bc3e305703440d589b6b",
-    "equals_demo.sl": "9bc00507163ffd4b824bf47c3a81f3405564d005cba4547e73c08427ca10159f",
-    "file_check.sl": "1db7fec3b1373fcecaa65ecab80c777c5d826a469119cc868dcc19356ac2a79c",
-    "makeover.sl": "bf40081fe257833295d995ba6709a31f91a56d8a978f53cca5737537fbbef509",
-    "readline_loop.sl": "f5849680efe532f69129e1ad2fb87d0727d73728c8202b02bf9cfd32ac95e1bf",
-    "robustness.sl": "bcfc1c9b7b099d47732c4ab174c644ce1d8a6fba17f35ba9cb4c25658d04171f",
-    "testing.sl": "bf45f679c3d3f4744252072e20776b2fa11b76f6506ca455cff4e1602e5751b0",
-    "wait_demo.sl": "cab0313945431bff97a07ba5acabf6c0ac32e5e89862fd565c69aac0a563539d",
-    "yang.sl": "992b6a6ed728d670f42a591667ba471c7a3de4f09be6f0a0b401c485f350296f",
-    "seeded1.sl": "14a520c7b06ef447f99b50c48b16013a67d5319e77816aca8e8252b0e90194ba",
-    "seeded2.sl": "613f96a923a9527d1476a050788433a694eea3ce1f94cfa2a7982c6979138a0e",
-    "seeded3.sl": "0a20e3f08610890c9bb7d1b8cf8c9219fb2c44c416c30f107e4622581bffac32",
-    "seeded4.sl": "6560d117a8f782896ca10298648a6d6e34dab3cf5f409269dd5eeac00708a8b0",
-    "seeded5.sl": "0c4e0c7d495ef3ab613b526a9b50206a944387634cd2a15ca14ce652ce59638d",
+    "assert_demo.sl": "c09d2fefbbcd6049568763d3aff3ac74e44a2002c362ecc38a4542a66c342681",
+    "building_lift.sl": "985158465c0277a9c07dfed00c3528902fe49b732011cd69d47fe774d1cffbec",
+    "checkers_state.sl": "5b786c2c28a7496d989f45f6a0f7015dcf0e3ef89f13cc5bcb7985f800363c78",
+    "deadlock_demo.sl": "1d0be7c3b8a44ca43f47c095fe659f1735db06de7a2f285a0c9385beda3dbc70",
+    "equals_demo.sl": "1bc78df4229eea544d2b4c1c3de51b69f0830dfad2a6f959412cdd860455d4b4",
+    "file_check.sl": "53e572a7b943043148ba77233926f61629a51ed7de21f3680fc02a3f67639dbe",
+    "makeover.sl": "7282054e60387be4aefc45111406c0b29fa2b78246129a032805b043fed7d703",
+    "readline_loop.sl": "0671371fd6b162621783e72ada06bec0dfbe7dd9ba664e0bec42886230267ec1",
+    "robustness.sl": "193a93009226cb829a6a2442224406f716d84fcd66ef774ae6be7a2b58ef3d8d",
+    "testing.sl": "64a62cf047c995441283fc205cc36bda62bac6809fa6dc39a28c0ed2e1f7d443",
+    "wait_demo.sl": "846949f73db72b6f8249c6d84942ddf04671ede25982fe8512438eb8c8b5a506",
+    "yang.sl": "5a14359cb745095dfabe160b43a513959a143cbbc197a549fc3d67925fb13793",
+    "seeded1.sl": "69c7bccef17ff02728ef3d1bc438dd1b0ee2e1630153e729ee71c211b10176a4",
+    "seeded2.sl": "65473ccd8820528646b74648308ab7534b3debb5b690ae45789c590e2085c1eb",
+    "seeded3.sl": "02052e82b371e39392c415afe1eda14021a0a16673159a3a06c4c8fe0ad7bffd",
+    "seeded4.sl": "011c7245eaaffbd2213a408ee6a94200e6efdfde65283d80cc5b58d121b291ec",
+    "seeded5.sl": "95c9e3eff783f2eac476a2ec8b56cb6d7859c60b1e92b86b5d2ab80d1802c013",
 }
 
 

@@ -309,11 +309,20 @@ class Main {
         println(is[0]);
         int x = 7;
         println(x = 2147483647 + 1);
-        println(parseInt(" 4294967296 "));
         for (int i = 0; i < 3; i++) {
             b = b + 60;
         }
         println(b);
+    }
+}
+""",
+        {},
+    ),
+    "parse_int_padded": (
+        """\
+class Main {
+    static void main(String[] args) {
+        println(parseInt(" 4294967296 "));
     }
 }
 """,
