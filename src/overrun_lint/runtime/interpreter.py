@@ -5,7 +5,7 @@ call, into nested Python closures (Feeley & Lapalme, "Using Closures for
 Code Generation", 1987).  Compilation binds, once, what would otherwise be
 looked up on every step: each statement's instruction id and branch keys,
 each name's frame slot or field, each call's target, each operator's code
-and each store's coercion.  Locals and parameters live in a per-invocation
+and each store's conversion.  Locals and parameters live in a per-invocation
 list, at the slots the resolver numbered; slot 0 holds the receiver.
 Operands run in Java's order: the receiver, or the array and then the
 index, before the arguments or the right-hand side, and the null and bounds
@@ -16,13 +16,23 @@ yields inhabits the type the resolver gave it (tests/test_soundness.py
 checks this over every golden run).  So the compiled code has no guard
 against a type error: every name, field and call has its target, every
 condition is a bool, every operand of an arithmetic or comparison operator
-a number, every indexed value an array or null and every index an int.  Two
-rules keep that true where the types alone would not:
+a number, every indexed value an array or null and every index an int.
+The types also choose, at compile time, what the values would otherwise
+be tested for at run time:
 
+- Each store, initializer, return and argument converts its value where
+  its type and the slot's differ, and nowhere else (_converted): an int or
+  byte into a double widens, an int into a byte wraps, and an int literal
+  outside the int range wraps.  The conversion runs as the value is
+  computed, where Java's cast would run.  Arguments convert at the call
+  site, with the resolved method's parameter types, which every override
+  keeps (the resolver rejects one that does not).
+- An arithmetic operator takes its int or double code from its own type,
+  and == and != compare by identity where either operand is an object or an
+  array, and by value otherwise.
 - A non-void method that reaches its end halts with a missing_return
-  fault, where it would otherwise return null in place of its value.
-- A return converts its value to the method's type, as a store converts to
-  its slot's, and an assignment yields the value it stored.
+  fault, where it would otherwise return null in place of its value.  An
+  assignment yields the value it stored.
 
 Compilation also drops each per-step check that cannot fire:
 
@@ -32,9 +42,6 @@ Compilation also drops each per-step check that cannot fire:
 - An int literal condition, if (1), folds to its truth.
 - A literal right operand is bound into its operator's closure, and + on a
   String-typed expression compiles to concatenation.
-- A store tests an int's range inline: a value that is not an int, or an
-  int in range, is stored as it is, which is all the wrapping call returned
-  for it, so only an out-of-range int calls the wrap (and warns).
 - A static call with one or two arguments lists them in its own closure.
 
 Executing a simple statement or a branching condition records its
@@ -44,7 +51,7 @@ missing return, step limit, and the run-time errors Java throws for an
 integer division by zero, a negative array size, a malformed parseInt
 and a read after close) halt the run and are recorded; fixed-width
 integer overflow is recorded as a warning and execution continues with the
-wrapped value.
+wrapped value.  Double arithmetic follows IEEE 754, as Java's does.
 
 A statement closure returns None to fall through and anything else to
 return from the method: the returned value, or _NULL for a null/void result.
@@ -58,6 +65,7 @@ import random as _random
 import re
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from operator import itemgetter
 
 from ..errors import EntryNotFoundError
@@ -65,7 +73,7 @@ from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from ..frontend.printer import expr_text
 from ..semantics import types as ty
-from ..semantics.resolver import Builtin, Resolution
+from ..semantics.resolver import Builtin, Resolution, param_types
 from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
 from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
@@ -168,7 +176,6 @@ class SLStream:
 
 
 _NULL = object()  # a statement's "return null/void" signal
-_REFERENCES = frozenset((SLObject, SLArray, SLStream))
 
 
 def format_value(value) -> str:
@@ -179,8 +186,7 @@ def format_value(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        text = repr(value)
-        return text
+        return _double_text(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -192,6 +198,22 @@ def format_value(value) -> str:
     return f"Stream({value.name})#{value.ordinal}"  # an SLStream
 
 
+def _double_text(value: float) -> str:
+    """value as Java's Double.toString prints it, in the shortest digits
+    that read back as value (repr's): in plain decimal, with a fractional
+    digit, from 1e-3 up to 1e7, where repr prints that way too, and as
+    d.dddE±n elsewhere."""
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    if not value or 1e-3 <= abs(value) < 1e7:
+        return repr(value)
+    sign, digits, exponent = Decimal(repr(value)).normalize().as_tuple()
+    fraction = "".join(map(str, digits[1:])) or "0"
+    return f"{'-' * sign}{digits[0]}.{fraction}E{len(digits) + exponent - 1}"
+
+
 # The text Integer.parseInt accepts, before its range check.
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
@@ -201,14 +223,6 @@ _DEFAULTS = {ty.INT: 0, ty.BYTE: 0, ty.DOUBLE: 0.0, ty.BOOLEAN: False}
 
 def _constant(value):
     return lambda f: value
-
-
-def _widen(value: int, span: SourceSpan) -> float:
-    return float(value)
-
-
-# The coercion of a store into a slot of a type that converts nothing.
-_KEEP_ALL = (-math.inf, math.inf, None)
 
 
 def _arguments(fns: list):
@@ -321,8 +335,7 @@ class Interpreter:
             self._run_static_initializers()
             entry_cls, entry_method = self._find_entry()
             args = [self._new_array(ty.STRING, 0)] if entry_method.params else []
-            entry = self._compile_method(entry_cls.name, entry_method, len(args))
-            entry(None, args, entry_method.span)
+            self._method(entry_cls.name, entry_method).call(None, args, entry_method.span)
         except _Halt:
             pass
         except RecursionError:
@@ -347,11 +360,8 @@ class Interpreter:
             self.trace.entered_methods.add(clinit_id(cls.name))
             for fld in inits:
                 self._step(self.cfgs.stmt_iids[fld.uid], fld.span)
-                value = self._expr(fld.initializer)([None])
-                lo, hi, coerce = self._coercer(self.res.decl_symbols[fld.uid].declared_type)
-                if value.__class__ is int and not lo <= value <= hi:
-                    value = coerce(value, fld.span)
-                self.statics[(cls.name, fld.name)] = value
+                t = self.res.decl_symbols[fld.uid].declared_type
+                self.statics[(cls.name, fld.name)] = self._converted(fld.initializer, t, fld.span)([None])
 
     def _find_entry(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
         wanted = self.options.entry
@@ -376,7 +386,7 @@ class Interpreter:
         cls, method = candidates[0]
         if not method.is_static:
             raise EntryNotFoundError(f"entry {cls.name}.{method.name} is not static")
-        params = [self.res.decl_symbols[p.uid].declared_type for p in method.params]
+        params = param_types(method)
         if params not in ([], [ty.ArrayType(ty.STRING)]):
             shown = ", ".join(map(str, params))
             raise EntryNotFoundError(
@@ -395,28 +405,22 @@ class Interpreter:
                 # A call in the arguments of another, f(f(x)), compiles f
                 # before the outer call, which had already read first_call.
                 if method.call is first_call:
-                    method.call = self._compile_method(owner, decl, decl.arity)
+                    method.call = self._compile_method(owner, decl)
                 return method.call(receiver, args, span)
 
             method.call = first_call
         return method
 
-    def _compile_method(self, owner: str, decl: ast.MethodDecl, bound: int):
-        """The invocation closure of decl, with its first `bound` params
-        bound to the arguments (every call site passes all of them)."""
+    def _compile_method(self, owner: str, decl: ast.MethodDecl):
+        """The invocation closure of decl.  Every call passes all of its
+        arguments, already converted to the parameters' types."""
         st = self
         ident = method_identity(owner, decl)
         enter = self.trace.entered_methods.add
         max_depth = self.options.max_call_depth
         too_deep = f"call depth {max_depth} exceeded (runaway recursion)"
-        coercions = []  # (slot, lo, hi, coerce) of each parameter that converts
-        for param in decl.params[:bound]:
-            sym = self.res.decl_symbols[param.uid]
-            lo, hi, coerce = self._coercer(sym.declared_type)
-            if coerce is not None:
-                coercions.append((sym.slot, lo, hi, coerce))
         body = self._stmts(decl.body)
-        pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - bound)
+        pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - decl.arity)
         cfg = self.cfgs.cfgs[ident]
         implicit_iid = cfg.implicit_return_iid
         implicit_span = cfg.instr_spans.get(implicit_iid)
@@ -430,10 +434,6 @@ class Interpreter:
                 st._fault(FAULT_STEP_LIMIT, span, too_deep)
             enter(ident)
             f = [receiver, *args, *pad]
-            for slot, lo, hi, coerce in coercions:
-                value = f[slot]
-                if value.__class__ is int and not lo <= value <= hi:
-                    f[slot] = coerce(value, span)
             try:
                 for stmt in body:
                     r = stmt(f)
@@ -476,7 +476,7 @@ class Interpreter:
                 ]
                 defaults.update((fld.uid, _DEFAULTS.get(t)) for fld, t in fields)
                 inits += [
-                    (fld.uid, self._expr(fld.initializer), *self._coercer(t), fld.span)
+                    (fld.uid, self._converted(fld.initializer, t, fld.span))
                     for fld, t in fields if fld.initializer is not None
                 ]
             layout = self.layouts[class_name] = (defaults, inits)
@@ -490,11 +490,8 @@ class Interpreter:
         # 12.5), so a base initialiser calling an override sees them all.
         obj = SLObject(cls_name=class_name, fields=dict(defaults), ordinal=self.ordinals)
         fields = obj.fields
-        for key, init, lo, hi, coerce, fspan in inits:
-            value = init([obj])
-            if value.__class__ is int and not lo <= value <= hi:
-                value = coerce(value, fspan)
-            fields[key] = value
+        for key, init in inits:
+            fields[key] = init([obj])
         ctor = info.ctors.get(len(args))
         if ctor is not None:
             self._method(ctor.owner, ctor.decl).call(obj, args, span)
@@ -543,30 +540,26 @@ class Interpreter:
         iid, mark = self._instruction(stmt)
         sym = self.res.decl_symbols[stmt.uid]
         init = (
-            self._expr(stmt.initializer)
+            self._converted(stmt.initializer, sym.declared_type, span)
             if stmt.initializer is not None
             else _constant(_DEFAULTS.get(sym.declared_type))
         )
-        (lo, hi, coerce), slot = self._coercer(sym.declared_type), sym.slot
+        slot = sym.slot
 
         def run(f):
             mark(iid)
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
-            value = init(f)
-            if value.__class__ is int and not lo <= value <= hi:
-                value = coerce(value, span)
-            f[slot] = value
+            f[slot] = init(f)
 
         return run
 
     def _s_return(self, stmt: ast.Return):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
         iid, mark = self._instruction(stmt)
-        value = self._expr(stmt.value) if stmt.value is not None else _constant(None)
-        # An int, byte or double method converts its result like a store.
-        lo, hi, coerce = self._coercer(ty.from_type_ref(self.res.method_of(stmt).return_type))
+        returns = ty.from_type_ref(self.res.method_of(stmt).return_type)
+        value = self._converted(stmt.value, returns, span) if stmt.value is not None else _constant(None)
 
         def run(f):
             mark(iid)
@@ -574,8 +567,6 @@ class Interpreter:
             if trace.steps > limit:
                 st._step_limit(span)
             result = value(f)
-            if result.__class__ is int and not lo <= result <= hi:
-                return coerce(result, span)
             return _NULL if result is None else result
 
         return run
@@ -799,41 +790,30 @@ class Interpreter:
         truth = ast.literal_truth(expr)
         return self._expr(expr) if truth is None else _constant(truth)
 
-    def _wrap_int(self, value: int, span: SourceSpan) -> int:
-        if INT_MIN <= value <= INT_MAX:
+    def _wrap(self, value: int, span: SourceSpan, bits: int = 32) -> int:
+        """value wrapped into a signed integer of that many bits (an int 32,
+        a byte 8); a value that does not fit records an overflow warning."""
+        half = 1 << (bits - 1)
+        if -half <= value < half:
             return value
-        wrapped = ((value - INT_MIN) % (2**32)) + INT_MIN
-        self._fault(
-            FAULT_OVERFLOW_WARNING,
-            span,
-            f"32-bit result {value} wrapped to {wrapped}",
-            halt=False,
-        )
+        wrapped = (value + half) % (2 * half) - half
+        self._fault(FAULT_OVERFLOW_WARNING, span, f"{bits}-bit result {value} wrapped to {wrapped}", halt=False)
         return wrapped
 
-    def _wrap_byte(self, value: int, span: SourceSpan) -> int:
-        if BYTE_MIN <= value <= BYTE_MAX:
-            return value
-        wrapped = ((value - BYTE_MIN) % 256) + BYTE_MIN
-        self._fault(
-            FAULT_OVERFLOW_WARNING,
-            span,
-            f"8-bit result {value} wrapped to {wrapped}",
-            halt=False,
-        )
-        return wrapped
-
-    def _coercer(self, t: ty.Type):
-        """How a store into a slot of declared type t converts: (lo, hi,
-        coerce).  A value that is not an int, or an int in [lo, hi], is
-        stored as it is, so an in-range int costs no call; coerce converts
-        the other ints (int and byte wrap, double widens every int)."""
-        stores = {
-            ty.INT: (INT_MIN, INT_MAX, self._wrap_int),
-            ty.BYTE: (BYTE_MIN, BYTE_MAX, self._wrap_byte),
-            ty.DOUBLE: (1, 0, _widen),
-        }
-        return stores.get(t, _KEEP_ALL)
+    def _converted(self, expr: ast.Expr, t: ty.Type | None, span: SourceSpan):
+        """The closure of expr, with its value converted for a store, an
+        initializer, a return or an argument of type t (None takes any
+        value): an int or byte into a double widens, an int into a byte
+        wraps, and an int literal outside the int range wraps.  Where the
+        types need no conversion it is expr's own closure."""
+        value, source, wrap = self._expr(expr), self.res.types[expr.uid], self._wrap
+        if t is ty.DOUBLE and source in (ty.INT, ty.BYTE):
+            return lambda f: float(value(f))
+        if t is ty.BYTE and source is ty.INT:
+            return lambda f: wrap(value(f), span, 8)
+        if t is ty.INT and isinstance(expr, ast.Literal) and not INT_MIN <= expr.value <= INT_MAX:
+            return lambda f: wrap(value(f), span)
+        return value
 
     def _new_array(self, elem: ty.Type, size: int) -> SLArray:
         self.ordinals += 1
@@ -865,10 +845,10 @@ class Interpreter:
         if expr.op == "!":
             operand = self._expr(expr.operand)
             return lambda f: not operand(f)
-        operand, span, wrap_int = self._expr(expr.operand), expr.span, self._wrap_int
+        operand, span, wrap = self._expr(expr.operand), expr.span, self._wrap
         if self.res.types[expr.uid] == ty.DOUBLE:
             return lambda f: -operand(f)
-        return lambda f: wrap_int(-operand(f), span)  # an int or byte operand
+        return lambda f: wrap(-operand(f), span)  # an int or byte operand
 
     def _e_index(self, expr: ast.Index):
         array, index = self._expr(expr.array), self._expr(expr.index)
@@ -912,12 +892,15 @@ class Interpreter:
         return run
 
     def _e_new(self, expr: ast.New):
-        args, name, span = self._args(expr.args), expr.class_name, expr.span
-        instantiate = self._instantiate
+        name, span, instantiate = expr.class_name, expr.span, self._instantiate
+        ctor = self.res.call_targets[expr.uid].method  # None: the implicit one
+        args = _arguments(self._args(expr, param_types(ctor.decl) if ctor else ()))
         return lambda f: instantiate(name, args(f), span)
 
-    def _args(self, exprs: list[ast.Expr]):
-        return _arguments([self._expr(e) for e in exprs])
+    def _args(self, call: ast.Call | ast.New, params) -> list:
+        """The closures of call's arguments, each converted to its
+        parameter's type at the call site."""
+        return [self._converted(e, t, call.span) for e, t in zip(call.args, params)]
 
     # -- operators -------------------------------------------------------------------
 
@@ -934,8 +917,8 @@ class Interpreter:
                 return right(f)
 
             return logical
-        left, span = self._expr(expr.left), expr.span
-        if op == "+" and ty.is_string(self.res.types[expr.uid]):
+        left, span, t = self._expr(expr.left), expr.span, self.res.types[expr.uid]
+        if op == "+" and ty.is_string(t):
             right = self._expr(expr.right)
             return lambda f: format_value(left(f)) + format_value(right(f))
         # A literal right operand is bound in as k, with right None, so that
@@ -944,94 +927,50 @@ class Interpreter:
             right, k = None, expr.right.value
         else:
             right, k = self._expr(expr.right), None
-        if op in _INT_OPS:
-            fast, slow, wrap_int = _INT_OPS[op], self._arith, self._wrap_int
+        if t is ty.INT:
+            st, fn, wrap = self, _INT_OPS[op], self._wrap
 
             def arith(f):
                 a = left(f)
                 b = k if right is None else right(f)
-                if a.__class__ is int and b.__class__ is int:
-                    result = fast(a, b)
-                    if result is not None:
-                        if INT_MIN <= result <= INT_MAX:
-                            return result
-                        return wrap_int(result, span)
-                return slow(op, a, b, span)
+                try:
+                    result = fn(a, b)
+                except ZeroDivisionError:
+                    st._fault(FAULT_ARITHMETIC, span, "integer division by zero")
+                if INT_MIN <= result <= INT_MAX:
+                    return result
+                return wrap(result, span)
 
             return arith
-        if op in _COMPARE_OPS:
-            compare = _COMPARE_OPS[op]
-            if right is None:
-                return lambda f: compare(left(f), k)
-            return lambda f: compare(left(f), right(f))
-        negate = op == "!="  # the operator is == or !=
-
-        def equality(f):
-            a = left(f)
-            b = k if right is None else right(f)
-            if a.__class__ in _REFERENCES or b.__class__ in _REFERENCES:
-                return (a is b) is not negate
-            return (a == b) is not negate
-
-        return equality
-
-    def _arith(self, op: str, left, right, span: SourceSpan):
-        """An arithmetic operator on a double, or on ints the fast path
-        deferred."""
-        if isinstance(left, float) or isinstance(right, float):
-            a, b = float(left), float(right)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    if a == 0.0:
-                        return float("nan")
-                    return float("inf") if a > 0 else float("-inf")
-                return a / b
-            if b == 0.0:
-                return float("nan")
-            return math.fmod(a, b)
-        a, b = left, right
-        if op == "+":
-            return self._wrap_int(a + b, span)
-        if op == "-":
-            return self._wrap_int(a - b, span)
-        if op == "*":
-            return self._wrap_int(a * b, span)
-        if b == 0:
-            self._fault(FAULT_ARITHMETIC, span, "integer division by zero")
-        quotient = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            quotient = -quotient
-        if op == "/":
-            return self._wrap_int(quotient, span)
-        return self._wrap_int(a - quotient * b, span)
+        if t is ty.DOUBLE:
+            fn = _DOUBLE_OPS[op]
+        elif op in _COMPARE_OPS:
+            fn = _COMPARE_OPS[op]
+        else:  # == or !=: objects and arrays are equal only to themselves
+            sides = (self.res.types[expr.left.uid], self.res.types[expr.right.uid])
+            fn = _EQUALITY_OPS[op][any(isinstance(side, (ty.ClassType, ty.ArrayType)) for side in sides)]
+        if right is None:
+            return lambda f: fn(left(f), k)
+        return lambda f: fn(left(f), right(f))
 
     def _assign(self, expr: ast.Binary):
         """An assignment: it stores the right-hand side's value, converted
         to the target's type, and yields the value it stored."""
-        st, value_of, target, span = self, self._expr(expr.right), expr.left, expr.left.span
+        st, target, span = self, expr.left, expr.left.span
+        value_of = self._converted(expr.right, self.res.types[target.uid], span)
         if isinstance(target, ast.Name):
             sym = self.res.name_targets[target.uid]
-            (lo, hi, coerce), slot = self._coercer(sym.declared_type), sym.slot
-            if slot < 0:
-                return self._assign_field(sym, value_of, span)
+            if sym.slot < 0:
+                return self._assign_field(sym, value_of)
+            slot = sym.slot
 
             def store_local(f):
-                value = value_of(f)
-                if value.__class__ is int and not lo <= value <= hi:
-                    value = coerce(value, span)
-                f[slot] = value
+                f[slot] = value = value_of(f)
                 return value
 
             return store_local
         if isinstance(target, ast.Index):
             array_of, index_of = self._expr(target.array), self._expr(target.index)
-            lo, hi, coerce = self._coercer(self.res.types[target.uid])
 
             def store_element(f):
                 array = array_of(f)
@@ -1044,8 +983,6 @@ class Interpreter:
                     st._fault(
                         FAULT_OUT_OF_BOUNDS, span, f"index {index} outside [0, {len(values) - 1}]"
                     )
-                if value.__class__ is int and not lo <= value <= hi:
-                    value = coerce(value, span)
                 values[index] = value
                 return value
 
@@ -1053,18 +990,14 @@ class Interpreter:
         # The parser accepts no other target than a name, an element or a field.
         sym = self.res.field_targets[target.uid]
         if sym.static:
-            store = self._assign_field(sym, value_of, span)
-            return self._static_access(target.receiver, store)
+            return self._static_access(target.receiver, self._assign_field(sym, value_of))
         receiver_of, name, key = self._expr(target.receiver), target.name, sym.decl_uid
-        lo, hi, coerce = self._coercer(sym.declared_type)
 
         def store_field(f):
             receiver = receiver_of(f)
             value = value_of(f)
             if receiver is None:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
-            if value.__class__ is int and not lo <= value <= hi:
-                value = coerce(value, span)
             receiver.fields[key] = value
             return value
 
@@ -1084,26 +1017,19 @@ class Interpreter:
 
         return run
 
-    def _assign_field(self, sym, value_of, span: SourceSpan):
-        lo, hi, coerce = self._coercer(sym.declared_type)
+    def _assign_field(self, sym, value_of):
         if sym.static:
             statics, key = self.statics, (sym.owner, sym.name)
 
             def store_static(f):
-                value = value_of(f)
-                if value.__class__ is int and not lo <= value <= hi:
-                    value = coerce(value, span)
-                statics[key] = value
+                statics[key] = value = value_of(f)
                 return value
 
             return store_static
         key = sym.decl_uid
 
         def store_member(f):  # into a field of this
-            value = value_of(f)
-            if value.__class__ is int and not lo <= value <= hi:
-                value = coerce(value, span)
-            f[0].fields[key] = value
+            f[0].fields[key] = value = value_of(f)
             return value
 
         return store_member
@@ -1116,7 +1042,7 @@ class Interpreter:
         if target.builtin is not None:
             return self._builtin(expr, target.builtin)
         minfo = target.method
-        fns = [self._expr(e) for e in expr.args]
+        fns = self._args(expr, param_types(minfo.decl))
         if minfo.decl.is_static:  # bound here, whatever the receiver holds
             method = self._method(minfo.owner, minfo.decl)
             # One or two arguments are listed in the call itself.
@@ -1150,7 +1076,7 @@ class Interpreter:
         faults; an instance builtin null-checks its receiver (or this) after
         the arguments have run."""
         st, span, name = self, expr.span, builtin.name
-        impl, args = self._BUILTINS[builtin.owner, name], self._args(expr.args)
+        impl, args = self._BUILTINS[builtin.owner, name], _arguments(self._args(expr, builtin.params))
         if builtin.static:
             strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
 
@@ -1196,6 +1122,10 @@ class Interpreter:
         if not fits or not INT_MIN <= int(text) <= INT_MAX:
             self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
         return int(text)
+
+    def _b_length(self, receiver, args, span):
+        """String.length(): UTF-16 code units, two for a character past U+FFFF."""
+        return len(args[0].encode("utf-16-le", "surrogatepass")) // 2
 
     def _b_open(self, receiver, args, span):
         path, stub = args[0], self.options.file_system_stub or {}
@@ -1249,7 +1179,7 @@ class Interpreter:
         (None, "parseInt"): _b_parse_int,
         (None, "open"): _b_open,
         (None, "random"): lambda self, receiver, args, span: self.rng.random(),
-        (None, "length"): lambda self, receiver, args, span: len(args[0]),
+        (None, "length"): _b_length,
         (None, "exists"): lambda self, receiver, args, span: args[0] in (self.options.file_system_stub or {}),
         ("Thread", "start"): _b_start,
         ("Thread", "run"): _b_nothing,
@@ -1274,19 +1204,44 @@ class Interpreter:
     }
 
 
-def _int_div(a: int, b: int) -> int | None:
-    return a // b if a >= 0 and b > 0 else None
+def _int_quotient(a: int, b: int) -> int:
+    """a / b rounded toward zero, as Java's int division."""
+    return a // b if (a >= 0) == (b > 0) else -(-a // b)
 
 
-def _int_mod(a: int, b: int) -> int | None:
-    return a % b if a >= 0 and b > 0 else None
+def _int_remainder(a: int, b: int) -> int:
+    """a % b with the sign of a, as Java's int remainder."""
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
 
 
-# Integer fast paths, which skip Interpreter._arith's type tests (about 15 %
-# of the interp benchmark's throughput): None defers to _arith (division
-# with a negative operand or by zero).
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _int_div, "%": _int_mod}
+def _double_quotient(a: float, b: float) -> float:
+    """a / b under IEEE 754 (JLS 15.17.2): a zero divisor gives NaN for a
+    zero or NaN dividend, else an infinity signed by both operands."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _double_remainder(a: float, b: float) -> float:
+    """a % b under IEEE 754 (JLS 15.17.3): NaN for an infinite dividend or a
+    zero divisor, else fmod's, which has the dividend's sign."""
+    if not b or a in (math.inf, -math.inf):
+        return math.nan
+    return math.fmod(a, b)
+
+
+# Each arithmetic operator's code, by the type of its result.  An int
+# division by zero raises ZeroDivisionError, which the closure turns into
+# an arithmetic fault.
+_ADDITIVE = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_INT_OPS = {**_ADDITIVE, "/": _int_quotient, "%": _int_remainder}
+_DOUBLE_OPS = {**_ADDITIVE, "/": _double_quotient, "%": _double_remainder}
 _COMPARE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# == and != by value, or by identity (True) for objects and arrays.
+_EQUALITY_OPS = {"==": (operator.eq, operator.is_), "!=": (operator.ne, operator.is_not)}
 
 
 def execute(

@@ -9,7 +9,9 @@ case labels that are not distinct constants, raise TypeCheckError.  So do
 the two rules Java keeps for static contexts (JLS 8.1.3, 15.12.3): a class
 name is no value, only the receiver of a static field or method; and a
 static method or a static field initializer has no this, so it names no
-instance field, instance method or Thread builtin without a receiver.
+instance field, instance method or Thread builtin without a receiver.  So
+does an override that does not keep its base method's signature (JLS
+8.4.8), which lets every phase trust a call's resolved signature.
 
 The Resolution answers tree queries from the unit's node index
 (frontend/index.py), which the parser built: a subtree is a slice of the
@@ -253,6 +255,11 @@ def _case_fits(subject_t: Type, label_t: Type) -> bool:
     return label_t in (ty.INT, ty.BYTE)
 
 
+def param_types(decl: ast.MethodDecl) -> list[Type]:
+    """The declared types of decl's parameters, in order."""
+    return [ty.from_type_ref(p.type) for p in decl.params]
+
+
 def type_of(expr: ast.Expr, resolution: Resolution) -> Type:
     """Deterministic type of a resolved expression."""
     return resolution.types[expr.uid]
@@ -288,6 +295,7 @@ class _Resolver:
     def run(self) -> Resolution:
         self._declare_classes()
         self._check_acyclic()
+        self._check_overrides()
         for cls in self.unit.classes:
             self._resolve_class(cls)
         for switch in self.switches:
@@ -372,6 +380,36 @@ class _Resolver:
             if last.base in self.res.classes:  # the walk stopped at a class it had passed
                 cycle = self.res.classes[last.base].decl
                 raise TypeCheckError(cycle.span, f"cyclic inheritance involving '{cycle.name}'")
+
+    def _check_overrides(self) -> None:
+        """A method with the name and arity of a base class's method keeps
+        its signature (JLS 8.4.8): its parameter types, its staticness and
+        its return type, which only a class type may narrow to a subclass.
+        So every method a call may dispatch to has the call's signature."""
+        for info in self.res.classes.values():
+            for (name, arity), minfo in info.methods.items():
+                base = self._lookup_method(info.base, name, arity)
+                if base is None or minfo.decl.is_constructor:
+                    continue
+                params, base_params = (", ".join(map(str, param_types(m.decl))) for m in (minfo, base))
+                returns, base_returns = minfo.symbol.declared_type, base.symbol.declared_type
+                if params != base_params:
+                    reason = "the parameter types differ"
+                elif minfo.decl.is_static != base.decl.is_static:
+                    reason = f"{'overriding' if minfo.decl.is_static else 'overridden'} method is static"
+                elif returns != base_returns and not (
+                    isinstance(returns, ty.ClassType)
+                    and isinstance(base_returns, ty.ClassType)
+                    and self.res.subclass_ok(base_returns.name, returns.name)
+                ):
+                    reason = f"return type {returns} is not compatible with {base_returns}"
+                else:
+                    continue
+                raise TypeCheckError(
+                    minfo.decl.span,
+                    f"{name}({params}) in {info.name} cannot override"
+                    f" {name}({base_params}) in {base.owner}; {reason}",
+                )
 
     # -- class / method bodies ----------------------------------------------
 
@@ -814,8 +852,8 @@ class _Resolver:
         return self._set(expr, builtin.result)
 
     def _check_args(self, minfo: MethodInfo, expr: ast.Call | ast.New, arg_ts: list[Type]) -> None:
-        for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
-            self._require_assignable(ty.from_type_ref(param.type), arg_t, arg.span, "argument")
+        for param_t, arg_t, arg in zip(param_types(minfo.decl), arg_ts, expr.args):
+            self._require_assignable(param_t, arg_t, arg.span, "argument")
 
     def _method_call(self, expr: ast.Call, minfo: MethodInfo, arg_ts: list[Type]) -> Type:
         self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo)

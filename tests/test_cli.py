@@ -265,6 +265,19 @@ REJECTED_BY_RESOLVER = {
         "}\n",
         "error_unresolved_call.sl:4:9: undeclared identifier 'missing'",
     ),
+    # Before overrides kept their signature, run printed 3.0 from an int.
+    "changed_override.sl": (
+        "class A { int m(int x) { return x; } }\n"
+        "class B extends A { double m(double x) { return x; } }\n"
+        "class Main {\n"
+        "    static void main(String[] args) {\n"
+        "        A a = new B();\n"
+        "        int y = a.m(3);\n"
+        "        println(y);\n"
+        "    }\n"
+        "}\n",
+        "changed_override.sl:2:21: m(double) in B cannot override m(int) in A; the parameter types differ",
+    ),
 }
 
 
@@ -391,3 +404,12 @@ def test_run_time_error_keeps_the_output_before_it(capsys, tmp_path, monkeypatch
     code, out, err = run_cli(capsys, "run", "div.sl")
     assert (code, out) == (1, "before\n")
     assert err == "fault: arithmetic_error at div.sl:5: integer division by zero\n"
+
+
+def test_run_prints_an_ieee_remainder_of_infinity(capsys, tmp_path, monkeypatch):
+    # math.fmod raised ValueError here, and run ended in a traceback.
+    (tmp_path / "rem.sl").write_text(
+        "class Main { static void main(String[] args) { double z = 0; println((1.0 / z) % 2.0); } }\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "run", "rem.sl") == (0, "NaN\n", "")

@@ -20,6 +20,7 @@ from overrun_lint.runtime import (
     RunOptions,
     add_wrapped,
     execute,
+    format_value,
     stack_overwrite_demo,
 )
 from overrun_lint.runtime.interpreter import Interpreter
@@ -1046,3 +1047,182 @@ class T {
     )
     assert trace.stdout == []
     assert sys.getrecursionlimit() == before
+
+
+# -- conversions run where the value is computed ------------------------------------
+#
+# A store, argument or return converts its value as the value is computed,
+# where Java's explicit cast would run (JLS 15.9.4, 15.12.4.2, 15.26.1): so
+# a narrowing warning comes before a fault of the same store or call, and an
+# argument's before the constructor's field initializers run.
+
+
+def _kinds(trace):
+    return [(f.kind, f.span.line, f.span.column, f.detail) for f in trace.faults]
+
+
+def test_an_argument_narrows_before_the_null_receiver_faults():
+    trace = run("""\
+class N { void m(byte b) { } }
+class T {
+    static void main(String[] args) {
+        N n = null;
+        n.m(400);
+    }
+}
+""")
+    assert _kinds(trace) == [
+        (FAULT_OVERFLOW_WARNING, 5, 9, "8-bit result 400 wrapped to -112"),
+        (FAULT_NULL_DEREFERENCE, 5, 9, "m() on null"),
+    ]
+
+
+def test_a_constructor_argument_narrows_before_the_field_initializers():
+    trace = run("""\
+class P {
+    byte f = 300;
+    byte g;
+    P(byte b) { g = b; }
+}
+class T {
+    static void main(String[] args) {
+        P p = new P(200);
+        println(p.f + p.g);
+    }
+}
+""")
+    assert _kinds(trace) == [
+        (FAULT_OVERFLOW_WARNING, 8, 15, "8-bit result 200 wrapped to -56"),
+        (FAULT_OVERFLOW_WARNING, 2, 5, "8-bit result 300 wrapped to 44"),
+    ]
+    assert trace.stdout == ["-12"]
+
+
+def test_an_element_store_narrows_before_the_bounds_check():
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        byte[] b = new byte[2];
+        b[5] = 300;
+    }
+}
+""")
+    assert _kinds(trace) == [
+        (FAULT_OVERFLOW_WARNING, 4, 9, "8-bit result 300 wrapped to 44"),
+        (FAULT_OUT_OF_BOUNDS, 4, 9, "index 5 outside [0, 1]"),
+    ]
+
+
+def test_a_covariant_override_runs_through_the_base_signature():
+    trace = run("""\
+class A { A me() { return this; } int v() { return 1; } }
+class B extends A { B me() { return this; } int v() { return 2; } }
+class T {
+    static void main(String[] args) {
+        A a = new B();
+        println(a.me().v());
+        println(a.me() == a);
+    }
+}
+""")
+    assert trace.stdout == ["2", "true"]
+
+
+# -- doubles follow IEEE 754 and print as Java's Double.toString ------------------
+
+
+def test_double_division_and_remainder_follow_ieee_754():
+    # Each line checked against OpenJDK 17.
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        double z = 0;
+        double inf = 1.0 / z;
+        double nan = z / z;
+        println(inf % 2.0);
+        println(1.0 / -0.0);
+        println(nan / 0.0);
+        println(-inf / z);
+        println(5.0 % inf);
+        println(-5.0 % 3);
+        println(5 % -3.0);
+        println(1 / 2.0);
+        println(nan == nan);
+        println(nan != nan);
+        println(inf == 1.0 / z);
+    }
+}
+""")
+    assert trace.stdout == [
+        "NaN", "-Infinity", "NaN", "-Infinity", "5.0", "-2.0", "2.0", "0.5", "false", "true", "true",
+    ]
+    assert trace.faults == []
+
+
+def test_int_division_and_remainder_round_toward_zero():
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        println(7 / -2);
+        println(-7 / 2);
+        println(-7 / -2);
+        println(7 % -2);
+        println(-7 % 2);
+        println(-7 % -2);
+        println(-2147483648 / -1);
+        println(0 / -5);
+    }
+}
+""")
+    assert trace.stdout == ["-3", "-3", "3", "1", "-1", "-1", "-2147483648", "0"]
+    assert _kinds(trace) == [
+        (FAULT_OVERFLOW_WARNING, 9, 17, "32-bit result 2147483648 wrapped to -2147483648")
+    ]
+
+
+# Double.toString's output for each value, checked once against OpenJDK 17.
+DOUBLE_TEXT = [
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (float("nan"), "NaN"),
+    (float("inf"), "Infinity"),
+    (float("-inf"), "-Infinity"),
+    (1.0, "1.0"),
+    (-5.5, "-5.5"),
+    (100.0, "100.0"),
+    (0.1, "0.1"),
+    (0.001, "0.001"),
+    (0.0009999, "9.999E-4"),
+    (1e-5, "1.0E-5"),
+    (1.5e-5, "1.5E-5"),
+    (1e-300, "1.0E-300"),
+    (9999999.0, "9999999.0"),
+    (1234567.0, "1234567.0"),
+    (1e7, "1.0E7"),
+    (1.2345678e7, "1.2345678E7"),
+    (12345678.9, "1.23456789E7"),
+    (123456789012.0, "1.23456789012E11"),
+    (1e22, "1.0E22"),
+    (1e100, "1.0E100"),
+    (1.7976931348623157e308, "1.7976931348623157E308"),
+    (0.1 + 0.2, "0.30000000000000004"),
+    (1 / 3, "0.3333333333333333"),
+]
+
+
+@pytest.mark.parametrize("value, text", DOUBLE_TEXT)
+def test_doubles_print_as_java_double_to_string(value, text):
+    assert format_value(value) == text
+
+
+def test_string_concatenation_prints_doubles_as_java_does():
+    trace = run(
+        "class T { static void main(String[] args) {"
+        ' println("x=" + 100000000.0 * 100000000000000.0 + " " + 0.0001 / 10); } }'
+    )
+    assert trace.stdout == ["x=1.0E22 1.0E-5"]
+
+
+def test_length_counts_utf16_code_units():
+    trace = run('class T { static void main(String[] args) { println(length("aé€\U0001F600")); } }')
+    assert trace.stdout == ["5"]

@@ -348,3 +348,81 @@ def test_ancestors_walk_nearest_first_and_stop_outside_the_unit():
     assert res.ancestors("Thread") == [] and res.ancestors(None) == []
     assert res.subclass_ok("V", "U") and res.subclass_ok("Thread", "U")
     assert res.subclass_ok("Missing", "X") and not res.subclass_ok("U", "V")
+
+
+# A method with a base method's name and arity keeps its signature (JLS
+# 8.4.8).  THREE_POINT_O printed 3.0 from an int variable before the rule:
+# the call resolved to A.m(int) -> int and dispatched to B's double m.
+THREE_POINT_O = """\
+class A {
+    int m(int x) { return x; }
+}
+class B extends A {
+    double m(double x) { return x; }
+}
+class Main {
+    static void main(String[] args) {
+        A a = new B();
+        int y = a.m(3);
+        println(y);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (THREE_POINT_O, "5:5: m(double) in B cannot override m(int) in A; the parameter types differ"),
+        (
+            "class A { int m() { return 1; } }\nclass B extends A { double m() { return 2; } }",
+            "2:21: m() in B cannot override m() in A; return type double is not compatible with int",
+        ),
+        (
+            "class A { int m() { return 1; } }\nclass B extends A { byte m() { return 2; } }",
+            "2:21: m() in B cannot override m() in A; return type byte is not compatible with int",
+        ),
+        (
+            "class A { void m(int x) { } }\nclass B extends A { static void m(int x) { } }",
+            "2:21: m(int) in B cannot override m(int) in A; overriding method is static",
+        ),
+        (
+            "class A { static void m() { } }\nclass B extends A { void m() { } }",
+            "2:21: m() in B cannot override m() in A; overridden method is static",
+        ),
+        (
+            # Checked against the nearest base that declares it.
+            "class A { A me() { return this; } }\nclass B extends A { }\nclass C extends B { String me() { return null; } }",
+            "3:21: me() in C cannot override me() in A; return type String is not compatible with A",
+        ),
+        (
+            # Only a class-typed return narrows; a subclass may not widen it.
+            "class A { A me() { return this; } }\nclass B extends A { B me() { return this; } }\n"
+            "class C extends B { A me() { return this; } }",
+            "3:21: me() in C cannot override me() in B; return type A is not compatible with B",
+        ),
+    ],
+    ids=[
+        "parameter_type",
+        "double_return",
+        "byte_return",
+        "static_overrides_instance",
+        "instance_overrides_static",
+        "unrelated_class_return",
+        "widened_class_return",
+    ],
+)
+def test_an_override_keeps_its_signature(source, message):
+    with pytest.raises(TypeCheckError) as err:
+        resolve(source)
+    assert str(err.value) == f"t.sl:{message}"
+
+
+def test_covariant_returns_thread_methods_and_constructors_are_no_overrides():
+    _, res = resolve(
+        "class A { A me() { return this; } A(int x) { } }\n"
+        "class B extends A { B me() { return this; } B(double d) { } }\n"
+        "class W extends Thread { int run() { return 1; } String getName() { return null; } }\n"
+        "class P { void m(int x) { } }\nclass Q extends P { void m(int x, int y) { } int m() { return 0; } }"
+    )
+    assert res.diagnostics == []

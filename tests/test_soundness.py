@@ -107,9 +107,11 @@ def test_golden_runs_preserve_types(group, violations):
 
 
 # Programs that reach the conversions and choices the types decide: returns
-# and assignments that convert, string + on null, Thread builtins, fields
-# read by a base initializer before their own initializer runs, hidden
-# fields, and streams.
+# and assignments that convert, a conversion at every kind of site (static,
+# virtual and constructor arguments, returns, element, field and static
+# stores, initializers, out-of-range int literals), string + on null, Thread
+# builtins, fields read by a base initializer before their own initializer
+# runs, hidden fields, and streams.
 PROBES = {
     "returns_convert": """\
 class W extends Thread {
@@ -181,6 +183,56 @@ class Main {
         println(d.mine());
         d.x = "s";
         println(d.x + b.x);
+    }
+}
+""",
+    "conversions_at_every_site": """\
+class Base {
+    double d = 1;
+    byte b = 200;
+    int big = 3000000000;
+    static double sd = 2;
+    static byte sb = 300;
+    static int sbig = 2147483648;
+    byte nb;
+    Base(byte x, double y) { nb = x; d = y; }
+    double half(double x) { return x / 2; }
+    static byte narrow(int x) { return x; }
+    static double widen(byte x) { return x; }
+}
+class Sub extends Base {
+    Sub() { grow(1); }
+    void grow(int k) { nb = k + 127; }
+    double half(double x) { return x; }
+}
+class Main {
+    static void main(String[] args) {
+        Base o = new Base(300, 4);
+        println(o.d + o.b + o.big + o.nb);
+        println(Base.sd + Base.sb + Base.sbig);
+        println(o.half(3));
+        Base s = new Sub();
+        println(s.half(o.nb) + s.nb);
+        println(Base.narrow(1000));
+        println(Base.narrow(3000000000));
+        println(Base.widen(200));
+        byte[] bs = new byte[1];
+        bs[0] = 999;
+        double[] ds = new double[1];
+        ds[0] = bs[0];
+        println(ds[0] + bs[0]);
+        o.nb = 1000;
+        o.d = 5;
+        Base.sb = 500;
+        Base.sd = o.nb;
+        println(o.nb + o.d + Base.sb + Base.sd);
+        int i = 3000000000;
+        byte lb = i;
+        double ld = lb;
+        i = 2147483648;
+        lb = i;
+        ld = i;
+        println(i + lb + ld);
     }
 }
 """,
