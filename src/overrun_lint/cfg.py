@@ -8,17 +8,19 @@ fallthrough only, so exception handling never adds decision nodes.
 
 This module decides every control-flow fact the other modules read: each
 block's out-edges and the decision blocks (built once per graph, on first
-read), the complexity counts derived from them, and the two string formats
-that name control flow -- method ids (`Class.name/arity`, with `<init>`
-for constructors and `<clinit>` for static initializers) and branch keys
-(`true-branch`, `switch-case#case2`, ...), which the resolver, the
-interpreter's trace and coverage all share.
+read), the complexity counts derived from them, whether some entry->exit
+path avoids a set of instructions, whether a call always runs
+(InfiniteRecursion reports a cycle of calls that each always run), and the
+two string formats that name control flow -- method ids (`Class.name/arity`,
+with `<init>` for constructors and `<clinit>` for static initializers) and
+branch keys (`true-branch`, `switch-case#case2`, ...), which the resolver,
+the interpreter's trace and coverage all share.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -120,6 +122,10 @@ class ControlFlowGraph:
     instr_blocks: dict[int, int] = field(default_factory=dict)  # iid -> bid
     implicit_return_iid: int | None = None
     synthetic: bool = False  # implicit ctor / static initializer
+    # Instructions that a path through their block can pass without running:
+    # assert checks, which run only under --ea, and everything in a catch
+    # body, which the graph chains by fallthrough but which never runs.
+    skippable_iids: set[int] = field(default_factory=set)
 
     @property
     def N(self) -> int:
@@ -149,9 +155,6 @@ class ControlFlowGraph:
     def out_edges(self, bid: int) -> list[Edge]:
         return self.successors.get(bid, [])
 
-    def in_edges(self, bid: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == bid]
-
     def decision_blocks(self) -> list[int]:
         return sorted(b.bid for b in self.decisions)
 
@@ -162,9 +165,6 @@ class ControlFlowGraph:
     @property
     def B(self) -> int:
         return sum(len(self.successors[b.bid]) for b in self.decisions)
-
-    def block_of_instr(self, iid: int) -> int:
-        return self.instr_blocks[iid]
 
 
 def complexity_en(cfg: ControlFlowGraph) -> int:
@@ -195,6 +195,49 @@ def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
     return matrix
 
 
+def instruction_of(
+    cfg: ControlFlowGraph, node: ast.Node, parent: Callable[[ast.Node], ast.Node | None]
+) -> int | None:
+    """The instruction whose every run evaluates node: that of the statement
+    node lies in, found by climbing parent links.  None outside cfg's method,
+    and for a node in the right operand of && or ||, which runs only when
+    the left operand does not decide."""
+    while node.uid not in cfg.stmt_iids:
+        up = parent(node)
+        if up is None or (isinstance(up, ast.Binary) and up.op in ("&&", "||") and node is up.right):
+            return None
+        node = up
+    return cfg.stmt_iids[node.uid]
+
+
+def path_avoids(cfg: ControlFlowGraph, iids: Iterable[int]) -> bool:
+    """Whether some entry->exit path runs through the block of none of the
+    instructions."""
+    blocked = {cfg.instr_blocks[iid] for iid in iids}
+    successors = cfg.successors
+    stack = [cfg.entry]
+    seen = set()
+    while stack:
+        bid = stack.pop()
+        if bid in seen or bid in blocked:
+            continue
+        if bid == cfg.exit:
+            return True
+        seen.add(bid)
+        stack.extend(e.dst for e in successors.get(bid, ()))
+    return False
+
+
+def always_runs(
+    cfg: ControlFlowGraph, call: ast.Node, parent: Callable[[ast.Node], ast.Node | None]
+) -> bool:
+    """Whether call, a call or new in cfg's method, runs on every path from
+    entry to exit: its instruction always evaluates it, is not skippable,
+    and no path avoids it."""
+    iid = instruction_of(cfg, call, parent)
+    return iid is not None and iid not in cfg.skippable_iids and not path_avoids(cfg, (iid,))
+
+
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
     """Blocks with no path from entry, entry excluded."""
     successors = cfg.successors
@@ -213,6 +256,7 @@ class _Builder:
         self.cfg = ControlFlowGraph(method=mid)
         self.iids = iids
         self._next_bid = 0
+        self._catch_depth = 0
         entry = self.new_block(is_entry=True)
         exit_block = self.new_block(is_exit=True)
         self.cfg.entry = entry.bid
@@ -241,6 +285,8 @@ class _Builder:
         block.instructions.append(iid)
         self.cfg.instr_blocks[iid] = block.bid
         self.cfg.instr_spans[iid] = span
+        if self._catch_depth:
+            self.cfg.skippable_iids.add(iid)
         return iid
 
     def instr(self, node: ast.Node, span: SourceSpan | None = None) -> int:
@@ -314,7 +360,7 @@ class _Builder:
         # block, its true edge leads to the failure, placed right after it
         # at the same span, and both reach the join.  No literal prunes an
         # edge: --ea decides whether the check runs at all.
-        self.instr(stmt)
+        self.cfg.skippable_iids.add(self.instr(stmt))
         check = self.cur
         failure = self.new_block()
         join = self.new_block()
@@ -381,7 +427,9 @@ class _Builder:
             if self.cur is not None:
                 self.edge(self.cur.bid, entry.bid, FALLTHROUGH)
             self.cur = entry
+            self._catch_depth += 1
             self.block_stmts(catch.body)
+            self._catch_depth -= 1
         if stmt.finally_block is not None:
             entry = self.new_block()
             if self.cur is not None:

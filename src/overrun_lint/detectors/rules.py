@@ -9,7 +9,7 @@ from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
 from ..semantics.resolver import BUILTINS, Builtin, Resolution, Symbol
-from ..cfg import UnitCfgs, unreachable_nodes
+from ..cfg import UnitCfgs, always_runs, instruction_of, method_identity, path_avoids, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
 
@@ -122,16 +122,20 @@ def _cycle_sites(ctx: RuleContext, cycles: list[list[str]]):
     edges = ctx.call_graph.edges
     for cycle in cycles:
         members = set(cycle)
-        spans = (e.span for e in edges if e.caller in members and e.callee in members)
+        spans = (e.site.span for e in edges if e.caller in members and e.callee in members)
         span = min(spans, key=lambda s: (s.file, s.line, s.column), default=None)
         if span is not None:
             yield cycle, span
 
 
 def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
+    def runs(edge) -> bool:
+        graph = ctx.cfgs.cfgs.get(edge.caller)
+        return graph is not None and always_runs(graph, edge.site, ctx.res.parent)
+
     return [
         _mk(rule, span, "Unconditional recursive call cycle: " + " -> ".join(cycle))
-        for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph))
+        for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph, runs))
     ]
 
 
@@ -166,17 +170,10 @@ def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
     for sync in ctx.res.nodes_of(ast.Synchronized):
         for node in ctx.res.subtree(sync.body):
             if ctx.res.builtin_of(node) is _WAIT:
-                conditional = False
-                cur = node
-                while cur is not sync.body:
-                    parent = ctx.res.parent(cur)
-                    if parent is None:
-                        break
-                    if isinstance(parent, (ast.If, ast.While)):
-                        conditional = True
-                        break
-                    cur = parent
-                if not conditional:
+                # Conditions come innermost first: if the first lies outside
+                # the synchronized body, so do the rest.
+                inner = next(ctx.res.enclosing_conditions(node), None)
+                if inner is None or not ctx.res.is_within(inner[0], sync.body):
                     findings.append(_mk(rule, node.span, "wait() is not guarded by a condition inside synchronized"))
     return findings
 
@@ -256,43 +253,15 @@ def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 _mk(rule, node.span, f"stream '{target.name}' from open() is never closed")
             )
             continue
-        if _path_avoids_all(ctx, method, close_stmts):
+        graph = ctx.cfgs.cfgs.get(method_identity(ctx.res.parent(method).name, method))
+        if graph is None:
+            continue
+        closes = [instruction_of(graph, call, ctx.res.parent) for call in close_stmts]
+        if path_avoids(graph, [iid for iid in closes if iid is not None]):
             findings.append(
                 _mk(rule, node.span, f"stream '{target.name}' is not closed on every path to exit")
             )
     return findings
-
-
-def _path_avoids_all(ctx: RuleContext, method: ast.MethodDecl, calls: list[ast.Call]) -> bool:
-    """Whether some entry->exit CFG path misses every one of the given calls."""
-    from .. import cfg as cfgmod
-
-    cls = ctx.res.parent(method)
-    if not isinstance(cls, ast.ClassDecl):
-        return False
-    method_id = cfgmod.method_identity(cls.name, method)
-    graph = ctx.cfgs.cfgs.get(method_id)
-    if graph is None:
-        return False
-    blocked = set()
-    for call in calls:
-        cur: ast.Node | None = call
-        while cur is not None and cur.uid not in graph.stmt_iids:
-            cur = ctx.res.parent(cur)
-        if cur is None:
-            continue
-        blocked.add(graph.block_of_instr(graph.stmt_iids[cur.uid]))
-    stack = [graph.entry]
-    seen = set()
-    while stack:
-        bid = stack.pop()
-        if bid in seen or bid in blocked:
-            continue
-        if bid == graph.exit:
-            return True
-        seen.add(bid)
-        stack.extend(e.dst for e in graph.out_edges(bid))
-    return False
 
 
 def circular_dependency(rule: Rule, ctx: RuleContext) -> list[Finding]:

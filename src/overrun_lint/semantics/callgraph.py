@@ -2,34 +2,25 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from ..cfg import is_constructor_id
 from ..frontend import ast
-from ..frontend.lexer import SourceSpan
 from .resolver import Resolution
-
-_CONDITIONING = (ast.If, ast.While, ast.For, ast.Switch, ast.Try)
 
 
 @dataclass
 class CallEdge:
     caller: str
     callee: str
-    span: SourceSpan
-    unconditional: bool
+    site: ast.Call | ast.New
     callee_builtin: bool = False
-    # True when every conditioning ancestor is a constant-true branch,
-    # i.e. the call runs whenever the caller does.
-    effectively_unconditional: bool = False
 
 
 @dataclass
 class CallGraph:
     edges: list[CallEdge] = field(default_factory=list)
-
-    def edges_from(self, node: str) -> list[CallEdge]:
-        return [e for e in self.edges if e.caller == node]
 
 
 def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallGraph:
@@ -37,75 +28,49 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
     for info in resolution.classes.values():
         for minfo in info.methods.values():
             caller = minfo.method_id
-            body = minfo.decl.body
-            for node in resolution.subtree(body):
+            for node in resolution.subtree(minfo.decl.body):
                 if not isinstance(node, (ast.Call, ast.New)):
                     continue
                 target = resolution.call_targets.get(node.uid)
                 callee = target.id if target is not None else "unknown"
-                unconditional, effectively = _conditioning(node, body, resolution)
                 graph.edges.append(
                     CallEdge(
                         caller=caller,
                         callee=callee,
-                        span=node.span,
-                        unconditional=unconditional,
+                        site=node,
                         callee_builtin=target is not None and target.builtin is not None,
-                        effectively_unconditional=effectively,
                     )
                 )
     return graph
 
 
-def _conditioning(node: ast.Node, body: ast.Block, resolution: Resolution) -> tuple[bool, bool]:
-    """(unconditional, effectively unconditional) for a call site in body,
-    from one climb to the body.  Unconditional: no if, loop, switch or try
-    lies between them.  Effectively unconditional: the same after folding
-    constant-true conditions (if(1) et al)."""
-    plain = True
-    cur = node
-    while cur.uid != body.uid:
-        parent = resolution.parent(cur)
-        if parent is None:
-            return False, False
-        if isinstance(parent, _CONDITIONING):
-            plain = False
-        if isinstance(parent, ast.If):
-            truth = ast.literal_truth(parent.cond)
-            if not (
-                cur is parent.cond
-                or (truth is True and cur is parent.then)
-                or (truth is False and cur is parent.els)
-            ):
-                return False, False
-        elif isinstance(parent, (ast.While, ast.For)):
-            cond = parent.cond
-            truth = True if (isinstance(parent, ast.For) and cond is None) else ast.literal_truth(cond)
-            if cur is not cond and truth is not True:
-                return False, False
-        elif isinstance(parent, (ast.Switch, ast.Try, ast.SwitchCase, ast.CatchClause)):
-            return False, False
-        cur = parent
-    return plain, True
-
-
-def unconditional_cycles(graph: CallGraph) -> list[list[str]]:
-    """Strongly connected components of the effectively-unconditional subgraph
-    that contain a cycle, sorted for determinism."""
-    adjacency: dict[str, set[str]] = {}
-    for edge in graph.edges:
-        if edge.effectively_unconditional and not edge.callee_builtin and edge.callee != "unknown":
-            adjacency.setdefault(edge.caller, set()).add(edge.callee)
-    return _cyclic_sccs(adjacency)
+def unconditional_cycles(graph: CallGraph, always_runs: Callable[[CallEdge], bool]) -> list[list[str]]:
+    """Cycles of calls among declared methods in which every call always
+    runs, as the strongly connected components that contain one, sorted for
+    determinism.  always_runs is asked only about edges inside a cycle of
+    the whole graph."""
+    declared = [e for e in graph.edges if not e.callee_builtin and e.callee != "unknown"]
+    component = {m: i for i, scc in enumerate(_cyclic_sccs(_adjacency(declared))) for m in scc}
+    kept = [
+        e
+        for e in declared
+        if e.caller in component and component[e.caller] == component.get(e.callee) and always_runs(e)
+    ]
+    return _cyclic_sccs(_adjacency(kept))
 
 
 def constructor_cycles(graph: CallGraph) -> list[list[str]]:
-    """Cycles among constructors regardless of conditioning."""
+    """Cycles among constructors, whether or not their calls always run."""
+    return _cyclic_sccs(
+        _adjacency(e for e in graph.edges if is_constructor_id(e.caller) and is_constructor_id(e.callee))
+    )
+
+
+def _adjacency(edges: Iterable[CallEdge]) -> dict[str, set[str]]:
     adjacency: dict[str, set[str]] = {}
-    for edge in graph.edges:
-        if is_constructor_id(edge.caller) and is_constructor_id(edge.callee):
-            adjacency.setdefault(edge.caller, set()).add(edge.callee)
-    return _cyclic_sccs(adjacency)
+    for edge in edges:
+        adjacency.setdefault(edge.caller, set()).add(edge.callee)
+    return adjacency
 
 
 def _cyclic_sccs(adjacency: dict[str, set[str]]) -> list[list[str]]:

@@ -157,7 +157,7 @@ def test_literal_assert_keeps_both_edges(literal):
     graph = analyzed.cfgs.cfgs["M.m/0"]
     assert unreachable_nodes(graph) == []
     check, failure = _check_and_failure(analyzed, _asserts(analyzed)[0])
-    out = graph.out_edges(graph.block_of_instr(check))
+    out = graph.out_edges(graph.instr_blocks[check])
     assert sorted(e.kind for e in out) == [FALSE_BRANCH, TRUE_BRANCH]
     (fail_edge,) = [e for e in out if e.kind == TRUE_BRANCH]
     assert next(b for b in graph.blocks if b.bid == fail_edge.dst).instructions == [failure]

@@ -223,8 +223,7 @@ def test_edge_count_is_outdegree_sum(corpus_sources):
         cfgs = build_unit_cfgs(parse_source(source, name))
         for cfg in cfgs.cfgs.values():
             assert cfg.E == sum(len(cfg.out_edges(b.bid)) for b in cfg.blocks)
-            entry_in = cfg.in_edges(cfg.entry)
-            assert entry_in == []
+            assert [e for e in cfg.edges if e.dst == cfg.entry] == []
             assert cfg.out_edges(cfg.exit) == []
 
 

@@ -2,9 +2,12 @@ from collections import Counter
 
 import pytest
 
-from overrun_lint.detectors import RULES, classify, load_ruleset
+from overrun_lint.cfg import build_unit_cfgs
+from overrun_lint.detectors import RULES, classify, load_ruleset, run_rules
 from overrun_lint.errors import ConfigError, UnknownRuleError
+from overrun_lint.frontend import parse_source
 from overrun_lint.pipeline import analyze_source
+from overrun_lint.semantics import build_call_graph, build_symbol_table
 
 
 def findings_for(source, file="t.sl", ruleset=None):
@@ -129,27 +132,39 @@ def test_np_dereference_direct_call_argument():
     assert by_rule(findings_for(source))["NP_DEREFERENCE_OF_READLINE_VALUE"] == 1
 
 
-def test_infinite_recursion_fires_on_makeover(corpus_sources):
-    counts = by_rule(findings_for(corpus_sources["makeover.sl"], "makeover.sl"))
-    assert counts["InfiniteRecursion"] == 1
+def _recursive(body: str, returns: str = "void") -> str:
+    """A class whose method rec(int n) has the given body, called from main."""
+    return (
+        f"class R {{\n    static {returns} rec(int n) {{\n        {body}\n    }}\n\n"
+        "    static void main(String[] args) {\n        rec(3);\n    }\n}\n"
+    )
 
 
-def test_infinite_recursion_respects_real_conditions():
-    source = """\
-class A {
-    static int fact(int n) {
-        if (n > 1) {
-            return n * fact(n - 1);
-        }
-        return 1;
-    }
-
-    static void main(String[] args) {
-        println(fact(5));
-    }
+# InfiniteRecursion reports a cycle only when each of its calls always runs.
+_RECURSION_CASES = {
+    "count": (_recursive("if (n == 0) { return 0; } return rec(n - 1) + 1;", "int"), 0),
+    "down": (_recursive("if (n <= 0) { return; } rec(n - 1);"), 0),
+    "fact": (_recursive("if (n > 1) { return n * rec(n - 1); } return 1;", "int"), 0),
+    "and_right_operand": (_recursive("return n > 0 && rec(n - 1);", "boolean"), 0),
+    "assert": (_recursive("assert rec(n) > 0; return n;", "int"), 0),
+    "catch_body": (_recursive("try { println(n); } catch (Exception e) { rec(n); }"), 0),
+    "try_body": (_recursive("try { rec(n); } catch (Exception e) { println(n); }"), 1),
+    "while_true": (_recursive("while (true) { rec(n - 1); }"), 1),
+    "if_1": (_recursive("if (1) { rec(n - 1); }"), 1),
 }
-"""
-    assert by_rule(findings_for(source))["InfiniteRecursion"] == 0
+
+
+@pytest.mark.parametrize("case", sorted(_RECURSION_CASES) + ["makeover"])
+def test_infinite_recursion(case, corpus_sources):
+    if case == "makeover":
+        source, expected = corpus_sources["makeover.sl"], 1
+    else:
+        source, expected = _RECURSION_CASES[case]
+    assert by_rule(findings_for(source))["InfiniteRecursion"] == expected
+    unit = parse_source(source, "t.sl")
+    res = build_symbol_table(unit)
+    direct = run_rules(unit, res, build_call_graph(unit, res), build_unit_cfgs(unit))
+    assert by_rule(direct)["InfiniteRecursion"] == expected
 
 
 def test_equals_hashcode_mismatch(corpus_sources):

@@ -180,7 +180,7 @@ def test_hand_built_unit_with_uids_in_no_order():
     assert res.parent(arg) is call and res.parent(cls) is unit and res.parent(unit) is None
     assert res.is_within(arg, method) and not res.is_within(method, arg)
     (edge,) = build_call_graph(unit, res).edges
-    assert edge.callee == "builtin:println" and edge.unconditional
+    assert edge.callee == "builtin:println" and edge.site is call
 
 
 def _walk_calls(path):
