@@ -147,6 +147,20 @@ class ControlFlowGraph:
             out.setdefault(e.src, []).append(e)
         return out
 
+    def reachable(self) -> set[int]:
+        """The blocks some path from entry reaches, entry included.  Not
+        cached: a cached_property's first read per graph cost UnreachableCode
+        a third more time on a large unit."""
+        successors = self.successors
+        reached = {self.entry}
+        frontier = [self.entry]
+        while frontier:
+            for e in successors.get(frontier.pop(), ()):
+                if e.dst not in reached:
+                    reached.add(e.dst)
+                    frontier.append(e.dst)
+        return reached
+
     @cached_property
     def decisions(self) -> list[BasicBlock]:
         """The blocks with two or more out-edges, in block order."""
@@ -233,21 +247,19 @@ def always_runs(
 ) -> bool:
     """Whether call, a call or new in cfg's method, runs on every path from
     entry to exit: its instruction always evaluates it, is not skippable,
-    and no path avoids it."""
+    no path avoids it, and entry reaches its block."""
     iid = instruction_of(cfg, call, parent)
-    return iid is not None and iid not in cfg.skippable_iids and not path_avoids(cfg, (iid,))
+    return (
+        iid is not None
+        and iid not in cfg.skippable_iids
+        and not path_avoids(cfg, (iid,))
+        and cfg.instr_blocks[iid] in cfg.reachable()
+    )
 
 
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
-    """Blocks with no path from entry, entry excluded."""
-    successors = cfg.successors
-    reached = {cfg.entry}
-    frontier = [cfg.entry]
-    while frontier:
-        for e in successors.get(frontier.pop(), ()):
-            if e.dst not in reached:
-                reached.add(e.dst)
-                frontier.append(e.dst)
+    """Blocks with no path from entry."""
+    reached = cfg.reachable()
     return [b for b in cfg.blocks if b.bid not in reached]
 
 

@@ -252,18 +252,11 @@ def _cmd_cpd(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
-    if rule_by_id(args.rule) is None and not args.rule.startswith("Bound"):
+    rule = rule_by_id(args.rule)
+    if rule is None:
         raise OverrunLintError(f"unknown rule id '{args.rule}'")
     source = Path(args.file).read_text(encoding="utf-8")
-    finding = Finding(
-        rule_id=args.rule,
-        category="bad_practice",
-        priority=4,
-        rank=18,
-        confidence="high",
-        message="",
-        span=SourceSpan(args.file, args.line, 1, args.line, 1),
-    )
+    finding = rule.finding(SourceSpan(args.file, args.line, 1, args.line, 1), "")
     annotated = annotate_source(source, finding, args.reviewer, args.time)
     Path(args.out or args.file).write_text(annotated, encoding="utf-8")
     return 0

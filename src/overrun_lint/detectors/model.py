@@ -2,46 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..errors import ConfigError, UnknownRuleError
 from ..frontend.lexer import SourceSpan
 
-CATEGORIES = (
-    "malicious_code",
-    "dodgy",
-    "bad_practice",
-    "correctness",
-    "internationalization",
-    "performance",
-    "security",
-    "multithreaded_correctness",
-    "experimental",
-)
-
 PRIORITY_COLORS = {1: "red", 2: "orange", 3: "yellow", 4: "green", 5: "blue"}
-
-PRIORITY_LABELS = {
-    1: "VERY HIGH PRIORITY",
-    2: "HIGH PRIORITY",
-    3: "MEDIUM PRIORITY",
-    4: "IGNORANT PRIORITY",
-    5: "NEGLIGIBLE",
-}
 
 RANK_BANDS = (
     (1, 4, "scariest"),
     (5, 9, "scary"),
     (10, 14, "troubling"),
     (15, 20, "of_concern"),
-)
-
-TRIAGE_STATES = (
-    "relevant_true_positive",
-    "irrelevant_positive",
-    "false_positive",
-    "untriaged",
 )
 
 
@@ -87,7 +60,20 @@ class Rule:
     confidence: str
     rank: int
     pattern: str  # short pattern code for report attributes
-    detector: Callable  # (RuleContext) -> list[Finding]
+    # (Rule, RuleContext) -> list[Finding]; None for a rule that boundcheck
+    # reports, which no analyze run can enable or disable.
+    detector: Callable | None = None
+
+    def finding(self, span: SourceSpan, message: str) -> Finding:
+        return Finding(
+            rule_id=self.id,
+            category=self.category,
+            priority=self.priority,
+            rank=self.rank,
+            confidence=self.confidence,
+            message=message,
+            span=span,
+        )
 
 
 @dataclass
@@ -106,9 +92,10 @@ class RuleSet:
     def enabled(self, rule_id: str) -> bool:
         return self.entry(rule_id).enabled
 
-    def priority_for(self, rule: Rule) -> int:
+    def effective(self, rule: Rule) -> Rule:
+        """The rule with this ruleset's priority applied."""
         override = self.entry(rule.id).priority_override
-        return override if override is not None else rule.priority
+        return rule if override is None else replace(rule, priority=override)
 
 
 @dataclass(frozen=True)
@@ -128,11 +115,11 @@ def classify(rule_id: str, ruleset: RuleSet | None = None) -> Classification:
     rule = rule_by_id(rule_id)
     if rule is None:
         raise UnknownRuleError(rule_id)
-    priority = (ruleset or RuleSet()).priority_for(rule)
+    rule = (ruleset or RuleSet()).effective(rule)
     return Classification(
         category=rule.category,
-        priority=priority,
-        priority_color=priority_color(priority),
+        priority=rule.priority,
+        priority_color=priority_color(rule.priority),
         rank=rule.rank,
         rank_band=rank_band(rule.rank),
         confidence=rule.confidence,
@@ -143,7 +130,8 @@ def load_ruleset(config: str, file: str | None = None) -> RuleSet:
     """Parse the line-oriented ruleset format; errors name file, if given.
 
     One directive per line: ``rule <RuleId> [enabled=true|false] [priority=<1-5>]``,
-    ``#`` starts a comment.  Unknown rule ids are rejected.
+    ``#`` starts a comment.  Unknown rule ids are rejected, and so are those
+    of the rules boundcheck reports, which have no detector.
     """
     from .rules import rule_by_id
 
@@ -156,8 +144,11 @@ def load_ruleset(config: str, file: str | None = None) -> RuleSet:
         if parts[0] != "rule" or len(parts) < 2:
             raise ConfigError(lineno, f"expected 'rule <RuleId> ...', got {raw.strip()!r}", file)
         rule_id = parts[1]
-        if rule_by_id(rule_id) is None:
+        rule = rule_by_id(rule_id)
+        if rule is None:
             raise ConfigError(lineno, f"unknown rule id '{rule_id}'", file)
+        if rule.detector is None:
+            raise ConfigError(lineno, f"rule '{rule_id}' is reported by boundcheck, which takes no ruleset", file)
         entry = ruleset.entries.setdefault(rule_id, RuleSetEntry())
         for option in parts[2:]:
             key, _, value = option.partition("=")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from ..boundcheck import BoundFinding
 from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
@@ -33,18 +34,6 @@ class RuleContext:
                         ):
                             return True
         return False
-
-
-def _mk(rule: Rule, span, message: str) -> Finding:
-    return Finding(
-        rule_id=rule.id,
-        category=rule.category,
-        priority=rule.priority,
-        rank=rule.rank,
-        confidence=rule.confidence,
-        message=message,
-        span=span,
-    )
 
 
 # --- individual detectors ------------------------------------------------------
@@ -112,7 +101,7 @@ def np_dereference(rule: Rule, ctx: RuleContext) -> list[Finding]:
         seen.add(key)
         what = f"'{sym.name}'" if sym is not None else "readLine()"
         findings.append(
-            _mk(rule, use.span, f"Dereference of the result of readLine() via {what} without a null check")
+            rule.finding(use.span, f"Dereference of the result of readLine() via {what} without a null check")
         )
     return findings
 
@@ -134,7 +123,7 @@ def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
         return graph is not None and always_runs(graph, edge.site, ctx.res.parent)
 
     return [
-        _mk(rule, span, "Unconditional recursive call cycle: " + " -> ".join(cycle))
+        rule.finding(span, "Unconditional recursive call cycle: " + " -> ".join(cycle))
         for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph, runs))
     ]
 
@@ -148,7 +137,7 @@ def equals_hashcode(rule: Rule, ctx: RuleContext) -> list[Finding]:
         if has_equals != has_hashcode:
             missing = "hashcode" if has_equals else "equals"
             findings.append(
-                _mk(rule, cls.span, f"class {cls.name} defines {'equals' if has_equals else 'hashcode'} without {missing}")
+                rule.finding(cls.span, f"class {cls.name} defines {'equals' if has_equals else 'hashcode'} without {missing}")
             )
     return findings
 
@@ -160,7 +149,7 @@ def ignored_return_value(rule: Rule, ctx: RuleContext) -> list[Finding]:
             target = ctx.res.call_targets.get(node.expr.uid)
             if target is not None and target.must_check:
                 findings.append(
-                    _mk(rule, node.span, f"return value of {node.expr.name}() is ignored but must be checked")
+                    rule.finding(node.span, f"return value of {node.expr.name}() is ignored but must be checked")
                 )
     return findings
 
@@ -174,7 +163,7 @@ def unconditional_wait(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 # the synchronized body, so do the rest.
                 inner = next(ctx.res.enclosing_conditions(node), None)
                 if inner is None or not ctx.res.is_within(inner[0], sync.body):
-                    findings.append(_mk(rule, node.span, "wait() is not guarded by a condition inside synchronized"))
+                    findings.append(rule.finding(node.span, "wait() is not guarded by a condition inside synchronized"))
     return findings
 
 
@@ -208,7 +197,7 @@ def deadlock_order(rule: Rule, ctx: RuleContext) -> list[Finding]:
             reported.add(frozenset((a, b)))
             span = sorted(spans + ordered[(b, a)], key=lambda s: (s.file, s.line, s.column))[0]
             findings.append(
-                _mk(rule, span, f"locks on '{a[2]}' and '{b[2]}' are taken in both orders (possible deadlock)")
+                rule.finding(span, f"locks on '{a[2]}' and '{b[2]}' are taken in both orders (possible deadlock)")
             )
     return findings
 
@@ -221,7 +210,7 @@ def string_equality(rule: Rule, ctx: RuleContext) -> list[Finding]:
             right_t = ctx.res.types.get(node.right.uid)
             if isinstance(left_t, ty.StringType) and isinstance(right_t, ty.StringType):
                 findings.append(
-                    _mk(rule, node.span, f"'{node.op}' compares String references; use equals-style comparison")
+                    rule.finding(node.span, f"'{node.op}' compares String references; use equals-style comparison")
                 )
     return findings
 
@@ -230,7 +219,7 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for sym in ctx.res.symbols:
         if sym.kind == "local" and not sym.is_builtin and sym.usage_count == 0:
-            findings.append(_mk(rule, sym.span, f"local variable '{sym.name}' is never read"))
+            findings.append(rule.finding(sym.span, f"local variable '{sym.name}' is never read"))
     return findings
 
 
@@ -250,7 +239,7 @@ def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 close_stmts.append(sub)
         if not close_stmts:
             findings.append(
-                _mk(rule, node.span, f"stream '{target.name}' from open() is never closed")
+                rule.finding(node.span, f"stream '{target.name}' from open() is never closed")
             )
             continue
         graph = ctx.cfgs.cfgs.get(method_identity(ctx.res.parent(method).name, method))
@@ -259,15 +248,14 @@ def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
         closes = [instruction_of(graph, call, ctx.res.parent) for call in close_stmts]
         if path_avoids(graph, [iid for iid in closes if iid is not None]):
             findings.append(
-                _mk(rule, node.span, f"stream '{target.name}' is not closed on every path to exit")
+                rule.finding(node.span, f"stream '{target.name}' is not closed on every path to exit")
             )
     return findings
 
 
 def circular_dependency(rule: Rule, ctx: RuleContext) -> list[Finding]:
     return [
-        _mk(
-            rule,
+        rule.finding(
             span,
             "constructors form a dependency cycle: "
             f"{' -> '.join(m.split('.')[0] for m in cycle)} (refactoring optional)",
@@ -296,8 +284,7 @@ def redundant_null_check(rule: Rule, ctx: RuleContext) -> list[Finding]:
                             sym = ctx.res.name_targets.get(side.uid)
                             if sym is not None and state.get(id(sym)) == "new":
                                 findings.append(
-                                    _mk(
-                                        rule,
+                                    rule.finding(
                                         node.span,
                                         f"redundant null check of '{sym.name}', which is known to be non-null",
                                     )
@@ -316,7 +303,7 @@ def static_field_could_be_final(rule: Rule, ctx: RuleContext) -> list[Finding]:
             and sym.write_count == 0
         ):
             findings.append(
-                _mk(rule, sym.span, f"static field '{sym.name}' is never reassigned and should be final")
+                rule.finding(sym.span, f"static field '{sym.name}' is never reassigned and should be final")
             )
     return findings
 
@@ -326,23 +313,23 @@ def empty_block(rule: Rule, ctx: RuleContext) -> list[Finding]:
     for node in ctx.res.nodes_of(ast.If, ast.While, ast.Try, ast.Switch):
         if isinstance(node, ast.If):
             if not node.then.stmts:
-                findings.append(_mk(rule, node.then.span, "empty if body"))
+                findings.append(rule.finding(node.then.span, "empty if body"))
             if isinstance(node.els, ast.Block) and not node.els.stmts:
-                findings.append(_mk(rule, node.els.span, "empty else body"))
+                findings.append(rule.finding(node.els.span, "empty else body"))
         elif isinstance(node, ast.While):
             if not node.body.stmts:
-                findings.append(_mk(rule, node.body.span, "empty while body"))
+                findings.append(rule.finding(node.body.span, "empty while body"))
         elif isinstance(node, ast.Try):
             if not node.body.stmts:
-                findings.append(_mk(rule, node.body.span, "empty try body"))
+                findings.append(rule.finding(node.body.span, "empty try body"))
             for catch in node.catches:
                 if not catch.body.stmts:
-                    findings.append(_mk(rule, catch.body.span, "empty catch body"))
+                    findings.append(rule.finding(catch.body.span, "empty catch body"))
             if node.finally_block is not None and not node.finally_block.stmts:
-                findings.append(_mk(rule, node.finally_block.span, "empty finally body"))
+                findings.append(rule.finding(node.finally_block.span, "empty finally body"))
         elif isinstance(node, ast.Switch):
             if not node.cases:
-                findings.append(_mk(rule, node.span, "switch has no cases"))
+                findings.append(rule.finding(node.span, "switch has no cases"))
     return findings
 
 
@@ -364,11 +351,11 @@ def method_naming(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 continue
             if not _LOWER_CAMEL.match(method.name):
                 findings.append(
-                    _mk(rule, method.span, f"method name '{method.name}' is not lowerCamelCase")
+                    rule.finding(method.span, f"method name '{method.name}' is not lowerCamelCase")
                 )
             elif len(method.name) > MAX_METHOD_NAME:
                 findings.append(
-                    _mk(rule, method.span, f"method name '{method.name}' is longer than {MAX_METHOD_NAME} characters")
+                    rule.finding(method.span, f"method name '{method.name}' is longer than {MAX_METHOD_NAME} characters")
                 )
     return findings
 
@@ -381,15 +368,15 @@ def parameter_naming(rule: Rule, ctx: RuleContext) -> list[Finding]:
                 name = param.name
                 if not _LOWER_CAMEL.match(name):
                     findings.append(
-                        _mk(rule, param.span, f"parameter name '{name}' is not lowerCamelCase")
+                        rule.finding(param.span, f"parameter name '{name}' is not lowerCamelCase")
                     )
                 elif len(name) < MIN_PARAM_NAME:
                     findings.append(
-                        _mk(rule, param.span, f"parameter name '{name}' is shorter than {MIN_PARAM_NAME} characters")
+                        rule.finding(param.span, f"parameter name '{name}' is shorter than {MIN_PARAM_NAME} characters")
                     )
                 elif len(name) >= 2 and name[0].islower() and name[1].isupper():
                     findings.append(
-                        _mk(rule, param.span, f"parameter name '{name}' uses a type-prefix style")
+                        rule.finding(param.span, f"parameter name '{name}' uses a type-prefix style")
                     )
     return findings
 
@@ -398,13 +385,13 @@ def class_naming(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for cls in ctx.unit.classes:
         if not _UPPER_CAMEL.match(cls.name):
-            findings.append(_mk(rule, cls.span, f"class name '{cls.name}' is not UpperCamelCase"))
+            findings.append(rule.finding(cls.span, f"class name '{cls.name}' is not UpperCamelCase"))
     return findings
 
 
 def no_package(rule: Rule, ctx: RuleContext) -> list[Finding]:
     if ctx.unit.package_name is None:
-        return [_mk(rule, ctx.unit.span, "unit has no package declaration")]
+        return [rule.finding(ctx.unit.span, "unit has no package declaration")]
     return []
 
 
@@ -412,13 +399,13 @@ def system_println(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for node in ctx.res.nodes_of(ast.Call):
         if ctx.res.builtin_of(node) is _PRINTLN:
-            findings.append(_mk(rule, node.span, "println call in production code"))
+            findings.append(rule.finding(node.span, "println call in production code"))
     return findings
 
 
 def do_not_use_threads(rule: Rule, ctx: RuleContext) -> list[Finding]:
     return [
-        _mk(rule, cls.span, f"class {cls.name} extends Thread directly")
+        rule.finding(cls.span, f"class {cls.name} extends Thread directly")
         for cls in ctx.unit.classes
         if cls.extends == "Thread"
     ]
@@ -434,7 +421,7 @@ def method_argument_could_be_final(rule: Rule, ctx: RuleContext) -> list[Finding
                     continue
                 if sym.write_count == 0:
                     findings.append(
-                        _mk(rule, param.span, f"parameter '{param.name}' is never assigned and could be final")
+                        rule.finding(param.span, f"parameter '{param.name}' is never assigned and could be final")
                     )
     return findings
 
@@ -449,7 +436,7 @@ def unreachable_code(rule: Rule, ctx: RuleContext) -> list[Finding]:
             if not block.instructions:
                 continue
             span = graph.instr_spans[block.instructions[0]]
-            findings.append(_mk(rule, span, f"code in {method_id} cannot be reached"))
+            findings.append(rule.finding(span, f"code in {method_id} cannot be reached"))
     return findings
 
 
@@ -482,11 +469,25 @@ RULES: tuple[Rule, ...] = (
     Rule("UnreachableCode", "dodgy", 2, "high", 8, "UC", unreachable_code),
 )
 
-_BY_ID = {rule.id: rule for rule in RULES}
+# The bound checker's findings, by BoundFinding.kind: security findings that
+# boundcheck reports, with no detector here.
+BOUND_RULES: dict[str, Rule] = {
+    "index_out_of_legal_range": Rule("BoundIndexOutOfLegalRange", "security", 1, "high", 3, "BC"),
+    "off_by_one_loop": Rule("BoundOffByOneLoop", "security", 2, "high", 5, "BC"),
+    "unvalidated_index_source": Rule("BoundUnvalidatedIndexSource", "security", 2, "normal", 6, "BC"),
+    "variable_limit_unchecked": Rule("BoundVariableLimitUnchecked", "security", 2, "normal", 7, "BC"),
+    "zero_length_possible": Rule("BoundZeroLengthPossible", "security", 3, "low", 10, "BC"),
+}
+
+_BY_ID = {rule.id: rule for rule in (*RULES, *BOUND_RULES.values())}
 
 
 def rule_by_id(rule_id: str) -> Rule | None:
     return _BY_ID.get(rule_id)
+
+
+def bound_finding_to_finding(bound: BoundFinding) -> Finding:
+    return BOUND_RULES[bound.kind].finding(bound.span, bound.detail)
 
 
 def run_rules(
@@ -501,12 +502,7 @@ def run_rules(
     ctx = RuleContext(unit=unit, res=res, call_graph=call_graph, cfgs=cfgs)
     findings: list[Finding] = []
     for rule in RULES:
-        if not ruleset.enabled(rule.id):
-            continue
-        produced = rule.detector(rule, ctx)
-        override = ruleset.entry(rule.id).priority_override
-        if override is not None:
-            produced = [replace(f, priority=override) for f in produced]
-        findings.extend(produced)
+        if ruleset.enabled(rule.id):
+            findings.extend(rule.detector(ruleset.effective(rule), ctx))
     findings.sort(key=Finding.sort_key)
     return findings

@@ -46,9 +46,6 @@ class TypeRef:
     def __str__(self) -> str:
         return self.base + "[]" * self.dims
 
-    def element(self) -> "TypeRef":
-        return TypeRef(self.base, self.dims - 1)
-
 
 VOID = TypeRef("void")
 

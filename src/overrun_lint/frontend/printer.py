@@ -160,17 +160,7 @@ def _if(lines: list[str], stmt: ast.If, depth: int, head: str) -> None:
     elif isinstance(stmt.els, ast.If):
         _if(lines, stmt.els, depth, pad + "} else if (" + expr_text(stmt.els.cond) + ") ")
     else:
-        _block_tail(lines, stmt.els, depth, pad + "} else ")
-
-
-def _block_tail(lines: list[str], block: ast.Stmt, depth: int, head: str) -> None:
-    assert isinstance(block, ast.Block)
-    lines.append(head + "{")
-    for inner in block.stmts:
-        _stmt(lines, inner, depth + 1)
-    for comment in block.trailing_comments:
-        lines.append(_INDENT * (depth + 1) + comment)
-    lines.append(_INDENT * depth + "}")
+        _block(lines, stmt.els, depth, pad + "} else ")
 
 
 def _local_decl_text(decl: ast.LocalDecl) -> str:

@@ -1,9 +1,9 @@
+from ..detectors.rules import bound_finding_to_finding
 from .report import (
     PER_100,
     PER_1000,
     MetricsRow,
     Report,
-    bound_finding_to_finding,
     build_metrics_rows,
     coverage_percent,
     efficiency_rate,

@@ -12,7 +12,8 @@ import io
 
 from ..errors import OverrunLintError
 from ..runtime.coverage import STATUS_COLORS
-from .report import Report, coverage_percent, pattern_of
+from ..detectors.rules import rule_by_id
+from .report import Report, coverage_percent
 
 CSV_HEADER = ["file", "line", "rule_id", "category", "priority", "rank", "confidence", "message"]
 
@@ -73,7 +74,7 @@ def _emit_xml(report: Report) -> str:
             {
                 "markerId": str(marker),
                 "BUGTYPE": finding.rule_id,
-                "PATTERN": pattern_of(finding),
+                "PATTERN": rule_by_id(finding.rule_id).pattern,
                 "file": finding.span.file,
                 "lineNumber": str(finding.span.line),
                 "priority": str(finding.priority),

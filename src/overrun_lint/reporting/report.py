@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from ..errors import DomainError
-from ..boundcheck import BoundFinding
 from ..cfg import UnitCfgs, complexity_bd, display_method, method_owner
 from ..detectors.model import Finding
-from ..detectors.rules import rule_by_id
 from ..frontend import ast
 from ..runtime.coverage import CoverageReport
 
@@ -38,38 +36,6 @@ def efficiency_rate(positive_warnings: int, loc: int, scale: str = PER_100) -> f
         raise DomainError(f"scale must be one of {sorted(_SCALES)}")
     rate = (Decimal(positive_warnings) * _SCALES[scale]) / Decimal(loc)
     return float(rate.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-# Bound-check findings surface in the unified report as security findings.
-_BOUND_META = {
-    "index_out_of_legal_range": ("BoundIndexOutOfLegalRange", 1, 3, "high"),
-    "off_by_one_loop": ("BoundOffByOneLoop", 2, 5, "high"),
-    "unvalidated_index_source": ("BoundUnvalidatedIndexSource", 2, 6, "normal"),
-    "variable_limit_unchecked": ("BoundVariableLimitUnchecked", 2, 7, "normal"),
-    "zero_length_possible": ("BoundZeroLengthPossible", 3, 10, "low"),
-}
-
-
-def bound_finding_to_finding(bound: BoundFinding) -> Finding:
-    rule_id, priority, rank, confidence = _BOUND_META[bound.kind]
-    return Finding(
-        rule_id=rule_id,
-        category="security",
-        priority=priority,
-        rank=rank,
-        confidence=confidence,
-        message=bound.detail,
-        span=bound.span,
-    )
-
-
-def pattern_of(finding: Finding) -> str:
-    rule = rule_by_id(finding.rule_id)
-    if rule is not None:
-        return rule.pattern
-    if finding.rule_id.startswith("Bound"):
-        return "BC"
-    return "".join(c for c in finding.rule_id if c.isupper())[:3] or "XX"
 
 
 @dataclass

@@ -22,9 +22,6 @@ FULL = "full"
 
 STATUS_COLORS = {NO_COVERAGE: "red", PARTIAL: "yellow", FULL: "green"}
 
-COUNTER_KINDS = ("instruction", "branch", "line", "method", "class", "complexity")
-
-
 @dataclass
 class CoverageCounter:
     kind: str

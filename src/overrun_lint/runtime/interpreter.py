@@ -22,9 +22,8 @@ be tested for at run time:
 
 - Each store, initializer, return and argument converts its value where
   its type and the slot's differ, and nowhere else (_converted): an int or
-  byte into a double widens, an int into a byte wraps, and an int literal
-  outside the int range wraps.  The conversion runs as the value is
-  computed, where Java's cast would run.  Arguments convert at the call
+  byte into a double widens, and an int into a byte wraps.  The conversion
+  runs as the value is computed, where Java's cast would run.  Arguments convert at the call
   site, with the resolved method's parameter types, which every override
   keeps (the resolver rejects one that does not).
 - An arithmetic operator takes its int or double code from its own type,
@@ -73,11 +72,11 @@ from ..frontend import ast
 from ..frontend.lexer import SourceSpan
 from ..frontend.printer import expr_text
 from ..semantics import types as ty
+from ..semantics.types import INT_MAX, INT_MIN
 from ..semantics.resolver import Builtin, Resolution, param_types
 from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
 from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
-INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 BYTE_MIN, BYTE_MAX = -128, 127
 # The highest recursion limit a run sets.  On Python 3.10 every Python call
 # also recurses in C, and with an 8 MB stack a runaway SL recursion crashed
@@ -803,16 +802,13 @@ class Interpreter:
     def _converted(self, expr: ast.Expr, t: ty.Type | None, span: SourceSpan):
         """The closure of expr, with its value converted for a store, an
         initializer, a return or an argument of type t (None takes any
-        value): an int or byte into a double widens, an int into a byte
-        wraps, and an int literal outside the int range wraps.  Where the
-        types need no conversion it is expr's own closure."""
+        value): an int or byte into a double widens, and an int into a byte
+        wraps.  Where the types need no conversion it is expr's own closure."""
         value, source, wrap = self._expr(expr), self.res.types[expr.uid], self._wrap
         if t is ty.DOUBLE and source in (ty.INT, ty.BYTE):
             return lambda f: float(value(f))
         if t is ty.BYTE and source is ty.INT:
             return lambda f: wrap(value(f), span, 8)
-        if t is ty.INT and isinstance(expr, ast.Literal) and not INT_MIN <= expr.value <= INT_MAX:
-            return lambda f: wrap(value(f), span)
         return value
 
     def _new_array(self, elem: ty.Type, size: int) -> SLArray:

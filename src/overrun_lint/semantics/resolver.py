@@ -664,12 +664,27 @@ class _Resolver:
                 span, f"non-static {kind} '{name}' cannot be referenced from a static context"
             )
 
+    def _negated_int_min(self, literal: ast.Literal) -> bool:
+        """Whether literal is 2147483648 as the direct operand of unary -,
+        the one place an int literal may exceed the int range (JLS 3.10.1).
+        The unary's span ends where the literal's does unless parentheses
+        close between them, as in -(2147483648)."""
+        up = self.res.parent(literal)
+        return (
+            literal.value == ty.INT_MAX + 1
+            and isinstance(up, ast.Unary)
+            and up.op == "-"
+            and (up.span.end_line, up.span.end_column) == (literal.span.end_line, literal.span.end_column)
+        )
+
     def _expr(
         self, expr: ast.Expr, scope: Scope, store: bool = False, receiver: bool = False
     ) -> Type:
         """The type of expr.  A receiver, of a field or a method, may also
         be a class name."""
         if isinstance(expr, ast.Literal):
+            if expr.kind == "int" and expr.value > ty.INT_MAX and not self._negated_int_min(expr):
+                raise TypeCheckError(expr.span, "integer number too large")
             return self._set(expr, _LITERAL_TYPES[expr.kind])
         if isinstance(expr, ast.Null):
             return self._set(expr, ty.NULL)

@@ -89,6 +89,8 @@ UNKNOWN = UnknownType()
 
 _PRIMS = {"int": INT, "byte": BYTE, "double": DOUBLE, "boolean": BOOLEAN, "void": VOID_T}
 
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+
 
 def from_type_ref(ref: TypeRef) -> Type:
     if ref.base in _PRIMS:

@@ -6,6 +6,8 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from overrun_lint.cli import main
+from overrun_lint.detectors.rules import BOUND_RULES, RULES
+from overrun_lint.reporting import reviewed_rules_by_line
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,14 @@ def test_analyze_bad_ruleset_exit_two(capsys, corpus_dir, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(corpus_dir / "yang.sl"), "--ruleset", str(config))
     assert code == 2
     assert err.startswith(f"error: {config}: line 1: unknown rule id")
+
+
+def test_analyze_ruleset_naming_a_bound_rule_exit_two(capsys, corpus_dir, tmp_path):
+    config = tmp_path / "rules.conf"
+    config.write_text("rule BoundOffByOneLoop enabled=false\n")
+    code, _, err = run_cli(capsys, "analyze", str(corpus_dir / "yang.sl"), "--ruleset", str(config))
+    assert code == 2
+    assert err.startswith(f"error: {config}: line 1: rule 'BoundOffByOneLoop' is reported by boundcheck")
 
 
 def test_analyze_xml_to_file(capsys, corpus_dir, tmp_path):
@@ -322,12 +332,30 @@ def test_annotate_in_place_and_reanalyze(capsys, corpus_dir, tmp_path):
 
 def test_annotate_unknown_rule_exit_two(capsys, corpus_dir, tmp_path):
     target = tmp_path / "yang.sl"
+    source = (corpus_dir / "yang.sl").read_text()
+    target.write_text(source)
+    for rule_id in ("NotARule", "BoundNoSuchRule"):
+        code, _, err = run_cli(
+            capsys, "annotate", str(target), "--line", "2", "--rule", rule_id,
+            "--reviewer", "X", "--time", "1/1/11 1.01AM",
+        )
+        assert code == 2, rule_id
+        assert err == f"error: unknown rule id '{rule_id}'\n"
+        assert target.read_text() == source
+
+
+def test_annotate_accepts_every_catalog_rule(capsys, corpus_dir, tmp_path):
+    target = tmp_path / "yang.sl"
     target.write_text((corpus_dir / "yang.sl").read_text())
-    code, _, err = run_cli(
-        capsys, "annotate", str(target), "--line", "2", "--rule", "NotARule",
-        "--reviewer", "X", "--time", "1/1/11 1.01AM",
-    )
-    assert code == 2
+    ids = [rule.id for rule in (*RULES, *BOUND_RULES.values())]
+    for rule_id in ids:
+        code, _, _ = run_cli(
+            capsys, "annotate", str(target), "--line", "2", "--rule", rule_id,
+            "--reviewer", "X", "--time", "1/1/11 1.01AM",
+        )
+        assert code == 0, rule_id
+    # The annotations stack above the annotated line, which moves down by 26.
+    assert reviewed_rules_by_line(target.read_text())[2 + 26] == set(ids)
 
 
 def test_cyclic_inheritance_exits_two(tmp_path):
@@ -374,6 +402,11 @@ NO_TRACEBACK = {
         "class C { }\nclass Main { static void main(String[] args) { C c = C; } }\n",
         2,
         "class_as_value.sl:2:54: class name C is not a value",
+    ),
+    "int_literal_too_large.sl": (
+        "class Main { static void main(String[] args) { double d = %s / 2.0; } }\n" % ("9" * 400),
+        2,
+        "int_literal_too_large.sl:1:59: integer number too large",
     ),
 }
 

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from overrun_lint.cfg import build_unit_cfgs
-from overrun_lint.detectors import RULES, classify, load_ruleset, run_rules
+from overrun_lint.detectors import RULES, classify, load_ruleset, rule_by_id, run_rules
+from overrun_lint.detectors.rules import BOUND_RULES, bound_finding_to_finding
 from overrun_lint.errors import ConfigError, UnknownRuleError
 from overrun_lint.frontend import parse_source
 from overrun_lint.pipeline import analyze_source
@@ -83,6 +84,44 @@ def test_priority_override_changes_color():
     assert cls.priority == 1 and cls.priority_color == "red"
 
 
+# -- one catalog for every rule the tool reports -------------------------------------
+
+
+def test_catalog_holds_all_26_rules():
+    catalog = [*RULES, *BOUND_RULES.values()]
+    assert len({rule.id for rule in catalog}) == 26
+    assert all(rule_by_id(rule.id) is rule for rule in catalog)
+    assert [rule.detector is None for rule in catalog] == [False] * 21 + [True] * 5
+
+
+def test_classify_answers_for_bound_rules():
+    cls = classify("BoundOffByOneLoop")
+    assert (cls.category, cls.priority, cls.rank, cls.confidence) == ("security", 2, 5, "high")
+    for rule in BOUND_RULES.values():
+        cls = classify(rule.id)
+        assert (cls.category, cls.priority, cls.rank, cls.confidence) == (
+            "security", rule.priority, rule.rank, rule.confidence
+        )
+
+
+def test_ruleset_rejects_bound_rules():
+    # analyze runs no bound check, so a ruleset cannot tune these rules.
+    for rule in BOUND_RULES.values():
+        with pytest.raises(ConfigError):
+            load_ruleset(f"rule {rule.id} enabled=false")
+
+
+def test_every_reported_finding_matches_its_record(corpus_sources):
+    for name, source in corpus_sources.items():
+        analyzed = analyze_source(source, name)
+        bounds = [bound_finding_to_finding(b) for b in analyzed.bound_findings()]
+        for f in analyzed.findings() + bounds:
+            rule = rule_by_id(f.rule_id)
+            assert (f.category, f.priority, f.rank, f.confidence) == (
+                rule.category, rule.priority, rule.rank, rule.confidence
+            ), (name, f.rule_id)
+
+
 # -- the catalog on targeted snippets ------------------------------------------------
 
 
@@ -151,6 +190,8 @@ _RECURSION_CASES = {
     "try_body": (_recursive("try { rec(n); } catch (Exception e) { println(n); }"), 1),
     "while_true": (_recursive("while (true) { rec(n - 1); }"), 1),
     "if_1": (_recursive("if (1) { rec(n - 1); }"), 1),
+    # The loop never ends, so the call never runs: UnreachableCode reports it.
+    "unreachable_call": (_recursive("while (true) { println(n); } rec(n - 1);"), 0),
 }
 
 

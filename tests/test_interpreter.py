@@ -863,18 +863,15 @@ class T {
     assert trace.stdout == ["-2147483648"]
 
 
-def test_out_of_range_int_literal_warns_at_the_store():
-    source = """\
-class T {
-    static void main(String[] args) {
-        int x = 3000000000;
-        println(x);
-    }
-}
-"""
-    trace = run(source)
-    assert _overflows(trace) == [(3, 9, "32-bit result 3000000000 wrapped to -1294967296")]
-    assert trace.stdout == ["-1294967296"]
+def test_out_of_range_int_literal_is_rejected():
+    # JLS 3.10.1: an int literal lies in the int range, except 2147483648 as
+    # the direct operand of unary -.
+    for value in ("3000000000", "2147483648", "-(2147483648)", "1 - 2147483648", "9" * 400 + " / 2.0"):
+        with pytest.raises(TypeCheckError) as err:
+            run(f"class T {{ static void main(String[] args) {{ double x = {value}; }} }}")
+        assert str(err.value).endswith(": integer number too large"), value
+    trace = run("class T { static void main(String[] args) { int x = -2147483648; println(x); } }")
+    assert (trace.faults, trace.stdout) == ([], ["-2147483648"])
 
 
 def test_byte_accumulator_wraps_and_double_store_widens():
@@ -900,7 +897,7 @@ class T {
         d = i * 3;
         println(d);
         println(twice(2000000000));
-        println(same(200, 3000000000));
+        println(same(200, 2147483647));
     }
 }
 """
@@ -909,9 +906,8 @@ class T {
         (13, 13, "8-bit result 140 wrapped to -116"),
         (3, 16, "32-bit result 4000000000 wrapped to -294967296"),
         (22, 17, "8-bit result 200 wrapped to -56"),
-        (22, 17, "32-bit result 3000000000 wrapped to -1294967296"),
     ]
-    assert trace.stdout == ["-96", "2.0", "3.0", "-294967296", "-1294967352"]
+    assert trace.stdout == ["-96", "2.0", "3.0", "-294967296", "2147483591"]
 
 
 # -- call depth -------------------------------------------------------------------

@@ -9,7 +9,8 @@ from overrun_lint.errors import DomainError, SpanOutOfRangeError
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.detectors.model import Finding
 from overrun_lint.pipeline import analyze_source
-from overrun_lint.reporting.report import MetricsRow, pattern_of
+from overrun_lint.detectors.rules import rule_by_id
+from overrun_lint.reporting.report import MetricsRow
 from overrun_lint.runtime.coverage import CoverageCounter, CoverageReport
 from overrun_lint.reporting import (
     PER_100,
@@ -113,7 +114,7 @@ def _elementtree_xml(report):
     findings = ET.SubElement(root, "findings", {"count": str(len(report.findings))})
     for marker, f in enumerate(report.findings, start=1):
         ET.SubElement(findings, "finding", {
-            "markerId": str(marker), "BUGTYPE": f.rule_id, "PATTERN": pattern_of(f), "file": f.span.file,
+            "markerId": str(marker), "BUGTYPE": f.rule_id, "PATTERN": rule_by_id(f.rule_id).pattern, "file": f.span.file,
             "lineNumber": str(f.span.line), "priority": str(f.priority), "priorityColor": f.priority_color,
             "RANK": str(f.rank), "rankBand": f.rank_band, "confidence": f.confidence, "category": f.category,
             "triage": f.triage, "message": f.message,

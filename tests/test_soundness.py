@@ -37,11 +37,13 @@ _STREAM = ty.ClassType("Stream")
 
 
 def inhabits(value, t: ty.Type, expr: ast.Expr, res) -> bool:
-    """Whether value is a value of type t.  An int literal may lie outside
-    its type's range: `int x = 3000000000;` wraps at its store."""
+    """Whether value is a value of type t.  One int literal lies outside
+    its type's range: 2147483648, the operand of - in -2147483648."""
     if t in _RANGES:
         lo, hi = _RANGES[t]
-        return value.__class__ is int and (isinstance(expr, ast.Literal) or lo <= value <= hi)
+        return value.__class__ is int and (
+            lo <= value <= hi or value == INT_MAX + 1 and isinstance(res.parent(expr), ast.Unary)
+        )
     if t == ty.DOUBLE:
         return value.__class__ is float
     if t == ty.BOOLEAN:
@@ -109,7 +111,7 @@ def test_golden_runs_preserve_types(group, violations):
 # Programs that reach the conversions and choices the types decide: returns
 # and assignments that convert, a conversion at every kind of site (static,
 # virtual and constructor arguments, returns, element, field and static
-# stores, initializers, out-of-range int literals), string + on null, Thread
+# stores, initializers, the int literal -2147483648), string + on null, Thread
 # builtins, fields read by a base initializer before their own initializer
 # runs, hidden fields, and streams.
 PROBES = {
@@ -190,10 +192,10 @@ class Main {
 class Base {
     double d = 1;
     byte b = 200;
-    int big = 3000000000;
+    int big = -2147483648;
     static double sd = 2;
     static byte sb = 300;
-    static int sbig = 2147483648;
+    static int sbig = 2147483647;
     byte nb;
     Base(byte x, double y) { nb = x; d = y; }
     double half(double x) { return x / 2; }
@@ -214,7 +216,7 @@ class Main {
         Base s = new Sub();
         println(s.half(o.nb) + s.nb);
         println(Base.narrow(1000));
-        println(Base.narrow(3000000000));
+        println(Base.narrow(-2147483648));
         println(Base.widen(200));
         byte[] bs = new byte[1];
         bs[0] = 999;
@@ -226,10 +228,10 @@ class Main {
         Base.sb = 500;
         Base.sd = o.nb;
         println(o.nb + o.d + Base.sb + Base.sd);
-        int i = 3000000000;
+        int i = 2147483647;
         byte lb = i;
         double ld = lb;
-        i = 2147483648;
+        i = -2147483648;
         lb = i;
         ld = i;
         println(i + lb + ld);
