@@ -10,7 +10,8 @@ This module decides every control-flow fact the other modules read: each
 block's out-edges and the decision blocks (built once per graph, on first
 read), the complexity counts derived from them, whether some entry->exit
 path avoids a set of instructions, whether a call always runs
-(InfiniteRecursion reports a cycle of calls that each always run), and the
+(InfiniteRecursion reports a cycle of calls that each always run), the
+solution of a forward dataflow problem (the null rules' facts), and the
 two string formats that name control flow -- method ids (`Class.name/arity`,
 with `<init>` for constructors and `<clinit>` for static initializers) and
 branch keys (`true-branch`, `switch-case#case2`, ...), which the resolver,
@@ -19,10 +20,12 @@ the interpreter's trace and coverage all share.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 from .frontend import ast
 from .frontend.lexer import SourceSpan
@@ -255,6 +258,37 @@ def always_runs(
         and not path_avoids(cfg, (iid,))
         and cfg.instr_blocks[iid] in cfg.reachable()
     )
+
+
+State = TypeVar("State")
+
+
+def forward(
+    cfg: ControlFlowGraph, start: State, step: Callable[[int, State], State],
+    refine: Callable[[Edge, State], State], join: Callable[[State, State], State],
+) -> dict[int, State]:
+    """The state on entry to each block that entry reaches, by Kildall's
+    worklist method: step runs an instruction, refine gives what an edge
+    passes on, and join(old, new) merges states, which must stop rising
+    after finitely many joins.  A block runs again whenever its entry state
+    changes, so the last step of an instruction sees its final state."""
+    blocks = {b.bid: b for b in cfg.blocks}
+    states = {cfg.entry: start}
+    pending = [cfg.entry]  # a heap: the lowest block id, roughly source order, first
+    while pending:
+        bid = heapq.heappop(pending)
+        state = states[bid]
+        for iid in blocks[bid].instructions:
+            state = step(iid, state)
+        for e in cfg.out_edges(bid):
+            new = refine(e, state)
+            old = states.get(e.dst)
+            new = new if old is None else join(old, new)
+            if new != old:
+                states[e.dst] = new
+                if e.dst not in pending:
+                    heapq.heappush(pending, e.dst)
+    return states
 
 
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from ..boundcheck import BoundFinding
 from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
 from ..semantics.resolver import BUILTINS, Builtin, Resolution, Symbol
-from ..cfg import UnitCfgs, always_runs, instruction_of, method_identity, path_avoids, unreachable_nodes
+from ..cfg import TRUE_BRANCH, Edge, UnitCfgs, always_runs, forward, instruction_of, method_identity
+from ..cfg import path_avoids, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
 
@@ -21,19 +23,10 @@ class RuleContext:
     call_graph: CallGraph
     cfgs: UnitCfgs
 
-    def has_null_guard(self, node: ast.Node, sym: Symbol) -> bool:
-        # Any enclosing condition counts, whichever branch node is in.
-        for cond, _holds in self.res.enclosing_conditions(node):
-            for sub in self.res.subtree(cond):
-                if isinstance(sub, ast.Binary) and sub.op in ("==", "!="):
-                    for side, other in ((sub.left, sub.right), (sub.right, sub.left)):
-                        if (
-                            isinstance(side, ast.Name)
-                            and self.res.name_targets.get(side.uid) is sym
-                            and isinstance(other, ast.Null)
-                        ):
-                            return True
-        return False
+    @cached_property
+    def nullness(self) -> Nullness:
+        """The null facts that both null rules read, solved on first read."""
+        return Nullness(self)
 
 
 # --- individual detectors ------------------------------------------------------
@@ -59,50 +52,136 @@ def _assigned_calls(ctx: RuleContext, builtin: Builtin):
             yield target, node
 
 
-def _readline_sinks(ctx: RuleContext):
-    """(use-node, symbol-or-None) pairs where a possibly-null readLine value
-    is dereferenced (receiver position or call argument)."""
-    nullable = {id(target) for target, _node in _assigned_calls(ctx, _READLINE)}
+# --- nullness --------------------------------------------------------------------
 
-    def is_nullable_use(expr: ast.Expr):
-        if ctx.res.builtin_of(expr) is _READLINE:
-            return True, None
+# A symbol's fact at a point of a method, keyed by id(symbol), where None
+# or no entry is unknown.  READLINE is a readLine() value, which may be null.
+NULL, NON_NULL, READLINE = "null", "non-null", "readLine"
+Facts = dict[int, str | None]
+
+# What the instruction of each statement evaluates; a local declaration
+# also stores, and a for loop's update is an instruction of its own.
+_EVALUATES = {
+    ast.ExprStmt: "expr", ast.Return: "value", ast.If: "cond", ast.While: "cond", ast.For: "cond",
+    ast.Switch: "subject", ast.Assert: "condition", ast.Synchronized: "monitor", ast.LocalDecl: "initializer",
+}
+
+
+def _join(a: Facts, b: Facts) -> Facts:
+    """Equal facts stay, a readLine value wins over any other, and
+    anything else becomes unknown."""
+    return {
+        key: fact if fact == other else READLINE if READLINE in (fact, other) else None
+        for key in a.keys() | b.keys()
+        for fact, other in [(a.get(key), b.get(key))]
+    }
+
+
+class Nullness:
+    """Null facts by one forward dataflow over the CFG of each method with a
+    null literal or a readLine() call.  derefs: each call receiver and
+    argument (a String has no fields), with its fact when it runs; checks:
+    each comparison of a name with null, with its symbol and fact."""
+
+    def __init__(self, ctx: RuleContext):
+        self.res = res = ctx.res
+        self.derefs: dict[int, tuple[ast.Expr, str | None]] = {}
+        self.checks: dict[int, tuple[ast.Binary, Symbol, str | None]] = {}
+        sites = (*res.nodes_of(ast.Null), *(c for c in res.nodes_of(ast.Call) if res.builtin_of(c) is _READLINE))
+        for method in {m.uid: m for m in map(res.method_of, sites) if m is not None}.values():
+            graph = ctx.cfgs.cfgs[method_identity(res.parent(method).name, method)]
+            at = {graph.stmt_iids[n.uid]: n for n in res.subtree(method.body) if n.uid in graph.stmt_iids}
+            conds = {graph.instr_blocks[i]: n.cond for i, n in at.items() if isinstance(n, (ast.If, ast.While, ast.For))}
+            forward(graph, {}, partial(self._step, at, graph.skippable_iids), partial(self._refine, conds), _join)
+
+    def _step(self, at: dict[int, ast.Node], skippable: set[int], iid: int, before: Facts) -> Facts:
+        """The facts after instruction iid; joined with those before it
+        where a path may pass it without running it (an assert check, a
+        catch body)."""
+        node, facts = at.get(iid), dict(before)
+        field = _EVALUATES.get(type(node))
+        expr = node if isinstance(node, ast.Expr) else getattr(node, field) if field else None
+        value = None if expr is None else self._eval(expr, facts)
+        if isinstance(node, ast.LocalDecl):
+            self._store(self.res.decl_symbols.get(node.uid), value, facts)
+        return _join(before, facts) if iid in skippable else facts
+
+    @staticmethod
+    def _store(sym: Symbol | None, value: str | None, facts: Facts) -> None:
+        if sym is not None:
+            facts[id(sym)] = value
+
+    def _refine(self, conds: dict[int, ast.Expr | None], edge: Edge, facts: Facts) -> Facts:
+        cond = conds.get(edge.src)
+        return facts if cond is None else self._assume(cond, facts, edge.kind == TRUE_BRANCH)
+
+    def _eval(self, expr: ast.Expr, facts: Facts) -> str | None:
+        """Evaluate expr on facts, in place and in Java's order, recording
+        each dereference and null check; the fact of its value."""
+        res = self.res
         if isinstance(expr, ast.Name):
-            sym = ctx.res.name_targets.get(expr.uid)
-            if sym is not None and id(sym) in nullable:
-                return True, sym
-        return False, None
+            return facts.get(id(res.name_targets.get(expr.uid)))
+        if isinstance(expr, ast.Null):
+            return NULL
+        if isinstance(expr, ast.Call):
+            for part in expr.args if expr.receiver is None else (expr.receiver, *expr.args):
+                self.derefs[part.uid] = (part, self._eval(part, facts))
+            return READLINE if res.builtin_of(expr) is _READLINE else None
+        if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+            self._eval(expr.left, facts)
+            rest = self._assume(expr.left, facts, expr.op == "&&")  # where the right operand runs
+            self._eval(expr.right, rest)
+            facts.update(_join(facts, rest))  # every key of facts
+            return None
+        value = None
+        for child in ast.child_nodes(expr):
+            value = self._eval(child, facts)
+        if isinstance(expr, ast.Binary) and expr.op == "=":
+            if isinstance(expr.left, ast.Name):
+                self._store(res.name_targets.get(expr.left.uid), value, facts)
+            return value
+        if (sym := self._tested(expr)) is not None:
+            self.checks[expr.uid] = (expr, sym, facts.get(id(sym)))
+        return NON_NULL if isinstance(expr, (ast.New, ast.NewArray)) else None
 
-    for node in ctx.res.nodes_of(ast.Call, ast.FieldAccess):
-        if isinstance(node, ast.Call):
-            for arg in node.args:
-                hit, sym = is_nullable_use(arg)
-                if hit:
-                    yield arg, sym
-            if node.receiver is not None:
-                hit, sym = is_nullable_use(node.receiver)
-                if hit:
-                    yield node.receiver, sym
-        elif isinstance(node, ast.FieldAccess):
-            hit, sym = is_nullable_use(node.receiver)
-            if hit:
-                yield node.receiver, sym
+    def _tested(self, expr: ast.Expr) -> Symbol | None:
+        """The symbol that expr compares with null: x in `x == null`,
+        `null != x` or `(x = e) != null`."""
+        if not (isinstance(expr, ast.Binary) and expr.op in ("==", "!=")):
+            return None
+        side, other = (expr.right, expr.left) if isinstance(expr.left, ast.Null) else (expr.left, expr.right)
+        if isinstance(side, ast.Binary) and side.op == "=":
+            side = side.left
+        if isinstance(other, ast.Null) and isinstance(side, ast.Name):
+            return self.res.name_targets.get(side.uid)
+        return None
+
+    def _assume(self, cond: ast.Expr, facts: Facts, truth: bool) -> Facts:
+        """New facts for the paths where cond, just run, came out truth.  A
+        readLine value stays one where it is null."""
+        if isinstance(cond, ast.Unary) and cond.op == "!":
+            return self._assume(cond.operand, facts, not truth)
+        if isinstance(cond, ast.Binary) and cond.op in ("&&", "||"):
+            decides = cond.op == "||"  # the left value that decides alone
+            both = self._assume(cond.right, self._assume(cond.left, facts, not decides), truth)
+            return _join(self._assume(cond.left, facts, decides), both) if truth == decides else both
+        facts = dict(facts)
+        if (sym := self._tested(cond)) is not None:
+            if (cond.op == "==") != truth:
+                facts[id(sym)] = NON_NULL
+            elif facts.get(id(sym)) != READLINE:
+                facts[id(sym)] = NULL
+        return facts
 
 
 def np_dereference(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    seen = set()
-    for use, sym in _readline_sinks(ctx):
-        if sym is not None and ctx.has_null_guard(use, sym):
-            continue
-        key = (use.span.line, use.span.column)
-        if key in seen:
-            continue
-        seen.add(key)
-        what = f"'{sym.name}'" if sym is not None else "readLine()"
-        findings.append(
-            rule.finding(use.span, f"Dereference of the result of readLine() via {what} without a null check")
-        )
+    for use, fact in ctx.nullness.derefs.values():
+        if fact == READLINE:
+            what = f"'{use.identifier}'" if isinstance(use, ast.Name) else "readLine()"
+            findings.append(
+                rule.finding(use.span, f"Dereference of the result of readLine() via {what} without a null check")
+            )
     return findings
 
 
@@ -265,31 +344,11 @@ def circular_dependency(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 
 def redundant_null_check(rule: Rule, ctx: RuleContext) -> list[Finding]:
-    findings = []
-    for cls in ctx.unit.classes:
-        for method in cls.methods:
-            state: dict[int, str] = {}
-            for node in ctx.res.subtree(method.body):
-                if isinstance(node, ast.LocalDecl) and node.initializer is not None:
-                    sym = ctx.res.decl_symbols.get(node.uid)
-                    if sym is not None:
-                        state[id(sym)] = "new" if isinstance(node.initializer, ast.New) else "other"
-                elif isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
-                    sym = ctx.res.name_targets.get(node.left.uid)
-                    if sym is not None:
-                        state[id(sym)] = "new" if isinstance(node.right, ast.New) else "other"
-                elif isinstance(node, ast.Binary) and node.op in ("==", "!="):
-                    for side, other in ((node.left, node.right), (node.right, node.left)):
-                        if isinstance(side, ast.Name) and isinstance(other, ast.Null):
-                            sym = ctx.res.name_targets.get(side.uid)
-                            if sym is not None and state.get(id(sym)) == "new":
-                                findings.append(
-                                    rule.finding(
-                                        node.span,
-                                        f"redundant null check of '{sym.name}', which is known to be non-null",
-                                    )
-                                )
-    return findings
+    return [
+        rule.finding(node.span, f"redundant null check of '{sym.name}', which is known to be non-null")
+        for node, sym, fact in ctx.nullness.checks.values()
+        if fact == NON_NULL
+    ]
 
 
 def static_field_could_be_final(rule: Rule, ctx: RuleContext) -> list[Finding]:

@@ -70,29 +70,24 @@ class NodeIndex:
         order)."""
         # When the walk pops a node, the entry below it on the stack is the
         # node it reaches after that node's subtree (None: the end), so
-        # that node's position is where the subtree ends.  The uid-indexed
-        # tables grow to fit the largest uid.
-        size = root.uid + 1
-        positions = array("l", [0]) * size
-        ends = array("l", [0]) * size
-        parents: list[ast.Node | None] = [None] * size
+        # that node's position is where the subtree ends.
         nodes: list[ast.Node] = []
         walked: list[tuple[ast.Node, ast.Node | None]] = []
         stack: list[ast.Node | None] = [None, root]
         while (node := stack.pop()) is not None:
-            positions[node.uid] = len(nodes)
             nodes.append(node)
             walked.append((node, stack[-1]))
-            children = sorted(ast.child_nodes(node), key=_start)
-            for child in children:
-                if child.uid >= size:
-                    grow = child.uid + 1 - size
-                    positions.extend([0] * grow)
-                    ends.extend([0] * grow)
-                    parents.extend([None] * grow)
-                    size = child.uid + 1
+            stack.extend(reversed(sorted(ast.child_nodes(node), key=_start)))
+        # One slot past the largest uid: a unit built with the default uid
+        # -1 indexes that slot, which no other node has.
+        size = max(node.uid for node in nodes) + 2
+        positions = array("l", [0]) * size
+        ends = array("l", [0]) * size
+        parents: list[ast.Node | None] = [None] * size
+        for position, node in enumerate(nodes):
+            positions[node.uid] = position
+            for child in ast.child_nodes(node):
                 parents[child.uid] = node
-            stack.extend(reversed(children))
         for node, nxt in walked:
             ends[node.uid] = len(nodes) if nxt is None else positions[nxt.uid]
         return cls(nodes, positions, ends, parents)

@@ -559,7 +559,10 @@ class Parser:
                 expr = self._node(ast.Name, tok, text)
         elif kind == INT_LITERAL:
             self.pos = tok + 1
-            expr = self._node(ast.Literal, tok, int(text), "int")
+            # Past 10 significant digits a literal is out of int range, and
+            # the resolver rejects it: 10**10 stands in, unconverted.
+            value = int(text) if len(text.lstrip("0")) <= 10 else 10**10
+            expr = self._node(ast.Literal, tok, value, "int")
         elif text == "!" or text == "-":
             self.pos = tok + 1
             self._descend(tok)

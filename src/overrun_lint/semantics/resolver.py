@@ -58,7 +58,7 @@ BUILTINS: dict[tuple[str | None, str], Builtin] = {
     (b.owner, b.name): b
     for b in (
         Builtin(None, "println", (None,), ty.VOID_T, static=True),
-        Builtin(None, "readLine", (), ty.NULLABLE_STRING, static=True, must_check=True),
+        Builtin(None, "readLine", (), ty.STRING, static=True, must_check=True),
         Builtin(None, "parseInt", (ty.STRING,), ty.INT, static=True),
         Builtin(None, "open", (ty.STRING,), ty.ClassType("Stream"), static=True),
         Builtin(None, "random", (), ty.DOUBLE, static=True),

@@ -41,10 +41,8 @@ class PrimType(Type):
 
 @dataclass(frozen=True, eq=False, init=False)
 class StringType(Type):
-    nullable: bool
-
     def __str__(self) -> str:
-        return "String-or-null" if self.nullable else "String"
+        return "String"
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -82,8 +80,7 @@ BYTE = PrimType("byte")
 DOUBLE = PrimType("double")
 BOOLEAN = PrimType("boolean")
 VOID_T = PrimType("void")
-STRING = StringType(False)
-NULLABLE_STRING = StringType(True)
+STRING = StringType()
 NULL = NullType()
 UNKNOWN = UnknownType()
 
@@ -134,8 +131,6 @@ def assignable(dst: Type, src: Type, subclass_ok) -> bool:
         # Narrowing stores wrap at runtime (recorded as overflow warnings).
         return True
     if dst == DOUBLE and src in (INT, BYTE):
-        return True
-    if isinstance(dst, StringType) and isinstance(src, StringType):
         return True
     if isinstance(dst, (StringType, ClassType, ArrayType)) and isinstance(src, NullType):
         return True

@@ -190,3 +190,71 @@ def seeded_unit(seed: int) -> str:
         lines += [f"    static void fill{k}(String[] args) {{", *body, "    }"]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class NullProgram:
+    source: str
+    stdin_script: list[str]
+    shapes: list[str]
+
+
+# The shapes of gen_null_program's main, each a list of lines in which `#`
+# stands for the shape's own number and `?` for a condition.  Null
+# literals are only ever compared, never dereferenced, so every null a run
+# dereferences came from readLine().
+_NULL_SHAPES = {
+    "branch_dependent": [
+        "P p# = null;", "if (?) {", "    p# = new P();", "}",
+        "if (p# == null) {", '    println("none");', "}",
+    ],
+    "loop_carried": [
+        "P q# = new P();", "int i# = 0;", "while (i# < 2) {",
+        "    if (q# == null) {", '        println("gone");', "    }",
+        "    q# = null;", "    i# = i# + 1;", "}",
+    ],
+    "new_checked": ["P c# = new P();", "if (c# != null) {", "    println(c#.v);", "}"],
+    "null_side": ["String s# = readLine();", "if (s# == null) {", "    println(length(s#));", "}"],
+    "read_loop": ['String r# = "";', "while ((r# = readLine()) != null) {", "    println(length(r#));", "}"],
+    "guarded": ["String g# = readLine();", "if (g# != null) {", "    println(length(g#));", "}"],
+    "guarded_else": [
+        "String e# = readLine();", "if (e# == null) {", '    println("eof");',
+        "} else {", "    println(length(e#));", "}",
+    ],
+    "checked_twice": [
+        "String t# = readLine();", "if (t# != null) {", "    println(length(t#));", "}",
+        "if (t# == null) {", '    println("eof");', "}",
+    ],
+    "and_guard": ["String a# = readLine();", "if (a# != null && length(a#) > 1) {", "    println(length(a#));", "}"],
+    "not_guard": ["String o# = readLine();", "if (!(o# == null)) {", "    println(length(o#));", "}"],
+    "unguarded": ["String u# = readLine();", "println(length(u#));"],
+    "direct": ["println(length(readLine()));"],
+    "reassigned": ["String z# = readLine();", 'z# = "z";', "println(length(z#));"],
+    "loop_carried_readline": [
+        'String w# = "x";', "int j# = 0;", "while (j# < 2) {",
+        "    println(length(w#));", "    w# = readLine();", "    j# = j# + 1;", "}",
+    ],
+    "branch_dependent_readline": ['String b# = "a";', "if (?) {", "    b# = readLine();", "}", "println(length(b#));"],
+    # A catch body never runs, though the CFG chains it by fallthrough.
+    "caught": [
+        "String k# = readLine();", "try {", "    println(#);", "} catch (Exception x#) {", '    k# = "x";', "}",
+        "println(length(k#));",
+    ],
+}
+
+_CONDITIONS = ('exists("cfg")', "n > 2", "n < 3")
+
+
+def gen_null_program(rng: random.Random) -> NullProgram:
+    """A runnable program whose main strings together 2 to 6 null shapes,
+    with a stdin script that may run out before every readLine() is
+    answered, so that some runs meet the null at its end."""
+    shapes = [rng.choice(sorted(_NULL_SHAPES)) for _ in range(rng.randint(2, 6))]
+    lines = ["class P {", "    int v;", "", "    static void main(String[] args) {", f"        int n = {rng.randint(0, 5)};"]
+    for k, shape in enumerate(shapes):
+        cond = rng.choice(_CONDITIONS)
+        lines += ["        " + line.replace("#", str(k)).replace("?", cond) for line in _NULL_SHAPES[shape]]
+    lines += ["    }", "}"]
+    reads = sum("readLine()" in line for shape in shapes for line in _NULL_SHAPES[shape])
+    script = ["x" * rng.randint(1, 3) for _ in range(rng.randint(0, reads + 1))]
+    return NullProgram("\n".join(lines) + "\n", script, shapes)

@@ -408,6 +408,12 @@ NO_TRACEBACK = {
         2,
         "int_literal_too_large.sl:1:59: integer number too large",
     ),
+    # Past Python's 4 300-digit limit on converting text to an int.
+    "int_literal_5000_digits.sl": (
+        "class Main { static void main(String[] args) { int x = 1%s; } }\n" % ("0" * 5000),
+        2,
+        "int_literal_5000_digits.sl:1:56: integer number too large",
+    ),
 }
 
 

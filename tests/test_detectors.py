@@ -171,6 +171,66 @@ def test_np_dereference_direct_call_argument():
     assert by_rule(findings_for(source))["NP_DEREFERENCE_OF_READLINE_VALUE"] == 1
 
 
+# Each null probe's verdicts hold on every path, as a run of it shows: p1
+# prints "none", p2 prints "gone", and p3 faults at line 5 on empty stdin.
+NULL_PROBES = {
+    "p1_branch_dependent": ("""\
+class P {
+    static void main(String[] args) {
+        P p = null;
+        if (exists("cfg")) {
+            p = new P();
+        }
+        if (p == null) {
+            println("none");
+        }
+    }
+}
+""", "RedundantNullCheck", []),
+    "p2_loop_carried": ("""\
+class P {
+    static void main(String[] args) {
+        P q = new P();
+        int i = 0;
+        while (i < 2) {
+            if (q == null) {
+                println("gone");
+            }
+            q = null;
+            i = i + 1;
+        }
+    }
+}
+""", "RedundantNullCheck", []),
+    "p3_null_side_of_readline": ("""\
+class R {
+    static void main(String[] args) {
+        String line = readLine();
+        if (line == null) {
+            println(length(line));
+        }
+    }
+}
+""", "NP_DEREFERENCE_OF_READLINE_VALUE", [5]),
+    "p4_read_loop": ("""\
+class R {
+    static void main(String[] args) {
+        String line = "";
+        while ((line = readLine()) != null) {
+            println(length(line));
+        }
+    }
+}
+""", "NP_DEREFERENCE_OF_READLINE_VALUE", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NULL_PROBES))
+def test_null_rules_follow_control_flow(case):
+    source, rule_id, lines = NULL_PROBES[case]
+    assert [f.span.line for f in findings_for(source) if f.rule_id == rule_id] == lines
+
+
 def _recursive(body: str, returns: str = "void") -> str:
     """A class whose method rec(int n) has the given body, called from main."""
     return (

@@ -1,0 +1,68 @@
+"""Static claims that one run can refute, checked against runs.
+
+The null rules claim facts about every path.  Each program from
+`progen.gen_null_program` is analyzed, then run on its stdin script, which
+may end before every readLine() is answered; a run that takes a path the
+analysis ruled out refutes the finding (or the missing finding) at once.
+Only one-way checks: a run proves a claim wrong, never right.
+"""
+
+import random
+
+import pytest
+
+from overrun_lint.cfg import FALSE_BRANCH, TRUE_BRANCH
+from overrun_lint.frontend import ast
+from overrun_lint.pipeline import run_source
+from overrun_lint.runtime import FAULT_NULL_DEREFERENCE, RunOptions
+
+from progen import gen_null_program
+
+PROGRAMS = 300
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """(number, program, trace, analysis, findings) of each program."""
+    rng = random.Random(21)
+    out = []
+    for k in range(PROGRAMS):
+        program = gen_null_program(rng)
+        trace, analyzed = run_source(program.source, f"null{k}.sl", RunOptions(stdin_script=program.stdin_script))
+        assert not analyzed.res.diagnostics, (k, analyzed.res.diagnostics)
+        out.append((k, program, trace, analyzed, analyzed.findings()))
+    return out
+
+
+def test_every_null_dereference_lies_on_an_np_line(runs):
+    # Every null in these programs comes from readLine(), so NP must name
+    # the line of each null_dereference fault.
+    faults, missed = 0, []
+    for k, program, trace, _analyzed, findings in runs:
+        np_lines = {f.span.line for f in findings if f.rule_id == "NP_DEREFERENCE_OF_READLINE_VALUE"}
+        for fault in trace.faults:
+            if fault.kind == FAULT_NULL_DEREFERENCE:
+                faults += 1
+                if fault.span.line not in np_lines:
+                    missed.append((k, fault.span.line, program.shapes))
+    assert faults >= PROGRAMS // 10, f"only {faults} null_dereference faults in {PROGRAMS} programs"
+    assert missed == [], f"{len(missed)} of {faults} null_dereference faults lie on no NP line: {missed[:5]}"
+
+
+def test_no_redundant_null_check_takes_its_null_side(runs):
+    # A comparison that RedundantNullCheck calls redundant is one whose
+    # symbol is non-null on every path, so its if never takes the null side.
+    reported, taken = 0, []
+    for k, program, trace, analyzed, findings in runs:
+        spans = {f.span for f in findings if f.rule_id == "RedundantNullCheck"}
+        for stmt in analyzed.res.nodes_of(ast.If):
+            if stmt.cond.span in spans:
+                spans.discard(stmt.cond.span)
+                reported += 1
+                null_side = TRUE_BRANCH if stmt.cond.op == "==" else FALSE_BRANCH
+                count = trace.branch_outcomes.get((analyzed.cfgs.stmt_iids[stmt.uid], null_side), 0)
+                if count:
+                    taken.append((k, stmt.cond.span.line, count, program.shapes))
+        assert spans == set(), f"null{k}.sl: RedundantNullCheck outside an if condition: {spans}"
+    assert reported >= PROGRAMS // 10, f"only {reported} RedundantNullCheck findings in {PROGRAMS} programs"
+    assert taken == [], f"{len(taken)} of {reported} redundant null checks took their null side: {taken[:5]}"

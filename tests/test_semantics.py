@@ -74,11 +74,12 @@ def test_array_element_typing():
     assert type_of(idx, res) == ty.DOUBLE
 
 
-def test_readline_is_nullable_string():
+def test_readline_is_a_string():
+    # That its value may be null is a fact of the null rules' dataflow, not of its type.
     source = "class A { void m() { String s = readLine(); println(s); } }"
     unit, res = resolve(source)
     call = next(n for n in walk(unit) if isinstance(n, ast.Call) and n.name == "readLine")
-    assert type_of(call, res) == ty.NULLABLE_STRING
+    assert type_of(call, res) == ty.STRING
     name = next(n for n in walk(unit) if isinstance(n, ast.Name) and n.identifier == "s")
     assert type_of(name, res) == ty.STRING
 

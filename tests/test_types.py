@@ -21,8 +21,7 @@ def test_from_type_ref_returns_the_interned_type():
 
 
 def test_the_module_constants_are_the_interned_types():
-    assert ty.StringType(True) is ty.NULLABLE_STRING
-    assert ty.StringType(False) is ty.STRING
+    assert ty.StringType() is ty.STRING
     assert ty.PrimType("int") is ty.INT
     assert ty.NullType() is ty.NULL and ty.UnknownType() is ty.UNKNOWN
 
