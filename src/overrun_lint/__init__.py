@@ -9,27 +9,27 @@ CSV, or HTML reports.
 
 __version__ = "0.1.0"
 
-from .frontend import parse, parse_source, pretty_print, tokenize
-from .semantics import build_call_graph, build_symbol_table, type_of
-from .cfg import (
-    build_cfg,
-    build_unit_cfgs,
-    complexity_bd,
-    complexity_en,
-    reachability,
-    unreachable_nodes,
-)
-from .boundcheck import check_loops, find_arrays, run_bound_check, track_index_vars
-from .detectors import classify, find_duplicates, load_ruleset, run_rules
-from .runtime import (
-    RunOptions,
-    add_wrapped,
-    coverage_summary,
-    execute,
-    stack_overwrite_demo,
-)
-from .reporting import annotate_source, coverage_percent, efficiency_rate, emit_report
-from .pipeline import analyze_path, analyze_source, run_source
+from .lazy import lazy_exports
+
+# Each layer is imported when one of its names is first read, so a command
+# loads only the layers it runs.
+__getattr__ = lazy_exports(__name__, {
+    ".frontend": ("parse", "parse_source", "pretty_print", "tokenize"),
+    ".semantics": ("build_call_graph", "build_symbol_table", "type_of"),
+    ".cfg": (
+        "build_cfg",
+        "build_unit_cfgs",
+        "complexity_bd",
+        "complexity_en",
+        "reachability",
+        "unreachable_nodes",
+    ),
+    ".boundcheck": ("check_loops", "find_arrays", "run_bound_check", "track_index_vars"),
+    ".detectors": ("classify", "find_duplicates", "load_ruleset", "run_rules"),
+    ".runtime": ("RunOptions", "add_wrapped", "coverage_summary", "execute", "stack_overwrite_demo"),
+    ".reporting": ("annotate_source", "coverage_percent", "efficiency_rate", "emit_report"),
+    ".pipeline": ("analyze_path", "analyze_source", "run_source"),
+})
 
 __all__ = [
     "__version__",

@@ -25,8 +25,7 @@ when the limit cannot be related to the length.  Every judgement uses it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .records import field, record
 from .frontend import ast
 from .frontend.lexer import SourceSpan
 from .semantics.resolver import BUILTINS, Resolution, Symbol, build_symbol_table
@@ -56,7 +55,7 @@ _KIND_ORDER = {
 }
 
 
-@dataclass
+@record
 class ArrayDecl:
     symbol: Symbol
     size_kind: str
@@ -72,14 +71,14 @@ class ArrayDecl:
         return self.size_value - 1 if self.size_kind == SIZE_CONSTANT else None
 
 
-@dataclass
+@record
 class ModifyingSite:
     span: SourceSpan
     kind: str  # constant | input | arithmetic
     value: int | None = None  # for constant assignments
 
 
-@dataclass
+@record
 class IndexVarInfo:
     symbol: Symbol
     array: ArrayDecl
@@ -89,7 +88,7 @@ class IndexVarInfo:
     accesses: list[ast.Index] = field(default_factory=list)
 
 
-@dataclass
+@record
 class LoopLimitCheck:
     loop_span: SourceSpan
     index_symbol: Symbol
@@ -102,7 +101,7 @@ class LoopLimitCheck:
     loop: ast.Stmt = None  # type: ignore[assignment]
 
 
-@dataclass
+@record
 class BoundFinding:
     kind: str
     span: SourceSpan

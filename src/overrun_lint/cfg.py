@@ -23,10 +23,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TypeVar
 
+from .records import field, record
 from .frontend import ast
 from .frontend.lexer import SourceSpan
 
@@ -93,7 +93,7 @@ def case_label(index: int, case: ast.SwitchCase) -> str:
     return "default" if case.label is None else f"case{index}"
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BasicBlock:
     bid: int
     instructions: list[int] = field(default_factory=list)
@@ -101,7 +101,7 @@ class BasicBlock:
     is_exit: bool = False
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Edge:
     src: int
     dst: int
@@ -113,7 +113,7 @@ class Edge:
         return branch_key(self.kind, self.label)
 
 
-@dataclass
+@record
 class ControlFlowGraph:
     method: str
     blocks: list[BasicBlock] = field(default_factory=list)
@@ -522,7 +522,7 @@ class _Builder:
             self.cfg.edges = [e for e in self.cfg.edges if e.src not in doomed_ids]
 
 
-@dataclass
+@record
 class UnitCfgs:
     """All CFGs of a unit plus unit-wide instruction metadata."""
 

@@ -2,6 +2,8 @@
 
 Exit codes: 0 = no findings at/above the threshold, 1 = findings present,
 2 = parse/config error.
+
+Each command imports the layers it runs, and no others.
 """
 
 from __future__ import annotations
@@ -9,30 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, OverrunLintError
-from .detectors.model import Finding, RuleSet, load_ruleset
-from .detectors.rules import rule_by_id
-from .detectors.clones import find_duplicates
-from .pipeline import analyze_path, run_source
-from .reporting import (
-    FORMATS,
-    Report,
-    annotate_source,
-    bound_finding_to_finding,
-    build_metrics_rows,
-    emit_report,
-    render_metrics_table,
-    suppress_reviewed,
-)
-from .runtime import RunOptions, coverage_summary
-from .frontend.lexer import SourceSpan
+from .reporting import FORMATS
+
+if TYPE_CHECKING:
+    from .detectors.model import Finding
 
 
 def _default_timestamp() -> str:
+    from datetime import datetime
+
     return datetime.now().strftime("%Y-%m-%d %H:%M:%S")
 
 
@@ -122,6 +114,8 @@ def _require_resolved(path, res) -> None:
 
 
 def _analyze_units(paths):
+    from .pipeline import analyze_path
+
     units = []
     for path in paths:
         analyzed = analyze_path(path)
@@ -131,6 +125,8 @@ def _analyze_units(paths):
 
 
 def _cmd_analyze(args) -> int:
+    from .detectors.model import RuleSet, load_ruleset
+
     ruleset = RuleSet()
     if args.ruleset:
         ruleset = load_ruleset(Path(args.ruleset).read_text(encoding="utf-8"), args.ruleset)
@@ -140,6 +136,8 @@ def _cmd_analyze(args) -> int:
     for analyzed in units:
         unit_findings = analyzed.findings(ruleset)
         if args.honor_reviews:
+            from .reporting.annotate import suppress_reviewed
+
             unit_findings = suppress_reviewed(unit_findings, analyzed.source)
         findings.extend(unit_findings)
         sources[analyzed.file] = analyzed.source
@@ -148,6 +146,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_boundcheck(args) -> int:
+    from .detectors.rules import bound_finding_to_finding
+
     units = _analyze_units(args.paths)
     findings: list[Finding] = []
     for analyzed in units:
@@ -157,6 +157,10 @@ def _cmd_boundcheck(args) -> int:
 
 def _emit(args, findings: list[Finding], sources: dict[str, str]) -> int:
     """Sort and report the findings; exit 1 when there are any."""
+    from .detectors.model import Finding
+    from .reporting.emit import emit_report
+    from .reporting.report import Report
+
     findings.sort(key=Finding.sort_key)
     report = Report(
         tool_version=__version__,
@@ -171,6 +175,9 @@ def _emit(args, findings: list[Finding], sources: dict[str, str]) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .pipeline import run_source
+    from .runtime.interpreter import RunOptions
+
     source = Path(args.file).read_text(encoding="utf-8")
     stdin_script = None
     if args.stdin:
@@ -195,6 +202,10 @@ def _cmd_run(args) -> int:
         where = f"{fault.span.file}:{fault.span.line}" if fault.span else args.file
         print(f"fault: {fault.kind} at {where}: {fault.detail}", file=sys.stderr)
     if args.coverage:
+        from .reporting.emit import render_metrics_table
+        from .reporting.report import build_metrics_rows
+        from .runtime.coverage import coverage_summary
+
         report = coverage_summary(trace, analyzed.unit, analyzed.cfgs)
         rows = build_metrics_rows(
             [(analyzed.unit, analyzed.cfgs)], report.per_method_covered, analyzed.file
@@ -217,6 +228,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .reporting.emit import render_metrics_table
+    from .reporting.report import build_metrics_rows
+
     covered = _load_covered(args.coverage_data) if args.coverage_data else {}
     units = _analyze_units(args.paths)
     rows = build_metrics_rows([(a.unit, a.cfgs) for a in units], covered)
@@ -240,6 +254,8 @@ def _load_covered(path: str) -> dict[str, int]:
 def _cmd_cpd(args) -> int:
     # Clone detection reads the tokens the parser left on each unit;
     # resolution just gates validity.
+    from .detectors.clones import find_duplicates
+
     units = _analyze_units(args.paths)
     pairs = find_duplicates([a.unit for a in units], args.min_tokens)
     for pair in pairs:
@@ -252,6 +268,10 @@ def _cmd_cpd(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    from .detectors.rules import rule_by_id
+    from .frontend.lexer import SourceSpan
+    from .reporting.annotate import annotate_source
+
     rule = rule_by_id(args.rule)
     if rule is None:
         raise OverrunLintError(f"unknown rule id '{args.rule}'")

@@ -29,9 +29,9 @@ per reported token.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 
+from ..records import record
 from ..errors import DomainError
 from ..frontend import ast
 from ..frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, SourceSpan, TokenStream
@@ -42,7 +42,7 @@ MIN_TOKENS_FLOOR = 10
 _NORMAL = {IDENTIFIER: "ID", INT_LITERAL: "NUM", DOUBLE_LITERAL: "NUM", STRING_LITERAL: "STR"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClonePair:
     span_a: SourceSpan
     span_b: SourceSpan

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
+from ..records import field, record
 from ..errors import ConfigError, UnknownRuleError
 from ..frontend.lexer import SourceSpan
 
@@ -29,7 +30,7 @@ def rank_band(rank: int) -> str:
     raise ValueError(f"rank {rank} outside 1-20")
 
 
-@dataclass
+@record
 class Finding:
     rule_id: str
     category: str
@@ -52,6 +53,8 @@ class Finding:
         return (self.span.file, self.span.line, self.rule_id, self.span.column)
 
 
+# A stdlib dataclass, not a record: RuleSet.effective and perfbench/jobs.py
+# derive rules from it with dataclasses.replace.
 @dataclass(frozen=True)
 class Rule:
     id: str
@@ -76,13 +79,13 @@ class Rule:
         )
 
 
-@dataclass
+@record
 class RuleSetEntry:
     enabled: bool = True
     priority_override: int | None = None
 
 
-@dataclass
+@record
 class RuleSet:
     entries: dict[str, RuleSetEntry] = field(default_factory=dict)
 
@@ -98,7 +101,7 @@ class RuleSet:
         return rule if override is None else replace(rule, priority=override)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Classification:
     category: str
     priority: int

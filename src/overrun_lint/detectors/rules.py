@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, partial
 
+from ..records import record
 from ..boundcheck import BoundFinding
 from ..frontend import ast
 from ..semantics import types as ty
@@ -16,7 +16,7 @@ from ..cfg import path_avoids, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
 
-@dataclass
+@record
 class RuleContext:
     unit: ast.CompilationUnit
     res: Resolution
@@ -58,6 +58,7 @@ def _assigned_calls(ctx: RuleContext, builtin: Builtin):
 # or no entry is unknown.  READLINE is a readLine() value, which may be null.
 NULL, NON_NULL, READLINE = "null", "non-null", "readLine"
 Facts = dict[int, str | None]
+_TRACKED = ("local", "param")  # the symbol kinds that have null facts
 
 # What the instruction of each statement evaluates; a local declaration
 # also stores, and a for loop's update is an instruction of its own.
@@ -81,7 +82,8 @@ class Nullness:
     """Null facts by one forward dataflow over the CFG of each method with a
     null literal or a readLine() call.  derefs: each call receiver and
     argument (a String has no fields), with its fact when it runs; checks:
-    each comparison of a name with null, with its symbol and fact."""
+    each comparison of a name with null, with its symbol and fact.  Only
+    locals and parameters have facts: a field may change in any call."""
 
     def __init__(self, ctx: RuleContext):
         self.res = res = ctx.res
@@ -108,7 +110,7 @@ class Nullness:
 
     @staticmethod
     def _store(sym: Symbol | None, value: str | None, facts: Facts) -> None:
-        if sym is not None:
+        if sym is not None and sym.kind in _TRACKED:
             facts[id(sym)] = value
 
     def _refine(self, conds: dict[int, ast.Expr | None], edge: Edge, facts: Facts) -> Facts:
@@ -168,9 +170,9 @@ class Nullness:
         facts = dict(facts)
         if (sym := self._tested(cond)) is not None:
             if (cond.op == "==") != truth:
-                facts[id(sym)] = NON_NULL
+                self._store(sym, NON_NULL, facts)
             elif facts.get(id(sym)) != READLINE:
-                facts[id(sym)] = NULL
+                self._store(sym, NULL, facts)
         return facts
 
 

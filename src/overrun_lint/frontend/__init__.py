@@ -1,6 +1,10 @@
-from .lexer import SourceSpan, Token, TokenStream, tokenize
-from .parser import parse, parse_source
-from .printer import pretty_print
+from ..lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".lexer": ("SourceSpan", "Token", "TokenStream", "tokenize"),
+    ".parser": ("parse", "parse_source"),
+    ".printer": ("pretty_print",),
+})
 
 
 def instrument_asserts(unit):

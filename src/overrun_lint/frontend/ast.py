@@ -10,33 +10,33 @@ keyword-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Optional, get_args, get_origin, get_type_hints
 
+from ..records import field, fields, record
 from .lexer import SourceSpan, TokenStream, tokenize
 
 if TYPE_CHECKING:
     from .index import NodeIndex
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Node:
     span: SourceSpan
     uid: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Stmt(Node):
     leading_comments: list[str] = field(default_factory=list, kw_only=True)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeRef:
     """A declared type: base name plus array dimensions."""
 
@@ -53,14 +53,14 @@ VOID = TypeRef("void")
 # --- declarations -----------------------------------------------------------
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Param(Node):
     name: str
     type: TypeRef
     final: bool = False
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class FieldDecl(Node):
     name: str
     type: TypeRef
@@ -70,7 +70,7 @@ class FieldDecl(Node):
     leading_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class MethodDecl(Node):
     name: str
     params: list[Param]
@@ -85,7 +85,7 @@ class MethodDecl(Node):
         return len(self.params)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ClassDecl(Node):
     name: str
     extends: Optional[str] = None
@@ -94,7 +94,7 @@ class ClassDecl(Node):
     leading_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(kw_only=True)
+@record(kw_only=True)
 class CompilationUnit(Node):
     uid: int = -1
     package_name: Optional[str] = None
@@ -121,26 +121,26 @@ class CompilationUnit(Node):
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
     trailing_comments: list[str] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class If(Stmt):
     cond: Expr
     then: Block
     els: Optional[Stmt] = None  # Block, or If for else-if chains
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class While(Stmt):
     cond: Expr
     body: Block
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class For(Stmt):
     init: Optional[Stmt]  # LocalDecl or ExprStmt
     cond: Optional[Expr]
@@ -148,43 +148,43 @@ class For(Stmt):
     body: Block
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SwitchCase(Node):
     label: Optional[Expr]  # None for default
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Switch(Stmt):
     subject: Expr
     cases: list[SwitchCase] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class CatchClause(Node):
     exc_type: TypeRef
     name: str
     body: Block
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Try(Stmt):
     body: Block
     catches: list[CatchClause] = field(default_factory=list)
     finally_block: Optional[Block] = None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class LocalDecl(Stmt):
     name: str
     type: TypeRef
@@ -192,19 +192,19 @@ class LocalDecl(Stmt):
     initializer: Optional[Expr] = None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Assert(Stmt):
     condition: Expr
     message: Optional[Expr] = None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Synchronized(Stmt):
     monitor: Expr
     body: Block
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Empty(Stmt):
     pass
 
@@ -212,62 +212,62 @@ class Empty(Stmt):
 # --- expressions --------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Binary(Expr):
     op: str  # includes "=" for assignment
     left: Expr
     right: Expr
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Call(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
     receiver: Optional[Expr] = None
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class New(Expr):
     class_name: str
     args: list[Expr] = field(default_factory=list)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class NewArray(Expr):
     elem_type: TypeRef
     size_expr: Expr
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Index(Expr):
     array: Expr
     index: Expr
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class FieldAccess(Expr):
     receiver: Expr
     name: str
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Name(Expr):
     identifier: str
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Literal(Expr):
     value: object
     kind: str  # int | double | string | boolean
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Null(Expr):
     pass
 
@@ -277,7 +277,7 @@ class Null(Expr):
 class _ChildTable(dict):
     """Node class -> (field name, holds a list) for each field whose
     annotation is a node or a list of nodes, in field order.  A class's entry
-    is read from its dataclass annotations the first time it is looked up."""
+    is read from its record annotations the first time it is looked up."""
 
     def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
         hints = get_type_hints(cls)
@@ -343,7 +343,7 @@ def structural_eq(a: object, b: object) -> bool:
     """Span-insensitive AST equality (comments included)."""
     if type(a) is not type(b):
         return False
-    if is_dataclass(a):
+    if isinstance(a, (Node, TypeRef)):
         for f in fields(a):
             if f.name in _EQ_SKIP:
                 continue

@@ -8,25 +8,32 @@ by the reader that needs it, so each command pays only for what it reads:
   then kept, because trace instruction ids refer to that one UnitCfgs.
 
 boundcheck and cpd read neither; metrics and run read no call graph.
+The rules, the bound checker and the interpreter are imported by the
+method that runs them, so a command also loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .frontend import parse_source
-from .frontend import ast
-from .semantics import Resolution, build_call_graph, build_symbol_table
-from .cfg import UnitCfgs, build_unit_cfgs
-from .detectors.model import Finding, RuleSet
-from .detectors.rules import run_rules
-from .boundcheck import BoundFinding, run_bound_check
-from .runtime import RunOptions, RunTrace, execute
+from .records import record
+from .frontend.parser import parse_source
+from .semantics.resolver import build_symbol_table
+from .semantics.callgraph import build_call_graph
+from .cfg import build_unit_cfgs
+
+if TYPE_CHECKING:
+    from .boundcheck import BoundFinding
+    from .cfg import UnitCfgs
+    from .detectors.model import Finding, RuleSet
+    from .frontend import ast
+    from .runtime.interpreter import RunOptions, RunTrace
+    from .semantics.resolver import Resolution
 
 
-@dataclass
+@record
 class AnalyzedUnit:
     unit: ast.CompilationUnit
     res: Resolution
@@ -44,10 +51,14 @@ class AnalyzedUnit:
         return build_unit_cfgs(self.unit)
 
     def findings(self, ruleset: RuleSet | None = None) -> list[Finding]:
+        from .detectors.rules import run_rules
+
         call_graph = build_call_graph(self.unit, self.res)
         return run_rules(self.unit, self.res, call_graph, self.cfgs, ruleset)
 
     def bound_findings(self) -> list[BoundFinding]:
+        from .boundcheck import run_bound_check
+
         return run_bound_check(self.unit, self.res)
 
 
@@ -66,6 +77,8 @@ def run_source(
 ) -> tuple[RunTrace, AnalyzedUnit]:
     """Resolve and execute; returns the trace and the analysis (whose CFGs
     the trace ids refer to)."""
+    from .runtime.interpreter import RunOptions, execute
+
     analyzed = analyze_source(source, file)
     trace = execute(analyzed.unit, options or RunOptions(), analyzed.res, analyzed.cfgs)
     return trace, analyzed

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import re
-from datetime import datetime
+from typing import TYPE_CHECKING
 
 from ..errors import SpanOutOfRangeError
-from ..detectors.model import Finding
+
+if TYPE_CHECKING:
+    from datetime import datetime
+
+    from ..detectors.model import Finding
 
 REVIEW_RE = re.compile(r"^\s*//@PMD:REVIEWED:\s*(\w+):\s*by\s+(.+?)\s+on\s+(.+?)\s*$")
 

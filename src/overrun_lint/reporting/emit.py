@@ -6,18 +6,12 @@ byte-deterministic once the report timestamp is injected.
 
 from __future__ import annotations
 
-import csv
-import html
 import io
 
 from ..errors import OverrunLintError
-from ..runtime.coverage import STATUS_COLORS
-from ..detectors.rules import rule_by_id
 from .report import Report, coverage_percent
 
 CSV_HEADER = ["file", "line", "rule_id", "category", "priority", "rank", "confidence", "message"]
-
-FORMATS = ("xml", "txt", "csv", "html")
 
 
 class IoError(OverrunLintError):
@@ -54,6 +48,8 @@ _ATTRIBUTE = str.maketrans(
 def _emit_xml(report: Report) -> str:
     """The report as UTF-8 XML, the bytes ElementTree would write for the
     same tree, but without building it."""
+    from ..detectors.rules import rule_by_id
+
     escaped: dict[str, str] = {}  # values repeat across findings: escape each once
 
     def element(tag: str, attributes: dict[str, str], children: list[str] | None = None) -> str:
@@ -131,6 +127,8 @@ def _emit_xml(report: Report) -> str:
 
 
 def _emit_csv(report: Report) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -225,6 +223,8 @@ pre.source span.green { background: #b7e1cd; display: inline-block; width: 100%;
 
 
 def _emit_html(report: Report) -> str:
+    import html
+
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset=\"utf-8\"/>",
@@ -250,6 +250,8 @@ def _emit_html(report: Report) -> str:
         )
     parts.append("</table>")
     if report.coverage is not None:
+        from ..runtime.coverage import STATUS_COLORS
+
         parts.append("<h2>Coverage</h2><table><tr><th>counter</th><th>covered</th><th>missed</th></tr>")
         for counter in report.coverage.counters:
             parts.append(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from typing import TYPE_CHECKING
 
+from ..records import field, record
 from ..errors import DomainError
 from ..cfg import UnitCfgs, complexity_bd, display_method, method_owner
-from ..detectors.model import Finding
 from ..frontend import ast
-from ..runtime.coverage import CoverageReport
+
+if TYPE_CHECKING:
+    from ..detectors.model import Finding
+    from ..runtime.coverage import CoverageReport
 
 PER_100 = "per_100"
 PER_1000 = "per_1000"
@@ -38,7 +41,7 @@ def efficiency_rate(positive_warnings: int, loc: int, scale: str = PER_100) -> f
     return float(rate.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-@dataclass
+@record
 class MetricsRow:
     element: str
     kind: str
@@ -56,7 +59,7 @@ class MetricsRow:
         return coverage_percent(self.covered, self.missed)
 
 
-@dataclass
+@record
 class Report:
     tool_version: str
     generated_at: str

@@ -9,12 +9,15 @@ all -> full (green); branch statuses color decisions the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from ..records import record
 from ..errors import CoverageUnavailableError
 from ..frontend import ast
 from ..cfg import UnitCfgs, complexity_bd, method_owner
-from .interpreter import RunTrace
+
+if TYPE_CHECKING:
+    from .interpreter import RunTrace
 
 NO_COVERAGE = "no_coverage"
 PARTIAL = "partial"
@@ -22,7 +25,7 @@ FULL = "full"
 
 STATUS_COLORS = {NO_COVERAGE: "red", PARTIAL: "yellow", FULL: "green"}
 
-@dataclass
+@record
 class CoverageCounter:
     kind: str
     covered: int
@@ -33,7 +36,7 @@ class CoverageCounter:
         return self.covered + self.missed
 
 
-@dataclass
+@record
 class CoverageReport:
     counters: list[CoverageCounter]
     line_status: dict[int, str]

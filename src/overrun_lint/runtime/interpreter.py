@@ -63,10 +63,10 @@ import operator
 import random as _random
 import re
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal
 from operator import itemgetter
 
+from ..records import field, record
 from ..errors import EntryNotFoundError
 from ..frontend import ast
 from ..frontend.lexer import SourceSpan
@@ -97,7 +97,7 @@ FAULT_NUMBER_FORMAT = "number_format"
 FAULT_CLOSED_STREAM = "closed_stream"
 
 
-@dataclass
+@record
 class RunOptions:
     entry: str | None = None  # "Class.method"; default: the unique static main
     assertions_enabled: bool = False
@@ -109,14 +109,14 @@ class RunOptions:
     seed: int = 0
 
 
-@dataclass
+@record
 class Fault:
     kind: str
     span: SourceSpan | None
     detail: str
 
 
-@dataclass
+@record
 class AssertionRecord:
     unit_name: str
     statement_text: str
@@ -125,7 +125,7 @@ class AssertionRecord:
     outcome: str  # passed | failed
 
 
-@dataclass
+@record
 class RunTrace:
     executed_instruction_ids: set[int] = field(default_factory=set)
     branch_outcomes: dict[tuple[int, str], int] = field(default_factory=dict)
@@ -148,14 +148,14 @@ class _Halt(Exception):
     """Internal: a halting fault was recorded."""
 
 
-@dataclass
+@record
 class SLObject:
     cls_name: str
     fields: dict[int, object]  # field declaration uid -> value
     ordinal: int
 
 
-@dataclass
+@record
 class SLArray:
     elem: str  # element base type name
     values: list
@@ -165,7 +165,7 @@ class SLArray:
         return len(self.values)
 
 
-@dataclass
+@record
 class SLStream:
     name: str
     data: bytes

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..records import record
 from ..errors import DomainError
 
 RETURN_ADDRESS = "0049"
@@ -21,7 +20,7 @@ def add_wrapped(a: int, b: int, width: int) -> tuple[int, bool]:
     return total % limit, total >= limit
 
 
-@dataclass
+@record
 class StackFrameDemo:
     slots: dict[str, str]  # offset "0000"/"0004" -> 4-hex-digit value
     outcome: str  # normal_return | hijacked_control | crash

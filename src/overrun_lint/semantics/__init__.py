@@ -1,14 +1,18 @@
-from .resolver import (
-    CallTarget,
-    ClassInfo,
-    MethodInfo,
-    Resolution,
-    Scope,
-    Symbol,
-    build_symbol_table,
-    type_of,
-)
-from .callgraph import CallEdge, CallGraph, build_call_graph
+from ..lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".resolver": (
+        "CallTarget",
+        "ClassInfo",
+        "MethodInfo",
+        "Resolution",
+        "Scope",
+        "Symbol",
+        "build_symbol_table",
+        "type_of",
+    ),
+    ".callgraph": ("CallEdge", "CallGraph", "build_call_graph"),
+})
 
 __all__ = [
     "CallTarget",

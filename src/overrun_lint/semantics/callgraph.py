@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 
+from ..records import field, record
 from ..cfg import is_constructor_id
 from ..frontend import ast
 from .resolver import Resolution
 
 
-@dataclass
+@record
 class CallEdge:
     caller: str
     callee: str
@@ -18,7 +18,7 @@ class CallEdge:
     callee_builtin: bool = False
 
 
-@dataclass
+@record
 class CallGraph:
     edges: list[CallEdge] = field(default_factory=list)
 

@@ -23,10 +23,10 @@ walking the tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator
 
+from ..records import field, record
 from ..cfg import default_ctor_id, method_identity
 from ..errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from ..frontend import ast
@@ -35,7 +35,7 @@ from ..frontend.lexer import SourceSpan
 from . import types as ty
 from .types import Type
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Builtin:
     """A global function of SL (owner None) or a method of Thread or Stream:
     one record each, which the phases compare by identity."""
@@ -81,7 +81,7 @@ _uid = attrgetter("uid")
 _LITERAL_TYPES = {"int": ty.INT, "double": ty.DOUBLE, "string": ty.STRING, "boolean": ty.BOOLEAN}
 
 
-@dataclass
+@record
 class Symbol:
     name: str
     kind: str  # class | field | method | param | local
@@ -102,7 +102,7 @@ class Symbol:
     read_only: bool = False
 
 
-@dataclass
+@record
 class Scope:
     parent: "Scope | None" = None
     symbols: dict[str, Symbol] = field(default_factory=dict)
@@ -121,7 +121,7 @@ class Scope:
         return None
 
 
-@dataclass
+@record
 class MethodInfo:
     decl: ast.MethodDecl
     symbol: Symbol
@@ -132,7 +132,7 @@ class MethodInfo:
         return method_identity(self.owner, self.decl)
 
 
-@dataclass
+@record
 class ClassInfo:
     decl: ast.ClassDecl
     name: str
@@ -142,7 +142,7 @@ class ClassInfo:
     ctors: dict[int, MethodInfo] = field(default_factory=dict)
 
 
-@dataclass
+@record
 class CallTarget:
     id: str  # "Class.m/arity" (a method or constructor), Builtin.id, or "unknown"
     method: MethodInfo | None = None
@@ -153,7 +153,7 @@ class CallTarget:
         return self.builtin is not None and self.builtin.must_check
 
 
-@dataclass
+@record
 class Resolution:
     classes: dict[str, ClassInfo]
     symbols: list[Symbol]

@@ -7,22 +7,22 @@ intern table holds its types weakly and never outlives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
+from ..records import fields, record
 from ..frontend.ast import TypeRef
 
 # (class, *field values) -> the live type with those fields.
 _INTERNED: WeakValueDictionary[tuple, Type] = WeakValueDictionary()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class Type:
     def __new__(cls, *values: object) -> Type:
         key = (cls, *values)
         t = _INTERNED.get(key)
         if t is None:
-            names = cls.__dataclass_fields__
+            names = [f.name for f in fields(cls)]
             if len(values) != len(names):
                 raise TypeError(f"{cls.__name__} takes {len(names)} values, not {len(values)}")
             t = _INTERNED[key] = object.__new__(cls)
@@ -31,7 +31,7 @@ class Type:
         return t
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class PrimType(Type):
     name: str  # int | byte | double | boolean | void
 
@@ -39,13 +39,13 @@ class PrimType(Type):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class StringType(Type):
     def __str__(self) -> str:
         return "String"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class ClassType(Type):
     name: str
 
@@ -53,7 +53,7 @@ class ClassType(Type):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class ArrayType(Type):
     elem: Type
 
@@ -61,13 +61,13 @@ class ArrayType(Type):
         return f"{self.elem}[]"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class NullType(Type):
     def __str__(self) -> str:
         return "null"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class UnknownType(Type):
     """Type of expressions past a resolution error; permissive on purpose."""
 

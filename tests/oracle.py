@@ -4,10 +4,9 @@ normalization."""
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from overrun_lint.frontend import ast
 from overrun_lint.frontend.lexer import DOUBLE_LITERAL, IDENTIFIER, INT_LITERAL, STRING_LITERAL, Token
+from overrun_lint.records import fields
 
 
 def field_scan_children(node: ast.Node) -> list[ast.Node]:

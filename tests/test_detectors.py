@@ -222,6 +222,17 @@ class R {
     }
 }
 """, "NP_DEREFERENCE_OF_READLINE_VALUE", []),
+    "p5_field_reset_by_call": ("""\
+class F {
+    static F cur;
+    static void reset() { cur = null; }
+    static void main(String[] args) {
+        cur = new F();
+        reset();
+        if (cur == null) { println("reset"); }
+    }
+}
+""", "RedundantNullCheck", []),
 }
 
 

@@ -11,7 +11,6 @@ span.
 """
 
 import ast as pyast
-import dataclasses
 import random
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import pytest
 from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
+from overrun_lint.records import fields
 from overrun_lint.semantics import build_call_graph, build_symbol_table
 
 from oracle import field_scan_children, parent_map, source_preorder
@@ -84,7 +84,8 @@ def walked_units(corpus_sources):
     empty = ast.CompilationUnit(span=SourceSpan("empty.sl", 1, 1, 1, 1), classes=[])
     units = [_hand_built_unit(uid=60), _hand_built_unit(), empty]
     for name, source in corpus_sources.items():
-        units.append(dataclasses.replace(parse_source(source, name)))
+        parsed = parse_source(source, name)
+        units.append(ast.CompilationUnit(**{f.name: getattr(parsed, f.name) for f in fields(parsed)}))
     return units
 
 

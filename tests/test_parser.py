@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -9,6 +8,7 @@ from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
 from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.frontend.printer import expr_text
+from overrun_lint.records import fields
 
 from oracle import field_scan_children, parent_map
 from progen import seeded_unit
