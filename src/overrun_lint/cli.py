@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, OverrunLintError
+from .errors import ConfigError, OverrunLintError, read_text
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
@@ -129,7 +129,7 @@ def _cmd_analyze(args) -> int:
 
     ruleset = RuleSet()
     if args.ruleset:
-        ruleset = load_ruleset(Path(args.ruleset).read_text(encoding="utf-8"), args.ruleset)
+        ruleset = load_ruleset(read_text(args.ruleset), args.ruleset)
     units = _analyze_units(args.paths)
     findings: list[Finding] = []
     sources: dict[str, str] = {}
@@ -178,10 +178,10 @@ def _cmd_run(args) -> int:
     from .pipeline import run_source
     from .runtime.interpreter import RunOptions
 
-    source = Path(args.file).read_text(encoding="utf-8")
+    source = read_text(args.file)
     stdin_script = None
     if args.stdin:
-        stdin_script = Path(args.stdin).read_text(encoding="utf-8").splitlines()
+        stdin_script = read_text(args.stdin).splitlines()
     options = RunOptions(
         entry=args.entry,
         assertions_enabled=args.ea,
@@ -241,9 +241,10 @@ def _cmd_metrics(args) -> int:
 
 def _load_covered(path: str) -> dict[str, int]:
     """The per-method covered counts of a `run --coverage-out` file."""
+    text = read_text(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deep
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as err:  # not JSON, nested too deep
         raise ConfigError(None, f"not a coverage JSON file: {err}", path) from None
     covered = payload.get("per_method_covered", {}) if isinstance(payload, dict) else None
     if not isinstance(covered, dict) or not all(type(v) is int and v >= 0 for v in covered.values()):
@@ -275,7 +276,7 @@ def _cmd_annotate(args) -> int:
     rule = rule_by_id(args.rule)
     if rule is None:
         raise OverrunLintError(f"unknown rule id '{args.rule}'")
-    source = Path(args.file).read_text(encoding="utf-8")
+    source = read_text(args.file)
     finding = rule.finding(SourceSpan(args.file, args.line, 1, args.line, 1), "")
     annotated = annotate_source(source, finding, args.reviewer, args.time)
     Path(args.out or args.file).write_text(annotated, encoding="utf-8")

@@ -1,6 +1,6 @@
 from ..lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".model": (
         "Classification",
         "Finding",
@@ -14,20 +14,3 @@ __getattr__ = lazy_exports(__name__, {
     ".rules": ("RULES", "RuleContext", "rule_by_id", "run_rules"),
     ".clones": ("ClonePair", "find_duplicates"),
 })
-
-__all__ = [
-    "Classification",
-    "Finding",
-    "Rule",
-    "RuleSet",
-    "classify",
-    "load_ruleset",
-    "priority_color",
-    "rank_band",
-    "RULES",
-    "RuleContext",
-    "rule_by_id",
-    "run_rules",
-    "ClonePair",
-    "find_duplicates",
-]

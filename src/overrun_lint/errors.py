@@ -1,6 +1,9 @@
-"""Exception types shared across the toolchain."""
+"""Exception types shared across the toolchain, and the one reader of
+input files, which turns text that is not UTF-8 into one of them."""
 
 from __future__ import annotations
+
+from os import PathLike
 
 
 class OverrunLintError(Exception):
@@ -50,7 +53,7 @@ class TypeCheckError(SpannedError):
 
 
 class ConfigError(OverrunLintError):
-    """A settings or data file that cannot be used, and where in it."""
+    """A source, settings or data file that cannot be used, and where in it."""
 
     def __init__(self, line: int | None, message: str, file: str | None = None):
         self.line = line
@@ -79,3 +82,20 @@ class CoverageUnavailableError(OverrunLintError):
 
 class SpanOutOfRangeError(OverrunLintError):
     """Annotation target lies outside the source text."""
+
+
+def read_text(path: str | PathLike[str]) -> str:
+    """The text of an input file (a source, ruleset, stdin script or
+    coverage data), its newlines translated as Path.read_text does.  Bytes
+    that are not UTF-8 are a ConfigError naming the file and the line of the
+    first bad byte."""
+    with open(path, "rb") as file:
+        # \r and \n never occur inside a UTF-8 sequence, so the translation
+        # can come before decoding, and the line count reads the bytes.
+        data = file.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        message = f"not UTF-8 text: cannot decode byte 0x{data[err.start]:02x}"
+        raise ConfigError(line, message, str(path)) from None

@@ -4,9 +4,10 @@ Parsing is strict: the first syntax error aborts the unit with a
 ParseError.  Control-structure bodies are normalized to Block nodes
 (an `else if` keeps the nested If directly).  `i++`/`i--` are accepted
 in statement and for-update position as sugar for `i = i + 1` / `i = i - 1`.
-Binary operators are parsed by precedence climbing over `_PREC`.  Keywords,
-operators and punctuation are told apart by their text alone: the lexer
-gives no identifier, literal or string one of those texts.
+Binary operators are parsed by precedence climbing over `PRECEDENCE`,
+which the printer also reads.  Keywords, operators and punctuation are told
+apart by their text alone: the lexer gives no identifier, literal or string
+one of those texts.
 
 A node's level is the number of statements, expressions and parentheses
 around it in its method or field (docs/GRAMMAR.md).  Levels are counted
@@ -43,8 +44,8 @@ MAX_NESTING = 200
 
 # Binary operators by precedence, all left-associative.  The
 # right-associative "=" binds looser, in `_expr`.
-_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4}
-_PREC.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6})
+PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4}
+PRECEDENCE.update({"+": 5, "-": 5, "*": 6, "/": 6, "%": 6})
 
 _LVALUES = (ast.Name, ast.Index, ast.FieldAccess)
 _new_tuple = tuple.__new__  # a SourceSpan without its slower Python-level __new__
@@ -499,7 +500,7 @@ class Parser:
         texts = self.texts
         start = self.pos
         left = self._operand()
-        if texts[self.pos] in _PREC:
+        if texts[self.pos] in PRECEDENCE:
             left = self._climb(start, left, 1)
         eq = self.pos
         if texts[eq] != "=":
@@ -524,7 +525,7 @@ class Parser:
         texts = self.texts
         depth, height = self.depth, self.height
         self.depth = depth + 1
-        prec = _PREC.get(texts[self.pos], 0)
+        prec = PRECEDENCE.get(texts[self.pos], 0)
         while prec >= min_prec:
             op = self.pos
             height += 1  # the chain so far goes one level down
@@ -532,10 +533,10 @@ class Parser:
                 raise NestingError(self.stream.span(op), MAX_NESTING)
             self.pos = right_start = op + 1
             right = self._operand()
-            after = _PREC.get(texts[self.pos], 0)
+            after = PRECEDENCE.get(texts[self.pos], 0)
             if after > prec:
                 right = self._climb(right_start, right, prec + 1)
-                after = _PREC.get(texts[self.pos], 0)
+                after = PRECEDENCE.get(texts[self.pos], 0)
             if self.height >= height:
                 height = self.height + 1
             left = self._node(ast.Binary, start, texts[op], left, right)

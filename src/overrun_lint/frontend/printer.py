@@ -7,25 +7,12 @@ line) so printing is idempotent and round-trips through the parser.
 from __future__ import annotations
 
 from . import ast
+from .parser import PRECEDENCE
 
 _INDENT = "    "
 
-_PRECEDENCE = {
-    "=": 1,
-    "||": 2,
-    "&&": 3,
-    "==": 4,
-    "!=": 4,
-    "<": 5,
-    "<=": 5,
-    ">": 5,
-    ">=": 5,
-    "+": 6,
-    "-": 6,
-    "*": 7,
-    "/": 7,
-    "%": 7,
-}
+# The parser's levels, one up to make room for `=` at the bottom.
+_PRECEDENCE = {"=": 1, **{op: level + 1 for op, level in PRECEDENCE.items()}}
 
 
 def pretty_print(unit: ast.CompilationUnit) -> str:

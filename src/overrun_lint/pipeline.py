@@ -8,8 +8,9 @@ by the reader that needs it, so each command pays only for what it reads:
   then kept, because trace instruction ids refer to that one UnitCfgs.
 
 boundcheck and cpd read neither; metrics and run read no call graph.
-The rules, the bound checker and the interpreter are imported by the
-method that runs them, so a command also loads only the modules it runs.
+The call graph, the rules, the bound checker and the interpreter are
+imported by the method that runs them, so a command also loads only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .errors import read_text
 from .records import record
 from .frontend.parser import parse_source
 from .semantics.resolver import build_symbol_table
-from .semantics.callgraph import build_call_graph
 from .cfg import build_unit_cfgs
 
 if TYPE_CHECKING:
@@ -52,6 +53,7 @@ class AnalyzedUnit:
 
     def findings(self, ruleset: RuleSet | None = None) -> list[Finding]:
         from .detectors.rules import run_rules
+        from .semantics.callgraph import build_call_graph
 
         call_graph = build_call_graph(self.unit, self.res)
         return run_rules(self.unit, self.res, call_graph, self.cfgs, ruleset)
@@ -68,8 +70,7 @@ def analyze_source(source: str, file: str = "<memory>") -> AnalyzedUnit:
 
 
 def analyze_path(path: str | Path) -> AnalyzedUnit:
-    p = Path(path)
-    return analyze_source(p.read_text(encoding="utf-8"), str(p))
+    return analyze_source(read_text(path), str(Path(path)))
 
 
 def run_source(

@@ -1,6 +1,6 @@
 from ..lazy import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".resolver": (
         "CallTarget",
         "ClassInfo",
@@ -13,17 +13,3 @@ __getattr__ = lazy_exports(__name__, {
     ),
     ".callgraph": ("CallEdge", "CallGraph", "build_call_graph"),
 })
-
-__all__ = [
-    "CallTarget",
-    "ClassInfo",
-    "MethodInfo",
-    "Resolution",
-    "Scope",
-    "Symbol",
-    "build_symbol_table",
-    "type_of",
-    "CallEdge",
-    "CallGraph",
-    "build_call_graph",
-]

@@ -240,9 +240,12 @@ def test_commands_build_only_what_they_read(capsys, corpus_dir, monkeypatch, com
         raise AssertionError(f"{command} reads none of {unread}")
 
     import overrun_lint.pipeline as pipeline
+    import overrun_lint.semantics.callgraph as callgraph
 
+    # findings() imports build_call_graph when it runs, so it is refused
+    # where it is defined.
     for name in unread:
-        monkeypatch.setattr(pipeline, name, refuse)
+        monkeypatch.setattr(callgraph if name == "build_call_graph" else pipeline, name, refuse)
     assert run_cli(capsys, command, *paths, *options) == expected
     assert expected[0] == code and text in expected[1] and not expected[2]
 
@@ -427,6 +430,44 @@ def test_run_ends_in_a_fault_or_an_error_not_a_traceback(name, capsys, tmp_path,
     assert exit_code == code, err
     assert message in err
     assert out == ""
+
+
+# Each command, and each file option that names text, on a file holding
+# the byte 0xff on its third line.
+NOT_UTF8 = {
+    "analyze": ["analyze", "{bad}"],
+    "boundcheck": ["boundcheck", "{bad}"],
+    "cpd": ["cpd", "{bad}"],
+    "metrics": ["metrics", "{bad}"],
+    "run": ["run", "{bad}"],
+    "annotate": ["annotate", "{bad}", "--line", "2", "--rule", "SystemPrintln",
+                 "--reviewer", "X", "--time", "1/1/11 1.01AM"],
+    "analyze --ruleset": ["analyze", "{good}", "--ruleset", "{bad}"],
+    "run --stdin": ["run", "{good}", "--stdin", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_input_that_is_not_utf8_is_an_error_naming_the_file(case, capsys, corpus_dir, tmp_path):
+    bad = tmp_path / "bad.sl"
+    data = b"class A {\r\n  void m() { }\r\n  // \xff\n}\n"
+    bad.write_bytes(data)
+    argv = [a.format(bad=bad, good=corpus_dir / "assert_demo.sl") for a in NOT_UTF8[case]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{bad}: line 3: " in err and "0xff" in err
+    assert bad.read_bytes() == data
+
+
+def test_crlf_sources_keep_their_spans(capsys, corpus_dir, tmp_path):
+    source = (corpus_dir / "yang.sl").read_text()
+    crlf = tmp_path / "yang.sl"
+    crlf.write_bytes(source.replace("\n", "\r\n").encode())
+    lf = tmp_path / "lf" / "yang.sl"
+    lf.parent.mkdir()
+    lf.write_text(source)
+    reports = [run_cli(capsys, "analyze", str(p), "--format", "csv", "--timestamp", "T0") for p in (crlf, lf)]
+    assert reports[0][1] == reports[1][1].replace(str(lf), str(crlf))
 
 
 def test_run_time_error_keeps_the_output_before_it(capsys, tmp_path, monkeypatch):

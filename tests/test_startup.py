@@ -55,3 +55,16 @@ def test_analyze_loads_no_interpreter():
     )
     assert "overrun_lint.detectors.rules" in loaded
     assert not {m for m in loaded if m.startswith("overrun_lint.runtime")}
+
+
+def test_cpd_loads_no_call_graph():
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from pathlib import Path\n"
+        "from overrun_lint.cli import main\n"
+        "paths = sorted(str(p) for p in Path('corpus').glob('*.sl'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['cpd', *paths]) in (0, 1)\n"
+    )
+    assert "overrun_lint.detectors.clones" in loaded
+    assert "overrun_lint.semantics.callgraph" not in loaded
