@@ -172,9 +172,6 @@ class ControlFlowGraph:
     def out_edges(self, bid: int) -> list[Edge]:
         return self.successors.get(bid, [])
 
-    def decision_blocks(self) -> list[int]:
-        return sorted(b.bid for b in self.decisions)
-
     @property
     def D(self) -> int:
         return len(self.decisions)

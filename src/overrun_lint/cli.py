@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 = no findings at/above the threshold, 1 = findings present,
-2 = parse/config error.
+2 = parse/config error or a unit that does not resolve (its first error).
 
 Each command imports the layers it runs, and no others.
 """
@@ -106,22 +106,10 @@ def _dispatch(args) -> int:
     raise AssertionError(args.command)
 
 
-def _require_resolved(path, res) -> None:
-    if res.diagnostics:
-        for diag in res.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        raise OverrunLintError(f"{path}: resolution failed")
-
-
 def _analyze_units(paths):
     from .pipeline import analyze_path
 
-    units = []
-    for path in paths:
-        analyzed = analyze_path(path)
-        _require_resolved(path, analyzed.res)
-        units.append(analyzed)
-    return units
+    return [analyze_path(path) for path in paths]
 
 
 def _cmd_analyze(args) -> int:
@@ -132,7 +120,6 @@ def _cmd_analyze(args) -> int:
         ruleset = load_ruleset(read_text(args.ruleset), args.ruleset)
     units = _analyze_units(args.paths)
     findings: list[Finding] = []
-    sources: dict[str, str] = {}
     for analyzed in units:
         unit_findings = analyzed.findings(ruleset)
         if args.honor_reviews:
@@ -140,9 +127,8 @@ def _cmd_analyze(args) -> int:
 
             unit_findings = suppress_reviewed(unit_findings, analyzed.source)
         findings.extend(unit_findings)
-        sources[analyzed.file] = analyzed.source
     findings = [f for f in findings if f.priority <= args.min_priority]
-    return _emit(args, findings, sources)
+    return _emit(args, findings)
 
 
 def _cmd_boundcheck(args) -> int:
@@ -152,10 +138,10 @@ def _cmd_boundcheck(args) -> int:
     findings: list[Finding] = []
     for analyzed in units:
         findings.extend(bound_finding_to_finding(b) for b in analyzed.bound_findings())
-    return _emit(args, findings, {})
+    return _emit(args, findings)
 
 
-def _emit(args, findings: list[Finding], sources: dict[str, str]) -> int:
+def _emit(args, findings: list[Finding]) -> int:
     """Sort and report the findings; exit 1 when there are any."""
     from .detectors.model import Finding
     from .reporting.emit import emit_report
@@ -166,7 +152,6 @@ def _emit(args, findings: list[Finding], sources: dict[str, str]) -> int:
         tool_version=__version__,
         generated_at=args.timestamp or _default_timestamp(),
         findings=findings,
-        sources=sources,
     )
     document = emit_report(report, args.format, args.out)
     if args.out is None:
@@ -181,7 +166,11 @@ def _cmd_run(args) -> int:
     source = read_text(args.file)
     stdin_script = None
     if args.stdin:
-        stdin_script = read_text(args.stdin).splitlines()
+        # Lines end at \n alone, as BufferedReader.readLine's do once
+        # read_text has translated \r\n and \r; a final \n ends the last.
+        stdin_script = read_text(args.stdin).split("\n")
+        if stdin_script[-1] == "":
+            stdin_script.pop()
     options = RunOptions(
         entry=args.entry,
         assertions_enabled=args.ea,

@@ -227,8 +227,7 @@ def ignored_return_value(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for node in ctx.res.nodes_of(ast.ExprStmt):
         if isinstance(node.expr, ast.Call):
-            target = ctx.res.call_targets.get(node.expr.uid)
-            if target is not None and target.must_check:
+            if ctx.res.call_targets[node.expr.uid].must_check:
                 findings.append(
                     rule.finding(node.span, f"return value of {node.expr.name}() is ignored but must be checked")
                 )
@@ -287,9 +286,7 @@ def string_equality(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for node in ctx.res.nodes_of(ast.Binary):
         if node.op in ("==", "!="):
-            left_t = ctx.res.types.get(node.left.uid)
-            right_t = ctx.res.types.get(node.right.uid)
-            if isinstance(left_t, ty.StringType) and isinstance(right_t, ty.StringType):
+            if ty.is_string(ctx.res.types[node.left.uid]) and ty.is_string(ctx.res.types[node.right.uid]):
                 findings.append(
                     rule.finding(node.span, f"'{node.op}' compares String references; use equals-style comparison")
                 )

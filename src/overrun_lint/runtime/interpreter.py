@@ -1243,8 +1243,5 @@ _EQUALITY_OPS = {"==": (operator.eq, operator.is_), "!=": (operator.ne, operator
 def execute(
     unit: ast.CompilationUnit, options: RunOptions, resolution: Resolution, cfgs: UnitCfgs
 ) -> RunTrace:
-    """Run a resolved unit.  A unit the resolver rejected does not run: its
-    first diagnostic, a spanned error, is raised instead."""
-    if resolution.diagnostics:
-        raise resolution.diagnostics[0]
+    """Run a resolved unit."""
     return Interpreter(unit, options, resolution, cfgs).run()

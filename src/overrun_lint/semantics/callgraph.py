@@ -31,15 +31,9 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
             for node in resolution.subtree(minfo.decl.body):
                 if not isinstance(node, (ast.Call, ast.New)):
                     continue
-                target = resolution.call_targets.get(node.uid)
-                callee = target.id if target is not None else "unknown"
+                target = resolution.call_targets[node.uid]
                 graph.edges.append(
-                    CallEdge(
-                        caller=caller,
-                        callee=callee,
-                        site=node,
-                        callee_builtin=target is not None and target.builtin is not None,
-                    )
+                    CallEdge(caller=caller, callee=target.id, site=node, callee_builtin=target.builtin is not None)
                 )
     return graph
 
@@ -49,7 +43,7 @@ def unconditional_cycles(graph: CallGraph, always_runs: Callable[[CallEdge], boo
     runs, as the strongly connected components that contain one, sorted for
     determinism.  always_runs is asked only about edges inside a cycle of
     the whole graph."""
-    declared = [e for e in graph.edges if not e.callee_builtin and e.callee != "unknown"]
+    declared = [e for e in graph.edges if not e.callee_builtin]
     component = {m: i for i, scc in enumerate(_cyclic_sccs(_adjacency(declared))) for m in scc}
     kept = [
         e

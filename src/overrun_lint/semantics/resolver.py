@@ -3,9 +3,11 @@
 build_symbol_table walks a parsed unit, resolves every
 Name/Call/FieldAccess through a scope tree that it drops when done, counts
 reads and writes per symbol, numbers each method's parameters and locals
-into the interpreter's frame slots, and types every expression.  Unresolved
-identifiers are collected as diagnostics; operator/operand mismatches, and
-case labels that are not distinct constants, raise TypeCheckError.  So do
+into the interpreter's frame slots, and types every expression.  The unit
+resolves fully or raises the first error met, as the lexer and parser do:
+an undeclared name raises ResolutionError, a second declaration of a name
+in one scope DuplicateDeclaration, and operator/operand mismatches and case
+labels that are not distinct constants TypeCheckError.  So do
 the two rules Java keeps for static contexts (JLS 8.1.3, 15.12.3): a class
 name is no value, only the receiver of a static field or method; and a
 static method or a static field initializer has no this, so it names no
@@ -144,7 +146,7 @@ class ClassInfo:
 
 @record
 class CallTarget:
-    id: str  # "Class.m/arity" (a method or constructor), Builtin.id, or "unknown"
+    id: str  # "Class.m/arity" (a method or constructor), or Builtin.id
     method: MethodInfo | None = None
     builtin: Builtin | None = None
 
@@ -161,7 +163,7 @@ class Resolution:
     field_targets: dict[int, Symbol]
     call_targets: dict[int, CallTarget]
     types: dict[int, Type]
-    diagnostics: list[Exception]
+    diagnostics: list[Exception]  # always empty: the resolver raises its first error
     index: NodeIndex  # the unit's, shared by every Resolution of it
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)  # decl uid -> first symbol it declares
     frame_sizes: dict[int, int] = field(default_factory=dict)  # method uid -> slots
@@ -248,8 +250,6 @@ class Resolution:
 
 def _case_fits(subject_t: Type, label_t: Type) -> bool:
     """Whether a case label of label_t can equal a subject of subject_t."""
-    if ty.UNKNOWN in (subject_t, label_t):
-        return True
     if ty.is_string(subject_t):
         return ty.is_string(label_t)
     return label_t in (ty.INT, ty.BYTE)
@@ -323,8 +323,7 @@ class _Resolver:
         self.global_scope.symbols["ASSERTIONS_ENABLED"] = assertions_flag
         for cls in self.unit.classes:
             if cls.name in self.res.classes or cls.name in BUILTIN_CLASSES:
-                self.res.diagnostics.append(DuplicateDeclaration(cls.span, cls.name))
-                continue
+                raise DuplicateDeclaration(cls.span, cls.name)
             info = ClassInfo(decl=cls, name=cls.name, base=cls.extends)
             self.res.classes[cls.name] = info
             class_sym = self._sym(
@@ -338,11 +337,10 @@ class _Resolver:
         for info in self.res.classes.values():
             cls = info.decl
             if cls.extends and cls.extends not in self.res.classes and cls.extends != "Thread":
-                self.res.diagnostics.append(ResolutionError(cls.span, cls.extends))
+                raise ResolutionError(cls.span, cls.extends)
             for fld in cls.fields:
                 if fld.name in info.fields:
-                    self.res.diagnostics.append(DuplicateDeclaration(fld.span, fld.name))
-                    continue
+                    raise DuplicateDeclaration(fld.span, fld.name)
                 info.fields[fld.name] = self._sym(
                     name=fld.name,
                     kind="field",
@@ -357,8 +355,7 @@ class _Resolver:
             for method in cls.methods:
                 key = ("<init>" if method.is_constructor else method.name, method.arity)
                 if key in info.methods:
-                    self.res.diagnostics.append(DuplicateDeclaration(method.span, method.name))
-                    continue
+                    raise DuplicateDeclaration(method.span, method.name)
                 sym = self._sym(
                     name=method.name,
                     kind="method",
@@ -414,10 +411,7 @@ class _Resolver:
     # -- class / method bodies ----------------------------------------------
 
     def _resolve_class(self, cls: ast.ClassDecl) -> None:
-        info = self.res.classes.get(cls.name)
-        if info is None:
-            return
-        self.current_class = info
+        info = self.current_class = self.res.classes[cls.name]
         class_scope = Scope(parent=self.global_scope)
         for name, sym in info.fields.items():
             class_scope.symbols[name] = sym
@@ -456,20 +450,17 @@ class _Resolver:
             scope.symbols["this"] = this_sym
         first = len(self.res.symbols)
         for param in method.params:
-            try:
-                scope.declare(
-                    self._sym(
-                        name=param.name,
-                        kind="param",
-                        declared_type=ty.from_type_ref(param.type),
-                        span=param.span,
-                        final=param.final,
-                        decl_uid=param.uid,
-                        read_only=param.final,
-                    )
+            scope.declare(
+                self._sym(
+                    name=param.name,
+                    kind="param",
+                    declared_type=ty.from_type_ref(param.type),
+                    span=param.span,
+                    final=param.final,
+                    decl_uid=param.uid,
+                    read_only=param.final,
                 )
-            except DuplicateDeclaration as err:
-                self.res.diagnostics.append(err)
+            )
         self._block(method.body, scope)
         # Every symbol declared since `first` is a parameter or a local of
         # this method: they take the frame slots after the receiver's, in
@@ -493,28 +484,23 @@ class _Resolver:
             self._require_assignable(
                 ty.from_type_ref(decl.type), value_t, decl.span, "initializer"
             )
-        try:
-            scope.declare(
-                self._sym(
-                    name=decl.name,
-                    kind="local",
-                    declared_type=ty.from_type_ref(decl.type),
-                    span=decl.span,
-                    final=decl.final,
-                    decl_uid=decl.uid,
-                    read_only=decl.final and decl.initializer is not None,
-                )
+        scope.declare(
+            self._sym(
+                name=decl.name,
+                kind="local",
+                declared_type=ty.from_type_ref(decl.type),
+                span=decl.span,
+                final=decl.final,
+                decl_uid=decl.uid,
+                read_only=decl.final and decl.initializer is not None,
             )
-        except DuplicateDeclaration as err:
-            self.res.diagnostics.append(err)
+        )
 
     def _condition(self, cond: ast.Expr, scope: Scope, what: str) -> None:
         cond_t = self._expr(cond, scope)
-        if cond_t in (ty.BOOLEAN, ty.UNKNOWN):
-            return
-        if ast.literal_truth(cond) is not None:
-            return  # constant int conditions are legal and fold in the CFG
-        raise TypeCheckError(cond.span, f"{what} condition must be boolean, got {cond_t}")
+        # Constant int conditions are legal and fold in the CFG.
+        if cond_t != ty.BOOLEAN and ast.literal_truth(cond) is None:
+            raise TypeCheckError(cond.span, f"{what} condition must be boolean, got {cond_t}")
 
     def _stmt(self, stmt: ast.Stmt, scope: Scope) -> None:
         if isinstance(stmt, ast.Block):
@@ -544,7 +530,7 @@ class _Resolver:
             self._block(stmt.body, for_scope)
         elif isinstance(stmt, ast.Switch):
             subject_t = self._expr(stmt.subject, scope)
-            if subject_t not in (ty.INT, ty.BYTE, ty.UNKNOWN) and not ty.is_string(subject_t):
+            if subject_t not in (ty.INT, ty.BYTE) and not ty.is_string(subject_t):
                 raise TypeCheckError(stmt.subject.span, f"switch subject must be int or String, got {subject_t}")
             for case in stmt.cases:
                 if case.label is not None:
@@ -561,19 +547,16 @@ class _Resolver:
             self._block(stmt.body, scope)
             for catch in stmt.catches:
                 catch_scope = Scope(parent=scope)
-                try:
-                    catch_scope.declare(
-                        self._sym(
-                            name=catch.name,
-                            kind="param",
-                            declared_type=ty.from_type_ref(catch.exc_type),
-                            span=catch.span,
-                            is_catch_param=True,
-                            decl_uid=catch.uid,
-                        )
+                catch_scope.declare(
+                    self._sym(
+                        name=catch.name,
+                        kind="param",
+                        declared_type=ty.from_type_ref(catch.exc_type),
+                        span=catch.span,
+                        is_catch_param=True,
+                        decl_uid=catch.uid,
                     )
-                except DuplicateDeclaration as err:
-                    self.res.diagnostics.append(err)
+                )
                 self._block(catch.body, catch_scope)
             if stmt.finally_block is not None:
                 self._block(stmt.finally_block, scope)
@@ -598,7 +581,7 @@ class _Resolver:
                 raise TypeCheckError(stmt.message.span, "assert message must not be void")
         elif isinstance(stmt, ast.Synchronized):
             monitor_t = self._expr(stmt.monitor, scope)
-            if not isinstance(monitor_t, (ty.ClassType, ty.ArrayType, ty.UnknownType)):
+            if not isinstance(monitor_t, (ty.ClassType, ty.ArrayType)):
                 raise TypeCheckError(stmt.monitor.span, f"synchronized needs an object monitor, got {monitor_t}")
             self._block(stmt.body, scope)
         elif isinstance(stmt, ast.Empty):
@@ -691,8 +674,7 @@ class _Resolver:
         if isinstance(expr, ast.Name):
             sym = scope.lookup(expr.identifier)
             if sym is None:
-                self.res.diagnostics.append(ResolutionError(expr.span, expr.identifier))
-                return self._set(expr, ty.UNKNOWN)
+                raise ResolutionError(expr.span, expr.identifier)
             if sym.kind == "class" and not receiver:
                 raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
             if sym.kind == "field" and self.static_context:
@@ -705,8 +687,6 @@ class _Resolver:
             return self._set(expr, sym.declared_type)
         if isinstance(expr, ast.Unary):
             operand_t = self._expr(expr.operand, scope)
-            if operand_t == ty.UNKNOWN:
-                return self._set(expr, ty.UNKNOWN if expr.op != "!" else ty.BOOLEAN)
             if expr.op == "!":
                 if operand_t != ty.BOOLEAN:
                     raise TypeCheckError(expr.span, f"'!' needs boolean, got {operand_t}")
@@ -719,11 +699,9 @@ class _Resolver:
         if isinstance(expr, ast.Index):
             array_t = self._expr(expr.array, scope)
             index_t = self._expr(expr.index, scope)
-            if array_t == ty.UNKNOWN:
-                return self._set(expr, ty.UNKNOWN)
             if not isinstance(array_t, ty.ArrayType):
                 raise TypeCheckError(expr.span, f"indexing a non-array {array_t}")
-            if index_t not in (ty.INT, ty.BYTE, ty.UNKNOWN):
+            if index_t not in (ty.INT, ty.BYTE):
                 raise TypeCheckError(expr.index.span, f"array index must be int, got {index_t}")
             return self._set(expr, array_t.elem)
         if isinstance(expr, ast.FieldAccess):
@@ -751,9 +729,6 @@ class _Resolver:
             return self._set(expr, target_t)
         left_t = self._expr(expr.left, scope)
         right_t = self._expr(expr.right, scope)
-        if ty.UNKNOWN in (left_t, right_t):
-            boolean_result = op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||")
-            return self._set(expr, ty.BOOLEAN if boolean_result else ty.UNKNOWN)
         if op == "+" and (ty.is_string(left_t) or ty.is_string(right_t)):
             return self._set(expr, ty.STRING)
         if op in ("+", "-", "*", "/", "%"):
@@ -776,8 +751,6 @@ class _Resolver:
         raise AssertionError(f"unhandled operator {op}")  # pragma: no cover
 
     def _comparable(self, a: Type, b: Type) -> bool:
-        if ty.UNKNOWN in (a, b):
-            return True
         if ty.is_numeric(a) and ty.is_numeric(b):
             return True
         if a == ty.BOOLEAN and b == ty.BOOLEAN:
@@ -791,15 +764,12 @@ class _Resolver:
 
     def _field_access(self, expr: ast.FieldAccess, scope: Scope, store: bool) -> Type:
         receiver_t = self._expr(expr.receiver, scope, receiver=True)
-        if receiver_t == ty.UNKNOWN:
-            return self._set(expr, ty.UNKNOWN)
         if isinstance(receiver_t, ty.ArrayType) or not isinstance(receiver_t, ty.ClassType):
             raise TypeCheckError(expr.span, f"{receiver_t} has no field '{expr.name}'")
         chain = self.res.ancestors(receiver_t.name)
         sym = next((info.fields[expr.name] for info in chain if expr.name in info.fields), None)
         if sym is None:
-            self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
-            return self._set(expr, ty.UNKNOWN)
+            raise ResolutionError(expr.span, expr.name)
         if self.res.names_class(expr.receiver):
             self._require_static(sym.static, expr.span, "field", expr.name)
         self.res.field_targets[expr.uid] = sym
@@ -814,15 +784,13 @@ class _Resolver:
         arg_ts = [self._expr(a, scope) for a in expr.args]
         result = ty.ClassType(expr.class_name)
         if info is None:
-            self.res.diagnostics.append(ResolutionError(expr.span, expr.class_name))
-            return self._unknown_call(expr, result)
+            raise ResolutionError(expr.span, expr.class_name)
         ctor = info.ctors.get(len(expr.args))
         if ctor is None:
             if expr.args or info.ctors:
-                self.res.diagnostics.append(
-                    ResolutionError(expr.span, f"{expr.class_name}/{len(expr.args)} constructor")
+                raise TypeCheckError(
+                    expr.span, f"class {expr.class_name} has no constructor taking {len(expr.args)} argument(s)"
                 )
-                return self._unknown_call(expr, result)
             # implicit default constructor
             self.res.call_targets[expr.uid] = CallTarget(default_ctor_id(expr.class_name))
             return self._set(expr, result)
@@ -875,10 +843,6 @@ class _Resolver:
         self._check_args(minfo, expr, arg_ts)
         return self._set(expr, minfo.symbol.declared_type)
 
-    def _unknown_call(self, expr: ast.Call | ast.New, returns: Type) -> Type:
-        self.res.call_targets[expr.uid] = CallTarget("unknown")
-        return self._set(expr, returns)
-
     def _call(self, expr: ast.Call, scope: Scope) -> Type:
         """A call resolves to the method of its name and arity of the
         receiver's class (the current class's, unqualified), or else to a
@@ -889,8 +853,6 @@ class _Resolver:
             of_class = self.static_context
         else:
             receiver_t = self._expr(expr.receiver, scope, receiver=True)
-            if receiver_t == ty.UNKNOWN:
-                return self._unknown_call(expr, ty.UNKNOWN)
             owner = receiver_t.name if isinstance(receiver_t, ty.ClassType) else None
             of_class = self.res.names_class(expr.receiver)
         minfo = self._lookup_method(owner, expr.name, len(expr.args))
@@ -900,8 +862,7 @@ class _Resolver:
             return self._method_call(expr, minfo, arg_ts)
         builtin = self._builtin_of(owner, expr)
         if builtin is None:
-            self.res.diagnostics.append(ResolutionError(expr.span, expr.name))
-            return self._unknown_call(expr, ty.UNKNOWN)
+            raise ResolutionError(expr.span, expr.name)
         if of_class:
             self._require_static(builtin.static, expr.span, "method", expr.name)
         return self._builtin_call(expr, builtin, arg_ts)

@@ -67,14 +67,6 @@ class NullType(Type):
         return "null"
 
 
-@record(frozen=True, eq=False, init=False)
-class UnknownType(Type):
-    """Type of expressions past a resolution error; permissive on purpose."""
-
-    def __str__(self) -> str:
-        return "<unknown>"
-
-
 INT = PrimType("int")
 BYTE = PrimType("byte")
 DOUBLE = PrimType("double")
@@ -82,7 +74,6 @@ BOOLEAN = PrimType("boolean")
 VOID_T = PrimType("void")
 STRING = StringType()
 NULL = NullType()
-UNKNOWN = UnknownType()
 
 _PRIMS = {"int": INT, "byte": BYTE, "double": DOUBLE, "boolean": BOOLEAN, "void": VOID_T}
 
@@ -122,8 +113,6 @@ def assignable(dst: Type, src: Type, subclass_ok) -> bool:
     subclass_ok(base_name, derived_name) answers class-hierarchy queries.
     """
     if dst == src:
-        return True
-    if isinstance(dst, UnknownType) or isinstance(src, UnknownType):
         return True
     if dst == INT and src == BYTE:
         return True

@@ -171,9 +171,9 @@ def test_criterion_07_coverage_conservation(corpus_sources):
                     populations = {
                         "instruction": len(cfgs.instr_spans),
                         "branch": sum(
-                            len(cfg.out_edges(b))
+                            len(cfg.out_edges(b.bid))
                             for cfg in cfgs.cfgs.values()
-                            for b in cfg.decision_blocks()
+                            for b in cfg.decisions
                         ),
                         "line": len({s.line for s in cfgs.instr_spans.values()}),
                         "method": len(cfgs.cfgs),

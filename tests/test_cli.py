@@ -136,6 +136,28 @@ def test_run_stdout_and_exit_codes(capsys, corpus_dir, tmp_path):
     assert "assertion failed" in err and "its false" in err
 
 
+def test_run_stdin_lines_end_at_newline_alone(capsys, tmp_path):
+    # BufferedReader.readLine ends a line at \n, \r or \r\n only: a form
+    # feed stays inside its line.
+    program = tmp_path / "Echo.sl"
+    program.write_text(
+        "class Echo {\n"
+        "    static void main(String[] args) {\n"
+        "        String a = readLine();\n"
+        "        String b = readLine();\n"
+        "        String c = readLine();\n"
+        "        println(length(a));\n"
+        "        println(b);\n"
+        "        println(c == null);\n"
+        "    }\n"
+        "}\n"
+    )
+    stdin = tmp_path / "in.txt"
+    for data, expected in ((b"x\fy\nz\n", "3\nz\ntrue\n"), (b"x\fy\r\n\r\n", "3\n\ntrue\n")):
+        stdin.write_bytes(data)
+        assert run_cli(capsys, "run", str(program), "--stdin", str(stdin)) == (0, expected, "")
+
+
 def test_run_coverage_table_and_json(capsys, corpus_dir, tmp_path):
     cov = tmp_path / "cov.json"
     code, out, _ = run_cli(
@@ -255,7 +277,28 @@ def test_cpd_still_rejects_unresolved_names(capsys, tmp_path):
     bad.write_text("class A { void m() { missing = 1; } }")
     code, _, err = run_cli(capsys, "cpd", str(bad))
     assert code == 2
-    assert "undeclared identifier 'missing'" in err and "resolution failed" in err
+    assert "undeclared identifier 'missing'" in err
+
+
+MIXED = """\
+class Main {
+  static void main(String[] args) {
+    x = 1;
+    int y = true;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "boundcheck", "metrics", "cpd", "run"])
+def test_every_command_reports_the_first_resolution_error_alone(capsys, tmp_path, command):
+    # An undeclared name on line 3 and a type error on line 4: the resolver
+    # stops at the first, and every command prints it and nothing else.
+    mixed = tmp_path / "mixed.sl"
+    mixed.write_text(MIXED)
+    code, out, err = run_cli(capsys, command, str(mixed))
+    assert (code, out) == (2, "")
+    assert err == f"error: {mixed}:3:5: undeclared identifier 'x'\n"
 
 
 REJECTED_BY_RESOLVER = {

@@ -60,7 +60,7 @@ def inhabits(value, t: ty.Type, expr: ast.Expr, res) -> bool:
         return value.__class__ is SLStream
     if isinstance(t, ty.ClassType):
         return value.__class__ is SLObject and res.subclass_ok(t.name, value.cls_name)
-    return False  # UNKNOWN: no accepted program evaluates one
+    return False
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ def violations(monkeypatch):
 
     def checked(self, expr):
         run, res = compile_expr(self, expr), self.res
-        t = res.types.get(expr.uid, ty.UNKNOWN)
+        t = res.types[expr.uid]
 
         def check(f):
             value = run(f)

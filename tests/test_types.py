@@ -23,14 +23,14 @@ def test_from_type_ref_returns_the_interned_type():
 def test_the_module_constants_are_the_interned_types():
     assert ty.StringType() is ty.STRING
     assert ty.PrimType("int") is ty.INT
-    assert ty.NullType() is ty.NULL and ty.UnknownType() is ty.UNKNOWN
+    assert ty.NullType() is ty.NULL
 
 
 def test_types_compare_and_hash_by_identity():
     arr = ty.ArrayType(ty.ClassType("A"))
     assert arr == ty.ArrayType(ty.ClassType("A")) and arr != ty.ArrayType(ty.ClassType("B"))
     assert hash(arr) == hash(ty.ArrayType(ty.ClassType("A")))
-    assert ty.UNKNOWN in (ty.INT, ty.UNKNOWN) and ty.DOUBLE not in (ty.INT, ty.BYTE)
+    assert ty.NULL in (ty.INT, ty.NULL) and ty.DOUBLE not in (ty.INT, ty.BYTE)
     assert repr(arr) == "ArrayType(elem=ClassType(name='A'))" and str(arr) == "A[]"
 
 
