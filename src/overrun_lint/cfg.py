@@ -8,10 +8,10 @@ fallthrough only, so exception handling never adds decision nodes.
 
 This module decides every control-flow fact the other modules read: each
 block's out-edges and the decision blocks (built once per graph, on first
-read), the complexity counts derived from them, whether some entry->exit
-path avoids a set of instructions, whether a call always runs
-(InfiniteRecursion reports a cycle of calls that each always run), the
-solution of a forward dataflow problem (the null rules' facts), and the
+read), the complexity counts derived from them, the one path search
+(`reach`: the blocks that paths from a block reach, where a path stops at a
+blocked block), which calls run whenever their block runs (`call_blocks`),
+the solution of a forward dataflow problem (the null rules' facts), and the
 two string formats that name control flow -- method ids (`Class.name/arity`,
 with `<init>` for constructors and `<clinit>` for static initializers) and
 branch keys (`true-branch`, `switch-case#case2`, ...), which the resolver,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from functools import cached_property
 from typing import TypeVar
 
@@ -150,20 +150,6 @@ class ControlFlowGraph:
             out.setdefault(e.src, []).append(e)
         return out
 
-    def reachable(self) -> set[int]:
-        """The blocks some path from entry reaches, entry included.  Not
-        cached: a cached_property's first read per graph cost UnreachableCode
-        a third more time on a large unit."""
-        successors = self.successors
-        reached = {self.entry}
-        frontier = [self.entry]
-        while frontier:
-            for e in successors.get(frontier.pop(), ()):
-                if e.dst not in reached:
-                    reached.add(e.dst)
-                    frontier.append(e.dst)
-        return reached
-
     @cached_property
     def decisions(self) -> list[BasicBlock]:
         """The blocks with two or more out-edges, in block order."""
@@ -191,70 +177,46 @@ def complexity_bd(cfg: ControlFlowGraph) -> int:
     return cfg.B - cfg.D + 1
 
 
-def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
-    """Transitive closure over blocks (Floyd-Warshall style); m[i][i] is True."""
-    n = cfg.N
-    ids = {b.bid: i for i, b in enumerate(cfg.blocks)}
-    matrix = [[i == j for j in range(n)] for i in range(n)]
-    for e in cfg.edges:
-        matrix[ids[e.src]][ids[e.dst]] = True
-    for k in range(n):
-        row_k = matrix[k]
-        for i in range(n):
-            if matrix[i][k]:
-                row_i = matrix[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return matrix
-
-
-def instruction_of(
-    cfg: ControlFlowGraph, node: ast.Node, parent: Callable[[ast.Node], ast.Node | None]
-) -> int | None:
-    """The instruction whose every run evaluates node: that of the statement
-    node lies in, found by climbing parent links.  None outside cfg's method,
-    and for a node in the right operand of && or ||, which runs only when
-    the left operand does not decide."""
-    while node.uid not in cfg.stmt_iids:
-        up = parent(node)
-        if up is None or (isinstance(up, ast.Binary) and up.op in ("&&", "||") and node is up.right):
-            return None
-        node = up
-    return cfg.stmt_iids[node.uid]
-
-
-def path_avoids(cfg: ControlFlowGraph, iids: Iterable[int]) -> bool:
-    """Whether some entry->exit path runs through the block of none of the
-    instructions."""
-    blocked = {cfg.instr_blocks[iid] for iid in iids}
+def reach(cfg: ControlFlowGraph, start: int | None = None, blocked: Collection[int] = ()) -> set[int]:
+    """The blocks that paths from start (entry by default) reach, start
+    included.  A path stops at a blocked block: the block is reached, but
+    nothing past it is reached through it."""
     successors = cfg.successors
-    stack = [cfg.entry]
-    seen = set()
-    while stack:
-        bid = stack.pop()
-        if bid in seen or bid in blocked:
-            continue
-        if bid == cfg.exit:
-            return True
-        seen.add(bid)
-        stack.extend(e.dst for e in successors.get(bid, ()))
-    return False
+    start = cfg.entry if start is None else start
+    reached = {start}
+    frontier = [] if start in blocked else [start]
+    while frontier:
+        for e in successors.get(frontier.pop(), ()):
+            if e.dst not in reached:
+                reached.add(e.dst)
+                if e.dst not in blocked:
+                    frontier.append(e.dst)
+    return reached
 
 
-def always_runs(
-    cfg: ControlFlowGraph, call: ast.Node, parent: Callable[[ast.Node], ast.Node | None]
-) -> bool:
-    """Whether call, a call or new in cfg's method, runs on every path from
-    entry to exit: its instruction always evaluates it, is not skippable,
-    no path avoids it, and entry reaches its block."""
-    iid = instruction_of(cfg, call, parent)
-    return (
-        iid is not None
-        and iid not in cfg.skippable_iids
-        and not path_avoids(cfg, (iid,))
-        and cfg.instr_blocks[iid] in cfg.reachable()
-    )
+def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
+    """Transitive closure over blocks, in block order; m[i][i] is True."""
+    rows = [reach(cfg, b.bid) for b in cfg.blocks]
+    return [[b.bid in row for b in cfg.blocks] for row in rows]
+
+
+def call_blocks(
+    cfg: ControlFlowGraph, calls: Iterable[ast.Node], parent: Callable[[ast.Node], ast.Node | None]
+) -> set[int]:
+    """The blocks of those calls of cfg's method that run whenever their
+    block runs.  A call runs with the statement it lies in, found by
+    climbing parent links, unless it lies in the right operand of && or ||,
+    which runs only when the left operand does not decide, or the
+    statement's instruction is skippable: an assert check, or part of a
+    catch body."""
+    blocks = set()
+    for node in calls:
+        while node is not None and node.uid not in cfg.stmt_iids:
+            up = parent(node)
+            node = None if isinstance(up, ast.Binary) and up.op in ("&&", "||") and node is up.right else up
+        if node is not None and cfg.stmt_iids[node.uid] not in cfg.skippable_iids:
+            blocks.add(cfg.instr_blocks[cfg.stmt_iids[node.uid]])
+    return blocks
 
 
 State = TypeVar("State")
@@ -289,9 +251,10 @@ def forward(
 
 
 def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
-    """Blocks with no path from entry."""
-    reached = cfg.reachable()
-    return [b for b in cfg.blocks if b.bid not in reached]
+    """Blocks with no path from entry; none, without a scan, where the
+    search reached as many blocks as the graph has."""
+    reached = reach(cfg)
+    return [] if len(reached) == cfg.N else [b for b in cfg.blocks if b.bid not in reached]
 
 
 class _Builder:

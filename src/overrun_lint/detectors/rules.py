@@ -11,8 +11,7 @@ from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
 from ..semantics.resolver import BUILTINS, Builtin, Resolution, Symbol
-from ..cfg import TRUE_BRANCH, Edge, UnitCfgs, always_runs, forward, instruction_of, method_identity
-from ..cfg import path_avoids, unreachable_nodes
+from ..cfg import TRUE_BRANCH, Edge, UnitCfgs, call_blocks, forward, method_identity, reach, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
 
@@ -198,14 +197,33 @@ def _cycle_sites(ctx: RuleContext, cycles: list[list[str]]):
             yield cycle, span
 
 
+def _overridden(res: Resolution) -> set[str]:
+    """The ids of the instance methods that a class of the unit overrides,
+    so that a call of one may run another method."""
+    return {
+        base.method_id
+        for info in res.classes.values()
+        for above in res.ancestors(info.name)[1:]
+        for key, base in above.methods.items()
+        if key in info.methods and not (base.decl.is_static or base.decl.is_constructor)
+    }
+
+
 def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
-    def runs(edge) -> bool:
-        graph = ctx.cfgs.cfgs.get(edge.caller)
-        return graph is not None and always_runs(graph, edge.site, ctx.res.parent)
+    overridden = _overridden(ctx.res)
+
+    def recurses(method: str, calls) -> bool:
+        # Whether every path through the method makes one of the calls,
+        # where a call counts only if it always runs with its block and
+        # cannot dispatch to an override, and some path does make one.
+        graph = ctx.cfgs.cfgs[method]
+        blocked = call_blocks(graph, (e.site for e in calls if e.callee not in overridden), ctx.res.parent)
+        reached = reach(graph, blocked=blocked)
+        return graph.exit not in reached and not blocked.isdisjoint(reached)
 
     return [
         rule.finding(span, "Unconditional recursive call cycle: " + " -> ".join(cycle))
-        for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph, runs))
+        for cycle, span in _cycle_sites(ctx, unconditional_cycles(ctx.call_graph, recurses))
     ]
 
 
@@ -323,8 +341,7 @@ def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
         graph = ctx.cfgs.cfgs.get(method_identity(ctx.res.parent(method).name, method))
         if graph is None:
             continue
-        closes = [instruction_of(graph, call, ctx.res.parent) for call in close_stmts]
-        if path_avoids(graph, [iid for iid in closes if iid is not None]):
+        if graph.exit in reach(graph, blocked=call_blocks(graph, close_stmts, ctx.res.parent)):
             findings.append(
                 rule.finding(node.span, f"stream '{target.name}' is not closed on every path to exit")
             )

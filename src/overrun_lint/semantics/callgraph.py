@@ -38,19 +38,24 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
     return graph
 
 
-def unconditional_cycles(graph: CallGraph, always_runs: Callable[[CallEdge], bool]) -> list[list[str]]:
-    """Cycles of calls among declared methods in which every call always
-    runs, as the strongly connected components that contain one, sorted for
-    determinism.  always_runs is asked only about edges inside a cycle of
-    the whole graph."""
-    declared = [e for e in graph.edges if not e.callee_builtin]
-    component = {m: i for i, scc in enumerate(_cyclic_sccs(_adjacency(declared))) for m in scc}
-    kept = [
-        e
-        for e in declared
-        if e.caller in component and component[e.caller] == component.get(e.callee) and always_runs(e)
-    ]
-    return _cyclic_sccs(_adjacency(kept))
+def unconditional_cycles(graph: CallGraph, recurses: Callable[[str, list[CallEdge]], bool]) -> list[list[str]]:
+    """Cycles of calls among declared methods that never return once
+    entered: the strongly connected components each of whose members m
+    passes recurses(m, its calls into its component), sorted for
+    determinism.  A member that fails is dropped and the components are
+    found again without it, until every member passes."""
+    edges = [e for e in graph.edges if not e.callee_builtin]
+    while True:
+        cycles = _cyclic_sccs(_adjacency(edges))
+        component = {m: i for i, scc in enumerate(cycles) for m in scc}
+        inner: dict[str, list[CallEdge]] = {}
+        for e in edges:
+            if e.caller in component and component[e.caller] == component.get(e.callee):
+                inner.setdefault(e.caller, []).append(e)
+        dropped = {m for m, calls in inner.items() if not recurses(m, calls)}
+        if not dropped:
+            return cycles
+        edges = [e for calls in inner.values() for e in calls if e.caller not in dropped and e.callee not in dropped]
 
 
 def constructor_cycles(graph: CallGraph) -> list[list[str]]:

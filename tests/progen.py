@@ -258,3 +258,124 @@ def gen_null_program(rng: random.Random) -> NullProgram:
     reads = sum("readLine()" in line for shape in shapes for line in _NULL_SHAPES[shape])
     script = ["x" * rng.randint(1, 3) for _ in range(rng.randint(0, reads + 1))]
     return NullProgram("\n".join(lines) + "\n", script, shapes)
+
+
+@dataclass
+class RecursionProgram:
+    source: str
+    shapes: list[str]
+
+
+# The shapes of gen_recursion_program: the methods each adds to class P,
+# the classes it adds beside P, and the lines by which main enters it, in
+# which `#` stands for the shape's own number and `@` for main's argument.
+# Only the shapes that recurse on every path (every_branch, mutual,
+# try_body, while_true) recurse without end, and no loop runs forever
+# without recursing, so a run hits the step limit only through recursion
+# that every path makes.
+_RECURSION_SHAPES = {
+    "base_case": (
+        ["static int count#(int n) {", "    if (n <= 0) {", "        return 0;", "    }",
+         "    return count#(n - 1) + 1;", "}"],
+        [], ["println(count#(@));"],
+    ),
+    "every_branch": (
+        ["static void split#(int n) {", "    if (n > 0) {", "        split#(n - 1);", "    } else {",
+         "        split#(n + 1);", "    }", "}"],
+        [], ["split#(@);"],
+    ),
+    "mutual": (
+        ["static void ping#(int n) {", "    pong#(n + 1);", "}",
+         "static void pong#(int n) {", "    if (n > 2) {", "        ping#(n - 3);", "    } else {",
+         "        ping#(n);", "    }", "}"],
+        [], ["ping#(@);"],
+    ),
+    # m calls a or b on every path and a always calls m, but b calls m
+    # only sometimes, so m returns through b.
+    "m_a_b": (
+        ["static void m#(int n) {", "    if (n > 0) {", "        a#(n);", "    } else {", "        b#(n);", "    }", "}",
+         "static void a#(int n) {", "    m#(n - 1);", "}",
+         "static void b#(int n) {", "    if (n < -3) {", "        m#(n + 1);", "    }", "}"],
+        [], ["m#(@);"],
+    ),
+    # f and g call each other, but g is overridden by a method that returns.
+    "override": (
+        [],
+        ["class A# {", "    void f() {", "        g();", "    }", "    void g() {", "        f();", "    }", "}",
+         "class B# extends A# {", "    void g() {", '        println("B#.g");', "    }", "}"],
+        ["A# x# = new B#();", "x#.f();"],
+    ),
+    "and_right": (
+        ["static boolean both#(int n) {", "    return n > 0 && both#(n - 1);", "}"],
+        [], ["println(both#(@));"],
+    ),
+    # The check runs only under --ea, and the runs here leave it off.
+    "assert": (
+        ["static int checked#(int n) {", "    assert checked#(n) > 0;", "    return n;", "}"],
+        [], ["println(checked#(@));"],
+    ),
+    "catch_body": (
+        ["static void caught#(int n) {", "    try {", "        println(n);", "    } catch (Exception e) {",
+         "        caught#(n);", "    }", "}"],
+        [], ["caught#(@);"],
+    ),
+    "try_body": (
+        ["static void tried#(int n) {", "    try {", "        tried#(n + 1);", "    } catch (Exception e) {",
+         "        println(n);", "    }", "}"],
+        [], ["tried#(@);"],
+    ),
+    "while_true": (
+        ["static void spin#(int n) {", "    while (true) {", "        spin#(n - 1);", "    }", "}"],
+        [], ["spin#(@);"],
+    ),
+    "loop_carried": (
+        ["static int sum#(int n) {", "    int s = 0;", "    while (n > 0) {", "        if (n > 2) {",
+         "            s = s + n;", "        } else {", "            s = s - 1;", "        }", "        n = n - 1;",
+         "    }", "    return s;", "}"],
+        [], ["println(sum#(@));"],
+    ),
+    "while_true_return": (
+        ["static int upto#(int n) {", "    while (true) {", "        if (n > 3) {", "            return n;", "        }",
+         "        n = n + 1;", "    }", "    println(n);", "}"],
+        [], ["println(upto#(@));"],
+    ),
+    "if_false": (
+        ["static void never#(int n) {", "    if (false) {", "        println(n);", "    }", "    println(n + 1);", "}"],
+        [], ["never#(@);"],
+    ),
+    "while_false": (
+        ["static void skip#(int n) {", "    while (false) {", "        println(n);", "    }", "    println(n);", "}"],
+        [], ["skip#(@);"],
+    ),
+    "after_return": (
+        ["static int early#(int n) {", "    if (n > 1) {", "        return n;", "    }", "    return 0;",
+         "    println(n);", "}"],
+        [], ["println(early#(@));"],
+    ),
+}
+
+# Shapes that recurse without end, which the generator draws less often
+# so that most runs reach the end of main.
+_DIVERGING = ("every_branch", "mutual", "try_body", "while_true")
+
+
+def gen_recursion_program(rng: random.Random) -> RecursionProgram:
+    """A runnable program whose main enters 1 to 4 recursion and dead-code
+    shapes in turn, each with an argument of 0 to 4.  A shape that
+    recurses without end is drawn for a third of the programs, and then
+    last, so the shapes before it run to their end."""
+    finite = sorted(set(_RECURSION_SHAPES) - set(_DIVERGING))
+    shapes = [rng.choice(finite) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 1 / 3:
+        shapes.append(rng.choice(_DIVERGING))
+    members, classes, entry = [], [], []
+    for k, shape in enumerate(shapes):
+        arg = str(rng.randint(0, 4))
+        shape_members, shape_classes, shape_entry = (
+            [line.replace("#", str(k)).replace("@", arg) for line in part] for part in _RECURSION_SHAPES[shape]
+        )
+        members += ["    " + line for line in shape_members]
+        classes += shape_classes
+        entry += ["        " + line for line in shape_entry]
+    lines = ["class P {", *members, "    static void main(String[] args) {", *entry, "    }", "}", *classes]
+    return RecursionProgram("\n".join(lines) + "\n", shapes)

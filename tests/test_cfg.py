@@ -7,6 +7,7 @@ from overrun_lint.cfg import (
     build_unit_cfgs,
     complexity_bd,
     complexity_en,
+    reach,
     reachability,
     unreachable_nodes,
 )
@@ -148,6 +149,32 @@ def test_reachability_matches_dfs_oracle_on_random_dags():
             got = {j for j in range(n) if matrix[i][j]}
             assert got == oracle
         assert [b.bid for b in unreachable_nodes(cfg)] == sorted(set(range(n)) - dfs(0))
+
+
+def test_reach_matches_dfs_oracle_with_blocked_blocks():
+    # Random graphs with cycles and self-loops; a path stops at a blocked
+    # block, which it reaches but does not leave.
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        cfg = ControlFlowGraph(method="g")
+        cfg.blocks = [BasicBlock(bid=bid) for bid in range(n)]
+        cfg.edges = [Edge(i, j, "fallthrough") for i in range(n) for j in range(n) if rng.random() < 0.25]
+        blocked = {bid for bid in range(n) if rng.random() < 0.3}
+        start = rng.randrange(n)
+
+        seen, stack = {start}, [start]
+        while stack:
+            cur = stack.pop()
+            if cur in blocked:
+                continue
+            for e in cfg.edges:
+                if e.src == cur and e.dst not in seen:
+                    seen.add(e.dst)
+                    stack.append(e.dst)
+        assert reach(cfg, start, blocked) == seen
+        cfg.entry = start
+        assert reach(cfg, blocked=frozenset(blocked)) == seen
 
 
 def test_unreachable_after_return():

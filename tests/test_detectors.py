@@ -250,7 +250,64 @@ def _recursive(body: str, returns: str = "void") -> str:
     )
 
 
-# InfiniteRecursion reports a cycle only when each of its calls always runs.
+# m calls a or b on every path and a always calls m, but b calls m only
+# sometimes: m returns through b, so neither {m, a, b} nor {m, a} recurses
+# without end.
+_M_A_B = """\
+class R {
+    static void m(int n) {
+        if (n > 0) {
+            a(n);
+        } else {
+            b(n);
+        }
+    }
+
+    static void a(int n) {
+        m(n - 1);
+    }
+
+    static void b(int n) {
+        if (n < -3) {
+            m(n + 1);
+        }
+    }
+
+    static void main(String[] args) {
+        m(3);
+    }
+}
+"""
+
+# A.f and A.g call each other, but the object is a B, whose g returns.
+_OVERRIDE = """\
+class A {
+    void f() {
+        g();
+    }
+
+    void g() {
+        f();
+    }
+}
+
+class B extends A {
+    void g() {
+        println("B.g returns");
+    }
+}
+
+class Main {
+    static void main(String[] args) {
+        A a = new B();
+        a.f();
+        println("done");
+    }
+}
+"""
+
+# InfiniteRecursion reports a cycle only when every path through each of
+# its methods makes one of the cycle's calls that always run.
 _RECURSION_CASES = {
     "count": (_recursive("if (n == 0) { return 0; } return rec(n - 1) + 1;", "int"), 0),
     "down": (_recursive("if (n <= 0) { return; } rec(n - 1);"), 0),
@@ -261,6 +318,9 @@ _RECURSION_CASES = {
     "try_body": (_recursive("try { rec(n); } catch (Exception e) { println(n); }"), 1),
     "while_true": (_recursive("while (true) { rec(n - 1); }"), 1),
     "if_1": (_recursive("if (1) { rec(n - 1); }"), 1),
+    "every_branch": (_recursive("if (n > 0) { rec(n - 1); } else { rec(n + 1); }"), 1),
+    "m_a_b": (_M_A_B, 0),
+    "override": (_OVERRIDE, 0),
     # The loop never ends, so the call never runs: UnreachableCode reports it.
     "unreachable_call": (_recursive("while (true) { println(n); } rec(n - 1);"), 0),
 }
@@ -336,6 +396,25 @@ class A {
 }
 """
     assert by_rule(findings_for(source))["StreamNotClosed"] == 1
+
+
+def test_stream_closed_only_in_a_catch_body_flagged():
+    # A catch body never runs, so its close() closes nothing.
+    source = """\
+class A {
+    static void main(String[] args) {
+        Stream s = open("f");
+        try {
+            println(1);
+        } catch (Exception e) {
+            s.close();
+        }
+    }
+}
+"""
+    assert [f.message for f in findings_for(source) if f.rule_id == "StreamNotClosed"] == [
+        "stream 's' is not closed on every path to exit"
+    ]
 
 
 SHADOWS = """\

@@ -1,6 +1,6 @@
 import pytest
 
-from overrun_lint.cfg import always_runs, build_unit_cfgs
+from overrun_lint.cfg import build_unit_cfgs, call_blocks, reach
 from overrun_lint.errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
@@ -284,12 +284,15 @@ def test_makeover_cycle_detected(corpus_sources):
     graph = build_call_graph(unit, res)
     cfgs = build_unit_cfgs(unit).cfgs
 
-    def runs(edge):
-        return always_runs(cfgs[edge.caller], edge.site, res.parent)
+    def recurses(method, calls):
+        cfg = cfgs[method]
+        blocked = call_blocks(cfg, (e.site for e in calls), res.parent)
+        reached = reach(cfg, blocked=blocked)
+        return cfg.exit not in reached and not blocked.isdisjoint(reached)
 
     edge = next(e for e in graph.edges if e.caller.startswith("Driver.Makeoverdone"))
-    assert runs(edge)  # inside if(1): the CFG keeps only the true branch
-    cycles = unconditional_cycles(graph, runs)
+    assert recurses(edge.caller, [edge])  # inside if(1): the CFG keeps only the true branch
+    cycles = unconditional_cycles(graph, recurses)
     assert cycles == [["Driver.Makeoverdone/0", "Driver.makeover/0"]]
 
 
