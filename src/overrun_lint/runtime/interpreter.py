@@ -6,7 +6,8 @@ Code Generation", 1987).  Compilation binds, once, what would otherwise be
 looked up on every step: each statement's instruction id and branch keys,
 each name's frame slot or field, each call's target, each operator's code
 and each store's conversion.  Locals and parameters live in a per-invocation
-list, at the slots the resolver numbered; slot 0 holds the receiver.
+list, built by the caller as [receiver, arg...] and padded by the callee
+at the slots the resolver numbered.
 Operands run in Java's order: the receiver, or the array and then the
 index, before the arguments or the right-hand side, and the null and bounds
 checks after all of them.
@@ -39,9 +40,11 @@ Compilation also drops each per-step check that cannot fire:
   max_steps); _step serves only static initializers, implicit returns and
   implicit constructors.
 - An int literal condition, if (1), folds to its truth.
-- A literal right operand is bound into its operator's closure, and + on a
-  String-typed expression compiles to concatenation.
+- An operator reads a local or parameter operand from its slot and binds
+  a literal one in; + on a String-typed expression compiles to
+  concatenation.
 - A static call with one or two arguments lists them in its own closure.
+- A method is recorded as entered by the call that compiles it.
 
 Executing a simple statement or a branching condition records its
 instruction id (and the branch outcome for decisions) into the RunTrace.
@@ -225,18 +228,19 @@ def _constant(value):
 
 
 def _arguments(fns: list):
-    """A closure building the argument list from the arguments' closures,
-    left to right.  Up to two arguments skip the comprehension's own frame;
-    that is worth about 7 % of the interp benchmark's throughput."""
+    """A closure building a callee's frame from its arguments' closures:
+    None in slot 0, which the caller fills with the receiver, then the
+    arguments' values, left to right.  Up to two arguments skip the
+    comprehension's own frame."""
     if not fns:
-        return lambda f: []
+        return lambda f: [None]
     if len(fns) == 1:
         (a,) = fns
-        return lambda f: [a(f)]
+        return lambda f: [None, a(f)]
     if len(fns) == 2:
         a, b = fns
-        return lambda f: [a(f), b(f)]
-    return lambda f: [fn(f) for fn in fns]
+        return lambda f: [None, a(f), b(f)]
+    return lambda f: [None, *[fn(f) for fn in fns]]
 
 
 def _sequence(stmts: tuple):
@@ -333,8 +337,8 @@ class Interpreter:
         try:
             self._run_static_initializers()
             entry_cls, entry_method = self._find_entry()
-            args = [self._new_array(ty.STRING, 0)] if entry_method.params else []
-            self._method(entry_cls.name, entry_method).call(None, args, entry_method.span)
+            frame = [None, self._new_array(ty.STRING, 0)] if entry_method.params else [None]
+            self._method(entry_cls.name, entry_method).call(frame, entry_method.span)
         except _Halt:
             pass
         except RecursionError:
@@ -400,22 +404,26 @@ class Interpreter:
         if method is None:
             method = self.methods[decl.uid] = _Method()
 
-            def first_call(receiver, args, span):
+            def first_call(frame, span):
                 # A call in the arguments of another, f(f(x)), compiles f
                 # before the outer call, which had already read first_call.
+                # The method is entered once, by the first call that passes
+                # the call-depth check.
                 if method.call is first_call:
                     method.call = self._compile_method(owner, decl)
-                return method.call(receiver, args, span)
+                    if self.depth < self.options.max_call_depth:
+                        self.trace.entered_methods.add(method_identity(owner, decl))
+                return method.call(frame, span)
 
             method.call = first_call
         return method
 
     def _compile_method(self, owner: str, decl: ast.MethodDecl):
-        """The invocation closure of decl.  Every call passes all of its
-        arguments, already converted to the parameters' types."""
+        """The invocation closure of decl.  Every call builds its frame,
+        [receiver, arg...], with each argument already converted to its
+        parameter's type; the closure pads it with the locals' slots."""
         st = self
         ident = method_identity(owner, decl)
-        enter = self.trace.entered_methods.add
         max_depth = self.options.max_call_depth
         too_deep = f"call depth {max_depth} exceeded (runaway recursion)"
         body = self._stmts(decl.body)
@@ -427,12 +435,11 @@ class Interpreter:
         returns_value = ty.from_type_ref(decl.return_type) != ty.VOID_T
         missing = f"{ident} reached its end without returning a value"
 
-        def call(receiver, args, span):
+        def call(f, span):
             st.depth += 1
             if st.depth > max_depth:
                 st._fault(FAULT_STEP_LIMIT, span, too_deep)
-            enter(ident)
-            f = [receiver, *args, *pad]
+            f += pad
             try:
                 for stmt in body:
                     r = stmt(f)
@@ -481,7 +488,7 @@ class Interpreter:
             layout = self.layouts[class_name] = (defaults, inits)
         return layout
 
-    def _instantiate(self, class_name: str, args: list, span: SourceSpan) -> SLObject:
+    def _instantiate(self, class_name: str, frame: list, span: SourceSpan) -> SLObject:
         info = self.res.classes[class_name]
         self.ordinals += 1
         defaults, inits = self._layout(class_name)
@@ -491,9 +498,10 @@ class Interpreter:
         fields = obj.fields
         for key, init in inits:
             fields[key] = init([obj])
-        ctor = info.ctors.get(len(args))
+        ctor = info.ctors.get(len(frame) - 1)
         if ctor is not None:
-            self._method(ctor.owner, ctor.decl).call(obj, args, span)
+            frame[0] = obj
+            self._method(ctor.owner, ctor.decl).call(frame, span)
         else:
             # the implicit constructor: record its synthetic instruction
             cfg = self.cfgs.cfgs[default_ctor_id(class_name)]
@@ -913,31 +921,22 @@ class Interpreter:
                 return right(f)
 
             return logical
-        left, span, t = self._expr(expr.left), expr.span, self.res.types[expr.uid]
+        span, t = expr.span, self.res.types[expr.uid]
         if op == "+" and ty.is_string(t):
-            right = self._expr(expr.right)
+            left, right = self._expr(expr.left), self._expr(expr.right)
             return lambda f: format_value(left(f)) + format_value(right(f))
-        # A literal right operand is bound in as k, with right None, so that
-        # it costs no call.
-        if isinstance(expr.right, ast.Literal):
-            right, k = None, expr.right.value
-        else:
-            right, k = self._expr(expr.right), None
+        (ka, a), (kb, b) = self._operand(expr.left), self._operand(expr.right)
         if t is ty.INT:
-            st, fn, wrap = self, _INT_OPS[op], self._wrap
+            fn, wrap = _INT_OPS[op], self._wrap
+            if op in ("/", "%"):  # a zero divisor is Java's ArithmeticException
+                st, divide = self, fn
 
-            def arith(f):
-                a = left(f)
-                b = k if right is None else right(f)
-                try:
-                    result = fn(a, b)
-                except ZeroDivisionError:
-                    st._fault(FAULT_ARITHMETIC, span, "integer division by zero")
-                if INT_MIN <= result <= INT_MAX:
-                    return result
-                return wrap(result, span)
+                def fn(x, y):
+                    if not y:
+                        st._fault(FAULT_ARITHMETIC, span, "integer division by zero")
+                    return divide(x, y)
 
-            return arith
+            return _INT_FOLDS[ka + kb](fn, a, b, lambda r: wrap(r, span))
         if t is ty.DOUBLE:
             fn = _DOUBLE_OPS[op]
         elif op in _COMPARE_OPS:
@@ -945,9 +944,17 @@ class Interpreter:
         else:  # == or !=: objects and arrays are equal only to themselves
             sides = (self.res.types[expr.left.uid], self.res.types[expr.right.uid])
             fn = _EQUALITY_OPS[op][any(isinstance(side, (ty.ClassType, ty.ArrayType)) for side in sides)]
-        if right is None:
-            return lambda f: fn(left(f), k)
-        return lambda f: fn(left(f), right(f))
+        return _FOLDS[ka + kb](fn, a, b)
+
+    def _operand(self, expr: ast.Expr):
+        """The kind of an operator's operand and what the operator reads it
+        by: a local's or parameter's slot (S), read inline as f[slot]; a
+        literal's value (K), bound in; or anything else's closure (C)."""
+        if isinstance(expr, ast.Name) and (slot := self.res.name_targets[expr.uid].slot) >= 0:
+            return "S", slot
+        if isinstance(expr, ast.Literal):
+            return "K", expr.value
+        return "C", self._expr(expr)
 
     def _assign(self, expr: ast.Binary):
         """An assignment: it stores the right-hand side's value, converted
@@ -1044,13 +1051,13 @@ class Interpreter:
             # One or two arguments are listed in the call itself.
             if len(fns) == 1:
                 (a,) = fns
-                call = lambda f: method.call(None, [a(f)], span)
+                call = lambda f: method.call([None, a(f)], span)
             elif len(fns) == 2:
                 a, b = fns
-                call = lambda f: method.call(None, [a(f), b(f)], span)
+                call = lambda f: method.call([None, a(f), b(f)], span)
             else:
                 args = _arguments(fns)
-                call = lambda f: method.call(None, args(f), span)
+                call = lambda f: method.call(args(f), span)
             return self._static_access(expr.receiver, call)
         args = _arguments(fns)
         # Virtual dispatch on the receiver, or on this for an unqualified call.
@@ -1059,10 +1066,11 @@ class Interpreter:
 
         def call_virtual(f):
             receiver = receiver_of(f)
-            values = args(f)
+            frame = args(f)
             if receiver is None:
                 st._fault(FAULT_NULL_DEREFERENCE, span, f"{name}() on null")
-            return table(receiver.cls_name)[key].call(receiver, values, span)
+            frame[0] = receiver
+            return table(receiver.cls_name)[key].call(frame, span)
 
         return call_virtual
 
@@ -1074,14 +1082,14 @@ class Interpreter:
         st, span, name = self, expr.span, builtin.name
         impl, args = self._BUILTINS[builtin.owner, name], _arguments(self._args(expr, builtin.params))
         if builtin.static:
-            strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
+            strings = [i for i, t in enumerate(builtin.params, 1) if t is ty.STRING]
 
             def call(f):
-                values = args(f)
+                frame = args(f)
                 for i in strings:
-                    if values[i] is None:
+                    if frame[i] is None:
                         st._fault(FAULT_NULL_DEREFERENCE, span, f"{name}(null)")
-                return impl(st, None, values, span)
+                return impl(st, frame, span)
 
             return self._static_access(expr.receiver, call)
         receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
@@ -1089,29 +1097,30 @@ class Interpreter:
 
         def call_instance(f):
             receiver = receiver_of(f)
-            values = args(f)
+            frame = args(f)
             if receiver is None:
                 st._fault(FAULT_NULL_DEREFERENCE, span, on_null)
-            return impl(st, receiver, values, span)
+            frame[0] = receiver
+            return impl(st, frame, span)
 
         return call_instance
 
-    # Each builtin's implementation: (interpreter, receiver or None, argument
-    # values, call span) -> its result.
+    # Each builtin's implementation: (interpreter, frame, call span) -> its
+    # result, where the frame is [receiver or None, argument...].
 
-    def _b_println(self, receiver, args, span):
-        self.trace.stdout.append(format_value(args[0]))
+    def _b_println(self, frame, span):
+        self.trace.stdout.append(format_value(frame[1]))
 
-    def _b_read_line(self, receiver, args, span):
+    def _b_read_line(self, frame, span):
         if self.stdin_pos < len(self.stdin):
             self.stdin_pos += 1
             return self.stdin[self.stdin_pos - 1]
         return None
 
-    def _b_parse_int(self, receiver, args, span):
+    def _b_parse_int(self, frame, span):
         """Integer.parseInt: an optional sign, then decimal digits, with the
         value in int range."""
-        text = args[0]
+        text = frame[1]
         # More than ten significant digits is out of range, and Python would
         # refuse to convert thousands of them.
         fits = _INT_TEXT.fullmatch(text) is not None and len(text.lstrip("+-0")) <= 10
@@ -1119,12 +1128,12 @@ class Interpreter:
             self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
         return int(text)
 
-    def _b_length(self, receiver, args, span):
+    def _b_length(self, frame, span):
         """String.length(): UTF-16 code units, two for a character past U+FFFF."""
-        return len(args[0].encode("utf-16-le", "surrogatepass")) // 2
+        return len(frame[1].encode("utf-16-le", "surrogatepass")) // 2
 
-    def _b_open(self, receiver, args, span):
-        path, stub = args[0], self.options.file_system_stub or {}
+    def _b_open(self, frame, span):
+        path, stub = frame[1], self.options.file_system_stub or {}
         if path not in stub:
             return None
         self.ordinals += 1
@@ -1135,13 +1144,13 @@ class Interpreter:
             ordinal=self.ordinals,
         )
 
-    def _b_start(self, receiver, args, span):  # runs run() to its end, in this thread
-        run = self._table(receiver.cls_name).get(("run", 0))
+    def _b_start(self, frame, span):  # runs run() to its end, in this thread
+        run = self._table(frame[0].cls_name).get(("run", 0))
         if run is not None:
-            run.call(receiver, [], span)
+            run.call(frame, span)
 
-    def _b_read(self, stream: SLStream, args, span):
-        buf, off, length = args
+    def _b_read(self, frame, span):
+        stream, buf, off, length = frame
         if buf is None:
             self._fault(FAULT_NULL_DEREFERENCE, span, "read() into a null buffer")
         if stream.closed:
@@ -1162,10 +1171,10 @@ class Interpreter:
         stream.pos += count
         return count
 
-    def _b_close(self, stream: SLStream, args, span):
-        stream.closed = True
+    def _b_close(self, frame, span):
+        frame[0].closed = True
 
-    def _b_nothing(self, receiver, args, span):  # run, wait and sleep
+    def _b_nothing(self, frame, span):  # run, wait and sleep
         return None
 
     # (owner, name) -> implementation, for every key of resolver.BUILTINS.
@@ -1174,14 +1183,14 @@ class Interpreter:
         (None, "readLine"): _b_read_line,
         (None, "parseInt"): _b_parse_int,
         (None, "open"): _b_open,
-        (None, "random"): lambda self, receiver, args, span: self.rng.random(),
+        (None, "random"): lambda self, frame, span: self.rng.random(),
         (None, "length"): _b_length,
-        (None, "exists"): lambda self, receiver, args, span: args[0] in (self.options.file_system_stub or {}),
+        (None, "exists"): lambda self, frame, span: frame[1] in (self.options.file_system_stub or {}),
         ("Thread", "start"): _b_start,
         ("Thread", "run"): _b_nothing,
         ("Thread", "wait"): _b_nothing,
         ("Thread", "sleep"): _b_nothing,
-        ("Thread", "getName"): lambda self, receiver, args, span: receiver.cls_name,
+        ("Thread", "getName"): lambda self, frame, span: frame[0].cls_name,
         ("Stream", "read"): _b_read,
         ("Stream", "close"): _b_close,
     }
@@ -1238,6 +1247,32 @@ _DOUBLE_OPS = {**_ADDITIVE, "/": _double_quotient, "%": _double_remainder}
 _COMPARE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 # == and != by value, or by identity (True) for objects and arrays.
 _EQUALITY_OPS = {"==": (operator.eq, operator.is_), "!=": (operator.ne, operator.is_not)}
+
+# An operator's closure for each kind of its two operands (see
+# Interpreter._operand), computing fn(left, right); an int operator's also
+# wraps a result outside the int range.
+_FOLDS = {
+    "SS": lambda fn, a, b: lambda f: fn(f[a], f[b]),
+    "SK": lambda fn, a, b: lambda f: fn(f[a], b),
+    "SC": lambda fn, a, b: lambda f: fn(f[a], b(f)),
+    "KS": lambda fn, a, b: lambda f: fn(a, f[b]),
+    "KK": lambda fn, a, b: lambda f: fn(a, b),
+    "KC": lambda fn, a, b: lambda f: fn(a, b(f)),
+    "CS": lambda fn, a, b: lambda f: fn(a(f), f[b]),
+    "CK": lambda fn, a, b: lambda f: fn(a(f), b),
+    "CC": lambda fn, a, b: lambda f: fn(a(f), b(f)),
+}
+_INT_FOLDS = {
+    "SS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], f[b])) <= INT_MAX else w(r),
+    "SK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], b)) <= INT_MAX else w(r),
+    "SC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], b(f))) <= INT_MAX else w(r),
+    "KS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, f[b])) <= INT_MAX else w(r),
+    "KK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, b)) <= INT_MAX else w(r),
+    "KC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, b(f))) <= INT_MAX else w(r),
+    "CS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), f[b])) <= INT_MAX else w(r),
+    "CK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), b)) <= INT_MAX else w(r),
+    "CC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), b(f))) <= INT_MAX else w(r),
+}
 
 
 def execute(

@@ -910,6 +910,140 @@ class T {
     assert trace.stdout == ["-96", "2.0", "3.0", "-294967296", "2147483591"]
 
 
+# -- operands folded into their operators -------------------------------------------
+#
+# An operator reads a local or parameter operand from its slot, binds a literal
+# operand in, and calls the closure of any other operand.  Each program runs
+# with assertions and coverage off, and on.
+
+MODES = [{}, {"assertions_enabled": True, "coverage_enabled": True}]
+
+# An operand of each kind: a slot (S), a literal (K) and a call (C), with the
+# values 7 on the left and 3 on the right.
+FOLD_LEFT = {"S": "a", "K": "7", "C": "id(7)"}
+FOLD_RIGHT = {"S": "b", "K": "3", "C": "id(3)"}
+FOLD_OPS = {
+    "+": "10", "-": "4", "*": "21", "/": "2", "%": "1",
+    "<": "false", "<=": "false", ">": "true", ">=": "true", "==": "false", "!=": "true",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_folded_operators_read_each_kind_of_operand(mode):
+    shapes = [(left, right, op) for left in FOLD_LEFT for right in FOLD_RIGHT for op in FOLD_OPS]
+    prints = "\n".join(f"        println({FOLD_LEFT[left]} {op} {FOLD_RIGHT[right]});" for left, right, op in shapes)
+    source = f"""\
+class T {{
+    static int id(int n) {{
+        return n;
+    }}
+
+    static void f(int a, int b) {{
+        int c = 1;
+        double d = a - b;
+        println(d);
+{prints}
+        println(b - a < c);
+    }}
+
+    static void main(String[] args) {{
+        f(7, 3);
+    }}
+}}
+"""
+    trace = run(source, **mode)
+    assert trace.faults == []
+    assert trace.stdout == ["4.0", *(FOLD_OPS[op] for _, _, op in shapes), "true"]
+
+
+# (expression, its result before wrapping); big is 2147483647, low is
+# -2147483647 and two is 2, and the expression starts at line 7, column 17.
+FOLD_OVERFLOWS = [
+    ("big + 1", 2147483648),
+    ("1 + big", 2147483648),
+    ("big + two", 2147483649),
+    ("low - two", -2147483649),
+    ("low - 2", -2147483649),
+    ("two - big - 4", -2147483649),
+    ("big * two", 4294967294),
+    ("two * big", 4294967294),
+    ("big * 2", 4294967294),
+    ("2 * id(big)", 4294967294),
+    ("id(big) + two", 2147483649),
+    ("big + id(two)", 2147483649),
+    ("id(big) + id(two)", 2147483649),
+    ("2147483647 + 2", 2147483649),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("expr, value", FOLD_OVERFLOWS)
+def test_a_folded_int_operator_wraps_where_it_overflows(expr, value, mode):
+    trace = run(f"""\
+class T {{
+    static int id(int n) {{ return n; }}
+    static void main(String[] args) {{
+        int big = 2147483647;
+        int low = -2147483647;
+        int two = 2;
+        println({expr});
+    }}
+}}
+""", **mode)
+    wrapped = (value + 2**31) % 2**32 - 2**31
+    assert _overflows(trace) == [(7, 17, f"32-bit result {value} wrapped to {wrapped}")]
+    assert trace.stdout == [str(wrapped)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_folded_result_wraps_into_a_byte_and_widens_into_a_double(mode):
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        byte acc = 100;
+        int step = 30;
+        acc = acc + step;
+        println(acc);
+        acc = step * 5;
+        println(acc);
+        double d = step * 3;
+        println(d);
+        d = 2 - step;
+        println(d);
+        d = step / step;
+        println(d);
+    }
+}
+""", **mode)
+    assert _overflows(trace) == [
+        (5, 9, "8-bit result 130 wrapped to -126"),
+        (7, 9, "8-bit result 150 wrapped to -106"),
+    ]
+    assert trace.stdout == ["-126", "-106", "90.0", "-28.0", "1.0"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("expr", ["five / zero", "five % zero", "5 / zero", "5 % zero", "id(5) / zero",
+                                  "five / id(0)", "five % 0"])
+def test_a_folded_division_by_a_zero_faults_at_its_operator(expr, mode):
+    trace = run(f"""\
+class T {{
+    static int id(int n) {{ return n; }}
+    static void main(String[] args) {{
+        int five = 5;
+        int zero = 0;
+        println("before");
+        println({expr});
+        println("after");
+    }}
+}}
+""", **mode)
+    assert trace.stdout == ["before"]
+    fault = trace.halting_fault
+    assert (fault.kind, fault.detail) == (FAULT_ARITHMETIC, "integer division by zero")
+    assert (fault.span.line, fault.span.column) == (7, 17)
+
+
 # -- call depth -------------------------------------------------------------------
 
 
@@ -1003,6 +1137,31 @@ class T {
 def test_default_call_depth_cap_fires_on_nested_recursion(shape):
     trace = run(NESTED_RECURSION[shape])
     assert trace.halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
+    assert trace.stdout == []
+
+
+def test_a_method_first_called_past_the_call_depth_cap_is_not_entered():
+    source = """\
+class P {
+    static int d(int n) {
+        if (n > 0) {
+            return d(n - 1);
+        }
+        return g();
+    }
+
+    static int g() {
+        return 1;
+    }
+
+    static void main() {
+        println(d(3));
+    }
+}
+"""
+    trace = run(source, max_call_depth=5)
+    assert sorted(trace.entered_methods) == ["P.d/1", "P.main/0"]
+    assert trace.halting_fault.detail == "call depth 5 exceeded (runaway recursion)"
     assert trace.stdout == []
 
 
