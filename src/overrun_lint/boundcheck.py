@@ -3,7 +3,9 @@
 The analysis enumerates array declarations and their index expressions,
 derives each index variable's legal range, marks the operations that can
 move an index (assignments, input-derived values, arithmetic updates), and
-judges loop limits against array extents.
+judges loop limits against array extents.  `_assignment` finds what each
+assignment sets; only one that sets a tracked index variable is classified
+(constant, input or arithmetic) into a ModifyingSite.
 
 One function, `_excess`, relates a value to an array's length.  For
 `value op limit` with op < or <=, it returns how far the largest value the
@@ -203,29 +205,30 @@ def track_index_vars(
     tracked: dict[int, list[IndexVarInfo]] = {}
     for info in result:
         tracked.setdefault(id(info.symbol), []).append(info)
-    # Every site that can move a tracked variable.
+    # Every site that can move a tracked variable; only those are classified.
     for node in resolution.nodes_of(ast.Binary, ast.LocalDecl):
-        site = _modifying_site(node, resolution)
-        if site is not None:
-            target, entry = site
-            for info in tracked.get(id(target), ()):
-                info.modifying_sites.append(entry)
+        assigned = _assignment(node, resolution)
+        if assigned is not None:
+            infos = tracked.get(id(assigned[0]))
+            if infos:
+                site = ModifyingSite(node.span, *_classify_rhs(assigned[1], resolution))
+                for info in infos:
+                    info.modifying_sites.append(site)
     for info in result:
         info.v_marked = bool(info.modifying_sites) and bool(info.accesses)
     return result
 
 
-def _modifying_site(node: ast.Node, resolution: Resolution) -> tuple[Symbol, ModifyingSite] | None:
-    if isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
-        sym = resolution.name_targets.get(node.left.uid)
-        if sym is None:
-            return None
-        return sym, ModifyingSite(node.span, *_classify_rhs(node.right, resolution))
-    if isinstance(node, ast.LocalDecl) and node.initializer is not None:
+def _assignment(node: ast.Node | None, resolution: Resolution) -> tuple[Symbol, ast.Expr] | None:
+    """(variable, value) when node assigns a value to a named variable: an
+    `=` whose left side is a name, or a local declaration with an initializer."""
+    if isinstance(node, ast.Binary):
+        if node.op == "=" and isinstance(node.left, ast.Name):
+            sym = resolution.name_targets.get(node.left.uid)
+            return None if sym is None else (sym, node.right)
+    elif isinstance(node, ast.LocalDecl) and node.initializer is not None:
         sym = resolution.decl_symbols.get(node.uid)
-        if sym is None:
-            return None
-        return sym, ModifyingSite(node.span, *_classify_rhs(node.initializer, resolution))
+        return None if sym is None else (sym, node.initializer)
     return None
 
 
@@ -282,9 +285,9 @@ def _symbols_modified_by_loop(loop: ast.For | ast.While, resolution: Resolution)
     out: set[int] = set()
     for region in regions:
         for node in resolution.subtree(region):
-            site = _modifying_site(node, resolution)
-            if site is not None:
-                out.add(id(site[0]))
+            assigned = _assignment(node, resolution)
+            if assigned is not None:
+                out.add(id(assigned[0]))
     return out
 
 
@@ -400,10 +403,8 @@ def _loop_start(loop: ast.For | ast.While, sym: Symbol, resolution: Resolution) 
     init = loop.init if isinstance(loop, ast.For) else None
     if isinstance(init, ast.ExprStmt):
         init = init.expr
-    site = _modifying_site(init, resolution)
-    if site is None or site[0] is not sym:
-        return None
-    return init.initializer if isinstance(init, ast.LocalDecl) else init.right
+    assigned = _assignment(init, resolution)
+    return assigned[1] if assigned is not None and assigned[0] is sym else None
 
 
 # -- composition --------------------------------------------------------------------

@@ -6,6 +6,10 @@ The parser builds each node with one positional call, `cls(span, uid,
 *fields)`, so a class's field order is part of its contract; fields with a
 default that a subclass inherits, such as `Stmt.leading_comments`, are
 keyword-only.
+
+Comments are tuples of their texts (`leading_comments`, and
+`trailing_comments` on a block or unit).  A node without comments shares
+the default `()`, so most statements and blocks allocate no container.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class Node:
 
 @record(slots=True)
 class Stmt(Node):
-    leading_comments: list[str] = field(default_factory=list, kw_only=True)
+    leading_comments: tuple[str, ...] = field(default=(), kw_only=True)
 
 
 @record(slots=True)
@@ -67,7 +71,7 @@ class FieldDecl(Node):
     static: bool = False
     final: bool = False
     initializer: Optional[Expr] = None
-    leading_comments: list[str] = field(default_factory=list)
+    leading_comments: tuple[str, ...] = ()
 
 
 @record(slots=True)
@@ -78,7 +82,7 @@ class MethodDecl(Node):
     body: "Block"
     is_constructor: bool = False
     is_static: bool = False
-    leading_comments: list[str] = field(default_factory=list)
+    leading_comments: tuple[str, ...] = ()
 
     @property
     def arity(self) -> int:
@@ -91,7 +95,7 @@ class ClassDecl(Node):
     extends: Optional[str] = None
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
-    leading_comments: list[str] = field(default_factory=list)
+    leading_comments: tuple[str, ...] = ()
 
 
 @record(kw_only=True)
@@ -101,7 +105,7 @@ class CompilationUnit(Node):
     classes: list[ClassDecl] = field(default_factory=list)
     source: str = ""
     file: str = "<memory>"
-    trailing_comments: list[str] = field(default_factory=list)
+    trailing_comments: tuple[str, ...] = ()
 
     @cached_property
     def tokens(self) -> TokenStream:
@@ -124,7 +128,7 @@ class CompilationUnit(Node):
 @record(slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
-    trailing_comments: list[str] = field(default_factory=list)
+    trailing_comments: tuple[str, ...] = ()
 
 
 @record(slots=True)

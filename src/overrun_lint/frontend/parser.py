@@ -78,17 +78,18 @@ class Parser:
         self.created: list[ast.Node] = []
         self.first: list[int] = []
         self.marks: list[int] = [0]
+        self.type_refs: dict[tuple[str, int], TypeRef] = {}  # TypeRefs are frozen: one per type
 
     # -- helpers ---------------------------------------------------------
 
-    def _take_comments(self) -> list[str]:
+    def _take_comments(self) -> tuple[str, ...]:
         """Comments before the next token that no node has taken yet."""
         if self.next_comment > self.pos:
-            return []
+            return ()
         taken, at = self.taken, self.stream.comment_at
         self.taken = end = bisect_right(at, self.pos, taken)
         self.next_comment = at[end] if end < len(at) else len(self.kinds)
-        return self.stream.comments[taken:end]
+        return tuple(self.stream.comments[taken:end])
 
     def _error(self, what: str) -> ParseError:
         pos = self.pos
@@ -166,7 +167,7 @@ class Parser:
         unit.index = NodeIndex.from_post_order(self.created, self.first)
         return unit
 
-    def _class_decl(self, lead: list[str]) -> ast.ClassDecl:
+    def _class_decl(self, lead: tuple[str, ...]) -> ast.ClassDecl:
         texts = self.texts
         start = self._expect("class")
         name = self._ident("class name")
@@ -186,7 +187,7 @@ class Parser:
         self.pos += 1
         return self._node(ast.ClassDecl, start, name, extends, fields, methods, lead)
 
-    def _member(self, class_name: str, lead: list[str]):
+    def _member(self, class_name: str, lead: tuple[str, ...]):
         texts = self.texts
         start = self.pos
         if self.kinds[start] == EOF:
@@ -252,7 +253,14 @@ class Parser:
             pos += 2
             dims += 1
         self.pos = pos
-        return TypeRef(text, dims)
+        return self._type_ref(text, dims)
+
+    def _type_ref(self, base: str, dims: int = 0) -> TypeRef:
+        """The unit's one TypeRef for base with dims array dimensions."""
+        ref = self.type_refs.get((base, dims))
+        if ref is None:
+            ref = self.type_refs[base, dims] = TypeRef(base, dims)
+        return ref
 
     # -- statements --------------------------------------------------------
 
@@ -618,7 +626,7 @@ class Parser:
         self._expect("]")
         self.depth -= 1
         self.height += 1
-        return self._node(ast.NewArray, tok, TypeRef(type_name), size)
+        return self._node(ast.NewArray, tok, self._type_ref(type_name), size)
 
     def _postfix(self, start: int, expr: ast.Expr) -> ast.Expr:
         """Member accesses, method calls and indexes applied to expr."""

@@ -2,6 +2,12 @@
 
 All four formats agree on finding counts and per-category totals, and are
 byte-deterministic once the report timestamp is injected.
+
+XML is written as text.  Of a finding's 13 attributes, `BUGTYPE` and
+`PATTERN` depend only on its rule id, and `priority` through `triage` only
+on its effective priority, rank, confidence, category and triage: each run
+is escaped once per key, and a finding formats only its marker, file, line
+and message.
 """
 
 from __future__ import annotations
@@ -39,10 +45,29 @@ def emit_report(report: Report, format: str, out: str | None = None) -> str:
 
 
 # The escaping ElementTree gives attribute values (_escape_attrib, the same
-# in Python 3.10-3.13), as one table.
-_ATTRIBUTE = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+# in Python 3.10-3.13), "&" first.  A replace per character that occurs is
+# about 15 times faster than a translation table on a message that holds one.
+_ATTRIBUTE = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")
 )
+
+
+def _escape(text: str) -> str:
+    """text as an attribute value."""
+    for char, reference in _ATTRIBUTE:
+        if char in text:
+            text = text.replace(char, reference)
+    return text
+
+
+def _attributes(attributes: dict[str, str]) -> str:
+    """Attributes as ElementTree writes them: in order, each value escaped."""
+    return "".join(f' {name}="{_escape(value)}"' for name, value in attributes.items())
+
+
+def _leaf(tag: str, attributes: dict[str, str]) -> str:
+    """An element without children as ElementTree writes it: self-closing."""
+    return f"<{tag}{_attributes(attributes)} />"
 
 
 def _emit_xml(report: Report) -> str:
@@ -50,58 +75,45 @@ def _emit_xml(report: Report) -> str:
     same tree, but without building it."""
     from ..detectors.rules import rule_by_id
 
-    escaped: dict[str, str] = {}  # values repeat across findings: escape each once
-
-    def element(tag: str, attributes: dict[str, str], children: list[str] | None = None) -> str:
-        """An element as ElementTree writes it: attributes in order, and
-        self-closing when it has no children."""
-        parts = [f"<{tag}"]
-        for name, value in attributes.items():
-            text = escaped.get(value)
-            if text is None:
-                text = escaped[value] = value.translate(_ATTRIBUTE)
-            parts.append(f' {name}="{text}"')
-        parts.append(f">{''.join(children)}</{tag}>" if children else " />")
-        return "".join(parts)
-
-    findings = [
-        element(
-            "finding",
-            {
-                "markerId": str(marker),
-                "BUGTYPE": finding.rule_id,
-                "PATTERN": rule_by_id(finding.rule_id).pattern,
-                "file": finding.span.file,
-                "lineNumber": str(finding.span.line),
-                "priority": str(finding.priority),
-                "priorityColor": finding.priority_color,
-                "RANK": str(finding.rank),
-                "rankBand": finding.rank_band,
-                "confidence": finding.confidence,
-                "category": finding.category,
-                "triage": finding.triage,
-                "message": finding.message,
-            },
+    rule_runs: dict[str, str] = {}
+    class_runs: dict[tuple, str] = {}
+    findings = []
+    for marker, finding in enumerate(report.findings, start=1):
+        rule_run = rule_runs.get(finding.rule_id)
+        if rule_run is None:
+            rule_run = rule_runs[finding.rule_id] = _attributes(
+                {"BUGTYPE": finding.rule_id, "PATTERN": rule_by_id(finding.rule_id).pattern}
+            )
+        key = (finding.priority, finding.rank, finding.confidence, finding.category, finding.triage)
+        class_run = class_runs.get(key)
+        if class_run is None:
+            class_run = class_runs[key] = _attributes(
+                {
+                    "priority": str(finding.priority),
+                    "priorityColor": finding.priority_color,
+                    "RANK": str(finding.rank),
+                    "rankBand": finding.rank_band,
+                    "confidence": finding.confidence,
+                    "category": finding.category,
+                    "triage": finding.triage,
+                }
+            )
+        span = finding.span
+        findings.append(
+            f'<finding markerId="{marker}"{rule_run} file="{_escape(span.file)}" '
+            f'lineNumber="{span.line}"{class_run} message="{_escape(finding.message)}" />'
         )
-        for marker, finding in enumerate(report.findings, start=1)
-    ]
-    sections = [
-        element("findings", {"count": str(len(report.findings))}, findings),
-        element(
-            "categories",
-            {},
-            [element("category", {"name": name, "count": str(count)}) for name, count in report.category_summary.items()],
-        ),
-    ]
+    categories = [_leaf("category", {"name": k, "count": str(n)}) for k, n in report.category_summary.items()]
+    sections = [("findings", {"count": str(len(report.findings))}, findings), ("categories", {}, categories)]
     if report.coverage is not None:
         counters = [
-            element("counter", {"kind": c.kind, "covered": str(c.covered), "missed": str(c.missed)})
+            _leaf("counter", {"kind": c.kind, "covered": str(c.covered), "missed": str(c.missed)})
             for c in report.coverage.counters
         ]
-        sections.append(element("coverage", {}, counters))
+        sections.append(("coverage", {}, counters))
     if report.metrics_rows:
         rows = [
-            element(
+            _leaf(
                 "element",
                 {
                     "name": row.element,
@@ -114,13 +126,15 @@ def _emit_xml(report: Report) -> str:
             )
             for row in report.metrics_rows
         ]
-        sections.append(element("metrics", {}, rows))
-    root = element(
-        "report",
-        {"tool": "overrun-lint", "version": report.tool_version, "generated": report.generated_at},
-        sections,
-    )
-    document = f"<?xml version='1.0' encoding='utf-8'?>\n{root}\n"
+        sections.append(("metrics", {}, rows))
+    # One join builds the document, so the findings, its largest part, are
+    # copied once.
+    head = {"tool": "overrun-lint", "version": report.tool_version, "generated": report.generated_at}
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n<report", _attributes(head), ">"]
+    for tag, attributes, children in sections:
+        parts += [f"<{tag}{_attributes(attributes)}>", *children, f"</{tag}>"] if children else [_leaf(tag, attributes)]
+    parts.append("</report>\n")
+    document = "".join(parts)
     # ElementTree writes what UTF-8 cannot encode (a lone surrogate) as a
     # character reference.
     return document if document.isascii() else document.encode("utf-8", "xmlcharrefreplace").decode("utf-8")

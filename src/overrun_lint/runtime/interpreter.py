@@ -816,7 +816,7 @@ class Interpreter:
         if t is ty.DOUBLE and source in (ty.INT, ty.BYTE):
             return lambda f: float(value(f))
         if t is ty.BYTE and source is ty.INT:
-            return lambda f: wrap(value(f), span, 8)
+            return lambda f: v if BYTE_MIN <= (v := value(f)) <= BYTE_MAX else wrap(v, span, 8)
         return value
 
     def _new_array(self, elem: ty.Type, size: int) -> SLArray:
@@ -852,7 +852,7 @@ class Interpreter:
         operand, span, wrap = self._expr(expr.operand), expr.span, self._wrap
         if self.res.types[expr.uid] == ty.DOUBLE:
             return lambda f: -operand(f)
-        return lambda f: wrap(-operand(f), span)  # an int or byte operand
+        return lambda f: r if INT_MIN <= (r := -operand(f)) <= INT_MAX else wrap(r, span)  # an int or byte
 
     def _e_index(self, expr: ast.Index):
         array, index = self._expr(expr.array), self._expr(expr.index)

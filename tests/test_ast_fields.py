@@ -66,6 +66,10 @@ def _fits(value: object, hint: object) -> bool:
     if get_origin(hint) is list:
         (item,) = get_args(hint)
         return type(value) is list and all(_fits(v, item) for v in value)
+    if get_origin(hint) is tuple:
+        item, ellipsis = get_args(hint)  # only tuple[item, ...] is declared
+        assert ellipsis is Ellipsis, hint
+        return type(value) is tuple and all(_fits(v, item) for v in value)
     if hint is NoneType:
         return value is None
     if hint is object:
@@ -110,10 +114,10 @@ def test_positional_and_keyword_construction_agree():
     a, b = ast.Name(span, 0, "a"), ast.Literal(span, 1, 2, "int")
     assert ast.Binary(span, 2, "+", a, b) == ast.Binary(span=span, uid=2, op="+", left=a, right=b)
     stmt = ast.Return(span, 3, a)
-    assert stmt.leading_comments == []
-    assert ast.Return(span, 3, a, leading_comments=["// c"]).leading_comments == ["// c"]
+    assert stmt.leading_comments == ()
+    assert ast.Return(span, 3, a, leading_comments=("// c",)).leading_comments == ("// c",)
     with pytest.raises(TypeError):
-        ast.Return(span, 3, a, ["// c"])  # leading_comments is keyword-only
+        ast.Return(span, 3, a, ("// c",))  # leading_comments is keyword-only
 
 
 # Every node class's fields, in the order of its __init__; the parser's
@@ -178,8 +182,11 @@ def test_a_unit_takes_only_its_span_by_position():
 def test_factory_defaults_are_fresh_per_instance():
     a, b = ast.Block(SPAN, 0), ast.Block(SPAN, 1)
     assert a.stmts == b.stmts == [] and a.stmts is not b.stmts
-    assert a.leading_comments is not b.leading_comments
     assert ast.CompilationUnit(SPAN).classes is not ast.CompilationUnit(SPAN).classes
+    # Comments are immutable tuples, so every node without any shares ().
+    unit = ast.CompilationUnit(SPAN)
+    assert a.leading_comments == a.trailing_comments == b.leading_comments == unit.trailing_comments == ()
+    assert ast.ClassDecl(SPAN, 0, "A").leading_comments == ()
 
 
 def test_repr_is_the_dataclass_text():

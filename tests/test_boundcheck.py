@@ -13,12 +13,14 @@ from overrun_lint.boundcheck import (
     run_bound_check,
     track_index_vars,
 )
-from overrun_lint.frontend import parse_source
+from overrun_lint.frontend import ast, parse_source
 from overrun_lint.pipeline import run_source
 from overrun_lint.runtime import FAULT_OUT_OF_BOUNDS, RunOptions
 from overrun_lint.semantics import build_symbol_table
+from overrun_lint.semantics.resolver import BUILTINS
 
-from progen import gen_bound_program
+from progen import gen_bound_program, seeded_unit
+from test_bound_golden import inputs as bound_golden_inputs
 
 
 def analyzed(source):
@@ -416,3 +418,61 @@ class D {
         "loop limit 6 exceeds the legal range of 'b'",
         "loop runs 'i <= n'; largest valid index of 'a' is n - 1",
     ]
+
+
+# -- modification sites against a rule that classifies every assignment ------------
+
+_INPUT_BUILTINS = {BUILTINS[None, name] for name in ("readLine", "parseInt", "random")}
+
+
+def _oracle_const(expr):
+    if isinstance(expr, ast.Literal) and expr.kind == "int":
+        return expr.value
+    if isinstance(expr, ast.Unary) and expr.op == "-":
+        inner = _oracle_const(expr.operand)
+        return -inner if inner is not None else None
+    return None
+
+
+def _oracle_site(node, res):
+    """(symbol, (span, kind, value)) for every assignment to a name and every
+    initialized local, each classified, whether or not the symbol indexes
+    an array."""
+    if isinstance(node, ast.Binary) and node.op == "=" and isinstance(node.left, ast.Name):
+        sym, value = res.name_targets.get(node.left.uid), node.right
+    elif isinstance(node, ast.LocalDecl) and node.initializer is not None:
+        sym, value = res.decl_symbols.get(node.uid), node.initializer
+    else:
+        return None
+    if sym is None:
+        return None
+    constant = _oracle_const(value)
+    if constant is not None:
+        return sym, (node.span, "constant", constant)
+    if any(res.builtin_of(n) in _INPUT_BUILTINS for n in res.subtree(value)):
+        return sym, (node.span, "input", None)
+    return sym, (node.span, "arithmetic", None)
+
+
+def _site_inputs():
+    """The bound golden's inputs (500 gen_bound_program outputs, corpus/, the
+    first 50 seeded units and the snippets, which hold the input-fed and
+    parameter indices), and the other 250 seeded units."""
+    sources = bound_golden_inputs()
+    sources.update({f"seeded/{seed}": seeded_unit(seed) for seed in range(50, 300)})
+    return sources
+
+
+def test_modifying_sites_match_a_rule_that_classifies_every_assignment():
+    checked = 0
+    for name, source in _site_inputs().items():
+        unit = parse_source(source, name)
+        res = build_symbol_table(unit)
+        classified = [site for node in res.nodes_of(ast.Binary, ast.LocalDecl) if (site := _oracle_site(node, res))]
+        for info in track_index_vars(find_arrays(unit, res), res):
+            expected = [entry for sym, entry in classified if sym is info.symbol]
+            got = [(site.span, site.kind, site.value) for site in info.modifying_sites]
+            assert got == expected, (name, info.symbol.name)
+            assert info.v_marked == (bool(expected) and bool(info.accesses)), (name, info.symbol.name)
+            checked += 1
+    assert checked > 2000

@@ -1044,6 +1044,45 @@ class T {{
     assert (fault.span.line, fault.span.column) == (7, 17)
 
 
+# Negation and int-to-byte stores test the range inline and wrap only a value
+# that does not fit.
+@pytest.mark.parametrize("mode", MODES)
+def test_negation_and_byte_stores_wrap_only_what_does_not_fit(mode):
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        int x = -2147483648;
+        int y = -x;
+        println(y);
+        println(-x);
+        int z = 5;
+        println(-z);
+        byte b = 0;
+        int v = 127;
+        b = v;
+        println(b);
+        v = 128;
+        b = v;
+        println(b);
+        v = -128;
+        b = v;
+        println(-b);
+        v = -129;
+        b = v;
+        println(b);
+    }
+}
+""", **mode)
+    assert _overflows(trace) == [
+        (4, 17, "32-bit result 2147483648 wrapped to -2147483648"),
+        (6, 17, "32-bit result 2147483648 wrapped to -2147483648"),
+        (14, 9, "8-bit result 128 wrapped to -128"),
+        (20, 9, "8-bit result -129 wrapped to 127"),
+    ]
+    assert trace.stdout == ["-2147483648", "-2147483648", "-5", "127", "-128", "128", "127"]
+    assert trace.halting_fault is None
+
+
 # -- call depth -------------------------------------------------------------------
 
 

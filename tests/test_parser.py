@@ -118,7 +118,7 @@ def test_comments_attach_to_following_statement():
     source = "class A { void m() { // note\nint x = 1; } }"
     unit = parse_source(source)
     stmt = unit.classes[0].methods[0].body.stmts[0]
-    assert stmt.leading_comments == ["// note"]
+    assert stmt.leading_comments == ("// note",)
 
 
 def test_span_containment(corpus_sources):
@@ -190,23 +190,23 @@ def _tree_digest(unit: ast.CompilationUnit) -> str:
 
 
 TREE_DIGESTS = {
-    "assert_demo.sl": "c09d2fefbbcd6049568763d3aff3ac74e44a2002c362ecc38a4542a66c342681",
-    "building_lift.sl": "985158465c0277a9c07dfed00c3528902fe49b732011cd69d47fe774d1cffbec",
-    "checkers_state.sl": "5b786c2c28a7496d989f45f6a0f7015dcf0e3ef89f13cc5bcb7985f800363c78",
-    "deadlock_demo.sl": "1d0be7c3b8a44ca43f47c095fe659f1735db06de7a2f285a0c9385beda3dbc70",
-    "equals_demo.sl": "1bc78df4229eea544d2b4c1c3de51b69f0830dfad2a6f959412cdd860455d4b4",
-    "file_check.sl": "53e572a7b943043148ba77233926f61629a51ed7de21f3680fc02a3f67639dbe",
-    "makeover.sl": "7282054e60387be4aefc45111406c0b29fa2b78246129a032805b043fed7d703",
-    "readline_loop.sl": "0671371fd6b162621783e72ada06bec0dfbe7dd9ba664e0bec42886230267ec1",
-    "robustness.sl": "193a93009226cb829a6a2442224406f716d84fcd66ef774ae6be7a2b58ef3d8d",
-    "testing.sl": "64a62cf047c995441283fc205cc36bda62bac6809fa6dc39a28c0ed2e1f7d443",
-    "wait_demo.sl": "846949f73db72b6f8249c6d84942ddf04671ede25982fe8512438eb8c8b5a506",
-    "yang.sl": "5a14359cb745095dfabe160b43a513959a143cbbc197a549fc3d67925fb13793",
-    "seeded1.sl": "69c7bccef17ff02728ef3d1bc438dd1b0ee2e1630153e729ee71c211b10176a4",
-    "seeded2.sl": "65473ccd8820528646b74648308ab7534b3debb5b690ae45789c590e2085c1eb",
-    "seeded3.sl": "02052e82b371e39392c415afe1eda14021a0a16673159a3a06c4c8fe0ad7bffd",
-    "seeded4.sl": "011c7245eaaffbd2213a408ee6a94200e6efdfde65283d80cc5b58d121b291ec",
-    "seeded5.sl": "95c9e3eff783f2eac476a2ec8b56cb6d7859c60b1e92b86b5d2ab80d1802c013",
+    "assert_demo.sl": "56427841c5c8a9acc62cf310c6192efc3b37975f80692d88c9279aaf89b0755d",
+    "building_lift.sl": "5e6501d6b9363be8ca64c1575e25ea7578521acaa8d8f5532c9adb1ba60cbc02",
+    "checkers_state.sl": "bbd383bc43766259d8ce0143ae031648e32cca55a0ce744ae56022eff218cd2d",
+    "deadlock_demo.sl": "83c3e441b95c46083bcf80604193b5849a75baccd31d661f28cbe589f2589bd2",
+    "equals_demo.sl": "0d584f3fd74d4e4e5e287751484912134fb7be4fe4c06376ffe6925e162aa7a1",
+    "file_check.sl": "3fffcf402420e24ce842c82b24613a25f35d2e54e2a07bd5bdfdedb5916e5985",
+    "makeover.sl": "f3ca103d7d6a9e282245ff93ffd73aa9b3ce18fab0884a76837a27b20a2d711e",
+    "readline_loop.sl": "e9c68af084cb779bf08c5aec5b2bb1446546277373843ab3240cd6999aedc292",
+    "robustness.sl": "5a75f709604d467dc0a898858ebcc5d427102a4b878a7d372500e195163540aa",
+    "testing.sl": "1d4a601499c94020c0a14d8286aee8a699f67d6d8752e57a5e64cff0c62417bd",
+    "wait_demo.sl": "27d4697773bed875de4f69275bcb4a87a614c814fa995d4732e1d07aeef2830b",
+    "yang.sl": "d060e32053110246f76453a740a34e7c573f13a927cb964086622dab369329d8",
+    "seeded1.sl": "c249ea913f9c8ab5597ec6bd7e0329a1a09c4678f827e94dfcfbfe614e4e9a12",
+    "seeded2.sl": "7a36e4a884d2f9f9076dcec0799eb7da954b91bcf703aa93a5e8a7a4d8401e64",
+    "seeded3.sl": "700cbfac5107224e05e812a8d10ea6fc22c013e13c13be00f73a4651d2429b42",
+    "seeded4.sl": "64903c423aef053790b56d3db0b4777924a0b67665b847b9c5e0cff4bf032c39",
+    "seeded5.sl": "5ecd7161886ad7e8837c7885bf4b3a2607edadb937ae15af110347301a79e892",
 }
 
 

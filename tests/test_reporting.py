@@ -5,10 +5,12 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from overrun_lint import __version__
+from overrun_lint.cli import main
 from overrun_lint.errors import DomainError, SpanOutOfRangeError
 from overrun_lint.frontend.lexer import SourceSpan
-from overrun_lint.detectors.model import Finding
-from overrun_lint.pipeline import analyze_source
+from overrun_lint.detectors.model import Finding, RuleSet, load_ruleset
+from overrun_lint.pipeline import analyze_path, analyze_source
 from overrun_lint.detectors.rules import rule_by_id
 from overrun_lint.reporting.report import MetricsRow
 from overrun_lint.runtime.coverage import CoverageCounter, CoverageReport
@@ -163,6 +165,57 @@ def test_xml_writer_gives_elementtrees_bytes(text):
         sample_report(),
     ):
         assert emit_report(report, "xml").encode("utf-8") == _elementtree_xml(report).encode("utf-8")
+
+
+def _catalog_finding(rule_id, line, priority=None, triage="untriaged"):
+    rule = rule_by_id(rule_id)
+    return Finding(
+        rule_id=rule_id, category=rule.category, priority=priority or rule.priority, rank=rule.rank,
+        confidence=rule.confidence, message=f"{rule_id} <{line}>", span=SourceSpan("m.sl", line, 1, line, 2),
+        triage=triage,
+    )
+
+
+def test_xml_writer_gives_elementtrees_bytes_across_rules_priorities_and_triage():
+    # One rule under three classifications, and rules that share a pattern
+    # (NM) or a classification: each finding keeps its own attributes.
+    findings = [
+        _catalog_finding("SystemPrintln", 1),
+        _catalog_finding("SystemPrintln", 2, priority=1, triage="reviewed"),
+        _catalog_finding("SystemPrintln", 3, triage="false_positive"),
+        _catalog_finding("MethodNamingConventions", 4),
+        _catalog_finding("ParameterNameConvention", 5),
+        _catalog_finding("ClassNamingConvention", 6, priority=1, triage="reviewed"),
+        _catalog_finding("NP_DEREFERENCE_OF_READLINE_VALUE", 7),
+        _catalog_finding("SystemPrintln", 8),
+    ]
+    report = sample_report(findings)
+    document = emit_report(report, "xml")
+    assert document.encode("utf-8") == _elementtree_xml(report).encode("utf-8")
+    attributes = [e.attrib for e in ET.fromstring(document).findall("findings/finding")]
+    assert [(a["BUGTYPE"], a["priority"], a["priorityColor"], a["triage"]) for a in attributes[:3]] == [
+        ("SystemPrintln", "4", "green", "untriaged"),
+        ("SystemPrintln", "1", "red", "reviewed"),
+        ("SystemPrintln", "4", "green", "false_positive"),
+    ]
+
+
+@pytest.mark.parametrize("ruleset", ["", "rule SystemPrintln priority=1\n"])
+def test_xml_report_of_the_corpus_gives_elementtrees_bytes(ruleset, corpus_dir, tmp_path, capsys):
+    paths = [str(p) for p in sorted(corpus_dir.glob("*.sl"))]
+    argv = ["analyze", *paths, "--format", "xml", "--timestamp", "T0"]
+    rules = RuleSet()
+    if ruleset:
+        (tmp_path / "rules").write_text(ruleset)
+        argv += ["--ruleset", str(tmp_path / "rules")]
+        rules = load_ruleset(ruleset)
+    assert main(argv) == 1
+    findings = sorted((f for path in paths for f in analyze_path(path).findings(rules)), key=Finding.sort_key)
+    expected = _elementtree_xml(Report(tool_version=__version__, generated_at="T0", findings=findings))
+    assert capsys.readouterr().out.encode("utf-8") == expected.encode("utf-8")
+    printlns = {f.priority for f in findings if f.rule_id == "SystemPrintln"}
+    assert printlns == ({1} if ruleset else {4})
+    assert len({f.rule_id for f in findings}) > 5
 
 
 def test_csv_row_count_matches_findings(corpus_sources):
