@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "build_unit_cfgs",
         "complexity_bd",
         "complexity_en",
-        "reachability",
         "unreachable_nodes",
     ),
     ".boundcheck": ("check_loops", "find_arrays", "run_bound_check", "track_index_vars"),

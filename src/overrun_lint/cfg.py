@@ -194,12 +194,6 @@ def reach(cfg: ControlFlowGraph, start: int | None = None, blocked: Collection[i
     return reached
 
 
-def reachability(cfg: ControlFlowGraph) -> list[list[bool]]:
-    """Transitive closure over blocks, in block order; m[i][i] is True."""
-    rows = [reach(cfg, b.bid) for b in cfg.blocks]
-    return [[b.bid in row for b in cfg.blocks] for row in rows]
-
-
 def call_blocks(
     cfg: ControlFlowGraph, calls: Iterable[ast.Node], parent: Callable[[ast.Node], ast.Node | None]
 ) -> set[int]:
@@ -302,38 +296,24 @@ class _Builder:
 
     # -- statement dispatch -------------------------------------------------
 
-    def block_stmts(self, block: ast.Block) -> None:
-        for stmt in block.stmts:
-            self.stmt(stmt)
+    def stmts(self, stmts: list[ast.Stmt]) -> None:
+        handlers = self._STMTS
+        for stmt in stmts:
+            handlers[type(stmt)](self, stmt)
 
-    def stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            self.block_stmts(stmt)
-        elif isinstance(stmt, (ast.ExprStmt, ast.LocalDecl, ast.Empty)):
-            self.instr(stmt)
-        elif isinstance(stmt, ast.Return):
-            self.instr(stmt)
-            self.edge(self.cur.bid, self.cfg.exit, FALLTHROUGH)
-            self.cur = None
-        elif isinstance(stmt, ast.If):
-            self._if(stmt)
-        elif isinstance(stmt, ast.While):
-            self._loop(stmt, stmt.cond, stmt.body, update=None)
-        elif isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                self.instr(stmt.init)
-            self._loop(stmt, stmt.cond, stmt.body, update=stmt.update)
-        elif isinstance(stmt, ast.Switch):
-            self._switch(stmt)
-        elif isinstance(stmt, ast.Try):
-            self._try(stmt)
-        elif isinstance(stmt, ast.Assert):
-            self._assert(stmt)
-        elif isinstance(stmt, ast.Synchronized):
-            self.instr(stmt)
-            self.block_stmts(stmt.body)
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+    def _return(self, stmt: ast.Return) -> None:
+        self.instr(stmt)
+        self.edge(self.cur.bid, self.cfg.exit, FALLTHROUGH)
+        self.cur = None
+
+    def _for(self, stmt: ast.For) -> None:
+        if stmt.init is not None:
+            self.instr(stmt.init)
+        self._loop(stmt, stmt.cond, stmt.body, update=stmt.update)
+
+    def _synchronized(self, stmt: ast.Synchronized) -> None:
+        self.instr(stmt)
+        self.stmts(stmt.body.stmts)
 
     def _if(self, stmt: ast.If) -> None:
         self.ensure_cur()
@@ -351,12 +331,12 @@ class _Builder:
         else:
             self.edge(cond_block.bid, (else_entry or join).bid, FALSE_BRANCH)
         self.cur = then_entry
-        self.block_stmts(stmt.then)
+        self.stmts(stmt.then.stmts)
         if self.cur is not None:
             self.edge(self.cur.bid, join.bid, FALLTHROUGH)
         if stmt.els is not None:
             self.cur = else_entry
-            self.stmt(stmt.els)
+            self.stmts((stmt.els,))
             if self.cur is not None:
                 self.edge(self.cur.bid, join.bid, FALLTHROUGH)
         self.cur = join
@@ -400,7 +380,7 @@ class _Builder:
         else:
             self.edge(cond_block.bid, after.bid, FALSE_BRANCH)
         self.cur = body_entry
-        self.block_stmts(body)
+        self.stmts(body.stmts)
         if update is not None:
             self.ensure_cur()
             self.instr(update)
@@ -418,8 +398,7 @@ class _Builder:
             entry = self.new_block()
             self.edge(subject_block.bid, entry.bid, SWITCH_CASE, case_label(i, case))
             self.cur = entry
-            for inner in case.body:
-                self.stmt(inner)
+            self.stmts(case.body)
             if self.cur is not None:
                 self.edge(self.cur.bid, after.bid, FALLTHROUGH)
         if not has_default:
@@ -427,21 +406,36 @@ class _Builder:
         self.cur = after
 
     def _try(self, stmt: ast.Try) -> None:
-        self.block_stmts(stmt.body)
+        self.stmts(stmt.body.stmts)
         for catch in stmt.catches:
             entry = self.new_block()
             if self.cur is not None:
                 self.edge(self.cur.bid, entry.bid, FALLTHROUGH)
             self.cur = entry
             self._catch_depth += 1
-            self.block_stmts(catch.body)
+            self.stmts(catch.body.stmts)
             self._catch_depth -= 1
         if stmt.finally_block is not None:
             entry = self.new_block()
             if self.cur is not None:
                 self.edge(self.cur.bid, entry.bid, FALLTHROUGH)
             self.cur = entry
-            self.block_stmts(stmt.finally_block)
+            self.stmts(stmt.finally_block.stmts)
+
+    _STMTS = {
+        ast.Block: lambda self, stmt: self.stmts(stmt.stmts),
+        ast.ExprStmt: instr,
+        ast.LocalDecl: instr,
+        ast.Empty: instr,
+        ast.Return: _return,
+        ast.If: _if,
+        ast.While: lambda self, stmt: self._loop(stmt, stmt.cond, stmt.body, update=None),
+        ast.For: _for,
+        ast.Switch: _switch,
+        ast.Try: _try,
+        ast.Assert: _assert,
+        ast.Synchronized: _synchronized,
+    }
 
     # -- finish ---------------------------------------------------------------
 
@@ -498,7 +492,7 @@ def build_cfg(
 ) -> ControlFlowGraph:
     """CFG for a single method body; iids hands out its instruction ids."""
     builder = _Builder(method_identity(class_name, method), iids or itertools.count())
-    builder.block_stmts(method.body)
+    builder.stmts(method.body.stmts)
     end_span = SourceSpan(
         method.span.file,
         method.span.end_line,

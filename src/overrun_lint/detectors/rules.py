@@ -304,7 +304,7 @@ def string_equality(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
     for node in ctx.res.nodes_of(ast.Binary):
         if node.op in ("==", "!="):
-            if ty.is_string(ctx.res.types[node.left.uid]) and ty.is_string(ctx.res.types[node.right.uid]):
+            if ctx.res.types[node.left.uid] is ty.STRING and ctx.res.types[node.right.uid] is ty.STRING:
                 findings.append(
                     rule.finding(node.span, f"'{node.op}' compares String references; use equals-style comparison")
                 )

@@ -922,7 +922,7 @@ class Interpreter:
 
             return logical
         span, t = expr.span, self.res.types[expr.uid]
-        if op == "+" and ty.is_string(t):
+        if op == "+" and t is ty.STRING:
             left, right = self._expr(expr.left), self._expr(expr.right)
             return lambda f: format_value(left(f)) + format_value(right(f))
         (ka, a), (kb, b) = self._operand(expr.left), self._operand(expr.right)

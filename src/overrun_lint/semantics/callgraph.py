@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 
 from ..records import field, record
@@ -24,16 +25,22 @@ class CallGraph:
 
 
 def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallGraph:
+    """One edge per Call/New site in a method body, by class, then method,
+    then site in pre-order.  A body's sites are the run of the unit's sites
+    whose index positions lie in the body's subtree."""
     graph = CallGraph()
+    sites = resolution.nodes_of(ast.Call, ast.New)
+    positions, ends = resolution.index.positions, resolution.index.ends
+    starts = [positions[site.uid] for site in sites]
     for info in resolution.classes.values():
         for minfo in info.methods.values():
             caller = minfo.method_id
-            for node in resolution.subtree(minfo.decl.body):
-                if not isinstance(node, (ast.Call, ast.New)):
-                    continue
-                target = resolution.call_targets[node.uid]
+            body = minfo.decl.body.uid
+            first = bisect_left(starts, positions[body])
+            for site in sites[first : bisect_left(starts, ends[body], first)]:
+                target = resolution.call_targets[site.uid]
                 graph.edges.append(
-                    CallEdge(caller=caller, callee=target.id, site=node, callee_builtin=target.builtin is not None)
+                    CallEdge(caller=caller, callee=target.id, site=site, callee_builtin=target.builtin is not None)
                 )
     return graph
 

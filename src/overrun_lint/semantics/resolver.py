@@ -15,6 +15,16 @@ instance field, instance method or Thread builtin without a receiver.  So
 does an override that does not keep its base method's signature (JLS
 8.4.8), which lets every phase trust a call's resolved signature.
 
+Statements and expressions are resolved through one table each, keyed by
+the node's class (_STMTS, _EXPRS).  Scopes are made where names are
+declared: the global scope holds the classes, a class's its fields and
+inherited fields, a method's `this` and parameters, and a catch clause's
+its parameter.  A block or a switch case gets a scope at its first local
+declaration, and a for statement when its initializer declares; until
+then, and in a block that declares nothing, names resolve in the
+enclosing scope.  So a nested block's local may shadow an outer local or
+a parameter.
+
 The Resolution answers tree queries from the unit's node index
 (frontend/index.py), which the parser built: a subtree is a slice of the
 node list (Resolution.subtree), and "is this node inside that one" an
@@ -81,6 +91,9 @@ BUILTIN_CLASSES = {"Thread", "Stream", "Exception"}
 _uid = attrgetter("uid")
 
 _LITERAL_TYPES = {"int": ty.INT, "double": ty.DOUBLE, "string": ty.STRING, "boolean": ty.BOOLEAN}
+_INTEGRAL = frozenset((ty.INT, ty.BYTE))
+_REFERENCE = (ty.ClassType, ty.ArrayType, ty.NullType)
+_STRING_OR_NULL = frozenset((ty.STRING, ty.NULL))
 
 
 @record
@@ -189,7 +202,7 @@ class Resolution:
     def method_of(self, node: ast.Node) -> ast.MethodDecl | None:
         """The method node lies in (node itself if it is one); None outside
         every method."""
-        while node is not None and not isinstance(node, ast.MethodDecl):
+        while node is not None and type(node) is not ast.MethodDecl:
             node = self.index.parents[node.uid]
         return node
 
@@ -211,9 +224,9 @@ class Resolution:
         cur = node
         parent = parents[cur.uid]
         while parent is not None:
-            if isinstance(parent, ast.If):
+            if type(parent) is ast.If:
                 yield parent.cond, cur is parent.then
-            elif isinstance(parent, ast.While):
+            elif type(parent) is ast.While:
                 yield parent.cond, cur is parent.body
             cur, parent = parent, parents[parent.uid]
 
@@ -225,7 +238,7 @@ class Resolution:
     def names_class(self, expr: ast.Expr) -> bool:
         """Whether expr is a class name: a receiver that only a static
         field or method may have, and that does not run."""
-        sym = self.name_targets.get(expr.uid) if isinstance(expr, ast.Name) else None
+        sym = self.name_targets.get(expr.uid) if type(expr) is ast.Name else None
         return sym is not None and sym.kind == "class"
 
     def ancestors(self, name: str | None) -> list[ClassInfo]:
@@ -250,9 +263,20 @@ class Resolution:
 
 def _case_fits(subject_t: Type, label_t: Type) -> bool:
     """Whether a case label of label_t can equal a subject of subject_t."""
-    if ty.is_string(subject_t):
-        return ty.is_string(label_t)
-    return label_t in (ty.INT, ty.BYTE)
+    if subject_t is ty.STRING:
+        return label_t is ty.STRING
+    return label_t in _INTEGRAL
+
+
+def _comparable(a: Type, b: Type) -> bool:
+    """Whether == and != may compare a value of a with one of b."""
+    if a in ty.NUMERIC or b in ty.NUMERIC:
+        return a in ty.NUMERIC and b in ty.NUMERIC
+    if a is ty.BOOLEAN or b is ty.BOOLEAN:
+        return a is b
+    if a is ty.STRING or b is ty.STRING:
+        return a in _STRING_OR_NULL and b in _STRING_OR_NULL
+    return type(a) in _REFERENCE and type(b) in _REFERENCE
 
 
 def param_types(decl: ast.MethodDecl) -> list[Type]:
@@ -269,6 +293,15 @@ def build_symbol_table(unit: ast.CompilationUnit) -> Resolution:
     return _Resolver(unit).run()
 
 
+class _RefTypes(dict):
+    """(base, dims) of a TypeRef -> its semantic type, converted on first
+    read.  (A TypeRef's own hash is Python code.)"""
+
+    def __missing__(self, key: tuple[str, int]) -> Type:
+        t = self[key] = ty.from_type_ref(ast.TypeRef(*key))
+        return t
+
+
 class _Resolver:
     def __init__(self, unit: ast.CompilationUnit):
         self.unit = unit
@@ -282,6 +315,8 @@ class _Resolver:
             diagnostics=[],
             index=unit.index,
         )
+        self.types = self.res.types
+        self.ref_types = _RefTypes()
         self.global_scope = Scope()
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
@@ -344,7 +379,7 @@ class _Resolver:
                 info.fields[fld.name] = self._sym(
                     name=fld.name,
                     kind="field",
-                    declared_type=ty.from_type_ref(fld.type),
+                    declared_type=self.ref_types[fld.type.base, fld.type.dims],
                     span=fld.span,
                     static=fld.static,
                     final=fld.final,
@@ -359,7 +394,7 @@ class _Resolver:
                 sym = self._sym(
                     name=method.name,
                     kind="method",
-                    declared_type=ty.from_type_ref(method.return_type),
+                    declared_type=self.ref_types[method.return_type.base, method.return_type.dims],
                     span=method.span,
                     static=method.is_static,
                     owner=cls.name,
@@ -421,7 +456,7 @@ class _Resolver:
                 self.static_context = fld.static
                 value_t = self._expr(fld.initializer, class_scope)
                 self._require_assignable(
-                    ty.from_type_ref(fld.type), value_t, fld.span, "field initializer"
+                    self.ref_types[fld.type.base, fld.type.dims], value_t, fld.span, "field initializer"
                 )
         for method in cls.methods:
             self._resolve_method(method, class_scope)
@@ -454,14 +489,14 @@ class _Resolver:
                 self._sym(
                     name=param.name,
                     kind="param",
-                    declared_type=ty.from_type_ref(param.type),
+                    declared_type=self.ref_types[param.type.base, param.type.dims],
                     span=param.span,
                     final=param.final,
                     decl_uid=param.uid,
                     read_only=param.final,
                 )
             )
-        self._block(method.body, scope)
+        self._stmts(method.body.stmts, scope)
         # Every symbol declared since `first` is a parameter or a local of
         # this method: they take the frame slots after the receiver's, in
         # declaration order.
@@ -473,22 +508,28 @@ class _Resolver:
 
     # -- statements ----------------------------------------------------------
 
-    def _block(self, block: ast.Block, parent: Scope) -> None:
-        scope = Scope(parent=parent)
-        for stmt in block.stmts:
-            self._stmt(stmt, scope)
+    def _stmts(self, stmts: list[ast.Stmt], parent: Scope) -> None:
+        """Resolve the statements of a block or a switch case.  Their scope
+        is made at the first declaration among them: the statements before
+        it, and all of them where none declares, resolve in parent."""
+        scope = parent
+        handlers = self._STMTS
+        for stmt in stmts:
+            kind = type(stmt)
+            if kind is ast.LocalDecl and scope is parent:
+                scope = Scope(parent=parent)
+            handlers[kind](self, stmt, scope)
 
-    def _declare_local(self, decl: ast.LocalDecl, scope: Scope) -> None:
+    def _s_local(self, decl: ast.LocalDecl, scope: Scope) -> None:
+        declared = self.ref_types[decl.type.base, decl.type.dims]
         if decl.initializer is not None:
             value_t = self._expr(decl.initializer, scope)
-            self._require_assignable(
-                ty.from_type_ref(decl.type), value_t, decl.span, "initializer"
-            )
+            self._require_assignable(declared, value_t, decl.span, "initializer")
         scope.declare(
             self._sym(
                 name=decl.name,
                 kind="local",
-                declared_type=ty.from_type_ref(decl.type),
+                declared_type=declared,
                 span=decl.span,
                 final=decl.final,
                 decl_uid=decl.uid,
@@ -499,95 +540,88 @@ class _Resolver:
     def _condition(self, cond: ast.Expr, scope: Scope, what: str) -> None:
         cond_t = self._expr(cond, scope)
         # Constant int conditions are legal and fold in the CFG.
-        if cond_t != ty.BOOLEAN and ast.literal_truth(cond) is None:
+        if cond_t is not ty.BOOLEAN and ast.literal_truth(cond) is None:
             raise TypeCheckError(cond.span, f"{what} condition must be boolean, got {cond_t}")
 
-    def _stmt(self, stmt: ast.Stmt, scope: Scope) -> None:
-        if isinstance(stmt, ast.Block):
-            self._block(stmt, scope)
-        elif isinstance(stmt, ast.LocalDecl):
-            self._declare_local(stmt, scope)
-        elif isinstance(stmt, ast.ExprStmt):
-            self._expr(stmt.expr, scope)
-        elif isinstance(stmt, ast.If):
-            self._condition(stmt.cond, scope, "if")
-            self._block(stmt.then, scope)
-            if stmt.els is not None:
-                self._stmt(stmt.els, scope)
-        elif isinstance(stmt, ast.While):
-            self._condition(stmt.cond, scope, "while")
-            self._block(stmt.body, scope)
-        elif isinstance(stmt, ast.For):
-            for_scope = Scope(parent=scope)
-            if isinstance(stmt.init, ast.LocalDecl):
-                self._declare_local(stmt.init, for_scope)
-            elif isinstance(stmt.init, ast.ExprStmt):
-                self._expr(stmt.init.expr, for_scope)
-            if stmt.cond is not None:
-                self._condition(stmt.cond, for_scope, "for")
-            if stmt.update is not None:
-                self._expr(stmt.update, for_scope)
-            self._block(stmt.body, for_scope)
-        elif isinstance(stmt, ast.Switch):
-            subject_t = self._expr(stmt.subject, scope)
-            if subject_t not in (ty.INT, ty.BYTE) and not ty.is_string(subject_t):
-                raise TypeCheckError(stmt.subject.span, f"switch subject must be int or String, got {subject_t}")
-            for case in stmt.cases:
-                if case.label is not None:
-                    label_t = self._expr(case.label, scope)
-                    if not _case_fits(subject_t, label_t):
-                        raise TypeCheckError(
-                            case.label.span, f"case label of type {label_t} cannot match a {subject_t} subject"
-                        )
-                case_scope = Scope(parent=scope)
-                for inner in case.body:
-                    self._stmt(inner, case_scope)
-            self.switches.append(stmt)
-        elif isinstance(stmt, ast.Try):
-            self._block(stmt.body, scope)
-            for catch in stmt.catches:
-                catch_scope = Scope(parent=scope)
-                catch_scope.declare(
-                    self._sym(
-                        name=catch.name,
-                        kind="param",
-                        declared_type=ty.from_type_ref(catch.exc_type),
-                        span=catch.span,
-                        is_catch_param=True,
-                        decl_uid=catch.uid,
+    def _s_if(self, stmt: ast.If, scope: Scope) -> None:
+        self._condition(stmt.cond, scope, "if")
+        self._stmts(stmt.then.stmts, scope)
+        els = stmt.els
+        if els is not None:
+            self._STMTS[type(els)](self, els, scope)
+
+    def _s_while(self, stmt: ast.While, scope: Scope) -> None:
+        self._condition(stmt.cond, scope, "while")
+        self._stmts(stmt.body.stmts, scope)
+
+    def _s_for(self, stmt: ast.For, scope: Scope) -> None:
+        init = stmt.init
+        if init is not None:
+            if type(init) is ast.LocalDecl:
+                scope = Scope(parent=scope)
+            self._STMTS[type(init)](self, init, scope)
+        if stmt.cond is not None:
+            self._condition(stmt.cond, scope, "for")
+        if stmt.update is not None:
+            self._expr(stmt.update, scope)
+        self._stmts(stmt.body.stmts, scope)
+
+    def _s_switch(self, stmt: ast.Switch, scope: Scope) -> None:
+        subject_t = self._expr(stmt.subject, scope)
+        if subject_t not in _INTEGRAL and subject_t is not ty.STRING:
+            raise TypeCheckError(stmt.subject.span, f"switch subject must be int or String, got {subject_t}")
+        for case in stmt.cases:
+            if case.label is not None:
+                label_t = self._expr(case.label, scope)
+                if not _case_fits(subject_t, label_t):
+                    raise TypeCheckError(
+                        case.label.span, f"case label of type {label_t} cannot match a {subject_t} subject"
                     )
+            self._stmts(case.body, scope)
+        self.switches.append(stmt)
+
+    def _s_try(self, stmt: ast.Try, scope: Scope) -> None:
+        self._stmts(stmt.body.stmts, scope)
+        for catch in stmt.catches:
+            catch_scope = Scope(parent=scope)
+            catch_scope.declare(
+                self._sym(
+                    name=catch.name,
+                    kind="param",
+                    declared_type=self.ref_types[catch.exc_type.base, catch.exc_type.dims],
+                    span=catch.span,
+                    is_catch_param=True,
+                    decl_uid=catch.uid,
                 )
-                self._block(catch.body, catch_scope)
-            if stmt.finally_block is not None:
-                self._block(stmt.finally_block, scope)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                value_t = self._expr(stmt.value, scope)
-                if self.current_method is not None:
-                    ret = ty.from_type_ref(self.current_method.return_type)
-                    if ret == ty.VOID_T:
-                        raise TypeCheckError(stmt.span, "void method returns a value")
-                    self._require_assignable(ret, value_t, stmt.span, "return value")
-            elif self.current_method is not None and not self.current_method.is_constructor:
-                ret = ty.from_type_ref(self.current_method.return_type)
-                if ret != ty.VOID_T:
-                    raise TypeCheckError(stmt.span, f"return needs a {ret} value")
-        elif isinstance(stmt, ast.Assert):
-            cond_t = self._expr(stmt.condition, scope)
-            if cond_t != ty.BOOLEAN:
-                raise TypeCheckError(stmt.condition.span, f"assert condition must be boolean, got {cond_t}")
-            # JLS 14.10: the message may be of any type but void.
-            if stmt.message is not None and self._expr(stmt.message, scope) == ty.VOID_T:
-                raise TypeCheckError(stmt.message.span, "assert message must not be void")
-        elif isinstance(stmt, ast.Synchronized):
-            monitor_t = self._expr(stmt.monitor, scope)
-            if not isinstance(monitor_t, (ty.ClassType, ty.ArrayType)):
-                raise TypeCheckError(stmt.monitor.span, f"synchronized needs an object monitor, got {monitor_t}")
-            self._block(stmt.body, scope)
-        elif isinstance(stmt, ast.Empty):
-            pass
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled statement {type(stmt).__name__}")
+            )
+            self._stmts(catch.body.stmts, catch_scope)
+        if stmt.finally_block is not None:
+            self._stmts(stmt.finally_block.stmts, scope)
+
+    def _s_return(self, stmt: ast.Return, scope: Scope) -> None:
+        method = self.current_method
+        ret = self.ref_types[method.return_type.base, method.return_type.dims]
+        if stmt.value is not None:
+            value_t = self._expr(stmt.value, scope)
+            if ret is ty.VOID_T:
+                raise TypeCheckError(stmt.span, "void method returns a value")
+            self._require_assignable(ret, value_t, stmt.span, "return value")
+        elif ret is not ty.VOID_T and not method.is_constructor:
+            raise TypeCheckError(stmt.span, f"return needs a {ret} value")
+
+    def _s_assert(self, stmt: ast.Assert, scope: Scope) -> None:
+        cond_t = self._expr(stmt.condition, scope)
+        if cond_t is not ty.BOOLEAN:
+            raise TypeCheckError(stmt.condition.span, f"assert condition must be boolean, got {cond_t}")
+        # JLS 14.10: the message may be of any type but void.
+        if stmt.message is not None and self._expr(stmt.message, scope) is ty.VOID_T:
+            raise TypeCheckError(stmt.message.span, "assert message must not be void")
+
+    def _s_synchronized(self, stmt: ast.Synchronized, scope: Scope) -> None:
+        monitor_t = self._expr(stmt.monitor, scope)
+        if type(monitor_t) not in (ty.ClassType, ty.ArrayType):
+            raise TypeCheckError(stmt.monitor.span, f"synchronized needs an object monitor, got {monitor_t}")
+        self._stmts(stmt.body.stmts, scope)
 
     def _check_case_labels(self, switch: ast.Switch) -> None:
         """Each case label is a constant, and no two are equal (JLS 14.11)."""
@@ -632,12 +666,8 @@ class _Resolver:
     # -- expressions -----------------------------------------------------------
 
     def _require_assignable(self, dst: Type, src: Type, span: SourceSpan, what: str) -> None:
-        if not ty.assignable(dst, src, self.res.subclass_ok):
+        if dst is not src and not ty.assignable(dst, src, self.res.subclass_ok):
             raise TypeCheckError(span, f"cannot use {src} as {dst} in {what}")
-
-    def _set(self, expr: ast.Expr, t: Type) -> Type:
-        self.res.types[expr.uid] = t
-        return t
 
     def _require_static(self, static: bool, span: SourceSpan, kind: str, name: str) -> None:
         """Raise unless the member reached from a static context, or through
@@ -655,116 +685,107 @@ class _Resolver:
         up = self.res.parent(literal)
         return (
             literal.value == ty.INT_MAX + 1
-            and isinstance(up, ast.Unary)
+            and type(up) is ast.Unary
             and up.op == "-"
             and (up.span.end_line, up.span.end_column) == (literal.span.end_line, literal.span.end_column)
         )
 
-    def _expr(
-        self, expr: ast.Expr, scope: Scope, store: bool = False, receiver: bool = False
-    ) -> Type:
-        """The type of expr.  A receiver, of a field or a method, may also
+    def _expr(self, expr: ast.Expr, scope: Scope) -> Type:
+        """The type of expr, which it records in Resolution.types."""
+        t = self.types[expr.uid] = self._EXPRS[type(expr)](self, expr, scope)
+        return t
+
+    def _receiver(self, expr: ast.Expr, scope: Scope) -> Type:
+        """The type of the receiver of a field or a method, which may also
         be a class name."""
-        if isinstance(expr, ast.Literal):
-            if expr.kind == "int" and expr.value > ty.INT_MAX and not self._negated_int_min(expr):
-                raise TypeCheckError(expr.span, "integer number too large")
-            return self._set(expr, _LITERAL_TYPES[expr.kind])
-        if isinstance(expr, ast.Null):
-            return self._set(expr, ty.NULL)
-        if isinstance(expr, ast.Name):
-            sym = scope.lookup(expr.identifier)
-            if sym is None:
-                raise ResolutionError(expr.span, expr.identifier)
-            if sym.kind == "class" and not receiver:
-                raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
-            if sym.kind == "field" and self.static_context:
-                self._require_static(sym.static, expr.span, "field", sym.name)
-            self.res.name_targets[expr.uid] = sym
-            if store:
-                sym.write_count += 1
-            else:
-                sym.usage_count += 1
-            return self._set(expr, sym.declared_type)
-        if isinstance(expr, ast.Unary):
-            operand_t = self._expr(expr.operand, scope)
-            if expr.op == "!":
-                if operand_t != ty.BOOLEAN:
-                    raise TypeCheckError(expr.span, f"'!' needs boolean, got {operand_t}")
-                return self._set(expr, ty.BOOLEAN)
-            if not ty.is_numeric(operand_t):
-                raise TypeCheckError(expr.span, f"unary '-' needs a number, got {operand_t}")
-            return self._set(expr, operand_t if operand_t == ty.DOUBLE else ty.INT)
-        if isinstance(expr, ast.Binary):
-            return self._binary(expr, scope)
-        if isinstance(expr, ast.Index):
-            array_t = self._expr(expr.array, scope)
-            index_t = self._expr(expr.index, scope)
-            if not isinstance(array_t, ty.ArrayType):
-                raise TypeCheckError(expr.span, f"indexing a non-array {array_t}")
-            if index_t not in (ty.INT, ty.BYTE):
-                raise TypeCheckError(expr.index.span, f"array index must be int, got {index_t}")
-            return self._set(expr, array_t.elem)
-        if isinstance(expr, ast.FieldAccess):
-            return self._field_access(expr, scope, store)
-        if isinstance(expr, ast.NewArray):
-            size_t = self._expr(expr.size_expr, scope)
-            if size_t not in (ty.INT, ty.BYTE):
-                raise TypeCheckError(expr.size_expr.span, f"array size must be int, got {size_t}")
-            return self._set(expr, ty.ArrayType(ty.from_type_ref(expr.elem_type)))
-        if isinstance(expr, ast.New):
-            return self._new(expr, scope)
-        if isinstance(expr, ast.Call):
-            return self._call(expr, scope)
-        raise AssertionError(f"unhandled expression {type(expr).__name__}")  # pragma: no cover
+        if type(expr) is not ast.Name:
+            return self._expr(expr, scope)
+        t = self.types[expr.uid] = self._name(expr, scope, receiver=True)
+        return t
+
+    def _literal(self, expr: ast.Literal, scope: Scope) -> Type:
+        if expr.kind == "int" and expr.value > ty.INT_MAX and not self._negated_int_min(expr):
+            raise TypeCheckError(expr.span, "integer number too large")
+        return _LITERAL_TYPES[expr.kind]
+
+    def _name(self, expr: ast.Name, scope: Scope, store: bool = False, receiver: bool = False) -> Type:
+        """A stored name counts a write of its symbol, any other a read; only
+        a receiver may name a class."""
+        sym = scope.lookup(expr.identifier)
+        if sym is None:
+            raise ResolutionError(expr.span, expr.identifier)
+        if sym.kind == "class" and not receiver:
+            raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
+        if sym.kind == "field" and self.static_context:
+            self._require_static(sym.static, expr.span, "field", sym.name)
+        self.res.name_targets[expr.uid] = sym
+        if store:
+            sym.write_count += 1
+        else:
+            sym.usage_count += 1
+        return sym.declared_type
+
+    def _unary(self, expr: ast.Unary, scope: Scope) -> Type:
+        operand_t = self._expr(expr.operand, scope)
+        if expr.op == "!":
+            if operand_t is not ty.BOOLEAN:
+                raise TypeCheckError(expr.span, f"'!' needs boolean, got {operand_t}")
+            return ty.BOOLEAN
+        if operand_t not in ty.NUMERIC:
+            raise TypeCheckError(expr.span, f"unary '-' needs a number, got {operand_t}")
+        return ty.DOUBLE if operand_t is ty.DOUBLE else ty.INT
 
     def _binary(self, expr: ast.Binary, scope: Scope) -> Type:
         op = expr.op
         if op == "=":
-            target_t = self._expr(expr.left, scope, store=True)
-            target = self.res.name_targets.get(expr.left.uid) or self.res.field_targets.get(expr.left.uid)
+            left = expr.left
+            if type(left) is ast.Name:
+                target_t = self.types[left.uid] = self._name(left, scope, store=True)
+            elif type(left) is ast.FieldAccess:
+                target_t = self.types[left.uid] = self._field_access(left, scope, store=True)
+            else:
+                target_t = self._expr(left, scope)
+            target = self.res.name_targets.get(left.uid) or self.res.field_targets.get(left.uid)
             if target is not None and target.read_only:
                 raise TypeCheckError(expr.span, f"cannot assign a value to final variable {target.name}")
             value_t = self._expr(expr.right, scope)
             self._require_assignable(target_t, value_t, expr.span, "assignment")
-            return self._set(expr, target_t)
+            return target_t
         left_t = self._expr(expr.left, scope)
         right_t = self._expr(expr.right, scope)
-        if op == "+" and (ty.is_string(left_t) or ty.is_string(right_t)):
-            return self._set(expr, ty.STRING)
+        if op == "+" and (left_t is ty.STRING or right_t is ty.STRING):
+            return ty.STRING
         if op in ("+", "-", "*", "/", "%"):
-            if not (ty.is_numeric(left_t) and ty.is_numeric(right_t)):
+            if left_t not in ty.NUMERIC or right_t not in ty.NUMERIC:
                 raise TypeCheckError(expr.span, f"'{op}' needs numbers, got {left_t} and {right_t}")
-            return self._set(expr, ty.promote(left_t, right_t))
+            return ty.DOUBLE if left_t is ty.DOUBLE or right_t is ty.DOUBLE else ty.INT
         if op in ("<", "<=", ">", ">="):
-            if not (ty.is_numeric(left_t) and ty.is_numeric(right_t)):
+            if left_t not in ty.NUMERIC or right_t not in ty.NUMERIC:
                 raise TypeCheckError(expr.span, f"'{op}' needs numbers, got {left_t} and {right_t}")
-            return self._set(expr, ty.BOOLEAN)
+            return ty.BOOLEAN
         if op in ("==", "!="):
-            if not self._comparable(left_t, right_t):
+            if not _comparable(left_t, right_t):
                 raise TypeCheckError(expr.span, f"'{op}' cannot compare {left_t} with {right_t}")
-            return self._set(expr, ty.BOOLEAN)
+            return ty.BOOLEAN
         if op in ("&&", "||"):
             for side, side_t in ((expr.left, left_t), (expr.right, right_t)):
-                if side_t != ty.BOOLEAN:
+                if side_t is not ty.BOOLEAN:
                     raise TypeCheckError(side.span, f"'{op}' needs booleans, got {side_t}")
-            return self._set(expr, ty.BOOLEAN)
+            return ty.BOOLEAN
         raise AssertionError(f"unhandled operator {op}")  # pragma: no cover
 
-    def _comparable(self, a: Type, b: Type) -> bool:
-        if ty.is_numeric(a) and ty.is_numeric(b):
-            return True
-        if a == ty.BOOLEAN and b == ty.BOOLEAN:
-            return True
-        if ty.is_string(a) and (ty.is_string(b) or isinstance(b, ty.NullType)):
-            return True
-        if ty.is_string(b) and isinstance(a, ty.NullType):
-            return True
-        ref = (ty.ClassType, ty.ArrayType, ty.NullType)
-        return isinstance(a, ref) and isinstance(b, ref)
+    def _index(self, expr: ast.Index, scope: Scope) -> Type:
+        array_t = self._expr(expr.array, scope)
+        index_t = self._expr(expr.index, scope)
+        if type(array_t) is not ty.ArrayType:
+            raise TypeCheckError(expr.span, f"indexing a non-array {array_t}")
+        if index_t not in _INTEGRAL:
+            raise TypeCheckError(expr.index.span, f"array index must be int, got {index_t}")
+        return array_t.elem
 
-    def _field_access(self, expr: ast.FieldAccess, scope: Scope, store: bool) -> Type:
-        receiver_t = self._expr(expr.receiver, scope, receiver=True)
-        if isinstance(receiver_t, ty.ArrayType) or not isinstance(receiver_t, ty.ClassType):
+    def _field_access(self, expr: ast.FieldAccess, scope: Scope, store: bool = False) -> Type:
+        receiver_t = self._receiver(expr.receiver, scope)
+        if type(receiver_t) is not ty.ClassType:
             raise TypeCheckError(expr.span, f"{receiver_t} has no field '{expr.name}'")
         chain = self.res.ancestors(receiver_t.name)
         sym = next((info.fields[expr.name] for info in chain if expr.name in info.fields), None)
@@ -777,14 +798,20 @@ class _Resolver:
             sym.write_count += 1
         else:
             sym.usage_count += 1
-        return self._set(expr, sym.declared_type)
+        return sym.declared_type
+
+    def _new_array(self, expr: ast.NewArray, scope: Scope) -> Type:
+        size_t = self._expr(expr.size_expr, scope)
+        if size_t not in _INTEGRAL:
+            raise TypeCheckError(expr.size_expr.span, f"array size must be int, got {size_t}")
+        return self.ref_types[expr.elem_type.base, expr.elem_type.dims + 1]
 
     def _new(self, expr: ast.New, scope: Scope) -> Type:
         info = self.res.classes.get(expr.class_name)
         arg_ts = [self._expr(a, scope) for a in expr.args]
-        result = ty.ClassType(expr.class_name)
         if info is None:
             raise ResolutionError(expr.span, expr.class_name)
+        result = self.global_scope.symbols[expr.class_name].declared_type
         ctor = info.ctors.get(len(expr.args))
         if ctor is None:
             if expr.args or info.ctors:
@@ -793,10 +820,10 @@ class _Resolver:
                 )
             # implicit default constructor
             self.res.call_targets[expr.uid] = CallTarget(default_ctor_id(expr.class_name))
-            return self._set(expr, result)
+            return result
         self._check_args(ctor, expr, arg_ts)
         self.res.call_targets[expr.uid] = CallTarget(ctor.method_id, method=ctor)
-        return self._set(expr, result)
+        return result
 
     def _lookup_method(self, class_name: str | None, name: str, arity: int) -> MethodInfo | None:
         for info in self.res.ancestors(class_name):
@@ -826,22 +853,18 @@ class _Resolver:
         for param_t, arg_t, arg in zip(params, arg_ts, expr.args):
             if param_t is None:
                 continue
-            if isinstance(param_t, ty.StringType):
-                if ty.is_string(arg_t) or isinstance(arg_t, ty.NullType):
+            if param_t is ty.STRING:
+                if arg_t is ty.STRING or arg_t is ty.NULL:
                     continue
                 raise TypeCheckError(arg.span, f"{expr.name}() needs a String, got {arg_t}")
             self._require_assignable(param_t, arg_t, arg.span, f"{expr.name}() argument")
         self.res.call_targets[expr.uid] = CallTarget(builtin.id, builtin=builtin)
-        return self._set(expr, builtin.result)
+        return builtin.result
 
     def _check_args(self, minfo: MethodInfo, expr: ast.Call | ast.New, arg_ts: list[Type]) -> None:
-        for param_t, arg_t, arg in zip(param_types(minfo.decl), arg_ts, expr.args):
-            self._require_assignable(param_t, arg_t, arg.span, "argument")
-
-    def _method_call(self, expr: ast.Call, minfo: MethodInfo, arg_ts: list[Type]) -> Type:
-        self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo)
-        self._check_args(minfo, expr, arg_ts)
-        return self._set(expr, minfo.symbol.declared_type)
+        ref_types = self.ref_types
+        for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
+            self._require_assignable(ref_types[param.type.base, param.type.dims], arg_t, arg.span, "argument")
 
     def _call(self, expr: ast.Call, scope: Scope) -> Type:
         """A call resolves to the method of its name and arity of the
@@ -852,17 +875,47 @@ class _Resolver:
             owner = self.current_class.name if self.current_class is not None else None
             of_class = self.static_context
         else:
-            receiver_t = self._expr(expr.receiver, scope, receiver=True)
-            owner = receiver_t.name if isinstance(receiver_t, ty.ClassType) else None
+            receiver_t = self._receiver(expr.receiver, scope)
+            owner = receiver_t.name if type(receiver_t) is ty.ClassType else None
             of_class = self.res.names_class(expr.receiver)
         minfo = self._lookup_method(owner, expr.name, len(expr.args))
         if minfo is not None:
             if of_class:
                 self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
-            return self._method_call(expr, minfo, arg_ts)
+            self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo)
+            self._check_args(minfo, expr, arg_ts)
+            return minfo.symbol.declared_type
         builtin = self._builtin_of(owner, expr)
         if builtin is None:
             raise ResolutionError(expr.span, expr.name)
         if of_class:
             self._require_static(builtin.static, expr.span, "method", expr.name)
         return self._builtin_call(expr, builtin, arg_ts)
+
+    _STMTS = {
+        ast.Block: lambda self, stmt, scope: self._stmts(stmt.stmts, scope),
+        ast.LocalDecl: _s_local,
+        ast.ExprStmt: lambda self, stmt, scope: self._expr(stmt.expr, scope),
+        ast.If: _s_if,
+        ast.While: _s_while,
+        ast.For: _s_for,
+        ast.Switch: _s_switch,
+        ast.Try: _s_try,
+        ast.Return: _s_return,
+        ast.Assert: _s_assert,
+        ast.Synchronized: _s_synchronized,
+        ast.Empty: lambda self, stmt, scope: None,
+    }
+
+    _EXPRS = {
+        ast.Literal: _literal,
+        ast.Null: lambda self, expr, scope: ty.NULL,
+        ast.Name: _name,
+        ast.Unary: _unary,
+        ast.Binary: _binary,
+        ast.Index: _index,
+        ast.FieldAccess: _field_access,
+        ast.NewArray: _new_array,
+        ast.New: _new,
+        ast.Call: _call,
+    }

@@ -92,19 +92,12 @@ def from_type_ref(ref: TypeRef) -> Type:
     return base
 
 
-def is_numeric(t: Type) -> bool:
-    return isinstance(t, PrimType) and t.name in ("int", "byte", "double")
+NUMERIC = frozenset((INT, BYTE, DOUBLE))
 
-
-def is_string(t: Type) -> bool:
-    return isinstance(t, StringType)
-
-
-def promote(a: Type, b: Type) -> Type:
-    """Arithmetic result type for two numeric operands."""
-    if DOUBLE in (a, b):
-        return DOUBLE
-    return INT
+# (dst, src) for each primitive store that converts its value.  A store of
+# an int into a byte wraps at runtime (recorded as an overflow warning).
+_WIDENINGS = frozenset(((INT, BYTE), (BYTE, INT), (DOUBLE, INT), (DOUBLE, BYTE)))
+_NULLABLE = (StringType, ClassType, ArrayType)
 
 
 def assignable(dst: Type, src: Type, subclass_ok) -> bool:
@@ -112,17 +105,10 @@ def assignable(dst: Type, src: Type, subclass_ok) -> bool:
 
     subclass_ok(base_name, derived_name) answers class-hierarchy queries.
     """
-    if dst == src:
+    if dst is src:
         return True
-    if dst == INT and src == BYTE:
-        return True
-    if dst == BYTE and src == INT:
-        # Narrowing stores wrap at runtime (recorded as overflow warnings).
-        return True
-    if dst == DOUBLE and src in (INT, BYTE):
-        return True
-    if isinstance(dst, (StringType, ClassType, ArrayType)) and isinstance(src, NullType):
-        return True
-    if isinstance(dst, ClassType) and isinstance(src, ClassType):
-        return dst.name == src.name or subclass_ok(dst.name, src.name)
-    return False
+    if src is NULL:
+        return type(dst) in _NULLABLE
+    if type(dst) is ClassType:
+        return type(src) is ClassType and subclass_ok(dst.name, src.name)
+    return (dst, src) in _WIDENINGS

@@ -8,7 +8,6 @@ from overrun_lint.cfg import (
     complexity_bd,
     complexity_en,
     reach,
-    reachability,
     unreachable_nodes,
 )
 from overrun_lint.frontend import parse_source
@@ -114,9 +113,8 @@ def test_reachability_linear_chain_all_ones_from_entry():
         cfg.blocks.append(BasicBlock(bid=bid))
     cfg.entry, cfg.exit = 0, 2
     cfg.edges = [Edge(0, 1, "fallthrough"), Edge(1, 2, "fallthrough")]
-    matrix = reachability(cfg)
-    assert matrix[0] == [True, True, True]
-    assert all(matrix[i][i] for i in range(3))
+    assert reach(cfg) == {0, 1, 2}
+    assert all(i in reach(cfg, i) for i in range(3))
 
 
 def test_reachability_matches_dfs_oracle_on_random_dags():
@@ -131,7 +129,6 @@ def test_reachability_matches_dfs_oracle_on_random_dags():
             for j in range(i + 1, n):
                 if rng.random() < 0.35:
                     cfg.edges.append(Edge(i, j, "fallthrough"))
-        matrix = reachability(cfg)
 
         def dfs(start):
             seen = {start}
@@ -145,9 +142,7 @@ def test_reachability_matches_dfs_oracle_on_random_dags():
             return seen
 
         for i in range(n):
-            oracle = dfs(i)
-            got = {j for j in range(n) if matrix[i][j]}
-            assert got == oracle
+            assert reach(cfg, i) == dfs(i)
         assert [b.bid for b in unreachable_nodes(cfg)] == sorted(set(range(n)) - dfs(0))
 
 

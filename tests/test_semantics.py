@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 from overrun_lint.cfg import build_unit_cfgs, call_blocks, reach
 from overrun_lint.errors import DuplicateDeclaration, ResolutionError, TypeCheckError
 from overrun_lint.frontend import ast, parse_source
 from overrun_lint.frontend.ast import walk
+from overrun_lint.frontend.index import NodeIndex
+from overrun_lint.frontend.lexer import SourceSpan
 from overrun_lint.semantics import build_call_graph, build_symbol_table, type_of
 from overrun_lint.semantics import types as ty
 from overrun_lint.semantics.callgraph import constructor_cycles, unconditional_cycles
 
 from oracle import parent_map, source_preorder
+from progen import gen_recursion_program, seeded_unit
 
 
 def resolve(source, file="t.sl"):
@@ -279,6 +284,87 @@ def test_call_graph_edge_count_equals_call_sites(corpus_sources):
         assert len(graph.edges) == sites, name
 
 
+def _walked_edges(res):
+    """The call graph as a walk finds it: each Call/New node of each method
+    body's subtree, by class, then method, then pre-order."""
+    edges = []
+    for info in res.classes.values():
+        for minfo in info.methods.values():
+            for node in res.subtree(minfo.decl.body):
+                if isinstance(node, (ast.Call, ast.New)):
+                    target = res.call_targets[node.uid]
+                    edges.append((minfo.method_id, target.id, node.uid, target.builtin is not None))
+    return edges
+
+
+def _hand_built_calls_unit():
+    """Two classes built without the parser, with uids in no order and the
+    methods of Hand listed in the reverse of their source order:
+
+        1  void h() { B b = new B(); println(f()); }
+        3  static int g(int x) { println(x); return x; }
+        5  static int f() { return g(1); }
+        7  static int k = f();          (a field: its call is in no body)
+        9  class B { void m() { new Hand().h(); } }
+    """
+
+    def at(line):
+        return SourceSpan("hand.sl", line, 1, line, 60)
+
+    int_t = ast.TypeRef("int")
+    h_body = ast.Block(span=at(1), uid=77, stmts=[
+        ast.LocalDecl(span=at(1), uid=3, name="b", type=ast.TypeRef("B"),
+                      initializer=ast.New(span=at(1), uid=50, class_name="B")),
+        ast.ExprStmt(span=at(1), uid=41, expr=ast.Call(
+            span=at(1), uid=9, name="println", args=[ast.Call(span=at(1), uid=600, name="f")])),
+    ])
+    g_body = ast.Block(span=at(3), uid=12, stmts=[
+        ast.ExprStmt(span=at(3), uid=30, expr=ast.Call(
+            span=at(3), uid=88, name="println", args=[ast.Name(span=at(3), uid=17, identifier="x")])),
+        ast.Return(span=at(3), uid=21, value=ast.Name(span=at(3), uid=22, identifier="x")),
+    ])
+    f_body = ast.Block(span=at(5), uid=1, stmts=[ast.Return(span=at(5), uid=2, value=ast.Call(
+        span=at(5), uid=70, name="g", args=[ast.Literal(span=at(5), uid=71, value=1, kind="int")]))])
+    hand = ast.ClassDecl(span=at(1), uid=500, name="Hand", fields=[
+        ast.FieldDecl(span=at(7), uid=6, name="k", type=int_t, static=True,
+                      initializer=ast.Call(span=at(7), uid=4, name="f")),
+    ], methods=[
+        ast.MethodDecl(span=at(5), uid=13, name="f", params=[], return_type=int_t, body=f_body, is_static=True),
+        ast.MethodDecl(span=at(3), uid=99, name="g", params=[ast.Param(span=at(3), uid=98, name="x", type=int_t)],
+                       return_type=int_t, body=g_body, is_static=True),
+        ast.MethodDecl(span=at(1), uid=8, name="h", params=[], return_type=ast.VOID, body=h_body),
+    ])
+    m_body = ast.Block(span=at(9), uid=300, stmts=[ast.ExprStmt(span=at(9), uid=301, expr=ast.Call(
+        span=at(9), uid=302, name="h", receiver=ast.New(span=at(9), uid=303, class_name="Hand")))])
+    b = ast.ClassDecl(span=at(9), uid=400, name="B", methods=[
+        ast.MethodDecl(span=at(9), uid=401, name="m", params=[], return_type=ast.VOID, body=m_body),
+    ])
+    return ast.CompilationUnit(span=at(1), classes=[hand, b])
+
+
+def test_call_graph_edges_are_the_walks(corpus_sources):
+    sources = list(corpus_sources.values()) + [seeded_unit(seed) for seed in range(300)]
+    rng = random.Random(28)
+    sources += [gen_recursion_program(rng).source for _ in range(100)]
+    units = [parse_source(source) for source in sources]
+    hand = _hand_built_calls_unit()
+    hand.index = NodeIndex.by_walk(hand)
+    units.append(hand)
+    for unit in units:
+        res = build_symbol_table(unit)
+        edges = [(e.caller, e.callee, e.site.uid, e.callee_builtin) for e in build_call_graph(unit, res).edges]
+        assert edges == _walked_edges(res), unit.file
+    assert _walked_edges(build_symbol_table(hand)) == [
+        ("Hand.f/0", "Hand.g/1", 70, False),
+        ("Hand.g/1", "builtin:println", 88, True),
+        ("Hand.h/0", "B.<init>/0", 50, False),
+        ("Hand.h/0", "builtin:println", 9, True),
+        ("Hand.h/0", "Hand.f/0", 600, False),
+        ("B.m/0", "Hand.h/0", 302, False),
+        ("B.m/0", "Hand.<init>/0", 303, False),
+    ]
+
+
 def test_makeover_cycle_detected(corpus_sources):
     unit, res = resolve(corpus_sources["makeover.sl"], "makeover.sl")
     graph = build_call_graph(unit, res)
@@ -464,3 +550,74 @@ def test_covariant_returns_thread_methods_and_constructors_are_no_overrides():
         "class P { void m(int x) { } }\nclass Q extends P { void m(int x, int y) { } int m() { return 0; } }"
     )
     assert res.diagnostics == []
+
+
+# Scope rows: the body of `A.m(int p)`, and for each Name of it in source
+# order the declaration it resolves to, as the name and the declaration's
+# place among the parameters and locals of that name (p0 is the parameter);
+# or the error the body raises, at its line:column.
+SCOPE_ROWS = {
+    "nested_block_shadows": ("int x = 1; { int x = 2; x = x + 1; } x = 3;", ["x1", "x1", "x0"]),
+    "second_declaration_in_one_block": (
+        "println(p); int x = 1; { } int x = 2;",
+        (DuplicateDeclaration, "1:54: duplicate declaration of 'x'"),
+    ),
+    "declared_after_nested_block": (
+        "{ { x = 1; } int x = 0; }",
+        (ResolutionError, "1:31: undeclared identifier 'x'"),
+    ),
+    "body_local_named_like_parameter": ("int p = 1; println(p);", ["p1"]),
+    "for_init_and_body_scopes": (
+        "for (int i = 0; i < 2; i = i + 1) { int i = 5; println(i); } for (int i = 0; i < 1; i = i + 1) { }",
+        ["i0", "i0", "i0", "i1", "i2", "i2", "i2"],
+    ),
+    "for_init_shadows_local": ("int i = 0; for (int i = 1; i < 2; i = i + 1) { } i = 3;", ["i1", "i1", "i1", "i0"]),
+    "for_init_expression": ("int i; for (i = 0; i < 2; i = i + 1) { int j = i; }", ["i0", "i0", "i0", "i0", "i0"]),
+    "for_variable_after_loop": (
+        "for (int i = 0; i < 2; i = i + 1) { } println(i);",
+        (ResolutionError, "1:73: undeclared identifier 'i'"),
+    ),
+    "switch_cases_scope_apart": (
+        "switch (p) { case 1: int y = 1; println(y); case 2: int y = 2; println(y); default: println(p); }",
+        ["p0", "y0", "y1", "p0"],
+    ),
+    "switch_case_local_in_next_case": (
+        "switch (p) { case 1: int y = 1; case 2: y = 2; }",
+        (ResolutionError, "1:67: undeclared identifier 'y'"),
+    ),
+    "catch_parameter_shadowed_in_body": (
+        "try { } catch (Exception e) { int e = 1; println(e); } catch (Exception e) { println(e); }",
+        ["e1", "e2"],
+    ),
+    "catch_parameter_after_catch": (
+        "try { } catch (Exception e) { } println(e);",
+        (ResolutionError, "1:67: undeclared identifier 'e'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("body, expected", SCOPE_ROWS.values(), ids=SCOPE_ROWS)
+def test_scopes_resolve_each_name_to_its_declaration(body, expected):
+    source = f"class A {{ void m(int p) {{ {body} }} }}"
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as err:
+            resolve(source)
+        assert type(err.value) is error and str(err.value) == f"t.sl:{message}"
+        return
+    unit, res = resolve(source)
+    variables = [s for s in res.symbols if s.kind in ("param", "local") and not s.is_builtin]
+    label = {id(s): f"{s.name}{[v.name for v in variables[:k]].count(s.name)}" for k, s in enumerate(variables)}
+    assert [label[id(res.name_targets[n.uid])] for n in res.nodes_of(ast.Name)] == expected
+
+
+def test_frame_slots_number_parameters_and_locals_in_declaration_order():
+    _, res = resolve(
+        "class A { void m(int p) { int a = 1; { int b = 2; } for (int i = 0; i < 1; i = i + 1) { int c = i; }"
+        " switch (p) { case 1: int d = 0; } try { } catch (Exception e) { int f = 0; } }"
+        " static void s() { { } int q = 0; } }"
+    )
+    slots = [(s.name, s.slot) for s in res.symbols if s.kind in ("param", "local")]
+    assert slots == [("this", 0), ("p", 1), ("a", 2), ("b", 3), ("i", 4), ("c", 5), ("d", 6), ("e", 7), ("f", 8), ("q", 1)]
+    m, s = (method.uid for method in res.classes["A"].decl.methods)
+    assert res.frame_sizes == {m: 9, s: 2}
