@@ -36,14 +36,19 @@ be tested for at run time:
 
 Compilation also drops each per-step check that cannot fire:
 
-- Statement closures take their step inline (mark, count, check
-  max_steps); _step serves only static initializers, implicit returns and
-  implicit constructors.
+- Statement closures take their step inline (count, check max_steps) and
+  mark their instruction id on their first run only; _step serves only
+  static initializers, implicit returns and implicit constructors.
 - An int literal condition, if (1), folds to its truth.
 - An operator reads a local or parameter operand from its slot and binds
   a literal one in; + on a String-typed expression compiles to
   concatenation.
-- A static call with one or two arguments lists them in its own closure.
+- A condition, a store into a local, a return and the argument of a
+  one-argument static call compute an operator over slots, literals and
+  calls themselves, with the int range check inline (_read).
+- A static call with two arguments lists them in its own closure.
+- A branch or method body of one statement runs without a loop, and a
+  frame is padded only for a method with locals.
 - A method is recorded as entered by the call that compiles it.
 
 Executing a simple statement or a branching condition records its
@@ -259,6 +264,16 @@ def _sequence(stmts: tuple):
     return run
 
 
+def _branch(stmts: tuple) -> tuple:
+    """(stmts' one closure, or None, stmts): one statement runs unlooped."""
+    return (stmts[0] if len(stmts) == 1 else None), stmts
+
+
+def _calls(value) -> tuple:
+    """_read's form of a value a statement calls its closure for."""
+    return False, None, value, None, False, None
+
+
 class _Method:
     """A method's entry point: compiles the body on first call."""
 
@@ -311,8 +326,10 @@ class Interpreter:
         self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
 
     def _instruction(self, stmt: ast.Node):
-        """stmt's instruction id and the call that marks it executed."""
-        return self.cfgs.stmt_iids[stmt.uid], self.trace.executed_instruction_ids.add
+        """stmt's instruction id, a list that holds it until stmt first
+        runs, and the call that marks it executed."""
+        iid = self.cfgs.stmt_iids[stmt.uid]
+        return iid, [iid], self.trace.executed_instruction_ids.add
 
     def _harvest(self) -> None:
         """Move the closures' branch counts into the trace."""
@@ -426,7 +443,7 @@ class Interpreter:
         ident = method_identity(owner, decl)
         max_depth = self.options.max_call_depth
         too_deep = f"call depth {max_depth} exceeded (runaway recursion)"
-        body = self._stmts(decl.body)
+        one, body = _branch(self._stmts(decl.body))
         pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - decl.arity)
         cfg = self.cfgs.cfgs[ident]
         implicit_iid = cfg.implicit_return_iid
@@ -439,13 +456,18 @@ class Interpreter:
             st.depth += 1
             if st.depth > max_depth:
                 st._fault(FAULT_STEP_LIMIT, span, too_deep)
-            f += pad
+            if pad:
+                f += pad
             try:
-                for stmt in body:
-                    r = stmt(f)
-                    if r is not None:
-                        break
+                if one is not None:
+                    r = one(f)
                 else:
+                    r = None
+                    for stmt in body:
+                        r = stmt(f)
+                        if r is not None:
+                            break
+                if r is None:
                     if implicit_iid is not None:
                         st._step(implicit_iid, implicit_span)
                     if returns_value:
@@ -526,84 +548,84 @@ class Interpreter:
         return _sequence(self._stmts(stmt))
 
     # Each statement closure takes its step inline, as _step does: it marks
-    # its instruction id, counts the step and faults past max_steps.
+    # its instruction id on its first run (the id waits in a list until
+    # then), counts the step and faults past max_steps.
 
     def _s_expr(self, stmt: ast.ExprStmt):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
-        expr = self._expr(stmt.expr)
+        return self._effect(stmt, stmt.expr)
 
-        def run(f):
-            mark(iid)
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            expr(f)
-
-        return run
+    def _effect(self, node: ast.Node, expr: ast.Expr):
+        """The closure of an expression statement or a for update (node); a
+        store into a local reads its value as an initializer does."""
+        if isinstance(expr, ast.Binary) and expr.op == "=" and (local := self._kind(expr.left))[0] == "S":
+            target = expr.left
+            return self._simple(node, self._read(expr.right, self.res.types[target.uid], target.span), local[1])
+        return self._simple(node, _calls(self._expr(expr)))
 
     def _s_local(self, stmt: ast.LocalDecl):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
         sym = self.res.decl_symbols[stmt.uid]
-        init = (
-            self._converted(stmt.initializer, sym.declared_type, span)
-            if stmt.initializer is not None
-            else _constant(_DEFAULTS.get(sym.declared_type))
-        )
-        slot = sym.slot
-
-        def run(f):
-            mark(iid)
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            f[slot] = init(f)
-
-        return run
+        if stmt.initializer is None:
+            return self._simple(stmt, _calls(_constant(_DEFAULTS.get(sym.declared_type))), sym.slot)
+        return self._simple(stmt, self._read(stmt.initializer, sym.declared_type, stmt.span), sym.slot)
 
     def _s_return(self, stmt: ast.Return):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
         returns = ty.from_type_ref(self.res.method_of(stmt).return_type)
-        value = self._converted(stmt.value, returns, span) if stmt.value is not None else _constant(None)
+        read = self._read(stmt.value, returns, stmt.span) if stmt.value is not None else _calls(_constant(None))
+        return self._simple(stmt, read, returns=True)
+
+    def _simple(self, node: ast.Node, read: tuple, slot: int | None = None, returns: bool = False):
+        """The closure of a statement that reads one value, as _read
+        returns it, and returns it, stores it into a local's slot, or
+        neither (an expression run for its effect, or an empty statement)."""
+        st, trace, limit, span = self, self.trace, self.options.max_steps, node.span
+        _, unmarked, mark = self._instruction(node)
+        slots, fn, a, b, sb, w = read
 
         def run(f):
-            mark(iid)
+            if unmarked:
+                mark(unmarked.pop())
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
-            result = value(f)
-            return _NULL if result is None else result
+            v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
+            if w is not None and not INT_MIN <= v <= INT_MAX:
+                v = w(v)
+            if returns:
+                return _NULL if v is None else v
+            if slot is not None:
+                f[slot] = v
 
         return run
 
     def _decision(self, stmt: ast.Stmt):
-        """The instruction id, its mark and the [true, false] branch
-        counters of an if, while, for or assert."""
-        iid, mark = self._instruction(stmt)
+        """_instruction's triple and the [true, false] branch counters of an
+        if, while, for or assert."""
+        iid, unmarked, mark = self._instruction(stmt)
         counts = [0, 0]  # true, false
         self.branch_counters.append((((iid, TRUE_BRANCH), (iid, FALSE_BRANCH)), counts))
-        return iid, mark, counts
+        return iid, unmarked, mark, counts
 
     def _s_if(self, stmt: ast.If):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark, counts = self._decision(stmt)
-        cond = self._condition(stmt.cond)
-        then = self._stmts(stmt.then)
-        els = self._stmts(stmt.els) if stmt.els is not None else ()
+        _, unmarked, mark, counts = self._decision(stmt)
+        slots, fn, a, b, sb, _ = self._condition(stmt.cond)
+        then = _branch(self._stmts(stmt.then))
+        els = _branch(self._stmts(stmt.els) if stmt.els is not None else ())
 
         def run(f):
-            mark(iid)
+            if unmarked:
+                mark(unmarked.pop())
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
-            if cond(f):
+            if fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f):
                 counts[0] += 1
-                branch = then
+                one, branch = then
             else:
                 counts[1] += 1
-                branch = els
+                one, branch = els
+            if one is not None:
+                return one(f)
             for run_stmt in branch:
                 r = run_stmt(f)
                 if r is not None:
@@ -616,26 +638,25 @@ class Interpreter:
 
     def _s_for(self, stmt: ast.For):
         init = self._stmt(stmt.init) if stmt.init is not None else None
-        return self._loop(stmt, init, stmt.cond, stmt.update)
+        update = self._effect(stmt.update, stmt.update) if stmt.update is not None else None
+        return self._loop(stmt, init, stmt.cond, update)
 
-    def _loop(self, stmt, init, cond: ast.Expr | None, update: ast.Expr | None):
+    def _loop(self, stmt, init, cond: ast.Expr | None, update):
+        """A while or for loop; init and update are statement closures."""
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark, counts = self._decision(stmt)
-        test = self._condition(cond) if cond is not None else _constant(True)
+        iid, _, mark, counts = self._decision(stmt)
+        slots, fn, a, b, sb, _ = self._condition(cond) if cond is not None else _calls(_constant(True))
         body = self._stmts(stmt.body)
-        if update is not None:
-            update_iid, update_span = self.cfgs.stmt_iids[update.uid], update.span
-            update = self._expr(update)
 
         def run(f):
             if init is not None:
                 init(f)
+            mark(iid)  # each test is a step of the loop's instruction; the first marks it
             while True:
-                mark(iid)
                 trace.steps += 1
                 if trace.steps > limit:
                     st._step_limit(span)
-                if not test(f):
+                if not (fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)):
                     counts[1] += 1
                     return None
                 counts[0] += 1
@@ -644,17 +665,13 @@ class Interpreter:
                     if r is not None:
                         return r
                 if update is not None:
-                    mark(update_iid)
-                    trace.steps += 1
-                    if trace.steps > limit:
-                        st._step_limit(update_span)
                     update(f)
 
         return run
 
     def _s_switch(self, stmt: ast.Switch):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
+        iid, unmarked, mark = self._instruction(stmt)
         subject = self._expr(stmt.subject)
         arms = []  # (label, body, counter index) for labelled cases, in order
         keys = []
@@ -672,7 +689,8 @@ class Interpreter:
         self.branch_counters.append((tuple(keys), counts))
 
         def run(f):
-            mark(iid)
+            if unmarked:
+                mark(unmarked.pop())
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
@@ -705,18 +723,19 @@ class Interpreter:
         --ea off the check takes its false branch and evaluates neither the
         condition nor the message."""
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark, counts = self._decision(stmt)
+        iid, unmarked, mark, counts = self._decision(stmt)
         if not self.options.assertions_enabled:
 
             def skip(f):
-                mark(iid)
+                if unmarked:
+                    mark(unmarked.pop())
                 trace.steps += 1
                 if trace.steps > limit:
                     st._step_limit(span)
                 counts[1] += 1
 
             return skip
-        cond = self._condition(stmt.condition)
+        slots, fn, a, b, sb, _ = self._condition(stmt.condition)
         message = self._expr(stmt.message) if stmt.message is not None else _constant("")
         method = self.res.method_of(stmt)
         where = f"{self.res.parent(method).name}.{method.name}"
@@ -724,11 +743,12 @@ class Interpreter:
         records, failure = trace.assertion_records, assert_failure(iid)
 
         def run(f):
-            mark(iid)
+            if unmarked:
+                mark(unmarked.pop())
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
-            if cond(f):
+            if fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f):
                 counts[1] += 1
                 records.append(AssertionRecord(where, text, span, "", "passed"))
                 return None
@@ -745,12 +765,13 @@ class Interpreter:
 
     def _s_synchronized(self, stmt: ast.Synchronized):
         st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
+        _, unmarked, mark = self._instruction(stmt)
         monitor = self._expr(stmt.monitor)
         body = self._stmts(stmt.body)
 
         def run(f):
-            mark(iid)
+            if unmarked:
+                mark(unmarked.pop())
             trace.steps += 1
             if trace.steps > limit:
                 st._step_limit(span)
@@ -763,16 +784,7 @@ class Interpreter:
         return run
 
     def _s_empty(self, stmt: ast.Empty):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, mark = self._instruction(stmt)
-
-        def run(f):
-            mark(iid)
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-
-        return run
+        return self._simple(stmt, _calls(_constant(None)))
 
     _STMTS = {
         ast.Block: _s_block,
@@ -792,10 +804,26 @@ class Interpreter:
     # -- values ----------------------------------------------------------------------
 
     def _condition(self, expr: ast.Expr):
-        """The condition of an if, while, for or assert: a boolean, or an
-        int literal, which folds to its truth."""
+        """How an if, while, for or assert reads its condition (see _read):
+        a boolean, or an int literal, which folds to its truth."""
         truth = ast.literal_truth(expr)
-        return self._expr(expr) if truth is None else _constant(truth)
+        return self._read(expr) if truth is None else _calls(_constant(truth))
+
+    def _read(self, expr: ast.Expr, t: ty.Type | None = None, span: SourceSpan | None = None):
+        """How a statement reads expr, converted for a store, return or
+        argument of type t: (slots, fn, a, b, sb, w).  It computes an
+        operator of _fold's that needs no conversion itself, wrapping an int
+        result outside the int range with w: fn(f[a], f[b] if sb else b)
+        (slots) for a slot a and a slot or literal b, fn(a(f), b(f)) where a
+        call meets a slot or a call.  Anything else it calls (a, fn None)."""
+        kinds = self._kind(expr.left)[0] + self._kind(expr.right)[0] if type(expr) is ast.Binary else ""
+        fold = kinds in ("SS", "SK", "SC", "CS", "CC") and t in (None, self.res.types[expr.uid]) and self._fold(expr)
+        if fold:
+            fn, ka, a, kb, b, w = fold
+            if kinds in ("SS", "SK"):
+                return True, fn, a, b, kb == "S", w
+            return False, fn, (itemgetter(a) if ka == "S" else a), (itemgetter(b) if kb == "S" else b), False, w
+        return _calls(self._converted(expr, t, span))
 
     def _wrap(self, value: int, span: SourceSpan, bits: int = 32) -> int:
         """value wrapped into a signed integer of that many bits (an int 32,
@@ -909,23 +937,36 @@ class Interpreter:
     # -- operators -------------------------------------------------------------------
 
     def _e_binary(self, expr: ast.Binary):
+        fold = self._fold(expr)
+        if fold is not None:
+            fn, ka, a, kb, b, w = fold
+            return _INT_FOLDS[ka + kb](fn, a, b, w) if w else _FOLDS[ka + kb](fn, a, b)
         op = expr.op
         if op == "=":
             return self._assign(expr)
-        if op in ("&&", "||"):
-            left, right, short = self._expr(expr.left), self._expr(expr.right), op == "||"
-
-            def logical(f):
-                if left(f) is short:
-                    return short
-                return right(f)
-
-            return logical
-        span, t = expr.span, self.res.types[expr.uid]
-        if op == "+" and t is ty.STRING:
-            left, right = self._expr(expr.left), self._expr(expr.right)
+        left, right = self._expr(expr.left), self._expr(expr.right)
+        if op == "+":  # on a String
             return lambda f: format_value(left(f)) + format_value(right(f))
-        (ka, a), (kb, b) = self._operand(expr.left), self._operand(expr.right)
+        short = op == "||"
+
+        def logical(f):
+            if left(f) is short:
+                return short
+            return right(f)
+
+        return logical
+
+    def _fold(self, expr: ast.Expr):
+        """An arithmetic operator or a comparison as (fn, ka, a, kb, b, w):
+        its code and its operands' kinds and what it reads them by (see
+        _operand), with w wrapping an int result outside the int range and
+        None for a double or boolean one.  None for any other expression."""
+        if type(expr) is not ast.Binary or expr.op in ("=", "&&", "||"):
+            return None
+        op, span, t = expr.op, expr.span, self.res.types[expr.uid]
+        if op == "+" and t is ty.STRING:
+            return None
+        w = None
         if t is ty.INT:
             fn, wrap = _INT_OPS[op], self._wrap
             if op in ("/", "%"):  # a zero divisor is Java's ArithmeticException
@@ -936,25 +977,30 @@ class Interpreter:
                         st._fault(FAULT_ARITHMETIC, span, "integer division by zero")
                     return divide(x, y)
 
-            return _INT_FOLDS[ka + kb](fn, a, b, lambda r: wrap(r, span))
-        if t is ty.DOUBLE:
+            w = lambda r: wrap(r, span)
+        elif t is ty.DOUBLE:
             fn = _DOUBLE_OPS[op]
         elif op in _COMPARE_OPS:
             fn = _COMPARE_OPS[op]
         else:  # == or !=: objects and arrays are equal only to themselves
             sides = (self.res.types[expr.left.uid], self.res.types[expr.right.uid])
             fn = _EQUALITY_OPS[op][any(isinstance(side, (ty.ClassType, ty.ArrayType)) for side in sides)]
-        return _FOLDS[ka + kb](fn, a, b)
+        return (fn, *self._operand(expr.left), *self._operand(expr.right), w)
 
     def _operand(self, expr: ast.Expr):
         """The kind of an operator's operand and what the operator reads it
         by: a local's or parameter's slot (S), read inline as f[slot]; a
         literal's value (K), bound in; or anything else's closure (C)."""
+        kind = self._kind(expr)
+        return kind if kind[0] != "C" else ("C", self._expr(expr))
+
+    def _kind(self, expr: ast.Expr):
+        """_operand's kind of expr, and its slot or value, compiling nothing."""
         if isinstance(expr, ast.Name) and (slot := self.res.name_targets[expr.uid].slot) >= 0:
             return "S", slot
         if isinstance(expr, ast.Literal):
             return "K", expr.value
-        return "C", self._expr(expr)
+        return "C", None
 
     def _assign(self, expr: ast.Binary):
         """An assignment: it stores the right-hand side's value, converted
@@ -1045,21 +1091,26 @@ class Interpreter:
         if target.builtin is not None:
             return self._builtin(expr, target.builtin)
         minfo = target.method
-        fns = self._args(expr, param_types(minfo.decl))
+        params = param_types(minfo.decl)
         if minfo.decl.is_static:  # bound here, whatever the receiver holds
             method = self._method(minfo.owner, minfo.decl)
-            # One or two arguments are listed in the call itself.
-            if len(fns) == 1:
-                (a,) = fns
-                call = lambda f: method.call([None, a(f)], span)
-            elif len(fns) == 2:
-                a, b = fns
+            # One argument is read as a statement reads a value (_read), and
+            # two are listed in the call itself.
+            if len(params) == 1:
+                slots, fn, a, b, sb, w = self._read(expr.args[0], params[0], span)
+
+                def call(f):
+                    v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
+                    return method.call([None, v if w is None or INT_MIN <= v <= INT_MAX else w(v)], span)
+
+            elif len(params) == 2:
+                a, b = self._args(expr, params)
                 call = lambda f: method.call([None, a(f), b(f)], span)
             else:
-                args = _arguments(fns)
+                args = _arguments(self._args(expr, params))
                 call = lambda f: method.call(args(f), span)
             return self._static_access(expr.receiver, call)
-        args = _arguments(fns)
+        args = _arguments(self._args(expr, params))
         # Virtual dispatch on the receiver, or on this for an unqualified call.
         receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
         key, table = (name, len(expr.args)), self._table

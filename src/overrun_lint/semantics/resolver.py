@@ -86,7 +86,8 @@ BUILTINS: dict[tuple[str | None, str], Builtin] = {
     )
 }
 
-BUILTIN_CLASSES = {"Thread", "Stream", "Exception"}
+# Class names a unit may not declare: a type of one of them means the builtin.
+BUILTIN_CLASSES = {"String", "Thread", "Stream", "Exception"}
 
 _uid = attrgetter("uid")
 

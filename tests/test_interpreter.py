@@ -1083,6 +1083,160 @@ class T {
     assert trace.halting_fault is None
 
 
+# -- statements that read their operands inline --------------------------------------
+#
+# A condition, a store into a local, a return and a one-argument static call
+# compute an operator over a slot and a slot or literal themselves, and every
+# statement marks its instruction id on its first run only.  Each row pins
+# stdout, the step count, the faults, the branch outcomes and the executed
+# instruction ids in the set's order, in both modes.
+
+
+def _observed(trace):
+    ids = list(trace.executed_instruction_ids)
+    return trace.stdout, trace.steps, _kinds(trace), trace.branch_outcomes, ids
+
+
+def _pair_program(left: str, right: str) -> str:
+    """Each consumer reads an operator over FOLD_LEFT[left] (7) and
+    FOLD_RIGHT[right] (3): two stores, two ifs, a static call's argument,
+    an assert and a return."""
+    a, b = FOLD_LEFT[left], FOLD_RIGHT[right]
+    return f"""\
+class T {{
+    static int id(int n) {{
+        return n;
+    }}
+
+    static int f(int a, int b) {{
+        int s = {a} - {b};
+        s = {a} * {b} + s;
+        if ({a} > {b}) {{
+            println(s);
+        }}
+        if ({a} <= {b}) {{
+            println("le");
+        }} else {{
+            println(id({a} % {b}));
+        }}
+        assert {a} != {b} : "ne";
+        return {a} / {b};
+    }}
+
+    static void main(String[] args) {{
+        println(f(7, 3));
+    }}
+}}
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("left", FOLD_LEFT)
+@pytest.mark.parametrize("right", FOLD_RIGHT)
+def test_statements_read_each_pair_of_operand_kinds(left, right, mode):
+    trace = run(_pair_program(left, right), **mode)
+    # Each id() operand is one more step, in the six statements that run it
+    # and, with --ea, in the assert.
+    steps = 11 + (left + right).count("C") * (7 if mode else 6)
+    assert _observed(trace) == (
+        ["25", "1", "2"],
+        steps,
+        [],
+        {(4, "true-branch"): 1, (6, "false-branch"): 1, (9, "false-branch"): 1},
+        [1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13],
+    )
+
+
+FUSED_SHAPES = """\
+class T {
+    static int twice(int n) {
+        return n + n;
+    }
+
+    static double half(double x) {
+        double h = x / 2.0;
+        return h;
+    }
+
+    static void main(String[] args) {
+        int n = 3;
+        int i = 0;
+        while (i < n) {
+            i = i + 1;
+        }
+        int total = 0;
+        for (int j = 0; j <= n; j++) {
+            total = total + j;
+        }
+        boolean small = total < 10;
+        println(small);
+        println(twice(total - 1));
+        println(half(total + 0.5));
+        assert i == n : "counted";
+        int big = 2147483647;
+        big = big + n;
+        println(big);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_loops_stores_and_arguments_read_their_operands_inline(mode):
+    assert _observed(run(FUSED_SHAPES, **mode)) == (
+        ["true", "10", "3.25", "-2147483646"],
+        36,
+        [(FAULT_OVERFLOW_WARNING, 27, 15, "32-bit result 2147483650 wrapped to -2147483646")],
+        {
+            (6, "true-branch"): 3, (6, "false-branch"): 1,
+            (10, "true-branch"): 4, (10, "false-branch"): 1,
+            (17, "false-branch"): 1,
+        },
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22],
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_fused_store_halts_in_the_second_iteration(mode):
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        int n = 6;
+        int k = 1;
+        for (int i = 0; i < 3; i++) {
+            int q = n / k;
+            println(q);
+            k = k - 1;
+        }
+    }
+}
+""", **mode)
+    assert _observed(trace) == (
+        ["6"],
+        10,
+        [(FAULT_ARITHMETIC, 6, 21, "integer division by zero")],
+        {(4, "true-branch"): 2},
+        [1, 2, 3, 4, 5, 6, 7, 8],
+    )
+
+
+def test_the_step_limit_lands_on_a_fused_loop_condition():
+    trace = run("""\
+class T {
+    static void main(String[] args) {
+        int i = 0;
+        int n = 100;
+        while (i < n) {
+            i = i + 1;
+        }
+    }
+}
+""", max_steps=6)
+    assert _observed(trace) == (
+        [], 7, [(FAULT_STEP_LIMIT, 5, 9, "step limit 6 exceeded")], {(3, "true-branch"): 2}, [1, 2, 3, 4]
+    )
+
+
 # -- call depth -------------------------------------------------------------------
 
 

@@ -68,6 +68,7 @@ def test_duplicate_local_reported():
     [
         ("class A { } class A { }", DuplicateDeclaration, "1:13: duplicate declaration of 'A'"),
         ("class Thread { }", DuplicateDeclaration, "1:1: duplicate declaration of 'Thread'"),
+        ("class String { }", DuplicateDeclaration, "1:1: duplicate declaration of 'String'"),
         ("class A { int f; int f; }", DuplicateDeclaration, "1:18: duplicate declaration of 'f'"),
         ("class A { void m() { } void m() { } }", DuplicateDeclaration, "1:24: duplicate declaration of 'm'"),
         ("class A { void m(int p, int p) { } }", DuplicateDeclaration, "1:25: duplicate declaration of 'p'"),

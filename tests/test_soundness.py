@@ -3,10 +3,11 @@
 Milner's slogan ("A theory of type polymorphism in programming", 1978) and
 the preservation half of Wright and Felleisen ("A syntactic approach to type
 soundness", 1994), used as a test.  The oracle wraps every expression closure
-the interpreter compiles and checks that each value it produces inhabits the
-type the resolver gave the expression.  It runs over the run-golden traffic
-(the corpus, the snippets in both modes and the 500 bound fuzz programs) and
-over the probes below.
+the interpreter compiles, and every value a statement reads, and checks that
+each value inhabits the type the resolver gave the expression, or the type
+a store, a return or an argument converts it to.  It runs over the
+run-golden traffic (the corpus, the snippets in both modes and the 500 bound
+fuzz programs) and over the probes below.
 
 An accepted program ends in its output or in a halting trace fault; the
 run-time errors Java throws are faults too, so no run raises.
@@ -65,16 +66,15 @@ def inhabits(value, t: ty.Type, expr: ast.Expr, res) -> bool:
 
 @pytest.fixture
 def violations(monkeypatch):
-    """Patch the interpreter so that every compiled expression checks its
+    """Patch the interpreter so that every compiled expression, and every
+    value a statement reads (Interpreter._read, which computes some
+    operators itself and so compiles no closure for them), checks its
     values; the list collects (span, type, value) of each that does not
     inhabit its type."""
     found: list[tuple[str, str, object]] = []
-    compile_expr = Interpreter._expr
+    compile_expr, compile_read = Interpreter._expr, Interpreter._read
 
-    def checked(self, expr):
-        run, res = compile_expr(self, expr), self.res
-        t = res.types[expr.uid]
-
+    def checking(run, t, expr, res):
         def check(f):
             value = run(f)
             if not inhabits(value, t, expr, res):
@@ -83,7 +83,22 @@ def violations(monkeypatch):
 
         return check
 
+    def checked(self, expr):
+        return checking(compile_expr(self, expr), self.res.types[expr.uid], expr, self.res)
+
+    def checked_read(self, expr, t=None, span=None):
+        # The value a statement computes from _read's form, converted to t.
+        slots, fn, a, b, sb, w = compile_read(self, expr, t, span)
+
+        def read(f):
+            v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
+            return v if w is None or INT_MIN <= v <= INT_MAX else w(v)
+
+        want = self.res.types[expr.uid] if t is None else t
+        return False, None, checking(read, want, expr, self.res), None, False, None
+
     monkeypatch.setattr(Interpreter, "_expr", checked)
+    monkeypatch.setattr(Interpreter, "_read", checked_read)
     return found
 
 
