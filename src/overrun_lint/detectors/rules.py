@@ -197,27 +197,15 @@ def _cycle_sites(ctx: RuleContext, cycles: list[list[str]]):
             yield cycle, span
 
 
-def _overridden(res: Resolution) -> set[str]:
-    """The ids of the instance methods that a class of the unit overrides,
-    so that a call of one may run another method."""
-    return {
-        base.method_id
-        for info in res.classes.values()
-        for above in res.ancestors(info.name)[1:]
-        for key, base in above.methods.items()
-        if key in info.methods and not (base.decl.is_static or base.decl.is_constructor)
-    }
-
-
 def infinite_recursion(rule: Rule, ctx: RuleContext) -> list[Finding]:
-    overridden = _overridden(ctx.res)
-
     def recurses(method: str, calls) -> bool:
-        # Whether every path through the method makes one of the calls,
-        # where a call counts only if it always runs with its block and
-        # cannot dispatch to an override, and some path does make one.
+        # Whether every path through the method makes one of the calls (its
+        # edges into the cycle) that always runs with its block and whose
+        # every target is in the cycle, and some path does make one.
         graph = ctx.cfgs.cfgs[method]
-        blocked = call_blocks(graph, (e.site for e in calls if e.callee not in overridden), ctx.res.parent)
+        inside = {e.callee for e in calls}
+        sites = (e.site for e in calls if all(t.id in inside for t in ctx.res.targets(e.site)))
+        blocked = call_blocks(graph, sites, ctx.res.parent)
         reached = reach(graph, blocked=blocked)
         return graph.exit not in reached and not blocked.isdisjoint(reached)
 

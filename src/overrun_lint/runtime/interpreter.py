@@ -480,15 +480,12 @@ class Interpreter:
         return call
 
     def _table(self, cls_name: str) -> dict[tuple[str, int], _Method]:
-        """The virtual method table of a class: (name, arity) -> the
-        nearest declaration along its base-class chain."""
+        """The virtual method table of a class: its resolved dispatch
+        table, (name, arity) -> the nearest declaration, compiled."""
         table = self.tables.get(cls_name)
         if table is None:
-            table = {}
-            for info in reversed(self.res.ancestors(cls_name)):
-                for key, minfo in info.methods.items():
-                    table[key] = self._method(minfo.owner, minfo.decl)
-            self.tables[cls_name] = table
+            dispatch = self.res.classes[cls_name].dispatch.items()
+            table = self.tables[cls_name] = {key: self._method(m.owner, m.decl) for key, m in dispatch}
         return table
 
     def _layout(self, class_name: str) -> tuple:

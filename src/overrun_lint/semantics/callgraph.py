@@ -1,4 +1,4 @@
-"""Call graph construction: one edge per syntactic Call/New site."""
+"""Call graph construction: one edge per Call/New site and target."""
 
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ class CallGraph:
 
 
 def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallGraph:
-    """One edge per Call/New site in a method body, by class, then method,
-    then site in pre-order.  A body's sites are the run of the unit's sites
-    whose index positions lie in the body's subtree."""
+    """One edge per Call/New site in a method body and each of its targets,
+    by class, then method, then site in pre-order.  A body's sites are the
+    run of the unit's sites whose index positions lie in the body's subtree."""
     graph = CallGraph()
     sites = resolution.nodes_of(ast.Call, ast.New)
     positions, ends = resolution.index.positions, resolution.index.ends
@@ -38,10 +38,8 @@ def build_call_graph(unit: ast.CompilationUnit, resolution: Resolution) -> CallG
             body = minfo.decl.body.uid
             first = bisect_left(starts, positions[body])
             for site in sites[first : bisect_left(starts, ends[body], first)]:
-                target = resolution.call_targets[site.uid]
-                graph.edges.append(
-                    CallEdge(caller=caller, callee=target.id, site=site, callee_builtin=target.builtin is not None)
-                )
+                for target in resolution.targets(site):
+                    graph.edges.append(CallEdge(caller, target.id, site, target.builtin is not None))
     return graph
 
 

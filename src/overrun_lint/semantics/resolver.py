@@ -15,6 +15,10 @@ instance field, instance method or Thread builtin without a receiver.  So
 does an override that does not keep its base method's signature (JLS
 8.4.8), which lets every phase trust a call's resolved signature.
 
+One walk of each base-class chain builds each class's dispatch table and
+visible fields, where the nearest declaration wins; calls, field accesses,
+class scopes, the interpreter's vtables and Resolution.targets read them.
+
 Statements and expressions are resolved through one table each, keyed by
 the node's class (_STMTS, _EXPRS).  Scopes are made where names are
 declared: the global scope holds the classes, a class's its fields and
@@ -156,6 +160,10 @@ class ClassInfo:
     fields: dict[str, Symbol] = field(default_factory=dict)
     methods: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)
     ctors: dict[int, MethodInfo] = field(default_factory=dict)
+    dispatch: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)  # own and inherited methods
+    visible: dict[str, Symbol] = field(default_factory=dict)  # own and inherited fields
+    below: list["ClassInfo"] = field(default_factory=list)  # the class and its subclasses, in unit order
+    made: bool = False  # whether some `new` makes one
 
 
 @record
@@ -163,6 +171,7 @@ class CallTarget:
     id: str  # "Class.m/arity" (a method or constructor), or Builtin.id
     method: MethodInfo | None = None
     builtin: Builtin | None = None
+    receiver: str | None = None  # a method call's: the class whose table it was looked up in
 
     @property
     def must_check(self) -> bool:
@@ -255,6 +264,18 @@ class Resolution:
             info = self.classes.get(info.base) if info.base else None
         return chain
 
+    def targets(self, site: ast.Call | ast.New) -> list[CallTarget]:
+        """What a call site can run: its resolved target, or for an instance
+        call the dispatch entries of the classes at or below the receiver's
+        class that some `new` makes (rapid type analysis), or of all those
+        classes where none is made (class-hierarchy analysis)."""
+        target = self.call_targets[site.uid]
+        if target.receiver is None or target.method.decl.is_static:
+            return [target]
+        below, key = self.classes[target.receiver].below, (site.name, len(site.args))
+        found = {c.dispatch[key].method_id: c.dispatch[key] for c in [c for c in below if c.made] or below}
+        return [CallTarget(method_id, method=m) for method_id, m in found.items()]
+
     def subclass_ok(self, base: str, derived: str) -> bool:
         if derived == base:
             return True
@@ -330,7 +351,7 @@ class _Resolver:
 
     def run(self) -> Resolution:
         self._declare_classes()
-        self._check_acyclic()
+        self._link_classes()
         self._check_overrides()
         for cls in self.unit.classes:
             self._resolve_class(cls)
@@ -407,12 +428,18 @@ class _Resolver:
                 if method.is_constructor:
                     info.ctors[method.arity] = minfo
 
-    def _check_acyclic(self) -> None:
+    def _link_classes(self) -> None:
+        """Reject cyclic inheritance, and fill each class's tables from its
+        base-class chain, farthest first so that the nearest declaration wins."""
         for info in self.res.classes.values():
-            last = self.res.ancestors(info.name)[-1]
-            if last.base in self.res.classes:  # the walk stopped at a class it had passed
-                cycle = self.res.classes[last.base].decl
+            chain = self.res.ancestors(info.name)
+            if chain[-1].base in self.res.classes:  # the walk stopped at a class it had passed
+                cycle = self.res.classes[chain[-1].base].decl
                 raise TypeCheckError(cycle.span, f"cyclic inheritance involving '{cycle.name}'")
+            for above in reversed(chain):
+                info.dispatch.update(above.methods)
+                info.visible.update(above.fields)
+                above.below.append(info)
 
     def _check_overrides(self) -> None:
         """A method with the name and arity of a base class's method keeps
@@ -420,8 +447,9 @@ class _Resolver:
         its return type, which only a class type may narrow to a subclass.
         So every method a call may dispatch to has the call's signature."""
         for info in self.res.classes.values():
+            inherited = self.res.classes[info.base].dispatch if info.base in self.res.classes else {}
             for (name, arity), minfo in info.methods.items():
-                base = self._lookup_method(info.base, name, arity)
+                base = inherited.get((name, arity))
                 if base is None or minfo.decl.is_constructor:
                     continue
                 params, base_params = (", ".join(map(str, param_types(m.decl))) for m in (minfo, base))
@@ -448,10 +476,7 @@ class _Resolver:
 
     def _resolve_class(self, cls: ast.ClassDecl) -> None:
         info = self.current_class = self.res.classes[cls.name]
-        class_scope = Scope(parent=self.global_scope)
-        for name, sym in info.fields.items():
-            class_scope.symbols[name] = sym
-        self._install_inherited(class_scope, info)
+        class_scope = Scope(parent=self.global_scope, symbols=info.visible)  # nothing declares into it
         for fld in cls.fields:
             if fld.initializer is not None:
                 self.static_context = fld.static
@@ -462,11 +487,6 @@ class _Resolver:
         for method in cls.methods:
             self._resolve_method(method, class_scope)
         self.current_class = None
-
-    def _install_inherited(self, scope: Scope, info: ClassInfo) -> None:
-        for base_info in self.res.ancestors(info.name)[1:]:
-            for name, sym in base_info.fields.items():
-                scope.symbols.setdefault(name, sym)
 
     def _resolve_method(self, method: ast.MethodDecl, class_scope: Scope) -> None:
         self.current_method = method
@@ -788,8 +808,8 @@ class _Resolver:
         receiver_t = self._receiver(expr.receiver, scope)
         if type(receiver_t) is not ty.ClassType:
             raise TypeCheckError(expr.span, f"{receiver_t} has no field '{expr.name}'")
-        chain = self.res.ancestors(receiver_t.name)
-        sym = next((info.fields[expr.name] for info in chain if expr.name in info.fields), None)
+        info = self.res.classes.get(receiver_t.name)
+        sym = info.visible.get(expr.name) if info is not None else None
         if sym is None:
             raise ResolutionError(expr.span, expr.name)
         if self.res.names_class(expr.receiver):
@@ -812,6 +832,7 @@ class _Resolver:
         arg_ts = [self._expr(a, scope) for a in expr.args]
         if info is None:
             raise ResolutionError(expr.span, expr.class_name)
+        info.made = True
         result = self.global_scope.symbols[expr.class_name].declared_type
         ctor = info.ctors.get(len(expr.args))
         if ctor is None:
@@ -825,13 +846,6 @@ class _Resolver:
         self._check_args(ctor, expr, arg_ts)
         self.res.call_targets[expr.uid] = CallTarget(ctor.method_id, method=ctor)
         return result
-
-    def _lookup_method(self, class_name: str | None, name: str, arity: int) -> MethodInfo | None:
-        for info in self.res.ancestors(class_name):
-            minfo = info.methods.get((name, arity))
-            if minfo is not None:
-                return minfo
-        return None
 
     def _builtin_of(self, owner: str | None, expr: ast.Call) -> Builtin | None:
         """The builtin a call names where no method of the class does: a
@@ -879,11 +893,12 @@ class _Resolver:
             receiver_t = self._receiver(expr.receiver, scope)
             owner = receiver_t.name if type(receiver_t) is ty.ClassType else None
             of_class = self.res.names_class(expr.receiver)
-        minfo = self._lookup_method(owner, expr.name, len(expr.args))
+        info = self.res.classes.get(owner)
+        minfo = info.dispatch.get((expr.name, len(expr.args))) if info is not None else None
         if minfo is not None:
             if of_class:
                 self._require_static(minfo.decl.is_static, expr.span, "method", expr.name)
-            self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo)
+            self.res.call_targets[expr.uid] = CallTarget(minfo.method_id, method=minfo, receiver=owner)
             self._check_args(minfo, expr, arg_ts)
             return minfo.symbol.declared_type
         builtin = self._builtin_of(owner, expr)

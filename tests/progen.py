@@ -270,9 +270,9 @@ class RecursionProgram:
 # the classes it adds beside P, and the lines by which main enters it, in
 # which `#` stands for the shape's own number and `@` for main's argument.
 # Only the shapes that recurse on every path (every_branch, mutual,
-# try_body, while_true) recurse without end, and no loop runs forever
-# without recursing, so a run hits the step limit only through recursion
-# that every path makes.
+# override_unmade, try_body, while_true) recurse without end, and no loop
+# runs forever without recursing, so a run hits the step limit only through
+# recursion that every path makes.
 _RECURSION_SHAPES = {
     "base_case": (
         ["static int count#(int n) {", "    if (n <= 0) {", "        return 0;", "    }",
@@ -304,6 +304,14 @@ _RECURSION_SHAPES = {
         ["class A# {", "    void f() {", "        g();", "    }", "    void g() {", "        f();", "    }", "}",
          "class B# extends A# {", "    void g() {", '        println("B#.g");', "    }", "}"],
         ["A# x# = new B#();", "x#.f();"],
+    ),
+    # The same classes, but the object is an A# and no B# is ever made, so
+    # f and g call each other without end.
+    "override_unmade": (
+        [],
+        ["class A# {", "    void f() {", "        g();", "    }", "    void g() {", "        f();", "    }", "}",
+         "class B# extends A# {", "    void g() {", '        println("B#.g");', "    }", "}"],
+        ["A# x# = new A#();", "x#.f();"],
     ),
     "and_right": (
         ["static boolean both#(int n) {", "    return n > 0 && both#(n - 1);", "}"],
@@ -356,7 +364,7 @@ _RECURSION_SHAPES = {
 
 # Shapes that recurse without end, which the generator draws less often
 # so that most runs reach the end of main.
-_DIVERGING = ("every_branch", "mutual", "try_body", "while_true")
+_DIVERGING = ("every_branch", "mutual", "override_unmade", "try_body", "while_true")
 
 
 def gen_recursion_program(rng: random.Random) -> RecursionProgram:

@@ -306,6 +306,13 @@ class Main {
 }
 """
 
+# The same classes, but the object is an A and no B is ever made, so a.f()
+# runs A.g, which calls f again: the cycle never returns.  (Rapid type
+# analysis keeps B.g out of the targets only because no `new B()` exists in
+# the unit; were one made anywhere, B.g would count as a target here too
+# and the cycle would go unreported, though this run recurses.)
+_OVERRIDE_UNMADE = _OVERRIDE.replace("new B()", "new A()")
+
 # InfiniteRecursion reports a cycle only when every path through each of
 # its methods makes one of the cycle's calls that always run.
 _RECURSION_CASES = {
@@ -321,6 +328,7 @@ _RECURSION_CASES = {
     "every_branch": (_recursive("if (n > 0) { rec(n - 1); } else { rec(n + 1); }"), 1),
     "m_a_b": (_M_A_B, 0),
     "override": (_OVERRIDE, 0),
+    "override_unmade": (_OVERRIDE_UNMADE, 1),
     # The loop never ends, so the call never runs: UnreachableCode reports it.
     "unreachable_call": (_recursive("while (true) { println(n); } rec(n - 1);"), 0),
 }

@@ -286,15 +286,15 @@ def test_call_graph_edge_count_equals_call_sites(corpus_sources):
 
 
 def _walked_edges(res):
-    """The call graph as a walk finds it: each Call/New node of each method
-    body's subtree, by class, then method, then pre-order."""
+    """The call graph as a walk finds it: each target of each Call/New node
+    of each method body's subtree, by class, then method, then pre-order."""
     edges = []
     for info in res.classes.values():
         for minfo in info.methods.values():
             for node in res.subtree(minfo.decl.body):
                 if isinstance(node, (ast.Call, ast.New)):
-                    target = res.call_targets[node.uid]
-                    edges.append((minfo.method_id, target.id, node.uid, target.builtin is not None))
+                    for target in res.targets(node):
+                        edges.append((minfo.method_id, target.id, node.uid, target.builtin is not None))
     return edges
 
 
@@ -393,6 +393,67 @@ def test_leaf_method_has_no_outgoing_edges():
     unit, res = resolve("class A { void leaf() { } void m() { leaf(); } }")
     graph = build_call_graph(unit, res)
     assert [e.caller for e in graph.edges] == ["A.m/0"]
+
+
+_TARGETS_UNIT = """\
+class A { void f() { } static void s() { } }
+class B extends A { void f() { } }
+class C extends B { }
+class D extends A { void f() { } }
+class E { void f() { } }
+class F extends E { void f() { } }
+class M { static void main(String[] args) { %s } }
+"""
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("A.s();", ["A.s/0"]),
+        ("new D();", ["D.<init>/0"]),
+        ("println(1);", ["builtin:println"]),
+        # C declares no f: its table holds B's.
+        ("C c = new C(); c.f();", ["B.f/0"]),
+        # Every made class at or below the receiver's A, in unit order.
+        ("B b = new C(); A a = new D(); a.f();", ["B.f/0", "D.f/0"]),
+        # F overrides f, but no F is made.
+        ("E e = new E(); e.f();", ["E.f/0"]),
+        # No E or F is made: every class at or below E counts.
+        ("E e = null; e.f();", ["E.f/0", "F.f/0"]),
+    ],
+    ids=["static", "constructor", "builtin", "inherited", "made_subclasses", "made_owner", "none_made"],
+)
+def test_targets_of_the_last_call_site(body, expected):
+    _, res = resolve(_TARGETS_UNIT % body)
+    site = res.nodes_of(ast.Call, ast.New)[-1]
+    assert [t.id for t in res.targets(site)] == expected
+
+
+def _nearest_first(res, info):
+    """(methods, fields) of a class as a walk of its chain finds them: the
+    first declaration of each key, nearest class first."""
+    methods, fields = {}, {}
+    for above in res.ancestors(info.name):
+        for key, minfo in above.methods.items():
+            methods.setdefault(key, minfo)
+        for name, sym in above.fields.items():
+            fields.setdefault(name, sym)
+    return methods, fields
+
+
+def test_dispatch_tables_are_the_chain_walks(corpus_sources):
+    sources = list(corpus_sources.values()) + [seeded_unit(seed) for seed in range(300)]
+    rng = random.Random(28)
+    sources += [gen_recursion_program(rng).source for _ in range(100)]
+    for source in sources:
+        _, res = resolve(source)
+        for info in res.classes.values():
+            methods, fields = _nearest_first(res, info)
+            assert {k: id(m) for k, m in info.dispatch.items()} == {k: id(m) for k, m in methods.items()}
+            assert {k: id(f) for k, f in info.visible.items()} == {k: id(f) for k, f in fields.items()}
+            assert [c.name for c in info.below] == [
+                c.name for c in res.classes.values() if info.name in [a.name for a in res.ancestors(c.name)]
+            ]
 
 
 def test_builtin_callees_marked():
