@@ -163,6 +163,8 @@ def _cmd_run(args) -> int:
     from .pipeline import run_source
     from .runtime.interpreter import RunOptions
 
+    if args.coverage_out and not args.coverage:
+        raise OverrunLintError("--coverage-out needs --coverage")
     source = read_text(args.file)
     stdin_script = None
     if args.stdin:

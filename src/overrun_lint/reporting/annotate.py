@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ..errors import SpanOutOfRangeError
+from ..errors import OverrunLintError, SpanOutOfRangeError
 
 if TYPE_CHECKING:
     from datetime import datetime
@@ -30,8 +30,13 @@ def annotate_source(source: str, finding: Finding, reviewer: str, timestamp: str
     """Insert a review annotation directly above the violation line.
 
     Re-annotating the same (line, rule) pair is a no-op; the annotated text
-    still parses (annotations are ordinary comments).
+    still parses (annotations are ordinary comments).  A reviewer or time
+    that REVIEW_RE would not read back is an error: nothing could honor it.
     """
+    annotation = annotation_line(finding.rule_id, reviewer, timestamp)
+    match = REVIEW_RE.match(annotation)
+    if match is None or match.groups() != (finding.rule_id, reviewer, timestamp):
+        raise OverrunLintError(f"reviewer {reviewer!r} and time {timestamp!r} do not read back from {annotation!r}")
     lines = source.splitlines()
     target = finding.span.line
     if target < 1 or target > len(lines):
@@ -46,7 +51,7 @@ def annotate_source(source: str, finding: Finding, reviewer: str, timestamp: str
             return _rejoin(lines, source)
         probe -= 1
     indent = re.match(r"[ \t]*", lines[target - 1]).group(0)
-    lines.insert(target - 1, indent + annotation_line(finding.rule_id, reviewer, timestamp))
+    lines.insert(target - 1, indent + annotation)
     return _rejoin(lines, source)
 
 

@@ -15,9 +15,10 @@ instance field, instance method or Thread builtin without a receiver.  So
 does an override that does not keep its base method's signature (JLS
 8.4.8), which lets every phase trust a call's resolved signature.
 
-One walk of each base-class chain builds each class's dispatch table and
-visible fields, where the nearest declaration wins; calls, field accesses,
-class scopes, the interpreter's vtables and Resolution.targets read them.
+One walk of each base-class chain builds each class's dispatch table,
+which holds no constructor (JLS 8.8: they are not inherited), and visible
+fields, where the nearest declaration wins; calls, field accesses, class
+scopes, the interpreter's vtables and Resolution.targets read them.
 
 Statements and expressions are resolved through one table each, keyed by
 the node's class (_STMTS, _EXPRS).  Scopes are made where names are
@@ -160,7 +161,7 @@ class ClassInfo:
     fields: dict[str, Symbol] = field(default_factory=dict)
     methods: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)
     ctors: dict[int, MethodInfo] = field(default_factory=dict)
-    dispatch: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)  # own and inherited methods
+    dispatch: dict[tuple[str, int], MethodInfo] = field(default_factory=dict)  # own and inherited methods, no ctors
     visible: dict[str, Symbol] = field(default_factory=dict)  # own and inherited fields
     below: list["ClassInfo"] = field(default_factory=list)  # the class and its subclasses, in unit order
     made: bool = False  # whether some `new` makes one
@@ -437,7 +438,7 @@ class _Resolver:
                 cycle = self.res.classes[chain[-1].base].decl
                 raise TypeCheckError(cycle.span, f"cyclic inheritance involving '{cycle.name}'")
             for above in reversed(chain):
-                info.dispatch.update(above.methods)
+                info.dispatch.update((key, m) for key, m in above.methods.items() if key[0] != "<init>")
                 info.visible.update(above.fields)
                 above.below.append(info)
 
@@ -450,7 +451,7 @@ class _Resolver:
             inherited = self.res.classes[info.base].dispatch if info.base in self.res.classes else {}
             for (name, arity), minfo in info.methods.items():
                 base = inherited.get((name, arity))
-                if base is None or minfo.decl.is_constructor:
+                if base is None:
                     continue
                 params, base_params = (", ".join(map(str, param_types(m.decl))) for m in (minfo, base))
                 returns, base_returns = minfo.symbol.declared_type, base.symbol.declared_type

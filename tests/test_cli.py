@@ -128,13 +128,6 @@ def test_run_stdout_and_exit_codes(capsys, corpus_dir, tmp_path):
     assert code == 0
     assert "assertion passed" in err
 
-    stdin.write_text("5\n")
-    code, out, err = run_cli(
-        capsys, "run", str(corpus_dir / "assert_demo.sl"), "--stdin", str(stdin), "--ea"
-    )
-    assert code == 1
-    assert "assertion failed" in err and "its false" in err
-
 
 def test_run_stdin_lines_end_at_newline_alone(capsys, tmp_path):
     # BufferedReader.readLine ends a line at \n, \r or \r\n only: a form
@@ -183,36 +176,6 @@ def test_metrics_table_shape(capsys, corpus_dir):
     assert header.split("  ")[0] == "Element"
     assert "Total Complexity" in header
     assert any("Lift.setSpeed()" in r for r in rows)
-
-
-def test_metrics_with_coverage_data(capsys, corpus_dir, tmp_path):
-    cov = tmp_path / "cov.json"
-    run_cli(capsys, "run", str(corpus_dir / "yang.sl"), "--coverage", "--coverage-out", str(cov))
-    code, out, _ = run_cli(
-        capsys, "metrics", str(corpus_dir / "yang.sl"), "--coverage-data", str(cov)
-    )
-    assert code == 0
-    main_row = next(l for l in out.splitlines() if "Yang.main()" in l)
-    assert "100.0 %" in main_row
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json",
-        "[1]",
-        '{"per_method_covered": {"Yang.main/1": "x"}}',
-        '{"per_method_covered": {"Yang.main/1": -3}}',
-    ],
-    ids=["not_json", "not_an_object", "count_not_an_integer", "negative_count"],
-)
-def test_metrics_rejects_malformed_coverage_data(capsys, corpus_dir, tmp_path, payload):
-    cov = tmp_path / "cov.json"
-    cov.write_text(payload)
-    code, out, err = run_cli(capsys, "metrics", str(corpus_dir / "yang.sl"), "--coverage-data", str(cov))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {cov}: ")
 
 
 def test_cpd_reports_clones(capsys, tmp_path):
@@ -278,27 +241,6 @@ def test_cpd_still_rejects_unresolved_names(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cpd", str(bad))
     assert code == 2
     assert "undeclared identifier 'missing'" in err
-
-
-MIXED = """\
-class Main {
-  static void main(String[] args) {
-    x = 1;
-    int y = true;
-  }
-}
-"""
-
-
-@pytest.mark.parametrize("command", ["analyze", "boundcheck", "metrics", "cpd", "run"])
-def test_every_command_reports_the_first_resolution_error_alone(capsys, tmp_path, command):
-    # An undeclared name on line 3 and a type error on line 4: the resolver
-    # stops at the first, and every command prints it and nothing else.
-    mixed = tmp_path / "mixed.sl"
-    mixed.write_text(MIXED)
-    code, out, err = run_cli(capsys, command, str(mixed))
-    assert (code, out) == (2, "")
-    assert err == f"error: {mixed}:3:5: undeclared identifier 'x'\n"
 
 
 REJECTED_BY_RESOLVER = {
@@ -376,20 +318,6 @@ def test_annotate_in_place_and_reanalyze(capsys, corpus_dir, tmp_path):
     assert "16 finding(s)" in out  # the reviewed finding is suppressed
 
 
-def test_annotate_unknown_rule_exit_two(capsys, corpus_dir, tmp_path):
-    target = tmp_path / "yang.sl"
-    source = (corpus_dir / "yang.sl").read_text()
-    target.write_text(source)
-    for rule_id in ("NotARule", "BoundNoSuchRule"):
-        code, _, err = run_cli(
-            capsys, "annotate", str(target), "--line", "2", "--rule", rule_id,
-            "--reviewer", "X", "--time", "1/1/11 1.01AM",
-        )
-        assert code == 2, rule_id
-        assert err == f"error: unknown rule id '{rule_id}'\n"
-        assert target.read_text() == source
-
-
 def test_annotate_accepts_every_catalog_rule(capsys, corpus_dir, tmp_path):
     target = tmp_path / "yang.sl"
     target.write_text((corpus_dir / "yang.sl").read_text())
@@ -449,17 +377,6 @@ NO_TRACEBACK = {
         2,
         "class_as_value.sl:2:54: class name C is not a value",
     ),
-    "int_literal_too_large.sl": (
-        "class Main { static void main(String[] args) { double d = %s / 2.0; } }\n" % ("9" * 400),
-        2,
-        "int_literal_too_large.sl:1:59: integer number too large",
-    ),
-    # Past Python's 4 300-digit limit on converting text to an int.
-    "int_literal_5000_digits.sl": (
-        "class Main { static void main(String[] args) { int x = 1%s; } }\n" % ("0" * 5000),
-        2,
-        "int_literal_5000_digits.sl:1:56: integer number too large",
-    ),
 }
 
 
@@ -476,13 +393,12 @@ def test_run_ends_in_a_fault_or_an_error_not_a_traceback(name, capsys, tmp_path,
 
 
 # Each command, and each file option that names text, on a file holding
-# the byte 0xff on its third line.
+# the byte 0xff on its third line; analyze and run are rows of
+# tests/test_entry_point.py.
 NOT_UTF8 = {
-    "analyze": ["analyze", "{bad}"],
     "boundcheck": ["boundcheck", "{bad}"],
     "cpd": ["cpd", "{bad}"],
     "metrics": ["metrics", "{bad}"],
-    "run": ["run", "{bad}"],
     "annotate": ["annotate", "{bad}", "--line", "2", "--rule", "SystemPrintln",
                  "--reviewer", "X", "--time", "1/1/11 1.01AM"],
     "analyze --ruleset": ["analyze", "{good}", "--ruleset", "{bad}"],
@@ -527,12 +443,3 @@ def test_run_time_error_keeps_the_output_before_it(capsys, tmp_path, monkeypatch
     code, out, err = run_cli(capsys, "run", "div.sl")
     assert (code, out) == (1, "before\n")
     assert err == "fault: arithmetic_error at div.sl:5: integer division by zero\n"
-
-
-def test_run_prints_an_ieee_remainder_of_infinity(capsys, tmp_path, monkeypatch):
-    # math.fmod raised ValueError here, and run ended in a traceback.
-    (tmp_path / "rem.sl").write_text(
-        "class Main { static void main(String[] args) { double z = 0; println((1.0 / z) % 2.0); } }\n"
-    )
-    monkeypatch.chdir(tmp_path)
-    assert run_cli(capsys, "run", "rem.sl") == (0, "NaN\n", "")

@@ -431,11 +431,13 @@ def test_targets_of_the_last_call_site(body, expected):
 
 def _nearest_first(res, info):
     """(methods, fields) of a class as a walk of its chain finds them: the
-    first declaration of each key, nearest class first."""
+    first declaration of each key, nearest class first.  Constructors are
+    not inherited (JLS 8.8), and a class's own are called through `ctors`."""
     methods, fields = {}, {}
     for above in res.ancestors(info.name):
         for key, minfo in above.methods.items():
-            methods.setdefault(key, minfo)
+            if key[0] != "<init>":
+                methods.setdefault(key, minfo)
         for name, sym in above.fields.items():
             fields.setdefault(name, sym)
     return methods, fields
@@ -445,9 +447,11 @@ def test_dispatch_tables_are_the_chain_walks(corpus_sources):
     sources = list(corpus_sources.values()) + [seeded_unit(seed) for seed in range(300)]
     rng = random.Random(28)
     sources += [gen_recursion_program(rng).source for _ in range(100)]
+    sources.append("class A { A(int x) { } }\nclass B extends A { B() { } }")
     for source in sources:
         _, res = resolve(source)
         for info in res.classes.values():
+            assert all(name != "<init>" for name, _ in info.dispatch)
             methods, fields = _nearest_first(res, info)
             assert {k: id(m) for k, m in info.dispatch.items()} == {k: id(m) for k, m in methods.items()}
             assert {k: id(f) for k, f in info.visible.items()} == {k: id(f) for k, f in fields.items()}

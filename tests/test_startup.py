@@ -1,7 +1,8 @@
 """Each layer is imported on first use.  `import overrun_lint` loads no
-layer, the clone-detection path loads no rule, bound checker, report
-emitter or interpreter, and `analyze` loads no interpreter.  Each check runs
-in a fresh interpreter, because this one has imported every module already."""
+layer, and the clone-detection path loads no rule, bound checker, report
+emitter or interpreter.  Each check runs in a fresh interpreter, because
+this one has imported every module already.  What the `analyze` and `cpd`
+commands load is checked by rows of tests/test_entry_point.py."""
 
 import json
 import os
@@ -44,27 +45,3 @@ def test_clone_detection_loads_no_rules_checker_emitter_or_interpreter():
         "overrun_lint.reporting.emit",
     }
     assert not loaded & unread
-
-
-def test_analyze_loads_no_interpreter():
-    loaded = loaded_after(
-        "import contextlib, io\n"
-        "from overrun_lint.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['analyze', 'corpus/makeover.sl', '--timestamp', 'T0']) == 1\n"
-    )
-    assert "overrun_lint.detectors.rules" in loaded
-    assert not {m for m in loaded if m.startswith("overrun_lint.runtime")}
-
-
-def test_cpd_loads_no_call_graph():
-    loaded = loaded_after(
-        "import contextlib, io\n"
-        "from pathlib import Path\n"
-        "from overrun_lint.cli import main\n"
-        "paths = sorted(str(p) for p in Path('corpus').glob('*.sl'))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['cpd', *paths]) in (0, 1)\n"
-    )
-    assert "overrun_lint.detectors.clones" in loaded
-    assert "overrun_lint.semantics.callgraph" not in loaded
