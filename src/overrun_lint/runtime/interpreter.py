@@ -1,58 +1,36 @@
-"""Closure-compiling interpreter with execution tracing.
+"""An interpreter that runs each SL method as one generated Python function.
 
-Each method body is compiled, on its first invocation within one `execute`
-call, into nested Python closures (Feeley & Lapalme, "Using Closures for
-Code Generation", 1987).  Compilation binds, once, what would otherwise be
-looked up on every step: each statement's instruction id and branch keys,
-each name's frame slot or field, each call's target, each operator's code
-and each store's conversion.  Locals and parameters live in a per-invocation
-list, built by the caller as [receiver, arg...] and padded by the callee
-at the slots the resolver numbered.
+On its first call within one `execute` call, each method is translated into
+a Python function, built as `ast` nodes and compiled once; the functions of
+a run share one namespace, their globals, and are dropped with it.  SL
+locals and parameters are Python locals (`v<slot>`, in the slots the
+resolver numbered, `v0` being this).  An SL call is a Python call of the
+callee's function with the depth of the call, the call site's number and
+the arguments, so an SL call is one Python frame and the host's recursion
+limit is left alone.  A virtual call looks its function up by the
+receiver's class in a table per method name and arity.
+
+Every value an expression of an accepted unit yields inhabits the type the
+resolver gave it (tests/test_soundness.py), so the code has no guard
+against a type error, and the types choose what would otherwise be tested
+at run time: a store, initializer, return or argument converts its value
+only where its type and the slot's differ (_Gen._convert); an arithmetic
+operator takes its int or double code from its own type; == and != compare
+objects and arrays by identity.
+
+The checks are inline: the int range check after each int operator, the
+null, bounds and zero-divisor checks, the call-depth check at the top of
+each function, the branch counters and each statement's step.  A step
+counts the global S and compares it with the statement's own threshold
+L<iid>, which starts at 0: the statement's first run takes the cold path
+(_slow), which marks its instruction id and raises the threshold to
+max_steps.  The cold paths and the cold constructs (faults, object and
+array creation, threads and streams) call helpers of the run.
+
 Operands run in Java's order: the receiver, or the array and then the
 index, before the arguments or the right-hand side, and the null and bounds
-checks after all of them.
+checks after all of them (_Gen._operands).
 
-Only a unit the resolver accepted runs, and every value an expression
-yields inhabits the type the resolver gave it (tests/test_soundness.py
-checks this over every golden run).  So the compiled code has no guard
-against a type error: every name, field and call has its target, every
-condition is a bool, every operand of an arithmetic or comparison operator
-a number, every indexed value an array or null and every index an int.
-The types also choose, at compile time, what the values would otherwise
-be tested for at run time:
-
-- Each store, initializer, return and argument converts its value where
-  its type and the slot's differ, and nowhere else (_converted): an int or
-  byte into a double widens, and an int into a byte wraps.  The conversion
-  runs as the value is computed, where Java's cast would run.  Arguments convert at the call
-  site, with the resolved method's parameter types, which every override
-  keeps (the resolver rejects one that does not).
-- An arithmetic operator takes its int or double code from its own type,
-  and == and != compare by identity where either operand is an object or an
-  array, and by value otherwise.
-- A non-void method that reaches its end halts with a missing_return
-  fault, where it would otherwise return null in place of its value.  An
-  assignment yields the value it stored.
-
-Compilation also drops each per-step check that cannot fire:
-
-- Statement closures take their step inline (count, check max_steps) and
-  mark their instruction id on their first run only; _step serves only
-  static initializers, implicit returns and implicit constructors.
-- An int literal condition, if (1), folds to its truth.
-- An operator reads a local or parameter operand from its slot and binds
-  a literal one in; + on a String-typed expression compiles to
-  concatenation.
-- A condition, a store into a local, a return and the argument of a
-  one-argument static call compute an operator over slots, literals and
-  calls themselves, with the int range check inline (_read).
-- A static call with two arguments lists them in its own closure.
-- A branch or method body of one statement runs without a loop, and a
-  frame is padded only for a method with locals.
-- A method is recorded as entered by the call that compiles it.
-
-Executing a simple statement or a branching condition records its
-instruction id (and the branch outcome for decisions) into the RunTrace.
 Runtime faults (out-of-bounds access, null dereference, assertion failure,
 missing return, step limit, and the run-time errors Java throws for an
 integer division by zero, a negative array size, a malformed parseInt
@@ -60,19 +38,18 @@ and a read after close) halt the run and are recorded; fixed-width
 integer overflow is recorded as a warning and execution continues with the
 wrapped value.  Double arithmetic follows IEEE 754, as Java's does.
 
-A statement closure returns None to fall through and anything else to
-return from the method: the returned value, or _NULL for a null/void result.
+CPython compiles at most 20 statically nested loops in one function, so a
+loop that would be the 18th becomes a local function called in its place
+(_Gen._outline; docs/GRAMMAR.md).
 """
 
 from __future__ import annotations
 
+import ast as py
 import math
-import operator
 import random as _random
 import re
-import sys
 from decimal import Decimal
-from operator import itemgetter
 
 from ..records import field, record
 from ..errors import EntryNotFoundError
@@ -86,10 +63,6 @@ from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
 from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
 
 BYTE_MIN, BYTE_MAX = -128, 127
-# The highest recursion limit a run sets.  On Python 3.10 every Python call
-# also recurses in C, and with an 8 MB stack a runaway SL recursion crashed
-# the process between 20 000 and 30 000 frames.
-_RECURSION_CEILING = 10_000
 
 FAULT_OUT_OF_BOUNDS = "out_of_bounds"
 FAULT_NULL_DEREFERENCE = "null_dereference"
@@ -182,7 +155,7 @@ class SLStream:
     ordinal: int = 0
 
 
-_NULL = object()  # a statement's "return null/void" signal
+_FELL = object()  # what an outlined loop returns when it falls through
 
 
 def format_value(value) -> str:
@@ -226,58 +199,10 @@ _INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 # The value a variable, field or array element of a type starts with.
 _DEFAULTS = {ty.INT: 0, ty.BYTE: 0, ty.DOUBLE: 0.0, ty.BOOLEAN: False}
+_ELEMENT_DEFAULTS = {str(t): value for t, value in _DEFAULTS.items()}
 
-
-def _constant(value):
-    return lambda f: value
-
-
-def _arguments(fns: list):
-    """A closure building a callee's frame from its arguments' closures:
-    None in slot 0, which the caller fills with the receiver, then the
-    arguments' values, left to right.  Up to two arguments skip the
-    comprehension's own frame."""
-    if not fns:
-        return lambda f: [None]
-    if len(fns) == 1:
-        (a,) = fns
-        return lambda f: [None, a(f)]
-    if len(fns) == 2:
-        a, b = fns
-        return lambda f: [None, a(f), b(f)]
-    return lambda f: [None, *[fn(f) for fn in fns]]
-
-
-def _sequence(stmts: tuple):
-    """One closure running statement closures in order until one returns.
-    Statements that hold blocks loop over them inline instead, so a nested
-    block costs no Python frame."""
-    if len(stmts) == 1:
-        return stmts[0]
-
-    def run(f):
-        for stmt in stmts:
-            r = stmt(f)
-            if r is not None:
-                return r
-
-    return run
-
-
-def _branch(stmts: tuple) -> tuple:
-    """(stmts' one closure, or None, stmts): one statement runs unlooped."""
-    return (stmts[0] if len(stmts) == 1 else None), stmts
-
-
-def _calls(value) -> tuple:
-    """_read's form of a value a statement calls its closure for."""
-    return False, None, value, None, False, None
-
-
-class _Method:
-    """A method's entry point: compiles the body on first call."""
-
-    __slots__ = ("call",)
+# A loop nested deeper than this in one function is outlined (see above).
+_MAX_LOOPS = 17
 
 
 class Interpreter:
@@ -296,15 +221,42 @@ class Interpreter:
         self.rng = _random.Random(options.seed)
         self.stdin = list(options.stdin_script or [])
         self.stdin_pos = 0
-        self.statics: dict[tuple[str, str], object] = {}
-        self.depth = 0
         self.ordinals = 0
-        # Compiled code and tables, built on first use and dropped with the run.
-        self.methods: dict[int, _Method] = {}  # MethodDecl uid -> entry point
-        self.tables: dict[str, dict[tuple[str, int], _Method]] = {}  # class -> virtual table
-        self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initialisers)
-        # (branch keys, their counts) per decision; the closures count.
-        self.branch_counters: list[tuple[tuple, list[int]]] = []
+        # Generated code and its tables, built on first use and dropped with the run.
+        self.sites: list[SourceSpan] = []  # call sites and fault spans, by number
+        self.site_numbers: dict[SourceSpan, int] = {}
+        self.step_spans: dict[int, SourceSpan] = {}  # iid -> the span its step faults at
+        self.counters: list[tuple[tuple[int, str], str]] = []  # (branch key, counter global)
+        self.vtables: dict[tuple[str, int], str] = {}  # (name, arity) -> the global of its table
+        self.stubs: dict[int, list] = {}  # method uid -> the (vtable, class) its stub stands in
+        self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initializers base first)
+        self.asserts: list[tuple] = []  # (where, text, span, failure iid)
+        self.temps = 0
+        self.ns = self._namespace()
+        # Nodes the generated functions share: names, constants, d + 1 and (S := S + 1).
+        self.nodes: dict = {}  # constants
+        self.loads: dict[str, py.Name] = {}
+        self.stores: dict[str, py.Name] = {}
+        self.one = _Const(1, None)
+        self.deeper = _BinOp(_Name("d", _LOAD), _ADD, self.one)
+        self.count_step = _Walrus(_Name("S", _STORE), _BinOp(_Name("S", _LOAD), _ADD, self.one))
+
+    def _namespace(self) -> dict:
+        """The globals of the run's generated functions: the step count,
+        the statics and the helpers they call."""
+        ns = {"S": 0, "_FELL": _FELL, "__builtins__": {"len": len, "str": str, "float": float}}
+        for cls in self.unit.classes:
+            for fld in cls.fields:
+                if fld.static:
+                    ns[f"s{fld.uid}"] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
+        for name in (
+            "_slow", "_step", "_w", "_npe", "_aget", "_quot", "_rem", "_deep", "_halt",
+            "_new", "_newarr", "_failing", "_failed",
+        ):
+            ns[name] = getattr(self, name)
+        ns.update(_fmt=format_value, _dt=_double_text, _ddiv=_double_quotient, _drem=_double_remainder)
+        ns["_record"] = self.trace.assertion_records.append
+        return ns
 
     # -- trace plumbing ------------------------------------------------------
 
@@ -313,49 +265,113 @@ class Interpreter:
         if halt:
             raise _Halt()
 
-    def _step(self, iid: int, span: SourceSpan | None) -> None:
-        """A cold step: one executed instruction, checked against
-        max_steps.  Statement closures take their steps inline instead."""
-        trace = self.trace
-        trace.executed_instruction_ids.add(iid)
-        trace.steps += 1
-        if trace.steps > self.options.max_steps:
-            self._step_limit(span)
+    def _slow(self, iid: int) -> None:
+        """A statement's step past its threshold: its first run, which
+        marks its instruction id, or a step past max_steps."""
+        limit = self.options.max_steps
+        self.trace.executed_instruction_ids.add(iid)
+        self.ns[f"L{iid}"] = limit
+        if self.ns["S"] > limit:
+            self._fault(FAULT_STEP_LIMIT, self.step_spans[iid], f"step limit {limit} exceeded")
 
-    def _step_limit(self, span: SourceSpan | None) -> None:
-        self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
+    def _step(self, iid: int, k: int) -> None:
+        """A cold step of the generated code: static initializers and
+        implicit returns."""
+        self._tick(iid, self.sites[k])
 
-    def _instruction(self, stmt: ast.Node):
-        """stmt's instruction id, a list that holds it until stmt first
-        runs, and the call that marks it executed."""
-        iid = self.cfgs.stmt_iids[stmt.uid]
-        return iid, [iid], self.trace.executed_instruction_ids.add
+    def _tick(self, iid: int, span: SourceSpan) -> None:
+        """One executed instruction, checked against max_steps."""
+        self.trace.executed_instruction_ids.add(iid)
+        self.ns["S"] += 1
+        if self.ns["S"] > self.options.max_steps:
+            self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
 
     def _harvest(self) -> None:
-        """Move the closures' branch counts into the trace."""
-        outcomes = self.trace.branch_outcomes
-        for keys, counts in self.branch_counters:
-            for key, count in zip(keys, counts):
-                if count:
-                    outcomes[key] = outcomes.get(key, 0) + count
+        """Move the step count and the branch counts into the trace."""
+        ns, outcomes = self.ns, self.trace.branch_outcomes
+        self.trace.steps = ns["S"]
+        for key, name in self.counters:
+            if ns[name]:
+                outcomes[key] = outcomes.get(key, 0) + ns[name]
+
+    def site(self, span: SourceSpan) -> int:
+        """span's number among the run's call sites and fault spans."""
+        number = self.site_numbers.get(span)
+        if number is None:
+            number = self.site_numbers[span] = len(self.sites)
+            self.sites.append(span)
+        return number
+
+    # -- the cold paths of the generated code ----------------------------------
+
+    def _w(self, value: int, k: int, bits: int = 32) -> int:
+        """value wrapped into a signed integer of that many bits (an int 32,
+        a byte 8); a value that does not fit records an overflow warning."""
+        half = 1 << (bits - 1)
+        if -half <= value < half:
+            return value
+        wrapped = (value + half) % (2 * half) - half
+        detail = f"{bits}-bit result {value} wrapped to {wrapped}"
+        self._fault(FAULT_OVERFLOW_WARNING, self.sites[k], detail, halt=False)
+        return wrapped
+
+    def _npe(self, k: int, detail: str):
+        self._fault(FAULT_NULL_DEREFERENCE, self.sites[k], detail)
+
+    def _halt(self, kind: str, k: int, detail: str):
+        self._fault(kind, self.sites[k], detail)
+
+    def _deep(self, k: int):
+        self._halt(FAULT_STEP_LIMIT, k, f"call depth {self.options.max_call_depth} exceeded (runaway recursion)")
+
+    def _aget(self, array, index, k: int, null: str = "indexing a null array"):
+        """The fault of an element read, or store, that failed its inline check."""
+        if array is None:
+            self._npe(k, null)
+        self._halt(FAULT_OUT_OF_BOUNDS, k, f"index {index} outside [0, {len(array.values) - 1}]")
+
+    def _quot(self, a: int, b: int, k: int) -> int:
+        """a / b where either is not positive: Java's int division, which
+        rounds toward zero, faults on a zero divisor and overflows only for
+        INT_MIN / -1."""
+        if not b:
+            self._halt(FAULT_ARITHMETIC, k, "integer division by zero")
+        q = a // b if (a >= 0) == (b > 0) else -(-a // b)
+        return q if q <= INT_MAX else self._w(q, k)
+
+    def _rem(self, a: int, b: int, k: int) -> int:
+        """a % b where either is not positive: the sign of a."""
+        if not b:
+            self._halt(FAULT_ARITHMETIC, k, "integer division by zero")
+        r = abs(a) % abs(b)
+        return r if a >= 0 else -r
+
+    def _newarr(self, elem: str, size: int, k: int) -> SLArray:
+        if size < 0:
+            self._halt(FAULT_NEGATIVE_ARRAY_SIZE, k, f"array size {size} is negative")
+        self.ordinals += 1
+        return SLArray(elem=elem, values=[_ELEMENT_DEFAULTS.get(elem)] * size, ordinal=self.ordinals)
+
+    def _failing(self, j: int) -> None:
+        """The failure of assert j: its instruction and its step, before its
+        message is computed."""
+        _, _, span, failure = self.asserts[j]
+        self._tick(failure, span)
+
+    def _failed(self, j: int, message) -> None:
+        where, text, span, _ = self.asserts[j]
+        detail = format_value(message)
+        self.trace.assertion_records.append(AssertionRecord(where, text, span, detail, "failed"))
+        self._fault(FAULT_ASSERTION_FAILURE, span, detail)
 
     # -- program start --------------------------------------------------------
 
     def run(self) -> RunTrace:
-        # An SL call costs one Python frame per statement and operator
-        # around the call, plus two: 3 for a bare call statement, 10 inside
-        # for + switch + synchronized + if with three operators.  Allow 40
-        # frames a call up to max_call_depth, so that the call-depth fault
-        # fires first, but never more than the ceiling.
-        wanted = min(self.options.max_call_depth * 40 + 1000, _RECURSION_CEILING)
-        old_limit = sys.getrecursionlimit()
-        if wanted > old_limit:
-            sys.setrecursionlimit(wanted)
         try:
             self._run_static_initializers()
             entry_cls, entry_method = self._find_entry()
-            frame = [None, self._new_array(ty.STRING, 0)] if entry_method.params else [None]
-            self._method(entry_cls.name, entry_method).call(frame, entry_method.span)
+            args = [self._newarr(str(ty.STRING), 0, 0)] if entry_method.params else []
+            self._function(entry_cls.name, entry_method)(1, self.site(entry_method.span), *args)
         except _Halt:
             pass
         except RecursionError:
@@ -366,22 +382,19 @@ class Interpreter:
                 f" before reaching max_call_depth {self.options.max_call_depth}",
                 halt=False,
             )
-        finally:
-            if wanted > old_limit:
-                sys.setrecursionlimit(old_limit)
         self._harvest()
+        # The functions and the helpers bound into the namespace hold each
+        # other and the interpreter: clear it, so the run leaves no cycle.
+        self.ns.clear()
+        self.stubs.clear()
         return self.trace
 
     def _run_static_initializers(self) -> None:
         for cls in self.unit.classes:
             inits = [f for f in cls.fields if f.static and f.initializer is not None]
-            if not inits:
-                continue
-            self.trace.entered_methods.add(clinit_id(cls.name))
-            for fld in inits:
-                self._step(self.cfgs.stmt_iids[fld.uid], fld.span)
-                t = self.res.decl_symbols[fld.uid].declared_type
-                self.statics[(cls.name, fld.name)] = self._converted(fld.initializer, t, fld.span)([None])
+            if inits:
+                self.trace.entered_methods.add(clinit_id(cls.name))
+                self._compile(_Gen(self, cls.name).statics(inits, f"c{cls.uid}"), f"c{cls.uid}")(0)
 
     def _find_entry(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
         wanted = self.options.entry
@@ -416,772 +429,147 @@ class Interpreter:
 
     # -- methods, dispatch and objects ------------------------------------------
 
-    def _method(self, owner: str, decl: ast.MethodDecl) -> _Method:
-        method = self.methods.get(decl.uid)
-        if method is None:
-            method = self.methods[decl.uid] = _Method()
+    def _compile(self, function: py.FunctionDef, name: str):
+        """Compile one generated function into the run's namespace."""
+        module = py.Module([function], [])
+        exec(compile(module, f"<{self.unit.file}>", "exec"), self.ns)
+        return self.ns[name]
 
-            def first_call(frame, span):
-                # A call in the arguments of another, f(f(x)), compiles f
-                # before the outer call, which had already read first_call.
-                # The method is entered once, by the first call that passes
-                # the call-depth check.
-                if method.call is first_call:
-                    method.call = self._compile_method(owner, decl)
-                    if self.depth < self.options.max_call_depth:
-                        self.trace.entered_methods.add(method_identity(owner, decl))
-                return method.call(frame, span)
+    def _function(self, owner: str, decl: ast.MethodDecl):
+        """The function of decl in the namespace, m<uid>: until its first
+        call, a stub that generates it.  The stub checks the call depth
+        first, so a method first called too deep is not entered."""
+        name = f"m{decl.uid}"
+        fn = self.ns.get(name)
+        if fn is None:
+            max_depth, real = self.options.max_call_depth, []
+            self.stubs[decl.uid] = []
 
-            method.call = first_call
-        return method
+            def stub(d, k, *args):
+                if d > max_depth:
+                    self._deep(k)
+                # A call in the arguments of another, f(f(x)), generates f
+                # after the outer call has read the stub.
+                if not real:
+                    real.append(self._compile(_Gen(self, owner).method(decl, name), name))
+                    self.trace.entered_methods.add(method_identity(owner, decl))
+                    for table, cls in self.stubs.pop(decl.uid):
+                        table[cls] = real[0]
+                return real[0](d, k, *args)
 
-    def _compile_method(self, owner: str, decl: ast.MethodDecl):
-        """The invocation closure of decl.  Every call builds its frame,
-        [receiver, arg...], with each argument already converted to its
-        parameter's type; the closure pads it with the locals' slots."""
-        st = self
-        ident = method_identity(owner, decl)
-        max_depth = self.options.max_call_depth
-        too_deep = f"call depth {max_depth} exceeded (runaway recursion)"
-        one, body = _branch(self._stmts(decl.body))
-        pad = [None] * (self.res.frame_sizes[decl.uid] - 1 - decl.arity)
-        cfg = self.cfgs.cfgs[ident]
-        implicit_iid = cfg.implicit_return_iid
-        implicit_span = cfg.instr_spans.get(implicit_iid)
-        # A non-void method that reaches its end has no value to return.
-        returns_value = ty.from_type_ref(decl.return_type) != ty.VOID_T
-        missing = f"{ident} reached its end without returning a value"
+            fn = self.ns[name] = stub
+        return fn
 
-        def call(f, span):
-            st.depth += 1
-            if st.depth > max_depth:
-                st._fault(FAULT_STEP_LIMIT, span, too_deep)
-            if pad:
-                f += pad
-            try:
-                if one is not None:
-                    r = one(f)
-                else:
-                    r = None
-                    for stmt in body:
-                        r = stmt(f)
-                        if r is not None:
-                            break
-                if r is None:
-                    if implicit_iid is not None:
-                        st._step(implicit_iid, implicit_span)
-                    if returns_value:
-                        st._fault(FAULT_MISSING_RETURN, implicit_span or decl.span, missing)
-                    return None
-            finally:
-                st.depth -= 1
-            return None if r is _NULL else r
-
-        return call
-
-    def _table(self, cls_name: str) -> dict[tuple[str, int], _Method]:
-        """The virtual method table of a class: its resolved dispatch
-        table, (name, arity) -> the nearest declaration, compiled."""
-        table = self.tables.get(cls_name)
-        if table is None:
-            dispatch = self.res.classes[cls_name].dispatch.items()
-            table = self.tables[cls_name] = {key: self._method(m.owner, m.decl) for key, m in dispatch}
-        return table
+    def vtable(self, key: tuple[str, int]) -> str:
+        """The global naming the table of a virtual call's functions by the
+        receiver's class: each class's resolved dispatch for key."""
+        name = self.vtables.get(key)
+        if name is None:
+            name = self.vtables[key] = f"V{len(self.vtables)}"
+            table = self.ns[name] = {}
+            for cls, info in self.res.classes.items():
+                if (m := info.dispatch.get(key)) is not None:
+                    table[cls] = self._function(m.owner, m.decl)
+                    if m.decl.uid in self.stubs:  # replaced when it is generated
+                        self.stubs[m.decl.uid].append((table, cls))
+        return name
 
     def _layout(self, class_name: str) -> tuple:
-        """(defaults, initialisers) of a class's instance fields: the
-        defaults of the whole chain, and the initialisers base first."""
+        """(defaults, initializers) of a class's instance fields: the
+        defaults of the whole chain, and each class's initializer function,
+        base first."""
         layout = self.layouts.get(class_name)
         if layout is None:
             defaults, inits = {}, []
             for info in reversed(self.res.ancestors(class_name)):
-                fields = [
-                    (fld, self.res.decl_symbols[fld.uid].declared_type)
-                    for fld in info.decl.fields if not fld.static
-                ]
-                defaults.update((fld.uid, _DEFAULTS.get(t)) for fld, t in fields)
-                inits += [
-                    (fld.uid, self._converted(fld.initializer, t, fld.span))
-                    for fld, t in fields if fld.initializer is not None
-                ]
+                fields = [fld for fld in info.decl.fields if not fld.static]
+                for fld in fields:
+                    defaults[fld.uid] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
+                fields = [fld for fld in fields if fld.initializer is not None]
+                if fields:
+                    name = f"i{info.decl.uid}"
+                    init = self.ns.get(name) or self._compile(_Gen(self, info.name).fields(fields, name), name)
+                    inits.append(init)
             layout = self.layouts[class_name] = (defaults, inits)
         return layout
 
-    def _instantiate(self, class_name: str, frame: list, span: SourceSpan) -> SLObject:
+    def _new(self, d: int, k: int, class_name: str, *args) -> SLObject:
         info = self.res.classes[class_name]
         self.ordinals += 1
         defaults, inits = self._layout(class_name)
         # Every field holds its default before any initialiser runs (JLS
         # 12.5), so a base initialiser calling an override sees them all.
         obj = SLObject(cls_name=class_name, fields=dict(defaults), ordinal=self.ordinals)
-        fields = obj.fields
-        for key, init in inits:
-            fields[key] = init([obj])
-        ctor = info.ctors.get(len(frame) - 1)
+        for init in inits:
+            init(d, obj)
+        ctor = info.ctors.get(len(args))
         if ctor is not None:
-            frame[0] = obj
-            self._method(ctor.owner, ctor.decl).call(frame, span)
+            self._function(ctor.owner, ctor.decl)(d + 1, k, obj, *args)
         else:
             # the implicit constructor: record its synthetic instruction
             cfg = self.cfgs.cfgs[default_ctor_id(class_name)]
             self.trace.entered_methods.add(cfg.method)
             for iid, span in cfg.instr_spans.items():
-                self._step(iid, span)
+                self._tick(iid, span)
         return obj
 
-    # -- statements ---------------------------------------------------------------
+    # -- builtins ---------------------------------------------------------------
+    #
+    # Each builtin's implementation: (interpreter, depth, call site number,
+    # receiver or None, argument...) -> its result.
 
-    def _stmts(self, stmt: ast.Stmt) -> tuple:
-        """The statement closures stmt runs: a block's own statements, or
-        stmt alone."""
-        if isinstance(stmt, ast.Block):
-            return tuple(map(self._stmt, stmt.stmts))
-        return (self._stmt(stmt),)
+    def builtin(self, builtin: Builtin) -> str:
+        """The global naming builtin's implementation, behind the null checks
+        of a static builtin's String arguments or an instance builtin's
+        receiver, which run after the arguments have."""
+        name = f"B_{builtin.owner}_{builtin.name}"
+        if name not in self.ns:
+            impl, label = self._BUILTINS[builtin.owner, builtin.name], builtin.name
+            if builtin.static:
+                strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
 
-    def _stmt(self, stmt: ast.Stmt):
-        return self._STMTS[type(stmt)](self, stmt)
+                def call(d, k, receiver, *args):
+                    for i in strings:
+                        if args[i] is None:
+                            self._npe(k, f"{label}(null)")
+                    return impl(self, d, k, receiver, *args)
 
-    def _s_block(self, stmt: ast.Block):
-        return _sequence(self._stmts(stmt))
-
-    # Each statement closure takes its step inline, as _step does: it marks
-    # its instruction id on its first run (the id waits in a list until
-    # then), counts the step and faults past max_steps.
-
-    def _s_expr(self, stmt: ast.ExprStmt):
-        return self._effect(stmt, stmt.expr)
-
-    def _effect(self, node: ast.Node, expr: ast.Expr):
-        """The closure of an expression statement or a for update (node); a
-        store into a local reads its value as an initializer does."""
-        if isinstance(expr, ast.Binary) and expr.op == "=" and (local := self._kind(expr.left))[0] == "S":
-            target = expr.left
-            return self._simple(node, self._read(expr.right, self.res.types[target.uid], target.span), local[1])
-        return self._simple(node, _calls(self._expr(expr)))
-
-    def _s_local(self, stmt: ast.LocalDecl):
-        sym = self.res.decl_symbols[stmt.uid]
-        if stmt.initializer is None:
-            return self._simple(stmt, _calls(_constant(_DEFAULTS.get(sym.declared_type))), sym.slot)
-        return self._simple(stmt, self._read(stmt.initializer, sym.declared_type, stmt.span), sym.slot)
-
-    def _s_return(self, stmt: ast.Return):
-        returns = ty.from_type_ref(self.res.method_of(stmt).return_type)
-        read = self._read(stmt.value, returns, stmt.span) if stmt.value is not None else _calls(_constant(None))
-        return self._simple(stmt, read, returns=True)
-
-    def _simple(self, node: ast.Node, read: tuple, slot: int | None = None, returns: bool = False):
-        """The closure of a statement that reads one value, as _read
-        returns it, and returns it, stores it into a local's slot, or
-        neither (an expression run for its effect, or an empty statement)."""
-        st, trace, limit, span = self, self.trace, self.options.max_steps, node.span
-        _, unmarked, mark = self._instruction(node)
-        slots, fn, a, b, sb, w = read
-
-        def run(f):
-            if unmarked:
-                mark(unmarked.pop())
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
-            if w is not None and not INT_MIN <= v <= INT_MAX:
-                v = w(v)
-            if returns:
-                return _NULL if v is None else v
-            if slot is not None:
-                f[slot] = v
-
-        return run
-
-    def _decision(self, stmt: ast.Stmt):
-        """_instruction's triple and the [true, false] branch counters of an
-        if, while, for or assert."""
-        iid, unmarked, mark = self._instruction(stmt)
-        counts = [0, 0]  # true, false
-        self.branch_counters.append((((iid, TRUE_BRANCH), (iid, FALSE_BRANCH)), counts))
-        return iid, unmarked, mark, counts
-
-    def _s_if(self, stmt: ast.If):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        _, unmarked, mark, counts = self._decision(stmt)
-        slots, fn, a, b, sb, _ = self._condition(stmt.cond)
-        then = _branch(self._stmts(stmt.then))
-        els = _branch(self._stmts(stmt.els) if stmt.els is not None else ())
-
-        def run(f):
-            if unmarked:
-                mark(unmarked.pop())
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            if fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f):
-                counts[0] += 1
-                one, branch = then
             else:
-                counts[1] += 1
-                one, branch = els
-            if one is not None:
-                return one(f)
-            for run_stmt in branch:
-                r = run_stmt(f)
-                if r is not None:
-                    return r
+                on_null = f"{label}() on a null stream" if builtin.owner == "Stream" else f"{label}() on null"
 
-        return run
+                def call(d, k, receiver, *args):
+                    if receiver is None:
+                        self._npe(k, on_null)
+                    return impl(self, d, k, receiver, *args)
 
-    def _s_while(self, stmt: ast.While):
-        return self._loop(stmt, None, stmt.cond, None)
+            self.ns[name] = call
+        return name
 
-    def _s_for(self, stmt: ast.For):
-        init = self._stmt(stmt.init) if stmt.init is not None else None
-        update = self._effect(stmt.update, stmt.update) if stmt.update is not None else None
-        return self._loop(stmt, init, stmt.cond, update)
+    def _b_println(self, d, k, receiver, value):
+        self.trace.stdout.append(format_value(value))
 
-    def _loop(self, stmt, init, cond: ast.Expr | None, update):
-        """A while or for loop; init and update are statement closures."""
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, _, mark, counts = self._decision(stmt)
-        slots, fn, a, b, sb, _ = self._condition(cond) if cond is not None else _calls(_constant(True))
-        body = self._stmts(stmt.body)
-
-        def run(f):
-            if init is not None:
-                init(f)
-            mark(iid)  # each test is a step of the loop's instruction; the first marks it
-            while True:
-                trace.steps += 1
-                if trace.steps > limit:
-                    st._step_limit(span)
-                if not (fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)):
-                    counts[1] += 1
-                    return None
-                counts[0] += 1
-                for run_stmt in body:
-                    r = run_stmt(f)
-                    if r is not None:
-                        return r
-                if update is not None:
-                    update(f)
-
-        return run
-
-    def _s_switch(self, stmt: ast.Switch):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, unmarked, mark = self._instruction(stmt)
-        subject = self._expr(stmt.subject)
-        arms = []  # (label, body, counter index) for labelled cases, in order
-        keys = []
-        default = None
-        for i, case in enumerate(stmt.cases):
-            body = tuple(map(self._stmt, case.body))
-            if case.label is None:
-                default = (body, len(keys))
-            else:
-                arms.append((self._expr(case.label), body, len(keys)))
-            keys.append((iid, branch_key(SWITCH_CASE, case_label(i, case))))
-        nomatch = len(keys)
-        keys.append((iid, branch_key(SWITCH_CASE, NO_MATCH)))
-        counts = [0] * len(keys)
-        self.branch_counters.append((tuple(keys), counts))
-
-        def run(f):
-            if unmarked:
-                mark(unmarked.pop())
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            value = subject(f)
-            for label, body, k in arms:
-                if label(f) == value:
-                    break
-            else:
-                if default is None:
-                    counts[nomatch] += 1
-                    return None
-                body, k = default
-            counts[k] += 1
-            for run_stmt in body:
-                r = run_stmt(f)
-                if r is not None:
-                    return r
-
-        return run
-
-    def _s_try(self, stmt: ast.Try):
-        # catches never execute: modeled faults halt the program
-        body = self._stmts(stmt.body)
-        if stmt.finally_block is not None:
-            body += self._stmts(stmt.finally_block)
-        return _sequence(body)
-
-    def _s_assert(self, stmt: ast.Assert):
-        """The check of an assert and, on its true branch, its failure.  With
-        --ea off the check takes its false branch and evaluates neither the
-        condition nor the message."""
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        iid, unmarked, mark, counts = self._decision(stmt)
-        if not self.options.assertions_enabled:
-
-            def skip(f):
-                if unmarked:
-                    mark(unmarked.pop())
-                trace.steps += 1
-                if trace.steps > limit:
-                    st._step_limit(span)
-                counts[1] += 1
-
-            return skip
-        slots, fn, a, b, sb, _ = self._condition(stmt.condition)
-        message = self._expr(stmt.message) if stmt.message is not None else _constant("")
-        method = self.res.method_of(stmt)
-        where = f"{self.res.parent(method).name}.{method.name}"
-        text = f"assert {expr_text(stmt.condition)}"
-        records, failure = trace.assertion_records, assert_failure(iid)
-
-        def run(f):
-            if unmarked:
-                mark(unmarked.pop())
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            if fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f):
-                counts[1] += 1
-                records.append(AssertionRecord(where, text, span, "", "passed"))
-                return None
-            counts[0] += 1
-            mark(failure)
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            detail = format_value(message(f))
-            records.append(AssertionRecord(where, text, span, detail, "failed"))
-            st._fault(FAULT_ASSERTION_FAILURE, span, detail)
-
-        return run
-
-    def _s_synchronized(self, stmt: ast.Synchronized):
-        st, trace, limit, span = self, self.trace, self.options.max_steps, stmt.span
-        _, unmarked, mark = self._instruction(stmt)
-        monitor = self._expr(stmt.monitor)
-        body = self._stmts(stmt.body)
-
-        def run(f):
-            if unmarked:
-                mark(unmarked.pop())
-            trace.steps += 1
-            if trace.steps > limit:
-                st._step_limit(span)
-            monitor(f)
-            for run_stmt in body:
-                r = run_stmt(f)
-                if r is not None:
-                    return r
-
-        return run
-
-    def _s_empty(self, stmt: ast.Empty):
-        return self._simple(stmt, _calls(_constant(None)))
-
-    _STMTS = {
-        ast.Block: _s_block,
-        ast.ExprStmt: _s_expr,
-        ast.LocalDecl: _s_local,
-        ast.Return: _s_return,
-        ast.If: _s_if,
-        ast.While: _s_while,
-        ast.For: _s_for,
-        ast.Switch: _s_switch,
-        ast.Try: _s_try,
-        ast.Assert: _s_assert,
-        ast.Synchronized: _s_synchronized,
-        ast.Empty: _s_empty,
-    }
-
-    # -- values ----------------------------------------------------------------------
-
-    def _condition(self, expr: ast.Expr):
-        """How an if, while, for or assert reads its condition (see _read):
-        a boolean, or an int literal, which folds to its truth."""
-        truth = ast.literal_truth(expr)
-        return self._read(expr) if truth is None else _calls(_constant(truth))
-
-    def _read(self, expr: ast.Expr, t: ty.Type | None = None, span: SourceSpan | None = None):
-        """How a statement reads expr, converted for a store, return or
-        argument of type t: (slots, fn, a, b, sb, w).  It computes an
-        operator of _fold's that needs no conversion itself, wrapping an int
-        result outside the int range with w: fn(f[a], f[b] if sb else b)
-        (slots) for a slot a and a slot or literal b, fn(a(f), b(f)) where a
-        call meets a slot or a call.  Anything else it calls (a, fn None)."""
-        kinds = self._kind(expr.left)[0] + self._kind(expr.right)[0] if type(expr) is ast.Binary else ""
-        fold = kinds in ("SS", "SK", "SC", "CS", "CC") and t in (None, self.res.types[expr.uid]) and self._fold(expr)
-        if fold:
-            fn, ka, a, kb, b, w = fold
-            if kinds in ("SS", "SK"):
-                return True, fn, a, b, kb == "S", w
-            return False, fn, (itemgetter(a) if ka == "S" else a), (itemgetter(b) if kb == "S" else b), False, w
-        return _calls(self._converted(expr, t, span))
-
-    def _wrap(self, value: int, span: SourceSpan, bits: int = 32) -> int:
-        """value wrapped into a signed integer of that many bits (an int 32,
-        a byte 8); a value that does not fit records an overflow warning."""
-        half = 1 << (bits - 1)
-        if -half <= value < half:
-            return value
-        wrapped = (value + half) % (2 * half) - half
-        self._fault(FAULT_OVERFLOW_WARNING, span, f"{bits}-bit result {value} wrapped to {wrapped}", halt=False)
-        return wrapped
-
-    def _converted(self, expr: ast.Expr, t: ty.Type | None, span: SourceSpan):
-        """The closure of expr, with its value converted for a store, an
-        initializer, a return or an argument of type t (None takes any
-        value): an int or byte into a double widens, and an int into a byte
-        wraps.  Where the types need no conversion it is expr's own closure."""
-        value, source, wrap = self._expr(expr), self.res.types[expr.uid], self._wrap
-        if t is ty.DOUBLE and source in (ty.INT, ty.BYTE):
-            return lambda f: float(value(f))
-        if t is ty.BYTE and source is ty.INT:
-            return lambda f: v if BYTE_MIN <= (v := value(f)) <= BYTE_MAX else wrap(v, span, 8)
-        return value
-
-    def _new_array(self, elem: ty.Type, size: int) -> SLArray:
-        self.ordinals += 1
-        return SLArray(elem=str(elem), values=[_DEFAULTS.get(elem)] * size, ordinal=self.ordinals)
-
-    # -- expressions -----------------------------------------------------------------
-
-    def _expr(self, expr: ast.Expr):
-        return self._EXPRS[type(expr)](self, expr)
-
-    def _e_name(self, expr: ast.Name):
-        sym = self.res.name_targets[expr.uid]
-        if sym.slot >= 0:  # a parameter, a local or this
-            return itemgetter(sym.slot)
-        if sym.is_builtin:  # ASSERTIONS_ENABLED
-            return _constant(self.options.assertions_enabled)
-        if sym.static:
-            return self._load_static(sym)
-        # A field of this: the resolver accepts one only where there is a this.
-        key = sym.decl_uid
-        return lambda f: f[0].fields[key]
-
-    def _load_static(self, sym):
-        get, key = self.statics.get, (sym.owner, sym.name)
-        default = _DEFAULTS.get(sym.declared_type)
-        return lambda f: get(key, default)
-
-    def _e_unary(self, expr: ast.Unary):
-        if expr.op == "!":
-            operand = self._expr(expr.operand)
-            return lambda f: not operand(f)
-        operand, span, wrap = self._expr(expr.operand), expr.span, self._wrap
-        if self.res.types[expr.uid] == ty.DOUBLE:
-            return lambda f: -operand(f)
-        return lambda f: r if INT_MIN <= (r := -operand(f)) <= INT_MAX else wrap(r, span)  # an int or byte
-
-    def _e_index(self, expr: ast.Index):
-        array, index = self._expr(expr.array), self._expr(expr.index)
-        span, checked = expr.span, self._array_get
-
-        return lambda f: checked(array(f), index(f), span)
-
-    def _array_get(self, array, index, span: SourceSpan):
-        if array is None:
-            self._fault(FAULT_NULL_DEREFERENCE, span, "indexing a null array")
-        values = array.values
-        if index < 0 or index >= len(values):
-            self._fault(FAULT_OUT_OF_BOUNDS, span, f"index {index} outside [0, {len(values) - 1}]")
-        return values[index]
-
-    def _e_field(self, expr: ast.FieldAccess):
-        sym = self.res.field_targets[expr.uid]
-        if sym.static:
-            return self._static_access(expr.receiver, self._load_static(sym))
-        st, receiver, name, span = self, self._expr(expr.receiver), expr.name, expr.span
-        key = sym.decl_uid
-
-        def run(f):
-            obj = receiver(f)
-            if obj is None:
-                st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
-            return obj.fields[key]
-
-        return run
-
-    def _e_new_array(self, expr: ast.NewArray):
-        st, size_of = self, self._expr(expr.size_expr)
-        span, elem = expr.span, self.res.types[expr.uid].elem
-
-        def run(f):
-            size = size_of(f)
-            if size < 0:
-                st._fault(FAULT_NEGATIVE_ARRAY_SIZE, span, f"array size {size} is negative")
-            return st._new_array(elem, size)
-
-        return run
-
-    def _e_new(self, expr: ast.New):
-        name, span, instantiate = expr.class_name, expr.span, self._instantiate
-        ctor = self.res.call_targets[expr.uid].method  # None: the implicit one
-        args = _arguments(self._args(expr, param_types(ctor.decl) if ctor else ()))
-        return lambda f: instantiate(name, args(f), span)
-
-    def _args(self, call: ast.Call | ast.New, params) -> list:
-        """The closures of call's arguments, each converted to its
-        parameter's type at the call site."""
-        return [self._converted(e, t, call.span) for e, t in zip(call.args, params)]
-
-    # -- operators -------------------------------------------------------------------
-
-    def _e_binary(self, expr: ast.Binary):
-        fold = self._fold(expr)
-        if fold is not None:
-            fn, ka, a, kb, b, w = fold
-            return _INT_FOLDS[ka + kb](fn, a, b, w) if w else _FOLDS[ka + kb](fn, a, b)
-        op = expr.op
-        if op == "=":
-            return self._assign(expr)
-        left, right = self._expr(expr.left), self._expr(expr.right)
-        if op == "+":  # on a String
-            return lambda f: format_value(left(f)) + format_value(right(f))
-        short = op == "||"
-
-        def logical(f):
-            if left(f) is short:
-                return short
-            return right(f)
-
-        return logical
-
-    def _fold(self, expr: ast.Expr):
-        """An arithmetic operator or a comparison as (fn, ka, a, kb, b, w):
-        its code and its operands' kinds and what it reads them by (see
-        _operand), with w wrapping an int result outside the int range and
-        None for a double or boolean one.  None for any other expression."""
-        if type(expr) is not ast.Binary or expr.op in ("=", "&&", "||"):
-            return None
-        op, span, t = expr.op, expr.span, self.res.types[expr.uid]
-        if op == "+" and t is ty.STRING:
-            return None
-        w = None
-        if t is ty.INT:
-            fn, wrap = _INT_OPS[op], self._wrap
-            if op in ("/", "%"):  # a zero divisor is Java's ArithmeticException
-                st, divide = self, fn
-
-                def fn(x, y):
-                    if not y:
-                        st._fault(FAULT_ARITHMETIC, span, "integer division by zero")
-                    return divide(x, y)
-
-            w = lambda r: wrap(r, span)
-        elif t is ty.DOUBLE:
-            fn = _DOUBLE_OPS[op]
-        elif op in _COMPARE_OPS:
-            fn = _COMPARE_OPS[op]
-        else:  # == or !=: objects and arrays are equal only to themselves
-            sides = (self.res.types[expr.left.uid], self.res.types[expr.right.uid])
-            fn = _EQUALITY_OPS[op][any(isinstance(side, (ty.ClassType, ty.ArrayType)) for side in sides)]
-        return (fn, *self._operand(expr.left), *self._operand(expr.right), w)
-
-    def _operand(self, expr: ast.Expr):
-        """The kind of an operator's operand and what the operator reads it
-        by: a local's or parameter's slot (S), read inline as f[slot]; a
-        literal's value (K), bound in; or anything else's closure (C)."""
-        kind = self._kind(expr)
-        return kind if kind[0] != "C" else ("C", self._expr(expr))
-
-    def _kind(self, expr: ast.Expr):
-        """_operand's kind of expr, and its slot or value, compiling nothing."""
-        if isinstance(expr, ast.Name) and (slot := self.res.name_targets[expr.uid].slot) >= 0:
-            return "S", slot
-        if isinstance(expr, ast.Literal):
-            return "K", expr.value
-        return "C", None
-
-    def _assign(self, expr: ast.Binary):
-        """An assignment: it stores the right-hand side's value, converted
-        to the target's type, and yields the value it stored."""
-        st, target, span = self, expr.left, expr.left.span
-        value_of = self._converted(expr.right, self.res.types[target.uid], span)
-        if isinstance(target, ast.Name):
-            sym = self.res.name_targets[target.uid]
-            if sym.slot < 0:
-                return self._assign_field(sym, value_of)
-            slot = sym.slot
-
-            def store_local(f):
-                f[slot] = value = value_of(f)
-                return value
-
-            return store_local
-        if isinstance(target, ast.Index):
-            array_of, index_of = self._expr(target.array), self._expr(target.index)
-
-            def store_element(f):
-                array = array_of(f)
-                index = index_of(f)
-                value = value_of(f)
-                if array is None:
-                    st._fault(FAULT_NULL_DEREFERENCE, span, "storing into a null array")
-                values = array.values
-                if index < 0 or index >= len(values):
-                    st._fault(
-                        FAULT_OUT_OF_BOUNDS, span, f"index {index} outside [0, {len(values) - 1}]"
-                    )
-                values[index] = value
-                return value
-
-            return store_element
-        # The parser accepts no other target than a name, an element or a field.
-        sym = self.res.field_targets[target.uid]
-        if sym.static:
-            return self._static_access(target.receiver, self._assign_field(sym, value_of))
-        receiver_of, name, key = self._expr(target.receiver), target.name, sym.decl_uid
-
-        def store_field(f):
-            receiver = receiver_of(f)
-            value = value_of(f)
-            if receiver is None:
-                st._fault(FAULT_NULL_DEREFERENCE, span, f"field '{name}' of null")
-            receiver.fields[key] = value
-            return value
-
-        return store_field
-
-    def _static_access(self, receiver: ast.Expr, access):
-        """access to a static field or method, after its receiver, if it has
-        one, has run for its effects; a class name is not a value and does
-        not run."""
-        if receiver is None or self.res.names_class(receiver):
-            return access
-        receiver_of = self._expr(receiver)
-
-        def run(f):
-            receiver_of(f)
-            return access(f)
-
-        return run
-
-    def _assign_field(self, sym, value_of):
-        if sym.static:
-            statics, key = self.statics, (sym.owner, sym.name)
-
-            def store_static(f):
-                statics[key] = value = value_of(f)
-                return value
-
-            return store_static
-        key = sym.decl_uid
-
-        def store_member(f):  # into a field of this
-            f[0].fields[key] = value = value_of(f)
-            return value
-
-        return store_member
-
-    # -- calls --------------------------------------------------------------------------
-
-    def _e_call(self, expr: ast.Call):
-        st, span, name = self, expr.span, expr.name
-        target = self.res.call_targets[expr.uid]
-        if target.builtin is not None:
-            return self._builtin(expr, target.builtin)
-        minfo = target.method
-        params = param_types(minfo.decl)
-        if minfo.decl.is_static:  # bound here, whatever the receiver holds
-            method = self._method(minfo.owner, minfo.decl)
-            # One argument is read as a statement reads a value (_read), and
-            # two are listed in the call itself.
-            if len(params) == 1:
-                slots, fn, a, b, sb, w = self._read(expr.args[0], params[0], span)
-
-                def call(f):
-                    v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
-                    return method.call([None, v if w is None or INT_MIN <= v <= INT_MAX else w(v)], span)
-
-            elif len(params) == 2:
-                a, b = self._args(expr, params)
-                call = lambda f: method.call([None, a(f), b(f)], span)
-            else:
-                args = _arguments(self._args(expr, params))
-                call = lambda f: method.call(args(f), span)
-            return self._static_access(expr.receiver, call)
-        args = _arguments(self._args(expr, params))
-        # Virtual dispatch on the receiver, or on this for an unqualified call.
-        receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
-        key, table = (name, len(expr.args)), self._table
-
-        def call_virtual(f):
-            receiver = receiver_of(f)
-            frame = args(f)
-            if receiver is None:
-                st._fault(FAULT_NULL_DEREFERENCE, span, f"{name}() on null")
-            frame[0] = receiver
-            return table(receiver.cls_name)[key].call(frame, span)
-
-        return call_virtual
-
-    def _builtin(self, expr: ast.Call, builtin: Builtin):
-        """A builtin call, bound to its implementation in _BUILTINS.  A
-        static builtin runs like a static method, and a null String argument
-        faults; an instance builtin null-checks its receiver (or this) after
-        the arguments have run."""
-        st, span, name = self, expr.span, builtin.name
-        impl, args = self._BUILTINS[builtin.owner, name], _arguments(self._args(expr, builtin.params))
-        if builtin.static:
-            strings = [i for i, t in enumerate(builtin.params, 1) if t is ty.STRING]
-
-            def call(f):
-                frame = args(f)
-                for i in strings:
-                    if frame[i] is None:
-                        st._fault(FAULT_NULL_DEREFERENCE, span, f"{name}(null)")
-                return impl(st, frame, span)
-
-            return self._static_access(expr.receiver, call)
-        receiver_of = self._expr(expr.receiver) if expr.receiver is not None else itemgetter(0)
-        on_null = f"{name}() on a null stream" if builtin.owner == "Stream" else f"{name}() on null"
-
-        def call_instance(f):
-            receiver = receiver_of(f)
-            frame = args(f)
-            if receiver is None:
-                st._fault(FAULT_NULL_DEREFERENCE, span, on_null)
-            frame[0] = receiver
-            return impl(st, frame, span)
-
-        return call_instance
-
-    # Each builtin's implementation: (interpreter, frame, call span) -> its
-    # result, where the frame is [receiver or None, argument...].
-
-    def _b_println(self, frame, span):
-        self.trace.stdout.append(format_value(frame[1]))
-
-    def _b_read_line(self, frame, span):
+    def _b_read_line(self, d, k, receiver):
         if self.stdin_pos < len(self.stdin):
             self.stdin_pos += 1
             return self.stdin[self.stdin_pos - 1]
         return None
 
-    def _b_parse_int(self, frame, span):
+    def _b_parse_int(self, d, k, receiver, text):
         """Integer.parseInt: an optional sign, then decimal digits, with the
         value in int range."""
-        text = frame[1]
         # More than ten significant digits is out of range, and Python would
         # refuse to convert thousands of them.
         fits = _INT_TEXT.fullmatch(text) is not None and len(text.lstrip("+-0")) <= 10
         if not fits or not INT_MIN <= int(text) <= INT_MAX:
-            self._fault(FAULT_NUMBER_FORMAT, span, f"parseInt({text!r}) is not a number")
+            self._halt(FAULT_NUMBER_FORMAT, k, f"parseInt({text!r}) is not a number")
         return int(text)
 
-    def _b_length(self, frame, span):
+    def _b_length(self, d, k, receiver, text):
         """String.length(): UTF-16 code units, two for a character past U+FFFF."""
-        return len(frame[1].encode("utf-16-le", "surrogatepass")) // 2
+        return len(text.encode("utf-16-le", "surrogatepass")) // 2
 
-    def _b_open(self, frame, span):
-        path, stub = frame[1], self.options.file_system_stub or {}
+    def _b_open(self, d, k, receiver, path):
+        stub = self.options.file_system_stub or {}
         if path not in stub:
             return None
         self.ordinals += 1
@@ -1192,21 +580,20 @@ class Interpreter:
             ordinal=self.ordinals,
         )
 
-    def _b_start(self, frame, span):  # runs run() to its end, in this thread
-        run = self._table(frame[0].cls_name).get(("run", 0))
+    def _b_start(self, d, k, receiver):  # runs run() to its end, in this thread
+        run = self.ns[self.vtable(("run", 0))].get(receiver.cls_name)
         if run is not None:
-            run.call(frame, span)
+            run(d + 1, k, receiver)
 
-    def _b_read(self, frame, span):
-        stream, buf, off, length = frame
+    def _b_read(self, d, k, stream, buf, off, length):
         if buf is None:
-            self._fault(FAULT_NULL_DEREFERENCE, span, "read() into a null buffer")
+            self._npe(k, "read() into a null buffer")
         if stream.closed:
-            self._fault(FAULT_CLOSED_STREAM, span, "read() on a closed stream")
+            self._halt(FAULT_CLOSED_STREAM, k, "read() on a closed stream")
         if off < 0 or length < 0 or off + length > len(buf.values):
-            self._fault(
+            self._halt(
                 FAULT_OUT_OF_BOUNDS,
-                span,
+                k,
                 f"read() window [{off}, {off + length}) outside [0, {len(buf.values)})",
             )
         remaining = len(stream.data) - stream.pos
@@ -1219,10 +606,10 @@ class Interpreter:
         stream.pos += count
         return count
 
-    def _b_close(self, frame, span):
-        frame[0].closed = True
+    def _b_close(self, d, k, stream):
+        stream.closed = True
 
-    def _b_nothing(self, frame, span):  # run, wait and sleep
+    def _b_nothing(self, d, k, receiver, *args):  # run, wait and sleep
         return None
 
     # (owner, name) -> implementation, for every key of resolver.BUILTINS.
@@ -1231,41 +618,17 @@ class Interpreter:
         (None, "readLine"): _b_read_line,
         (None, "parseInt"): _b_parse_int,
         (None, "open"): _b_open,
-        (None, "random"): lambda self, frame, span: self.rng.random(),
+        (None, "random"): lambda self, d, k, receiver: self.rng.random(),
         (None, "length"): _b_length,
-        (None, "exists"): lambda self, frame, span: frame[1] in (self.options.file_system_stub or {}),
+        (None, "exists"): lambda self, d, k, receiver, path: path in (self.options.file_system_stub or {}),
         ("Thread", "start"): _b_start,
         ("Thread", "run"): _b_nothing,
         ("Thread", "wait"): _b_nothing,
         ("Thread", "sleep"): _b_nothing,
-        ("Thread", "getName"): lambda self, frame, span: frame[0].cls_name,
+        ("Thread", "getName"): lambda self, d, k, receiver: receiver.cls_name,
         ("Stream", "read"): _b_read,
         ("Stream", "close"): _b_close,
     }
-
-    _EXPRS = {
-        ast.Literal: lambda self, expr: _constant(expr.value),
-        ast.Null: lambda self, expr: _constant(None),
-        ast.Name: _e_name,
-        ast.Unary: _e_unary,
-        ast.Binary: _e_binary,
-        ast.Index: _e_index,
-        ast.FieldAccess: _e_field,
-        ast.NewArray: _e_new_array,
-        ast.New: _e_new,
-        ast.Call: _e_call,
-    }
-
-
-def _int_quotient(a: int, b: int) -> int:
-    """a / b rounded toward zero, as Java's int division."""
-    return a // b if (a >= 0) == (b > 0) else -(-a // b)
-
-
-def _int_remainder(a: int, b: int) -> int:
-    """a % b with the sign of a, as Java's int remainder."""
-    r = abs(a) % abs(b)
-    return r if a >= 0 else -r
 
 
 def _double_quotient(a: float, b: float) -> float:
@@ -1286,41 +649,669 @@ def _double_remainder(a: float, b: float) -> float:
     return math.fmod(a, b)
 
 
-# Each arithmetic operator's code, by the type of its result.  An int
-# division by zero raises ZeroDivisionError, which the closure turns into
-# an arithmetic fault.
-_ADDITIVE = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_INT_OPS = {**_ADDITIVE, "/": _int_quotient, "%": _int_remainder}
-_DOUBLE_OPS = {**_ADDITIVE, "/": _double_quotient, "%": _double_remainder}
-_COMPARE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-# == and != by value, or by identity (True) for objects and arrays.
-_EQUALITY_OPS = {"==": (operator.eq, operator.is_), "!=": (operator.ne, operator.is_not)}
+# -- generated code --------------------------------------------------------------
+#
+# The node classes the generator builds, each with a source position of its
+# own class, so that a node needs no positions set one by one.  All four
+# are set: compile() reads each, and a miss costs it more than a hit.
 
-# An operator's closure for each kind of its two operands (see
-# Interpreter._operand), computing fn(left, right); an int operator's also
-# wraps a result outside the int range.
-_FOLDS = {
-    "SS": lambda fn, a, b: lambda f: fn(f[a], f[b]),
-    "SK": lambda fn, a, b: lambda f: fn(f[a], b),
-    "SC": lambda fn, a, b: lambda f: fn(f[a], b(f)),
-    "KS": lambda fn, a, b: lambda f: fn(a, f[b]),
-    "KK": lambda fn, a, b: lambda f: fn(a, b),
-    "KC": lambda fn, a, b: lambda f: fn(a, b(f)),
-    "CS": lambda fn, a, b: lambda f: fn(a(f), f[b]),
-    "CK": lambda fn, a, b: lambda f: fn(a(f), b),
-    "CC": lambda fn, a, b: lambda f: fn(a(f), b(f)),
+
+def _positioned(cls: type) -> type:
+    return type(cls.__name__, (cls,), {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0})
+
+
+(_Name, _Const, _Call, _Attr, _Sub, _IfExp, _Compare, _BinOp, _UnaryOp, _BoolOp, _Walrus, _If, _While, _Assign,
+ _AugAssign, _Expr, _Return, _Global, _Nonlocal, _Break, _FunctionDef, _Arg) = map(_positioned, (
+    py.Name, py.Constant, py.Call, py.Attribute, py.Subscript, py.IfExp, py.Compare, py.BinOp, py.UnaryOp, py.BoolOp,
+    py.NamedExpr, py.If, py.While, py.Assign, py.AugAssign, py.Expr, py.Return, py.Global, py.Nonlocal, py.Break,
+    py.FunctionDef, py.arg))
+_LOAD, _STORE = py.Load(), py.Store()
+_NOT, _NEG, _AND, _OR = py.Not(), py.USub(), py.And(), py.Or()
+_ADD, _SUB, _MUL, _FLOOR, _MOD = py.Add(), py.Sub(), py.Mult(), py.FloorDiv(), py.Mod()
+_ARITHMETIC = {"+": _ADD, "-": _SUB, "*": _MUL}
+_COMPARE = {
+    "<": py.Lt(), "<=": py.LtE(), ">": py.Gt(), ">=": py.GtE(), "==": py.Eq(), "!=": py.NotEq(),
+    "is": py.Is(), "is not": py.IsNot(),
 }
-_INT_FOLDS = {
-    "SS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], f[b])) <= INT_MAX else w(r),
-    "SK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], b)) <= INT_MAX else w(r),
-    "SC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(f[a], b(f))) <= INT_MAX else w(r),
-    "KS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, f[b])) <= INT_MAX else w(r),
-    "KK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, b)) <= INT_MAX else w(r),
-    "KC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a, b(f))) <= INT_MAX else w(r),
-    "CS": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), f[b])) <= INT_MAX else w(r),
-    "CK": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), b)) <= INT_MAX else w(r),
-    "CC": lambda fn, a, b, w: lambda f: r if INT_MIN <= (r := fn(a(f), b(f))) <= INT_MAX else w(r),
-}
+_IN_RANGE = [_COMPARE["<="], _COMPARE["<="]]
+_INSIDE = [_COMPARE["<="], _COMPARE["<"]]
+_PAST = [_COMPARE[">"]]
+_DIVIDES = [_COMPARE[">="], _COMPARE["<"]]  # a >= 0 < b: Python's // and % are Java's
+# Python 3.12 added type_params to FunctionDef.
+_NO_TYPE_PARAMS = {"type_params": []} if "type_params" in py.FunctionDef._fields else {}
+
+
+class _Scope:
+    """A Python function being generated: its parameters, the SL locals it
+    assigns, the globals it stores and how deep its loops nest."""
+
+    __slots__ = ("parent", "params", "assigned", "globals", "loops")
+
+    def __init__(self, parent: _Scope | None, params: list[str]):
+        self.parent, self.params = parent, params
+        self.assigned: set[str] = set()
+        self.globals = {"S"}
+        self.loops = 0
+
+    def bound(self) -> set[str]:
+        """The names bound here and in the enclosing functions."""
+        names = set(self.params) | self.assigned
+        return names | self.parent.bound() if self.parent else names
+
+
+class _Gen:
+    """Generates the Python function of one method, or of a class's
+    initializers.  A statement appends Python statements to body.  An
+    expression returns a Python expression, whose evaluation the caller
+    places, and appends to body the statements that must run before it:
+    temporaries and the statements of assignments, && and ||."""
+
+    def __init__(self, st: Interpreter, owner: str):
+        self.st, self.res, self.owner = st, st.res, owner
+        self.body: list = []
+        self.scope = _Scope(None, [])
+        self.stores: list[str] = []  # the SL locals stored so far, in order
+        self.level = 0  # how deep the expression being generated nests
+
+    # -- functions -------------------------------------------------------------
+
+    def method(self, decl: ast.MethodDecl, name: str) -> py.FunctionDef:
+        slots = [] if decl.is_static else ["v0"]
+        params = ["d", "k", *slots, *(f"v{self.res.decl_symbols[p.uid].slot}" for p in decl.params)]
+        self.scope.params = params
+        max_depth = self._const(self.st.options.max_call_depth)
+        self.emit(_If(self._compare(self._name("d"), ">", max_depth), [self._effect("_deep", self._name("k"))], []))
+        self._stmt(decl.body)
+        ident = method_identity(self.owner, decl)
+        cfg = self.st.cfgs.cfgs[ident]
+        implicit = cfg.implicit_return_iid  # None where the end cannot be reached
+        if implicit is not None:
+            span = cfg.instr_spans[implicit]
+            self.emit(self._effect("_step", self._const(implicit), self._site(span)))
+            if ty.from_type_ref(decl.return_type) != ty.VOID_T:
+                missing = f"{ident} reached its end without returning a value"
+                kind = self._const(FAULT_MISSING_RETURN)
+                self.emit(self._effect("_halt", kind, self._site(span), self._const(missing)))
+        return self._function(name, self.scope, self.body)
+
+    def statics(self, fields: list[ast.FieldDecl], name: str) -> py.FunctionDef:
+        """c<class uid>(d): each static initializer's step and store."""
+        self.scope.params = ["d"]
+        for fld in fields:
+            self.emit(self._effect("_step", self._const(self.st.cfgs.stmt_iids[fld.uid]), self._site(fld.span)))
+            value = self._expr(fld.initializer, self.res.decl_symbols[fld.uid].declared_type, fld.span)
+            self.scope.globals.add(f"s{fld.uid}")
+            self.emit(_Assign([self._name(f"s{fld.uid}", _STORE)], value, None))
+        return self._function(name, self.scope, self.body)
+
+    def fields(self, fields: list[ast.FieldDecl], name: str) -> py.FunctionDef:
+        """i<class uid>(d, v0): the class's own instance field initializers."""
+        self.scope.params = ["d", "v0"]
+        for fld in fields:
+            value = self._expr(fld.initializer, self.res.decl_symbols[fld.uid].declared_type, fld.span)
+            self.emit(_Assign([self._field(self._name("v0"), fld.uid, _STORE)], value, None))
+        return self._function(name, self.scope, self.body)
+
+    def _function(self, name: str, scope: _Scope, body: list) -> py.FunctionDef:
+        head = []
+        if scope.globals:
+            head.append(_Global(sorted(scope.globals)))
+        if scope.parent is not None and (shared := scope.assigned & scope.parent.bound()):
+            head.append(_Nonlocal(sorted(shared)))
+        args = py.arguments([], [_Arg(p, None, None) for p in scope.params], None, [], [], None, [])
+        return _FunctionDef(name, args, head + body, [], None, None, **_NO_TYPE_PARAMS)
+
+    # -- nodes -----------------------------------------------------------------
+
+    def emit(self, stmt) -> None:
+        self.body.append(stmt)
+
+    def _name(self, name: str, ctx=_LOAD):
+        """The run's one Name node of name in ctx."""
+        nodes = self.st.loads if ctx is _LOAD else self.st.stores
+        node = nodes.get(name)
+        if node is None:
+            node = nodes[name] = _Name(name, ctx)
+        return node
+
+    def _const(self, value):
+        nodes = self.st.nodes
+        key = (type(value), repr(value) if type(value) is float else value)
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = _Const(value, None)
+        return node
+
+    def _site(self, span: SourceSpan):
+        return self._const(self.st.site(span))
+
+    def bind(self, value) -> py.Name:
+        """A global of the run holding value, for the generated code to call."""
+        name = f"x{len(self.st.ns)}"
+        self.st.ns[name] = value
+        return self._name(name)
+
+    def _call(self, function: str, *args):
+        return _Call(self._name(function), list(args), [])
+
+    def _effect(self, function: str, *args):
+        return _Expr(self._call(function, *args))
+
+    def _compare(self, left, op: str, right):
+        return _Compare(left, [_COMPARE[op]], [right])
+
+    def _field(self, obj, uid: int, ctx=_LOAD):
+        return _Sub(_Attr(obj, "fields", _LOAD), self._const(uid), ctx)
+
+    def _element(self, array, index) -> tuple:
+        """(array.values, the test that array is not null and holds index)."""
+        values = _Attr(array, "values", _LOAD)
+        inside = _Compare(self._const(0), _INSIDE, [index, self._call("len", values)])
+        return values, _BoolOp(_AND, [self._compare(array, "is not", self._const(None)), inside])
+
+    def _temp(self) -> str:
+        self.st.temps += 1
+        return f"t{self.st.temps}"
+
+    def _simple(self, value):
+        """value as a name or a constant, which reads the same each time:
+        a temporary that holds anything else."""
+        if type(value) is _Name or type(value) is _Const:
+            return value
+        name = self._temp()
+        self.emit(_Assign([self._name(name, _STORE)], value, None))
+        return self._name(name)
+
+    def _discard(self, value) -> None:
+        """Run value for its effects: a name or a constant has none."""
+        if type(value) is not _Name and type(value) is not _Const:
+            self.emit(_Expr(value))
+
+    def _nested(self, generate, *head) -> list:
+        """The statements generate() appends, after head, in a list of their own."""
+        outer, self.body = self.body, list(head)
+        generate()
+        inner, self.body = self.body, outer
+        return inner
+
+    def _block(self, stmts: list, *head) -> list:
+        """The statements of stmts, after head, in a list of their own: as
+        _nested, without its closure's frame, which 200 nested blocks cannot
+        spare under the default recursion limit."""
+        outer, self.body = self.body, list(head)
+        for stmt in stmts:
+            self._STMTS[type(stmt)](self, stmt)
+        inner, self.body = self.body, outer
+        return inner
+
+    def _checked(self, value, span: SourceSpan, bits: int = 32, side: str = ""):
+        """value, an int, wrapped where it leaves the range of its bits; a
+        side of "<=" or ">=" tests only that bound, the one value can cross."""
+        low, high, bits = (INT_MIN, INT_MAX, ()) if bits == 32 else (BYTE_MIN, BYTE_MAX, (self._const(8),))
+        name = self._temp()
+        store, load = _Name(name, _STORE), _Name(name, _LOAD)
+        if side:
+            test = self._compare(_Walrus(store, value), side, self._const(high if side == "<=" else low))
+        else:
+            test = _Compare(self._const(low), _IN_RANGE, [_Walrus(store, value), self._const(high)])
+        return _IfExp(test, load, self._call("_w", load, self._site(span), *bits))
+
+    # -- statements --------------------------------------------------------------
+
+    def _stmt(self, stmt: ast.Stmt) -> None:
+        self._STMTS[type(stmt)](self, stmt)
+
+    def _step(self, node: ast.Node) -> int:
+        """Append node's step (_stepping) and return its instruction id."""
+        test, slow = self._stepping(node)
+        self.emit(_If(test, [_Expr(slow)], []))
+        return self.st.cfgs.stmt_iids[node.uid]
+
+    def _stepping(self, node: ast.Node) -> tuple:
+        """(test, slow) of node's step: the test counts the step, and is
+        true past the instruction's threshold, on its first run and past
+        max_steps, where the step takes the cold path, slow (_slow)."""
+        st = self.st
+        iid = st.cfgs.stmt_iids[node.uid]
+        st.step_spans[iid] = node.span
+        threshold = f"L{iid}"
+        st.ns[threshold] = 0
+        return _Compare(st.count_step, _PAST, [_Name(threshold, _LOAD)]), self._call("_slow", _Const(iid, None))
+
+    def _stepped(self, stmt: ast.Stmt, cond: ast.Expr | None) -> tuple:
+        """(iid, test) of a decision: its step, then its condition (true
+        for none).  Where the condition appends no statements, the test is
+        `<step> and <slow> or <condition>`; else the step is appended first."""
+        step, slow = self._stepping(stmt)
+        outer, self.body = self.body, []
+        test = self._condition(cond) if cond is not None else self._const(True)
+        if self.body:
+            self.body = [*outer, _If(step, [_Expr(slow)], []), *self.body]
+        else:
+            self.body, test = outer, _BoolOp(_OR, [_BoolOp(_AND, [step, slow]), test])
+        return self.st.cfgs.stmt_iids[stmt.uid], test
+
+    def _counter(self, key: tuple[int, str]):
+        """The statement that counts one take of a branch."""
+        name = f"T{len(self.st.counters)}"
+        self.st.counters.append((key, name))
+        self.st.ns[name] = 0
+        self.scope.globals.add(name)
+        return _AugAssign(_Name(name, _STORE), _ADD, self.st.one)
+
+    def _s_block(self, stmt: ast.Block) -> None:
+        for inner in stmt.stmts:
+            self._stmt(inner)
+
+    def _s_expr(self, stmt: ast.ExprStmt) -> None:
+        self._step(stmt)
+        self._discard(self._expr(stmt.expr))
+
+    def _s_local(self, stmt: ast.LocalDecl) -> None:
+        self._step(stmt)
+        sym = self.res.decl_symbols[stmt.uid]
+        if stmt.initializer is None:
+            value = self._const(_DEFAULTS.get(sym.declared_type))
+        else:
+            value = self._expr(stmt.initializer, sym.declared_type, stmt.span)
+        self._store_local(sym.slot, value)
+
+    def _s_return(self, stmt: ast.Return) -> None:
+        self._step(stmt)
+        returns = ty.from_type_ref(self.res.method_of(stmt).return_type)
+        value = self._expr(stmt.value, returns, stmt.span) if stmt.value is not None else self._const(None)
+        self.emit(_Return(value))
+
+    def _s_if(self, stmt: ast.If) -> None:
+        iid, test = self._stepped(stmt, stmt.cond)
+        then = self._block(stmt.then.stmts, self._counter((iid, TRUE_BRANCH)))
+        els = stmt.els.stmts if type(stmt.els) is ast.Block else [stmt.els] if stmt.els else []
+        self.emit(_If(test, then, self._block(els, self._counter((iid, FALSE_BRANCH)))))
+
+    def _s_while(self, stmt: ast.While) -> None:
+        self._loop(stmt, stmt.cond, None)
+
+    def _s_for(self, stmt: ast.For) -> None:
+        if stmt.init is not None:
+            self._stmt(stmt.init)
+        self._loop(stmt, stmt.cond, stmt.update)
+
+    def _loop(self, stmt, cond: ast.Expr | None, update: ast.Expr | None) -> None:
+        """A while or for loop: each test is a step of the loop's
+        instruction, then the test; then the body and the update."""
+        if self.scope.loops == _MAX_LOOPS:
+            return self._outline(stmt, lambda: self._loop(stmt, cond, update))
+        self.scope.loops += 1
+        outer, self.body = self.body, []
+        iid, test = self._stepped(stmt, cond)
+        if self.body:  # the test appends statements: while True, and break where it fails
+            loop_test, exits = self._const(True), []
+            self.emit(_If(_UnaryOp(_NOT, test), [self._counter((iid, FALSE_BRANCH)), _Break()], []))
+        else:  # the loop ends only where its test fails
+            loop_test, exits = test, [self._counter((iid, FALSE_BRANCH))]
+        self.emit(self._counter((iid, TRUE_BRANCH)))
+        for inner in stmt.body.stmts:
+            self._STMTS[type(inner)](self, inner)
+        if update is not None:
+            self._step(update)
+            self._discard(self._expr(update))
+        loop, self.body = self.body, outer
+        self.emit(_While(loop_test, loop, []))
+        self.body += exits
+        self.scope.loops -= 1
+
+    def _outline(self, stmt: ast.Stmt, generate) -> None:
+        """Run stmt in a local function o<uid> of its own, which returns
+        _FELL where stmt falls through; any other value is returned."""
+        outer, self.scope = self.scope, _Scope(self.scope, [])
+        body = self._nested(generate)
+        body.append(_Return(self._name("_FELL")))
+        name = f"o{stmt.uid}"
+        self.emit(self._function(name, self.scope, body))
+        self.scope = outer
+        result = self._simple(self._call(name))
+        self.emit(_If(self._compare(result, "is not", self._name("_FELL")), [_Return(result)], []))
+
+    def _s_switch(self, stmt: ast.Switch) -> None:
+        """An if chain over the labelled cases, in order, and the default or
+        the count of no match last.  A case runs its own body only."""
+        iid = self._step(stmt)
+        subject = self._simple(self._expr(stmt.subject))
+        arms, chain = [], None
+        for i, case in enumerate(stmt.cases):
+            count = self._counter((iid, branch_key(SWITCH_CASE, case_label(i, case))))
+            body = self._block(case.body, count)
+            if case.label is None:
+                chain = body
+            else:
+                arms.append((self._expr(case.label), body))
+        if chain is None:
+            chain = [self._counter((iid, branch_key(SWITCH_CASE, NO_MATCH)))]
+        for label, body in reversed(arms):
+            chain = [_If(self._compare(subject, "==", label), body, chain)]
+        self.body += chain
+
+    def _s_try(self, stmt: ast.Try) -> None:
+        # catches never execute: modeled faults halt the program
+        self._stmt(stmt.body)
+        if stmt.finally_block is not None:
+            self._stmt(stmt.finally_block)
+
+    def _s_assert(self, stmt: ast.Assert) -> None:
+        """The check of an assert and, on its true branch, its failure.  With
+        --ea off the check takes its false branch and evaluates neither the
+        condition nor the message."""
+        iid = self._step(stmt)
+        if not self.st.options.assertions_enabled:
+            self.emit(self._counter((iid, FALSE_BRANCH)))
+            return
+        test = self._condition(stmt.condition)
+        method = self.res.method_of(stmt)
+        where = f"{self.res.parent(method).name}.{method.name}"
+        j, text = self._const(len(self.st.asserts)), f"assert {expr_text(stmt.condition)}"
+        self.st.asserts.append((where, text, stmt.span, assert_failure(iid)))
+        # Every pass of one assert appends the same record.
+        record = self.bind(AssertionRecord(where, text, stmt.span, "", "passed"))
+        passed = [self._counter((iid, FALSE_BRANCH)), _Expr(_Call(self._name("_record"), [record], []))]
+
+        def failed():
+            self.emit(self._effect("_failing", j))
+            message = self._expr(stmt.message) if stmt.message is not None else self._const("")
+            self.emit(self._effect("_failed", j, message))
+
+        self.emit(_If(test, passed, self._nested(failed, self._counter((iid, TRUE_BRANCH)))))
+
+    def _s_synchronized(self, stmt: ast.Synchronized) -> None:
+        self._step(stmt)
+        self._discard(self._expr(stmt.monitor))
+        self._stmt(stmt.body)
+
+    def _s_empty(self, stmt: ast.Empty) -> None:
+        self._step(stmt)
+
+    _STMTS = {
+        ast.Block: _s_block,
+        ast.ExprStmt: _s_expr,
+        ast.LocalDecl: _s_local,
+        ast.Return: _s_return,
+        ast.If: _s_if,
+        ast.While: _s_while,
+        ast.For: _s_for,
+        ast.Switch: _s_switch,
+        ast.Try: _s_try,
+        ast.Assert: _s_assert,
+        ast.Synchronized: _s_synchronized,
+        ast.Empty: _s_empty,
+    }
+
+    # -- values ----------------------------------------------------------------------
+
+    def _condition(self, expr: ast.Expr):
+        """An if's, while's, for's or assert's condition: a boolean, or an
+        int literal, which folds to its truth."""
+        truth = ast.literal_truth(expr)
+        return self._expr(expr) if truth is None else self._const(truth)
+
+    def _convert(self, value, expr: ast.Expr, t: ty.Type | None, span: SourceSpan | None):
+        """value, expr's, converted for a store, an initializer, a return or
+        an argument of type t (None takes any value): an int or byte into a
+        double widens, and an int into a byte wraps."""
+        source = self.res.types[expr.uid]
+        if t is ty.DOUBLE and source in (ty.INT, ty.BYTE):
+            return self._call("float", value)
+        if t is ty.BYTE and source is ty.INT:
+            return self._checked(value, span, 8)
+        return value
+
+    def _operands(self, operands: list, simple: bool = False) -> list:
+        """The values of operands, in order: each an expression, or an
+        (expression, type, span) to convert.  Where an operand appends
+        statements, each earlier value they could change is first copied
+        into a temporary: anything but a constant, a temporary and a local
+        they do not store into.  simple makes each value a name or a
+        constant (_simple), for a caller that reads it more than once."""
+        values = []
+        for operand in operands:
+            mark, stores = len(self.body), len(self.stores)
+            value = self._expr(*operand) if type(operand) is tuple else self._expr(operand)
+            if simple:
+                value = self._simple(value)
+            if len(self.body) > mark:
+                stored, copies = set(self.stores[stores:]), []
+                for i, earlier in enumerate(values):
+                    kind = type(earlier)
+                    if kind is _Const or kind is _Name and earlier.id[0] in "tv" and earlier.id not in stored:
+                        continue
+                    name = self._temp()
+                    copies.append(_Assign([self._name(name, _STORE)], earlier, None))
+                    values[i] = self._name(name)
+                self.body[mark:mark] = copies
+            values.append(value)
+        return values
+
+    def _store_local(self, slot: int, value) -> None:
+        name = f"v{slot}"
+        self.emit(_Assign([self._name(name, _STORE)], value, None))
+        self.stores.append(name)
+        self.scope.assigned.add(name)
+
+    # -- expressions -----------------------------------------------------------------
+
+    def _expr(self, expr: ast.Expr, t: ty.Type | None = None, span: SourceSpan | None = None):
+        """expr's value, converted to t (_convert).  Every 12 levels of
+        nesting it goes into a temporary, which bounds how deep a Python
+        expression nests."""
+        self.level += 1
+        value = self._convert(self._EXPRS[type(expr)](self, expr), expr, t, span)
+        self.level -= 1
+        return self._simple(value) if self.level % 12 == 11 else value
+
+    def _e_name(self, expr: ast.Name):
+        sym = self.res.name_targets[expr.uid]
+        if sym.slot >= 0:  # a parameter, a local or this
+            return self._name(f"v{sym.slot}")
+        if sym.is_builtin:  # ASSERTIONS_ENABLED
+            return self._const(self.st.options.assertions_enabled)
+        if sym.static:
+            return self._name(f"s{sym.decl_uid}")
+        # A field of this: the resolver accepts one only where there is a this.
+        return self._field(self._name("v0"), sym.decl_uid)
+
+    def _e_unary(self, expr: ast.Unary):
+        if expr.op == "-" and type(expr.operand) is ast.Literal:  # in range: no literal exceeds 2147483648
+            return self._const(-expr.operand.value)
+        operand = self._expr(expr.operand)
+        if expr.op == "!":
+            return _UnaryOp(_NOT, operand)
+        if self.res.types[expr.uid] == ty.DOUBLE:
+            return _UnaryOp(_NEG, operand)
+        return self._checked(_UnaryOp(_NEG, operand), expr.span)  # an int or byte
+
+    def _e_index(self, expr: ast.Index):
+        array, index = self._operands([expr.array, expr.index], simple=True)
+        values, test = self._element(array, index)
+        return _IfExp(test, _Sub(values, index, _LOAD), self._call("_aget", array, index, self._site(expr.span)))
+
+    def _e_field(self, expr: ast.FieldAccess):
+        sym = self.res.field_targets[expr.uid]
+        if sym.static:
+            self._receiver_effect(expr.receiver)
+            return self._name(f"s{sym.decl_uid}")
+        obj = self._simple(self._expr(expr.receiver))
+        fault = self._call("_npe", self._site(expr.span), self._const(f"field '{expr.name}' of null"))
+        return _IfExp(self._compare(obj, "is not", self._const(None)), self._field(obj, sym.decl_uid), fault)
+
+    def _e_new_array(self, expr: ast.NewArray):
+        size = self._expr(expr.size_expr)
+        elem = str(self.res.types[expr.uid].elem)
+        return self._call("_newarr", self._const(elem), size, self._site(expr.span))
+
+    def _e_new(self, expr: ast.New):
+        ctor = self.res.call_targets[expr.uid].method  # None: the implicit one
+        args = self._operands(self._args(expr, param_types(ctor.decl) if ctor else ()))
+        return self._call("_new", self._name("d"), self._site(expr.span), self._const(expr.class_name), *args)
+
+    def _args(self, call: ast.Call | ast.New, params) -> list:
+        """call's arguments, each converted to its parameter's type at the
+        call site, as _operands takes them."""
+        return [(e, t, call.span) for e, t in zip(call.args, params)]
+
+    def _receiver_effect(self, receiver: ast.Expr | None) -> None:
+        """Run the receiver of a static field or method for its effects; a
+        class name is not a value and does not run."""
+        if receiver is not None and not self.res.names_class(receiver):
+            self._discard(self._expr(receiver))
+
+    # -- operators -------------------------------------------------------------------
+
+    def _e_binary(self, expr: ast.Binary):
+        op = expr.op
+        if op == "=":
+            return self._assign(expr)
+        if op in ("&&", "||"):
+            return self._logical(expr)
+        t, types = self.res.types[expr.uid], self.res.types
+        sides = (types[expr.left.uid], types[expr.right.uid])
+        if op == "+" and t is ty.STRING:
+            left, right = self._operands([expr.left, expr.right], simple=ty.STRING in sides)
+            return _BinOp(self._text(left, sides[0]), _ADD, self._text(right, sides[1]))
+        left, right = self._operands([expr.left, expr.right], simple=op in ("/", "%") and t is ty.INT)
+        if t is ty.INT:
+            if op in _ARITHMETIC:
+                # No literal is negative, so adding one, or taking anything
+                # from one, can only pass the top, and taking one away the bottom.
+                side = "" if op == "*" else ">=" if op == "-" and type(expr.right) is ast.Literal else "<="
+                side = side if ast.Literal in (type(expr.left), type(expr.right)) else ""
+                return self._checked(_BinOp(left, _ARITHMETIC[op], right), expr.span, side=side)
+            # a zero divisor is Java's ArithmeticException, in the cold path
+            fast = _BinOp(left, _FLOOR if op == "/" else _MOD, right)
+            slow = self._call("_quot" if op == "/" else "_rem", left, right, self._site(expr.span))
+            return _IfExp(_Compare(left, _DIVIDES, [self._const(0), right]), fast, slow)
+        if t is ty.DOUBLE:
+            if op in _ARITHMETIC:
+                return _BinOp(left, _ARITHMETIC[op], right)
+            return self._call("_ddiv" if op == "/" else "_drem", left, right)
+        if op in ("==", "!=") and any(isinstance(side, (ty.ClassType, ty.ArrayType)) for side in sides):
+            op = "is" if op == "==" else "is not"  # objects and arrays are equal only to themselves
+        return self._compare(left, op, right)
+
+    def _text(self, value, t: ty.Type):
+        """value as string + prints it (format_value)."""
+        if type(value) is _Const:
+            return self._const(format_value(value.value))
+        if t is ty.STRING:
+            return _IfExp(self._compare(value, "is not", self._const(None)), value, self._const("null"))
+        if t in (ty.INT, ty.BYTE):
+            return self._call("str", value)
+        return self._call("_fmt", value)
+
+    def _logical(self, expr: ast.Binary):
+        """&& and ||: the right operand, and the statements it appends, run
+        only where the left one does not decide."""
+        left = self._expr(expr.left)
+        right = []
+        right_stmts = self._nested(lambda: right.append(self._expr(expr.right)))
+        if not right_stmts:
+            return _BoolOp(_AND if expr.op == "&&" else _OR, [left, right[0]])
+        name = self._temp()
+        self.emit(_Assign([self._name(name, _STORE)], left, None))
+        test = self._name(name) if expr.op == "&&" else _UnaryOp(_NOT, self._name(name))
+        self.emit(_If(test, right_stmts + [_Assign([self._name(name, _STORE)], right[0], None)], []))
+        return self._name(name)
+
+    def _assign(self, expr: ast.Binary):
+        """An assignment: it stores the right-hand side's value, converted
+        to the target's type, and yields the value it stored."""
+        target, span = expr.left, expr.left.span
+        right = (expr.right, self.res.types[target.uid], span)
+        if isinstance(target, ast.Name):
+            sym = self.res.name_targets[target.uid]
+            if sym.slot >= 0:
+                self._store_local(sym.slot, self._expr(*right))
+                return self._name(f"v{sym.slot}")
+            if sym.static:
+                return self._store(self._static(sym), self._expr(*right))
+            return self._store(self._field(self._name("v0"), sym.decl_uid, _STORE), self._expr(*right))
+        if isinstance(target, ast.Index):
+            array, index, value = self._operands([target.array, target.index, right], simple=True)
+            values, test = self._element(array, index)
+            fault = self._effect("_aget", array, index, self._site(span), self._const("storing into a null array"))
+            self.emit(_If(_UnaryOp(_NOT, test), [fault], []))
+            self.emit(_Assign([_Sub(values, index, _STORE)], value, None))
+            return value
+        # The parser accepts no other target than a name, an element or a field.
+        sym = self.res.field_targets[target.uid]
+        if sym.static:
+            self._receiver_effect(target.receiver)
+            return self._store(self._static(sym), self._expr(*right))
+        obj, value = self._operands([target.receiver, right], simple=True)
+        fault = self._effect("_npe", self._site(span), self._const(f"field '{target.name}' of null"))
+        self.emit(_If(self._compare(obj, "is", self._const(None)), [fault], []))
+        self.emit(_Assign([self._field(obj, sym.decl_uid, _STORE)], value, None))
+        return value
+
+    def _static(self, sym):
+        """The store target of a static field."""
+        name = f"s{sym.decl_uid}"
+        self.scope.globals.add(name)
+        return self._name(name, _STORE)
+
+    def _store(self, target, value):
+        """Store value into target, and yield it from a temporary."""
+        name = self._temp()
+        self.emit(_Assign([self._name(name, _STORE), target], value, None))
+        return self._name(name)
+
+    # -- calls --------------------------------------------------------------------------
+
+    def _e_call(self, expr: ast.Call):
+        target = self.res.call_targets[expr.uid]
+        if target.builtin is not None:
+            return self._builtin(expr, target.builtin)
+        minfo = target.method
+        args = self._args(expr, param_types(minfo.decl))
+        site = self._site(expr.span)
+        if minfo.decl.is_static:  # bound here, whatever the receiver holds
+            self._receiver_effect(expr.receiver)
+            self.st._function(minfo.owner, minfo.decl)
+            return self._call(f"m{minfo.decl.uid}", self.st.deeper, site, *self._operands(args))
+        # Virtual dispatch on the receiver, or on this for an unqualified call.
+        if expr.receiver is None:
+            receiver, values = self._name("v0"), self._operands(args)
+        else:  # the null check comes after the arguments, so they are read first
+            receiver, *values = self._operands([expr.receiver, *args], simple=True)
+        table = self._name(self.st.vtable((expr.name, len(expr.args))))
+        function = _Sub(table, _Attr(receiver, "cls_name", _LOAD), _LOAD)
+        call = _Call(function, [self.st.deeper, site, receiver, *values], [])
+        if expr.receiver is None:  # this is never null
+            return call
+        fault = self._call("_npe", site, self._const(f"{expr.name}() on null"))
+        return _IfExp(self._compare(receiver, "is not", self._const(None)), call, fault)
+
+    def _builtin(self, expr: ast.Call, builtin: Builtin):
+        """A builtin call, through Interpreter.builtin's function."""
+        args = self._args(expr, builtin.params)
+        if builtin.static:
+            self._receiver_effect(expr.receiver)
+            receiver, values = self._const(None), self._operands(args)
+        elif expr.receiver is None:
+            receiver, values = self._name("v0"), self._operands(args)
+        else:
+            receiver, *values = self._operands([expr.receiver, *args])
+        return self._call(self.st.builtin(builtin), self._name("d"), self._site(expr.span), receiver, *values)
+
+    _EXPRS = {
+        ast.Literal: lambda self, expr: self._const(expr.value),
+        ast.Null: lambda self, expr: self._const(None),
+        ast.Name: _e_name,
+        ast.Unary: _e_unary,
+        ast.Binary: _e_binary,
+        ast.Index: _e_index,
+        ast.FieldAccess: _e_field,
+        ast.NewArray: _e_new_array,
+        ast.New: _e_new,
+        ast.Call: _e_call,
+    }
 
 
 def execute(

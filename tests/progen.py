@@ -387,3 +387,103 @@ def gen_recursion_program(rng: random.Random) -> RecursionProgram:
         entry += ["        " + line for line in shape_entry]
     lines = ["class P {", *members, "    static void main(String[] args) {", *entry, "    }", "}", *classes]
     return RecursionProgram("\n".join(lines) + "\n", shapes)
+
+
+@dataclass
+class OrderProgram:
+    source: str
+    stdout: list[str]
+
+
+# Java evaluates every operand left to right (JLS 15.7, 15.12.4, 15.26.1):
+# a receiver before the arguments, an array before its index and both
+# before the right-hand side.  Each t(k) and b(k) prints its tag k, and the
+# tags are numbered in the order they appear in the text, so a run prints
+# them in that order.
+_ORDER_HEAD = """\
+class Box {
+    int v;
+    int[] cells = new int[3];
+
+    Box(int a, int b) {
+        v = a - b;
+    }
+
+    int get(int a, int b) {
+        return v + a - b;
+    }
+}
+
+class P {
+    static Box box = new Box(0, 0);
+
+    static int t(int k) {
+        println(k);
+        return k % 3;
+    }
+
+    static Box b(int k) {
+        println(k);
+        return box;
+    }
+
+    static int f(int x, int y) {
+        return x - y;
+    }
+
+    static int h(int x, int y, int z) {
+        return x + y - z;
+    }
+
+    static void main(String[] args) {
+        int[] a = new int[3];
+"""
+
+
+def gen_order_program(rng: random.Random, statements: int = 4) -> OrderProgram:
+    """A runnable program of int expressions made of calls, operators,
+    field and element reads, whose stdout is the tags of its t(k) and b(k)
+    calls in the order they appear: the operands' evaluation order."""
+    tags = iter(range(1, 10_000))
+
+    def tag(call: str) -> str:
+        return f"{call}({next(tags)})"
+
+    def expr(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.25:
+            return tag("t")
+        shape = rng.choice(("f", "h", "+", "*", "-", "get", "new", "elem", "cell", "field", "neg"))
+        if shape == "f":
+            return f"f({expr(depth - 1)}, {expr(depth - 1)})"
+        if shape == "h":
+            return f"h({expr(depth - 1)}, {expr(depth - 1)}, {expr(depth - 1)})"
+        if shape in ("+", "*", "-"):
+            return f"({expr(depth - 1)} {shape} {expr(depth - 1)})"
+        if shape == "get":
+            return f"{tag('b')}.get({expr(depth - 1)}, {expr(depth - 1)})"
+        if shape == "new":
+            return f"f(new Box({expr(depth - 1)}, {expr(depth - 1)}).v, 0)"
+        if shape == "elem":
+            return f"a[{tag('t')}]"
+        if shape == "cell":
+            return f"{tag('b')}.cells[{tag('t')}]"
+        if shape == "field":
+            return f"{tag('b')}.v"
+        return f"-({expr(depth - 1)})"
+
+    lines = []
+    for k in range(statements):
+        shape = rng.choice(("local", "elem", "cell", "field", "call"))
+        if shape == "local":
+            lines.append(f"int x{k} = {expr(3)};")
+        elif shape == "elem":
+            lines.append(f"a[{tag('t')}] = {expr(3)};")
+        elif shape == "cell":
+            lines.append(f"{tag('b')}.cells[{tag('t')}] = {expr(3)};")
+        elif shape == "field":
+            lines.append(f"{tag('b')}.v = {expr(3)};")
+        else:
+            lines.append(f"f({expr(2)}, {expr(2)});")
+    body = "".join(f"        {line}\n" for line in lines)
+    printed = [str(k) for k in range(1, next(tags))]
+    return OrderProgram(_ORDER_HEAD + body + "    }\n}\n", printed)

@@ -1,6 +1,6 @@
 """Every pass that dispatches on a node's class keys one table by it: the
 resolver's statements and expressions, the CFG builder's statements and the
-interpreter's statements and expressions.  Each table holds exactly one
+interpreter's code generator's statements and expressions.  Each table holds exactly one
 entry for each concrete statement or expression class of `frontend/ast.py`,
 so a class added to the grammar, or an entry dropped from a table, fails
 here instead of as a KeyError on the first program that uses it."""
@@ -9,7 +9,7 @@ import pytest
 
 from overrun_lint import cfg
 from overrun_lint.frontend import ast
-from overrun_lint.runtime.interpreter import Interpreter
+from overrun_lint.runtime.interpreter import _Gen
 from overrun_lint.semantics.resolver import _Resolver
 
 
@@ -29,8 +29,8 @@ EXPR_CLASSES = _concrete(ast.Expr)
         (_Resolver._STMTS, STMT_CLASSES),
         (_Resolver._EXPRS, EXPR_CLASSES),
         (cfg._Builder._STMTS, STMT_CLASSES),
-        (Interpreter._STMTS, STMT_CLASSES),
-        (Interpreter._EXPRS, EXPR_CLASSES),
+        (_Gen._STMTS, STMT_CLASSES),
+        (_Gen._EXPRS, EXPR_CLASSES),
     ],
     ids=["resolver-stmts", "resolver-exprs", "cfg-stmts", "interpreter-stmts", "interpreter-exprs"],
 )

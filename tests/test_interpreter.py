@@ -1358,16 +1358,21 @@ class P {
     assert trace.stdout == []
 
 
-def test_recursion_limit_is_restored_after_a_run(corpus_sources):
+def test_a_run_never_sets_the_recursion_limit(corpus_sources, monkeypatch):
+    # One Python frame per SL call: the 160-call cap fits under the
+    # default limit, so a run leaves the host's limit alone.
     import sys
 
-    before = sys.getrecursionlimit()
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     trace = run_source(corpus_sources["makeover.sl"], "makeover.sl", RunOptions())[0]
     assert trace.halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
-    assert sys.getrecursionlimit() == before
+    for shape in sorted(NESTED_RECURSION):
+        assert run(NESTED_RECURSION[shape]).halting_fault.detail == "call depth 160 exceeded (runaway recursion)"
     trace = run("class T { static void main(String[] args) { println(1 / 0); } }")
     assert trace.halting_fault.kind == FAULT_ARITHMETIC
-    assert sys.getrecursionlimit() == before
 
 
 def test_host_recursion_limit_is_a_step_limit_fault():
@@ -1384,8 +1389,8 @@ class T {
     }
 }
 """
-    # The run raises the recursion limit only up to its ceiling, which a
-    # cap of 100 000 calls does not fit under.
+    # A cap of 100 000 calls does not fit under the host's recursion limit,
+    # which the run leaves alone.
     before = sys.getrecursionlimit()
     trace = run(source, max_call_depth=100_000)
     assert trace.halting_fault.kind == FAULT_STEP_LIMIT

@@ -13,7 +13,7 @@ from overrun_lint.frontend import ast
 from overrun_lint.frontend.parser import MAX_NESTING
 from overrun_lint.pipeline import run_source
 from overrun_lint.runtime import RunOptions
-from overrun_lint.runtime.interpreter import Interpreter
+from overrun_lint.runtime.interpreter import _Gen
 
 COMMANDS = ("analyze", "boundcheck", "run", "metrics", "cpd")
 
@@ -108,18 +108,37 @@ def test_levels_count_the_tree_not_the_parser_stack():
 
 @pytest.mark.parametrize("shape", ["call", "plus"])
 def test_the_interpreter_compiles_each_expression_once(shape, monkeypatch):
-    # Compiling an operand twice at every level is exponential in the
+    # Generating an operand twice at every level is exponential in the
     # nesting: fail at the first repeat rather than hang.
     compiled: set[int] = set()
-    compile_expr = Interpreter._expr
+    generate_expr = _Gen._expr
 
-    def once(self, expr):
-        assert expr.uid not in compiled, f"{type(expr).__name__} at {expr.span} compiled twice"
+    def once(self, expr, *conversion):
+        assert expr.uid not in compiled, f"{type(expr).__name__} at {expr.span} generated twice"
         compiled.add(expr.uid)
-        return compile_expr(self, expr)
+        return generate_expr(self, expr, *conversion)
 
-    monkeypatch.setattr(Interpreter, "_expr", once)
+    monkeypatch.setattr(_Gen, "_expr", once)
     trace, analyzed = run_source(SHAPES[shape](MAX_NESTING), "deep.sl", RunOptions())
     assert trace.halting_fault is None
     expressions = [n for n in analyzed.res.nodes if isinstance(n, ast.Expr)]
     assert MAX_NESTING - 1 <= len(compiled) <= len(expressions)
+
+
+@pytest.mark.parametrize("returns", [False, True], ids=["falls through", "returns"])
+def test_stores_and_returns_pass_through_outlined_loops(returns):
+    # CPython compiles at most 20 nested loops in one function, so the
+    # interpreter runs the 18th and every 17th after it in a local function:
+    # a store to a local of the method, and a return, must pass through.
+    depth = 40
+    loops = "".join(f"int i{k} = 0;\nwhile (i{k} < 1) {{\ni{k} = i{k} + 1;\n" for k in range(depth))
+    inner = "total = total + 1;\n" + ("return total * 10;\n" if returns else "")
+    source = _main(
+        "println(f());",
+        "    static int f() {\nint total = 0;\n" + loops + inner + "}\n" * depth + "return total;\n}\n",
+    )
+    trace = run_source(source, "deep.sl", RunOptions(coverage_enabled=True))[0]
+    assert trace.faults == []
+    assert trace.stdout == ["10" if returns else "1"]
+    loop_iids = {iid for (iid, key), n in trace.branch_outcomes.items() if key == "true-branch" and n == 1}
+    assert len(loop_iids) == depth

@@ -2,10 +2,10 @@
 
 Milner's slogan ("A theory of type polymorphism in programming", 1978) and
 the preservation half of Wright and Felleisen ("A syntactic approach to type
-soundness", 1994), used as a test.  The oracle wraps every expression closure
-the interpreter compiles, and every value a statement reads, and checks that
-each value inhabits the type the resolver gave the expression, or the type
-a store, a return or an argument converts it to.  It runs over the
+soundness", 1994), used as a test.  The oracle has the interpreter's code
+generator wrap every expression it generates, and every value a store, a
+return or an argument reads, in a check that the value inhabits the type
+the resolver gave the expression, or the type it is converted to.  It runs over the
 run-golden traffic (the corpus, the snippets in both modes and the 500 bound
 fuzz programs) and over the probes below.
 
@@ -13,22 +13,15 @@ An accepted program ends in its output or in a halting trace fault; the
 run-time errors Java throws are faults too, so no run raises.
 """
 
+import ast as py
+
 import pytest
 
 from overrun_lint.errors import OverrunLintError
 from overrun_lint.frontend import ast
 from overrun_lint.pipeline import run_source
 from overrun_lint.runtime import RunOptions
-from overrun_lint.runtime.interpreter import (
-    BYTE_MAX,
-    BYTE_MIN,
-    INT_MAX,
-    INT_MIN,
-    Interpreter,
-    SLArray,
-    SLObject,
-    SLStream,
-)
+from overrun_lint.runtime.interpreter import BYTE_MAX, BYTE_MIN, INT_MAX, INT_MIN, SLArray, SLObject, SLStream, _Gen
 from overrun_lint.semantics import types as ty
 
 from test_run_golden import RUNS
@@ -66,39 +59,28 @@ def inhabits(value, t: ty.Type, expr: ast.Expr, res) -> bool:
 
 @pytest.fixture
 def violations(monkeypatch):
-    """Patch the interpreter so that every compiled expression, and every
-    value a statement reads (Interpreter._read, which computes some
-    operators itself and so compiles no closure for them), checks its
-    values; the list collects (span, type, value) of each that does not
-    inhabit its type."""
+    """Patch the code generator so that the generated code checks the value
+    of every expression against the type the resolver gave it, and every
+    value a store, a return or an argument reads against the type it is
+    converted to (_Gen._convert, which every expression's value passes);
+    the list collects (span, type, value) of each that does not inhabit its
+    type."""
     found: list[tuple[str, str, object]] = []
-    compile_expr, compile_read = Interpreter._expr, Interpreter._read
+    convert = _Gen._convert
 
-    def checking(run, t, expr, res):
-        def check(f):
-            value = run(f)
-            if not inhabits(value, t, expr, res):
-                found.append((str(expr.span), str(t), value))
-            return value
+    def checking(gen, value, t, expr):
+        def check(v):
+            if not inhabits(v, t, expr, gen.res):
+                found.append((str(expr.span), str(t), v))
+            return v
 
-        return check
+        return py.Call(gen.bind(check), [value], [], lineno=1, col_offset=0)
 
-    def checked(self, expr):
-        return checking(compile_expr(self, expr), self.res.types[expr.uid], expr, self.res)
+    def checked(self, value, expr, t, span):
+        value = convert(self, checking(self, value, self.res.types[expr.uid], expr), expr, t, span)
+        return value if t is None else checking(self, value, t, expr)
 
-    def checked_read(self, expr, t=None, span=None):
-        # The value a statement computes from _read's form, converted to t.
-        slots, fn, a, b, sb, w = compile_read(self, expr, t, span)
-
-        def read(f):
-            v = fn(f[a], f[b] if sb else b) if slots else fn(a(f), b(f)) if fn else a(f)
-            return v if w is None or INT_MIN <= v <= INT_MAX else w(v)
-
-        want = self.res.types[expr.uid] if t is None else t
-        return False, None, checking(read, want, expr, self.res), None, False, None
-
-    monkeypatch.setattr(Interpreter, "_expr", checked)
-    monkeypatch.setattr(Interpreter, "_read", checked_read)
+    monkeypatch.setattr(_Gen, "_convert", checked)
     return found
 
 
