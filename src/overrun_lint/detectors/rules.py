@@ -80,7 +80,8 @@ def _join(a: Facts, b: Facts) -> Facts:
 class Nullness:
     """Null facts by one forward dataflow over the CFG of each method with a
     null literal or a readLine() call.  derefs: each call receiver and
-    argument (a String has no fields), with its fact when it runs; checks:
+    argument (a String has no fields) and each String switch subject, with
+    its fact when it runs; checks:
     each comparison of a name with null, with its symbol and fact.  Only
     locals and parameters have facts: a field may change in any call."""
 
@@ -103,6 +104,8 @@ class Nullness:
         field = _EVALUATES.get(type(node))
         expr = node if isinstance(node, ast.Expr) else getattr(node, field) if field else None
         value = None if expr is None else self._eval(expr, facts)
+        if isinstance(node, ast.Switch) and self.res.types[expr.uid] is ty.STRING:  # its equals() dereferences it
+            self.derefs[expr.uid] = (expr, value)
         if isinstance(node, ast.LocalDecl):
             self._store(self.res.decl_symbols.get(node.uid), value, facts)
         return _join(before, facts) if iid in skippable else facts

@@ -19,13 +19,13 @@ operator takes its int or double code from its own type; == and != compare
 objects and arrays by identity.
 
 The checks are inline: the int range check after each int operator, the
-null, bounds and zero-divisor checks, the call-depth check at the top of
-each function, the branch counters and each statement's step.  A step
-counts the global S and compares it with the statement's own threshold
-L<iid>, which starts at 0: the statement's first run takes the cold path
-(_slow), which marks its instruction id and raises the threshold to
-max_steps.  The cold paths and the cold constructs (faults, object and
-array creation, threads and streams) call helpers of the run.
+null (_Gen._non_null), bounds and zero-divisor checks, the call-depth check
+at the top of each function, the branch counters and each instruction's
+step.  A step counts the global S and compares it with the instruction's
+own threshold L<iid>, which starts at 0: its first run takes the cold path
+(_slow), which marks its id and raises the threshold to max_steps.  The
+cold paths and the cold constructs (faults, object and array creation,
+threads and streams) call helpers of the run.
 
 Operands run in Java's order: the receiver, or the array and then the
 index, before the arguments or the right-hand side, and the null and bounds
@@ -60,7 +60,7 @@ from ..semantics import types as ty
 from ..semantics.types import INT_MAX, INT_MIN
 from ..semantics.resolver import Builtin, Resolution, param_types
 from ..cfg import FALSE_BRANCH, NO_MATCH, SWITCH_CASE, TRUE_BRANCH, UnitCfgs
-from ..cfg import assert_failure, branch_key, case_label, clinit_id, default_ctor_id, method_identity
+from ..cfg import assert_failure, branch_key, case_label, method_identity
 
 BYTE_MIN, BYTE_MAX = -128, 127
 
@@ -225,12 +225,10 @@ class Interpreter:
         # Generated code and its tables, built on first use and dropped with the run.
         self.sites: list[SourceSpan] = []  # call sites and fault spans, by number
         self.site_numbers: dict[SourceSpan, int] = {}
-        self.step_spans: dict[int, SourceSpan] = {}  # iid -> the span its step faults at
         self.counters: list[tuple[tuple[int, str], str]] = []  # (branch key, counter global)
         self.vtables: dict[tuple[str, int], str] = {}  # (name, arity) -> the global of its table
-        self.stubs: dict[int, list] = {}  # method uid -> the (vtable, class) its stub stands in
-        self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initializers base first)
-        self.asserts: list[tuple] = []  # (where, text, span, failure iid)
+        self.stubs: dict[int, list] = {}  # ungenerated method uid -> the (vtable, class) its stub stands in
+        self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initializers, implicit constructor)
         self.temps = 0
         self.ns = self._namespace()
         # Nodes the generated functions share: names, constants, d + 1 and (S := S + 1).
@@ -250,8 +248,7 @@ class Interpreter:
                 if fld.static:
                     ns[f"s{fld.uid}"] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
         for name in (
-            "_slow", "_step", "_w", "_npe", "_aget", "_quot", "_rem", "_deep", "_halt",
-            "_new", "_newarr", "_failing", "_failed",
+            "_slow", "_w", "_npe", "_aget", "_quot", "_rem", "_deep", "_halt", "_new", "_newarr", "_failed",
         ):
             ns[name] = getattr(self, name)
         ns.update(_fmt=format_value, _dt=_double_text, _ddiv=_double_quotient, _drem=_double_remainder)
@@ -265,34 +262,25 @@ class Interpreter:
         if halt:
             raise _Halt()
 
-    def _slow(self, iid: int) -> None:
-        """A statement's step past its threshold: its first run, which
-        marks its instruction id, or a step past max_steps."""
+    def _slow(self, iid: int, k: int) -> None:
+        """An instruction's step past its threshold: its first run, which
+        marks its id, or a step past max_steps, which faults at site k."""
         limit = self.options.max_steps
         self.trace.executed_instruction_ids.add(iid)
         self.ns[f"L{iid}"] = limit
         if self.ns["S"] > limit:
-            self._fault(FAULT_STEP_LIMIT, self.step_spans[iid], f"step limit {limit} exceeded")
-
-    def _step(self, iid: int, k: int) -> None:
-        """A cold step of the generated code: static initializers and
-        implicit returns."""
-        self._tick(iid, self.sites[k])
-
-    def _tick(self, iid: int, span: SourceSpan) -> None:
-        """One executed instruction, checked against max_steps."""
-        self.trace.executed_instruction_ids.add(iid)
-        self.ns["S"] += 1
-        if self.ns["S"] > self.options.max_steps:
-            self._fault(FAULT_STEP_LIMIT, span, f"step limit {self.options.max_steps} exceeded")
+            self._fault(FAULT_STEP_LIMIT, self.sites[k], f"step limit {limit} exceeded")
 
     def _harvest(self) -> None:
-        """Move the step count and the branch counts into the trace."""
-        ns, outcomes = self.ns, self.trace.branch_outcomes
-        self.trace.steps = ns["S"]
+        """Move the step count and the branch counts into the trace, and
+        the methods entered: those of which an instruction ran."""
+        ns, trace = self.ns, self.trace
+        trace.steps = ns["S"]
         for key, name in self.counters:
             if ns[name]:
-                outcomes[key] = outcomes.get(key, 0) + ns[name]
+                trace.branch_outcomes[key] = trace.branch_outcomes.get(key, 0) + ns[name]
+        ran = trace.executed_instruction_ids
+        trace.entered_methods.update(m for m, cfg in self.cfgs.cfgs.items() if not ran.isdisjoint(cfg.instr_spans))
 
     def site(self, span: SourceSpan) -> int:
         """span's number among the run's call sites and fault spans."""
@@ -352,17 +340,12 @@ class Interpreter:
         self.ordinals += 1
         return SLArray(elem=elem, values=[_ELEMENT_DEFAULTS.get(elem)] * size, ordinal=self.ordinals)
 
-    def _failing(self, j: int) -> None:
-        """The failure of assert j: its instruction and its step, before its
-        message is computed."""
-        _, _, span, failure = self.asserts[j]
-        self._tick(failure, span)
-
-    def _failed(self, j: int, message) -> None:
-        where, text, span, _ = self.asserts[j]
+    def _failed(self, passed: AssertionRecord, message) -> None:
+        """The failure of the assert whose pass records passed."""
         detail = format_value(message)
-        self.trace.assertion_records.append(AssertionRecord(where, text, span, detail, "failed"))
-        self._fault(FAULT_ASSERTION_FAILURE, span, detail)
+        record = AssertionRecord(passed.unit_name, passed.statement_text, passed.span, detail, "failed")
+        self.trace.assertion_records.append(record)
+        self._fault(FAULT_ASSERTION_FAILURE, passed.span, detail)
 
     # -- program start --------------------------------------------------------
 
@@ -393,7 +376,6 @@ class Interpreter:
         for cls in self.unit.classes:
             inits = [f for f in cls.fields if f.static and f.initializer is not None]
             if inits:
-                self.trace.entered_methods.add(clinit_id(cls.name))
                 self._compile(_Gen(self, cls.name).statics(inits, f"c{cls.uid}"), f"c{cls.uid}")(0)
 
     def _find_entry(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
@@ -437,25 +419,20 @@ class Interpreter:
 
     def _function(self, owner: str, decl: ast.MethodDecl):
         """The function of decl in the namespace, m<uid>: until its first
-        call, a stub that generates it.  The stub checks the call depth
-        first, so a method first called too deep is not entered."""
+        call, a stub that generates it."""
         name = f"m{decl.uid}"
         fn = self.ns.get(name)
         if fn is None:
-            max_depth, real = self.options.max_call_depth, []
             self.stubs[decl.uid] = []
 
             def stub(d, k, *args):
-                if d > max_depth:
-                    self._deep(k)
                 # A call in the arguments of another, f(f(x)), generates f
                 # after the outer call has read the stub.
-                if not real:
-                    real.append(self._compile(_Gen(self, owner).method(decl, name), name))
-                    self.trace.entered_methods.add(method_identity(owner, decl))
+                if decl.uid in self.stubs:
+                    real = self._compile(_Gen(self, owner).method(decl, name), name)
                     for table, cls in self.stubs.pop(decl.uid):
-                        table[cls] = real[0]
-                return real[0](d, k, *args)
+                        table[cls] = real
+                return self.ns[name](d, k, *args)
 
             fn = self.ns[name] = stub
         return fn
@@ -475,9 +452,10 @@ class Interpreter:
         return name
 
     def _layout(self, class_name: str) -> tuple:
-        """(defaults, initializers) of a class's instance fields: the
-        defaults of the whole chain, and each class's initializer function,
-        base first."""
+        """(defaults, initializers, implicit) of a class: the defaults of
+        the instance fields of the whole chain, each class's initializer
+        function, base first, and the function of the constructor the
+        class gets where it declares none (n<class uid>), else None."""
         layout = self.layouts.get(class_name)
         if layout is None:
             defaults, inits = {}, []
@@ -490,27 +468,25 @@ class Interpreter:
                     name = f"i{info.decl.uid}"
                     init = self.ns.get(name) or self._compile(_Gen(self, info.name).fields(fields, name), name)
                     inits.append(init)
-            layout = self.layouts[class_name] = (defaults, inits)
+            info = self.res.classes[class_name]
+            name = f"n{info.decl.uid}"
+            implicit = None if info.ctors else self._compile(_Gen(self, class_name).implicit(info.decl, name), name)
+            layout = self.layouts[class_name] = (defaults, inits, implicit)
         return layout
 
     def _new(self, d: int, k: int, class_name: str, *args) -> SLObject:
-        info = self.res.classes[class_name]
         self.ordinals += 1
-        defaults, inits = self._layout(class_name)
+        defaults, inits, implicit = self._layout(class_name)
         # Every field holds its default before any initialiser runs (JLS
         # 12.5), so a base initialiser calling an override sees them all.
         obj = SLObject(cls_name=class_name, fields=dict(defaults), ordinal=self.ordinals)
         for init in inits:
             init(d, obj)
-        ctor = info.ctors.get(len(args))
-        if ctor is not None:
-            self._function(ctor.owner, ctor.decl)(d + 1, k, obj, *args)
+        if implicit is not None:
+            implicit()
         else:
-            # the implicit constructor: record its synthetic instruction
-            cfg = self.cfgs.cfgs[default_ctor_id(class_name)]
-            self.trace.entered_methods.add(cfg.method)
-            for iid, span in cfg.instr_spans.items():
-                self._tick(iid, span)
+            ctor = self.res.classes[class_name].ctors[len(args)]
+            self._function(ctor.owner, ctor.decl)(d + 1, k, obj, *args)
         return obj
 
     # -- builtins ---------------------------------------------------------------
@@ -519,30 +495,10 @@ class Interpreter:
     # receiver or None, argument...) -> its result.
 
     def builtin(self, builtin: Builtin) -> str:
-        """The global naming builtin's implementation, behind the null checks
-        of a static builtin's String arguments or an instance builtin's
-        receiver, which run after the arguments have."""
+        """The global naming builtin's implementation, bound to the run."""
         name = f"B_{builtin.owner}_{builtin.name}"
         if name not in self.ns:
-            impl, label = self._BUILTINS[builtin.owner, builtin.name], builtin.name
-            if builtin.static:
-                strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
-
-                def call(d, k, receiver, *args):
-                    for i in strings:
-                        if args[i] is None:
-                            self._npe(k, f"{label}(null)")
-                    return impl(self, d, k, receiver, *args)
-
-            else:
-                on_null = f"{label}() on a null stream" if builtin.owner == "Stream" else f"{label}() on null"
-
-                def call(d, k, receiver, *args):
-                    if receiver is None:
-                        self._npe(k, on_null)
-                    return impl(self, d, k, receiver, *args)
-
-            self.ns[name] = call
+            self.ns[name] = self._BUILTINS[builtin.owner, builtin.name].__get__(self)
         return name
 
     def _b_println(self, d, k, receiver, value):
@@ -727,7 +683,7 @@ class _Gen:
         implicit = cfg.implicit_return_iid  # None where the end cannot be reached
         if implicit is not None:
             span = cfg.instr_spans[implicit]
-            self.emit(self._effect("_step", self._const(implicit), self._site(span)))
+            self._step_at(implicit, span)
             if ty.from_type_ref(decl.return_type) != ty.VOID_T:
                 missing = f"{ident} reached its end without returning a value"
                 kind = self._const(FAULT_MISSING_RETURN)
@@ -738,10 +694,15 @@ class _Gen:
         """c<class uid>(d): each static initializer's step and store."""
         self.scope.params = ["d"]
         for fld in fields:
-            self.emit(self._effect("_step", self._const(self.st.cfgs.stmt_iids[fld.uid]), self._site(fld.span)))
+            self._step(fld)
             value = self._expr(fld.initializer, self.res.decl_symbols[fld.uid].declared_type, fld.span)
             self.scope.globals.add(f"s{fld.uid}")
             self.emit(_Assign([self._name(f"s{fld.uid}", _STORE)], value, None))
+        return self._function(name, self.scope, self.body)
+
+    def implicit(self, cls: ast.ClassDecl, name: str) -> py.FunctionDef:
+        """n<class uid>(): the step of the constructor a class without one gets."""
+        self._step(cls)
         return self._function(name, self.scope, self.body)
 
     def fields(self, fields: list[ast.FieldDecl], name: str) -> py.FunctionDef:
@@ -862,34 +823,39 @@ class _Gen:
         self._STMTS[type(stmt)](self, stmt)
 
     def _step(self, node: ast.Node) -> int:
-        """Append node's step (_stepping) and return its instruction id."""
-        test, slow = self._stepping(node)
-        self.emit(_If(test, [_Expr(slow)], []))
-        return self.st.cfgs.stmt_iids[node.uid]
+        """Append node's step and return its instruction id."""
+        iid = self.st.cfgs.stmt_iids[node.uid]
+        self._step_at(iid, node.span)
+        return iid
 
-    def _stepping(self, node: ast.Node) -> tuple:
-        """(test, slow) of node's step: the test counts the step, and is
-        true past the instruction's threshold, on its first run and past
+    def _step_at(self, iid: int, span: SourceSpan) -> None:
+        """Append the step of instruction iid, which faults at span (_stepping)."""
+        test, slow = self._stepping(iid, span)
+        self.emit(_If(test, [_Expr(slow)], []))
+
+    def _stepping(self, iid: int, span: SourceSpan) -> tuple:
+        """(test, slow) of a step: the test counts the step, and is true
+        past the instruction's threshold, on its first run and past
         max_steps, where the step takes the cold path, slow (_slow)."""
         st = self.st
-        iid = st.cfgs.stmt_iids[node.uid]
-        st.step_spans[iid] = node.span
         threshold = f"L{iid}"
         st.ns[threshold] = 0
-        return _Compare(st.count_step, _PAST, [_Name(threshold, _LOAD)]), self._call("_slow", _Const(iid, None))
+        slow = self._call("_slow", _Const(iid, None), self._site(span))
+        return _Compare(st.count_step, _PAST, [_Name(threshold, _LOAD)]), slow
 
     def _stepped(self, stmt: ast.Stmt, cond: ast.Expr | None) -> tuple:
         """(iid, test) of a decision: its step, then its condition (true
         for none).  Where the condition appends no statements, the test is
         `<step> and <slow> or <condition>`; else the step is appended first."""
-        step, slow = self._stepping(stmt)
+        iid = self.st.cfgs.stmt_iids[stmt.uid]
+        step, slow = self._stepping(iid, stmt.span)
         outer, self.body = self.body, []
         test = self._condition(cond) if cond is not None else self._const(True)
         if self.body:
             self.body = [*outer, _If(step, [_Expr(slow)], []), *self.body]
         else:
             self.body, test = outer, _BoolOp(_OR, [_BoolOp(_AND, [step, slow]), test])
-        return self.st.cfgs.stmt_iids[stmt.uid], test
+        return iid, test
 
     def _counter(self, key: tuple[int, str]):
         """The statement that counts one take of a branch."""
@@ -977,6 +943,8 @@ class _Gen:
         the count of no match last.  A case runs its own body only."""
         iid = self._step(stmt)
         subject = self._simple(self._expr(stmt.subject))
+        if self.res.types[stmt.subject.uid] is ty.STRING:  # its equals() dereferences it
+            self._discard(self._non_null(subject, stmt.subject.span, "switch on a null String"))
         arms, chain = [], None
         for i, case in enumerate(stmt.cases):
             count = self._counter((iid, branch_key(SWITCH_CASE, case_label(i, case))))
@@ -1008,22 +976,21 @@ class _Gen:
         test = self._condition(stmt.condition)
         method = self.res.method_of(stmt)
         where = f"{self.res.parent(method).name}.{method.name}"
-        j, text = self._const(len(self.st.asserts)), f"assert {expr_text(stmt.condition)}"
-        self.st.asserts.append((where, text, stmt.span, assert_failure(iid)))
         # Every pass of one assert appends the same record.
-        record = self.bind(AssertionRecord(where, text, stmt.span, "", "passed"))
+        record = self.bind(AssertionRecord(where, f"assert {expr_text(stmt.condition)}", stmt.span, "", "passed"))
         passed = [self._counter((iid, FALSE_BRANCH)), _Expr(_Call(self._name("_record"), [record], []))]
 
         def failed():
-            self.emit(self._effect("_failing", j))
+            self._step_at(assert_failure(iid), stmt.span)
             message = self._expr(stmt.message) if stmt.message is not None else self._const("")
-            self.emit(self._effect("_failed", j, message))
+            self.emit(self._effect("_failed", record, message))
 
         self.emit(_If(test, passed, self._nested(failed, self._counter((iid, TRUE_BRANCH)))))
 
     def _s_synchronized(self, stmt: ast.Synchronized) -> None:
         self._step(stmt)
-        self._discard(self._expr(stmt.monitor))
+        monitor = self._simple(self._expr(stmt.monitor))
+        self._discard(self._non_null(monitor, stmt.monitor.span, "synchronized on null"))
         self._stmt(stmt.body)
 
     def _s_empty(self, stmt: ast.Empty) -> None:
@@ -1138,8 +1105,7 @@ class _Gen:
             self._receiver_effect(expr.receiver)
             return self._name(f"s{sym.decl_uid}")
         obj = self._simple(self._expr(expr.receiver))
-        fault = self._call("_npe", self._site(expr.span), self._const(f"field '{expr.name}' of null"))
-        return _IfExp(self._compare(obj, "is not", self._const(None)), self._field(obj, sym.decl_uid), fault)
+        return self._non_null(obj, expr.span, f"field '{expr.name}' of null", self._field(obj, sym.decl_uid))
 
     def _e_new_array(self, expr: ast.NewArray):
         size = self._expr(expr.size_expr)
@@ -1245,8 +1211,7 @@ class _Gen:
             self._receiver_effect(target.receiver)
             return self._store(self._static(sym), self._expr(*right))
         obj, value = self._operands([target.receiver, right], simple=True)
-        fault = self._effect("_npe", self._site(span), self._const(f"field '{target.name}' of null"))
-        self.emit(_If(self._compare(obj, "is", self._const(None)), [fault], []))
+        obj = self._non_null(obj, span, f"field '{target.name}' of null")
         self.emit(_Assign([self._field(obj, sym.decl_uid, _STORE)], value, None))
         return value
 
@@ -1285,20 +1250,38 @@ class _Gen:
         call = _Call(function, [self.st.deeper, site, receiver, *values], [])
         if expr.receiver is None:  # this is never null
             return call
-        fault = self._call("_npe", site, self._const(f"{expr.name}() on null"))
-        return _IfExp(self._compare(receiver, "is not", self._const(None)), call, fault)
+        return self._non_null(receiver, expr.span, f"{expr.name}() on null", call)
 
     def _builtin(self, expr: ast.Call, builtin: Builtin):
-        """A builtin call, through Interpreter.builtin's function."""
+        """A builtin call, through Interpreter.builtin's function: after all
+        its operands, a static builtin's String arguments, or an instance
+        builtin's receiver, are null-checked."""
         args = self._args(expr, builtin.params)
         if builtin.static:
             self._receiver_effect(expr.receiver)
-            receiver, values = self._const(None), self._operands(args)
-        elif expr.receiver is None:
+            strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
+            receiver, values = self._const(None), self._operands(args, simple=bool(strings))
+            checked, detail = [values[i] for i in strings], f"{builtin.name}(null)"
+        elif expr.receiver is None:  # this is never null
             receiver, values = self._name("v0"), self._operands(args)
+            checked, detail = [], ""
         else:
-            receiver, *values = self._operands([expr.receiver, *args])
-        return self._call(self.st.builtin(builtin), self._name("d"), self._site(expr.span), receiver, *values)
+            receiver, *values = self._operands([expr.receiver, *args], simple=True)
+            null = "a null stream" if builtin.owner == "Stream" else "null"
+            checked, detail = [receiver], f"{builtin.name}() on {null}"
+        call = self._call(self.st.builtin(builtin), self._name("d"), self._site(expr.span), receiver, *values)
+        for value in reversed(checked):
+            call = self._non_null(value, expr.span, detail, call)
+        return call
+
+    def _non_null(self, value, span: SourceSpan, detail: str, then=None):
+        """then (value by default) where value, a name or a constant, is not
+        null, else the null_dereference fault; `"s" is not None` would warn."""
+        then = value if then is None else then
+        if type(value) is _Const and value.value is not None:
+            return then
+        fault = self._call("_npe", self._site(span), self._const(detail))
+        return _IfExp(self._compare(value, "is not", self._const(None)), then, fault)
 
     _EXPRS = {
         ast.Literal: lambda self, expr: self._const(expr.value),

@@ -190,7 +190,6 @@ class Resolution:
     diagnostics: list[Exception]  # always empty: the resolver raises its first error
     index: NodeIndex  # the unit's, shared by every Resolution of it
     decl_symbols: dict[int, Symbol] = field(default_factory=dict)  # decl uid -> first symbol it declares
-    frame_sizes: dict[int, int] = field(default_factory=dict)  # method uid -> slots
 
     @property
     def nodes(self) -> list[ast.Node]:
@@ -522,10 +521,8 @@ class _Resolver:
         # Every symbol declared since `first` is a parameter or a local of
         # this method: they take the frame slots after the receiver's, in
         # declaration order.
-        frame = self.res.symbols[first:]
-        for slot, sym in enumerate(frame, 1):
+        for slot, sym in enumerate(self.res.symbols[first:], 1):
             sym.slot = slot
-        self.res.frame_sizes[method.uid] = len(frame) + 1
         self.current_method = None
 
     # -- statements ----------------------------------------------------------

@@ -234,6 +234,11 @@ _NULL_SHAPES = {
         'String w# = "x";', "int j# = 0;", "while (j# < 2) {",
         "    println(length(w#));", "    w# = readLine();", "    j# = j# + 1;", "}",
     ],
+    # A String switch compares its subject with equals(), which dereferences it.
+    "switched": [
+        "String h# = readLine();", "switch (h#) {", '    case "x":', '        println("x");',
+        "    default:", '        println("other");', "}",
+    ],
     "branch_dependent_readline": ['String b# = "a";', "if (?) {", "    b# = readLine();", "}", "println(length(b#));"],
     # A catch body never runs, though the CFG chains it by fallthrough.
     "caught": [

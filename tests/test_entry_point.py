@@ -271,6 +271,19 @@ ROWS = {
         files={"Rem.sl": "class Main { static void main(String[] args) { double z = 0; println((1.0 / z) % 2.0); } }\n"},
         out="NaN\n", err="",
     ),
+    # Java throws a NullPointerException at both (JLS 14.11.3, 14.19).
+    "run, a switch on a null String": Row(
+        "run Switch.sl", 1,
+        files={"Switch.sl": "class Main { static void main(String[] args) { String s = readLine(); println(1);\n"
+               ' switch (s) { case "a": println("a"); default: println("b"); } } }\n'},
+        out="1\n", err="fault: null_dereference at Switch.sl:2: switch on a null String\n",
+    ),
+    "run, synchronized on null": Row(
+        "run Sync.sl", 1,
+        files={"Sync.sl": "class Main { static void main(String[] args) { Main m = null; println(1);\n"
+               " synchronized (m) { println(2); } } }\n"},
+        out="1\n", err="fault: null_dereference at Sync.sl:2: synchronized on null\n",
+    ),
     "an override that changes its signature": Row(
         "analyze Override.sl", 2,
         files={"Override.sl": "class A { int m(int x) { return x; } }\nclass B extends A { double m(double x) { return x; } }\n"},

@@ -563,12 +563,82 @@ class T {
 
 
 
-# -- checks the compiled closures take inline or skip ------------------------------
+# -- checks the generated code takes inline or skips ------------------------------
 
 # Steps counted by hand: the declaration is step 1 and each loop test,
-# if, statement and for update one more, so that step max_steps + 1 is
-# the statement named.
+# if, statement and for update one more, and so are a static initializer,
+# an assert's failure, an implicit constructor and an implicit return, so
+# that step max_steps + 1 is the instruction named.  Each row runs with
+# assertions on, which only the assert's row needs.
 STEP_LIMIT_SITES = {
+    "static_initializer": (
+        """\
+class T {
+    static int a = f(1);
+    static int b = f(2);
+
+    static int f(int x) {
+        println(x);
+        return x;
+    }
+
+    static void main(String[] args) {
+    }
+}
+""",
+        3,
+        (3, 5),
+        ["1"],
+    ),
+    "assert_failure": (
+        """\
+class T {
+    static void main(String[] args) {
+        println(1);
+        assert 1 > 2 : "no";
+        println(2);
+    }
+}
+""",
+        2,
+        (4, 9),
+        ["1"],
+    ),
+    "implicit_constructor": (
+        """\
+class P {
+    int x = 1;
+}
+
+class T {
+    static void main(String[] args) {
+        println(0);
+        P p = new P();
+        println(1);
+    }
+}
+""",
+        2,
+        (1, 1),
+        ["0"],
+    ),
+    "implicit_return": (
+        """\
+class T {
+    static void f() {
+        println(0);
+    }
+
+    static void main(String[] args) {
+        f();
+        println(1);
+    }
+}
+""",
+        2,
+        (4, 5),
+        ["0"],
+    ),
     "if_condition": (
         """\
 class T {
@@ -637,7 +707,7 @@ class T {
 @pytest.mark.parametrize("site", sorted(STEP_LIMIT_SITES))
 def test_step_limit_fires_at_the_same_step_and_span(site):
     source, limit, (line, column), stdout = STEP_LIMIT_SITES[site]
-    trace = run(source, max_steps=limit)
+    trace = run(source, max_steps=limit, assertions_enabled=True)
     assert [(f.kind, f.span.line, f.span.column, f.detail) for f in trace.faults] == [
         (FAULT_STEP_LIMIT, line, column, f"step limit {limit} exceeded")
     ]

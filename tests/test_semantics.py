@@ -685,5 +685,3 @@ def test_frame_slots_number_parameters_and_locals_in_declaration_order():
     )
     slots = [(s.name, s.slot) for s in res.symbols if s.kind in ("param", "local")]
     assert slots == [("this", 0), ("p", 1), ("a", 2), ("b", 3), ("i", 4), ("c", 5), ("d", 6), ("e", 7), ("f", 8), ("q", 1)]
-    m, s = (method.uid for method in res.classes["A"].decl.methods)
-    assert res.frame_sizes == {m: 9, s: 2}
