@@ -3,9 +3,9 @@
 The analysis enumerates array declarations and their index expressions,
 derives each index variable's legal range, marks the operations that can
 move an index (assignments, input-derived values, arithmetic updates), and
-judges loop limits against array extents.  `_assignment` finds what each
-assignment sets; only one that sets a tracked index variable is classified
-(constant, input or arithmetic) into a ModifyingSite.
+judges loop limits against array extents.  `Resolution.assignment` finds
+what each assignment sets; only one that sets a tracked index variable is
+classified (constant, input or arithmetic) into a ModifyingSite.
 
 One function, `_excess`, relates a value to an array's length.  For
 `value op limit` with op < or <=, it returns how far the largest value the
@@ -207,7 +207,7 @@ def track_index_vars(
         tracked.setdefault(id(info.symbol), []).append(info)
     # Every site that can move a tracked variable; only those are classified.
     for node in resolution.nodes_of(ast.Binary, ast.LocalDecl):
-        assigned = _assignment(node, resolution)
+        assigned = resolution.assignment(node)
         if assigned is not None:
             infos = tracked.get(id(assigned[0]))
             if infos:
@@ -217,19 +217,6 @@ def track_index_vars(
     for info in result:
         info.v_marked = bool(info.modifying_sites) and bool(info.accesses)
     return result
-
-
-def _assignment(node: ast.Node | None, resolution: Resolution) -> tuple[Symbol, ast.Expr] | None:
-    """(variable, value) when node assigns a value to a named variable: an
-    `=` whose left side is a name, or a local declaration with an initializer."""
-    if isinstance(node, ast.Binary):
-        if node.op == "=" and isinstance(node.left, ast.Name):
-            sym = resolution.name_targets.get(node.left.uid)
-            return None if sym is None else (sym, node.right)
-    elif isinstance(node, ast.LocalDecl) and node.initializer is not None:
-        sym = resolution.decl_symbols.get(node.uid)
-        return None if sym is None else (sym, node.initializer)
-    return None
 
 
 _INPUT_BUILTINS = {BUILTINS[None, name] for name in ("readLine", "parseInt", "random")}
@@ -285,7 +272,7 @@ def _symbols_modified_by_loop(loop: ast.For | ast.While, resolution: Resolution)
     out: set[int] = set()
     for region in regions:
         for node in resolution.subtree(region):
-            assigned = _assignment(node, resolution)
+            assigned = resolution.assignment(node)
             if assigned is not None:
                 out.add(id(assigned[0]))
     return out
@@ -403,7 +390,7 @@ def _loop_start(loop: ast.For | ast.While, sym: Symbol, resolution: Resolution) 
     init = loop.init if isinstance(loop, ast.For) else None
     if isinstance(init, ast.ExprStmt):
         init = init.expr
-    assigned = _assignment(init, resolution)
+    assigned = resolution.assignment(init)
     return assigned[1] if assigned is not None and assigned[0] is sym else None
 
 

@@ -10,7 +10,7 @@ from ..boundcheck import BoundFinding
 from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
-from ..semantics.resolver import BUILTINS, Builtin, Resolution, Symbol
+from ..semantics.resolver import BUILTINS, Resolution, Symbol
 from ..cfg import TRUE_BRANCH, Edge, UnitCfgs, call_blocks, forward, method_identity, reach, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
@@ -33,22 +33,6 @@ class RuleContext:
 
 _READLINE, _OPEN, _PRINTLN = (BUILTINS[None, name] for name in ("readLine", "open", "println"))
 _WAIT, _CLOSE = BUILTINS["Thread", "wait"], BUILTINS["Stream", "close"]
-
-
-def _assigned_calls(ctx: RuleContext, builtin: Builtin):
-    """(symbol, statement) for each local declaration or plain assignment
-    whose value is a call of the builtin, in pre-order."""
-    for node in ctx.res.nodes_of(ast.LocalDecl, ast.Binary):
-        if isinstance(node, ast.LocalDecl):
-            rhs = node.initializer
-            target = ctx.res.decl_symbols.get(node.uid)
-        elif node.op == "=" and isinstance(node.left, ast.Name):
-            rhs = node.right
-            target = ctx.res.name_targets.get(node.left.uid)
-        else:
-            continue
-        if target is not None and isinstance(rhs, ast.Call) and ctx.res.builtin_of(rhs) is builtin:
-            yield target, node
 
 
 # --- nullness --------------------------------------------------------------------
@@ -312,8 +296,11 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for target, node in _assigned_calls(ctx, _OPEN):
-        method = ctx.res.method_of(node)
+    for node in ctx.res.nodes_of(ast.LocalDecl, ast.Binary):
+        assigned = ctx.res.assignment(node)
+        if assigned is None or ctx.res.builtin_of(assigned[1]) is not _OPEN:
+            continue
+        target, method = assigned[0], ctx.res.method_of(node)
         if method is None:
             continue
         close_stmts = []

@@ -1,8 +1,10 @@
 """An interpreter that runs each SL method as one generated Python function.
 
-On its first call within one `execute` call, each method is translated into
-a Python function, built as `ast` nodes and compiled once; the functions of
-a run share one namespace, their globals, and are dropped with it.  SL
+Before an `execute` call runs anything, every function of the unit is
+built as `ast` nodes: each method's, and each class's static initializer,
+instance field initializer and implicit constructor.  All of them are
+compiled as one module, with one compile() call.  The functions of a run
+share one namespace, their globals, and are dropped with it.  SL
 locals and parameters are Python locals (`v<slot>`, in the slots the
 resolver numbered, `v0` being this).  An SL call is a Python call of the
 callee's function with the depth of the call, the call site's number and
@@ -222,12 +224,11 @@ class Interpreter:
         self.stdin = list(options.stdin_script or [])
         self.stdin_pos = 0
         self.ordinals = 0
-        # Generated code and its tables, built on first use and dropped with the run.
+        # Generated code and its tables, built before the run and dropped with it.
         self.sites: list[SourceSpan] = []  # call sites and fault spans, by number
         self.site_numbers: dict[SourceSpan, int] = {}
         self.counters: list[tuple[tuple[int, str], str]] = []  # (branch key, counter global)
         self.vtables: dict[tuple[str, int], str] = {}  # (name, arity) -> the global of its table
-        self.stubs: dict[int, list] = {}  # ungenerated method uid -> the (vtable, class) its stub stands in
         self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initializers, implicit constructor)
         self.temps = 0
         self.ns = self._namespace()
@@ -253,6 +254,8 @@ class Interpreter:
             ns[name] = getattr(self, name)
         ns.update(_fmt=format_value, _dt=_double_text, _ddiv=_double_quotient, _drem=_double_remainder)
         ns["_record"] = self.trace.assertion_records.append
+        for (owner, name), implementation in self._BUILTINS.items():
+            ns[f"B_{owner}_{name}"] = implementation.__get__(self)
         return ns
 
     # -- trace plumbing ------------------------------------------------------
@@ -351,10 +354,13 @@ class Interpreter:
 
     def run(self) -> RunTrace:
         try:
-            self._run_static_initializers()
-            entry_cls, entry_method = self._find_entry()
+            self._generate()
+            for cls in self.unit.classes:
+                if (statics := self.ns.get(f"c{cls.uid}")) is not None:
+                    statics(0)
+            entry_method = self._find_entry()
             args = [self._newarr(str(ty.STRING), 0, 0)] if entry_method.params else []
-            self._function(entry_cls.name, entry_method)(1, self.site(entry_method.span), *args)
+            self.ns[f"m{entry_method.uid}"](1, self.site(entry_method.span), *args)
         except _Halt:
             pass
         except RecursionError:
@@ -369,16 +375,9 @@ class Interpreter:
         # The functions and the helpers bound into the namespace hold each
         # other and the interpreter: clear it, so the run leaves no cycle.
         self.ns.clear()
-        self.stubs.clear()
         return self.trace
 
-    def _run_static_initializers(self) -> None:
-        for cls in self.unit.classes:
-            inits = [f for f in cls.fields if f.static and f.initializer is not None]
-            if inits:
-                self._compile(_Gen(self, cls.name).statics(inits, f"c{cls.uid}"), f"c{cls.uid}")(0)
-
-    def _find_entry(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
+    def _find_entry(self) -> ast.MethodDecl:
         wanted = self.options.entry
         candidates: list[tuple[ast.ClassDecl, ast.MethodDecl]] = []
         for cls in self.unit.classes:
@@ -407,76 +406,49 @@ class Interpreter:
             raise EntryNotFoundError(
                 f"entry {cls.name}.{method.name}({shown}) must take no parameters or one String[]"
             )
-        return cls, method
+        return method
 
     # -- methods, dispatch and objects ------------------------------------------
 
-    def _compile(self, function: py.FunctionDef, name: str):
-        """Compile one generated function into the run's namespace."""
-        module = py.Module([function], [])
-        exec(compile(module, f"<{self.unit.file}>", "exec"), self.ns)
-        return self.ns[name]
-
-    def _function(self, owner: str, decl: ast.MethodDecl):
-        """The function of decl in the namespace, m<uid>: until its first
-        call, a stub that generates it."""
-        name = f"m{decl.uid}"
-        fn = self.ns.get(name)
-        if fn is None:
-            self.stubs[decl.uid] = []
-
-            def stub(d, k, *args):
-                # A call in the arguments of another, f(f(x)), generates f
-                # after the outer call has read the stub.
-                if decl.uid in self.stubs:
-                    real = self._compile(_Gen(self, owner).method(decl, name), name)
-                    for table, cls in self.stubs.pop(decl.uid):
-                        table[cls] = real
-                return self.ns[name](d, k, *args)
-
-            fn = self.ns[name] = stub
-        return fn
+    def _generate(self) -> None:
+        """Generate every function of the unit, compile them as one module
+        into the namespace, and fill the virtual-call tables and each
+        class's layout from it: the defaults of the instance fields of the
+        whole chain, each class's initializer function (i<class uid>), base
+        first, and the function of the constructor the class gets where it
+        declares none (n<class uid>), else None."""
+        functions, ns, classes = [], self.ns, self.res.classes
+        for cls in self.unit.classes:
+            statics = [fld for fld in cls.fields if fld.static and fld.initializer is not None]
+            if statics:
+                functions.append(_Gen(self, cls.name).statics(statics, f"c{cls.uid}"))
+            fields = [fld for fld in cls.fields if not fld.static and fld.initializer is not None]
+            if fields:
+                functions.append(_Gen(self, cls.name).fields(fields, f"i{cls.uid}"))
+            if not classes[cls.name].ctors:
+                functions.append(_Gen(self, cls.name).implicit(cls, f"n{cls.uid}"))
+            functions += [_Gen(self, cls.name).method(decl, f"m{decl.uid}") for decl in cls.methods]
+        exec(compile(py.Module(functions, []), f"<{self.unit.file}>", "exec"), ns)
+        for key, name in self.vtables.items():
+            ns[name] = {c: ns[f"m{info.dispatch[key].decl.uid}"] for c, info in classes.items() if key in info.dispatch}
+        for class_name, info in classes.items():
+            defaults, inits = {}, []
+            for above in reversed(self.res.ancestors(class_name)):
+                for fld in above.decl.fields:
+                    if not fld.static:
+                        defaults[fld.uid] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
+                if (init := ns.get(f"i{above.decl.uid}")) is not None:
+                    inits.append(init)
+            self.layouts[class_name] = (defaults, inits, ns.get(f"n{info.decl.uid}"))
 
     def vtable(self, key: tuple[str, int]) -> str:
         """The global naming the table of a virtual call's functions by the
-        receiver's class: each class's resolved dispatch for key."""
-        name = self.vtables.get(key)
-        if name is None:
-            name = self.vtables[key] = f"V{len(self.vtables)}"
-            table = self.ns[name] = {}
-            for cls, info in self.res.classes.items():
-                if (m := info.dispatch.get(key)) is not None:
-                    table[cls] = self._function(m.owner, m.decl)
-                    if m.decl.uid in self.stubs:  # replaced when it is generated
-                        self.stubs[m.decl.uid].append((table, cls))
-        return name
-
-    def _layout(self, class_name: str) -> tuple:
-        """(defaults, initializers, implicit) of a class: the defaults of
-        the instance fields of the whole chain, each class's initializer
-        function, base first, and the function of the constructor the
-        class gets where it declares none (n<class uid>), else None."""
-        layout = self.layouts.get(class_name)
-        if layout is None:
-            defaults, inits = {}, []
-            for info in reversed(self.res.ancestors(class_name)):
-                fields = [fld for fld in info.decl.fields if not fld.static]
-                for fld in fields:
-                    defaults[fld.uid] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
-                fields = [fld for fld in fields if fld.initializer is not None]
-                if fields:
-                    name = f"i{info.decl.uid}"
-                    init = self.ns.get(name) or self._compile(_Gen(self, info.name).fields(fields, name), name)
-                    inits.append(init)
-            info = self.res.classes[class_name]
-            name = f"n{info.decl.uid}"
-            implicit = None if info.ctors else self._compile(_Gen(self, class_name).implicit(info.decl, name), name)
-            layout = self.layouts[class_name] = (defaults, inits, implicit)
-        return layout
+        receiver's class, which _generate fills from each class's dispatch."""
+        return self.vtables.setdefault(key, f"V{len(self.vtables)}")
 
     def _new(self, d: int, k: int, class_name: str, *args) -> SLObject:
         self.ordinals += 1
-        defaults, inits, implicit = self._layout(class_name)
+        defaults, inits, implicit = self.layouts[class_name]
         # Every field holds its default before any initialiser runs (JLS
         # 12.5), so a base initialiser calling an override sees them all.
         obj = SLObject(cls_name=class_name, fields=dict(defaults), ordinal=self.ordinals)
@@ -485,21 +457,15 @@ class Interpreter:
         if implicit is not None:
             implicit()
         else:
-            ctor = self.res.classes[class_name].ctors[len(args)]
-            self._function(ctor.owner, ctor.decl)(d + 1, k, obj, *args)
+            ctor = self.res.classes[class_name].ctors[len(args)].decl
+            self.ns[f"m{ctor.uid}"](d + 1, k, obj, *args)
         return obj
 
     # -- builtins ---------------------------------------------------------------
     #
     # Each builtin's implementation: (interpreter, depth, call site number,
-    # receiver or None, argument...) -> its result.
-
-    def builtin(self, builtin: Builtin) -> str:
-        """The global naming builtin's implementation, bound to the run."""
-        name = f"B_{builtin.owner}_{builtin.name}"
-        if name not in self.ns:
-            self.ns[name] = self._BUILTINS[builtin.owner, builtin.name].__get__(self)
-        return name
+    # receiver or None, argument...) -> its result, bound to the run as the
+    # global B_<owner>_<name>.
 
     def _b_println(self, d, k, receiver, value):
         self.trace.stdout.append(format_value(value))
@@ -537,13 +503,11 @@ class Interpreter:
         )
 
     def _b_start(self, d, k, receiver):  # runs run() to its end, in this thread
-        run = self.ns[self.vtable(("run", 0))].get(receiver.cls_name)
+        run = self.res.classes[receiver.cls_name].dispatch.get(("run", 0))
         if run is not None:
-            run(d + 1, k, receiver)
+            self.ns[f"m{run.decl.uid}"](d + 1, k, receiver)
 
     def _b_read(self, d, k, stream, buf, off, length):
-        if buf is None:
-            self._npe(k, "read() into a null buffer")
         if stream.closed:
             self._halt(FAULT_CLOSED_STREAM, k, "read() on a closed stream")
         if off < 0 or length < 0 or off + length > len(buf.values):
@@ -1238,7 +1202,6 @@ class _Gen:
         site = self._site(expr.span)
         if minfo.decl.is_static:  # bound here, whatever the receiver holds
             self._receiver_effect(expr.receiver)
-            self.st._function(minfo.owner, minfo.decl)
             return self._call(f"m{minfo.decl.uid}", self.st.deeper, site, *self._operands(args))
         # Virtual dispatch on the receiver, or on this for an unqualified call.
         if expr.receiver is None:
@@ -1253,24 +1216,29 @@ class _Gen:
         return self._non_null(receiver, expr.span, f"{expr.name}() on null", call)
 
     def _builtin(self, expr: ast.Call, builtin: Builtin):
-        """A builtin call, through Interpreter.builtin's function: after all
-        its operands, a static builtin's String arguments, or an instance
-        builtin's receiver, are null-checked."""
+        """A builtin call, through its implementation B_<owner>_<name>:
+        after all its operands, an instance builtin's receiver, and then
+        each String or array argument, are null-checked."""
         args = self._args(expr, builtin.params)
+        nulls = {  # argument index -> the detail of its null check
+            i: f"{builtin.name}(null)" if t is ty.STRING else f"{builtin.name}() into a null buffer"
+            for i, t in enumerate(builtin.params)
+            if t is ty.STRING or isinstance(t, ty.ArrayType)
+        }
+        checked = []
         if builtin.static:
             self._receiver_effect(expr.receiver)
-            strings = [i for i, t in enumerate(builtin.params) if t is ty.STRING]
-            receiver, values = self._const(None), self._operands(args, simple=bool(strings))
-            checked, detail = [values[i] for i in strings], f"{builtin.name}(null)"
+            receiver, values = self._const(None), self._operands(args, simple=bool(nulls))
         elif expr.receiver is None:  # this is never null
-            receiver, values = self._name("v0"), self._operands(args)
-            checked, detail = [], ""
+            receiver, values = self._name("v0"), self._operands(args, simple=bool(nulls))
         else:
             receiver, *values = self._operands([expr.receiver, *args], simple=True)
             null = "a null stream" if builtin.owner == "Stream" else "null"
-            checked, detail = [receiver], f"{builtin.name}() on {null}"
-        call = self._call(self.st.builtin(builtin), self._name("d"), self._site(expr.span), receiver, *values)
-        for value in reversed(checked):
+            checked.append((receiver, f"{builtin.name}() on {null}"))
+        checked += [(values[i], detail) for i, detail in nulls.items()]
+        function = f"B_{builtin.owner}_{builtin.name}"
+        call = self._call(function, self._name("d"), self._site(expr.span), receiver, *values)
+        for value, detail in reversed(checked):
             call = self._non_null(value, expr.span, detail, call)
         return call
 

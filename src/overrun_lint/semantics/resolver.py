@@ -245,6 +245,19 @@ class Resolution:
         target = self.call_targets.get(node.uid)
         return target.builtin if target is not None else None
 
+    def assignment(self, node: ast.Node | None) -> tuple[Symbol, ast.Expr] | None:
+        """(variable, value) when node stores a value into a named variable:
+        an `=` whose left side is a name, or a local declaration with an
+        initializer."""
+        if isinstance(node, ast.Binary):
+            if node.op == "=" and isinstance(node.left, ast.Name):
+                sym = self.name_targets.get(node.left.uid)
+                return None if sym is None else (sym, node.right)
+        elif isinstance(node, ast.LocalDecl) and node.initializer is not None:
+            sym = self.decl_symbols.get(node.uid)
+            return None if sym is None else (sym, node.initializer)
+        return None
+
     def names_class(self, expr: ast.Expr) -> bool:
         """Whether expr is a class name: a receiver that only a static
         field or method may have, and that does not run."""

@@ -1649,3 +1649,63 @@ def test_string_concatenation_prints_doubles_as_java_does():
 def test_length_counts_utf16_code_units():
     trace = run('class T { static void main(String[] args) { println(length("aé€\U0001F600")); } }')
     assert trace.stdout == ["5"]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open stream", "closed stream"])
+def test_a_null_read_buffer_faults_after_the_arguments(closed):
+    # The buffer is null-checked inline, as every builtin argument is: after
+    # the receiver and the arguments, and before read() looks at its stream.
+    close = "        s.close();\n" if closed else ""
+    source = f"""\
+class T {{
+    static int at(int i) {{ println(i); return i; }}
+    static void main(String[] args) {{
+        Stream s = open("in.txt");
+        byte[] buf = null;
+{close}        s.read(buf, at(0), at(2));
+        println("after");
+    }}
+}}
+"""
+    trace, _ = run_source(source, "t.sl", RunOptions(file_system_stub={"in.txt": "xy"}))
+    assert trace.stdout == ["0", "2"]
+    assert _kinds(trace) == [(FAULT_NULL_DEREFERENCE, 6 + closed, 9, "read() into a null buffer")]
+
+
+# A virtual call, Thread.start, an implicit constructor, an instance field
+# initializer and a static initializer, in one program.
+EVERY_KIND_OF_FUNCTION = """\
+class Worker extends Thread {
+    int count = 2;
+    void run() { println(name()); }
+    String name() { return "w" + count; }
+}
+
+class T {
+    static int total = 1;
+    static void main(String[] args) {
+        Worker w = new Worker();
+        w.start();
+        println(w.name() + total);
+    }
+}
+"""
+
+
+def test_a_run_compiles_its_whole_program_once(corpus_sources, monkeypatch):
+    import builtins
+
+    from overrun_lint.runtime import interpreter
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(interpreter, "compile", counting, raising=False)
+    for name, source in {**corpus_sources, "every.sl": EVERY_KIND_OF_FUNCTION}.items():
+        calls.clear()
+        trace = run_source(source, name, RunOptions())[0]
+        assert calls == [f"<{name}>"], name
+    assert trace.stdout == ["w2", "w21"]
