@@ -296,9 +296,9 @@ def unused_local(rule: Rule, ctx: RuleContext) -> list[Finding]:
 
 def stream_not_closed(rule: Rule, ctx: RuleContext) -> list[Finding]:
     findings = []
-    for node in ctx.res.nodes_of(ast.LocalDecl, ast.Binary):
-        assigned = ctx.res.assignment(node)
-        if assigned is None or ctx.res.builtin_of(assigned[1]) is not _OPEN:
+    for call in ctx.res.nodes_of(ast.Call):
+        node = ctx.res.parent(call)
+        if ctx.res.builtin_of(call) is not _OPEN or (assigned := ctx.res.assignment(node)) is None:
             continue
         target, method = assigned[0], ctx.res.method_of(node)
         if method is None:

@@ -23,11 +23,12 @@ objects and arrays by identity.
 The checks are inline: the int range check after each int operator, the
 null (_Gen._non_null), bounds and zero-divisor checks, the call-depth check
 at the top of each function, the branch counters and each instruction's
-step.  A step counts the global S and compares it with the instruction's
-own threshold L<iid>, which starts at 0: its first run takes the cold path
-(_slow), which marks its id and raises the threshold to max_steps.  The
-cold paths and the cold constructs (faults, object and array creation,
-threads and streams) call helpers of the run.
+step, next(N), which raises StopIteration past max_steps.  Every generated
+call carries its instruction's line.  A straight run of simple statements
+ends in a probe that marks it (_Gen._end_run), and at a halt each frame's
+run is marked up to its line (_mark_stack).  The cold paths and the cold
+constructs (faults, object and array creation, threads and streams) call
+helpers of the run.
 
 Operands run in Java's order: the receiver, or the array and then the
 index, before the arguments or the right-hand side, and the null and bounds
@@ -228,28 +229,31 @@ class Interpreter:
         self.sites: list[SourceSpan] = []  # call sites and fault spans, by number
         self.site_numbers: dict[SourceSpan, int] = {}
         self.counters: list[tuple[tuple[int, str], str]] = []  # (branch key, counter global)
+        self.spans: dict[int, SourceSpan] = {}  # instruction id -> the span its step faults at
+        self.runs: list[list[int]] = []  # each straight run's instruction ids, in order
+        self.counted: list[tuple[int, str]] = []  # (run, the counter of the branch it opens)
         self.vtables: dict[tuple[str, int], str] = {}  # (name, arity) -> the global of its table
         self.layouts: dict[str, tuple] = {}  # class -> (field defaults, initializers, implicit constructor)
         self.temps = 0
         self.ns = self._namespace()
-        # Nodes the generated functions share: names, constants, d + 1 and (S := S + 1).
+        # Nodes the generated functions share: names, constants and d + 1.
         self.nodes: dict = {}  # constants
         self.loads: dict[str, py.Name] = {}
         self.stores: dict[str, py.Name] = {}
         self.one = _Const(1, None)
         self.deeper = _BinOp(_Name("d", _LOAD), _ADD, self.one)
-        self.count_step = _Walrus(_Name("S", _STORE), _BinOp(_Name("S", _LOAD), _ADD, self.one))
 
     def _namespace(self) -> dict:
-        """The globals of the run's generated functions: the step count,
+        """The globals of the run's generated functions: the steps left,
         the statics and the helpers they call."""
-        ns = {"S": 0, "_FELL": _FELL, "__builtins__": {"len": len, "str": str, "float": float}}
+        steps = iter(range(1, self.options.max_steps + 1))
+        ns = {"N": steps, "_FELL": _FELL, "__builtins__": {"len": len, "str": str, "float": float, "next": next}}
         for cls in self.unit.classes:
             for fld in cls.fields:
                 if fld.static:
                     ns[f"s{fld.uid}"] = _DEFAULTS.get(self.res.decl_symbols[fld.uid].declared_type)
         for name in (
-            "_slow", "_w", "_npe", "_aget", "_quot", "_rem", "_deep", "_halt", "_new", "_newarr", "_failed",
+            "_m", "_w", "_npe", "_aget", "_quot", "_rem", "_deep", "_halt", "_new", "_newarr", "_failed",
         ):
             ns[name] = getattr(self, name)
         ns.update(_fmt=format_value, _dt=_double_text, _ddiv=_double_quotient, _drem=_double_remainder)
@@ -265,24 +269,42 @@ class Interpreter:
         if halt:
             raise _Halt()
 
-    def _slow(self, iid: int, k: int) -> None:
-        """An instruction's step past its threshold: its first run, which
-        marks its id, or a step past max_steps, which faults at site k."""
-        limit = self.options.max_steps
-        self.trace.executed_instruction_ids.add(iid)
-        self.ns[f"L{iid}"] = limit
-        if self.ns["S"] > limit:
-            self._fault(FAULT_STEP_LIMIT, self.sites[k], f"step limit {limit} exceeded")
+    def _m(self, r: int) -> None:
+        """The probe of run r, on its first pass: mark the run."""
+        self.trace.executed_instruction_ids.update(self.runs[r])
+        self.ns[f"P{r}"] = False
 
-    def _harvest(self) -> None:
-        """Move the step count and the branch counts into the trace, and
-        the methods entered: those of which an instruction ran."""
+    def _mark_stack(self, tb) -> tuple[dict[int, int], int | None]:
+        """Mark each generated frame of a halt's traceback tb up to the
+        instruction its line names, in its run.  Return how many frames
+        halted inside each run, and the innermost frame's instruction."""
+        ran, halted, innermost = self.trace.executed_instruction_ids, {}, None
+        run_of = {iid: r for r, run in enumerate(self.runs) for iid in run}
+        while tb is not None:
+            iid = tb.tb_lineno - 2
+            if tb.tb_frame.f_globals is self.ns and iid >= 0:
+                innermost, r = iid, run_of.get(iid)
+                run = [iid] if r is None else self.runs[r]  # a decision stands alone
+                ran.update(run[: run.index(iid) + 1])
+                halted[r] = halted.get(r, 0) + 1
+            tb = tb.tb_next
+        return halted, innermost
+
+    def _harvest(self, halted: dict[int, int]) -> None:
+        """Move the step count and the branch counts into the trace, with
+        the marks they imply: each decision with a branch taken, and each
+        run that opens a branch taken more often than frames halted inside
+        it; and the methods entered: those of which an instruction ran."""
         ns, trace = self.ns, self.trace
-        trace.steps = ns["S"]
+        ran = trace.executed_instruction_ids
+        trace.steps += self.options.max_steps - ns["N"].__length_hint__()
         for key, name in self.counters:
             if ns[name]:
                 trace.branch_outcomes[key] = trace.branch_outcomes.get(key, 0) + ns[name]
-        ran = trace.executed_instruction_ids
+                ran.add(key[0])
+        for r, name in self.counted:
+            if ns[name] > halted.get(r, 0):
+                ran.update(self.runs[r])
         trace.entered_methods.update(m for m, cfg in self.cfgs.cfgs.items() if not ran.isdisjoint(cfg.instr_spans))
 
     def site(self, span: SourceSpan) -> int:
@@ -353,25 +375,30 @@ class Interpreter:
     # -- program start --------------------------------------------------------
 
     def run(self) -> RunTrace:
+        entry_method = self._find_entry()  # before any class is initialized, as Java's launcher does
+        halted = {}
         try:
             self._generate()
             for cls in self.unit.classes:
                 if (statics := self.ns.get(f"c{cls.uid}")) is not None:
                     statics(0)
-            entry_method = self._find_entry()
             args = [self._newarr(str(ty.STRING), 0, 0)] if entry_method.params else []
             self.ns[f"m{entry_method.uid}"](1, self.site(entry_method.span), *args)
-        except _Halt:
-            pass
-        except RecursionError:
-            self._fault(
-                FAULT_STEP_LIMIT,
-                None,
-                "the program nests calls deeper than the host's recursion limit allows"
-                f" before reaching max_call_depth {self.options.max_call_depth}",
-                halt=False,
-            )
-        self._harvest()
+        except (_Halt, StopIteration, RecursionError) as halt:
+            halted, iid = self._mark_stack(halt.__traceback__)
+            if isinstance(halt, StopIteration):  # the step past max_steps, which N does not count
+                self.trace.steps = 1
+                detail = f"step limit {self.options.max_steps} exceeded"
+                self._fault(FAULT_STEP_LIMIT, self.spans[iid], detail, halt=False)
+            elif isinstance(halt, RecursionError):
+                self._fault(
+                    FAULT_STEP_LIMIT,
+                    None,
+                    "the program nests calls deeper than the host's recursion limit allows"
+                    f" before reaching max_call_depth {self.options.max_call_depth}",
+                    halt=False,
+                )
+        self._harvest(halted)
         # The functions and the helpers bound into the namespace hold each
         # other and the interpreter: clear it, so the run leaves no cycle.
         self.ns.clear()
@@ -595,7 +622,6 @@ _COMPARE = {
 }
 _IN_RANGE = [_COMPARE["<="], _COMPARE["<="]]
 _INSIDE = [_COMPARE["<="], _COMPARE["<"]]
-_PAST = [_COMPARE[">"]]
 _DIVIDES = [_COMPARE[">="], _COMPARE["<"]]  # a >= 0 < b: Python's // and % are Java's
 # Python 3.12 added type_params to FunctionDef.
 _NO_TYPE_PARAMS = {"type_params": []} if "type_params" in py.FunctionDef._fields else {}
@@ -610,7 +636,7 @@ class _Scope:
     def __init__(self, parent: _Scope | None, params: list[str]):
         self.parent, self.params = parent, params
         self.assigned: set[str] = set()
-        self.globals = {"S"}
+        self.globals: set[str] = set()
         self.loops = 0
 
     def bound(self) -> set[str]:
@@ -632,6 +658,9 @@ class _Gen:
         self.scope = _Scope(None, [])
         self.stores: list[str] = []  # the SL locals stored so far, in order
         self.level = 0  # how deep the expression being generated nests
+        self.run: list[int] = []  # the open run's instruction ids; none is open where empty
+        self.opener: str | None = None  # the counter of the branch the open run opens
+        self.line = 1  # the line of the instruction being generated; 1 names none
 
     # -- functions -------------------------------------------------------------
 
@@ -678,6 +707,7 @@ class _Gen:
         return self._function(name, self.scope, self.body)
 
     def _function(self, name: str, scope: _Scope, body: list) -> py.FunctionDef:
+        self._end_run()  # the last run of a function generated into self.body
         head = []
         if scope.globals:
             head.append(_Global(sorted(scope.globals)))
@@ -716,8 +746,10 @@ class _Gen:
         self.st.ns[name] = value
         return self._name(name)
 
-    def _call(self, function: str, *args):
-        return _Call(self._name(function), list(args), [])
+    def _call(self, function, *args):
+        """A call of function, a global's name or a node, on the line of its instruction (_next)."""
+        function = self._name(function) if type(function) is str else function
+        return _Call(function, list(args), [], lineno=self.line, end_lineno=self.line)
 
     def _effect(self, function: str, *args):
         return _Expr(self._call(function, *args))
@@ -752,21 +784,25 @@ class _Gen:
         if type(value) is not _Name and type(value) is not _Const:
             self.emit(_Expr(value))
 
-    def _nested(self, generate, *head) -> list:
-        """The statements generate() appends, after head, in a list of their own."""
-        outer, self.body = self.body, list(head)
+    def _nested(self, generate) -> list:
+        """The statements generate() appends, in a list of their own."""
+        outer, line, self.body = self.body, self.line, []
         generate()
-        inner, self.body = self.body, outer
+        inner, self.body, self.line = self.body, outer, line
         return inner
 
-    def _block(self, stmts: list, *head) -> list:
-        """The statements of stmts, after head, in a list of their own: as
-        _nested, without its closure's frame, which 200 nested blocks cannot
-        spare under the default recursion limit."""
-        outer, self.body = self.body, list(head)
+    def _block(self, stmts: list, key: tuple[int, str] | None = None) -> list:
+        """The statements of stmts, after the counter of branch key where
+        they are one, in a list of their own that ends its runs: as
+        _nested, without its closure's frame, which 200 nested blocks
+        cannot spare under the default recursion limit."""
+        outer, line, self.body = self.body, self.line, []
+        if key is not None:
+            self.emit(self._counter(key, opens=True))
         for stmt in stmts:
             self._STMTS[type(stmt)](self, stmt)
-        inner, self.body = self.body, outer
+        self._end_run()
+        inner, self.body, self.line = self.body, outer, line
         return inner
 
     def _checked(self, value, span: SourceSpan, bits: int = 32, side: str = ""):
@@ -787,43 +823,60 @@ class _Gen:
         self._STMTS[type(stmt)](self, stmt)
 
     def _step(self, node: ast.Node) -> int:
-        """Append node's step and return its instruction id."""
+        """Append node's step (_step_at) and return its instruction id."""
         iid = self.st.cfgs.stmt_iids[node.uid]
         self._step_at(iid, node.span)
         return iid
 
     def _step_at(self, iid: int, span: SourceSpan) -> None:
-        """Append the step of instruction iid, which faults at span (_stepping)."""
-        test, slow = self._stepping(iid, span)
-        self.emit(_If(test, [_Expr(slow)], []))
+        """Append the step of instruction iid, a simple statement, in the open run."""
+        self.run.append(iid)
+        self.emit(_Expr(self._next(iid, span)))
 
-    def _stepping(self, iid: int, span: SourceSpan) -> tuple:
-        """(test, slow) of a step: the test counts the step, and is true
-        past the instruction's threshold, on its first run and past
-        max_steps, where the step takes the cold path, slow (_slow)."""
-        st = self.st
-        threshold = f"L{iid}"
-        st.ns[threshold] = 0
-        slow = self._call("_slow", _Const(iid, None), self._site(span))
-        return _Compare(st.count_step, _PAST, [_Name(threshold, _LOAD)]), slow
+    def _next(self, iid: int, span: SourceSpan):
+        """next(N), the step of instruction iid, which faults at span past
+        max_steps.  It and the calls generated after it carry iid's line."""
+        self.st.spans[iid] = span
+        self.line = iid + 2
+        return self._call("next", self._name("N"))
 
     def _stepped(self, stmt: ast.Stmt, cond: ast.Expr | None) -> tuple:
-        """(iid, test) of a decision: its step, then its condition (true
-        for none).  Where the condition appends no statements, the test is
-        `<step> and <slow> or <condition>`; else the step is appended first."""
+        """(iid, test) of a decision, which ends the open run: its step, then
+        its condition, if any.  Where the condition appends no statements,
+        the test is `next(N) and <condition>`; else the step comes first."""
+        self._end_run()
         iid = self.st.cfgs.stmt_iids[stmt.uid]
-        step, slow = self._stepping(iid, stmt.span)
+        step = self._next(iid, stmt.span)
+        if cond is None:
+            return iid, step
         outer, self.body = self.body, []
-        test = self._condition(cond) if cond is not None else self._const(True)
+        test = self._condition(cond)
         if self.body:
-            self.body = [*outer, _If(step, [_Expr(slow)], []), *self.body]
+            self.body = [*outer, _Expr(step), *self.body]
         else:
-            self.body, test = outer, _BoolOp(_OR, [_BoolOp(_AND, [step, slow]), test])
+            self.body, test = outer, _BoolOp(_AND, [step, test])
         return iid, test
 
-    def _counter(self, key: tuple[int, str]):
-        """The statement that counts one take of a branch."""
+    def _end_run(self) -> None:
+        """Close the open run.  One that opens a branch is complete where its
+        counter exceeds the frames halted inside it (Interpreter._harvest);
+        any other ends in its probe, `P<r> and _m(r)`."""
+        run, opener, self.run, self.opener = self.run, self.opener, [], None
+        if run:
+            st, r = self.st, len(self.st.runs)
+            st.runs.append(run)
+            if opener is not None:
+                st.counted.append((r, opener))
+            else:
+                st.ns[f"P{r}"] = True
+                self.emit(_Expr(_BoolOp(_AND, [_Name(f"P{r}", _LOAD), self._call("_m", _Const(r, None))])))
+
+    def _counter(self, key: tuple[int, str], opens: bool = False):
+        """The statement that counts one take of a branch, and with opens
+        each entry into the run that opens the branch."""
         name = f"T{len(self.st.counters)}"
+        if opens:
+            self.opener = name
         self.st.counters.append((key, name))
         self.st.ns[name] = 0
         self.scope.globals.add(name)
@@ -850,13 +903,14 @@ class _Gen:
         self._step(stmt)
         returns = ty.from_type_ref(self.res.method_of(stmt).return_type)
         value = self._expr(stmt.value, returns, stmt.span) if stmt.value is not None else self._const(None)
+        self._end_run()
         self.emit(_Return(value))
 
     def _s_if(self, stmt: ast.If) -> None:
         iid, test = self._stepped(stmt, stmt.cond)
-        then = self._block(stmt.then.stmts, self._counter((iid, TRUE_BRANCH)))
+        then = self._block(stmt.then.stmts, (iid, TRUE_BRANCH))
         els = stmt.els.stmts if type(stmt.els) is ast.Block else [stmt.els] if stmt.els else []
-        self.emit(_If(test, then, self._block(els, self._counter((iid, FALSE_BRANCH)))))
+        self.emit(_If(test, then, self._block(els, (iid, FALSE_BRANCH))))
 
     def _s_while(self, stmt: ast.While) -> None:
         self._loop(stmt, stmt.cond, None)
@@ -869,23 +923,25 @@ class _Gen:
     def _loop(self, stmt, cond: ast.Expr | None, update: ast.Expr | None) -> None:
         """A while or for loop: each test is a step of the loop's
         instruction, then the test; then the body and the update."""
+        self._end_run()
         if self.scope.loops == _MAX_LOOPS:
             return self._outline(stmt, lambda: self._loop(stmt, cond, update))
         self.scope.loops += 1
-        outer, self.body = self.body, []
+        outer, line, self.body = self.body, self.line, []
         iid, test = self._stepped(stmt, cond)
         if self.body:  # the test appends statements: while True, and break where it fails
             loop_test, exits = self._const(True), []
             self.emit(_If(_UnaryOp(_NOT, test), [self._counter((iid, FALSE_BRANCH)), _Break()], []))
         else:  # the loop ends only where its test fails
             loop_test, exits = test, [self._counter((iid, FALSE_BRANCH))]
-        self.emit(self._counter((iid, TRUE_BRANCH)))
+        self.emit(self._counter((iid, TRUE_BRANCH), opens=True))
         for inner in stmt.body.stmts:
             self._STMTS[type(inner)](self, inner)
         if update is not None:
             self._step(update)
             self._discard(self._expr(update))
-        loop, self.body = self.body, outer
+        self._end_run()
+        loop, self.body, self.line = self.body, outer, line
         self.emit(_While(loop_test, loop, []))
         self.body += exits
         self.scope.loops -= 1
@@ -905,14 +961,14 @@ class _Gen:
     def _s_switch(self, stmt: ast.Switch) -> None:
         """An if chain over the labelled cases, in order, and the default or
         the count of no match last.  A case runs its own body only."""
-        iid = self._step(stmt)
+        iid, step = self._stepped(stmt, None)
+        self.emit(_Expr(step))
         subject = self._simple(self._expr(stmt.subject))
         if self.res.types[stmt.subject.uid] is ty.STRING:  # its equals() dereferences it
             self._discard(self._non_null(subject, stmt.subject.span, "switch on a null String"))
         arms, chain = [], None
         for i, case in enumerate(stmt.cases):
-            count = self._counter((iid, branch_key(SWITCH_CASE, case_label(i, case))))
-            body = self._block(case.body, count)
+            body = self._block(case.body, (iid, branch_key(SWITCH_CASE, case_label(i, case))))
             if case.label is None:
                 chain = body
             else:
@@ -933,23 +989,25 @@ class _Gen:
         """The check of an assert and, on its true branch, its failure.  With
         --ea off the check takes its false branch and evaluates neither the
         condition nor the message."""
-        iid = self._step(stmt)
         if not self.st.options.assertions_enabled:
-            self.emit(self._counter((iid, FALSE_BRANCH)))
+            iid, step = self._stepped(stmt, None)
+            self.body += [_Expr(step), self._counter((iid, FALSE_BRANCH))]
             return
-        test = self._condition(stmt.condition)
+        iid, test = self._stepped(stmt, stmt.condition)
         method = self.res.method_of(stmt)
         where = f"{self.res.parent(method).name}.{method.name}"
         # Every pass of one assert appends the same record.
         record = self.bind(AssertionRecord(where, f"assert {expr_text(stmt.condition)}", stmt.span, "", "passed"))
-        passed = [self._counter((iid, FALSE_BRANCH)), _Expr(_Call(self._name("_record"), [record], []))]
+        passed = [self._counter((iid, FALSE_BRANCH)), self._effect("_record", record)]
 
         def failed():
+            self.emit(self._counter((iid, TRUE_BRANCH), opens=True))
             self._step_at(assert_failure(iid), stmt.span)
             message = self._expr(stmt.message) if stmt.message is not None else self._const("")
             self.emit(self._effect("_failed", record, message))
+            self._end_run()
 
-        self.emit(_If(test, passed, self._nested(failed, self._counter((iid, TRUE_BRANCH)))))
+        self.emit(_If(test, passed, self._nested(failed)))
 
     def _s_synchronized(self, stmt: ast.Synchronized) -> None:
         self._step(stmt)
@@ -1210,7 +1268,7 @@ class _Gen:
             receiver, *values = self._operands([expr.receiver, *args], simple=True)
         table = self._name(self.st.vtable((expr.name, len(expr.args))))
         function = _Sub(table, _Attr(receiver, "cls_name", _LOAD), _LOAD)
-        call = _Call(function, [self.st.deeper, site, receiver, *values], [])
+        call = self._call(function, self.st.deeper, site, receiver, *values)
         if expr.receiver is None:  # this is never null
             return call
         return self._non_null(receiver, expr.span, f"{expr.name}() on null", call)

@@ -284,6 +284,19 @@ ROWS = {
                " synchronized (m) { println(2); } } }\n"},
         out="1\n", err="fault: null_dereference at Sync.sl:2: synchronized on null\n",
     ),
+    "run, a runaway loop": Row(
+        "run Spin.sl", 1,
+        files={"Spin.sl": "class Main {\n    static void main(String[] args) {\n        while (true) { }\n    }\n}\n"},
+        out="", err="fault: step_limit at Spin.sl:3: step limit 1000000 exceeded\n",
+    ),
+    # The entry is looked up before any class is initialized, as Java's
+    # launcher does; the static initializer here would spin to the step limit.
+    "run --entry, missing, past a static initializer that spins": Row(
+        "run T.sl --entry T.nope", 2,
+        files={"T.sl": "class T { static int x = spin(); static int spin() { while (true) { } }"
+               " static void main(String[] args) { println(1); } }\n"},
+        out="", err="error: entry T.nope not found in T.sl\n",
+    ),
     "an override that changes its signature": Row(
         "analyze Override.sl", 2,
         files={"Override.sl": "class A { int m(int x) { return x; } }\nclass B extends A { double m(double x) { return x; } }\n"},

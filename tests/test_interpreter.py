@@ -701,6 +701,42 @@ class T {
         (5, 13),
         ["0"],
     ),
+    "loop_body_first_statement": (
+        """\
+class T {
+    static void main(String[] args) {
+        int i = 0;
+        while (i < 100) {
+            println(i);
+            i = i + 1;
+        }
+    }
+}
+""",
+        2,
+        (5, 13),
+        [],
+    ),
+    "thread_run": (
+        """\
+class W extends Thread {
+    void run() {
+        println(1);
+        println(2);
+    }
+}
+
+class T {
+    static void main(String[] args) {
+        W w = new W();
+        w.start();
+    }
+}
+""",
+        4,
+        (4, 9),
+        ["1"],
+    ),
 }
 
 
@@ -1709,3 +1745,107 @@ def test_a_run_compiles_its_whole_program_once(corpus_sources, monkeypatch):
         trace = run_source(source, name, RunOptions())[0]
         assert calls == [f"<{name}>"], name
     assert trace.stdout == ["w2", "w21"]
+
+
+# -- marks: a probe where a straight run ends, branch counters, and the frames
+#    of a halt, each marked up to the instruction its line names --------------------
+
+
+def _lines_marked(source, mode):
+    """The run's trace, and the lines of the instructions it marked as run."""
+    trace, analyzed = run_source(source, "t.sl", RunOptions(**mode))
+    return trace, sorted({analyzed.cfgs.instr_spans[iid].line for iid in trace.executed_instruction_ids})
+
+
+SECOND_OF_THREE = """\
+class T {
+    static void g() {
+        println(0);
+        assert 0 < 1 : "never";
+    }
+
+    static void main(String[] args) {
+        int[] a = new int[1];
+        g();
+        %s
+        println(1);
+        a[5] = 2;
+        println(3);
+        %s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "opening, closing, decision",
+    [("", "", []), ("if (a[0] == 0) {", "}", [10]), ("while (a[0] == 0) {", "}", [10])],
+    ids=["straight", "then", "loop body"],
+)
+def test_a_fault_in_the_second_of_three_statements_leaves_the_third_unmarked(opening, closing, decision, mode):
+    # g's runs end in their probes; the run of line 11 opens no branch, or
+    # one taken once and halted in, so the walk marks it to line 12 only.
+    trace, lines = _lines_marked(SECOND_OF_THREE % (opening, closing), mode)
+    assert [(f.kind, str(f.span)) for f in trace.faults] == [(FAULT_OUT_OF_BOUNDS, "t.sl:12:9")]
+    assert trace.stdout == ["0", "1"]
+    assert lines == [3, 4, 5, 8, 9, *decision, 11, 12]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_fault_three_calls_deep_marks_each_frame_up_to_its_call(mode):
+    # The then-branch is entered four times, and four frames halt inside it.
+    trace, lines = _lines_marked("""\
+class T {
+    static void f(int n) {
+        int[] a = new int[3];
+        if (n >= 0) {
+            println(n);
+            a[n] = n;
+            f(n + 1);
+            println(-n);
+        }
+    }
+
+    static void main(String[] args) {
+        f(0);
+        println(9);
+    }
+}
+""", mode)
+    assert [(f.kind, str(f.span)) for f in trace.faults] == [(FAULT_OUT_OF_BOUNDS, "t.sl:6:13")]
+    assert trace.stdout == ["0", "1", "2", "3"]
+    assert lines == [3, 4, 5, 6, 7, 13]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_loop_body_that_faults_on_its_third_entry_keeps_every_statement_marked(mode):
+    trace, lines = _lines_marked("""\
+class T {
+    static void main(String[] args) {
+        int[] a = new int[2];
+        int i = 0;
+        while (i < 5) {
+            println(i);
+            a[i] = i;
+            i = i + 1;
+        }
+        println(9);
+    }
+}
+""", mode)
+    assert [(f.kind, str(f.span)) for f in trace.faults] == [(FAULT_OUT_OF_BOUNDS, "t.sl:7:13")]
+    assert trace.stdout == ["0", "1", "2"]
+    assert lines == [3, 4, 5, 6, 7, 8]
+
+
+def test_a_run_steps_through_one_iterator_and_no_per_instruction_globals(corpus_sources):
+    import re
+
+    for name, source in corpus_sources.items():
+        analyzed = analyze_source(source, name)
+        interpreter = Interpreter(analyzed.unit, RunOptions(), analyzed.res, analyzed.cfgs)
+        interpreter._generate()
+        names = set(interpreter.ns)
+        assert "N" in names, name
+        assert not {n for n in names if n in ("S", "_slow") or re.fullmatch(r"L\d+", n)}, name
