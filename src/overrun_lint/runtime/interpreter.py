@@ -960,12 +960,17 @@ class _Gen:
 
     def _s_switch(self, stmt: ast.Switch) -> None:
         """An if chain over the labelled cases, in order, and the default or
-        the count of no match last.  A case runs its own body only."""
+        the count of no match last.  A case runs its own body only, but may
+        read a local of an earlier case (the switch block is one scope), so
+        each such local first holds its type's default."""
         iid, step = self._stepped(stmt, None)
         self.emit(_Expr(step))
         subject = self._simple(self._expr(stmt.subject))
         if self.res.types[stmt.subject.uid] is ty.STRING:  # its equals() dereferences it
             self._discard(self._non_null(subject, stmt.subject.span, "switch on a null String"))
+        for decl in (inner for case in stmt.cases for inner in case.body if type(inner) is ast.LocalDecl):
+            sym = self.res.decl_symbols[decl.uid]
+            self._store_local(sym.slot, self._const(_DEFAULTS.get(sym.declared_type)))
         arms, chain = [], None
         for i, case in enumerate(stmt.cases):
             body = self._block(case.body, (iid, branch_key(SWITCH_CASE, case_label(i, case))))

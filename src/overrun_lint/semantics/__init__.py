@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ClassInfo",
         "MethodInfo",
         "Resolution",
-        "Scope",
         "Symbol",
         "build_symbol_table",
         "type_of",

@@ -1,13 +1,12 @@
-"""Scope construction, declaration/usage resolution, and expression typing.
+"""Declaration/usage resolution, scopes and expression typing.
 
-build_symbol_table walks a parsed unit, resolves every
-Name/Call/FieldAccess through a scope tree that it drops when done, counts
-reads and writes per symbol, numbers each method's parameters and locals
-into the interpreter's frame slots, and types every expression.  The unit
-resolves fully or raises the first error met, as the lexer and parser do:
-an undeclared name raises ResolutionError, a second declaration of a name
-in one scope DuplicateDeclaration, and operator/operand mismatches and case
-labels that are not distinct constants TypeCheckError.  So do
+build_symbol_table walks a parsed unit, resolves every Name/Call/FieldAccess,
+counts reads and writes per symbol, numbers each method's parameters and
+locals into the interpreter's frame slots, and types every expression.  The
+unit resolves fully or raises the first error met, as the lexer and parser
+do: an undeclared name raises ResolutionError, a declaration of a name
+already in scope DuplicateDeclaration, and operator/operand mismatches and
+case labels that are not distinct constants TypeCheckError.  So do
 the two rules Java keeps for static contexts (JLS 8.1.3, 15.12.3): a class
 name is no value, only the receiver of a static field or method; and a
 static method or a static field initializer has no this, so it names no
@@ -17,18 +16,19 @@ does an override that does not keep its base method's signature (JLS
 
 One walk of each base-class chain builds each class's dispatch table,
 which holds no constructor (JLS 8.8: they are not inherited), and visible
-fields, where the nearest declaration wins; calls, field accesses, class
-scopes, the interpreter's vtables and Resolution.targets read them.
+fields, where the nearest declaration wins; calls, field accesses, name
+lookup, the interpreter's vtables and Resolution.targets read them.
 
 Statements and expressions are resolved through one table each, keyed by
-the node's class (_STMTS, _EXPRS).  Scopes are made where names are
-declared: the global scope holds the classes, a class's its fields and
-inherited fields, a method's `this` and parameters, and a catch clause's
-its parameter.  A block or a switch case gets a scope at its first local
-declaration, and a for statement when its initializer declares; until
-then, and in a block that declares nothing, names resolve in the
-enclosing scope.  So a nested block's local may shadow an outer local or
-a parameter.
+the node's class (_STMTS, _EXPRS).  A name is looked up in three maps, in
+order: the resolver's locals (`this`, the parameters and the locals in
+scope in the current method), the current class's visible fields, and the
+globals (the classes and ASSERTIONS_ENABLED).  Scopes are those of JLS 6.3:
+a block, a for statement, a catch clause and a whole switch block each
+open one, and closing it forgets the names declared since it opened; the
+case labels resolve in the scope around the switch.  A parameter or local
+may not redeclare one still in scope (JLS 6.4), though it may hide a field
+or a class.
 
 The Resolution answers tree queries from the unit's node index
 (frontend/index.py), which the parser built: a subtree is a slice of the
@@ -121,25 +121,6 @@ class Symbol:
     # A store to it is a type error: a final that its declaration gives a
     # value (an initializer, or the call for a parameter), or a builtin.
     read_only: bool = False
-
-
-@record
-class Scope:
-    parent: "Scope | None" = None
-    symbols: dict[str, Symbol] = field(default_factory=dict)
-
-    def declare(self, sym: Symbol) -> None:
-        if sym.name in self.symbols:
-            raise DuplicateDeclaration(sym.span, sym.name)
-        self.symbols[sym.name] = sym
-
-    def lookup(self, name: str) -> Symbol | None:
-        scope: Scope | None = self
-        while scope is not None:
-            if name in scope.symbols:
-                return scope.symbols[name]
-            scope = scope.parent
-        return None
 
 
 @record
@@ -352,7 +333,8 @@ class _Resolver:
         )
         self.types = self.res.types
         self.ref_types = _RefTypes()
-        self.global_scope = Scope()
+        self.globals: dict[str, Symbol] = {}  # the classes and ASSERTIONS_ENABLED
+        self.locals: dict[str, Symbol] = {}  # this, the parameters and the locals in scope, in declaration order
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
         self.static_context = False  # resolving a static method or field initializer
@@ -380,7 +362,7 @@ class _Resolver:
         return sym
 
     def _declare_classes(self) -> None:
-        assertions_flag = self._sym(
+        self.globals["ASSERTIONS_ENABLED"] = self._sym(
             name="ASSERTIONS_ENABLED",
             kind="field",
             declared_type=ty.BOOLEAN,
@@ -390,20 +372,18 @@ class _Resolver:
             is_builtin=True,
             read_only=True,
         )
-        self.global_scope.symbols["ASSERTIONS_ENABLED"] = assertions_flag
         for cls in self.unit.classes:
             if cls.name in self.res.classes or cls.name in BUILTIN_CLASSES:
                 raise DuplicateDeclaration(cls.span, cls.name)
             info = ClassInfo(decl=cls, name=cls.name, base=cls.extends)
             self.res.classes[cls.name] = info
-            class_sym = self._sym(
+            self.globals[cls.name] = self._sym(
                 name=cls.name,
                 kind="class",
                 declared_type=ty.ClassType(cls.name),
                 span=cls.span,
                 decl_uid=cls.uid,
             )
-            self.global_scope.declare(class_sym)
         for info in self.res.classes.values():
             cls = info.decl
             if cls.extends and cls.extends not in self.res.classes and cls.extends != "Thread":
@@ -488,23 +468,21 @@ class _Resolver:
     # -- class / method bodies ----------------------------------------------
 
     def _resolve_class(self, cls: ast.ClassDecl) -> None:
-        info = self.current_class = self.res.classes[cls.name]
-        class_scope = Scope(parent=self.global_scope, symbols=info.visible)  # nothing declares into it
+        self.current_class = self.res.classes[cls.name]
         for fld in cls.fields:
             if fld.initializer is not None:
                 self.static_context = fld.static
-                value_t = self._expr(fld.initializer, class_scope)
+                value_t = self._expr(fld.initializer)
                 self._require_assignable(
                     self.ref_types[fld.type.base, fld.type.dims], value_t, fld.span, "field initializer"
                 )
         for method in cls.methods:
-            self._resolve_method(method, class_scope)
+            self._resolve_method(method)
         self.current_class = None
 
-    def _resolve_method(self, method: ast.MethodDecl, class_scope: Scope) -> None:
+    def _resolve_method(self, method: ast.MethodDecl) -> None:
         self.current_method = method
         self.static_context = method.is_static
-        scope = Scope(parent=class_scope)
         if not method.is_static:
             this_sym = self._sym(
                 name="this",
@@ -516,10 +494,10 @@ class _Resolver:
                 slot=0,
                 read_only=True,
             )
-            scope.symbols["this"] = this_sym
+            self._declare(this_sym)
         first = len(self.res.symbols)
         for param in method.params:
-            scope.declare(
+            self._declare(
                 self._sym(
                     name=param.name,
                     kind="param",
@@ -530,7 +508,8 @@ class _Resolver:
                     read_only=param.final,
                 )
             )
-        self._stmts(method.body.stmts, scope)
+        self._stmts(method.body.stmts)
+        self._close(0)
         # Every symbol declared since `first` is a parameter or a local of
         # this method: they take the frame slots after the receiver's, in
         # declaration order.
@@ -540,24 +519,34 @@ class _Resolver:
 
     # -- statements ----------------------------------------------------------
 
-    def _stmts(self, stmts: list[ast.Stmt], parent: Scope) -> None:
-        """Resolve the statements of a block or a switch case.  Their scope
-        is made at the first declaration among them: the statements before
-        it, and all of them where none declares, resolve in parent."""
-        scope = parent
+    def _declare(self, sym: Symbol) -> None:
+        """Bring a parameter or local into scope.  It may not redeclare one
+        still in scope (JLS 6.4)."""
+        if sym.name in self.locals:
+            raise DuplicateDeclaration(sym.span, sym.name)
+        self.locals[sym.name] = sym
+
+    def _close(self, mark: int) -> None:
+        """Close the scope opened when mark names were in scope: forget the
+        names declared since, the last ones in locals (JLS 6.3)."""
+        names = self.locals
+        while len(names) > mark:
+            names.popitem()
+
+    def _stmts(self, stmts: list[ast.Stmt]) -> None:
+        """Resolve the statements of a block, which is a scope."""
+        mark = len(self.locals)
         handlers = self._STMTS
         for stmt in stmts:
-            kind = type(stmt)
-            if kind is ast.LocalDecl and scope is parent:
-                scope = Scope(parent=parent)
-            handlers[kind](self, stmt, scope)
+            handlers[type(stmt)](self, stmt)
+        self._close(mark)
 
-    def _s_local(self, decl: ast.LocalDecl, scope: Scope) -> None:
+    def _s_local(self, decl: ast.LocalDecl) -> None:
         declared = self.ref_types[decl.type.base, decl.type.dims]
         if decl.initializer is not None:
-            value_t = self._expr(decl.initializer, scope)
+            value_t = self._expr(decl.initializer)
             self._require_assignable(declared, value_t, decl.span, "initializer")
-        scope.declare(
+        self._declare(
             self._sym(
                 name=decl.name,
                 kind="local",
@@ -569,54 +558,57 @@ class _Resolver:
             )
         )
 
-    def _condition(self, cond: ast.Expr, scope: Scope, what: str) -> None:
-        cond_t = self._expr(cond, scope)
+    def _condition(self, cond: ast.Expr, what: str) -> None:
+        cond_t = self._expr(cond)
         # Constant int conditions are legal and fold in the CFG.
         if cond_t is not ty.BOOLEAN and ast.literal_truth(cond) is None:
             raise TypeCheckError(cond.span, f"{what} condition must be boolean, got {cond_t}")
 
-    def _s_if(self, stmt: ast.If, scope: Scope) -> None:
-        self._condition(stmt.cond, scope, "if")
-        self._stmts(stmt.then.stmts, scope)
+    def _s_if(self, stmt: ast.If) -> None:
+        self._condition(stmt.cond, "if")
+        self._stmts(stmt.then.stmts)
         els = stmt.els
         if els is not None:
-            self._STMTS[type(els)](self, els, scope)
+            self._STMTS[type(els)](self, els)
 
-    def _s_while(self, stmt: ast.While, scope: Scope) -> None:
-        self._condition(stmt.cond, scope, "while")
-        self._stmts(stmt.body.stmts, scope)
+    def _s_while(self, stmt: ast.While) -> None:
+        self._condition(stmt.cond, "while")
+        self._stmts(stmt.body.stmts)
 
-    def _s_for(self, stmt: ast.For, scope: Scope) -> None:
+    def _s_for(self, stmt: ast.For) -> None:
+        """A for statement is a scope, from its initializer to the end of its body."""
+        mark = len(self.locals)
         init = stmt.init
         if init is not None:
-            if type(init) is ast.LocalDecl:
-                scope = Scope(parent=scope)
-            self._STMTS[type(init)](self, init, scope)
+            self._STMTS[type(init)](self, init)
         if stmt.cond is not None:
-            self._condition(stmt.cond, scope, "for")
+            self._condition(stmt.cond, "for")
         if stmt.update is not None:
-            self._expr(stmt.update, scope)
-        self._stmts(stmt.body.stmts, scope)
+            self._expr(stmt.update)
+        self._stmts(stmt.body.stmts)
+        self._close(mark)
 
-    def _s_switch(self, stmt: ast.Switch, scope: Scope) -> None:
-        subject_t = self._expr(stmt.subject, scope)
+    def _s_switch(self, stmt: ast.Switch) -> None:
+        """The labels resolve in the scope around the switch, and then the
+        cases' statements in one scope, the switch block."""
+        subject_t = self._expr(stmt.subject)
         if subject_t not in _INTEGRAL and subject_t is not ty.STRING:
             raise TypeCheckError(stmt.subject.span, f"switch subject must be int or String, got {subject_t}")
         for case in stmt.cases:
             if case.label is not None:
-                label_t = self._expr(case.label, scope)
+                label_t = self._expr(case.label)
                 if not _case_fits(subject_t, label_t):
                     raise TypeCheckError(
                         case.label.span, f"case label of type {label_t} cannot match a {subject_t} subject"
                     )
-            self._stmts(case.body, scope)
+        self._stmts([inner for case in stmt.cases for inner in case.body])
         self.switches.append(stmt)
 
-    def _s_try(self, stmt: ast.Try, scope: Scope) -> None:
-        self._stmts(stmt.body.stmts, scope)
+    def _s_try(self, stmt: ast.Try) -> None:
+        self._stmts(stmt.body.stmts)
         for catch in stmt.catches:
-            catch_scope = Scope(parent=scope)
-            catch_scope.declare(
+            mark = len(self.locals)
+            self._declare(
                 self._sym(
                     name=catch.name,
                     kind="param",
@@ -626,34 +618,35 @@ class _Resolver:
                     decl_uid=catch.uid,
                 )
             )
-            self._stmts(catch.body.stmts, catch_scope)
+            self._stmts(catch.body.stmts)
+            self._close(mark)
         if stmt.finally_block is not None:
-            self._stmts(stmt.finally_block.stmts, scope)
+            self._stmts(stmt.finally_block.stmts)
 
-    def _s_return(self, stmt: ast.Return, scope: Scope) -> None:
+    def _s_return(self, stmt: ast.Return) -> None:
         method = self.current_method
         ret = self.ref_types[method.return_type.base, method.return_type.dims]
         if stmt.value is not None:
-            value_t = self._expr(stmt.value, scope)
+            value_t = self._expr(stmt.value)
             if ret is ty.VOID_T:
                 raise TypeCheckError(stmt.span, "void method returns a value")
             self._require_assignable(ret, value_t, stmt.span, "return value")
         elif ret is not ty.VOID_T and not method.is_constructor:
             raise TypeCheckError(stmt.span, f"return needs a {ret} value")
 
-    def _s_assert(self, stmt: ast.Assert, scope: Scope) -> None:
-        cond_t = self._expr(stmt.condition, scope)
+    def _s_assert(self, stmt: ast.Assert) -> None:
+        cond_t = self._expr(stmt.condition)
         if cond_t is not ty.BOOLEAN:
             raise TypeCheckError(stmt.condition.span, f"assert condition must be boolean, got {cond_t}")
         # JLS 14.10: the message may be of any type but void.
-        if stmt.message is not None and self._expr(stmt.message, scope) is ty.VOID_T:
+        if stmt.message is not None and self._expr(stmt.message) is ty.VOID_T:
             raise TypeCheckError(stmt.message.span, "assert message must not be void")
 
-    def _s_synchronized(self, stmt: ast.Synchronized, scope: Scope) -> None:
-        monitor_t = self._expr(stmt.monitor, scope)
+    def _s_synchronized(self, stmt: ast.Synchronized) -> None:
+        monitor_t = self._expr(stmt.monitor)
         if type(monitor_t) not in (ty.ClassType, ty.ArrayType):
             raise TypeCheckError(stmt.monitor.span, f"synchronized needs an object monitor, got {monitor_t}")
-        self._stmts(stmt.body.stmts, scope)
+        self._stmts(stmt.body.stmts)
 
     def _check_case_labels(self, switch: ast.Switch) -> None:
         """Each case label is a constant, and no two are equal (JLS 14.11)."""
@@ -722,30 +715,31 @@ class _Resolver:
             and (up.span.end_line, up.span.end_column) == (literal.span.end_line, literal.span.end_column)
         )
 
-    def _expr(self, expr: ast.Expr, scope: Scope) -> Type:
+    def _expr(self, expr: ast.Expr) -> Type:
         """The type of expr, which it records in Resolution.types."""
-        t = self.types[expr.uid] = self._EXPRS[type(expr)](self, expr, scope)
+        t = self.types[expr.uid] = self._EXPRS[type(expr)](self, expr)
         return t
 
-    def _receiver(self, expr: ast.Expr, scope: Scope) -> Type:
+    def _receiver(self, expr: ast.Expr) -> Type:
         """The type of the receiver of a field or a method, which may also
         be a class name."""
         if type(expr) is not ast.Name:
-            return self._expr(expr, scope)
-        t = self.types[expr.uid] = self._name(expr, scope, receiver=True)
+            return self._expr(expr)
+        t = self.types[expr.uid] = self._name(expr, receiver=True)
         return t
 
-    def _literal(self, expr: ast.Literal, scope: Scope) -> Type:
+    def _literal(self, expr: ast.Literal) -> Type:
         if expr.kind == "int" and expr.value > ty.INT_MAX and not self._negated_int_min(expr):
             raise TypeCheckError(expr.span, "integer number too large")
         return _LITERAL_TYPES[expr.kind]
 
-    def _name(self, expr: ast.Name, scope: Scope, store: bool = False, receiver: bool = False) -> Type:
+    def _name(self, expr: ast.Name, store: bool = False, receiver: bool = False) -> Type:
         """A stored name counts a write of its symbol, any other a read; only
         a receiver may name a class."""
-        sym = scope.lookup(expr.identifier)
+        name = expr.identifier
+        sym = self.locals.get(name) or self.current_class.visible.get(name) or self.globals.get(name)
         if sym is None:
-            raise ResolutionError(expr.span, expr.identifier)
+            raise ResolutionError(expr.span, name)
         if sym.kind == "class" and not receiver:
             raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
         if sym.kind == "field" and self.static_context:
@@ -757,8 +751,8 @@ class _Resolver:
             sym.usage_count += 1
         return sym.declared_type
 
-    def _unary(self, expr: ast.Unary, scope: Scope) -> Type:
-        operand_t = self._expr(expr.operand, scope)
+    def _unary(self, expr: ast.Unary) -> Type:
+        operand_t = self._expr(expr.operand)
         if expr.op == "!":
             if operand_t is not ty.BOOLEAN:
                 raise TypeCheckError(expr.span, f"'!' needs boolean, got {operand_t}")
@@ -767,24 +761,24 @@ class _Resolver:
             raise TypeCheckError(expr.span, f"unary '-' needs a number, got {operand_t}")
         return ty.DOUBLE if operand_t is ty.DOUBLE else ty.INT
 
-    def _binary(self, expr: ast.Binary, scope: Scope) -> Type:
+    def _binary(self, expr: ast.Binary) -> Type:
         op = expr.op
         if op == "=":
             left = expr.left
             if type(left) is ast.Name:
-                target_t = self.types[left.uid] = self._name(left, scope, store=True)
+                target_t = self.types[left.uid] = self._name(left, store=True)
             elif type(left) is ast.FieldAccess:
-                target_t = self.types[left.uid] = self._field_access(left, scope, store=True)
+                target_t = self.types[left.uid] = self._field_access(left, store=True)
             else:
-                target_t = self._expr(left, scope)
+                target_t = self._expr(left)
             target = self.res.name_targets.get(left.uid) or self.res.field_targets.get(left.uid)
             if target is not None and target.read_only:
                 raise TypeCheckError(expr.span, f"cannot assign a value to final variable {target.name}")
-            value_t = self._expr(expr.right, scope)
+            value_t = self._expr(expr.right)
             self._require_assignable(target_t, value_t, expr.span, "assignment")
             return target_t
-        left_t = self._expr(expr.left, scope)
-        right_t = self._expr(expr.right, scope)
+        left_t = self._expr(expr.left)
+        right_t = self._expr(expr.right)
         if op == "+" and (left_t is ty.STRING or right_t is ty.STRING):
             return ty.STRING
         if op in ("+", "-", "*", "/", "%"):
@@ -806,17 +800,17 @@ class _Resolver:
             return ty.BOOLEAN
         raise AssertionError(f"unhandled operator {op}")  # pragma: no cover
 
-    def _index(self, expr: ast.Index, scope: Scope) -> Type:
-        array_t = self._expr(expr.array, scope)
-        index_t = self._expr(expr.index, scope)
+    def _index(self, expr: ast.Index) -> Type:
+        array_t = self._expr(expr.array)
+        index_t = self._expr(expr.index)
         if type(array_t) is not ty.ArrayType:
             raise TypeCheckError(expr.span, f"indexing a non-array {array_t}")
         if index_t not in _INTEGRAL:
             raise TypeCheckError(expr.index.span, f"array index must be int, got {index_t}")
         return array_t.elem
 
-    def _field_access(self, expr: ast.FieldAccess, scope: Scope, store: bool = False) -> Type:
-        receiver_t = self._receiver(expr.receiver, scope)
+    def _field_access(self, expr: ast.FieldAccess, store: bool = False) -> Type:
+        receiver_t = self._receiver(expr.receiver)
         if type(receiver_t) is not ty.ClassType:
             raise TypeCheckError(expr.span, f"{receiver_t} has no field '{expr.name}'")
         info = self.res.classes.get(receiver_t.name)
@@ -832,19 +826,19 @@ class _Resolver:
             sym.usage_count += 1
         return sym.declared_type
 
-    def _new_array(self, expr: ast.NewArray, scope: Scope) -> Type:
-        size_t = self._expr(expr.size_expr, scope)
+    def _new_array(self, expr: ast.NewArray) -> Type:
+        size_t = self._expr(expr.size_expr)
         if size_t not in _INTEGRAL:
             raise TypeCheckError(expr.size_expr.span, f"array size must be int, got {size_t}")
         return self.ref_types[expr.elem_type.base, expr.elem_type.dims + 1]
 
-    def _new(self, expr: ast.New, scope: Scope) -> Type:
+    def _new(self, expr: ast.New) -> Type:
         info = self.res.classes.get(expr.class_name)
-        arg_ts = [self._expr(a, scope) for a in expr.args]
+        arg_ts = [self._expr(a) for a in expr.args]
         if info is None:
             raise ResolutionError(expr.span, expr.class_name)
         info.made = True
-        result = self.global_scope.symbols[expr.class_name].declared_type
+        result = self.globals[expr.class_name].declared_type
         ctor = info.ctors.get(len(expr.args))
         if ctor is None:
             if expr.args or info.ctors:
@@ -892,16 +886,16 @@ class _Resolver:
         for param, arg_t, arg in zip(minfo.decl.params, arg_ts, expr.args):
             self._require_assignable(ref_types[param.type.base, param.type.dims], arg_t, arg.span, "argument")
 
-    def _call(self, expr: ast.Call, scope: Scope) -> Type:
+    def _call(self, expr: ast.Call) -> Type:
         """A call resolves to the method of its name and arity of the
         receiver's class (the current class's, unqualified), or else to a
         builtin (_builtin_of): a declared method shadows a builtin."""
-        arg_ts = [self._expr(a, scope) for a in expr.args]
+        arg_ts = [self._expr(a) for a in expr.args]
         if expr.receiver is None:
             owner = self.current_class.name if self.current_class is not None else None
             of_class = self.static_context
         else:
-            receiver_t = self._receiver(expr.receiver, scope)
+            receiver_t = self._receiver(expr.receiver)
             owner = receiver_t.name if type(receiver_t) is ty.ClassType else None
             of_class = self.res.names_class(expr.receiver)
         info = self.res.classes.get(owner)
@@ -920,9 +914,9 @@ class _Resolver:
         return self._builtin_call(expr, builtin, arg_ts)
 
     _STMTS = {
-        ast.Block: lambda self, stmt, scope: self._stmts(stmt.stmts, scope),
+        ast.Block: lambda self, stmt: self._stmts(stmt.stmts),
         ast.LocalDecl: _s_local,
-        ast.ExprStmt: lambda self, stmt, scope: self._expr(stmt.expr, scope),
+        ast.ExprStmt: lambda self, stmt: self._expr(stmt.expr),
         ast.If: _s_if,
         ast.While: _s_while,
         ast.For: _s_for,
@@ -931,12 +925,12 @@ class _Resolver:
         ast.Return: _s_return,
         ast.Assert: _s_assert,
         ast.Synchronized: _s_synchronized,
-        ast.Empty: lambda self, stmt, scope: None,
+        ast.Empty: lambda self, stmt: None,
     }
 
     _EXPRS = {
         ast.Literal: _literal,
-        ast.Null: lambda self, expr, scope: ty.NULL,
+        ast.Null: lambda self, expr: ty.NULL,
         ast.Name: _name,
         ast.Unary: _unary,
         ast.Binary: _binary,

@@ -117,10 +117,10 @@ def gen_bound_program(rng: random.Random) -> BoundProgram:
     body = [f"int[] a = new int[{n}];"]
     script: list[str] = []
 
-    def emit_for(op: str, limit: str, guard: str | None = None) -> list[str]:
+    def emit_for(op: str, limit: str, guard: str | None = None, i: str = "i") -> list[str]:
         loop = [
-            f"for (int i = 0; i {op} {limit}; i++) {{",
-            "    a[i] = i;",
+            f"for (int {i} = 0; {i} {op} {limit}; {i}++) {{",
+            f"    a[{i}] = {i};",
             "}",
         ]
         if guard is not None:
@@ -168,7 +168,8 @@ def gen_bound_program(rng: random.Random) -> BoundProgram:
             "}",
         ]
     if use_second_loop:
-        body += emit_for("<", str(rng.randint(1, n)))
+        # The while scenarios' `i` is still in scope: a second `int i` would redeclare it.
+        body += emit_for("<", str(rng.randint(1, n)), i="j" if scenario.endswith("while") else "i")
     lines += ["        " + l for l in body]
     lines += ["    }", "}"]
     return BoundProgram(

@@ -179,6 +179,9 @@ class Main {
 
 NOT_UTF8 = b"class A {\r\n  void m() { }\r\n  // \xff\n}\n"
 
+# The head of a one-line unit: its main is still open.
+MAIN = "class Main { static void main(String[] args) {"
+
 
 def _priorities(out: str) -> None:
     """Every SystemPrintln finding is priority 1 (red), as the ruleset
@@ -305,6 +308,47 @@ ROWS = {
     "class String": Row(
         "analyze String.sl", 2, files={"String.sl": "class String { }\n"},
         out="", err="error: String.sl:1:1: duplicate declaration of 'String'\n",
+    ),
+    # No local redeclares a parameter or a local in scope (JLS 6.4), and a
+    # switch block is one scope (JLS 6.3).
+    **{
+        f"run, {name}": Row(
+            "run Scope.sl", 2, files={"Scope.sl": source + "\n"}, out="", err=f"error: Scope.sl:{message}\n",
+        )
+        for name, source, message in (
+            ("a parameter redeclared in the body",
+             "class Main { static void m(int p) { int p = 1; } static void main(String[] args) { m(1); } }",
+             "1:37: duplicate declaration of 'p'"),
+            ("a nested block's local redeclaring an outer local",
+             f"{MAIN} int x = 1; {{ int x = 2; }} }} }}", "1:61: duplicate declaration of 'x'"),
+            ("a for initializer redeclaring a local",
+             f"{MAIN} int i = 1; for (int i = 0; i < 2; i++) {{ }} }} }}", "1:64: duplicate declaration of 'i'"),
+            ("a catch parameter redeclared in its body",
+             f"{MAIN} try {{ }} catch (Exception e) {{ int e = 1; }} }} }}", "1:78: duplicate declaration of 'e'"),
+            ("a local declared in two cases of one switch",
+             f"{MAIN} int k = 1; switch (k) {{ case 1: int y = 1; case 2: int y = 2; }} }} }}",
+             "1:99: duplicate declaration of 'y'"),
+            ("a case label naming a local of the switch block",
+             f"{MAIN} int k = 2; switch (k) {{ case 1: final int K = 2; case K: println(9); }} }} }}",
+             "1:102: undeclared identifier 'K'"),
+        )
+    },
+    "run, a case storing into an earlier case's local": Row(
+        "run Scope.sl", 0,
+        files={"Scope.sl": f"{MAIN} int k = 2; switch (k) {{ case 1: int y = 1; case 2: y = 2; println(y); }} }} }}\n"},
+        out="2\n", err="",
+    ),
+    # The case that declares y never ran: y holds int's default.
+    "run, a case reading an earlier case's local before any store": Row(
+        "run Scope.sl", 0,
+        files={"Scope.sl": f"{MAIN} int k = 2; switch (k) {{ case 1: int y = 1; case 2: println(y); }} }} }}\n"},
+        out="0\n", err="",
+    ),
+    "run, sibling blocks and loops declaring one name": Row(
+        "run Scope.sl", 0,
+        files={"Scope.sl": f"{MAIN} {{ int x = 1; println(x); }} {{ int x = 2; println(x); }}"
+               " for (int i = 0; i < 1; i++) { println(i); } for (int i = 1; i < 2; i++) { println(i); } } }\n"},
+        out="1\n2\n0\n1\n", err="",
     ),
     "analyze Recursion.sl": Row(
         "analyze Recursion.sl", 1, files={"Recursion.sl": RECURSION}, err="",

@@ -56,3 +56,11 @@ def test_an_unknown_name_is_an_attribute_error(name):
     package = importlib.import_module(name)
     with pytest.raises(AttributeError, match="no_such_export"):
         package.no_such_export
+
+
+def test_the_resolver_exports_no_scope_tree():
+    """Scopes are the resolver's own state, not objects of the API."""
+    semantics = importlib.import_module("overrun_lint.semantics")
+    assert "Scope" not in semantics.__all__
+    with pytest.raises(AttributeError, match="Scope"):
+        semantics.Scope

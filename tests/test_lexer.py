@@ -122,7 +122,7 @@ TOKEN_DIGESTS = {
     "seeded2.sl": "c0bee4a37fca287827128ad2feb1afa9ded26f94f97f9b89766fa1136929c424",
     "seeded3.sl": "950a146a7d226c5cb81229c5c871195cd46219c22e325e7b2a58d1730cf13a33",
     "seeded4.sl": "0b70f2f1fae21cf5b91f767cb9f8e452e2408848daa7e3291298dc6cf781421b",
-    "seeded5.sl": "053c2d50da73023cc8c519d49a6c2944c3bcc31af9d0750ed9202f400108221b",
+    "seeded5.sl": "e84d9c569c3e3265f70f122f8f5a5da8816e0ef6ae94fb9d0e09f155159f4d81",
 }
 
 

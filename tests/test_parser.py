@@ -206,7 +206,7 @@ TREE_DIGESTS = {
     "seeded2.sl": "7a36e4a884d2f9f9076dcec0799eb7da954b91bcf703aa93a5e8a7a4d8401e64",
     "seeded3.sl": "700cbfac5107224e05e812a8d10ea6fc22c013e13c13be00f73a4651d2429b42",
     "seeded4.sl": "64903c423aef053790b56d3db0b4777924a0b67665b847b9c5e0cff4bf032c39",
-    "seeded5.sl": "5ecd7161886ad7e8837c7885bf4b3a2607edadb937ae15af110347301a79e892",
+    "seeded5.sl": "d1ba697cf6117cc8b376eb9ea3f0c293390165a3992e713a126e75a5dda90ac5",
 }
 
 

@@ -621,9 +621,14 @@ def test_covariant_returns_thread_methods_and_constructors_are_no_overrides():
 # Scope rows: the body of `A.m(int p)`, and for each Name of it in source
 # order the declaration it resolves to, as the name and the declaration's
 # place among the parameters and locals of that name (p0 is the parameter);
-# or the error the body raises, at its line:column.
+# or the error the body raises, at its line:column.  Scopes are JLS 6.3's,
+# and no local redeclares a parameter or a local in scope (JLS 6.4).
 SCOPE_ROWS = {
-    "nested_block_shadows": ("int x = 1; { int x = 2; x = x + 1; } x = 3;", ["x1", "x1", "x0"]),
+    "nested_block_redeclares_local": (
+        "int x = 1; { int x = 2; x = x + 1; } x = 3;",
+        (DuplicateDeclaration, "1:40: duplicate declaration of 'x'"),
+    ),
+    "sibling_blocks": ("{ int x = 1; println(x); } { int x = 2; println(x); }", ["x0", "x1"]),
     "second_declaration_in_one_block": (
         "println(p); int x = 1; { } int x = 2;",
         (DuplicateDeclaration, "1:54: duplicate declaration of 'x'"),
@@ -632,28 +637,50 @@ SCOPE_ROWS = {
         "{ { x = 1; } int x = 0; }",
         (ResolutionError, "1:31: undeclared identifier 'x'"),
     ),
-    "body_local_named_like_parameter": ("int p = 1; println(p);", ["p1"]),
-    "for_init_and_body_scopes": (
-        "for (int i = 0; i < 2; i = i + 1) { int i = 5; println(i); } for (int i = 0; i < 1; i = i + 1) { }",
-        ["i0", "i0", "i0", "i1", "i2", "i2", "i2"],
+    "body_local_redeclares_parameter": (
+        "int p = 1; println(p);",
+        (DuplicateDeclaration, "1:27: duplicate declaration of 'p'"),
     ),
-    "for_init_shadows_local": ("int i = 0; for (int i = 1; i < 2; i = i + 1) { } i = 3;", ["i1", "i1", "i1", "i0"]),
+    "for_init_and_body_scopes": (
+        "for (int i = 0; i < 2; i = i + 1) { int j = i; println(j); } for (int i = 0; i < 1; i = i + 1) { int j = 0; }",
+        ["i0", "i0", "i0", "i0", "j0", "i1", "i1", "i1"],
+    ),
+    "for_body_redeclares_init": (
+        "for (int i = 0; i < 2; i = i + 1) { int i = 5; println(i); }",
+        (DuplicateDeclaration, "1:63: duplicate declaration of 'i'"),
+    ),
+    "for_init_redeclares_local": (
+        "int i = 0; for (int i = 1; i < 2; i = i + 1) { } i = 3;",
+        (DuplicateDeclaration, "1:43: duplicate declaration of 'i'"),
+    ),
     "for_init_expression": ("int i; for (i = 0; i < 2; i = i + 1) { int j = i; }", ["i0", "i0", "i0", "i0", "i0"]),
     "for_variable_after_loop": (
         "for (int i = 0; i < 2; i = i + 1) { } println(i);",
         (ResolutionError, "1:73: undeclared identifier 'i'"),
     ),
-    "switch_cases_scope_apart": (
+    "switch_block_is_one_scope": (
         "switch (p) { case 1: int y = 1; println(y); case 2: int y = 2; println(y); default: println(p); }",
-        ["p0", "y0", "y1", "p0"],
+        (DuplicateDeclaration, "1:79: duplicate declaration of 'y'"),
     ),
     "switch_case_local_in_next_case": (
-        "switch (p) { case 1: int y = 1; case 2: y = 2; }",
-        (ResolutionError, "1:67: undeclared identifier 'y'"),
+        "switch (p) { case 1: int y = 1; case 2: y = 2; println(y); }",
+        ["p0", "y0", "y0"],
     ),
-    "catch_parameter_shadowed_in_body": (
+    "case_label_outside_switch_block": (
+        "switch (p) { case 1: final int K = 2; case K: println(p); }",
+        (ResolutionError, "1:70: undeclared identifier 'K'"),
+    ),
+    "catch_parameter_redeclared_in_body": (
         "try { } catch (Exception e) { int e = 1; println(e); } catch (Exception e) { println(e); }",
-        ["e1", "e2"],
+        (DuplicateDeclaration, "1:57: duplicate declaration of 'e'"),
+    ),
+    "catch_parameters_apart": (
+        "try { } catch (Exception e) { println(e); } catch (Exception e) { println(e); }",
+        ["e0", "e1"],
+    ),
+    "catch_parameter_redeclares_local": (
+        "int e = 0; try { } catch (Exception e) { }",
+        (DuplicateDeclaration, "1:46: duplicate declaration of 'e'"),
     ),
     "catch_parameter_after_catch": (
         "try { } catch (Exception e) { } println(e);",
