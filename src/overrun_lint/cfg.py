@@ -6,27 +6,39 @@ failure; they key the interpreter's execution trace.
 Basic blocks end at decisions; try/catch/finally sections chain by
 fallthrough only, so exception handling never adds decision nodes.
 
+Data layout.  A unit's graphs share one `CfgTable` of flat columns, so no
+block, edge or instruction is an object of its own.  Block ids are unit-wide
+and dense: a graph's blocks are a `range` of them, its entry first and its
+exit second, and its instructions are a `range` of ids too.  A block's
+instructions are one run of ids, `range(first[b], stop[b])` (a block takes
+instructions only while it is the builder's current block, and it never
+becomes current again).  Block b's out-edges are the entries `out[b]` to
+`out[b + 1]` of the edge columns `dst` and `key`, in the order they were
+added; `finish` writes them once per graph.  Indexed by instruction id,
+`block_of` gives the block and `skippable` is 1 for an instruction that a
+path through its block can pass without running it.
+
 This module decides every control-flow fact the other modules read: each
-block's out-edges and the decision blocks (built once per graph, on first
-read), the complexity counts derived from them, the one path search
-(`reach`: the blocks that paths from a block reach, where a path stops at a
-blocked block), which calls run whenever their block runs (`call_blocks`),
-the solution of a forward dataflow problem (the null rules' facts), and the
-two string formats that name control flow -- method ids (`Class.name/arity`,
-with `<init>` for constructors and `<clinit>` for static initializers) and
-branch keys (`true-branch`, `switch-case#case2`, ...), which the resolver,
-the interpreter's trace and coverage all share.
+block's out-edges and the decision blocks, the complexity counts derived
+from them, the one path search (`reach`: the blocks that paths from a
+block reach, where a path stops at a blocked block), which calls run
+whenever their block runs (`call_blocks`), the solution of a forward
+dataflow problem (the null rules' facts), and the two string formats that
+name control flow -- method ids (`Class.name/arity`, with `<init>` for
+constructors and `<clinit>` for static initializers) and branch keys
+(`true-branch`, `switch-case#case2`, ...), which the resolver, the
+interpreter's trace and coverage all share.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+from array import array
 from collections.abc import Callable, Collection, Iterable, Iterator
-from functools import cached_property
+from itertools import accumulate
 from typing import TypeVar
 
-from .records import field, record
+from .records import record
 from .frontend import ast
 from .frontend.lexer import SourceSpan
 
@@ -93,42 +105,44 @@ def case_label(index: int, case: ast.SwitchCase) -> str:
     return "default" if case.label is None else f"case{index}"
 
 
-@record(slots=True)
-class BasicBlock:
-    bid: int
-    instructions: list[int] = field(default_factory=list)
-    is_entry: bool = False
-    is_exit: bool = False
+class CfgTable:
+    """The columns of a unit's blocks, edges and instructions (see the
+    module docstring)."""
+
+    __slots__ = ("first", "stop", "out", "dst", "key", "block_of", "skippable", "instr_spans", "stmt_iids")
+
+    def __init__(self):
+        self.first, self.stop = array("i"), array("i")  # per block; -1 for one with no instruction
+        self.out = array("i", [0])  # per block, plus one
+        self.dst, self.key = array("i"), []  # per edge
+        self.block_of, self.skippable = array("i"), bytearray()  # per instruction
+        self.instr_spans: dict[int, SourceSpan] = {}
+        self.stmt_iids: dict[int, int] = {}  # ast uid -> iid
+
+    def add_edges(self, src: list[int], dst: list[int], key: list[str]) -> None:
+        """Index the edges src -> dst, with their keys, as the out-edges of
+        the blocks added since the last call."""
+        out = self.out
+        base = len(out) - 1
+        degree = [0] * (len(self.first) - base)
+        for s in src:
+            degree[s - base] += 1
+        out[-1:] = array("i", accumulate(degree, initial=out[-1]))  # the last offset, then one a block
+        order = sorted(range(len(src)), key=src.__getitem__)  # stable: each block's edges keep their order
+        self.dst.extend(map(dst.__getitem__, order))
+        self.key.extend(map(key.__getitem__, order))
 
 
 @record(slots=True)
-class Edge:
-    src: int
-    dst: int
-    kind: str
-    label: str = ""  # disambiguates multiple same-kind edges (switch arms)
-
-    @property
-    def key(self) -> str:
-        return branch_key(self.kind, self.label)
-
-
-@record
 class ControlFlowGraph:
     method: str
-    blocks: list[BasicBlock] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    entry: int = 0
-    exit: int = 1
-    instr_spans: dict[int, SourceSpan] = field(default_factory=dict)
-    stmt_iids: dict[int, int] = field(default_factory=dict)  # ast uid -> iid
-    instr_blocks: dict[int, int] = field(default_factory=dict)  # iid -> bid
+    table: CfgTable
+    blocks: range  # block ids
+    iids: range  # instruction ids
+    entry: int
+    exit: int
     implicit_return_iid: int | None = None
     synthetic: bool = False  # implicit ctor / static initializer
-    # Instructions that a path through their block can pass without running:
-    # assert checks, which run only under --ea, and everything in a catch
-    # body, which the graph chains by fallthrough but which never runs.
-    skippable_iids: set[int] = field(default_factory=set)
 
     @property
     def N(self) -> int:
@@ -136,27 +150,24 @@ class ControlFlowGraph:
 
     @property
     def E(self) -> int:
-        return len(self.edges)
+        out = self.table.out
+        return out[self.blocks.stop] - out[self.blocks.start]
 
-    # The out-edge table and the decisions are built on first read, which
-    # comes after the graph is finished; a graph does not change after that.
+    def instructions(self, bid: int) -> range:
+        return range(self.table.first[bid], self.table.stop[bid])
 
-    @cached_property
-    def successors(self) -> dict[int, list[Edge]]:
-        """Each block's out-edges, in the order they were added; a block
-        with none has no entry."""
-        out: dict[int, list[Edge]] = {}
-        for e in self.edges:
-            out.setdefault(e.src, []).append(e)
-        return out
+    def out_edges(self, bid: int) -> Iterator[tuple[int, str]]:
+        """Block bid's out-edges as (target block, branch key), in the order
+        they were added."""
+        t = self.table
+        lo, hi = t.out[bid], t.out[bid + 1]
+        return zip(t.dst[lo:hi], t.key[lo:hi])
 
-    @cached_property
-    def decisions(self) -> list[BasicBlock]:
+    @property
+    def decisions(self) -> list[int]:
         """The blocks with two or more out-edges, in block order."""
-        return [b for b in self.blocks if len(self.successors.get(b.bid, ())) >= 2]
-
-    def out_edges(self, bid: int) -> list[Edge]:
-        return self.successors.get(bid, [])
+        out = self.table.out
+        return [b for b in self.blocks if out[b + 1] - out[b] >= 2]
 
     @property
     def D(self) -> int:
@@ -164,7 +175,8 @@ class ControlFlowGraph:
 
     @property
     def B(self) -> int:
-        return sum(len(self.successors[b.bid]) for b in self.decisions)
+        out = self.table.out
+        return sum(out[b + 1] - out[b] for b in self.decisions)
 
 
 def complexity_en(cfg: ControlFlowGraph) -> int:
@@ -181,16 +193,17 @@ def reach(cfg: ControlFlowGraph, start: int | None = None, blocked: Collection[i
     """The blocks that paths from start (entry by default) reach, start
     included.  A path stops at a blocked block: the block is reached, but
     nothing past it is reached through it."""
-    successors = cfg.successors
+    out, dst = cfg.table.out, cfg.table.dst
     start = cfg.entry if start is None else start
     reached = {start}
     frontier = [] if start in blocked else [start]
     while frontier:
-        for e in successors.get(frontier.pop(), ()):
-            if e.dst not in reached:
-                reached.add(e.dst)
-                if e.dst not in blocked:
-                    frontier.append(e.dst)
+        bid = frontier.pop()
+        for target in dst[out[bid] : out[bid + 1]]:
+            if target not in reached:
+                reached.add(target)
+                if target not in blocked:
+                    frontier.append(target)
     return reached
 
 
@@ -203,13 +216,17 @@ def call_blocks(
     which runs only when the left operand does not decide, or the
     statement's instruction is skippable: an assert check, or part of a
     catch body."""
+    t = cfg.table
+    stmt_iids = t.stmt_iids
     blocks = set()
     for node in calls:
-        while node is not None and node.uid not in cfg.stmt_iids:
+        while node is not None and node.uid not in stmt_iids:
             up = parent(node)
             node = None if isinstance(up, ast.Binary) and up.op in ("&&", "||") and node is up.right else up
-        if node is not None and cfg.stmt_iids[node.uid] not in cfg.skippable_iids:
-            blocks.add(cfg.instr_blocks[cfg.stmt_iids[node.uid]])
+        if node is not None:
+            iid = stmt_iids[node.uid]
+            if not t.skippable[iid]:
+                blocks.add(t.block_of[iid])
     return blocks
 
 
@@ -218,80 +235,90 @@ State = TypeVar("State")
 
 def forward(
     cfg: ControlFlowGraph, start: State, step: Callable[[int, State], State],
-    refine: Callable[[Edge, State], State], join: Callable[[State, State], State],
+    refine: Callable[[int, str, State], State], join: Callable[[State, State], State],
 ) -> dict[int, State]:
     """The state on entry to each block that entry reaches, by Kildall's
-    worklist method: step runs an instruction, refine gives what an edge
-    passes on, and join(old, new) merges states, which must stop rising
-    after finitely many joins.  A block runs again whenever its entry state
-    changes, so the last step of an instruction sees its final state."""
-    blocks = {b.bid: b for b in cfg.blocks}
+    worklist method: step runs an instruction, refine(source block, branch
+    key, state) gives what an edge passes on, and join(old, new) merges
+    states, which must stop rising after finitely many joins.  A block runs
+    again whenever its entry state changes, so the last step of an
+    instruction sees its final state."""
+    t = cfg.table
+    first, stop, out, dst, key = t.first, t.stop, t.out, t.dst, t.key
     states = {cfg.entry: start}
     pending = [cfg.entry]  # a heap: the lowest block id, roughly source order, first
     while pending:
         bid = heapq.heappop(pending)
         state = states[bid]
-        for iid in blocks[bid].instructions:
+        for iid in range(first[bid], stop[bid]):
             state = step(iid, state)
-        for e in cfg.out_edges(bid):
-            new = refine(e, state)
-            old = states.get(e.dst)
+        for e in range(out[bid], out[bid + 1]):
+            target = dst[e]
+            new = refine(bid, key[e], state)
+            old = states.get(target)
             new = new if old is None else join(old, new)
             if new != old:
-                states[e.dst] = new
-                if e.dst not in pending:
-                    heapq.heappush(pending, e.dst)
+                states[target] = new
+                if target not in pending:
+                    heapq.heappush(pending, target)
     return states
 
 
-def unreachable_nodes(cfg: ControlFlowGraph) -> list[BasicBlock]:
+def unreachable_nodes(cfg: ControlFlowGraph) -> list[int]:
     """Blocks with no path from entry; none, without a scan, where the
     search reached as many blocks as the graph has."""
     reached = reach(cfg)
-    return [] if len(reached) == cfg.N else [b for b in cfg.blocks if b.bid not in reached]
+    return [] if len(reached) == cfg.N else [b for b in cfg.blocks if b not in reached]
 
 
 class _Builder:
-    def __init__(self, mid: str, iids: Iterator[int]):
-        self.cfg = ControlFlowGraph(method=mid)
-        self.iids = iids
-        self._next_bid = 0
+    """One graph: its blocks and instructions go straight into the table,
+    and its edges are kept here until finish indexes them."""
+
+    def __init__(self, table: CfgTable, mid: str):
+        self.table = table
+        self.mid = mid
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.key: list[str] = []
+        self.first_iid = len(table.block_of)
         self._catch_depth = 0
-        entry = self.new_block(is_entry=True)
-        exit_block = self.new_block(is_exit=True)
-        self.cfg.entry = entry.bid
-        self.cfg.exit = exit_block.bid
-        self.cur: BasicBlock | None = self.new_block()
-        self.edge(entry.bid, self.cur.bid, FALLTHROUGH)
+        self.entry = self.new_block()
+        self.exit = self.new_block()
+        self.cur: int | None = self.new_block()
+        self.edge(self.entry, self.cur, FALLTHROUGH)
 
-    def new_block(self, is_entry: bool = False, is_exit: bool = False) -> BasicBlock:
-        block = BasicBlock(bid=self._next_bid, is_entry=is_entry, is_exit=is_exit)
-        self._next_bid += 1
-        self.cfg.blocks.append(block)
-        return block
+    def new_block(self) -> int:
+        self.table.first.append(-1)
+        self.table.stop.append(-1)
+        return len(self.table.first) - 1
 
-    def edge(self, src: int, dst: int, kind: str, label: str = "") -> None:
-        self.cfg.edges.append(Edge(src, dst, kind, label))
+    def edge(self, src: int, dst: int, key: str) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.key.append(key)
 
-    def ensure_cur(self) -> BasicBlock:
+    def ensure_cur(self) -> int:
         if self.cur is None:
             self.cur = self.new_block()  # unreachable continuation
         return self.cur
 
     def place(self, span: SourceSpan) -> int:
         """A fresh instruction id at the end of the current block."""
-        iid = next(self.iids)
+        t = self.table
+        iid = len(t.block_of)
         block = self.ensure_cur()
-        block.instructions.append(iid)
-        self.cfg.instr_blocks[iid] = block.bid
-        self.cfg.instr_spans[iid] = span
-        if self._catch_depth:
-            self.cfg.skippable_iids.add(iid)
+        if t.first[block] < 0:
+            t.first[block] = iid
+        t.stop[block] = iid + 1
+        t.block_of.append(block)
+        t.skippable.append(self._catch_depth > 0)
+        t.instr_spans[iid] = span
         return iid
 
     def instr(self, node: ast.Node, span: SourceSpan | None = None) -> int:
         iid = self.place(span or node.span)
-        self.cfg.stmt_iids[node.uid] = iid
+        self.table.stmt_iids[node.uid] = iid
         return iid
 
     # -- statement dispatch -------------------------------------------------
@@ -303,7 +330,7 @@ class _Builder:
 
     def _return(self, stmt: ast.Return) -> None:
         self.instr(stmt)
-        self.edge(self.cur.bid, self.cfg.exit, FALLTHROUGH)
+        self.edge(self.cur, self.exit, FALLTHROUGH)
         self.cur = None
 
     def _for(self, stmt: ast.For) -> None:
@@ -323,22 +350,23 @@ class _Builder:
         then_entry = self.new_block()
         else_entry = self.new_block() if stmt.els is not None else None
         join = self.new_block()
+        otherwise = join if else_entry is None else else_entry
         if truth is None:
-            self.edge(cond_block.bid, then_entry.bid, TRUE_BRANCH)
-            self.edge(cond_block.bid, (else_entry or join).bid, FALSE_BRANCH)
+            self.edge(cond_block, then_entry, TRUE_BRANCH)
+            self.edge(cond_block, otherwise, FALSE_BRANCH)
         elif truth:
-            self.edge(cond_block.bid, then_entry.bid, TRUE_BRANCH)
+            self.edge(cond_block, then_entry, TRUE_BRANCH)
         else:
-            self.edge(cond_block.bid, (else_entry or join).bid, FALSE_BRANCH)
+            self.edge(cond_block, otherwise, FALSE_BRANCH)
         self.cur = then_entry
         self.stmts(stmt.then.stmts)
         if self.cur is not None:
-            self.edge(self.cur.bid, join.bid, FALLTHROUGH)
+            self.edge(self.cur, join, FALLTHROUGH)
         if stmt.els is not None:
             self.cur = else_entry
             self.stmts((stmt.els,))
             if self.cur is not None:
-                self.edge(self.cur.bid, join.bid, FALLTHROUGH)
+                self.edge(self.cur, join, FALLTHROUGH)
         self.cur = join
 
     def _assert(self, stmt: ast.Assert) -> None:
@@ -346,15 +374,15 @@ class _Builder:
         # block, its true edge leads to the failure, placed right after it
         # at the same span, and both reach the join.  No literal prunes an
         # edge: --ea decides whether the check runs at all.
-        self.cfg.skippable_iids.add(self.instr(stmt))
+        self.table.skippable[self.instr(stmt)] = 1
         check = self.cur
         failure = self.new_block()
         join = self.new_block()
-        self.edge(check.bid, failure.bid, TRUE_BRANCH)
-        self.edge(check.bid, join.bid, FALSE_BRANCH)
+        self.edge(check, failure, TRUE_BRANCH)
+        self.edge(check, join, FALSE_BRANCH)
         self.cur = failure
         self.place(stmt.span)
-        self.edge(failure.bid, join.bid, FALLTHROUGH)
+        self.edge(failure, join, FALLTHROUGH)
         self.cur = join
 
     def _loop(
@@ -366,26 +394,26 @@ class _Builder:
     ) -> None:
         self.ensure_cur()
         cond_block = self.new_block()
-        self.edge(self.cur.bid, cond_block.bid, FALLTHROUGH)
+        self.edge(self.cur, cond_block, FALLTHROUGH)
         self.cur = cond_block
         self.instr(stmt, cond.span if cond is not None else stmt.span)
         truth = True if cond is None else ast.literal_truth(cond)
         body_entry = self.new_block()
         after = self.new_block()
         if truth is None:
-            self.edge(cond_block.bid, body_entry.bid, TRUE_BRANCH)
-            self.edge(cond_block.bid, after.bid, FALSE_BRANCH)
+            self.edge(cond_block, body_entry, TRUE_BRANCH)
+            self.edge(cond_block, after, FALSE_BRANCH)
         elif truth:
-            self.edge(cond_block.bid, body_entry.bid, TRUE_BRANCH)
+            self.edge(cond_block, body_entry, TRUE_BRANCH)
         else:
-            self.edge(cond_block.bid, after.bid, FALSE_BRANCH)
+            self.edge(cond_block, after, FALSE_BRANCH)
         self.cur = body_entry
         self.stmts(body.stmts)
         if update is not None:
             self.ensure_cur()
             self.instr(update)
         if self.cur is not None:
-            self.edge(self.cur.bid, cond_block.bid, LOOP_BACK)
+            self.edge(self.cur, cond_block, LOOP_BACK)
         self.cur = after
 
     def _switch(self, stmt: ast.Switch) -> None:
@@ -396,13 +424,13 @@ class _Builder:
         has_default = any(c.label is None for c in stmt.cases)
         for i, case in enumerate(stmt.cases):
             entry = self.new_block()
-            self.edge(subject_block.bid, entry.bid, SWITCH_CASE, case_label(i, case))
+            self.edge(subject_block, entry, branch_key(SWITCH_CASE, case_label(i, case)))
             self.cur = entry
             self.stmts(case.body)
             if self.cur is not None:
-                self.edge(self.cur.bid, after.bid, FALLTHROUGH)
+                self.edge(self.cur, after, FALLTHROUGH)
         if not has_default:
-            self.edge(subject_block.bid, after.bid, SWITCH_CASE, NO_MATCH)
+            self.edge(subject_block, after, branch_key(SWITCH_CASE, NO_MATCH))
         self.cur = after
 
     def _try(self, stmt: ast.Try) -> None:
@@ -410,7 +438,7 @@ class _Builder:
         for catch in stmt.catches:
             entry = self.new_block()
             if self.cur is not None:
-                self.edge(self.cur.bid, entry.bid, FALLTHROUGH)
+                self.edge(self.cur, entry, FALLTHROUGH)
             self.cur = entry
             self._catch_depth += 1
             self.stmts(catch.body.stmts)
@@ -418,7 +446,7 @@ class _Builder:
         if stmt.finally_block is not None:
             entry = self.new_block()
             if self.cur is not None:
-                self.edge(self.cur.bid, entry.bid, FALLTHROUGH)
+                self.edge(self.cur, entry, FALLTHROUGH)
             self.cur = entry
             self.stmts(stmt.finally_block.stmts)
 
@@ -443,55 +471,72 @@ class _Builder:
         self,
         terminal_span: SourceSpan | None,
         add_implicit_return: bool = True,
+        synthetic: bool = False,
     ) -> ControlFlowGraph:
+        implicit = None
         if self.cur is not None:
             if add_implicit_return:
                 # Implicit return instruction: every method executes at least
                 # one instruction, so method coverage is observable.
-                self.cfg.implicit_return_iid = self.place(
-                    terminal_span or SourceSpan("<synthetic>", 1, 1, 1, 1)
-                )
-            self.edge(self.cur.bid, self.cfg.exit, FALLTHROUGH)
+                implicit = self.place(terminal_span or SourceSpan("<synthetic>", 1, 1, 1, 1))
+            self.edge(self.cur, self.exit, FALLTHROUGH)
         self._prune_empty_orphans()
-        return self.cfg
+        t = self.table
+        t.add_edges(self.src, self.dst, self.key)
+        blocks = range(self.entry, len(t.first))
+        iids = range(self.first_iid, len(t.block_of))
+        return ControlFlowGraph(self.mid, t, blocks, iids, self.entry, self.exit, implicit, synthetic)
 
     def _prune_empty_orphans(self) -> None:
         # Instruction-free blocks that nothing reaches carry no information;
         # dropping them keeps one node and one out-edge per removal, which
-        # leaves E - N + 2 unchanged.
-        while True:
-            incoming = {e.dst for e in self.cfg.edges}
-            doomed = [
-                b
-                for b in self.cfg.blocks
-                if not b.instructions
-                and not b.is_entry
-                and not b.is_exit
-                and b.bid not in incoming
-            ]
-            if not doomed:
-                return
-            doomed_ids = {b.bid for b in doomed}
-            self.cfg.blocks = [b for b in self.cfg.blocks if b.bid not in doomed_ids]
-            self.cfg.edges = [e for e in self.cfg.edges if e.src not in doomed_ids]
+        # leaves E - N + 2 unchanged.  The blocks kept are numbered densely
+        # again, in order.
+        t = self.table
+        lo = self.exit + 1
+        empty = {b for b, first in enumerate(t.first[lo:], lo) if first < 0}
+        doomed: set[int] = set()
+        while empty:
+            incoming = {dst for src, dst in zip(self.src, self.dst) if src not in doomed}
+            more = empty - incoming
+            if not more:
+                break
+            doomed |= more
+            empty -= more
+        if not doomed:
+            return
+        kept = [b for b in range(self.entry, len(t.first)) if b not in doomed]
+        new = dict(zip(kept, range(self.entry, self.entry + len(kept))))
+        t.first[self.entry :] = array("i", [t.first[b] for b in kept])
+        t.stop[self.entry :] = array("i", [t.stop[b] for b in kept])
+        edges = [e for e, src in enumerate(self.src) if src in new]
+        self.src = [new[self.src[e]] for e in edges]
+        self.dst = [new[self.dst[e]] for e in edges]
+        self.key = [self.key[e] for e in edges]
+        for iid in range(self.first_iid, len(t.block_of)):
+            t.block_of[iid] = new[t.block_of[iid]]
 
 
-@record
+@record(slots=True)
 class UnitCfgs:
-    """All CFGs of a unit plus unit-wide instruction metadata."""
+    """All CFGs of a unit, over one table."""
 
     cfgs: dict[str, ControlFlowGraph]
-    stmt_iids: dict[int, int]  # ast uid -> iid, merged over methods
-    instr_spans: dict[int, SourceSpan]
+    table: CfgTable
+
+    @property
+    def stmt_iids(self) -> dict[int, int]:
+        """ast uid -> iid, over all methods."""
+        return self.table.stmt_iids
+
+    @property
+    def instr_spans(self) -> dict[int, SourceSpan]:
+        return self.table.instr_spans
 
 
-def build_cfg(
-    method: ast.MethodDecl,
-    class_name: str = "?",
-    iids: Iterator[int] | None = None,
-) -> ControlFlowGraph:
-    """CFG for a single method body; iids hands out its instruction ids."""
-    builder = _Builder(method_identity(class_name, method), iids or itertools.count())
+def build_cfg(method: ast.MethodDecl, class_name: str = "?", table: CfgTable | None = None) -> ControlFlowGraph:
+    """CFG for a single method body, added to table (a fresh one by default)."""
+    builder = _Builder(CfgTable() if table is None else table, method_identity(class_name, method))
     builder.stmts(method.body.stmts)
     end_span = SourceSpan(
         method.span.file,
@@ -506,30 +551,23 @@ def build_cfg(
 def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
     """CFGs for every method, plus synthetic constructors and static
     initializers so those populations count as methods."""
-    iids = itertools.count()
+    table = CfgTable()
     cfgs: dict[str, ControlFlowGraph] = {}
     for cls in unit.classes:
         static_inits = [f for f in cls.fields if f.static and f.initializer is not None]
         if static_inits:
-            builder = _Builder(clinit_id(cls.name), iids)
+            builder = _Builder(table, clinit_id(cls.name))
             for fld in static_inits:
                 builder.instr(fld)
-            cfg = builder.finish(None, add_implicit_return=False)
-            cfg.synthetic = True
+            cfg = builder.finish(None, add_implicit_return=False, synthetic=True)
             cfgs[cfg.method] = cfg
         has_ctor = any(m.is_constructor for m in cls.methods)
         if not has_ctor:
-            builder = _Builder(default_ctor_id(cls.name), iids)
+            builder = _Builder(table, default_ctor_id(cls.name))
             builder.instr(cls)
-            cfg = builder.finish(None, add_implicit_return=False)
-            cfg.synthetic = True
+            cfg = builder.finish(None, add_implicit_return=False, synthetic=True)
             cfgs[cfg.method] = cfg
         for method in cls.methods:
-            cfg = build_cfg(method, cls.name, iids)
+            cfg = build_cfg(method, cls.name, table)
             cfgs[cfg.method] = cfg
-    stmt_iids: dict[int, int] = {}
-    instr_spans: dict[int, SourceSpan] = {}
-    for cfg in cfgs.values():
-        stmt_iids.update(cfg.stmt_iids)
-        instr_spans.update(cfg.instr_spans)
-    return UnitCfgs(cfgs=cfgs, stmt_iids=stmt_iids, instr_spans=instr_spans)
+    return UnitCfgs(cfgs=cfgs, table=table)

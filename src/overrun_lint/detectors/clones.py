@@ -17,13 +17,14 @@ to it, so no window spans two files.
 A pair of equal grams at positions a < b is taken only when it is
 left-maximal: a or b starts its file, or the tokens before a and b differ.
 Otherwise (a - 1, b - 1) is a pair of the same group that yields the same
-run, so no run is ever extended to the left.  A run is extended to the
-right while the tokens match, both copies stay in their files and the
-copies do not overlap.  Every run found is reported: two runs on one
-diagonal (equal b - a) cover disjoint tokens, because a left-maximal start
-cannot lie inside another run, where every token matches its partner.  The
-cost is one gram per token, one check per pair of equal grams and one step
-per reported token.
+run, so no run is ever extended to the left; a group whose windows all
+follow one token, none at a file start, is dropped without a look at its
+pairs.  A run is extended to the right while the tokens match, both copies
+stay in their files and the copies do not overlap.  Every run found is
+reported: two runs on one diagonal (equal b - a) cover disjoint tokens,
+because a left-maximal start cannot lie inside another run, where every
+token matches its partner.  The cost is one gram per token, at most one
+check per pair of equal grams and one step per reported token.
 """
 
 from __future__ import annotations
@@ -87,12 +88,15 @@ def find_duplicates(units: list[ast.CompilationUnit], min_tokens: int) -> list[C
     triples = []
     groups = grams.values()  # only a gram met twice or more yields pairs
     for positions in compress(groups, map((1).__lt__, map(len, groups))):
+        # The token before each window, "" at a file start.
+        leads = [norms[p - 1] if p and file_end[p - 1] != p else "" for p in positions]
+        if leads[0] and leads.count(leads[0]) == len(leads):
+            continue  # every window follows the same token: no pair is left-maximal
         for ai in range(len(positions) - 1):
-            a = positions[ai]
-            a_first = a == 0 or file_end[a - 1] == a
+            a, lead = positions[ai], leads[ai]
             a_end = file_end[a]
-            for b in positions[ai + 1 :]:
-                if not a_first and file_end[b - 1] != b and norms[a - 1] == norms[b - 1]:
+            for b, b_lead in zip(positions[ai + 1 :], leads[ai + 1 :]):
+                if lead and lead == b_lead:
                     continue  # (a - 1, b - 1) yields the same run
                 limit = min(b - a, a_end - a, file_end[b] - b)
                 length = min_tokens

@@ -11,7 +11,7 @@ from ..frontend import ast
 from ..semantics import types as ty
 from ..semantics.callgraph import CallGraph, constructor_cycles, unconditional_cycles
 from ..semantics.resolver import BUILTINS, Resolution, Symbol
-from ..cfg import TRUE_BRANCH, Edge, UnitCfgs, call_blocks, forward, method_identity, reach, unreachable_nodes
+from ..cfg import TRUE_BRANCH, UnitCfgs, call_blocks, forward, method_identity, reach, unreachable_nodes
 from .model import Finding, Rule, RuleSet
 
 
@@ -76,11 +76,12 @@ class Nullness:
         sites = (*res.nodes_of(ast.Null), *(c for c in res.nodes_of(ast.Call) if res.builtin_of(c) is _READLINE))
         for method in {m.uid: m for m in map(res.method_of, sites) if m is not None}.values():
             graph = ctx.cfgs.cfgs[method_identity(res.parent(method).name, method)]
-            at = {graph.stmt_iids[n.uid]: n for n in res.subtree(method.body) if n.uid in graph.stmt_iids}
-            conds = {graph.instr_blocks[i]: n.cond for i, n in at.items() if isinstance(n, (ast.If, ast.While, ast.For))}
-            forward(graph, {}, partial(self._step, at, graph.skippable_iids), partial(self._refine, conds), _join)
+            table = graph.table
+            at = {table.stmt_iids[n.uid]: n for n in res.subtree(method.body) if n.uid in table.stmt_iids}
+            conds = {table.block_of[i]: n.cond for i, n in at.items() if isinstance(n, (ast.If, ast.While, ast.For))}
+            forward(graph, {}, partial(self._step, at, table.skippable), partial(self._refine, conds), _join)
 
-    def _step(self, at: dict[int, ast.Node], skippable: set[int], iid: int, before: Facts) -> Facts:
+    def _step(self, at: dict[int, ast.Node], skippable: bytearray, iid: int, before: Facts) -> Facts:
         """The facts after instruction iid; joined with those before it
         where a path may pass it without running it (an assert check, a
         catch body)."""
@@ -92,16 +93,16 @@ class Nullness:
             self.derefs[expr.uid] = (expr, value)
         if isinstance(node, ast.LocalDecl):
             self._store(self.res.decl_symbols.get(node.uid), value, facts)
-        return _join(before, facts) if iid in skippable else facts
+        return _join(before, facts) if skippable[iid] else facts
 
     @staticmethod
     def _store(sym: Symbol | None, value: str | None, facts: Facts) -> None:
         if sym is not None and sym.kind in _TRACKED:
             facts[id(sym)] = value
 
-    def _refine(self, conds: dict[int, ast.Expr | None], edge: Edge, facts: Facts) -> Facts:
-        cond = conds.get(edge.src)
-        return facts if cond is None else self._assume(cond, facts, edge.kind == TRUE_BRANCH)
+    def _refine(self, conds: dict[int, ast.Expr | None], src: int, key: str, facts: Facts) -> Facts:
+        cond = conds.get(src)
+        return facts if cond is None else self._assume(cond, facts, key == TRUE_BRANCH)
 
     def _eval(self, expr: ast.Expr, facts: Facts) -> str | None:
         """Evaluate expr on facts, in place and in Java's order, recording
@@ -486,9 +487,10 @@ def unreachable_code(rule: Rule, ctx: RuleContext) -> list[Finding]:
         if graph.synthetic:
             continue
         for block in unreachable_nodes(graph):
-            if not block.instructions:
+            instructions = graph.instructions(block)
+            if not instructions:
                 continue
-            span = graph.instr_spans[block.instructions[0]]
+            span = ctx.cfgs.instr_spans[instructions[0]]
             findings.append(rule.finding(span, f"code in {method_id} cannot be reached"))
     return findings
 

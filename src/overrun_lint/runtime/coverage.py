@@ -74,18 +74,18 @@ def coverage_summary(
     per_method_covered: dict[str, int] = {}
     owners_run: set[str] = set()
     for mid, cfg in cfgs.cfgs.items():
-        ran = len(executed.intersection(cfg.instr_blocks))
-        instr_total += len(cfg.instr_blocks)
+        ran = len(executed.intersection(cfg.iids))
+        instr_total += len(cfg.iids)
         instr_covered += ran
         extra = 0
         for block in cfg.decisions:
-            edges = cfg.successors[block.bid]
-            cond_iid = block.instructions[-1]  # the decision's condition
-            taken = sum(1 for e in edges if outcomes.get((cond_iid, e.key), 0) > 0)
+            keys = [key for _, key in cfg.out_edges(block)]
+            cond_iid = cfg.instructions(block)[-1]  # the decision's condition
+            taken = sum(1 for key in keys if outcomes.get((cond_iid, key), 0) > 0)
             extra += taken - 1 if taken else 0
-            branch_total += len(edges)
+            branch_total += len(keys)
             branch_covered += taken
-            branch_status[cfg.instr_spans[cond_iid].line] = _status(taken, len(edges))
+            branch_status[cfgs.instr_spans[cond_iid].line] = _status(taken, len(keys))
         v = complexity_bd(cfg)
         covered_v = min(v, extra + 1) if ran else 0
         per_method_covered[mid] = covered_v

@@ -49,6 +49,7 @@ loop that would be the 18th becomes a local function called in its place
 from __future__ import annotations
 
 import ast as py
+import itertools
 import math
 import random as _random
 import re
@@ -246,7 +247,7 @@ class Interpreter:
     def _namespace(self) -> dict:
         """The globals of the run's generated functions: the steps left,
         the statics and the helpers they call."""
-        steps = iter(range(1, self.options.max_steps + 1))
+        steps = itertools.repeat(True, self.options.max_steps)  # its length hint is the steps left
         ns = {"N": steps, "_FELL": _FELL, "__builtins__": {"len": len, "str": str, "float": float, "next": next}}
         for cls in self.unit.classes:
             for fld in cls.fields:
@@ -305,7 +306,7 @@ class Interpreter:
         for r, name in self.counted:
             if ns[name] > halted.get(r, 0):
                 ran.update(self.runs[r])
-        trace.entered_methods.update(m for m, cfg in self.cfgs.cfgs.items() if not ran.isdisjoint(cfg.instr_spans))
+        trace.entered_methods.update(m for m, cfg in self.cfgs.cfgs.items() if not ran.isdisjoint(cfg.iids))
 
     def site(self, span: SourceSpan) -> int:
         """span's number among the run's call sites and fault spans."""
@@ -675,7 +676,7 @@ class _Gen:
         cfg = self.st.cfgs.cfgs[ident]
         implicit = cfg.implicit_return_iid  # None where the end cannot be reached
         if implicit is not None:
-            span = cfg.instr_spans[implicit]
+            span = self.st.cfgs.instr_spans[implicit]
             self._step_at(implicit, span)
             if ty.from_type_ref(decl.return_type) != ty.VOID_T:
                 missing = f"{ident} reached its end without returning a value"

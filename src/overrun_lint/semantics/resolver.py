@@ -338,6 +338,7 @@ class _Resolver:
         self.current_class: ClassInfo | None = None
         self.current_method: ast.MethodDecl | None = None
         self.static_context = False  # resolving a static method or field initializer
+        self.initializing: Symbol | None = None  # the local whose initializer is being resolved
         # Checked once every name is resolved, since a label may name a
         # constant whose initializer lies in a class resolved later.
         self.switches: list[ast.Switch] = []
@@ -542,21 +543,24 @@ class _Resolver:
         self._close(mark)
 
     def _s_local(self, decl: ast.LocalDecl) -> None:
+        """A local is in scope from its own initializer on (JLS 6.3), where
+        it may be stored but not read."""
         declared = self.ref_types[decl.type.base, decl.type.dims]
-        if decl.initializer is not None:
-            value_t = self._expr(decl.initializer)
-            self._require_assignable(declared, value_t, decl.span, "initializer")
-        self._declare(
-            self._sym(
-                name=decl.name,
-                kind="local",
-                declared_type=declared,
-                span=decl.span,
-                final=decl.final,
-                decl_uid=decl.uid,
-                read_only=decl.final and decl.initializer is not None,
-            )
+        sym = self._sym(
+            name=decl.name,
+            kind="local",
+            declared_type=declared,
+            span=decl.span,
+            final=decl.final,
+            decl_uid=decl.uid,
+            read_only=decl.final and decl.initializer is not None,
         )
+        self._declare(sym)
+        if decl.initializer is not None:
+            self.initializing = sym
+            value_t = self._expr(decl.initializer)
+            self.initializing = None
+            self._require_assignable(declared, value_t, decl.span, "initializer")
 
     def _condition(self, cond: ast.Expr, what: str) -> None:
         cond_t = self._expr(cond)
@@ -744,6 +748,8 @@ class _Resolver:
             raise TypeCheckError(expr.span, f"class name {sym.name} is not a value")
         if sym.kind == "field" and self.static_context:
             self._require_static(sym.static, expr.span, "field", sym.name)
+        if sym is self.initializing and not store:
+            raise TypeCheckError(expr.span, f"variable {name} might not have been initialized")
         self.res.name_targets[expr.uid] = sym
         if store:
             sym.write_count += 1

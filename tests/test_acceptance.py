@@ -171,7 +171,7 @@ def test_criterion_07_coverage_conservation(corpus_sources):
                     populations = {
                         "instruction": len(cfgs.instr_spans),
                         "branch": sum(
-                            len(cfg.out_edges(b.bid))
+                            len(list(cfg.out_edges(b)))
                             for cfg in cfgs.cfgs.values()
                             for b in cfg.decisions
                         ),

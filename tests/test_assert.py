@@ -157,13 +157,14 @@ def test_literal_assert_keeps_both_edges(literal):
     graph = analyzed.cfgs.cfgs["M.m/0"]
     assert unreachable_nodes(graph) == []
     check, failure = _check_and_failure(analyzed, _asserts(analyzed)[0])
-    out = graph.out_edges(graph.instr_blocks[check])
-    assert sorted(e.kind for e in out) == [FALSE_BRANCH, TRUE_BRANCH]
-    (fail_edge,) = [e for e in out if e.kind == TRUE_BRANCH]
-    assert next(b for b in graph.blocks if b.bid == fail_edge.dst).instructions == [failure]
-    (join,) = [e.dst for e in out if e.kind == FALSE_BRANCH]
-    assert [(e.dst, e.kind) for e in graph.out_edges(fail_edge.dst)] == [(join, FALLTHROUGH)]
-    assert graph.instr_spans[check] == graph.instr_spans[failure] == _asserts(analyzed)[0].span
+    out = list(graph.out_edges(graph.table.block_of[check]))
+    assert sorted(key for _, key in out) == [FALSE_BRANCH, TRUE_BRANCH]
+    (fail_block,) = [dst for dst, key in out if key == TRUE_BRANCH]
+    assert list(graph.instructions(fail_block)) == [failure]
+    (join,) = [dst for dst, key in out if key == FALSE_BRANCH]
+    assert list(graph.out_edges(fail_block)) == [(join, FALLTHROUGH)]
+    spans = analyzed.cfgs.instr_spans
+    assert spans[check] == spans[failure] == _asserts(analyzed)[0].span
 
 
 def test_metrics_with_coverage_data_agrees_with_the_run(corpus_dir, tmp_path, capsys):

@@ -1,18 +1,32 @@
+import gc
+import hashlib
 import random
+import types
 
 from overrun_lint.cfg import (
-    BasicBlock,
+    CfgTable,
     ControlFlowGraph,
-    Edge,
     build_unit_cfgs,
     complexity_bd,
     complexity_en,
     reach,
     unreachable_nodes,
 )
-from overrun_lint.frontend import parse_source
+from overrun_lint.frontend import ast, parse_source
+from overrun_lint.frontend.lexer import SourceSpan
 
-from progen import gen_structured_method, wrap_body_in_try
+from progen import gen_structured_method, seeded_unit, wrap_body_in_try
+
+
+def graph(method, n, edges, entry=0, exit=1):
+    """A graph of n blocks with no instructions and the (src, dst, key)
+    edges, over a table of its own."""
+    src, dst, key = (list(column) for column in zip(*edges)) if edges else ([], [], [])
+    table = CfgTable()
+    table.first.extend([-1] * n)
+    table.stop.extend([-1] * n)
+    table.add_edges(src, dst, key)
+    return ControlFlowGraph(method, table, range(n), range(0), entry, exit)
 
 
 def cfg_of(source, method="work"):
@@ -46,12 +60,8 @@ def test_single_loop_single_decision():
 
 def test_formula_on_synthetic_diamond():
     # complexity functions are pure functions of any well-formed graph
-    cfg = ControlFlowGraph(method="synthetic")
-    for bid in range(4):
-        cfg.blocks.append(BasicBlock(bid=bid))
-    cfg.entry, cfg.exit = 0, 3
-    cfg.edges = [Edge(0, 1, "true-branch"), Edge(0, 2, "false-branch"),
-                 Edge(1, 3, "fallthrough"), Edge(2, 3, "fallthrough")]
+    cfg = graph("synthetic", 4, [(0, 1, "true-branch"), (0, 2, "false-branch"),
+                                 (1, 3, "fallthrough"), (2, 3, "fallthrough")], exit=3)
     assert cfg.E == 4 and cfg.N == 4
     assert complexity_en(cfg) == 2
     assert complexity_bd(cfg) == 2
@@ -108,11 +118,7 @@ class C {
 
 
 def test_reachability_linear_chain_all_ones_from_entry():
-    cfg = ControlFlowGraph(method="chain")
-    for bid in range(3):
-        cfg.blocks.append(BasicBlock(bid=bid))
-    cfg.entry, cfg.exit = 0, 2
-    cfg.edges = [Edge(0, 1, "fallthrough"), Edge(1, 2, "fallthrough")]
+    cfg = graph("chain", 3, [(0, 1, "fallthrough"), (1, 2, "fallthrough")], exit=2)
     assert reach(cfg) == {0, 1, 2}
     assert all(i in reach(cfg, i) for i in range(3))
 
@@ -121,29 +127,23 @@ def test_reachability_matches_dfs_oracle_on_random_dags():
     rng = random.Random(20260809)
     for _ in range(60):
         n = rng.randint(2, 8)
-        cfg = ControlFlowGraph(method="dag")
-        for bid in range(n):
-            cfg.blocks.append(BasicBlock(bid=bid))
-        cfg.entry, cfg.exit = 0, n - 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.35:
-                    cfg.edges.append(Edge(i, j, "fallthrough"))
+        edges = [(i, j, "fallthrough") for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        cfg = graph("dag", n, edges, exit=n - 1)
 
         def dfs(start):
             seen = {start}
             stack = [start]
             while stack:
                 cur = stack.pop()
-                for e in cfg.edges:
-                    if e.src == cur and e.dst not in seen:
-                        seen.add(e.dst)
-                        stack.append(e.dst)
+                for src, dst, _ in edges:
+                    if src == cur and dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
             return seen
 
         for i in range(n):
             assert reach(cfg, i) == dfs(i)
-        assert [b.bid for b in unreachable_nodes(cfg)] == sorted(set(range(n)) - dfs(0))
+        assert unreachable_nodes(cfg) == sorted(set(range(n)) - dfs(0))
 
 
 def test_reach_matches_dfs_oracle_with_blocked_blocks():
@@ -152,9 +152,8 @@ def test_reach_matches_dfs_oracle_with_blocked_blocks():
     rng = random.Random(20261019)
     for _ in range(200):
         n = rng.randint(1, 9)
-        cfg = ControlFlowGraph(method="g")
-        cfg.blocks = [BasicBlock(bid=bid) for bid in range(n)]
-        cfg.edges = [Edge(i, j, "fallthrough") for i in range(n) for j in range(n) if rng.random() < 0.25]
+        edges = [(i, j, "fallthrough") for i in range(n) for j in range(n) if rng.random() < 0.25]
+        cfg = graph("g", n, edges)
         blocked = {bid for bid in range(n) if rng.random() < 0.3}
         start = rng.randrange(n)
 
@@ -163,10 +162,10 @@ def test_reach_matches_dfs_oracle_with_blocked_blocks():
             cur = stack.pop()
             if cur in blocked:
                 continue
-            for e in cfg.edges:
-                if e.src == cur and e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
+            for src, dst, _ in edges:
+                if src == cur and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
         assert reach(cfg, start, blocked) == seen
         cfg.entry = start
         assert reach(cfg, blocked=frozenset(blocked)) == seen
@@ -184,7 +183,7 @@ class C {
     cfg = cfg_of(source)
     dead = unreachable_nodes(cfg)
     assert len(dead) == 1
-    span = cfg.instr_spans[dead[0].instructions[0]]
+    span = cfg.table.instr_spans[cfg.instructions(dead[0])[0]]
     assert span.line == 4
 
 
@@ -228,8 +227,6 @@ def test_v_is_one_iff_no_decisions():
 
 
 def test_every_statement_maps_to_instruction(corpus_sources):
-    from overrun_lint.frontend import ast
-
     leafs = (ast.ExprStmt, ast.LocalDecl, ast.Return, ast.Assert, ast.Empty,
              ast.If, ast.While, ast.For, ast.Switch, ast.Synchronized)
     for name, source in corpus_sources.items():
@@ -244,9 +241,9 @@ def test_edge_count_is_outdegree_sum(corpus_sources):
     for name, source in corpus_sources.items():
         cfgs = build_unit_cfgs(parse_source(source, name))
         for cfg in cfgs.cfgs.values():
-            assert cfg.E == sum(len(cfg.out_edges(b.bid)) for b in cfg.blocks)
-            assert [e for e in cfg.edges if e.dst == cfg.entry] == []
-            assert cfg.out_edges(cfg.exit) == []
+            assert cfg.E == sum(len(list(cfg.out_edges(b))) for b in cfg.blocks)
+            assert [b for b in cfg.blocks for dst, _ in cfg.out_edges(b) if dst == cfg.entry] == []
+            assert list(cfg.out_edges(cfg.exit)) == []
 
 
 def test_while_false_body_never_executes_at_runtime():
@@ -265,7 +262,84 @@ class C {
 """
     trace, analyzed = run_source(source, "c.sl", RunOptions())
     cfg = next(c for m, c in analyzed.cfgs.cfgs.items() if ".main/" in m)
-    dead_iids = {iid for block in unreachable_nodes(cfg) for iid in block.instructions}
+    dead_iids = {iid for block in unreachable_nodes(cfg) for iid in cfg.instructions(block)}
     assert dead_iids
     assert dead_iids.isdisjoint(trace.executed_instruction_ids)
     assert trace.stdout == ["2"]
+
+
+def _units(corpus_sources):
+    yield from corpus_sources.items()
+    for seed in range(300):
+        yield f"seeded{seed}.sl", seeded_unit(seed)
+
+
+# The structure digest below, recorded before the graphs moved into flat
+# columns: every graph's blocks by position, each block's instruction ids
+# and its out-edges (target position and key, in the order they were added),
+# entry, exit, implicit return, synthetic flag and skippable ids, and each
+# unit's statement ids and instruction spans.
+STRUCTURE_DIGEST = "49d7822a129bdbb813728ba03b001a9238a2d18ae983a717a320b56dcbd8c843"
+
+
+def test_structure_digest_is_unchanged(corpus_sources):
+    h = hashlib.sha256()
+    for name, source in _units(corpus_sources):
+        cfgs = build_unit_cfgs(parse_source(source, name))
+        skippable = cfgs.table.skippable
+        for mid, cfg in cfgs.cfgs.items():
+            pos = {b: k for k, b in enumerate(cfg.blocks)}
+            skip = [i for i in cfg.iids if skippable[i]]
+            head = f"{name} {mid} {cfg.synthetic} {pos[cfg.entry]} {pos[cfg.exit]} {cfg.implicit_return_iid} {skip}"
+            h.update(f"{head}\n".encode())
+            for b in cfg.blocks:
+                out = [(pos[dst], key) for dst, key in cfg.out_edges(b)]
+                h.update(f"{list(cfg.instructions(b))} {out}\n".encode())
+        spans = [(i, s.line, s.column, s.end_line, s.end_column) for i, s in sorted(cfgs.instr_spans.items())]
+        h.update(f"{sorted(cfgs.stmt_iids.items())} {spans}\n".encode())
+    assert h.hexdigest() == STRUCTURE_DIGEST
+
+
+def test_columns_partition_each_graph(corpus_sources):
+    # A unit's graphs own disjoint runs of block and instruction ids that
+    # together cover the table, entry and exit come first, and block_of
+    # inverts the blocks' instruction runs.
+    for name, source in _units(corpus_sources):
+        cfgs = build_unit_cfgs(parse_source(source, name))
+        table, graphs = cfgs.table, list(cfgs.cfgs.values())
+        assert [g.blocks.start for g in graphs[1:]] == [g.blocks.stop for g in graphs[:-1]], name
+        assert [g.iids.start for g in graphs[1:]] == [g.iids.stop for g in graphs[:-1]], name
+        assert graphs[-1].blocks.stop == len(table.first) == len(table.out) - 1, name
+        assert graphs[-1].iids.stop == len(table.block_of) == len(table.instr_spans), name
+        for cfg in graphs:
+            assert (cfg.entry, cfg.exit) == (cfg.blocks[0], cfg.blocks[1])
+            owned = [iid for b in cfg.blocks for iid in cfg.instructions(b)]
+            assert sorted(owned) == list(cfg.iids), (name, cfg.method)
+            assert all(table.block_of[iid] == b for b in cfg.blocks for iid in cfg.instructions(b))
+            assert all(dst in cfg.blocks for b in cfg.blocks for dst, _ in cfg.out_edges(b))
+
+
+def _tracked(root) -> int:
+    """The collector-tracked objects reachable from root, not entering AST
+    nodes, spans, classes, functions or modules."""
+    skip = (ast.Node, SourceSpan, type, types.FunctionType, types.ModuleType)
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        count += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_tracked_objects_stay_within_two_per_graph():
+    # No block, edge or instruction is a collector-tracked object: a unit's
+    # graphs own at most 2 each, plus a constant for the unit.
+    for classes in (2, 8):
+        source = "\n".join(seeded_unit(k).replace("class Seeded", f"class Seeded{k}") for k in range(classes))
+        cfgs = build_unit_cfgs(parse_source(source, f"seeded{classes}.sl"))
+        graphs = len(cfgs.cfgs)
+        assert sum(cfg.N for cfg in cfgs.cfgs.values()) > 5 * graphs  # blocks would show
+        assert _tracked(cfgs) <= 2 * graphs + 8, (classes, graphs)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from overrun_lint.detectors import find_duplicates
-from overrun_lint.detectors.clones import ClonePair
+from overrun_lint.detectors.clones import _NORMAL, ClonePair, _window_span
 from overrun_lint.errors import DomainError
 from overrun_lint.frontend import ast, parse_source, tokenize
 from overrun_lint.frontend.lexer import COMMENT, SourceSpan
@@ -192,3 +192,61 @@ def _soups(seed):
 def test_find_duplicates_matches_brute_force(seed):
     units, min_tokens = _soups(seed)
     assert find_duplicates(units, min_tokens) == _oracle(units, min_tokens)
+
+
+def _pairs_testing_every_pair(units, min_tokens):
+    """find_duplicates as it was before it dropped whole groups: every pair
+    of every group of equal grams is tested for left-maximality.  Also
+    returns how many groups had all their windows after one token."""
+    pieces, files, starts, file_end, grams, codes = [], [], [], [], {}, {}
+    for unit in units:
+        stream = unit.tokens
+        count = len(stream.texts) - 1
+        file_norms = list(map(_NORMAL.get, stream.kinds[:count], stream.texts[:count]))
+        for norm in set(file_norms).difference(codes):
+            codes[norm] = chr(len(codes))
+        chars = "".join(map(codes.__getitem__, file_norms))
+        start = len(file_end)
+        files.append((unit.file, stream))
+        starts.append(start)
+        pieces.append(chars)
+        file_end += [start + count] * count
+        for k in range(count - min_tokens + 1):
+            grams.setdefault(chars[k : k + min_tokens], []).append(start + k)
+    norms = "".join(pieces)
+    triples, uniform = [], 0
+    for positions in grams.values():
+        if len(positions) < 2:
+            continue
+        leads = {norms[p - 1] if p and file_end[p - 1] != p else "" for p in positions}
+        uniform += len(leads) == 1 and "" not in leads
+        for ai in range(len(positions) - 1):
+            a = positions[ai]
+            a_first = a == 0 or file_end[a - 1] == a
+            a_end = file_end[a]
+            for b in positions[ai + 1 :]:
+                if not a_first and file_end[b - 1] != b and norms[a - 1] == norms[b - 1]:
+                    continue
+                limit = min(b - a, a_end - a, file_end[b] - b)
+                length = min_tokens
+                while length < limit and norms[a + length] == norms[b + length]:
+                    length += 1
+                if b - a >= length:
+                    triples.append((a, b, length))
+    triples.sort(key=lambda p: (-p[2], p[0], p[1]))
+    pairs = [ClonePair(_window_span(files, starts, a, n), _window_span(files, starts, b, n), n) for a, b, n in triples]
+    pairs.sort(key=lambda p: (p.span_a.file, p.span_a.line, p.span_a.column, p.span_b.file, p.span_b.line))
+    return pairs, uniform
+
+
+def test_dropping_uniform_groups_keeps_every_pair():
+    # Random token streams, each at four thresholds: the pairs are those of
+    # a test of every pair, and some groups were dropped whole.
+    uniform = 0
+    for seed in range(1000, 1300):
+        units, _ = _soups(seed)
+        for min_tokens in (10, 11, 15, 25):
+            expected, dropped = _pairs_testing_every_pair(units, min_tokens)
+            assert find_duplicates(units, min_tokens) == expected, (seed, min_tokens)
+            uniform += dropped
+    assert uniform > 100

@@ -151,7 +151,7 @@ def test_conservation_on_corpus(corpus_sources):
         populations = {
             "instruction": len(cfgs.instr_spans),
             "branch": sum(
-                len(cfg.out_edges(b.bid))
+                len(list(cfg.out_edges(b)))
                 for cfg in cfgs.cfgs.values()
                 for b in cfg.decisions
             ),
@@ -187,11 +187,11 @@ def test_branch_outcomes_match_cfg_edges(corpus_sources):
         edge_keys = {}
         for cfg in analyzed.cfgs.cfgs.values():
             for block in cfg.blocks:
-                if not block.instructions:
+                if not cfg.instructions(block):
                     continue
-                cond_iid = block.instructions[-1]
+                cond_iid = cfg.instructions(block)[-1]
                 edge_keys.setdefault(cond_iid, set()).update(
-                    e.key for e in cfg.out_edges(block.bid)
+                    key for _, key in cfg.out_edges(block)
                 )
         for (iid, key), count in trace.branch_outcomes.items():
             assert key in edge_keys.get(iid, set()), (name, iid, key)

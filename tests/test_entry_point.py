@@ -344,6 +344,19 @@ ROWS = {
         files={"Scope.sl": f"{MAIN} int k = 2; switch (k) {{ case 1: int y = 1; case 2: println(y); }} }} }}\n"},
         out="0\n", err="",
     ),
+    # A local's scope starts at its own initializer (JLS 6.3): reading it
+    # there is javac's error, and a field it hides is read through this.
+    "run, a local read in its own initializer": Row(
+        "run Scope.sl", 2,
+        files={"Scope.sl": "class A { static int f = 3; static void main(String[] args) { int f = f + 1; println(f); } }\n"},
+        out="", err="error: Scope.sl:1:71: variable f might not have been initialized\n",
+    ),
+    "run, a local's initializer reading the field it hides through this": Row(
+        "run Scope.sl", 0,
+        files={"Scope.sl": "class A { int f = 3; void m() { int f = this.f + 1; println(f); }"
+               " static void main(String[] args) { new A().m(); } }\n"},
+        out="4\n", err="",
+    ),
     "run, sibling blocks and loops declaring one name": Row(
         "run Scope.sl", 0,
         files={"Scope.sl": f"{MAIN} {{ int x = 1; println(x); }} {{ int x = 2; println(x); }}"

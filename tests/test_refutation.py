@@ -114,8 +114,9 @@ def test_no_unreachable_block_runs(recursion_runs):
     for k, program, trace, analyzed, _findings in recursion_runs:
         for graph in analyzed.cfgs.cfgs.values():
             for block in unreachable_nodes(graph):
-                dead += len(block.instructions)
-                for iid in trace.executed_instruction_ids.intersection(block.instructions):
-                    ran.append((k, graph.instr_spans[iid].line, program.shapes))
+                instructions = graph.instructions(block)
+                dead += len(instructions)
+                for iid in trace.executed_instruction_ids.intersection(instructions):
+                    ran.append((k, analyzed.cfgs.instr_spans[iid].line, program.shapes))
     assert dead >= PROGRAMS // 10, f"only {dead} unreachable instructions in {PROGRAMS} programs"
     assert ran == [], f"{len(ran)} of {dead} unreachable instructions ran: {ran[:5]}"

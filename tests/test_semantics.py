@@ -686,6 +686,17 @@ SCOPE_ROWS = {
         "try { } catch (Exception e) { } println(e);",
         (ResolutionError, "1:67: undeclared identifier 'e'"),
     ),
+    # A local's scope starts at its own initializer, which may store it but
+    # not read it, as javac says.
+    "local_read_in_its_own_initializer": (
+        "int x = x + 1;",
+        (TypeCheckError, "1:35: variable x might not have been initialized"),
+    ),
+    "local_stored_in_its_own_initializer": ("int x = (x = 2) + p; println(x);", ["x0", "p0", "x0"]),
+    "initializer_reads_an_outer_local": (
+        "int x = 1; { int y = x + 1; println(y); }",
+        ["x0", "y0"],
+    ),
 }
 
 
@@ -702,6 +713,17 @@ def test_scopes_resolve_each_name_to_its_declaration(body, expected):
     variables = [s for s in res.symbols if s.kind in ("param", "local") and not s.is_builtin]
     label = {id(s): f"{s.name}{[v.name for v in variables[:k]].count(s.name)}" for k, s in enumerate(variables)}
     assert [label[id(res.name_targets[n.uid])] for n in res.nodes_of(ast.Name)] == expected
+
+
+def test_a_local_initializer_reads_the_field_it_hides_only_through_this():
+    with pytest.raises(TypeCheckError) as err:
+        resolve("class A { int f = 3; void m() { int f = f + 1; } }")
+    assert str(err.value) == "t.sl:1:41: variable f might not have been initialized"
+    unit, res = resolve("class A { int f = 3; void m() { int f = this.f + 1; println(f); } }")
+    (access,) = res.nodes_of(ast.FieldAccess)
+    assert res.field_targets[access.uid].kind == "field"
+    (read,) = [n for n in res.nodes_of(ast.Name) if n.identifier == "f"]
+    assert res.name_targets[read.uid].kind == "local"
 
 
 def test_frame_slots_number_parameters_and_locals_in_declaration_order():
