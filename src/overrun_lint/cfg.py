@@ -303,6 +303,21 @@ class _Builder:
             self.cur = self.new_block()  # unreachable continuation
         return self.cur
 
+    def fall_into_new_block(self) -> None:
+        """Make a fresh block current, which the current one, if any, falls into."""
+        entry = self.new_block()
+        if self.cur is not None:
+            self.edge(self.cur, entry, FALLTHROUGH)
+        self.cur = entry
+
+    def decide(self, block: int, truth: bool | None, taken: int, otherwise: int) -> None:
+        """A decision's edges, the true one first; a literal condition keeps
+        only the edge it takes."""
+        if truth is not False:
+            self.edge(block, taken, TRUE_BRANCH)
+        if not truth:
+            self.edge(block, otherwise, FALSE_BRANCH)
+
     def place(self, span: SourceSpan) -> int:
         """A fresh instruction id at the end of the current block."""
         t = self.table
@@ -346,18 +361,11 @@ class _Builder:
         self.ensure_cur()
         self.instr(stmt, stmt.cond.span)
         cond_block = self.cur
-        truth = ast.literal_truth(stmt.cond)
         then_entry = self.new_block()
         else_entry = self.new_block() if stmt.els is not None else None
         join = self.new_block()
         otherwise = join if else_entry is None else else_entry
-        if truth is None:
-            self.edge(cond_block, then_entry, TRUE_BRANCH)
-            self.edge(cond_block, otherwise, FALSE_BRANCH)
-        elif truth:
-            self.edge(cond_block, then_entry, TRUE_BRANCH)
-        else:
-            self.edge(cond_block, otherwise, FALSE_BRANCH)
+        self.decide(cond_block, ast.literal_truth(stmt.cond), then_entry, otherwise)
         self.cur = then_entry
         self.stmts(stmt.then.stmts)
         if self.cur is not None:
@@ -400,13 +408,7 @@ class _Builder:
         truth = True if cond is None else ast.literal_truth(cond)
         body_entry = self.new_block()
         after = self.new_block()
-        if truth is None:
-            self.edge(cond_block, body_entry, TRUE_BRANCH)
-            self.edge(cond_block, after, FALSE_BRANCH)
-        elif truth:
-            self.edge(cond_block, body_entry, TRUE_BRANCH)
-        else:
-            self.edge(cond_block, after, FALSE_BRANCH)
+        self.decide(cond_block, truth, body_entry, after)
         self.cur = body_entry
         self.stmts(body.stmts)
         if update is not None:
@@ -436,18 +438,12 @@ class _Builder:
     def _try(self, stmt: ast.Try) -> None:
         self.stmts(stmt.body.stmts)
         for catch in stmt.catches:
-            entry = self.new_block()
-            if self.cur is not None:
-                self.edge(self.cur, entry, FALLTHROUGH)
-            self.cur = entry
+            self.fall_into_new_block()
             self._catch_depth += 1
             self.stmts(catch.body.stmts)
             self._catch_depth -= 1
         if stmt.finally_block is not None:
-            entry = self.new_block()
-            if self.cur is not None:
-                self.edge(self.cur, entry, FALLTHROUGH)
-            self.cur = entry
+            self.fall_into_new_block()
             self.stmts(stmt.finally_block.stmts)
 
     _STMTS = {
@@ -467,18 +463,17 @@ class _Builder:
 
     # -- finish ---------------------------------------------------------------
 
-    def finish(
-        self,
-        terminal_span: SourceSpan | None,
-        add_implicit_return: bool = True,
-        synthetic: bool = False,
-    ) -> ControlFlowGraph:
+    def finish(self, terminal_span: SourceSpan | None) -> ControlFlowGraph:
+        """Close the graph.  A method's ends in an implicit return at
+        terminal_span; a synthetic constructor's or static initializer's,
+        given None, ends in none."""
         implicit = None
+        synthetic = terminal_span is None
         if self.cur is not None:
-            if add_implicit_return:
+            if not synthetic:
                 # Implicit return instruction: every method executes at least
                 # one instruction, so method coverage is observable.
-                implicit = self.place(terminal_span or SourceSpan("<synthetic>", 1, 1, 1, 1))
+                implicit = self.place(terminal_span)
             self.edge(self.cur, self.exit, FALLTHROUGH)
         self._prune_empty_orphans()
         t = self.table
@@ -559,13 +554,13 @@ def build_unit_cfgs(unit: ast.CompilationUnit) -> UnitCfgs:
             builder = _Builder(table, clinit_id(cls.name))
             for fld in static_inits:
                 builder.instr(fld)
-            cfg = builder.finish(None, add_implicit_return=False, synthetic=True)
+            cfg = builder.finish(None)
             cfgs[cfg.method] = cfg
         has_ctor = any(m.is_constructor for m in cls.methods)
         if not has_ctor:
             builder = _Builder(table, default_ctor_id(cls.name))
             builder.instr(cls)
-            cfg = builder.finish(None, add_implicit_return=False, synthetic=True)
+            cfg = builder.finish(None)
             cfgs[cfg.method] = cfg
         for method in cls.methods:
             cfg = build_cfg(method, cls.name, table)

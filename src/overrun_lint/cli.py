@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, OverrunLintError, read_text
+from .errors import ConfigError, OverrunLintError, read_text, split_lines
 from .reporting import FORMATS
 
 if TYPE_CHECKING:
@@ -169,10 +169,8 @@ def _cmd_run(args) -> int:
     stdin_script = None
     if args.stdin:
         # Lines end at \n alone, as BufferedReader.readLine's do once
-        # read_text has translated \r\n and \r; a final \n ends the last.
-        stdin_script = read_text(args.stdin).split("\n")
-        if stdin_script[-1] == "":
-            stdin_script.pop()
+        # read_text has translated \r\n and \r.
+        stdin_script = split_lines(read_text(args.stdin))
     options = RunOptions(
         entry=args.entry,
         assertions_enabled=args.ea,

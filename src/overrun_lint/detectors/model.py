@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..records import field, record
-from ..errors import ConfigError, UnknownRuleError
+from ..errors import ConfigError, UnknownRuleError, split_lines
 from ..frontend.lexer import SourceSpan
 
 PRIORITY_COLORS = {1: "red", 2: "orange", 3: "yellow", 4: "green", 5: "blue"}
@@ -139,7 +139,7 @@ def load_ruleset(config: str, file: str | None = None) -> RuleSet:
     from .rules import rule_by_id
 
     ruleset = RuleSet()
-    for lineno, raw in enumerate(config.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(config), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

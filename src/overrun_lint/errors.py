@@ -1,5 +1,6 @@
 """Exception types shared across the toolchain, and the one reader of
-input files, which turns text that is not UTF-8 into one of them."""
+input files, which turns text that is not UTF-8 into one of them and
+splits what it reads into lines."""
 
 from __future__ import annotations
 
@@ -99,3 +100,14 @@ def read_text(path: str | PathLike[str]) -> str:
         line = data.count(b"\n", 0, err.start) + 1
         message = f"not UTF-8 text: cannot decode byte 0x{data[err.start]:02x}"
         raise ConfigError(line, message, str(path)) from None
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of text as read_text returns it, each ending at \n alone,
+    as the lexer's lines do; a final \n ends the last.  str.splitlines
+    would also break at a form feed, \v, \x1c-\x1e, \x85, U+2028 and
+    U+2029, which SL allows inside string literals and comments."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ..errors import OverrunLintError, SpanOutOfRangeError
+from ..errors import OverrunLintError, SpanOutOfRangeError, split_lines
 
 if TYPE_CHECKING:
     from datetime import datetime
@@ -37,7 +37,7 @@ def annotate_source(source: str, finding: Finding, reviewer: str, timestamp: str
     match = REVIEW_RE.match(annotation)
     if match is None or match.groups() != (finding.rule_id, reviewer, timestamp):
         raise OverrunLintError(f"reviewer {reviewer!r} and time {timestamp!r} do not read back from {annotation!r}")
-    lines = source.splitlines()
+    lines = split_lines(source)
     target = finding.span.line
     if target < 1 or target > len(lines):
         raise SpanOutOfRangeError(f"line {target} outside 1..{len(lines)} of {finding.span.file}")
@@ -64,7 +64,7 @@ def _rejoin(lines: list[str], original: str) -> str:
 
 def reviewed_rules_by_line(source: str) -> dict[int, set[str]]:
     """Map a code line to the rule ids reviewed in annotations directly above."""
-    lines = source.splitlines()
+    lines = split_lines(source)
     out: dict[int, set[str]] = {}
     pending: set[str] = set()
     for lineno, text in enumerate(lines, start=1):

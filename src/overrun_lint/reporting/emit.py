@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 
-from ..errors import OverrunLintError
+from ..errors import OverrunLintError, split_lines
 from .report import Report, coverage_percent
 
 CSV_HEADER = ["file", "line", "rule_id", "category", "priority", "rank", "confidence", "message"]
@@ -275,7 +275,7 @@ def _emit_html(report: Report) -> str:
         for file, source in sorted(report.sources.items()):
             parts.append(f"<h3>{html.escape(file)}</h3>")
             parts.append('<pre class="source">')
-            for lineno, text in enumerate(source.splitlines(), start=1):
+            for lineno, text in enumerate(split_lines(source), start=1):
                 status = report.coverage.line_status.get(lineno)
                 escaped = html.escape(text) or " "
                 if status is None:

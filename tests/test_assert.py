@@ -120,33 +120,12 @@ def test_deeply_nested_assert_runs():
     assert _run(source)[0].faults == []
 
 
-def test_void_message_is_rejected_at_its_span(tmp_path, capsys):
+# What each command prints here is a row of tests/test_entry_point.py.
+def test_void_message_is_rejected_at_its_span():
     source = 'class M { static void main(String[] args) { assert true : println("x"); } }'
     with pytest.raises(TypeCheckError) as caught:
         analyze_source(source, "m.sl")
     assert str(caught.value) == "m.sl:1:59: assert message must not be void"
-    program = tmp_path / "m.sl"
-    program.write_text(source)
-    for command in ("run", "analyze", "metrics"):
-        assert main([command, str(program)]) == 2
-        assert "assert message must not be void" in capsys.readouterr().err
-
-
-def test_any_non_void_message_prints_as_java_would(tmp_path, capsys):
-    program = tmp_path / "m.sl"
-    program.write_text("class M { static void main(String[] args) { int v = 3; assert v > 5 : v; } }")
-    code = main(["run", "--ea", str(program)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "assertion failed: M.main: assert v > 5: 3" in err
-
-
-def test_fail_is_no_builtin(tmp_path, capsys):
-    program = tmp_path / "m.sl"
-    program.write_text('class M { static void main(String[] args) { fail("a", "b", "c"); } }')
-    for command in ("run", "analyze"):
-        assert main([command, str(program)]) == 2
-        assert "undeclared identifier 'fail'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["true", "false"])

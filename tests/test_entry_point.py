@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import glob
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -55,11 +56,16 @@ class Row:
     absent: tuple[str, ...] = ()  # files it must not write; those it reads stay as they were
     loaded: tuple[str, ...] = ()  # modules the command imports
     not_loaded: tuple[str, ...] = ()  # packages or modules it must not import
-    check: Callable[[str], None] | None = None  # a further check of stdout
+    check: Callable[[str], None] | None = None  # a further check of stdout, in the working directory
 
 
 def corpus(name: str) -> bytes:
     return (CORPUS / name).read_bytes()
+
+
+# The commands that read SL sources; each takes the paths of its units.
+SOURCE_COMMANDS = ("analyze", "boundcheck", "run", "metrics", "cpd")
+YANG = {"Yang.sl": corpus("yang.sl")}
 
 
 PROBE = """\
@@ -179,6 +185,41 @@ class Main {
 
 NOT_UTF8 = b"class A {\r\n  void m() { }\r\n  // \xff\n}\n"
 
+# A form feed ends no line, for the lexer, annotate or
+# --honor-reviews: line 4's annotation reviews line 5, not line 3.
+FORM_FEED = """\
+class Main {
+    static void main(String[] args) {
+        println("a\fb");
+        //@PMD:REVIEWED: SystemPrintln: by X on 1/1/11 1.01AM
+        println("c");
+    }
+}
+"""
+
+# Reads three lines and prints the first's length, the second, and whether
+# the third is past the end.
+ECHO = """\
+class Echo {
+    static void main(String[] args) {
+        String a = readLine();
+        String b = readLine();
+        String c = readLine();
+        println(length(a));
+        println(b);
+        println(c == null);
+    }
+}
+"""
+
+CLONES = """\
+        int total = 0;
+        for (int i = 0; i < 10; i++) {
+            total = total + i * 2;
+            println(total);
+        }
+"""
+
 # The head of a one-line unit: its main is still open.
 MAIN = "class Main { static void main(String[] args) {"
 
@@ -201,8 +242,29 @@ def _project_total(out: str) -> None:
     assert out.splitlines()[1].split() == ["project", "0.0", "%", "0", "54", "54"]
 
 
-def annotate(rule="DoNotUseThreads", reviewer="X", time="1/1/11 1.01AM", line=1) -> str:
-    return shlex.join(["annotate", "Yang.sl", "--line", str(line), "--rule", rule, "--reviewer", reviewer, "--time", time])
+def _report_xml(out: str) -> None:
+    """--out takes the report, readLine's unchecked result among its findings."""
+    findings = ET.parse("report.xml").findall("findings/finding")
+    assert "NP_DEREFERENCE_OF_READLINE_VALUE" in {f.get("BUGTYPE") for f in findings}
+
+
+def _coverage_json(out: str) -> None:
+    """--coverage-out writes every counter kind and the covered methods."""
+    payload = json.loads(Path("cov.json").read_text())
+    assert payload["per_method_covered"]
+    kinds = {c["kind"] for c in payload["counters"]}
+    assert kinds == {"instruction", "branch", "line", "method", "class", "complexity"}
+
+
+def _annotated_line_3(out: str) -> None:
+    """The annotation sits on line 3, and the rest of the file is as it was."""
+    lines = FORM_FEED.split("\n")
+    lines.insert(2, "        //@PMD:REVIEWED: SystemPrintln: by X on 1/1/11 1.01AM")
+    assert Path("Out.sl").read_text() == "\n".join(lines)
+
+
+def annotate(file="Yang.sl", rule="DoNotUseThreads", reviewer="X", time="1/1/11 1.01AM", line=1) -> str:
+    return shlex.join(["annotate", file, "--line", str(line), "--rule", rule, "--reviewer", reviewer, "--time", time])
 
 
 ROWS = {
@@ -210,6 +272,45 @@ ROWS = {
     "boundcheck corpus": Row("boundcheck {corpus}/*.sl", 1, err="", out_has=("3 finding(s)",)),
     "metrics corpus": Row("metrics {corpus}/*.sl", 0, err="", check=_project_total),
     "cpd corpus": Row("cpd {corpus}/*.sl", 0, out="", err=""),
+    "analyze Yang.sl": Row("analyze Yang.sl --timestamp T0", 1, files=YANG, err="", out_has=("17 finding(s)",)),
+    "analyze --min-priority 1": Row(
+        "analyze Yang.sl --min-priority 1 --timestamp T0", 0, files=YANG, err="", out_has=("0 finding(s)",),
+    ),
+    "analyze, a parse error": Row(
+        "analyze bad.sl", 2, files={"bad.sl": "class {"}, out="", err="error: bad.sl:1:7: expected class name, found '{'\n",
+    ),
+    "analyze --format xml --out": Row(
+        "analyze readline_loop.sl --format xml --out report.xml --timestamp T0", 1,
+        files={"readline_loop.sl": corpus("readline_loop.sl")}, out="", err="", check=_report_xml,
+    ),
+    # Line 3's println is reported and line 5's is reviewed.
+    "analyze --honor-reviews, a form feed in a string": Row(
+        "analyze --honor-reviews Main.sl", 1, files={"Main.sl": FORM_FEED}, err="",
+        rule_counts={"SystemPrintln": 1},
+        out_has=("Main.sl:3:9: [P4/green rank 18/of_concern high] SystemPrintln (performance): println call in production code",),
+    ),
+    "boundcheck --format csv": Row(
+        "boundcheck testing.sl --format csv --timestamp T0", 1, files={"testing.sl": corpus("testing.sl")}, err="",
+        out="file,line,rule_id,category,priority,rank,confidence,message\n"
+        "testing.sl,18,BoundOffByOneLoop,security,2,5,high,loop runs 'y <= size'; largest valid index of 'b' is size - 1\n",
+    ),
+    "boundcheck, a clean file": Row("boundcheck Yang.sl", 0, files=YANG, err="", out_has=("0 finding(s)",)),
+    "metrics building_lift.sl": Row(
+        "metrics building_lift.sl", 0, files={"building_lift.sl": corpus("building_lift.sl")}, err="",
+        out_has=(
+            "Element                    Coverage  Covered Complexity  Missed Complexity  Total Complexity",
+            "      Lift.setSpeed()         0.0 %                   0                  2                 2",
+        ),
+    ),
+    "cpd, a clone": Row(
+        "cpd Dup.sl --min-tokens 20", 1,
+        files={"Dup.sl": f"class A {{\n    void first() {{\n{CLONES}    }}\n\n    void second() {{\n{CLONES}    }}\n}}\n"},
+        out="40 duplicated tokens: Dup.sl:2-8 and Dup.sl:10-16\n", err="",
+    ),
+    "cpd, no clone": Row(
+        "cpd checkers_state.sl --min-tokens 30", 0, files={"checkers_state.sl": corpus("checkers_state.sl")},
+        out="", err="",
+    ),
     "analyze imports": Row(
         "analyze {corpus}/*.sl", 1, err="",
         loaded=("overrun_lint.detectors.rules",), not_loaded=("overrun_lint.runtime",),
@@ -224,13 +325,18 @@ ROWS = {
         err="fault: null_dereference at assert_demo.sl:4: parseInt(null)\n",
         out_has=("assert_demo.sl                   33.3 %                   1                  2                 3",),
     ),
+    "run --coverage --coverage-out": Row(
+        "run --coverage --coverage-out cov.json Yang.sl", 0, files=YANG, err="",
+        out_has=("Element                         Coverage  Covered Complexity  Missed Complexity  Total Complexity",),
+        check=_coverage_json,
+    ),
     "run --coverage-out, then metrics --coverage-data": Row(
-        "metrics --coverage-data cov.json Yang.sl", 0, files={"Yang.sl": corpus("yang.sl")},
+        "metrics --coverage-data cov.json Yang.sl", 0, files=YANG,
         before=("run --coverage --coverage-out cov.json Yang.sl",), err="",
         out_has=("      Yang.main()                100.0 %                   1                  0                 1",),
     ),
     "run --coverage-out without --coverage": Row(
-        "run --coverage-out cov.json Yang.sl", 2, files={"Yang.sl": corpus("yang.sl")},
+        "run --coverage-out cov.json Yang.sl", 2, files=YANG,
         out="", err="error: --coverage-out needs --coverage\n", absent=("cov.json",),
     ),
     **{
@@ -247,6 +353,27 @@ ROWS = {
              "expected an object whose per_method_covered maps method ids to counts"),
         )
     },
+    **{
+        f"run{ea} --stdin, a passed assert": Row(
+            f"run{ea} --stdin twenty assert_demo.sl", 0, files={"assert_demo.sl": corpus("assert_demo.sl"), "twenty": "20\n"},
+            out="rest code here\n", err=err,
+        )
+        for ea, err in (("", ""), (" --ea", "assertion passed: AssertDemo.main: assert a > 10\n"))
+    },
+    # BufferedReader.readLine ends a line at \n, \r or \r\n only.
+    **{
+        f"run --stdin, {name}": Row(
+            "run --stdin in.txt Echo.sl", 0, files={"Echo.sl": ECHO, "in.txt": data}, out=out, err="",
+        )
+        for name, data, out in (
+            ("a form feed inside a line", b"x\fy\nz\n", "3\nz\ntrue\n"),
+            ("a form feed and CRLF line ends", b"x\fy\r\n\r\n", "3\n\ntrue\n"),
+        )
+    },
+    "run --ea, a failed assert's int message": Row(
+        "run --ea M.sl", 1, files={"M.sl": "class M { static void main(String[] args) { int v = 3; assert v > 5 : v; } }"},
+        out="", err="assertion failed: M.main: assert v > 5: 3\nfault: assertion_failure at M.sl:1: 3\n",
+    ),
     "run --ea --stdin, a failed assert": Row(
         "run --ea --stdin five assert_demo.sl", 1, files={"assert_demo.sl": corpus("assert_demo.sl"), "five": "5\n"},
         out="",
@@ -257,6 +384,24 @@ ROWS = {
         "analyze {corpus}/yang.sl --ruleset bad.conf", 2, files={"bad.conf": "rule SystemPrintln enabled=maybe\n"},
         out="", err="error: bad.conf: line 1: enabled must be true or false, got 'maybe'\n",
     ),
+    "--ruleset enabled=false": Row(
+        "analyze Yang.sl --ruleset off.conf --timestamp T0", 1,
+        files={**YANG, "off.conf": "rule SystemPrintln enabled=false\nrule NoPackage enabled=false\n"},
+        err="", out_has=("12 finding(s)",), rule_counts={"SystemPrintln": 0, "NoPackage": 0},
+    ),
+    **{
+        f"--ruleset, {name}": Row(
+            "analyze Yang.sl --ruleset bad.conf", 2, files={**YANG, "bad.conf": config},
+            out="", err=f"error: bad.conf: line {message}\n",
+        )
+        for name, config, message in (
+            ("an unknown rule id", "rule Nonexistent priority=2\n", "1: unknown rule id 'Nonexistent'"),
+            ("a rule boundcheck reports", "rule BoundOffByOneLoop enabled=false\n",
+             "1: rule 'BoundOffByOneLoop' is reported by boundcheck, which takes no ruleset"),
+            # A form feed ends no line.
+            ("a form feed in a comment", "# by X\fon 1/1/11\nrule Nonexistent\n", "2: unknown rule id 'Nonexistent'"),
+        )
+    },
     "--ruleset priority=1": Row(
         "analyze {corpus}/*.sl --format xml --ruleset p1.conf", 1, files={"p1.conf": "rule SystemPrintln priority=1\n"},
         err="", check=_priorities,
@@ -287,6 +432,25 @@ ROWS = {
                " synchronized (m) { println(2); } } }\n"},
         out="1\n", err="fault: null_dereference at Sync.sl:2: synchronized on null\n",
     ),
+    "run, a fault keeps the output before it": Row(
+        "run Div.sl", 1,
+        files={"Div.sl": 'class Main {\n    static void main(String[] args) {\n        int z = 0;\n'
+               '        println("before");\n        println(5 / z);\n    }\n}\n'},
+        out="before\n", err="fault: arithmetic_error at Div.sl:5: integer division by zero\n",
+    ),
+    # Programs the types once let through to a Python traceback.
+    **{
+        f"run, {name}": Row("run Main.sl", code, files={"Main.sl": source}, out="", err=err)
+        for name, source, code, err in (
+            ("a negated call that falls off its end",
+             "class Main {\n    static int g() { }\n    static void main(String[] args) { int x = -g(); println(x); }\n}\n",
+             1, "fault: missing_return at Main.sl:2: Main.g/0 reached its end without returning a value\n"),
+            ("an entry taking an int", "class Main { static void main(int x) { println(x + 1); } }\n",
+             2, "error: entry Main.main(int) must take no parameters or one String[]\n"),
+            ("a class name as a value", "class C { }\nclass Main { static void main(String[] args) { C c = C; } }\n",
+             2, "error: Main.sl:2:54: class name C is not a value\n"),
+        )
+    },
     "run, a runaway loop": Row(
         "run Spin.sl", 1,
         files={"Spin.sl": "class Main {\n    static void main(String[] args) {\n        while (true) { }\n    }\n}\n"},
@@ -299,11 +463,6 @@ ROWS = {
         files={"T.sl": "class T { static int x = spin(); static int spin() { while (true) { } }"
                " static void main(String[] args) { println(1); } }\n"},
         out="", err="error: entry T.nope not found in T.sl\n",
-    ),
-    "an override that changes its signature": Row(
-        "analyze Override.sl", 2,
-        files={"Override.sl": "class A { int m(int x) { return x; } }\nclass B extends A { double m(double x) { return x; } }\n"},
-        out="", err="error: Override.sl:2:21: m(double) in B cannot override m(int) in A; the parameter types differ\n",
     ),
     "class String": Row(
         "analyze String.sl", 2, files={"String.sl": "class String { }\n"},
@@ -381,9 +540,16 @@ ROWS = {
             " Dereference of the result of readLine() via 'line' without a null check",
         ),
     ),
+    # The annotation goes above line 3, whose string holds a form feed, and
+    # the annotated file still runs.
+    "annotate --out, a form feed in a string": Row(
+        "run Out.sl", 0, files={"Main.sl": FORM_FEED},
+        before=(annotate("Main.sl", rule="SystemPrintln", line=3) + " --out Out.sl",),
+        out="a\fb\nc\n", err="", check=_annotated_line_3,
+    ),
     **{
         f"annotate {rule}": Row(
-            annotate(rule=rule, line=2), 2, files={"Yang.sl": corpus("yang.sl")},
+            annotate(rule=rule, line=2), 2, files=YANG,
             out="", err=f"error: unknown rule id '{rule}'\n",
         )
         for rule in ("NotARule", "BoundNoSuchRule")
@@ -391,7 +557,7 @@ ROWS = {
     # --honor-reviews could not read these annotations back.
     **{
         f"annotate, {name}": Row(
-            annotate(reviewer=reviewer, time=time), 2, files={"Yang.sl": corpus("yang.sl")},
+            annotate(reviewer=reviewer, time=time), 2, files=YANG,
             out="", err=f"error: reviewer {reviewer!r} and time {time!r} do not read back from {line!r}\n",
         )
         for name, reviewer, time, line in (
@@ -414,19 +580,45 @@ ROWS = {
             ("int x = %s", "1" + "0" * 5000, 56),
         )
     },
+    # Each command, and each option that names a text file, on one whose
+    # third line holds the byte 0xff.
     **{
-        f"{command}, not UTF-8": Row(
-            f"{command} bad.sl", 2, files={"bad.sl": NOT_UTF8},
+        f"{name}, not UTF-8": Row(
+            argv, 2, files={"bad.sl": NOT_UTF8, "Good.sl": corpus("assert_demo.sl")},
             out="", err="error: bad.sl: line 3: not UTF-8 text: cannot decode byte 0xff\n",
         )
-        for command in ("analyze", "run")
-    },
-    **{
-        f"{command}, the first resolution error alone": Row(
-            f"{command} mixed.sl", 2, files={"mixed.sl": MIXED},
-            out="", err="error: mixed.sl:3:5: undeclared identifier 'x'\n",
+        for name, argv in (
+            *((command, f"{command} bad.sl") for command in SOURCE_COMMANDS),
+            ("annotate", annotate("bad.sl", rule="SystemPrintln", line=2)),
+            ("analyze --ruleset", "analyze Good.sl --ruleset bad.sl"),
+            ("run --stdin", "run Good.sl --stdin bad.sl"),
         )
-        for command in ("analyze", "boundcheck", "metrics", "cpd", "run")
+    },
+    # Every command rejects what the resolver rejects, and run starts no
+    # program.
+    **{
+        f"{command}, {name}": Row(
+            f"{command} Main.sl", 2, files={"Main.sl": source}, out="", err=f"error: Main.sl:{message}\n",
+        )
+        for command in SOURCE_COMMANDS
+        for name, source, message in (
+            ("the first resolution error alone", MIXED, "3:5: undeclared identifier 'x'"),
+            ("a local declared twice", f"{MAIN}\n int x = 1;\n int x = 2;\n println(x); }} }}\n",
+             "3:2: duplicate declaration of 'x'"),
+            ("a call to an undeclared method", f"{MAIN}\n println(1);\n missing(2); }} }}\n",
+             "3:2: undeclared identifier 'missing'"),
+            # Before overrides kept their signature, run printed 3.0 from an int.
+            ("an override that changes its signature",
+             "class A { int m(int x) { return x; } }\nclass B extends A { double m(double x) { return x; } }\n"
+             "class Main { static void main(String[] args) { A a = new B(); int y = a.m(3); println(y); } }\n",
+             "2:21: m(double) in B cannot override m(int) in A; the parameter types differ"),
+            ("a void assert message",
+             'class M { static void main(String[] args) { assert true : println("x"); } }',
+             "1:59: assert message must not be void"),
+            ("fail, which is no builtin",
+             'class M { static void main(String[] args) { fail("a", "b", "c"); } }',
+             "1:45: undeclared identifier 'fail'"),
+        )
     },
 }
 
@@ -485,7 +677,7 @@ def check_row(row: Row, command: list[str]) -> None:
         assert out == row.out
     if row.err is not None:
         assert err == row.err
-    lines = out.splitlines()
+    lines = out.split("\n")  # a form feed in a printed string ends no line
     for line in row.out_has:
         assert line in lines, line
     for rule_id, count in row.rule_counts.items():
@@ -505,7 +697,7 @@ def test_row(name, tmp_path, monkeypatch):
 
 
 # The branch that runs a command, as CI runs the table, in this suite too.
-@pytest.mark.parametrize("name", ["metrics corpus", "class String", "cpd imports"])
+@pytest.mark.parametrize("name", ["metrics corpus", "class String", "cpd imports", "analyze --format xml --out"])
 def test_row_through_a_command(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PYTHONPATH", PACKAGE_ROOT)

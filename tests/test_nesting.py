@@ -14,8 +14,7 @@ from overrun_lint.frontend.parser import MAX_NESTING
 from overrun_lint.pipeline import run_source
 from overrun_lint.runtime import RunOptions
 from overrun_lint.runtime.interpreter import _Gen
-
-COMMANDS = ("analyze", "boundcheck", "run", "metrics", "cpd")
+from test_entry_point import SOURCE_COMMANDS
 
 
 def _main(body: str, extra: str = "") -> str:
@@ -62,7 +61,7 @@ def test_every_command_handles_the_deepest_allowed_nesting(shape, capsys, tmp_pa
     assert sys.getrecursionlimit() == 1000
     source = SHAPES[shape](MAX_NESTING)
     parse_source(source)
-    for command in COMMANDS:
+    for command in SOURCE_COMMANDS:
         code, err = _run(capsys, tmp_path, source, command)
         assert code in (0, 1), (command, err)
 
@@ -76,7 +75,7 @@ def test_one_level_deeper_is_a_spanned_parse_error(shape, capsys, tmp_path):
     span = err.value.span
     line = source.splitlines()[span.line - 1]
     assert span.file == "deep.sl" and line[span.column - 1 :].strip()
-    for command in COMMANDS:
+    for command in SOURCE_COMMANDS:
         code, out = _run(capsys, tmp_path, source, command)
         assert code == 2 and f":{span.line}:{span.column}: nesting deeper than" in out
 
@@ -92,7 +91,7 @@ def test_one_level_deeper_is_a_spanned_parse_error(shape, capsys, tmp_path):
     ids=["3000 parens", "1500 ifs", "3000 operands", "chains in parens"],
 )
 def test_far_too_deep_input_exits_two(source, capsys, tmp_path):
-    for command in COMMANDS:
+    for command in SOURCE_COMMANDS:
         code, err = _run(capsys, tmp_path, source, command)
         assert code == 2 and "nesting deeper than" in err
 

@@ -353,7 +353,8 @@ def test_html_line_coverage_classes_and_xml_coverage_section(corpus_sources):
     from overrun_lint.pipeline import run_source
     from overrun_lint.runtime import RunOptions, coverage_summary
 
-    source = corpus_sources["file_check.sl"]
+    # A form feed ends no line: the listing numbers lines as the lexer does.
+    source = "// form\ffeed\n" + corpus_sources["file_check.sl"]
     trace, analyzed = run_source(
         source,
         "file_check.sl",
@@ -370,6 +371,9 @@ def test_html_line_coverage_classes_and_xml_coverage_section(corpus_sources):
     html_doc = emit_report(report, "html")
     assert '<span class="green">' in html_doc  # executed lines
     assert '<span class="red">' in html_doc    # the missed then-branch
+    listing = html_doc.split('<pre class="source">\n', 1)[1].split("\n</pre>", 1)[0].split("\n")
+    assert len(listing) == source.count("\n")
+    assert listing[0] == "   1  // form\ffeed"
     xml_doc = emit_report(report, "xml")
     assert 'counter kind="branch"' in xml_doc
     assert 'counter kind="complexity"' in xml_doc
